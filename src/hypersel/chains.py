@@ -6,20 +6,40 @@ chains.  A system is nice when overlapping families always meet
 uniquely and all chains between the same endpoints compose to the same
 transfer; nice systems with bijective transfers determine a selection
 on every covered sample subset.
+
+Niceness, chain components and building all read one MeetGraph per
+system (``FamilySystem.graph``, built on first use).  It scales every
+member endpoint and sample point to an integer on their least common
+denominator, so comparisons stay exact without Fractions, and indexes
+the distinct member intervals by left endpoint.  Row i of the graph,
+the unique-meet edges out of family i as an ascending adjacency list,
+is filled only when asked for: its candidates are the families touching
+every member of i, and exact member hits are tested on those alone, so
+a refutation in an early row never pays for the later ones.  A point
+index maps each sample point to the families (and members) containing
+it; the families covering a sample subset are the intersection of its
+points' entries, which places a subset without testing every family.
+The single-pair entry points (meets_uniquely, covers, and
+vietoris.intersect_nonempty) use the same member-hit test.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
     BrokenLink,
+    CoverConflict,
     NoTransversal,
     NonBijectiveTransfer,
     NotNice,
     PreconditionUnverified,
     SizeMismatch,
+    TransferConflict,
 )
 from .extension import restrict
 from .structures import is_regular, subset_ranks
@@ -29,6 +49,8 @@ from .vietoris import (
     OpenFamily,
     find_preserving_neighborhoods,
     intersect_nonempty,
+    member_hits,
+    overlaps,
     preserves_relations,
     resolution,
 )
@@ -45,18 +67,24 @@ class MeetMap:
     bijective: bool
 
 
+def _unique(rows: list) -> Optional[tuple]:
+    """The index map of hit rows (see vietoris.member_hits) when every
+    row holds exactly one hit, else None: the one definition of "meets
+    uniquely"."""
+    if all(len(row) == 1 for row in rows):
+        return tuple(row[0] for row in rows)
+    return None
+
+
 def meets_uniquely(u: OpenFamily, v: OpenFamily) -> Optional[MeetMap]:
     """The unique-meet map u -> v, or None when some member of u meets
     zero or several members of v."""
     if u.size != v.size:
         raise SizeMismatch(f"family sizes differ: {u.size} vs {v.size}")
-    mapping = []
-    for a in u.members:
-        hits = [j for j, b in enumerate(v.members) if a.intersects(b)]
-        if len(hits) != 1:
-            return None
-        mapping.append(hits[0])
-    return MeetMap(u, v, tuple(mapping), len(set(mapping)) == u.size)
+    mapping = _unique(member_hits(u.bounds, v.bounds))
+    if mapping is None:
+        return None
+    return MeetMap(u, v, mapping, len(set(mapping)) == u.size)
 
 
 @dataclass(frozen=True)
@@ -120,77 +148,142 @@ class FamilySystem:
     def arity(self) -> int:
         return self.families[0].size if self.families else 0
 
+    @cached_property
+    def graph(self) -> MeetGraph:
+        """The system's meet graph, built on first use and then shared by
+        every check and construction on this system."""
+        return MeetGraph(self)
 
-def _edges(system: FamilySystem) -> dict:
-    """Directed unique-meet edges between distinct families."""
-    out = {}
-    fams = system.families
-    for i in range(len(fams)):
-        for j in range(len(fams)):
-            if i == j:
-                continue
-            link = meets_uniquely(fams[i], fams[j])
-            if link is not None:
-                out[(i, j)] = link.mapping
-    return out
+
+class MeetGraph:
+    """Unique-meet edges and cover placements of one family system (see
+    the module docstring).  keys[f] holds family f's member endpoints
+    and points[k] sample point k, as integers."""
+
+    def __init__(self, system: FamilySystem):
+        fams = system.families
+        points = system.model.points
+        scale = math.lcm(*{q.denominator for f in fams for b in f.bounds for q in b},
+                         *{p.denominator for p in points})
+
+        def key(q):
+            return q.numerator * (scale // q.denominator)
+
+        self.size = system.arity
+        self.keys = [tuple((key(lo), key(hi)) for lo, hi in f.bounds) for f in fams]
+        self.points = [key(p) for p in points]
+        owners: dict = {}
+        for f, ks in enumerate(self.keys):
+            for a, k in enumerate(ks):
+                owners.setdefault(k, []).append((f, a))
+        # the distinct member intervals sorted by lo, each with the
+        # (family, member) pairs that share it
+        self.spans = sorted(owners)
+        self.owners = [owners[k] for k in self.spans]
+        self.los = [lo for lo, _ in self.spans]
+        self.reach = max((hi - lo for lo, hi in self.spans), default=0)
+        self.rows: list = [None] * len(fams)
+        self._touch: dict = {}
+
+    def _near(self, lo, hi) -> list:
+        """(family, member) pairs whose member meets the open (lo, hi),
+        or contains p when called as (p, p).  A member meeting it starts
+        after lo - reach and before hi."""
+        start = bisect_right(self.los, lo - self.reach)
+        window = self.spans[start:bisect_left(self.los, hi)]
+        (hits,) = member_hits([(lo, hi)], window)
+        return [pair for h in hits for pair in self.owners[start + h]]
+
+    def _touching(self, k: tuple) -> set:
+        """The families with a member meeting the member interval k."""
+        if k not in self._touch:
+            self._touch[k] = {f for f, _ in self._near(*k)}
+        return self._touch[k]
+
+    def row(self, i: int) -> tuple:
+        """(edges, bad) of family i: edges lists (j, meet map) for every
+        j != i that i meets uniquely, ascending in j; bad is the least j
+        whose Vietoris open overlaps i's without a unique meet, or None.
+
+        Only families touching every member of i can be either, so exact
+        hits are tested on those candidates alone."""
+        if self.rows[i] is None:
+            ks = self.keys[i]
+            cands = set(range(len(self.keys))).intersection(*map(self._touching, ks))
+            edges, bad = [], None
+            for j in sorted(cands - {i}):
+                hits = member_hits(ks, self.keys[j])
+                mapping = _unique(hits)
+                if mapping is not None:
+                    edges.append((j, mapping))
+                elif bad is None and overlaps(hits, self.size):
+                    bad = j
+            self.rows[i] = edges, bad
+        return self.rows[i]
+
+    @cached_property
+    def holders(self) -> list:
+        """Per sample point, {family: the member containing the point}."""
+        return [dict(self._near(p, p)) for p in self.points]
+
+    def covering(self, s: tuple) -> list:
+        """(family, members) for every family whose Vietoris open holds
+        the sample points with indices s, one point per member, ascending
+        by family; members[k] is the member holding point s[k]."""
+        if len(s) != self.size:
+            return []
+        held = [self.holders[k] for k in s]
+        cands = set(held[0]).intersection(*held[1:]) if held else range(len(self.keys))
+        out = []
+        for f in sorted(cands):
+            members = [h[f] for h in held]
+            if len(set(members)) == len(s):
+                out.append((f, members))
+        return out
 
 
 def chain_classes(system: FamilySystem) -> list:
     """Connected components of the unique-meet graph (edges taken
     regardless of direction), each a sorted list of family indices."""
     n = len(system.families)
-    edges = _edges(system)
-    neighbors = {i: set() for i in range(n)}
-    for (i, j) in edges:
-        neighbors[i].add(j)
-        neighbors[j].add(i)
+    neighbors: list = [[] for _ in range(n)]
+    for i in range(n):
+        for j, _ in system.graph.row(i)[0]:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
     seen: set = set()
     comps = []
     for root in range(n):
-        if root in seen:
-            continue
-        comp = []
-        stack = [root]
-        seen.add(root)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in neighbors[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
+        if root not in seen:
+            seen.add(root)
+            comp = [root]
+            for u in comp:
+                for w in neighbors[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+            comps.append(sorted(comp))
     return comps
 
 
-def _labels_from(
-    root: int, size: int, edges: dict, n_families: int
-):
-    """Transfer labels L with L[root] = identity, propagated along
-    directed edges; returns (labels, conflict edge or None).
+def _labels_from(root: int, graph: MeetGraph):
+    """Transfer labels L with L[root] = identity, propagated breadth
+    first along directed edges; returns (labels, conflict edge or None).
 
-    A conflict means two chains from root to the same family compose
+    Labels never change once set and every edge out of a labeled family
+    is walked, so each edge inside the labeled set gets compared.  A
+    conflict means two chains from root to the same family compose
     differently, which refutes path independence outright.
     """
-    labels: dict = {root: tuple(range(size))}
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
-        for v in range(n_families):
-            if v == u or (u, v) not in edges:
-                continue
-            gamma = edges[(u, v)]
+    labels: dict = {root: tuple(range(graph.size))}
+    order = [root]
+    for u in order:
+        for v, gamma in graph.row(u)[0]:
             cand = tuple(gamma[x] for x in labels[u])
             if v not in labels:
                 labels[v] = cand
-                queue.append(v)
+                order.append(v)
             elif labels[v] != cand:
-                return labels, (u, v)
-    # re-check every edge inside the labeled set (BFS order may have
-    # assigned both endpoints before walking the edge)
-    for (u, v), gamma in edges.items():
-        if u in labels and v in labels:
-            if tuple(gamma[x] for x in labels[u]) != labels[v]:
                 return labels, (u, v)
     return labels, None
 
@@ -199,7 +292,7 @@ def is_nice(system: FamilySystem) -> Verdict:
     """Both niceness conditions.
 
     1. Families with intersecting Vietoris opens meet uniquely (checked
-       for every ordered pair).
+       for every ordered pair, row by row).
     2. All chains between the same endpoints compose to the same
        transfer.  Checked by consistent labeling: for every family as
        root, propagate transfers outward along unique-meet edges and
@@ -210,28 +303,17 @@ def is_nice(system: FamilySystem) -> Verdict:
     Witnesses: ("overlap-without-unique-meet", i, j) or
     ("transfer-conflict", root, (u, v)).
     """
-    fams = system.families
-    n = len(fams)
+    graph = system.graph
+    n = len(system.families)
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if intersect_nonempty(fams[i], fams[j]):
-                if meets_uniquely(fams[i], fams[j]) is None:
-                    return fail(("overlap-without-unique-meet", i, j))
-    if n == 0:
-        return PASS
-    size = system.arity
-    edges = _edges(system)
+        bad = graph.row(i)[1]
+        if bad is not None:
+            return fail(("overlap-without-unique-meet", i, bad))
     for root in range(n):
-        _, conflict = _labels_from(root, size, edges, n)
+        _, conflict = _labels_from(root, graph)
         if conflict is not None:
             return fail(("transfer-conflict", root, conflict))
     return PASS
-
-
-def _lex_key(fam: OpenFamily) -> tuple:
-    return tuple((u.lo, u.hi) for u in fam.members)
 
 
 @dataclass(frozen=True)
@@ -262,27 +344,29 @@ def build_selection_from_nice(
     """
     verdict = is_nice(system)
     if not verdict:
-        raise NotNice(f"system is not nice: {verdict.witness}")
-    fams = system.families
+        raise NotNice(f"system is not nice: {verdict.witness}", verdict)
+    graph = system.graph
     model = system.model
     m = system.arity
     comps = chain_classes(system)
-    edges = _edges(system)
     chosen_bases = []
-    transfers: dict = {}
+    targets: dict = {}  # family -> member holding its component's value
     for ci, comp in enumerate(comps):
         if bases is not None and ci in bases:
             base_f, base_m = bases[ci]
             if base_f not in comp:
                 raise ValueError(f"base family {base_f} not in component {comp}")
         else:
-            base_f = min(comp, key=lambda i: _lex_key(fams[i]))
+            base_f = min(comp, key=graph.keys.__getitem__)
             base_m = 0
         if not 0 <= base_m < m:
             raise ValueError(f"base member {base_m} out of range")
         chosen_bases.append((base_f, base_m))
-        labels, conflict = _labels_from(base_f, m, edges, len(fams))
-        assert conflict is None, "niceness verified but labeling conflicted"
+        labels, conflict = _labels_from(base_f, graph)
+        if conflict is not None:
+            raise TransferConflict(
+                f"niceness verified but labeling from {base_f} conflicted at {conflict}"
+            )
         for v in comp:
             if v not in labels:
                 raise NonBijectiveTransfer(
@@ -292,32 +376,17 @@ def build_selection_from_nice(
                 raise NonBijectiveTransfer(
                     f"transfer from {base_f} to {v} is not bijective"
                 )
-            transfers[v] = labels[v]
+            targets[v] = labels[v][base_m]
     values: dict = {}
     uncovered = []
     subs, _ = subset_ranks(model.size, m) if m <= model.size else ((), {})
     for s in subs:
         pts = tuple(model.points[i] for i in s)
-        value = None
-        hit = False
-        for ci, comp in enumerate(comps):
-            base_f, base_m = chosen_bases[ci]
-            for v in comp:
-                fam = fams[v]
-                placement = _placement(fam, pts)
-                if placement is None:
-                    continue
-                hit = True
-                target_member = transfers[v][base_m]
-                point = placement[target_member]
-                if value is None:
-                    value = point
-                else:
-                    assert value == point, (
-                        "covering families disagree despite niceness"
-                    )
-        if hit:
-            values[pts] = value
+        picks = {pts[members.index(targets[f])] for f, members in graph.covering(s)}
+        if len(picks) > 1:
+            raise CoverConflict(f"covering families of {pts} disagree despite niceness")
+        if picks:
+            values[pts] = picks.pop()
         else:
             uncovered.append(pts)
     return BuiltSelection(
@@ -328,17 +397,10 @@ def build_selection_from_nice(
 def _placement(fam: OpenFamily, pts: tuple) -> Optional[tuple]:
     """If pts lies in the Vietoris open of fam, the tuple whose i-th
     entry is the unique point inside member i; else None."""
-    placement = []
-    used = 0
-    for u in fam.members:
-        inside = [p for p in pts if u.contains(p)]
-        if len(inside) != 1:
-            return None
-        placement.append(inside[0])
-        used += 1
-    if len(set(placement)) != len(pts):
+    mapping = _unique(member_hits(fam.bounds, [(p, p) for p in pts]))
+    if mapping is None or len(set(mapping)) != len(pts):
         return None
-    return tuple(placement)
+    return tuple(pts[k] for k in mapping)
 
 
 def covers(fam: OpenFamily, pts: tuple) -> bool:
@@ -372,7 +434,7 @@ def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
         if not is_regular(restrict(sel, pts, 2)):
             continue
         fam = find_preserving_neighborhoods(model, pts, arities, max_radius=cap)
-        key = _lex_key(fam)
+        key = tuple(fam.bounds)
         if key not in seen:
             seen.add(key)
             fams.append(fam)
@@ -391,7 +453,7 @@ def regular_class_cover_check(system: FamilySystem, n: int) -> Verdict:
     subs, _ = subset_ranks(model.size, m)
     for s in subs:
         pts = tuple(model.points[i] for i in s)
-        covered = any(covers(f, pts) for f in system.families)
+        covered = bool(system.graph.covering(s))
         regular = is_regular(restrict(sel, pts, 2))
         if covered != regular:
             return fail(pts)

@@ -19,7 +19,6 @@ from . import __version__
 from .chains import (
     build_selection_from_nice,
     chain_classes,
-    covers,
     derive_nice_family,
     is_nice,
 )
@@ -173,9 +172,8 @@ def _cover_diagnostics(system) -> dict:
     if 0 < m <= model.size:
         subs, _ = subset_ranks(model.size, m)
         for s in subs:
-            pts = tuple(model.points[i] for i in s)
-            target = covered if any(covers(f, pts) for f in system.families) else uncovered
-            target.append([label_str(p) for p in pts])
+            target = covered if system.graph.covering(s) else uncovered
+            target.append([label_str(model.points[i]) for i in s])
     return {
         "covered": covered,
         "covered_count": len(covered),
@@ -205,8 +203,7 @@ def cmd_chains(args: argparse.Namespace) -> int:
     try:
         built = build_selection_from_nice(system)
     except NotNice as exc:
-        verdict = is_nice(system)
-        result = {"built": False, "witness": jsonable(verdict.witness), "error": str(exc)}
+        result = {"built": False, "witness": jsonable(exc.verdict.witness), "error": str(exc)}
         _emit(_report(args, result), args.output)
         return 1
     result = {

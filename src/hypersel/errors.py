@@ -1,9 +1,9 @@
 """Exception taxonomy shared by all modules.
 
 Every failure mode a caller can provoke has its own class so that tests
-and the CLI can match on type instead of message text.  Internal
-invariant breakage (things a caller cannot cause) raises plain
-RuntimeError/AssertionError and is not part of this vocabulary.
+and the CLI can match on type instead of message text.  Broken internal
+invariants raise explicitly, never through a bare ``assert``, so the
+checks survive ``python -O``.
 """
 
 
@@ -92,7 +92,22 @@ class BrokenLink(HyperselError):
 
 
 class NotNice(HyperselError):
-    """A family system failed the niceness check."""
+    """A family system failed the niceness check; ``verdict`` carries the
+    failing verdict and its witness."""
+
+    def __init__(self, message: str, verdict):
+        super().__init__(message)
+        self.verdict = verdict
+
+
+class TransferConflict(HyperselError):
+    """Transfer labels conflicted on a system that passed the niceness
+    check (an internal invariant)."""
+
+
+class CoverConflict(HyperselError):
+    """Families covering one sample subset selected different points on a
+    system that passed the niceness check (an internal invariant)."""
 
 
 class NonBijectiveTransfer(HyperselError):

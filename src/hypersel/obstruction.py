@@ -40,6 +40,21 @@ def is_prime(k: int) -> bool:
     return True
 
 
+def prime_divisors(m: int) -> list:
+    """The distinct primes dividing m >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 def regular_score_value(m: int, n: int) -> Optional[int]:
     """C(m,n)/m when integral, else None (then no regular structure exists)."""
     if not 1 <= n <= m:
@@ -177,9 +192,7 @@ def obstruction_table(max_m: int, budget: int = DEFAULT_BUDGET) -> list:
         raise OutOfRange(f"need 2 <= max_m <= {MAX_TABLE_M}, got {max_m}")
     rows = []
     for m in range(2, max_m + 1):
-        for p in range(2, m + 1):
-            if not is_prime(p) or m % p != 0:
-                continue
+        for p in prime_divisors(m):
             cert = prime_obstruction_holds(m, p)
             search = search_regular(m, p, budget=budget)
             if search.structure is not None:

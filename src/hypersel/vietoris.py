@@ -60,6 +60,11 @@ class OpenFamily:
     def size(self) -> int:
         return len(self.members)
 
+    @property
+    def bounds(self) -> list:
+        """The members' (lo, hi) endpoint pairs, in member order."""
+        return [(u.lo, u.hi) for u in self.members]
+
     def union_contains(self, p: Fraction) -> bool:
         return any(u.contains(p) for u in self.members)
 
@@ -237,6 +242,24 @@ def check_continuity(model: ModelSpace) -> Verdict:
     return PASS
 
 
+def member_hits(us: Sequence[tuple], vs: Sequence[tuple]) -> list:
+    """Row a lists the indices of the opens in vs that meet us[a].
+
+    Opens are (lo, hi) endpoint pairs compared with strict <, so opens
+    that only touch at an endpoint stay disjoint.  A point p enters as
+    the pair (p, p), and then "meets" reads "contains p".  Endpoints may
+    be Fractions or integers on one common denominator.
+    """
+    return [[j for j, (lo, hi) in enumerate(vs) if alo < hi and lo < ahi] for alo, ahi in us]
+
+
+def overlaps(rows: list, size: int) -> bool:
+    """Whether the hit rows of u against a size-member family v form an
+    edge cover of the bipartite meet graph (no isolated member on
+    either side)."""
+    return all(rows) and len({j for row in rows for j in row}) == size
+
+
 def intersect_nonempty(u: OpenFamily, v: OpenFamily) -> bool:
     """Whether the Vietoris opens of two disjoint families intersect.
 
@@ -244,9 +267,4 @@ def intersect_nonempty(u: OpenFamily, v: OpenFamily) -> bool:
     pairs) has no isolated vertex: such an edge cover assembles a finite
     rational witness set, and conversely any witness covers all members.
     """
-    meets = [
-        [a.intersects(b) for b in v.members] for a in u.members
-    ]
-    rows_ok = all(any(row) for row in meets)
-    cols_ok = all(any(meets[i][j] for i in range(u.size)) for j in range(v.size))
-    return rows_ok and cols_ok
+    return overlaps(member_hits(u.bounds, v.bounds), v.size)

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from hypersel.chains import FamilySystem, meets_uniquely
+from hypersel.chains import FamilySystem
 from hypersel.extension import PartialSelection, make_partial
 from hypersel.structures import GroundSet, SelectionStructure
 from hypersel.vietoris import (
@@ -73,24 +73,48 @@ def oracle_intersect(u: OpenFamily, v: OpenFamily) -> bool:
 
 
 # -- chain agreement --------------------------------------------------------
+#
+# A pairwise brute-force reference for the chain layer: every ordered
+# pair of families and every (family, sample subset) pair is tested
+# straight from the definitions on the Fraction endpoints.
+
+def oracle_meet_rows(u: OpenFamily, v: OpenFamily) -> list:
+    """Per member of u, the indices of the members of v it meets.  Two
+    open intervals are disjoint exactly when one ends at or before the
+    other starts."""
+    return [
+        [j for j, b in enumerate(v.members) if not (a.hi <= b.lo or b.hi <= a.lo)]
+        for a in u.members
+    ]
+
+
+def oracle_overlap(u: OpenFamily, v: OpenFamily) -> bool:
+    """Vietoris opens intersect: no member on either side meets nothing."""
+    return all(oracle_meet_rows(u, v)) and all(oracle_meet_rows(v, u))
+
+
+def oracle_edges(system: FamilySystem) -> dict:
+    """(i, j) -> index map for every ordered pair of distinct families in
+    which each member of i meets exactly one member of j."""
+    fams = system.families
+    edges = {}
+    for i, u in enumerate(fams):
+        for j, v in enumerate(fams):
+            rows = oracle_meet_rows(u, v)
+            if i != j and all(len(row) == 1 for row in rows):
+                edges[(i, j)] = tuple(row[0] for row in rows)
+    return edges
+
 
 def oracle_chains_agree(system: FamilySystem, max_len: int = 6):
     """Enumerate every unique-meet walk of at most max_len links and
     compare compositions pairwise per (start, end).  Trivial walks
     count, so a cycle composing to a non-identity map is a conflict.
     Returns (True, None) or (False, (start, end))."""
-    fams = system.families
-    n = len(fams)
+    n = len(system.families)
     size = system.arity
-    edges = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                link = meets_uniquely(fams[i], fams[j])
-                if link is not None:
-                    edges[(i, j)] = link.mapping
     out = {i: [] for i in range(n)}
-    for (i, j), g in edges.items():
+    for (i, j), g in oracle_edges(system).items():
         out[i].append((j, g))
     ident = tuple(range(size))
     seen: dict = {}
@@ -112,18 +136,132 @@ def oracle_chains_agree(system: FamilySystem, max_len: int = 6):
 def oracle_unique_overlaps(system: FamilySystem) -> bool:
     """Condition 1 alone: ordered overlapping pairs meet uniquely."""
     fams = system.families
-    for i, u in enumerate(fams):
-        for j, v in enumerate(fams):
-            if i == j:
+    edges = oracle_edges(system)
+    return all(
+        (i, j) in edges
+        for i, u in enumerate(fams)
+        for j, v in enumerate(fams)
+        if i != j and oracle_overlap(u, v)
+    )
+
+
+def _oracle_labels(root: int, size: int, edges: dict, n: int):
+    """Breadth-first transfer labels from root, neighbours in index
+    order; (labels, first edge that disagrees or None)."""
+    labels = {root: tuple(range(size))}
+    queue = [root]
+    while queue:
+        u = queue.pop(0)
+        for v in range(n):
+            if (u, v) not in edges:
                 continue
-            overlap = all(
-                any(a.intersects(b) for b in v.members) for a in u.members
-            ) and all(
-                any(b.intersects(a) for a in u.members) for b in v.members
-            )
-            if overlap and meets_uniquely(u, v) is None:
-                return False
-    return True
+            cand = tuple(edges[(u, v)][x] for x in labels[u])
+            if v not in labels:
+                labels[v] = cand
+                queue.append(v)
+            elif labels[v] != cand:
+                return labels, (u, v)
+    return labels, None
+
+
+def oracle_niceness(system: FamilySystem):
+    """(ok, witness) with the library's witness order: the first ordered
+    pair, row by row, that overlaps without a unique meet; else the first
+    root whose labeling conflicts, with the conflicting edge."""
+    fams = system.families
+    n = len(fams)
+    edges = oracle_edges(system)
+    for i in range(n):
+        for j in range(n):
+            if i != j and oracle_overlap(fams[i], fams[j]) and (i, j) not in edges:
+                return False, ("overlap-without-unique-meet", i, j)
+    for root in range(n):
+        _, conflict = _oracle_labels(root, system.arity, edges, n)
+        if conflict is not None:
+            return False, ("transfer-conflict", root, conflict)
+    return True, None
+
+
+def oracle_components(system: FamilySystem) -> list:
+    """Undirected components of the unique-meet graph by union-find,
+    each sorted, ordered by least member."""
+    n = len(system.families)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in oracle_edges(system):
+        parent[find(i)] = find(j)
+    comps: dict = {}
+    for i in range(n):
+        comps.setdefault(find(i), []).append(i)
+    return sorted(comps.values())
+
+
+def oracle_placement(fam: OpenFamily, pts: tuple):
+    """Member i -> the one point of pts inside it, when every member
+    holds exactly one point and every point is used; else None."""
+    inside = [[p for p in pts if a.lo < p and p < a.hi] for a in fam.members]
+    if any(len(x) != 1 for x in inside) or len({x[0] for x in inside}) != len(pts):
+        return None
+    return tuple(x[0] for x in inside)
+
+
+def oracle_covered(system: FamilySystem) -> list:
+    """The sampled arity-sized point tuples some family covers, in
+    combination order."""
+    m = system.arity
+    if not 0 < m <= system.model.size:
+        return []
+    return [
+        pts for pts in combinations(system.model.points, m)
+        if any(oracle_placement(f, pts) is not None for f in system.families)
+    ]
+
+
+def oracle_build(system: FamilySystem, bases=None):
+    """The built selection recomputed pairwise: ("not-nice", witness),
+    ("non-bijective", None) or ("built", (values, uncovered, bases,
+    components)) with the library's default bases."""
+    ok, witness = oracle_niceness(system)
+    if not ok:
+        return "not-nice", witness
+    fams = system.families
+    m = system.arity
+    edges = oracle_edges(system)
+    comps = oracle_components(system)
+    chosen = []
+    target = {}
+    for ci, comp in enumerate(comps):
+        if bases is not None and ci in bases:
+            base_f, base_m = bases[ci]
+        else:
+            base_f = min(comp, key=lambda i: [(a.lo, a.hi) for a in fams[i].members])
+            base_m = 0
+        chosen.append((base_f, base_m))
+        labels, _ = _oracle_labels(base_f, m, edges, len(fams))
+        for v in comp:
+            if v not in labels or len(set(labels[v])) != m:
+                return "non-bijective", None
+            target[v] = labels[v][base_m]
+    values = {}
+    uncovered = []
+    pool = combinations(system.model.points, m) if m <= system.model.size else ()
+    for pts in pool:
+        picks = set()
+        for f, fam in enumerate(fams):
+            placement = oracle_placement(fam, pts)
+            if placement is not None:
+                picks.add(placement[target[f]])
+        assert len(picks) <= 1, "covering families disagree on a nice system"
+        if picks:
+            values[pts] = picks.pop()
+        else:
+            uncovered.append(pts)
+    return "built", (values, tuple(uncovered), tuple(chosen), tuple(map(tuple, comps)))
 
 
 # -- fixtures ---------------------------------------------------------------
@@ -201,3 +339,66 @@ def random_points(rng: random.Random, count: int) -> tuple:
     while len(pts) < count:
         pts.add(Fraction(rng.randint(0, 6 * count), rng.randint(1, 4)))
     return tuple(sorted(pts))
+
+
+def random_mixed_system(rng: random.Random) -> FamilySystem:
+    """Random equal-size families over sample points k/97 plus one point
+    2^-50 above another, mixing denominators 97, 200, 2 and 2^50.
+
+    Families are drawn as neighborhoods of sample points at several
+    radii (nested or coinciding members, sometimes listed out of order),
+    as exact repeats of an earlier family, or as an earlier family with
+    one member taken from another.  Two systems in three also draw
+    earlier families with shifted endpoints (partial overlaps), cuts
+    among an earlier family's endpoints and midpoints or a shared grid
+    (touching endpoints, members spanning others), an earlier family
+    with two neighbouring members recut at the second one's midpoint
+    (an overlap without a unique meet), and an earlier family with two
+    neighbouring members merged and a member added past the others (a
+    collapsing link).
+    """
+    eps = Fraction(1, 2**50)
+    pts = [Fraction(k, 97) for k in sorted(rng.sample(range(1, 300), 5))]
+    pts = sorted(pts + [pts[rng.randrange(5)] + eps])
+    size = rng.randint(1, 3)
+    radii = (Fraction(1, 200), Fraction(1, 400), Fraction(1, 97), eps / 2, eps / 4)
+    shifts = (0, eps, -eps, Fraction(1, 200), Fraction(-1, 200), Fraction(1, 97))
+    grid = {Fraction(k, 2) for k in range(8)} | {p + d for p in pts for d in (-eps, 0, eps)}
+    kinds = ["near", "copy", "swap"]
+    if rng.random() < 2 / 3:
+        kinds += ["shift", "grid", "grid", "recut", "merge"]
+    count = rng.randint(2, 8)
+    fams: list = []
+    while len(fams) < count:
+        kind = rng.choice(kinds) if fams else "near"
+        old = [(u.lo, u.hi) for u in rng.choice(fams).members] if fams else []
+        k = rng.randrange(size - 1) if size > 1 else 0
+        ordered = sorted(old)
+        if kind == "near":
+            centers = rng.sample(pts, size)
+            members = [(c - rng.choice(radii), c + rng.choice(radii)) for c in centers]
+        elif kind == "shift":
+            members = [(lo + rng.choice(shifts), hi + rng.choice(shifts)) for lo, hi in old]
+        elif kind == "grid":
+            pool = grid if rng.random() < 0.3 else set()
+            ends = sorted(pool | {x for lo, hi in old for x in (lo, (lo + hi) / 2, hi)})
+            cuts = sorted(rng.choice(ends) for _ in range(2 * size))
+            members = [(cuts[2 * i], cuts[2 * i + 1]) for i in range(size)]
+        elif kind == "recut" and size > 1:
+            (lo, _), (lo2, hi2) = ordered[k], ordered[k + 1]
+            mid = (lo2 + hi2) / 2
+            members = ordered[:k] + [(lo, mid), (mid, hi2)] + ordered[k + 2:]
+        elif kind == "merge" and size > 1:
+            end = ordered[-1][1]
+            members = ordered[:k] + [(ordered[k][0], ordered[k + 1][1])] + ordered[k + 2:]
+            members.append((end + Fraction(1, 97), end + Fraction(2, 97)))
+        else:
+            members = old
+            if kind == "swap":
+                donor = rng.choice(fams).members[rng.randrange(size)]
+                members[rng.randrange(size)] = (donor.lo, donor.hi)
+        try:
+            fams.append(OpenFamily(tuple(interval(lo, hi) for lo, hi in members)))
+        except ValueError:  # an empty or overlapping member: draw again
+            continue
+    return FamilySystem(tuple(fams), order_model(pts, 2, "min"))

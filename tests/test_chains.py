@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
+from hypersel import chains
 from hypersel.chains import (
     FamilySystem,
     build_selection_from_nice,
@@ -16,24 +18,38 @@ from hypersel.chains import (
     meets_uniquely,
     regular_class_cover_check,
 )
+from hypersel.cli import _cover_diagnostics
+from hypersel.documents import label_str
 from hypersel.errors import (
     BrokenLink,
+    CoverConflict,
     NonBijectiveTransfer,
     NotNice,
     PreconditionUnverified,
     SizeMismatch,
+    TransferConflict,
 )
+from hypersel.verdict import PASS
 from hypersel.structures import is_regular
 from hypersel.extension import restrict
-from hypersel.vietoris import family, interval, order_model
+from hypersel.vietoris import family, intersect_nonempty, interval, order_model
 from hypersel.structures import subset_ranks
 
 from oracles import (
     collapse_pair_system,
     conflict_system,
     cyclic_model,
+    oracle_build,
     oracle_chains_agree,
+    oracle_components,
+    oracle_covered,
+    oracle_edges,
+    oracle_meet_rows,
+    oracle_niceness,
+    oracle_overlap,
+    oracle_placement,
     oracle_unique_overlaps,
+    random_mixed_system,
     random_system,
 )
 
@@ -134,8 +150,28 @@ class TestChainClasses:
 
 class TestBuild:
     def test_not_nice_rejected(self):
-        with pytest.raises(NotNice):
+        with pytest.raises(NotNice) as info:
             build_selection_from_nice(conflict_system())
+        assert info.value.verdict == is_nice(conflict_system())
+
+    def test_labeling_conflict_is_typed(self, monkeypatch):
+        # with the niceness check bypassed, the conflict surfaces while
+        # labeling from the base, as an error that survives python -O
+        monkeypatch.setattr(chains, "is_nice", lambda system: PASS)
+        with pytest.raises(TransferConflict):
+            build_selection_from_nice(conflict_system())
+
+    def test_cover_conflict_is_typed(self, monkeypatch):
+        # both families hold (1, 3) one point per member but share no
+        # unique meet, so they form two components; bases on different
+        # members make them select different points
+        u = family((0, F(5, 2)), (F(29, 10), 4))
+        w = family((F(1, 2), F(3, 2)), (2, F(7, 2)))
+        system = FamilySystem((u, w), order_model([1, 3], 2, "min"))
+        assert chain_classes(system) == [[0], [1]]
+        monkeypatch.setattr(chains, "is_nice", lambda system: PASS)
+        with pytest.raises(CoverConflict):
+            build_selection_from_nice(system, bases={0: (0, 0), 1: (1, 1)})
 
     def test_collapse_transfer_rejected(self):
         with pytest.raises(NonBijectiveTransfer):
@@ -250,3 +286,72 @@ class TestOracleAgreement:
             return
         agree, _ = oracle_chains_agree(system)
         assert verdict.ok == agree
+
+
+def _outcome(system, bases=None):
+    """The build result in oracle_build's shape."""
+    try:
+        built = build_selection_from_nice(system, bases)
+    except NotNice as exc:
+        return "not-nice", exc.verdict.witness
+    except NonBijectiveTransfer:
+        return "non-bijective", None
+    return "built", (built.values, built.uncovered, built.bases, built.components)
+
+
+def _assert_agrees(system, rng):
+    """Every graph-backed answer on system equals the pairwise reference."""
+    fams = system.families
+    # a fresh system's first use is the lazy, early-exiting check
+    verdict = is_nice(system)
+    assert (verdict.ok, verdict.witness) == oracle_niceness(system)
+    graph = system.graph
+    edges = {(i, j): g for i in range(len(fams)) for j, g in graph.row(i)[0]}
+    assert edges == oracle_edges(system)
+    assert chain_classes(system) == oracle_components(system)
+    assert _outcome(system) == oracle_build(system)
+    comps = oracle_components(system)
+    bases = {ci: (rng.choice(c), rng.randrange(system.arity)) for ci, c in enumerate(comps)}
+    assert _outcome(system, bases) == oracle_build(system, bases)
+    assert _cover_diagnostics(system)["covered"] == [
+        [label_str(p) for p in pts] for pts in oracle_covered(system)
+    ]
+    for u in fams:
+        for v in fams:
+            assert intersect_nonempty(u, v) == oracle_overlap(u, v)
+            rows = oracle_meet_rows(u, v)
+            link = meets_uniquely(u, v)
+            if all(len(row) == 1 for row in rows):
+                assert link.mapping == tuple(row[0] for row in rows)
+            else:
+                assert link is None
+    for pts in combinations(system.model.points, system.arity):
+        for fam in fams:
+            assert covers(fam, pts) == (oracle_placement(fam, pts) is not None)
+
+
+class TestMeetGraph:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_agrees_with_pairwise_reference(self, seed):
+        rng = random.Random(seed)
+        _assert_agrees(random_mixed_system(rng), rng)
+
+    def test_fixtures_agree_with_pairwise_reference(self):
+        for system in (conflict_system(), collapse_pair_system()):
+            _assert_agrees(system, random.Random(0))
+
+    def test_refutation_reads_one_row(self):
+        # the witness sits in row 0, so no other row is ever built
+        u = family((0, 1), (2, 3))
+        v = family((F(1, 2), F(5, 2)), (F(11, 4), F(7, 2)))
+        w = family((10, 11), (12, 13))
+        system = FamilySystem((u, v, w), order_model([0, 1, 2, 3], 2, "min"))
+        assert is_nice(system).witness == ("overlap-without-unique-meet", 0, 1)
+        assert [i for i, row in enumerate(system.graph.rows) if row is not None] == [0]
+
+    def test_touching_members_stay_disjoint(self):
+        u = family((0, 1), (2, 3))
+        t = family((1, 2), (3, 4))
+        system = FamilySystem((u, t), order_model([0, 1, 2, 3], 2, "min"))
+        assert system.graph.row(0) == ([], None)
+        assert chain_classes(system) == [[0], [1]]

@@ -10,6 +10,7 @@ from hypersel.obstruction import (
     TABLE_COLUMNS,
     is_prime,
     obstruction_table,
+    prime_divisors,
     prime_obstruction_holds,
     regular_score_value,
     search_regular,
@@ -25,6 +26,11 @@ class TestPrimality:
 
     def test_below_two(self):
         assert not is_prime(0) and not is_prime(1) and not is_prime(-7)
+
+    def test_prime_divisors_match_primality_scan(self):
+        for m in range(1, 1200):
+            scan = [p for p in range(2, m + 1) if m % p == 0 and is_prime(p)]
+            assert prime_divisors(m) == scan
 
 
 class TestRegularScoreValue:
