@@ -299,6 +299,10 @@ def is_nice(system: FamilySystem) -> Verdict:
        flag any edge that disagrees with the labels.  Rooting at every
        family keeps the check exact even when maps are not invertible
        (the root label is the identity, so no inversion is needed).
+       A family that a conflict-free root labeled bijectively is not
+       rooted again: two chains out of it composing differently would
+       compose differently after that bijection too, so it cannot
+       conflict.
 
     Witnesses: ("overlap-without-unique-meet", i, j) or
     ("transfer-conflict", root, (u, v)).
@@ -309,10 +313,14 @@ def is_nice(system: FamilySystem) -> Verdict:
         bad = graph.row(i)[1]
         if bad is not None:
             return fail(("overlap-without-unique-meet", i, bad))
+    settled: set = set()
     for root in range(n):
-        _, conflict = _labels_from(root, graph)
+        if root in settled:
+            continue
+        labels, conflict = _labels_from(root, graph)
         if conflict is not None:
             return fail(("transfer-conflict", root, conflict))
+        settled.update(v for v, lab in labels.items() if len(set(lab)) == graph.size)
     return PASS
 
 

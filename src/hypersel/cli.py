@@ -41,7 +41,12 @@ from .errors import (
     NonBijectiveTransfer,
     NotNice,
 )
-from .extension import extend_selection, least_small_class, partition_types
+from .extension import (
+    check_extension,
+    extend_selection,
+    least_small_class,
+    partition_types,
+)
 from .obstruction import obstruction_table, table_tsv
 from .structures import DEFAULT_BUDGET, enumerate_selections, subset_ranks
 from .vietoris import check_continuity
@@ -124,11 +129,12 @@ def cmd_extend(args: argparse.Namespace) -> int:
     f = read_partial(_load(args.input))
     m, p = args.m, args.p
     try:
-        h = extend_selection(f, m, p)
+        check_extension(f, m, p)
     except HypothesisViolated as exc:
         _emit(_report(args, {"valid": False, "error": str(exc)}), args.output)
         return 1
     parts = partition_types(f, m, p)
+    h = extend_selection(f, m, p, parts)
     classes = []
     for canon, members in parts.classes.items():
         r0, q = least_small_class(canon, m)

@@ -19,6 +19,7 @@ equal documents.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -39,20 +40,23 @@ def fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+_FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_fraction(s: Any, where: str = "value") -> Fraction:
-    """Accept "p/q" or a bare integer string; anything else (decimals
-    included) is rejected."""
+    """Accept "p/q" or a bare integer "p": ASCII digits with an optional
+    minus sign on p and nothing else.  Decimals, a plus sign, a sign on
+    q, spaces, underscores and non-ASCII digits are rejected, and so is
+    q = 0."""
     if not isinstance(s, str):
         raise DocumentError(f"{where}: expected a fraction string, got {s!r}")
-    parts = s.split("/")
+    if _FRACTION.fullmatch(s) is None:
+        raise DocumentError(f"{where}: bad fraction {s!r}")
+    num, _, den = s.partition("/")
     try:
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            return Fraction(int(parts[0]), int(parts[1]))
+        return Fraction(int(num), int(den or "1"))
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"{where}: bad fraction {s!r}") from exc
-    raise DocumentError(f"{where}: bad fraction {s!r}")
 
 
 def label_str(x: Any) -> str:

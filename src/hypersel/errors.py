@@ -43,6 +43,11 @@ class ArityMismatch(HyperselError):
     """Two structures that must have equal arity do not."""
 
 
+class UncertifiedIsomorphism(HyperselError):
+    """Equal canonical forms composed to a map that fails the isomorphism
+    check (an internal invariant)."""
+
+
 class BudgetExceeded(HyperselError):
     """An enumeration or search hit its resource cap before finishing."""
 

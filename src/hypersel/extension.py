@@ -266,13 +266,11 @@ def extend_on_class(
     return out
 
 
-def extend_selection(f: PartialSelection, m: int, p: int) -> PartialSelection:
-    """Total selection on m-subsets built classwise at arity p.
-
-    Preconditions (p prime, p <= k, m/2 <= k, p | m, m <= carrier) are
-    exactly what makes every restriction type non-regular, so the
-    classwise rule is total.
-    """
+def check_extension(f: PartialSelection, m: int, p: int) -> None:
+    """Raise NotPrime or HypothesisViolated unless extend_selection's
+    preconditions hold: p prime, p <= k, m/2 <= k, p | m, m <= carrier.
+    They are exactly what makes every restriction type non-regular, so
+    the classwise rule is total."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if f.mode != MODE_UPTO:
@@ -287,7 +285,22 @@ def extend_selection(f: PartialSelection, m: int, p: int) -> PartialSelection:
         raise HypothesisViolated(
             f"m={m} exceeds carrier size {f.carrier.size}"
         )
-    part = partition_types(f, m, p)
+
+
+def extend_selection(
+    f: PartialSelection, m: int, p: int, part: Optional[TypePartition] = None
+) -> PartialSelection:
+    """Total selection on m-subsets built classwise at arity p.
+
+    part is partition_types(f, m, p) when the caller has already built
+    it, so that it is built once; otherwise it is built here, after
+    check_extension passes.
+    """
+    check_extension(f, m, p)
+    if part is None:
+        part = partition_types(f, m, p)
+    elif (part.m, part.n) != (m, p):
+        raise ValueError(f"type partition is for ({part.m}, {part.n}), not ({m}, {p})")
     subs, rank = subset_ranks(f.carrier.size, m)
     picks = [None] * len(subs)
     for g, members in part.classes.items():

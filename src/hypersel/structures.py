@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 from . import _kernels
@@ -25,6 +25,7 @@ from .errors import (
     NotArityTwo,
     NotRegular,
     SizeMismatch,
+    UncertifiedIsomorphism,
 )
 from .verdict import PASS, Verdict, fail
 
@@ -305,47 +306,129 @@ def _score_blocks(w: tuple):
 
 
 def canonical_candidates(s: SelectionStructure) -> int:
-    """Number of relabelings the canonicalization has to inspect."""
+    """Number of relabelings that sort the scores ascending.
+
+    An upper bound on the leaves canonical_form's search can reach, not
+    the work it does: refinement and automorphism pruning usually visit
+    far fewer.
+    """
     return math.prod(math.factorial(len(b)) for b in _score_blocks(score_vector(s)))
+
+
+def _refine(subs: tuple, picks: tuple, cells: list) -> list:
+    """Split the ordered partition ``cells`` of the ground indices until
+    it is stable.
+
+    The signature of an element is the sorted multiset, over the subsets
+    containing it, of (is it the pick, the pick's cell, the cells of the
+    other members).  Each cell is replaced, where it stands, by its
+    sub-cells in ascending signature order.  A cell is named by its
+    first position, so signatures, and with them the result, see labels
+    only through the partition: relabeling the input relabels the output.
+    """
+    m = sum(len(c) for c in cells)
+    while len(cells) < m:
+        cell_of = [0] * m
+        live = [False] * m  # in a cell that can still split
+        pos = 0
+        for c in cells:
+            for x in c:
+                cell_of[x] = pos
+                live[x] = len(c) > 1
+            pos += len(c)
+        sig: list = [[] for _ in range(m)]
+        for sub, p in zip(subs, picks):
+            if not any(live[y] for y in sub):
+                continue
+            where = [cell_of[y] for y in sub]
+            for k, x in enumerate(sub):
+                if live[x]:
+                    others = where[:k] + where[k + 1:]
+                    others.sort()
+                    sig[x].append((x == p, cell_of[p], tuple(others)))
+        split = []
+        for c in cells:
+            if len(c) == 1:
+                split.append(c)
+                continue
+            groups: dict = {}
+            for x in c:
+                groups.setdefault(tuple(sorted(sig[x])), []).append(x)
+            split.extend(groups[key] for key in sorted(groups))
+        if len(split) == len(cells):
+            break
+        cells = split
+    return cells
 
 
 def canonical_form(s: SelectionStructure):
     """Canonical representative on the ground 0..m-1 plus the certifying map.
 
-    Minimizes the choice tuple over all relabelings that sort scores
-    ascending; the score multiset is an isomorphism invariant, so the
-    result is constant on isomorphism classes and idempotent.
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014): start from the score classes in ascending
+    score order, refine (see _refine), then individualize each element
+    of the first smallest non-singleton cell in turn and recurse.  Every
+    discrete partition is a leaf, read as the relabeling that sends the
+    element in position k to k; the least choice tuple over the leaves
+    wins.  The tree is built from isomorphism invariants only, so the
+    result is constant on isomorphism classes and idempotent.  Two leaves
+    with equal tuples give an automorphism; a child is skipped when an
+    automorphism fixing the path maps an explored sibling onto it, since
+    its subtree holds the same tuples.
     """
     m, n = s.size, s.n
     subs, rank = subset_ranks(m, n)
-    blocks = _score_blocks(score_vector(s))
-    starts = []
-    pos = 0
-    for b in blocks:
-        starts.append(pos)
-        pos += len(b)
-    best: Optional[tuple] = None
-    best_sigma: Optional[tuple] = None
-    for assignment in product(*(permutations(b) for b in blocks)):
-        sigma = [0] * m  # old index -> new index
-        for block_perm, start in zip(assignment, starts):
-            for offset, old in enumerate(block_perm):
-                sigma[old] = start + offset
-        inv = [0] * m
-        for old, new in enumerate(sigma):
-            inv[new] = old
-        picks = [0] * len(subs)
-        for r, sub in enumerate(subs):
-            src = tuple(sorted(inv[j] for j in sub))
-            picks[r] = sigma[s.picks[rank[src]]]
-        enc = tuple(picks)
-        if best is None or enc < best:
-            best = enc
-            best_sigma = tuple(sigma)
-    assert best is not None and best_sigma is not None
+    picks = s.picks
+    leaves: dict = {}  # choice tuple -> the first relabeling giving it
+    autos: list = []
+
+    def visit(path: list, cells: list) -> None:
+        cells = _refine(subs, picks, cells)
+        if len(cells) == m:
+            sigma = [0] * m  # old index -> new index
+            for k, (x,) in enumerate(cells):
+                sigma[x] = k
+            enc = [0] * len(subs)
+            for sub, p in zip(subs, picks):
+                enc[rank[tuple(sorted(sigma[y] for y in sub))]] = sigma[p]
+            enc = tuple(enc)
+            if enc in leaves:
+                first = leaves[enc]
+                inv = [0] * m
+                for x, k in enumerate(sigma):
+                    inv[k] = x
+                autos.append(tuple(inv[first[x]] for x in range(m)))
+            else:
+                leaves[enc] = tuple(sigma)
+            return
+        size = min(len(c) for c in cells if len(c) > 1)
+        t = next(i for i, c in enumerate(cells) if len(c) == size)
+        done: set = set()
+        for v in cells[t]:
+            if done and not _orbit(v, autos, path).isdisjoint(done):
+                continue
+            done.add(v)
+            rest = [x for x in cells[t] if x != v]
+            visit(path + [v], cells[:t] + [[v], rest] + cells[t + 1:])
+
+    visit([], _score_blocks(score_vector(s)))
+    best = min(leaves)
     canon = SelectionStructure(ground_range(m), n, best)
-    iso = IsoMap(s.ground, canon.ground, best_sigma)
-    return canon, iso
+    return canon, IsoMap(s.ground, canon.ground, leaves[best])
+
+
+def _orbit(v: int, autos: list, path: list) -> set:
+    """The orbit of v under the automorphisms that fix path pointwise."""
+    gens = [g for g in autos if all(g[x] == x for x in path)]
+    orbit = {v}
+    todo = [v]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                todo.append(g[x])
+    return orbit
 
 
 def are_isomorphic(
@@ -359,7 +442,10 @@ def are_isomorphic(
     if cs.picks != ct.picks:
         return None
     phi = ms.compose(mt.inverse())
-    assert is_isomorphism(s, t, phi)
+    if not is_isomorphism(s, t, phi):
+        raise UncertifiedIsomorphism(
+            "equal canonical forms composed to a map that is not an isomorphism"
+        )
     return phi
 
 
@@ -376,12 +462,23 @@ def enumerate_selections(
     Order is subset-rank-major, ground-order-minor: the rank-0 choice is
     the most significant digit and candidates within a subset follow the
     ground order.  start/stop slice that order, so workers can split a
-    stream by index range.  Cost is metered in table cells; exceeding
-    the budget raises BudgetExceeded (also eagerly when the labeled
-    space is plainly too large).
+    stream by index range.
+
+    With up_to_iso, the canonical form of the first structure of each
+    isomorphism class in the slice is yielded, in order of first
+    appearance.  Each new class marks the indices of all m! relabelings
+    of its first structure in a byte map over the slice, and a marked
+    index is skipped without being decoded.
+
+    Cost is metered in table cells: count per index walked, plus
+    m! * count per new class for marking its orbit.  Exceeding the
+    budget raises BudgetExceeded (also eagerly when the slice alone is
+    plainly too large).
     """
     if not 1 <= n <= m:
         raise ValueError(f"arity {n} out of range for ground of size {m}")
+    if start < 0:
+        raise ValueError(f"start must be non-negative, got {start}")
     subs, _ = subset_ranks(m, n)
     count = len(subs)
     total = n**count
@@ -394,35 +491,75 @@ def enumerate_selections(
         )
     ground = ground_range(m)
 
-    def decode(idx: int) -> tuple:
+    def decode(idx: int) -> list:
+        """Per subset rank, the position of the pick within the subset."""
         digits = []
         for _ in range(count):
             idx, d = divmod(idx, n)
             digits.append(d)
         digits.reverse()
-        return tuple(subs[r][d] for r, d in enumerate(digits))
+        return digits
 
-    def stream() -> Iterator[SelectionStructure]:
+    def structure(digits: list) -> SelectionStructure:
+        return SelectionStructure(
+            ground, n, tuple(subs[r][d] for r, d in enumerate(digits))
+        )
+
+    def labeled() -> Iterator[SelectionStructure]:
         cells = 0
-        seen: set = set()
         for idx in range(lo, hi):
-            picks = decode(idx)
-            s = SelectionStructure(ground, n, picks)
             cells += count
-            if not up_to_iso:
-                if cells > budget:
-                    raise BudgetExceeded(f"budget {budget} exhausted mid-stream")
-                yield s
-                continue
-            cells += canonical_candidates(s) * count
             if cells > budget:
                 raise BudgetExceeded(f"budget {budget} exhausted mid-stream")
-            canon, _ = canonical_form(s)
-            if canon.picks not in seen:
-                seen.add(canon.picks)
-                yield canon
+            yield structure(decode(idx))
 
-    return stream()
+    def classes() -> Iterator[SelectionStructure]:
+        marked = bytearray(span)
+        orbit_cells = math.factorial(m) * count
+        found = 0
+        columns = None
+        pos = marked.find(0)
+        while pos >= 0:
+            found += 1
+            if (pos + 1) * count + found * orbit_cells > budget:
+                raise BudgetExceeded(f"budget {budget} exhausted mid-stream")
+            if columns is None:
+                columns = _relabeling_columns(m, n)
+            digits = decode(lo + pos)
+            terms = [columns[r][d] for r, d in enumerate(digits)]
+            for idx in map(sum, zip(*terms)):
+                if lo <= idx < hi:
+                    marked[idx - lo] = 1
+            canon, _ = canonical_form(structure(digits))
+            yield canon
+            pos = marked.find(0, pos + 1)
+        if span * count + found * orbit_cells > budget:
+            raise BudgetExceeded(f"budget {budget} exhausted mid-stream")
+
+    return classes() if up_to_iso else labeled()
+
+
+def _relabeling_columns(m: int, n: int) -> list:
+    """columns[r][d][q]: what the rank-r subset, picking its d-th member,
+    adds to the enumeration index of a structure after the q-th
+    relabeling of the ground (itertools.permutations order).
+
+    A structure's index is the sum over ranks of digit * n**(count-1-rank),
+    so the index of each relabeled copy is the sum of one column entry
+    per rank.
+    """
+    subs, rank = subset_ranks(m, n)
+    count = len(subs)
+    # one int object per (rank, digit) value keeps the columns small
+    weight = [[d * n ** (count - 1 - r) for d in range(n)] for r in range(count)]
+    columns = [[[] for _ in range(n)] for _ in range(count)]
+    for sigma in permutations(range(m)):
+        for sub, col in zip(subs, columns):
+            image = sorted(sigma[x] for x in sub)
+            w = weight[rank[tuple(image)]]
+            for x, entries in zip(sub, col):
+                entries.append(w[image.index(sigma[x])])
+    return columns
 
 
 # -- regular tournament helpers backed by the kernels ----------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, permutations, product
 
 from hypersel.chains import FamilySystem
 from hypersel.extension import PartialSelection, make_partial
@@ -31,6 +31,44 @@ def oracle_scores(s: SelectionStructure) -> dict:
     for sub in combinations(s.ground.labels, s.n):
         w[s.choose(sub)] += 1
     return w
+
+
+# -- isomorphism classes ----------------------------------------------------
+
+def oracle_relabel(s: SelectionStructure, perm: tuple) -> tuple:
+    """Choice tuple, in subset-rank order on 0..m-1, of s relabeled by
+    perm (ground index i becomes perm[i])."""
+    subs = list(combinations(range(s.size), s.n))
+    image = {tuple(sorted(perm[i] for i in sub)): perm[p] for sub, p in zip(subs, s.picks)}
+    return tuple(image[sub] for sub in subs)
+
+
+def oracle_orbit(s: SelectionStructure) -> set:
+    """The choice tuples of all m! relabelings of s: its isomorphism
+    class on the ground 0..m-1."""
+    return {oracle_relabel(s, perm) for perm in permutations(range(s.size))}
+
+
+def oracle_canonical(s: SelectionStructure) -> tuple:
+    """The least choice tuple over all m! relabelings: equal exactly on
+    isomorphic structures."""
+    return min(oracle_orbit(s))
+
+
+def oracle_classes(m: int, n: int, start: int = 0, stop=None) -> list:
+    """The isomorphism classes met among the labeled structures with
+    index in [start, stop), each as its oracle_orbit, in order of first
+    appearance.  The labeled order is itertools.product over the subsets
+    in rank order (the rank-0 choice most significant)."""
+    ground = GroundSet(tuple(range(m)))
+    subs = list(combinations(range(m), n))
+    seen: set = set()
+    classes = []
+    for picks in islice(product(*subs), start, stop):
+        if picks not in seen:
+            classes.append(oracle_orbit(SelectionStructure(ground, n, picks)))
+            seen |= classes[-1]
+    return classes
 
 
 # -- extension ------------------------------------------------------------

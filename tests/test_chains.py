@@ -131,6 +131,19 @@ class TestIsNice:
         assert not verdict.ok
         assert verdict.witness == ("overlap-without-unique-meet", 0, 1)
 
+    def test_collapse_hides_conflict_from_earlier_root(self):
+        # r collapses both its members into v's first member, so r's
+        # labels cannot see that v -> w and v -> x -> w disagree on v's
+        # second member; the conflict shows only when v is a root
+        r = family((3, 4), (6, 7))
+        v = family((0, 10), (20, 30))
+        x = family((F(3, 2), F(41, 2)), (33, 34))
+        w = family((1, 2), (29, 35))
+        system = FamilySystem((r, v, x, w), order_model([0, 1, 2, 3], 2, "min"))
+        verdict = is_nice(system)
+        assert verdict.witness == ("transfer-conflict", 1, (2, 3))
+        assert (verdict.ok, verdict.witness) == oracle_niceness(system)
+
     def test_empty_and_single(self):
         model = order_model([0, 1, 2, 3], 2, "min")
         assert is_nice(FamilySystem((), model)).ok
@@ -348,6 +361,22 @@ class TestMeetGraph:
         system = FamilySystem((u, v, w), order_model([0, 1, 2, 3], 2, "min"))
         assert is_nice(system).witness == ("overlap-without-unique-meet", 0, 1)
         assert [i for i, row in enumerate(system.graph.rows) if row is not None] == [0]
+
+    def test_bijectively_labeled_roots_are_not_rerooted(self, monkeypatch):
+        # 80 nested families around 3 points: one component, 6,320 edges
+        fams = tuple(
+            family(*((p - F(1, k), p + F(1, k)) for p in range(3))) for k in range(3, 83)
+        )
+        system = FamilySystem(fams, order_model([0, 1, 2], 2, "min"))
+        roots = []
+        labels_from = chains._labels_from
+        monkeypatch.setattr(
+            chains, "_labels_from", lambda root, graph: roots.append(root) or labels_from(root, graph)
+        )
+        verdict = is_nice(system)
+        assert sum(len(system.graph.row(i)[0]) for i in range(80)) == 6320
+        assert (verdict.ok, verdict.witness) == oracle_niceness(system)
+        assert roots == [0]
 
     def test_touching_members_stay_disjoint(self):
         u = family((0, 1), (2, 3))

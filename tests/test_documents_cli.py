@@ -49,7 +49,10 @@ class TestFractions:
         assert parse_fraction("3/1") == F(3)
         assert parse_fraction("-7/2") == F(-7, 2)
 
-    @pytest.mark.parametrize("bad", ["0.5", "1/0", "a", "1/2/3", "", "1e3", 7])
+    @pytest.mark.parametrize("bad", [
+        "0.5", "1/0", "a", "1/2/3", "", "1e3", 7,
+        "1_0", " 3", "3 ", "3\n", "+1/2", "1/-2", "1/+2", "-", "/2", "1/", "\u0663",
+    ])
     def test_rejects_everything_else(self, bad):
         with pytest.raises(DocumentError):
             parse_fraction(bad)

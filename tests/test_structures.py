@@ -1,4 +1,6 @@
+import json
 import math
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -14,7 +16,10 @@ from hypersel.errors import (
     NotArityTwo,
     NotRegular,
     SizeMismatch,
+    UncertifiedIsomorphism,
 )
+from hypersel import structures
+from hypersel.cli import main
 from hypersel.structures import (
     GroundSet,
     IsoMap,
@@ -39,7 +44,12 @@ from hypersel.structures import (
     tournament_from_mask,
 )
 
-from oracles import oracle_scores
+from oracles import oracle_canonical, oracle_classes, oracle_scores
+
+# every (m, n), m <= 7, with at most 60k labeled structures
+SMALL_SPACES = [
+    (m, n) for m in range(1, 8) for n in range(1, m + 1) if n ** math.comb(m, n) <= 60_000
+]
 
 
 def pick_table(labels, n, chooser):
@@ -201,6 +211,53 @@ class TestCanonicalForm:
         t = rotational_tournament(3)
         assert are_isomorphic(s, t) is None
 
+    def test_uncertified_map_is_typed(self, monkeypatch):
+        # raised by an explicit check, so it holds under python -O too
+        s = rotational_tournament(5)
+        t = apply_iso(s, IsoMap(s.ground, s.ground, (2, 3, 4, 0, 1)))
+        monkeypatch.setattr(structures, "is_isomorphism", lambda *a: False)
+        with pytest.raises(UncertifiedIsomorphism):
+            are_isomorphic(s, t)
+
+    @pytest.mark.parametrize("m, n", [(4, 2), (5, 2), (4, 3), (5, 4), (5, 5)])
+    def test_one_form_per_oracle_class(self, m, n):
+        forms = [
+            {canonical_form(SelectionStructure(ground_range(m), n, t))[0].picks for t in orbit}
+            for orbit in oracle_classes(m, n)
+        ]
+        assert all(len(f) == 1 for f in forms)
+        assert len(set.union(*forms)) == len(forms)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_invariant_under_relabeling(self, seed):
+        rng = random.Random(seed)
+        m = rng.randint(2, 9)
+        n = rng.randint(2, min(4, m))
+        subs, _ = subset_ranks(m, n)
+        if seed % 4 == 0:
+            s = selection_from_order(ground_range(m), n, rng.choice(("min", "max")))
+        else:
+            s = SelectionStructure(ground_range(m), n, tuple(rng.choice(x) for x in subs))
+        self._assert_invariant(s, rng)
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 9])
+    def test_rotational_invariant(self, m):
+        self._assert_invariant(rotational_tournament(m), random.Random(m))
+
+    @staticmethod
+    def _assert_invariant(s, rng):
+        canon, cert = canonical_form(s)
+        assert is_isomorphism(s, canon, cert)
+        if s.size <= 6:
+            assert oracle_canonical(canon) == oracle_canonical(s)
+        for _ in range(3):
+            images = list(range(s.size))
+            rng.shuffle(images)
+            t = apply_iso(s, IsoMap(s.ground, s.ground, tuple(images)))
+            other, cert_t = canonical_form(t)
+            assert other.picks == canon.picks
+            assert is_isomorphism(t, other, cert_t)
+
 
 class TestEnumeration:
     def test_labeled_count(self):
@@ -224,6 +281,35 @@ class TestEnumeration:
         parts = [s.picks for s in enumerate_selections(4, 2, stop=32)]
         parts += [s.picks for s in enumerate_selections(4, 2, start=32)]
         assert parts == whole
+
+    @pytest.mark.parametrize("m, n", SMALL_SPACES)
+    def test_iso_one_record_per_class_in_order(self, m, n):
+        total = n ** math.comb(m, n)
+        rng = random.Random(f"{m}-{n}")
+        start = rng.randrange(total)
+        stop = rng.randint(start, total)
+        for lo, hi in ((0, None), (start, stop)):
+            records = list(enumerate_selections(m, n, up_to_iso=True, start=lo, stop=hi))
+            classes = oracle_classes(m, n, lo, hi)
+            assert len(records) == len(classes)
+            assert all(r.picks in orbit for r, orbit in zip(records, classes))
+
+    def test_iso_meter(self):
+        # 2^10 indices walked at 10 cells, 12 classes at 5! * 10 cells
+        cells = 2**10 * 10 + 12 * 120 * 10
+        assert len(list(enumerate_selections(5, 2, up_to_iso=True, budget=cells))) == 12
+        with pytest.raises(BudgetExceeded):
+            list(enumerate_selections(5, 2, up_to_iso=True, budget=cells - 1))
+
+    def test_iso_seven_tournaments_within_default_budget(self, tmp_path):
+        out = tmp_path / "iso.json"
+        assert main(["enumerate", "7", "2", "--iso", "--output", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["count"] == len(result["records"]) == 456  # OEIS A000568
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(ValueError):
+            enumerate_selections(3, 2, start=-1)
 
 
 class TestMasks:
