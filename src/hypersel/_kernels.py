@@ -1,16 +1,16 @@
-"""Pure-Python kernels for arity-2 tournament scans.
+"""Kernels for arity-2 tournament scans.
 
 A tournament on m vertices is packed into an integer mask: pair
 positions follow the lexicographic order of (i, j) with i < j, and a set
-bit means the pair picks j (the larger endpoint).  The compiled module
-_fast implements the same API; hypersel._kernels chooses between them at
-import time.
+bit means the pair picks j (the larger endpoint).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
+BACKEND = "pure"
 MAX_M = 11  # C(11,2) = 55 pair bits fit comfortably in a machine word
 
 
@@ -19,41 +19,46 @@ def _check_m(m: int) -> None:
         raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
 
 
-def _pair_tables(m):
-    """Per-vertex masks: (wins-when-set, wins-when-clear) bit positions."""
-    high = [0] * m  # positions where v is the larger endpoint
-    low = [0] * m   # positions where v is the smaller endpoint
+@lru_cache(maxsize=None)
+def _pair_bits(m: int) -> tuple:
+    """bit[v][w]: the mask bit of pair {v, w}; bit[v][v] is 0."""
+    bit = [[0] * m for _ in range(m)]
     for b, (i, j) in enumerate(combinations(range(m), 2)):
-        low[i] |= 1 << b
-        high[j] |= 1 << b
-    return high, low
+        bit[i][j] = bit[j][i] = 1 << b
+    return tuple(map(tuple, bit))
+
+
+def _beats(mask: int, m: int) -> list:
+    """beats[v]: the vertex bitset of the pairs {v, w} that pick v."""
+    beats = [0] * m
+    for i, row in enumerate(_pair_bits(m)):
+        for j in range(i + 1, m):
+            if mask & row[j]:
+                beats[j] |= 1 << i
+            else:
+                beats[i] |= 1 << j
+    return beats
 
 
 def tournament_scores(mask: int, m: int) -> tuple:
     """Number of pairs picking each vertex, indexed by vertex."""
     _check_m(m)
-    high, low = _pair_tables(m)
-    return tuple(
-        (mask & high[v]).bit_count() + low[v].bit_count() - (mask & low[v]).bit_count()
-        for v in range(m)
-    )
+    return tuple(b.bit_count() for b in _beats(mask, m))
 
 
 def regular_masks_exhaustive(m: int) -> list:
     """All constant-score tournament masks, by full scan of 2^C(m,2)."""
     _check_m(m)
-    pairs = m * (m - 1) // 2
-    if m == 1:
-        return [0]
-    if pairs % m != 0:
+    if m % 2 == 0:  # m does not divide C(m, 2)
         return []
-    target = pairs // m
-    high, low = _pair_tables(m)
-    nlow = [lv.bit_count() for lv in low]
+    target = (m - 1) // 2
+    # v wins the pairs {u, v}, u < v, whose bit is set and the pairs
+    # {v, w}, w > v, whose bit is clear
+    sides = [(sum(row[:v]), m - 1 - v, sum(row[v + 1:])) for v, row in enumerate(_pair_bits(m))]
     out = []
-    for x in range(1 << pairs):
-        for v in range(m):
-            if (x & high[v]).bit_count() + nlow[v] - (x & low[v]).bit_count() != target:
+    for x in range(1 << (m * (m - 1) // 2)):
+        for high, nlow, low in sides:
+            if (x & high).bit_count() + nlow - (x & low).bit_count() != target:
                 break
         else:
             out.append(x)
@@ -68,17 +73,10 @@ def regular_masks_backtracking(m: int) -> list:
     longer reach the target score.
     """
     _check_m(m)
-    pairs = m * (m - 1) // 2
-    if m == 1:
-        return [0]
-    if pairs % m != 0:
+    if m % 2 == 0:  # m does not divide C(m, 2)
         return []
-    target = pairs // m
-    offsets = []
-    acc = 0
-    for v in range(m):
-        offsets.append(acc)
-        acc += m - 1 - v
+    target = (m - 1) // 2
+    bit = _pair_bits(m)
     out = []
     wins = [0] * m
 
@@ -99,7 +97,7 @@ def regular_masks_backtracking(m: int) -> list:
                 if w in beaten_set:
                     continue
                 # pair (v, w) picks w: set its bit, w gains a win
-                row_mask |= 1 << (offsets[v] + w - v - 1)
+                row_mask |= bit[v][w]
                 wins[w] += 1
                 if wins[w] > target:
                     ok = False
@@ -119,30 +117,34 @@ def regular_masks_backtracking(m: int) -> list:
     return out
 
 
+def cycle_violation(mask: int, m: int) -> tuple | None:
+    """First (x, y), by x then y, with pair {x,y} picking y but no z
+    closing a 3-cycle (pair {y,z} picks z and pair {z,x} picks x); None
+    if there is none.  Any m: no MAX_M bound applies.
+
+    Such a z is a vertex beaten by x that beats y, so (x, y) violates
+    the property iff beats[x] and beaten_by[y] are disjoint.
+    """
+    beats = _beats(mask, m)
+    everyone = (1 << m) - 1
+    beaten_by = [everyone ^ b ^ (1 << v) for v, b in enumerate(beats)]
+    for x in range(m):
+        ys = beaten_by[x]
+        while ys:
+            low = ys & -ys
+            y = low.bit_length() - 1
+            if not beats[x] & beaten_by[y]:
+                return x, y
+            ys ^= low
+    return None
+
+
 def first_cycle_violation(m: int, masks) -> tuple | None:
-    """First (mask, x, y) with pair {x,y} picking y but no z closing a
-    3-cycle (pair {y,z} picks z and pair {z,x} picks x); None if every
-    mask satisfies the property."""
+    """First (mask, x, y) for which cycle_violation(mask, m) is (x, y);
+    None if every mask satisfies the property."""
     _check_m(m)
-    offsets = []
-    acc = 0
-    for v in range(m):
-        offsets.append(acc)
-        acc += m - 1 - v
-
-    def pick(mask: int, a: int, b: int) -> int:
-        i, j = (a, b) if a < b else (b, a)
-        bit = offsets[i] + j - i - 1
-        return j if (mask >> bit) & 1 else i
-
     for mask in masks:
-        for x in range(m):
-            for y in range(m):
-                if y == x or pick(mask, x, y) != y:
-                    continue
-                for z in range(m):
-                    if z != x and z != y and pick(mask, y, z) == z and pick(mask, z, x) == x:
-                        break
-                else:
-                    return (mask, x, y)
+        found = cycle_violation(mask, m)
+        if found is not None:
+            return (mask, *found)
     return None

@@ -48,11 +48,11 @@ from .vietoris import (
     ModelSpace,
     OpenFamily,
     find_preserving_neighborhoods,
+    half_least_gap,
     intersect_nonempty,
     member_hits,
     overlaps,
     preserves_relations,
-    resolution,
 )
 
 
@@ -420,9 +420,10 @@ def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
     whose pair restriction is regular (n even, selection total up to
     n+1).  Duplicates collapse; order follows subset rank.
 
-    Neighborhood radii are capped at the model resolution so members of
-    different families either coincide or are disjoint; that is what
-    makes the result nice regardless of how the regular sets interleave.
+    Neighborhood radii are capped at half the least gap between sample
+    points, so members of different families either coincide or are
+    disjoint; that is what makes the result nice regardless of how the
+    regular sets interleave.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"need even n >= 2, got {n}")
@@ -436,7 +437,7 @@ def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
     seen = set()
     subs, _ = subset_ranks(model.size, m)
     arities = tuple(i for i in range(1, m + 1) if sel.admits(i))
-    cap = resolution(model)
+    cap = half_least_gap(model.points)
     for s in subs:
         pts = tuple(model.points[i] for i in s)
         if not is_regular(restrict(sel, pts, 2)):

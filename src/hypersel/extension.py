@@ -41,6 +41,14 @@ MODE_UPTO = "upto"
 MODE_EXACT = "exact"
 
 
+def admissible_sizes(mode: str, bound: int) -> range:
+    """Subset sizes a selection of this mode and bound is defined on:
+    1..bound for "upto", only bound for "exact"."""
+    if mode == MODE_UPTO:
+        return range(1, bound + 1)
+    return range(bound, bound + 1)
+
+
 @dataclass(frozen=True)
 class PartialSelection:
     """Choice function on the subsets of a carrier admitted by its mode.
@@ -81,9 +89,7 @@ class PartialSelection:
                     raise ChoiceOutsideSubset(f"subset {s} cannot pick index {p}")
 
     def admissible_sizes(self) -> range:
-        if self.mode == MODE_UPTO:
-            return range(1, self.bound + 1)
-        return range(self.bound, self.bound + 1)
+        return admissible_sizes(self.mode, self.bound)
 
     def admits(self, size: int) -> bool:
         return size in self.admissible_sizes()
@@ -109,10 +115,9 @@ def make_partial(
     normalized = {frozenset(k): v for k, v in table.items()}
     if len(normalized) != len(table):
         raise MissingSubset("table keys collapse when read as sets")
-    sizes = range(1, bound + 1) if mode == MODE_UPTO else range(bound, bound + 1)
     tables = {}
     used = 0
-    for size in sizes:
+    for size in admissible_sizes(mode, bound):
         subs, _ = subset_ranks(carrier.size, size)
         picks = []
         for s in subs:
@@ -140,9 +145,8 @@ def order_partial(
     """Partial selection picking the least or greatest carrier index."""
     if rule not in ("min", "max"):
         raise ValueError(f"rule must be 'min' or 'max', got {rule!r}")
-    sizes = range(1, bound + 1) if mode == MODE_UPTO else range(bound, bound + 1)
     tables = {}
-    for size in sizes:
+    for size in admissible_sizes(mode, bound):
         subs, _ = subset_ranks(carrier.size, size)
         tables[size] = tuple(s[0] if rule == "min" else s[-1] for s in subs)
     return PartialSelection(carrier, mode, bound, tables)
@@ -152,9 +156,8 @@ def random_partial(
     carrier: GroundSet, bound: int, rng: random.Random, mode: str = MODE_UPTO
 ) -> PartialSelection:
     """Seeded random choices; singletons still map to themselves."""
-    sizes = range(1, bound + 1) if mode == MODE_UPTO else range(bound, bound + 1)
     tables = {}
-    for size in sizes:
+    for size in admissible_sizes(mode, bound):
         subs, _ = subset_ranks(carrier.size, size)
         tables[size] = tuple(rng.choice(s) for s in subs)
     return PartialSelection(carrier, mode, bound, tables)
@@ -215,22 +218,21 @@ def least_small_class(g: SelectionStructure, m: int):
         raise ValueError(f"structure lives on {g.size} elements, not {m}")
     if is_regular(g):
         raise RegularInput("level-class split undefined for regular structures")
-    w = score_vector(g)
-    for r in range(max(w) + 1):
-        members = [i for i, v in enumerate(w) if v == r]
-        if 0 < 2 * len(members) <= m:
-            return r, frozenset(g.ground.labels[i] for i in members)
+    for r in range(max(score_vector(g)) + 1):
+        q = _level_class(g, r)
+        if 0 < 2 * len(q) <= m:
+            return r, frozenset(q)
     raise AssertionError("non-regular structure without a small level class")
+
+
+def _level_class(g: SelectionStructure, r: int) -> list:
+    """Q(r): the labels of g with score r, in ground order."""
+    return [g.ground.labels[i] for i, v in enumerate(score_vector(g)) if v == r]
 
 
 def _class_value(f: PartialSelection, labels: tuple, n: int, r0: int) -> Label:
     """h(x) = f(Q(r0) of the arity-n restriction to x)."""
-    g = restrict(f, labels, n)
-    w = score_vector(g)
-    members = frozenset(
-        g.ground.labels[i] for i, v in enumerate(w) if v == r0
-    )
-    return f.choose(members)
+    return f.choose(_level_class(restrict(f, labels, n), r0))
 
 
 def extend_on_class(
@@ -252,14 +254,12 @@ def extend_on_class(
     members = part.classes.get(key, [])
     out = {}
     for labels in members:
-        gm = restrict(f, labels, n)
-        w = score_vector(gm)
-        cls = [i for i, v in enumerate(w) if v == r0]
+        cls = _level_class(restrict(f, labels, n), r0)
         if len(cls) != k0:
             raise AssertionError(
                 f"class size drifted within an isomorphism class: {len(cls)} != {k0}"
             )
-        value = f.choose(gm.ground.labels[i] for i in cls)
+        value = f.choose(cls)
         if value not in labels:
             raise AssertionError("extended value escaped its subset")
         out[labels] = value

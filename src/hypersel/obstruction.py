@@ -139,39 +139,35 @@ def search_regular(m: int, n: int, budget: int = DEFAULT_BUDGET) -> SearchResult
             return SearchResult(None, True, 0)
     w = [0] * m
     picks = [0] * count
+    # explicit stack: pos[r] is the position in subs[r] of rank r's next
+    # candidate, so the depth is not bounded by the recursion limit
+    pos = [0] * (count + 1)
     nodes = 0
-
-    def extend(r: int) -> Optional[bool]:
-        """True = witness found, False = subtree exhausted, None = budget."""
-        nonlocal nodes
-        if r == count:
-            return True
-        for x in subs[r]:
-            nodes += 1
-            if nodes > budget:
-                return None
-            if w[x] + 1 > target:
-                continue
-            w[x] += 1
-            feasible = all(
-                w[y] + suffix[r + 1][y] >= target for y in subs[r]
-            )
-            if feasible:
-                picks[r] = x
-                sub = extend(r + 1)
-                if sub is not False:
-                    w[x] -= 1
-                    return sub
+    r = 0
+    while r < count:
+        sub = subs[r]
+        if pos[r] == n:
+            if r == 0:
+                return SearchResult(None, True, nodes)
+            r -= 1
+            w[picks[r]] -= 1
+            continue
+        x = sub[pos[r]]
+        pos[r] += 1
+        nodes += 1
+        if nodes > budget:
+            return SearchResult(None, False, nodes)
+        if w[x] + 1 > target:
+            continue
+        w[x] += 1
+        if all(w[y] + suffix[r + 1][y] >= target for y in sub):
+            picks[r] = x
+            r += 1
+            pos[r] = 0
+        else:
             w[x] -= 1
-        return False
-
-    outcome = extend(0)
-    if outcome is True:
-        s = SelectionStructure(ground_range(m), n, tuple(picks))
-        return SearchResult(s, True, nodes)
-    if outcome is None:
-        return SearchResult(None, False, nodes)
-    return SearchResult(None, True, nodes)
+    s = SelectionStructure(ground_range(m), n, tuple(picks))
+    return SearchResult(s, True, nodes)
 
 
 @dataclass(frozen=True)

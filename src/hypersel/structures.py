@@ -208,24 +208,9 @@ def check_cycle_property(s: SelectionStructure) -> Verdict:
         raise NotArityTwo(f"cycle property is about tournaments, arity {s.n} given")
     if not is_regular(s):
         raise NotRegular("cycle property requires a constant-score tournament")
-    labels = s.ground.labels
-    m = s.size
-    for xi in range(m):
-        for yi in range(m):
-            if yi == xi:
-                continue
-            pair = (min(xi, yi), max(xi, yi))
-            if s.choose_indices(pair) != yi:
-                continue
-            for zi in range(m):
-                if zi in (xi, yi):
-                    continue
-                yz = (min(yi, zi), max(yi, zi))
-                zx = (min(zi, xi), max(zi, xi))
-                if s.choose_indices(yz) == zi and s.choose_indices(zx) == xi:
-                    break
-            else:
-                return fail((labels[xi], labels[yi]))
+    found = _kernels.cycle_violation(mask_from_tournament(s), s.size)
+    if found is not None:
+        return fail(tuple(s.ground.labels[i] for i in found))
     return PASS
 
 

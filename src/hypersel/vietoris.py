@@ -172,23 +172,13 @@ def preserves_relations(
     return PASS
 
 
-def _initial_radius(model: ModelSpace, pts: tuple) -> Fraction:
-    """Half the minimum pairwise gap; a singleton uses half the gap to
-    the nearest other sample point (1 when the model has one point)."""
-    if len(pts) >= 2:
-        gaps = [b - a for a, b in zip(pts, pts[1:])]
-        return min(gaps) / 2
-    others = [abs(q - pts[0]) for q in model.points if q != pts[0]]
-    return min(others) / 2 if others else Fraction(1)
-
-
-def resolution(model: ModelSpace) -> Fraction:
-    """Half the minimum gap between any two sample points (1 for a
-    model with fewer than two points).  Intervals of this radius around
-    distinct sample points never overlap."""
-    if len(model.points) < 2:
+def half_least_gap(points: Sequence[Fraction]) -> Fraction:
+    """Half the least gap between adjacent sorted points (1 for fewer
+    than two points).  Intervals of this radius around distinct points
+    never overlap."""
+    if len(points) < 2:
         return Fraction(1)
-    return min(b - a for a, b in zip(model.points, model.points[1:])) / 2
+    return min(b - a for a, b in zip(points, points[1:])) / 2
 
 
 def find_preserving_neighborhoods(
@@ -213,7 +203,12 @@ def find_preserving_neighborhoods(
         if p not in model.points:
             raise ValueError(f"{p} is not a sample point")
     wanted = sorted(set(arities))
-    r = _initial_radius(model, ps)
+    if len(ps) == 1:
+        # half the gap to the nearest other sample point, which is adjacent
+        i = model.points.index(ps[0])
+        r = half_least_gap(model.points[max(i - 1, 0):i + 2])
+    else:
+        r = half_least_gap(ps)
     if max_radius is not None:
         r = min(r, max_radius)
     floor = r / (2**RADIUS_FLOOR_SHIFT)

@@ -33,6 +33,38 @@ def oracle_scores(s: SelectionStructure) -> dict:
     return w
 
 
+# -- tournament masks -------------------------------------------------------
+
+def oracle_cycle_violation(m: int, masks):
+    """The O(m^3) 3-cycle scan over single-pair lookups: first
+    (mask, x, y), by mask then x then y, with pair {x,y} picking y and
+    no z where {y,z} picks z and {z,x} picks x; None if there is none.
+    Pair {i,j}, i < j, has bit offsets[i] + j - i - 1 and picks j when
+    it is set."""
+    offsets = []
+    acc = 0
+    for v in range(m):
+        offsets.append(acc)
+        acc += m - 1 - v
+
+    def pick(mask: int, a: int, b: int) -> int:
+        i, j = (a, b) if a < b else (b, a)
+        bit = offsets[i] + j - i - 1
+        return j if (mask >> bit) & 1 else i
+
+    for mask in masks:
+        for x in range(m):
+            for y in range(m):
+                if y == x or pick(mask, x, y) != y:
+                    continue
+                for z in range(m):
+                    if z != x and z != y and pick(mask, y, z) == z and pick(mask, z, x) == x:
+                        break
+                else:
+                    return (mask, x, y)
+    return None
+
+
 # -- isomorphism classes ----------------------------------------------------
 
 def oracle_relabel(s: SelectionStructure, perm: tuple) -> tuple:

@@ -112,6 +112,22 @@ class TestSearch:
         assert res.status == "budget-exceeded"
         assert res.structure is None and not res.proven
 
+    @pytest.mark.parametrize("m,n,nodes", [
+        (5, 3, 19), (7, 3, 66), (9, 4, 334), (10, 4, 3608), (13, 3, 3111),
+    ])
+    def test_witness_node_counts(self, m, n, nodes):
+        # counts of the rank-order search with backtracking; the search
+        # visits each candidate once, so the count pins the visit order
+        res = search_regular(m, n)
+        assert res.status == "witness" and is_regular(res.structure)
+        assert res.nodes == nodes
+
+    def test_depth_beyond_recursion_limit(self):
+        # C(22,3) = 1540 ranks deep; a recursive search raised RecursionError
+        res = search_regular(22, 3, budget=2000)
+        assert res.status == "budget-exceeded"
+        assert res.nodes == 2001
+
 
 class TestTable:
     def test_rows_for_six(self):

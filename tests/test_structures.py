@@ -145,6 +145,10 @@ class TestCycleProperty:
     def test_rotational_satisfies(self, m):
         assert check_cycle_property(rotational_tournament(m)).ok
 
+    def test_beyond_kernel_size_bound(self):
+        # 13 > _kernels.MAX_M: the check does not go through the enumerators' guard
+        assert check_cycle_property(rotational_tournament(13)).ok
+
     def test_requires_arity_two(self):
         with pytest.raises(NotArityTwo):
             check_cycle_property(selection_from_order(ground_range(4), 3, "min"))

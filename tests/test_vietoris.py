@@ -156,6 +156,18 @@ class TestNeighborhoods:
         with pytest.raises(NotModelContinuous):
             find_preserving_neighborhoods(model, (model.points[0], model.points[2]), (1, 2))
 
+    def test_starting_radius_is_half_the_least_gap(self):
+        # points 0, 1, 7/2, 4: a singleton starts at half the gap to its
+        # nearest sample point, on either side; a set at half its own
+        # least gap.  Every arity-1 family preserves at once.
+        model = order_model([0, 1, F(7, 2), 4], 2, "min")
+        for pts, r in (((F(0),), F(1, 2)), ((F(1),), F(1, 2)), ((F(7, 2),), F(1, 4)),
+                       ((F(4),), F(1, 4)), ((F(0), F(7, 2)), F(7, 4))):
+            fam = find_preserving_neighborhoods(model, pts, (1,))
+            assert fam == OpenFamily(tuple(IntervalOpen(p - r, p + r) for p in pts))
+        lone = order_model([3], 1, "min")
+        assert find_preserving_neighborhoods(lone, (F(3),), (1,)).members == (interval(2, 4),)
+
     def test_unknown_point_rejected(self):
         model = order_model([0, 1], 2, "min")
         with pytest.raises(ValueError):
