@@ -77,7 +77,7 @@ def _load(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"{path}: invalid JSON: {exc}") from exc
 
 

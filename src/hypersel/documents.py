@@ -129,15 +129,17 @@ def _read_choices(doc: Any, where: str) -> dict:
     return table
 
 
-def _write_choices(carrier: GroundSet, sizes, tables) -> list:
+def _write_choices(structures) -> list:
+    """Choice records of each structure in turn, subsets in rank order."""
     out = []
-    for size in sizes:
-        subs, _ = subset_ranks(carrier.size, size)
-        for s, p in zip(subs, tables[size]):
+    for g in structures:
+        labels = g.ground.labels
+        subs, _ = subset_ranks(g.size, g.n)
+        for s, p in zip(subs, g.picks):
             out.append(
                 {
-                    "subset": [label_str(carrier.labels[i]) for i in s],
-                    "pick": label_str(carrier.labels[p]),
+                    "subset": [label_str(labels[i]) for i in s],
+                    "pick": label_str(labels[p]),
                 }
             )
     return out
@@ -149,7 +151,7 @@ def write_selection(s: SelectionStructure) -> dict:
     return {
         "ground": [label_str(x) for x in s.ground.labels],
         "n": s.n,
-        "choices": _write_choices(s.ground, (s.n,), {s.n: s.picks}),
+        "choices": _write_choices((s,)),
     }
 
 
@@ -168,7 +170,7 @@ def write_partial(p: PartialSelection) -> dict:
         "carrier": [label_str(x) for x in p.carrier.labels],
         "mode": p.mode,
         "bound": p.bound,
-        "choices": _write_choices(p.carrier, p.admissible_sizes(), p.tables),
+        "choices": _write_choices(p.levels[n] for n in p.admissible_sizes()),
     }
 
 

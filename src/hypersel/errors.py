@@ -48,6 +48,11 @@ class UncertifiedIsomorphism(HyperselError):
     check (an internal invariant)."""
 
 
+class BrokenInvariant(HyperselError):
+    """A check that holds for every valid input failed (a bug, not a bad
+    input)."""
+
+
 class BudgetExceeded(HyperselError):
     """An enumeration or search hit its resource cap before finishing."""
 

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional
 
 from .errors import (
     ArityNotInDomain,
-    ChoiceOutsideSubset,
+    BrokenInvariant,
     HypothesisViolated,
     MissingSubset,
     NotIso,
@@ -33,7 +33,9 @@ from .structures import (
     canonical_form,
     is_isomorphism,
     is_regular,
+    make_selection,
     score_vector,
+    selection_from_order,
     subset_ranks,
 )
 
@@ -54,14 +56,14 @@ class PartialSelection:
     """Choice function on the subsets of a carrier admitted by its mode.
 
     Mode "upto" covers all sizes 1..bound, mode "exact" only size
-    bound.  tables[size][rank] is the carrier index chosen from the
-    rank-th size-subset.
+    bound.  levels[size] is the selection on the size-subsets of the
+    carrier, so a selection over F_k(X) is its k structures on [X]^i.
     """
 
     carrier: GroundSet
     mode: str
     bound: int
-    tables: dict
+    levels: dict  # size -> SelectionStructure of that arity on the carrier
 
     def __post_init__(self):
         if self.mode not in (MODE_UPTO, MODE_EXACT):
@@ -72,34 +74,24 @@ class PartialSelection:
             raise ValueError(
                 f"bound {self.bound} out of range for carrier of size {self.carrier.size}"
             )
-        expected = self.admissible_sizes()
-        if sorted(self.tables) != list(expected):
-            raise MissingSubset(
-                f"tables for sizes {sorted(self.tables)}, need {list(expected)}"
-            )
-        for size in expected:
-            subs, _ = subset_ranks(self.carrier.size, size)
-            picks = self.tables[size]
-            if len(picks) != len(subs):
-                raise MissingSubset(
-                    f"size {size}: expected {len(subs)} choices, got {len(picks)}"
-                )
-            for s, p in zip(subs, picks):
-                if p not in s:
-                    raise ChoiceOutsideSubset(f"subset {s} cannot pick index {p}")
+        expected = list(self.admissible_sizes())
+        if sorted(self.levels) != expected:
+            raise MissingSubset(f"levels for sizes {sorted(self.levels)}, need {expected}")
+        for size, g in self.levels.items():
+            if g.n != size or g.ground != self.carrier:
+                raise ValueError(f"level {size} is not an arity-{size} structure on the carrier")
 
     def admissible_sizes(self) -> range:
         return admissible_sizes(self.mode, self.bound)
 
     def admits(self, size: int) -> bool:
-        return size in self.admissible_sizes()
+        return size in self.levels
 
     def choose_indices(self, subset: tuple) -> int:
-        size = len(subset)
-        if not self.admits(size):
-            raise ArityNotInDomain(f"arity {size} not admitted by mode {self.mode}")
-        _, rank = subset_ranks(self.carrier.size, size)
-        return self.tables[size][rank[subset]]
+        level = self.levels.get(len(subset))
+        if level is None:
+            raise ArityNotInDomain(f"arity {len(subset)} not admitted by mode {self.mode}")
+        return level.choose_indices(subset)
 
     def choose(self, labels: Iterable[Label]) -> Label:
         idx = tuple(sorted(self.carrier.index(x) for x in labels))
@@ -110,83 +102,69 @@ def make_partial(
     carrier: GroundSet, mode: str, bound: int, table: Mapping
 ) -> PartialSelection:
     """Build from a mapping {subset of labels: chosen label} covering
-    exactly the admissible subsets.  Singleton entries are forced to map
-    to their element by the membership check."""
-    normalized = {frozenset(k): v for k, v in table.items()}
-    if len(normalized) != len(table):
+    exactly the admissible subsets, one make_selection per size.
+    Singleton entries are forced to map to their element by the
+    membership check."""
+    by_size: dict = {}
+    for k, v in table.items():
+        key = frozenset(k)
+        by_size.setdefault(len(key), {})[key] = v
+    if sum(map(len, by_size.values())) != len(table):
         raise MissingSubset("table keys collapse when read as sets")
-    tables = {}
-    used = 0
-    for size in admissible_sizes(mode, bound):
-        subs, _ = subset_ranks(carrier.size, size)
-        picks = []
-        for s in subs:
-            key = frozenset(carrier.labels[i] for i in s)
-            if key not in normalized:
-                raise MissingSubset(
-                    f"no choice for subset {sorted(key, key=carrier.index)}"
-                )
-            v = normalized[key]
-            if v not in key:
-                raise ChoiceOutsideSubset(
-                    f"{v!r} not in subset {sorted(key, key=carrier.index)}"
-                )
-            picks.append(carrier.index(v))
-            used += 1
-        tables[size] = tuple(picks)
-    if used != len(normalized):
+    levels = {
+        size: make_selection(carrier, size, by_size.pop(size, {}))
+        for size in admissible_sizes(mode, bound)
+    }
+    if by_size:
         raise MissingSubset("table has entries outside the admissible subsets")
-    return PartialSelection(carrier, mode, bound, tables)
+    return PartialSelection(carrier, mode, bound, levels)
 
 
 def order_partial(
     carrier: GroundSet, bound: int, rule: str, mode: str = MODE_UPTO
 ) -> PartialSelection:
     """Partial selection picking the least or greatest carrier index."""
-    if rule not in ("min", "max"):
-        raise ValueError(f"rule must be 'min' or 'max', got {rule!r}")
-    tables = {}
-    for size in admissible_sizes(mode, bound):
-        subs, _ = subset_ranks(carrier.size, size)
-        tables[size] = tuple(s[0] if rule == "min" else s[-1] for s in subs)
-    return PartialSelection(carrier, mode, bound, tables)
+    levels = {
+        size: selection_from_order(carrier, size, rule)
+        for size in admissible_sizes(mode, bound)
+    }
+    return PartialSelection(carrier, mode, bound, levels)
 
 
 def random_partial(
     carrier: GroundSet, bound: int, rng: random.Random, mode: str = MODE_UPTO
 ) -> PartialSelection:
     """Seeded random choices; singletons still map to themselves."""
-    tables = {}
+    levels = {}
     for size in admissible_sizes(mode, bound):
         subs, _ = subset_ranks(carrier.size, size)
-        tables[size] = tuple(rng.choice(s) for s in subs)
-    return PartialSelection(carrier, mode, bound, tables)
+        levels[size] = SelectionStructure(carrier, size, tuple(rng.choice(s) for s in subs))
+    return PartialSelection(carrier, mode, bound, levels)
 
 
 def restrict(f: PartialSelection, subset: Iterable[Label], n: int) -> SelectionStructure:
     """f viewed as an arity-n structure on a subset of its carrier,
     label order inherited from the carrier."""
-    if not f.admits(n):
+    level = f.levels.get(n)
+    if level is None:
         raise ArityNotInDomain(f"arity {n} not admitted by mode {f.mode}")
     idx = tuple(sorted(f.carrier.index(x) for x in subset))
-    labels = tuple(f.carrier.labels[i] for i in idx)
-    ground = GroundSet(labels)
+    ground = GroundSet(tuple(f.carrier.labels[i] for i in idx))
     subs, _ = subset_ranks(len(idx), n)
-    picks = []
-    for s in subs:
-        chosen = f.choose_indices(tuple(idx[i] for i in s))
-        picks.append(idx.index(chosen))
+    picks = [idx.index(level.choose_indices(tuple(idx[i] for i in s))) for s in subs]
     return SelectionStructure(ground, n, tuple(picks))
 
 
 @dataclass(frozen=True)
 class TypePartition:
     """m-subsets of the carrier grouped by the isomorphism type of their
-    arity-n restriction; class keys are canonical structures."""
+    arity-n restriction; class keys are canonical structures, and maps
+    holds canonical_form's certifying map of each member's restriction."""
 
     m: int
     n: int
     classes: dict  # canonical SelectionStructure -> list of label tuples
+    maps: dict  # label tuple -> IsoMap from its restriction onto its class key
 
 
 def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
@@ -200,12 +178,13 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     if not n <= m <= f.carrier.size:
         raise ValueError(f"need n <= m <= carrier size, got n={n}, m={m}")
     classes: dict = {}
+    maps: dict = {}
     subs, _ = subset_ranks(f.carrier.size, m)
     for s in subs:
         labels = tuple(f.carrier.labels[i] for i in s)
-        canon, _ = canonical_form(restrict(f, labels, n))
+        canon, maps[labels] = canonical_form(restrict(f, labels, n))
         classes.setdefault(canon, []).append(labels)
-    return TypePartition(m, n, classes)
+    return TypePartition(m, n, classes, maps)
 
 
 def least_small_class(g: SelectionStructure, m: int):
@@ -218,52 +197,12 @@ def least_small_class(g: SelectionStructure, m: int):
         raise ValueError(f"structure lives on {g.size} elements, not {m}")
     if is_regular(g):
         raise RegularInput("level-class split undefined for regular structures")
-    for r in range(max(score_vector(g)) + 1):
-        q = _level_class(g, r)
+    w = score_vector(g)
+    for r in range(max(w) + 1):
+        q = frozenset(x for x, v in zip(g.ground.labels, w) if v == r)
         if 0 < 2 * len(q) <= m:
-            return r, frozenset(q)
-    raise AssertionError("non-regular structure without a small level class")
-
-
-def _level_class(g: SelectionStructure, r: int) -> list:
-    """Q(r): the labels of g with score r, in ground order."""
-    return [g.ground.labels[i] for i, v in enumerate(score_vector(g)) if v == r]
-
-
-def _class_value(f: PartialSelection, labels: tuple, n: int, r0: int) -> Label:
-    """h(x) = f(Q(r0) of the arity-n restriction to x)."""
-    return f.choose(_level_class(restrict(f, labels, n), r0))
-
-
-def extend_on_class(
-    f: PartialSelection, g: SelectionStructure, m: int, n: int
-) -> dict:
-    """Values of the extended selection on every m-subset whose arity-n
-    restriction is isomorphic to g.  Keys are label tuples in carrier
-    order; values lie inside their subset."""
-    if f.mode != MODE_UPTO:
-        raise HypothesisViolated("extension needs an up-to-k selection")
-    if n > f.bound:
-        raise HypothesisViolated(f"arity {n} exceeds bound {f.bound}")
-    if m > 2 * f.bound:
-        raise HypothesisViolated(f"need m/2 <= bound, got m={m}, bound={f.bound}")
-    r0, q = least_small_class(g, m)  # RegularInput propagates
-    k0 = len(q)
-    key, _ = canonical_form(g)
-    part = partition_types(f, m, n)
-    members = part.classes.get(key, [])
-    out = {}
-    for labels in members:
-        cls = _level_class(restrict(f, labels, n), r0)
-        if len(cls) != k0:
-            raise AssertionError(
-                f"class size drifted within an isomorphism class: {len(cls)} != {k0}"
-            )
-        value = f.choose(cls)
-        if value not in labels:
-            raise AssertionError("extended value escaped its subset")
-        out[labels] = value
-    return out
+            return r, q
+    raise BrokenInvariant("non-regular structure without a small level class")
 
 
 def check_extension(f: PartialSelection, m: int, p: int) -> None:
@@ -305,16 +244,19 @@ def extend_selection(
     picks = [None] * len(subs)
     for g, members in part.classes.items():
         if is_regular(g):
-            # the divisibility obstruction rules this out under the pre
-            raise AssertionError(f"regular restriction type on ({m},{p})")
-        r0, _ = least_small_class(g, m)
+            # the divisibility obstruction rules this out under check_extension
+            raise BrokenInvariant(f"regular restriction type on ({m},{p})")
+        _, q = least_small_class(g, m)
         for labels in members:
-            value = _class_value(f, labels, p, r0)
+            # Q(r0) of the member's restriction is the preimage of q
+            phi = part.maps[labels]
+            value = f.choose([x for x, y in zip(phi.source.labels, phi.images) if y in q])
             idx = tuple(sorted(f.carrier.index(x) for x in labels))
             picks[rank[idx]] = f.carrier.index(value)
     if any(v is None for v in picks):
-        raise AssertionError("classwise assembly left a subset unassigned")
-    return PartialSelection(f.carrier, MODE_EXACT, m, {m: tuple(picks)})
+        raise BrokenInvariant("classwise assembly left a subset unassigned")
+    h = SelectionStructure(f.carrier, m, tuple(picks))
+    return PartialSelection(f.carrier, MODE_EXACT, m, {m: h})
 
 
 def extend_composite(f: PartialSelection, n: int) -> PartialSelection:
@@ -329,22 +271,6 @@ def extend_composite(f: PartialSelection, n: int) -> PartialSelection:
     if f.mode != MODE_UPTO or f.bound < n:
         raise HypothesisViolated(f"need an up-to-{n} selection")
     return extend_selection(f, m, p)
-
-
-def _joint_score_key(f: PartialSelection, idx: tuple, arities) -> dict:
-    """Per-element tuple of scores across the given arities, keyed by
-    position within the sorted subset."""
-    k = len(idx)
-    vectors = {i: [] for i in range(k)}
-    for n in arities:
-        g_w = [0] * k
-        subs, _ = subset_ranks(k, n)
-        for s in subs:
-            chosen = f.choose_indices(tuple(idx[i] for i in s))
-            g_w[idx.index(chosen)] += 1
-        for i in range(k):
-            vectors[i].append(g_w[i])
-    return {i: tuple(v) for i, v in vectors.items()}
 
 
 def certified_isomorphism(
@@ -365,9 +291,15 @@ def certified_isomorphism(
     arities = [n for n in range(2, top + 1) if f.admits(n)]
     gx = {n: restrict(f, (f.carrier.labels[i] for i in xi), n) for n in arities}
     gy = {n: restrict(f, (f.carrier.labels[i] for i in yi), n) for n in arities}
-    vx = _joint_score_key(f, xi, arities)
-    vy = _joint_score_key(f, yi, arities)
-    if sorted(vx.values()) != sorted(vy.values()):
+
+    def joint_scores(gs: dict) -> list:
+        """Per position in the subset, its scores across the arities."""
+        ws = [score_vector(gs[n]) for n in arities]
+        return [tuple(w[i] for w in ws) for i in range(k)]
+
+    vx = joint_scores(gx)
+    vy = joint_scores(gy)
+    if sorted(vx) != sorted(vy):
         return None
     groups: dict = {}
     for j in range(k):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BudgetExceeded, NotPrime, OutOfRange
+from .errors import BrokenInvariant, NotPrime, OutOfRange
 from .structures import (
     DEFAULT_BUDGET,
     SelectionStructure,
@@ -192,9 +192,7 @@ def obstruction_table(max_m: int, budget: int = DEFAULT_BUDGET) -> list:
             cert = prime_obstruction_holds(m, p)
             search = search_regular(m, p, budget=budget)
             if search.structure is not None:
-                raise AssertionError(
-                    f"obstructed pair ({m},{p}) produced a witness"
-                )
+                raise BrokenInvariant(f"obstructed pair ({m},{p}) produced a witness")
             rows.append(
                 TableRow(
                     m=m,

@@ -24,6 +24,7 @@ from .errors import (
     MissingSubset,
     NotArityTwo,
     NotRegular,
+    OutOfRange,
     SizeMismatch,
     UncertifiedIsomorphism,
 )
@@ -98,9 +99,6 @@ class SelectionStructure:
     def size(self) -> int:
         return self.ground.size
 
-    def subset_count(self) -> int:
-        return len(self.picks)
-
     def choose_indices(self, subset: tuple) -> int:
         _, rank = subset_ranks(self.size, self.n)
         return self.picks[rank[subset]]
@@ -108,11 +106,6 @@ class SelectionStructure:
     def choose(self, labels: Iterable[Label]) -> Label:
         idx = tuple(sorted(self.ground.index(x) for x in labels))
         return self.ground.labels[self.choose_indices(idx)]
-
-    def subsets(self) -> Iterator[tuple]:
-        subs, _ = subset_ranks(self.size, self.n)
-        for s in subs:
-            yield tuple(self.ground.labels[i] for i in s)
 
 
 def make_selection(
@@ -128,16 +121,19 @@ def make_selection(
     normalized = {frozenset(k): v for k, v in table.items()}
     if len(normalized) != len(table):
         raise MissingSubset("table keys collapse when read as sets")
+    labels = ground.labels
+    position = {x: i for i, x in enumerate(labels)}
     subs, _ = subset_ranks(m, n)
     picks = []
     for s in subs:
-        key = frozenset(ground.labels[i] for i in s)
-        if key not in normalized:
-            raise MissingSubset(f"no choice for subset {sorted(key, key=ground.index)}")
-        v = normalized[key]
+        key = frozenset([labels[i] for i in s])
+        try:
+            v = normalized[key]
+        except KeyError:
+            raise MissingSubset(f"no choice for subset {sorted(key, key=ground.index)}") from None
         if v not in key:
             raise ChoiceOutsideSubset(f"{v!r} not in subset {sorted(key, key=ground.index)}")
-        picks.append(ground.index(v))
+        picks.append(position[v])
     if len(normalized) != len(subs):
         raise MissingSubset("table has entries that are not n-subsets of the ground")
     return SelectionStructure(ground, n, tuple(picks))
@@ -455,25 +451,34 @@ def enumerate_selections(
     of its first structure in a byte map over the slice, and a marked
     index is skipped without being decoded.
 
-    Cost is metered in table cells: count per index walked, plus
-    m! * count per new class for marking its orbit.  Exceeding the
-    budget raises BudgetExceeded (also eagerly when the slice alone is
-    plainly too large).
+    Cost is metered in table cells: count = C(m, n) per index walked,
+    plus m! * count per new class for marking its orbit.  Exceeding the
+    budget raises BudgetExceeded, eagerly (before any table is built)
+    when the slice alone is too large.
     """
     if not 1 <= n <= m:
         raise ValueError(f"arity {n} out of range for ground of size {m}")
     if start < 0:
         raise ValueError(f"start must be non-negative, got {start}")
-    subs, _ = subset_ranks(m, n)
-    count = len(subs)
-    total = n**count
+    # C(m, n) >= 2**min(n, m - n): past the budget's bit length it is
+    # over budget, and comb is not computed (it could take minutes)
+    over = min(n, m - n) >= budget.bit_length()
+    count = budget + 1 if over else math.comb(m, n)
+    if count > budget:
+        raise BudgetExceeded(f"C({m},{n}) cells per structure exceed budget {budget}")
     lo = start
+    # only whether the slice holds more than budget // count structures
+    # matters, so n**count >= 2**(count * (bits of n - 1)) is not
+    # computed once that bound passes cap
+    cap = lo + budget // count + 1
+    total = n**count if count * (n.bit_length() - 1) < cap.bit_length() else cap
     hi = total if stop is None else min(stop, total)
     span = max(hi - lo, 0)
     if span * count > budget:
         raise BudgetExceeded(
-            f"{span} structures x {count} cells exceed budget {budget}"
+            f"more than {budget // count} structures x {count} cells exceed budget {budget}"
         )
+    subs, _ = subset_ranks(m, n)
     ground = ground_range(m)
 
     def decode(idx: int) -> list:
@@ -571,11 +576,13 @@ def mask_from_tournament(s: SelectionStructure) -> int:
 
 
 def regular_tournaments(m: int, exhaustive: bool = False) -> list:
-    """Every regular tournament on 0..m-1, as structures.
+    """Every regular tournament on 0..m-1 (m >= 2), as structures.
 
     exhaustive=True scans all 2^C(m,2) masks; the default uses the
     pruned row search.  Both orders are ascending by mask.
     """
+    if m < 2:
+        raise OutOfRange(f"a tournament needs m >= 2 points, got {m}")
     masks = (
         _kernels.regular_masks_exhaustive(m)
         if exhaustive
@@ -585,4 +592,4 @@ def regular_tournaments(m: int, exhaustive: bool = False) -> list:
 
 
 def count_regular_tournaments_exhaustive(m: int) -> int:
-    return len(_kernels.regular_masks_exhaustive(m))
+    return len(regular_tournaments(m, exhaustive=True))

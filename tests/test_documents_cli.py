@@ -3,9 +3,11 @@ import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
+from hypersel import structures
 from hypersel.chains import FamilySystem
 from hypersel.cli import main
 from hypersel.documents import (
@@ -160,6 +162,16 @@ class TestCliEnumerate:
         rep = json.loads(out)
         assert code == 0 and rep["result"]["count"] == 3
 
+    @pytest.mark.parametrize("argv", [["40", "20"], ["22", "11", "--budget", "1"], ["30", "10"]])
+    def test_huge_space_exits_before_any_table(self, monkeypatch, argv):
+        def forbidden(*args):
+            raise RuntimeError("subset_ranks called before the budget check")
+
+        monkeypatch.setattr(structures, "subset_ranks", forbidden)
+        code, out, err = run_cli(["enumerate"] + argv)
+        assert code == 2 and out == ""
+        assert err.startswith("hypersel: budget exceeded")
+
     def test_nonpositive_budget(self):
         code, _, err = run_cli(["enumerate", "2", "2", "--budget", "0"])
         assert code == 2
@@ -224,6 +236,34 @@ class TestCliExtend:
     def test_unreadable_input(self, tmp_path):
         code, _, err = run_cli(["extend", str(tmp_path / "nope.json"), "4", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "mode, bound, sizes",
+        [("upto", 4, (1, 2, 3)), ("exact", 0, ()), ("upto", 2, (1, 2, 3)), ("upto", 2, (1,))],
+        ids=["bound above the carrier", "exact with bound 0", "size not admitted", "missing size"],
+    )
+    def test_rejected_partial_exits_two(self, tmp_path, mode, bound, sizes):
+        labels = ["a", "b", "c"]
+        choices = [
+            {"subset": list(s), "pick": s[0]} for k in sizes for s in combinations(labels, k)
+        ]
+        doc = {"carrier": labels, "mode": mode, "bound": bound, "choices": choices}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["extend", str(path), "2", "2"])
+        assert code == 2 and out == "" and err.startswith("hypersel: ")
+
+
+class TestDeepDocuments:
+    @pytest.mark.parametrize(
+        "argv", [["extend", "{}", "4", "2"], ["model", "check-continuity", "{}"], ["chains", "check-nice", "{}"]]
+    )
+    def test_deep_nesting_is_a_document_error(self, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run_cli([a.format(path) for a in argv])
+        assert code == 2 and out == ""
+        assert "invalid JSON" in err
 
 
 class TestCliModel:

@@ -15,12 +15,12 @@ from hypersel.errors import (
     PrimeInput,
     RegularInput,
 )
+from hypersel import extension
 from hypersel.extension import (
     PartialSelection,
     certified_isomorphism,
     equivariance_check,
     extend_composite,
-    extend_on_class,
     extend_selection,
     least_small_class,
     make_partial,
@@ -36,6 +36,7 @@ from hypersel.structures import (
     make_selection,
     rotational_tournament,
     score_vector,
+    selection_from_order,
     subset_ranks,
 )
 
@@ -51,6 +52,40 @@ def tournament_partial(edges, m, extra=None):
         table.update(extra)
     bound = max(len(k) for k in table)
     return make_partial(ground_range(m), "upto", bound, table)
+
+
+def full_table(m, sizes):
+    """{subset: its least element} on every subset of range(m) whose size
+    is in sizes."""
+    return {frozenset(s): s[0] for k in sizes for s in combinations(range(m), k)}
+
+
+def without(table, subset):
+    return {k: v for k, v in table.items() if k != frozenset(subset)}
+
+
+def collapsed_keys():
+    table = {tuple(k): v for k, v in full_table(3, (1, 2)).items()}
+    table[(1, 0)] = 0  # the same set as (0, 1)
+    return table
+
+
+# (case, carrier size, mode, bound, table, error make_partial raises)
+REJECTED = [
+    ("collapsed keys", 3, "upto", 2, collapsed_keys(), MissingSubset),
+    ("size not admitted, upto", 3, "upto", 2, full_table(3, (1, 2, 3)), MissingSubset),
+    ("size not admitted, exact", 3, "exact", 2, full_table(3, (1, 2)), MissingSubset),
+    ("label outside the carrier", 2, "upto", 1, {**full_table(2, (1,)), frozenset({9}): 9}, MissingSubset),
+    ("missing subset", 3, "upto", 2, without(full_table(3, (1, 2)), {0, 2}), MissingSubset),
+    ("pick outside its subset", 3, "upto", 2, {**full_table(3, (1, 2)), frozenset({1, 2}): 0}, ChoiceOutsideSubset),
+    ("singleton picks another label", 2, "upto", 1, {**full_table(2, (1,)), frozenset({1}): 0}, ChoiceOutsideSubset),
+    ("bound above the carrier, upto", 3, "upto", 4, full_table(3, (1, 2, 3)), ValueError),
+    ("bound above the carrier, exact", 3, "exact", 4, {}, ValueError),
+    ("exact with bound 0", 3, "exact", 0, {}, ValueError),
+    ("exact 0, empty carrier", 0, "exact", 0, {}, ValueError),
+    ("negative bound", 2, "upto", -1, {}, ValueError),
+    ("unknown mode", 2, "sometimes", 1, full_table(2, (1,)), ValueError),
+]
 
 
 class TestPartialSelection:
@@ -84,6 +119,37 @@ class TestPartialSelection:
         table = {frozenset({0}): 0, frozenset({1}): 0}
         with pytest.raises(ChoiceOutsideSubset):
             make_partial(ground_range(2), "upto", 1, table)
+
+    @pytest.mark.parametrize(
+        "m, mode, bound, table, error", [c[1:] for c in REJECTED], ids=[c[0] for c in REJECTED]
+    )
+    def test_make_partial_rejects(self, m, mode, bound, table, error):
+        with pytest.raises(error) as info:
+            make_partial(ground_range(m), mode, bound, table)
+        assert type(info.value) is error
+
+    def test_upto_zero_on_empty_carrier_is_the_empty_selection(self):
+        f = make_partial(ground_range(0), "upto", 0, {})
+        assert f.levels == {} and list(f.admissible_sizes()) == []
+        assert not f.admits(1)
+
+    def test_levels_are_selection_structures(self):
+        f = make_partial(ground_range(4), "upto", 2, full_table(4, (1, 2)))
+        assert f.levels == {
+            n: selection_from_order(ground_range(4), n, "min") for n in (1, 2)
+        }
+        assert f == order_partial(ground_range(4), 2, "min")
+
+    def test_levels_checked_against_mode_and_carrier(self):
+        carrier = ground_range(4)
+        level = {n: selection_from_order(carrier, n, "min") for n in (1, 2)}
+        with pytest.raises(MissingSubset):
+            PartialSelection(carrier, "upto", 2, {1: level[1]})
+        with pytest.raises(ValueError):
+            PartialSelection(carrier, "upto", 2, {1: level[1], 2: level[1]})
+        other = selection_from_order(ground_range(5), 2, "min")
+        with pytest.raises(ValueError):
+            PartialSelection(carrier, "upto", 2, {1: level[1], 2: other})
 
 
 class TestRestrict:
@@ -144,6 +210,13 @@ class TestPartitionTypes:
         subs, _ = subset_ranks(6, 4)
         assert seen == sorted(subs)
 
+    def test_maps_certify_each_member(self):
+        f = random_partial(ground_range(7), 3, random.Random(5))
+        parts = partition_types(f, 5, 3)
+        for canon, members in parts.classes.items():
+            for labels in members:
+                assert is_isomorphism(restrict(f, labels, 3), canon, parts.maps[labels])
+
 
 class TestExtendSelection:
     def test_min_on_six_picks_max(self):
@@ -181,6 +254,24 @@ class TestExtendSelection:
         h = extend_selection(f, m, p)
         for sub in combinations(range(8), m):
             assert h.choose(sub) == oracle_extend_value(f, sub, p)
+
+    def test_restricts_each_subset_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return restrict(*args)
+
+        monkeypatch.setattr(extension, "restrict", counted)
+        f = random_partial(ground_range(8), 2, random.Random(9))
+        extend_selection(f, 4, 2)
+        assert len(calls) == 70  # C(8, 4): once each, inside partition_types
+        part = partition_types(f, 4, 2)
+        del calls[:]
+        h = extend_selection(f, 4, 2, part)
+        assert calls == []
+        for sub in combinations(range(8), 4):
+            assert h.choose(sub) == oracle_extend_value(f, sub, 2)
 
     def test_rejects_composite_p(self):
         f = order_partial(ground_range(8), 4, "min")

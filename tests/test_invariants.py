@@ -1,0 +1,84 @@
+"""Internal invariants raise BrokenInvariant, a typed error that survives
+``python -O`` and that the CLI reports with exit code 2."""
+
+import ast
+import io
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+import hypersel
+from hypersel import extension, obstruction
+from hypersel.cli import main
+from hypersel.errors import BrokenInvariant
+from hypersel.extension import (
+    extend_selection,
+    least_small_class,
+    partition_types,
+    random_partial,
+)
+from hypersel.obstruction import SearchResult, obstruction_table
+from hypersel.structures import ground_range, rotational_tournament
+
+PACKAGE = Path(hypersel.__file__).parent
+
+
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_package_has_no_assert_and_no_assertion_error():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Raise) and node.exc is not None and _raises_assertion_error(node)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def _witness_search(m, n, budget):
+    return SearchResult(rotational_tournament(3), True, 1)
+
+
+def test_obstruction_witness_is_broken_invariant(monkeypatch):
+    monkeypatch.setattr(obstruction, "search_regular", _witness_search)
+    with pytest.raises(BrokenInvariant):
+        obstruction_table(4)
+
+
+def test_cli_reports_broken_invariant_with_exit_two(monkeypatch):
+    monkeypatch.setattr(obstruction, "search_regular", _witness_search)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["obstruct", "4"])
+    assert code == 2 and out.getvalue() == ""
+    assert "produced a witness" in err.getvalue()
+
+
+def test_no_small_level_class_is_broken_invariant(monkeypatch):
+    # a regular structure that claims not to be: every level class is empty or everything
+    monkeypatch.setattr(extension, "is_regular", lambda g: False)
+    with pytest.raises(BrokenInvariant):
+        least_small_class(rotational_tournament(5), 5)
+
+
+def test_regular_restriction_type_is_broken_invariant(monkeypatch):
+    f = random_partial(ground_range(6), 2, random.Random(1))
+    part = partition_types(f, 4, 2)
+    monkeypatch.setattr(extension, "is_regular", lambda g: True)
+    with pytest.raises(BrokenInvariant):
+        extend_selection(f, 4, 2, part)
+
+
+def test_unassigned_subset_is_broken_invariant():
+    f = random_partial(ground_range(6), 2, random.Random(1))
+    part = partition_types(f, 4, 2)
+    members = next(iter(part.classes.values()))
+    members.pop()
+    with pytest.raises(BrokenInvariant):
+        extend_selection(f, 4, 2, part)

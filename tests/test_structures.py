@@ -15,6 +15,7 @@ from hypersel.errors import (
     MissingSubset,
     NotArityTwo,
     NotRegular,
+    OutOfRange,
     SizeMismatch,
     UncertifiedIsomorphism,
 )
@@ -280,6 +281,27 @@ class TestEnumeration:
         with pytest.raises(BudgetExceeded):
             next(iter(enumerate_selections(6, 3)))
 
+    @pytest.mark.parametrize("m, n, budget", [(40, 20, 10**8), (30, 10, 10**8), (22, 11, 1), (10**6, 3, 10**30)])
+    def test_budget_checked_before_any_table(self, monkeypatch, m, n, budget):
+        def forbidden(*args):
+            raise RuntimeError("subset_ranks called before the budget check")
+
+        monkeypatch.setattr(structures, "subset_ranks", forbidden)
+        with pytest.raises(BudgetExceeded) as info:
+            enumerate_selections(m, n, budget=budget)
+        assert len(str(info.value)) < 200
+
+    def test_eager_check_is_exact_on_slices(self):
+        # C(12, 6) = 924 cells a structure; 2**924 structures in all
+        assert len(list(enumerate_selections(12, 6, stop=10, budget=9240))) == 10
+        with pytest.raises(BudgetExceeded):
+            enumerate_selections(12, 6, stop=10, budget=9239)
+        with pytest.raises(BudgetExceeded):
+            enumerate_selections(12, 6, start=5, budget=10**40)
+        assert len(list(enumerate_selections(4, 2, budget=64 * 6))) == 64
+        with pytest.raises(BudgetExceeded):
+            enumerate_selections(4, 2, budget=64 * 6 - 1)
+
     def test_split_ranges_cover(self):
         whole = [s.picks for s in enumerate_selections(4, 2)]
         parts = [s.picks for s in enumerate_selections(4, 2, stop=32)]
@@ -337,3 +359,14 @@ class TestRegularTournaments:
     def test_all_regular(self):
         for t in regular_tournaments(5):
             assert is_regular(t)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_fewer_than_two_points_out_of_range(self, m):
+        for exhaustive in (False, True):
+            with pytest.raises(OutOfRange):
+                regular_tournaments(m, exhaustive=exhaustive)
+        with pytest.raises(OutOfRange):
+            count_regular_tournaments_exhaustive(m)
+
+    def test_two_points_have_none(self):
+        assert regular_tournaments(2) == [] and count_regular_tournaments_exhaustive(2) == 0
