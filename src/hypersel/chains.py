@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (
-    BrokenLink,
     CoverConflict,
     NoTransversal,
     NonBijectiveTransfer,
@@ -48,7 +48,6 @@ from .vietoris import (
     ModelSpace,
     OpenFamily,
     find_preserving_neighborhoods,
-    half_least_gap,
     intersect_nonempty,
     member_hits,
     overlaps,
@@ -85,51 +84,6 @@ def meets_uniquely(u: OpenFamily, v: OpenFamily) -> Optional[MeetMap]:
     if mapping is None:
         return None
     return MeetMap(u, v, mapping, len(set(mapping)) == u.size)
-
-
-@dataclass(frozen=True)
-class ChainRec:
-    """A sequence of families with consecutive unique-meet links."""
-
-    families: tuple
-    links: tuple
-
-
-@dataclass(frozen=True)
-class TransferMap:
-    """Composition of a chain's links."""
-
-    source: OpenFamily
-    target: OpenFamily
-    mapping: tuple
-    bijective: bool
-
-
-def make_chain(families: Sequence[OpenFamily]) -> ChainRec:
-    """Build the chain record, raising BrokenLink at the first
-    consecutive pair without the unique-meet property."""
-    fams = tuple(families)
-    if not fams:
-        raise ValueError("a chain needs at least one family")
-    links = []
-    for i in range(len(fams) - 1):
-        link = meets_uniquely(fams[i], fams[i + 1])
-        if link is None:
-            raise BrokenLink(f"families {i} and {i + 1} do not meet uniquely")
-        links.append(link)
-    return ChainRec(fams, tuple(links))
-
-
-def compose_chain(chain: ChainRec) -> TransferMap:
-    """Composite transfer from the first family to the last; identity
-    for the one-family chain."""
-    size = chain.families[0].size
-    mapping = tuple(range(size))
-    bijective = True
-    for link in chain.links:
-        mapping = tuple(link.mapping[i] for i in mapping)
-        bijective = bijective and link.bijective
-    return TransferMap(chain.families[0], chain.families[-1], mapping, bijective)
 
 
 @dataclass(frozen=True)
@@ -437,7 +391,8 @@ def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
     seen = set()
     subs, _ = subset_ranks(model.size, m)
     arities = tuple(i for i in range(1, m + 1) if sel.admits(i))
-    cap = half_least_gap(model.points)
+    d, keys, _ = model.grid
+    cap = Fraction(min(b - a for a, b in zip(keys, keys[1:])), 2 * d)
     for s in subs:
         pts = tuple(model.points[i] for i in s)
         if not is_regular(restrict(sel, pts, 2)):
@@ -486,16 +441,15 @@ def overlap_unique_meet_check(
         raise PreconditionUnverified(f"selection must admit arities 2 and {m}")
     if u.size != m or v.size != m:
         raise PreconditionUnverified(f"families must have size {m}")
-    arities = [i for i in range(1, m + 1) if sel.admits(i)]
     for fam in (u, v):
         try:
-            for i in arities:
-                if not preserves_relations(model, fam, i):
-                    raise PreconditionUnverified(
-                        f"family does not preserve arity-{i} relations"
-                    )
+            verdict = preserves_relations(model, fam)  # arities 1..m it admits
         except NoTransversal as exc:
             raise PreconditionUnverified(str(exc)) from exc
+        if not verdict:
+            raise PreconditionUnverified(
+                f"family does not preserve arity-{verdict.witness[0]} relations"
+            )
         subs, _ = subset_ranks(model.size, m)
         for s in subs:
             pts = tuple(model.points[i] for i in s)

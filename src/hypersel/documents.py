@@ -82,8 +82,41 @@ def jsonable(x: Any) -> Any:
 
 def dumps(doc: Any) -> str:
     """Canonical rendering: sorted keys, two-space indent, one trailing
-    newline.  Equal documents give byte-equal text."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    newline.  Equal documents give byte-equal text, the same text as
+    json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
+    whose indent forces json's pure-Python encoder; this writer quotes
+    strings with the C one.  Object keys are strings."""
+    out: list = []
+    _render(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring
+
+
+def _render(x: Any, newline: str, out: list) -> None:
+    """Append the text of x, whose lines start with newline."""
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif isinstance(x, dict):
+        inner, sep = newline + "  ", "{"
+        for k, v in sorted(x.items()):
+            out.append(sep + inner + _quote(k) + ": ")
+            _render(v, inner, out)
+            sep = ","
+        out.append(newline + "}" if x else "{}")
+    elif isinstance(x, (list, tuple)):
+        inner, sep = newline + "  ", "["
+        for v in x:
+            out.append(sep + inner)
+            _render(v, inner, out)
+            sep = ","
+        out.append(newline + "]" if x else "[]")
+    elif isinstance(x, int) and not isinstance(x, bool):
+        out.append(int.__repr__(x))
+    else:
+        out.append(json.dumps(x))  # None, a bool or a float
 
 
 def _check_fields(doc: Any, required: tuple, where: str) -> None:
@@ -176,7 +209,8 @@ def write_partial(p: PartialSelection) -> dict:
 
 def read_partial(doc: Any, parse_labels: bool = False) -> PartialSelection:
     """parse_labels converts every label through the fraction parser,
-    the form used inside model documents."""
+    the form used inside model documents; each distinct label string is
+    parsed once."""
     _check_fields(doc, ("carrier", "mode", "bound", "choices"), "partial")
     carrier = _string_list(doc["carrier"], "partial.carrier")
     mode = doc["mode"]
@@ -185,10 +219,18 @@ def read_partial(doc: Any, parse_labels: bool = False) -> PartialSelection:
     bound = _int(doc["bound"], "partial.bound")
     table = _read_choices(doc["choices"], "partial.choices")
     if parse_labels:
-        carrier = tuple(parse_fraction(x, "partial.carrier") for x in carrier)
+        parsed: dict = {}
+
+        def parse(x: str, where: str) -> Fraction:
+            q = parsed.get(x)
+            if q is None:
+                q = parsed[x] = parse_fraction(x, where)
+            return q
+
+        carrier = tuple(parse(x, "partial.carrier") for x in carrier)
         table = {
-            frozenset(parse_fraction(x, "partial.choices.subset") for x in k):
-                parse_fraction(v, "partial.choices.pick")
+            frozenset(parse(x, "partial.choices.subset") for x in k):
+                parse(v, "partial.choices.pick")
             for k, v in table.items()
         }
     return make_partial(GroundSet(carrier), mode, bound, table)

@@ -97,10 +97,6 @@ class NotIso(HyperselError):
     """A map claimed to be an isomorphism is not one."""
 
 
-class BrokenLink(HyperselError):
-    """Two consecutive chain families lack the unique-meet property."""
-
-
 class NotNice(HyperselError):
     """A family system failed the niceness check; ``verdict`` carries the
     failing verdict and its witness."""

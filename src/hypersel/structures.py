@@ -123,7 +123,12 @@ def make_selection(
         raise MissingSubset("table keys collapse when read as sets")
     labels = ground.labels
     position = {x: i for i, x in enumerate(labels)}
-    subs, _ = subset_ranks(m, n)
+    if len(normalized) < math.comb(m, n):
+        # some subset has no choice: name the first, met within the
+        # first len(table) + 1 subsets, without building the rank table
+        subs = combinations(range(m), n)
+    else:
+        subs, _ = subset_ranks(m, n)
     picks = []
     for s in subs:
         key = frozenset([labels[i] for i in s])
@@ -134,7 +139,7 @@ def make_selection(
         if v not in key:
             raise ChoiceOutsideSubset(f"{v!r} not in subset {sorted(key, key=ground.index)}")
         picks.append(position[v])
-    if len(normalized) != len(subs):
+    if len(normalized) != len(picks):
         raise MissingSubset("table has entries that are not n-subsets of the ground")
     return SelectionStructure(ground, n, tuple(picks))
 

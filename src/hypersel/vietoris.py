@@ -5,12 +5,24 @@ intervals with rational endpoints, and a finite set belongs to the
 Vietoris basic open of a disjoint family iff it meets every member and
 stays inside the union.  All arithmetic is exact; there is no float
 anywhere in this module.
+
+Relation checks run on point indices.  ``ModelSpace.grid``, built on
+first use, scales the points to integers on their least common
+denominator, so an open holds one index range, found by bisection.  The
+kernel ``_receiver`` walks a family's transversals once, each an
+ascending index tuple whose pick it reads off the selection level, and
+names the member receiving every pick, stopping at a second receiver.
+The radius search halves its radius on integers and skips a radius whose
+members hold the same ranges as at the last one, which failed.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
@@ -21,7 +33,7 @@ from .errors import (
     NotModelContinuous,
 )
 from .extension import PartialSelection, order_partial
-from .structures import GroundSet
+from .structures import GroundSet, SelectionStructure, subset_ranks
 from .verdict import PASS, Verdict, fail
 
 RADIUS_FLOOR_SHIFT = 40  # shrink at most until r_init / 2**40
@@ -42,7 +54,7 @@ class IntervalOpen:
         return self.lo < p < self.hi
 
     def intersects(self, other: "IntervalOpen") -> bool:
-        return max(self.lo, other.lo) < min(self.hi, other.hi)
+        return self.lo < other.hi and other.lo < self.hi
 
 
 @dataclass(frozen=True)
@@ -52,9 +64,11 @@ class OpenFamily:
     members: tuple
 
     def __post_init__(self):
-        for a, b in combinations(self.members, 2):
-            if a.intersects(b):
-                raise ValueError(f"family members overlap: {a} and {b}")
+        ms = self.members
+        if any(b.lo < a.hi for a, b in zip(ms, ms[1:])):  # not in ascending order
+            for a, b in combinations(ms, 2):
+                if a.intersects(b):
+                    raise ValueError(f"family members overlap: {a} and {b}")
 
     @property
     def size(self) -> int:
@@ -98,8 +112,13 @@ class ModelSpace:
     def size(self) -> int:
         return len(self.points)
 
-    def points_in(self, u: IntervalOpen) -> list:
-        return [p for p in self.points if u.contains(p)]
+    @cached_property
+    def grid(self) -> tuple:
+        """(D, keys, index): the points' least common denominator, each
+        point times D as an integer (ascending), and point -> index."""
+        d = math.lcm(*(p.denominator for p in self.points))
+        keys = [p.numerator * (d // p.denominator) for p in self.points]
+        return d, keys, {p: i for i, p in enumerate(self.points)}
 
 
 def model_space(points: Iterable, selection: PartialSelection) -> ModelSpace:
@@ -119,29 +138,49 @@ def vietoris_contains(fam: OpenFamily, s: Iterable[Fraction]) -> bool:
     ) and all(fam.union_contains(p) for p in pts)
 
 
-def _transversals(model: ModelSpace, fam: OpenFamily):
-    """All sampled members of the Vietoris open of fam: with members
-    pairwise disjoint, these are exactly the one-point-per-member picks."""
-    pools = []
-    for i, u in enumerate(fam.members):
-        pts = model.points_in(u)
-        if not pts:
+def _level(selection: PartialSelection, n: int) -> SelectionStructure:
+    if not selection.admits(n):
+        raise ArityNotInDomain(f"selection does not admit arity {n}")
+    return selection.levels[n]
+
+
+def _receiver(level: SelectionStructure, spans: Sequence[range]) -> Optional[int]:
+    """The position in spans of the one member receiving the pick of
+    every transversal, or None once a second member receives one.
+    spans are the nonempty, ascending index ranges of disjoint members."""
+    picks = level.picks
+    _, rank = subset_ranks(level.size, level.n)
+    got = None
+    for t in product(*spans):
+        k = t.index(picks[rank[t]])
+        if k != got:
+            if got is not None:
+                return None
+            got = k
+    return got
+
+
+def _receiving(model: ModelSpace, members: Sequence[IntervalOpen]) -> Optional[int]:
+    """The index of the member receiving every pick, or None.  A member
+    holds the points with keys above floor(lo D), below ceil(hi D)."""
+    d, keys, _ = model.grid
+    spans = [range(bisect_right(keys, u.lo.numerator * d // u.lo.denominator),
+                   bisect_left(keys, -(-u.hi.numerator * d // u.hi.denominator)))
+             for u in members]
+    for i, (u, s) in enumerate(zip(members, spans)):
+        if not s:
             raise NoTransversal(f"member {i} = ({u.lo}, {u.hi}) holds no sample point")
-        pools.append(pts)
-    return product(*pools)
+    order = sorted(range(len(spans)), key=lambda j: spans[j].start)
+    k = _receiver(model.selection.levels[len(spans)], [spans[j] for j in order])
+    return None if k is None else order[k]
 
 
 def arrows_to(model: ModelSpace, fam: OpenFamily, target: IntervalOpen) -> bool:
     """True iff every sampled transversal of fam selects inside target."""
     if target not in fam.members:
         raise NotAMember(f"({target.lo}, {target.hi}) is not a member of the family")
-    n = fam.size
-    if not model.selection.admits(n):
-        raise ArityNotInDomain(f"selection does not admit arity {n}")
-    for t in _transversals(model, fam):
-        if not target.contains(model.selection.choose(t)):
-            return False
-    return True
+    _level(model.selection, fam.size)
+    return _receiving(model, fam.members) == fam.members.index(target)
 
 
 def preserves_relations(
@@ -153,32 +192,24 @@ def preserves_relations(
     for selections defined on all small subsets at once.  The witness on
     failure is (arity, member indices).
     """
-    sizes: Sequence[int]
-    if n is None:
-        sizes = [
-            i
-            for i in range(1, fam.size + 1)
-            if model.selection.admits(i)
-        ]
-    else:
-        sizes = [n]
+    admitted = [i for i in range(1, fam.size + 1) if model.selection.admits(i)]
+    sizes = admitted if n is None else [n]
     for i in sizes:
-        if not model.selection.admits(i):
-            raise ArityNotInDomain(f"selection does not admit arity {i}")
+        _level(model.selection, i)
         for idxs in combinations(range(fam.size), i):
-            sub = OpenFamily(tuple(fam.members[j] for j in idxs))
-            if not any(arrows_to(model, sub, sub.members[t]) for t in range(i)):
+            if _receiving(model, [fam.members[j] for j in idxs]) is None:
                 return fail((i, idxs))
     return PASS
 
 
-def half_least_gap(points: Sequence[Fraction]) -> Fraction:
-    """Half the least gap between adjacent sorted points (1 for fewer
-    than two points).  Intervals of this radius around distinct points
-    never overlap."""
-    if len(points) < 2:
-        return Fraction(1)
-    return min(b - a for a, b in zip(points, points[1:])) / 2
+def _preserved(selection: PartialSelection, spans: list, arities: Sequence[int]) -> bool:
+    """Whether members holding the ascending index ranges spans preserve
+    relations at each arity in turn."""
+    for i in arities:
+        level = _level(selection, i)
+        if any(_receiver(level, sub) is None for sub in combinations(spans, i)):
+            return False
+    return True
 
 
 def find_preserving_neighborhoods(
@@ -194,29 +225,40 @@ def find_preserving_neighborhoods(
     The radius starts at half the minimum pairwise gap (capped at
     max_radius when given) and never drops below 2^-40 of that, at
     which point the model is declared non-continuous with the points
-    as witness.
+    as witness.  A radius whose members hold the same sample points as
+    at the last radius tried is skipped: it fails too.
     """
-    ps = tuple(sorted(Fraction(p) for p in pts))
+    ps = [p if type(p) is Fraction else Fraction(p) for p in pts]
     if not ps:
         raise ValueError("need at least one point")
-    for p in ps:
-        if p not in model.points:
-            raise ValueError(f"{p} is not a sample point")
+    d, keys, position = model.grid
+    at = sorted((position.get(p, -1), p) for p in ps)
+    if at[0][0] < 0:
+        raise ValueError(f"{min(p for i, p in at if i < 0)} is not a sample point")
     wanted = sorted(set(arities))
-    if len(ps) == 1:
-        # half the gap to the nearest other sample point, which is adjacent
-        i = model.points.index(ps[0])
-        r = half_least_gap(model.points[max(i - 1, 0):i + 2])
-    else:
-        r = half_least_gap(ps)
+    ps = tuple(p for _, p in at)
+    centers = [keys[i] for i, _ in at]
+    # a lone point starts at half the gap to its adjacent sample points
+    i = at[0][0]
+    near = keys[max(i - 1, 0):i + 2] if len(ps) == 1 else centers
+    gaps = [b - a for a, b in zip(near, near[1:])]
+    rd = Fraction(min(gaps), 2) if gaps else Fraction(d)  # the radius times D
     if max_radius is not None:
-        r = min(r, max_radius)
-    floor = r / (2**RADIUS_FLOOR_SHIFT)
-    while r >= floor:
-        fam = OpenFamily(tuple(IntervalOpen(p - r, p + r) for p in ps))
-        if all(preserves_relations(model, fam, i) for i in wanted):
-            return fam
-        r = r / 2
+        rd = min(rd, max_radius * d)
+    if rd == 0:  # a repeated point or a zero cap: the members are empty
+        raise ValueError(f"empty interval ({ps[0]}, {ps[0]})")
+    a, last = rd.numerator, None
+    for k in range(RADIUS_FLOOR_SHIFT + 1) if rd > 0 else ():
+        # the radius times D is a / b; a center c holds the keys less
+        # than ceil(a / b) away, and p -+ r is (c b -+ a) / (D b)
+        b = rd.denominator << k
+        w = -(-a // b)
+        spans = [range(bisect_right(keys, c - w), bisect_left(keys, c + w)) for c in centers]
+        if spans != last:
+            last = spans
+            if _preserved(model.selection, spans, wanted):
+                return OpenFamily(tuple(IntervalOpen(Fraction(c * b - a, d * b),
+                                                     Fraction(c * b + a, d * b)) for c in centers))
     raise NotModelContinuous(f"no preserving neighborhoods around {ps}")
 
 
@@ -224,11 +266,8 @@ def check_continuity(model: ModelSpace) -> Verdict:
     """Shrinking neighborhoods exist around every domain subset, each
     receiving a common selection target at its own arity.  Witness on
     failure is the offending point tuple."""
-    from .structures import subset_ranks
-
     for size in model.selection.admissible_sizes():
-        subs, _ = subset_ranks(model.size, size)
-        for s in subs:
+        for s in combinations(range(model.size), size):
             pts = tuple(model.points[i] for i in s)
             try:
                 find_preserving_neighborhoods(model, pts, (size,))

@@ -11,9 +11,12 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations, product
 
 from hypersel.chains import FamilySystem
+from hypersel.errors import ArityNotInDomain, NoTransversal, NotModelContinuous
 from hypersel.extension import PartialSelection, make_partial
 from hypersel.structures import GroundSet, SelectionStructure
 from hypersel.vietoris import (
+    RADIUS_FLOOR_SHIFT,
+    IntervalOpen,
     ModelSpace,
     OpenFamily,
     interval,
@@ -140,6 +143,85 @@ def oracle_intersect(u: OpenFamily, v: OpenFamily) -> bool:
             if vietoris_contains(u, pts) and vietoris_contains(v, pts):
                 return True
     return False
+
+
+# -- neighborhoods and continuity -------------------------------------------
+#
+# The radius descent as first written, on Fraction endpoints: every
+# radius from the start down to the 2^-40 floor is tried, the points
+# inside a member are found by scanning, and each subfamily walks its
+# transversals once per candidate receiving member.
+
+def oracle_points_in(model: ModelSpace, u) -> list:
+    return [p for p in model.points if u.lo < p < u.hi]
+
+
+def oracle_arrows_to(model: ModelSpace, members: tuple, target) -> bool:
+    """Every transversal of the members (one sample point in each)
+    selects a point inside target; NoTransversal for an empty member."""
+    pools = []
+    for i, u in enumerate(members):
+        pts = oracle_points_in(model, u)
+        if not pts:
+            raise NoTransversal(f"member {i} = ({u.lo}, {u.hi}) holds no sample point")
+        pools.append(pts)
+    return all(target.contains(model.selection.choose(t)) for t in product(*pools))
+
+
+def oracle_preserves(model: ModelSpace, fam: OpenFamily, n: int):
+    """(ok, witness) of preservation at arity n, witness (n, member
+    indices) of the first subfamily no member of which receives all its
+    transversals' selections."""
+    if not model.selection.admits(n):
+        raise ArityNotInDomain(f"selection does not admit arity {n}")
+    for idxs in combinations(range(fam.size), n):
+        sub = tuple(fam.members[j] for j in idxs)
+        if not any(oracle_arrows_to(model, sub, u) for u in sub):
+            return False, (n, idxs)
+    return True, None
+
+
+def oracle_neighborhoods(model: ModelSpace, pts, arities, max_radius=None) -> OpenFamily:
+    """The family of intervals of a common radius around pts at the first
+    radius, halving from half the least gap (capped at max_radius) down
+    to 2^-40 of it, that preserves relations at every arity."""
+    ps = tuple(sorted(Fraction(p) for p in pts))
+    if not ps:
+        raise ValueError("need at least one point")
+    for p in ps:
+        if p not in model.points:
+            raise ValueError(f"{p} is not a sample point")
+    wanted = sorted(set(arities))
+
+    def half_gap(xs):
+        return min(b - a for a, b in zip(xs, xs[1:])) / 2 if len(xs) > 1 else Fraction(1)
+
+    if len(ps) == 1:
+        i = model.points.index(ps[0])
+        r = half_gap(model.points[max(i - 1, 0):i + 2])
+    else:
+        r = half_gap(ps)
+    if max_radius is not None:
+        r = min(r, max_radius)
+    floor = r / 2**RADIUS_FLOOR_SHIFT
+    while r >= floor:
+        fam = OpenFamily(tuple(IntervalOpen(p - r, p + r) for p in ps))
+        if all(oracle_preserves(model, fam, i)[0] for i in wanted):
+            return fam
+        r = r / 2
+    raise NotModelContinuous(f"no preserving neighborhoods around {ps}")
+
+
+def oracle_continuity(model: ModelSpace):
+    """(ok, witness): the first domain subset, by size then rank, around
+    which no neighborhood family preserves its own arity."""
+    for size in model.selection.admissible_sizes():
+        for pts in combinations(model.points, size):
+            try:
+                oracle_neighborhoods(model, pts, (size,))
+            except NotModelContinuous:
+                return False, pts
+    return True, None
 
 
 # -- chain agreement --------------------------------------------------------

@@ -9,19 +9,16 @@ from hypersel.chains import (
     FamilySystem,
     build_selection_from_nice,
     chain_classes,
-    compose_chain,
     covers,
     derive_nice_family,
     is_nice,
     overlap_unique_meet_check,
-    make_chain,
     meets_uniquely,
     regular_class_cover_check,
 )
 from hypersel.cli import _cover_diagnostics
 from hypersel.documents import label_str
 from hypersel.errors import (
-    BrokenLink,
     CoverConflict,
     NonBijectiveTransfer,
     NotNice,
@@ -80,34 +77,6 @@ class TestMeets:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             meets_uniquely(family((0, 1)), family((0, 1), (2, 3)))
-
-
-class TestChains:
-    def test_compose_two_links(self):
-        u = family((0, 1), (2, 3))
-        v = family((F(1, 2), F(3, 2)), (F(5, 2), F(7, 2)))
-        w = family((F(3, 4), F(5, 4)), (F(11, 4), F(13, 4)))
-        t = compose_chain(make_chain([u, v, w]))
-        assert t.mapping == (0, 1) and t.bijective
-        assert t.source is u and t.target is w
-
-    def test_trivial_chain_is_identity(self):
-        u = family((0, 1), (2, 3))
-        t = compose_chain(make_chain([u]))
-        assert t.mapping == (0, 1) and t.bijective
-
-    def test_broken_link(self):
-        u = family((0, 1), (2, 3))
-        w = family((10, 11), (12, 13))
-        with pytest.raises(BrokenLink):
-            make_chain([u, w])
-
-    def test_collapse_composes(self):
-        r = family((0, 1), (2, 3))
-        m = family((F(1, 2), F(5, 2)), (F(31, 10), F(17, 5)))
-        v = family((F(1, 2), F(3, 2)), (F(5, 2), F(7, 2)))
-        t = compose_chain(make_chain([r, m, v]))
-        assert t.mapping == (0, 0) and not t.bijective
 
 
 class TestIsNice:

@@ -6,8 +6,10 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypersel import structures
+from hypersel import documents, structures
 from hypersel.chains import FamilySystem
 from hypersel.cli import main
 from hypersel.documents import (
@@ -96,6 +98,31 @@ class TestRoundtrips:
         assert dumps(doc) == dumps(json.loads(dumps(doc)))
 
 
+# JSON values as reports hold them: nested dicts (string keys) and lists,
+# empty containers, any text (non-ASCII, quotes, backslashes, control
+# characters), bools, None and ints far beyond 64 bits
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.text(alphabet=st.characters(blacklist_categories=("Cs",))),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestDumps:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_matches_json_indent_2(self, doc):
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], {"a": {}, "b": []}, [[], [{}]], {"é": "\u00e9\u2028\"\\\n\t\x00\x1f"},
+        {"b": True, "a": False, "c": None}, [2**200, -(2**70), 0], (1, "x"),
+    ])
+    def test_fixed_cases(self, doc):
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
 class TestRejection:
     def test_unknown_fields(self):
         doc = write_selection(rotational_tournament(3))
@@ -134,6 +161,37 @@ class TestRejection:
     def test_non_object_rejected(self):
         with pytest.raises(DocumentError):
             read_family([1, 2, 3])
+
+
+class TestModelLabels:
+    def test_each_label_parsed_once(self, monkeypatch):
+        doc = write_model(order_model([F(k, 7) for k in range(8)], 3, "min"))
+        calls = []
+        monkeypatch.setattr(documents, "parse_fraction",
+                            lambda s, where="value": calls.append(s) or parse_fraction(s, where))
+        model = read_model(doc)
+        # the points once, then each carrier label once; the 92 choices
+        # reuse them
+        assert len(calls) == 16 and sorted(calls) == sorted(doc["points"] * 2)
+        assert model == order_model([F(k, 7) for k in range(8)], 3, "min")
+
+    def test_equal_spellings_are_one_label(self):
+        doc = write_model(order_model([0, F(1, 2)], 2, "max"))
+        for rec in doc["selection"]["choices"]:
+            rec["subset"] = ["2/4" if x == "1/2" else x for x in rec["subset"]]
+            rec["pick"] = "2/4" if rec["pick"] == "1/2" else rec["pick"]
+        assert read_model(doc) == order_model([0, F(1, 2)], 2, "max")
+
+    @pytest.mark.parametrize("field", ["subset", "pick"])
+    def test_bad_label_in_a_choice(self, field):
+        doc = write_model(order_model([0, 1], 2, "min"))
+        rec = doc["selection"]["choices"][2]
+        if field == "subset":
+            rec["subset"][0] = "0.0"
+        else:
+            rec["pick"] = "1/0"
+        with pytest.raises(DocumentError, match=f"partial.choices.{field}: bad fraction"):
+            read_model(doc)
 
 
 class TestJsonable:
@@ -236,6 +294,19 @@ class TestCliExtend:
     def test_unreadable_input(self, tmp_path):
         code, _, err = run_cli(["extend", str(tmp_path / "nope.json"), "4", "2"])
         assert code == 2
+
+    def test_missing_choices_exit_before_any_rank_table(self, tmp_path, monkeypatch):
+        # C(20, 10) = 184,756 subsets and no choice for any of them
+        def forbidden(*args):
+            raise RuntimeError("subset_ranks called before the choices were counted")
+
+        monkeypatch.setattr(structures, "subset_ranks", forbidden)
+        labels = [f"v{i}" for i in range(20)]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"carrier": labels, "mode": "exact", "bound": 10, "choices": []}))
+        code, out, err = run_cli(["extend", str(path), "20", "2"])
+        assert code == 2 and out == ""
+        assert err == f"hypersel: no choice for subset {labels[:10]}\n"
 
     @pytest.mark.parametrize(
         "mode, bound, sizes",

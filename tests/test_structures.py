@@ -89,6 +89,21 @@ class TestConstruction:
         with pytest.raises(MissingSubset):
             make_selection(ground_range(4), 2, table)
 
+    def test_short_table_counted_before_any_rank_table(self, monkeypatch):
+        # the first missing subset is named, and a pick outside its
+        # subset ahead of it is still reported first
+        def forbidden(*args):
+            raise RuntimeError("subset_ranks called for a short table")
+
+        table = pick_table(range(6), 3, min)
+        del table[frozenset({0, 2, 4})], table[frozenset({1, 2, 3})]
+        monkeypatch.setattr(structures, "subset_ranks", forbidden)
+        with pytest.raises(MissingSubset, match=r"^no choice for subset \[0, 2, 4\]$"):
+            make_selection(ground_range(6), 3, table)
+        table[frozenset({0, 1, 5})] = 2
+        with pytest.raises(ChoiceOutsideSubset):
+            make_selection(ground_range(6), 3, table)
+
     def test_membership_enforced(self):
         table = pick_table(range(4), 2, min)
         table[frozenset({2, 3})] = 0

@@ -1,17 +1,23 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersel import chains, vietoris
+from hypersel.chains import derive_nice_family
 from hypersel.errors import (
     ArityNotInDomain,
     NoTransversal,
     NotAMember,
     NotModelContinuous,
 )
+from hypersel.extension import admissible_sizes, make_partial, random_partial
+from hypersel.structures import GroundSet
 from hypersel.vietoris import (
+    RADIUS_FLOOR_SHIFT,
     IntervalOpen,
     OpenFamily,
     arrows_to,
@@ -26,7 +32,15 @@ from hypersel.vietoris import (
     vietoris_contains,
 )
 
-from oracles import flip_model, oracle_intersect, random_points
+from oracles import (
+    flip_model,
+    oracle_arrows_to,
+    oracle_continuity,
+    oracle_intersect,
+    oracle_neighborhoods,
+    oracle_preserves,
+    random_points,
+)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=8)
 
@@ -210,3 +224,134 @@ class TestIntersectNonempty:
         v = random_family(rng, rng.randint(1, 3))
         assert intersect_nonempty(u, v) == oracle_intersect(u, v)
         assert intersect_nonempty(u, v) == intersect_nonempty(v, u)
+
+
+# -- agreement with the Fraction descent ------------------------------------
+
+EPS = F(1, 2**50)
+
+
+def mixed_model(seed):
+    """A seeded model on 3 to 7 points with denominators 1, 2, 97 and
+    2^50, one point 2^-50 above another (as in the benchmark's near
+    models), random choices in mode upto or exact, and in one model of
+    two the flip fixture's opposing pair choices against a third point.
+    Choices follow the order (min or max) or are drawn at random."""
+    rng = random.Random(seed)
+    count = rng.randint(3, 7)
+    pts: set = set()
+    while len(pts) < count - 1:
+        pts.add(F(rng.randint(0, 60), rng.choice((1, 2, 97))) + rng.choice((0, 0, rng.randint(1, 9) * EPS)))
+    a = rng.choice(sorted(pts))
+    pts = sorted(pts | {a + EPS})
+    count = len(pts)
+    mode = rng.choice(("upto", "upto", "exact"))
+    bound = rng.choice((1, 2, 2, 3, 3))
+    sizes = admissible_sizes(mode, bound)
+    rule = rng.choice((min, max, rng.choice, rng.choice))
+    table = {frozenset(s): rule(s) for k in sizes for s in combinations(pts, k)}
+    if 2 in sizes and rng.random() < 0.5:
+        c = rng.choice([p for p in pts if p not in (a, a + EPS)])
+        table[frozenset({a, c})] = a
+        table[frozenset({a + EPS, c})] = c
+    return model_space(pts, make_partial(GroundSet(tuple(pts)), mode, bound, table))
+
+
+def outcome(call):
+    try:
+        return call()
+    except (ValueError, NotModelContinuous, ArityNotInDomain) as exc:
+        return type(exc), str(exc)
+
+
+class TestDescentAgreement:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_check_continuity(self, seed):
+        model = mixed_model(seed)
+        verdict = check_continuity(model)
+        assert (verdict.ok, verdict.witness) == oracle_continuity(model)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_neighborhoods(self, seed):
+        model = mixed_model(seed)
+        rng = random.Random(seed)
+        half_gap = min(b - a for a, b in zip(model.points, model.points[1:])) / 2
+        caps = (None, half_gap, F(1, 291), EPS / 3, F(0), F(-1, 2))
+        for size in range(1, min(4, model.size) + 1):
+            for pts in combinations(model.points, size):
+                arities = rng.choice(((size,), (1, 2), (1, 2, 3), range(1, size + 1)))
+                for cap in caps:
+                    got = outcome(lambda: find_preserving_neighborhoods(model, pts, arities, cap))
+                    want = outcome(lambda: oracle_neighborhoods(model, pts, arities, cap))
+                    assert got == want, (pts, arities, cap)
+
+    def test_neighborhood_errors(self):
+        model = mixed_model(0)
+        p = model.points[0]
+        for pts in ((), (p, p), (p, F(1, 3)), (F(1000),)):
+            got = outcome(lambda: find_preserving_neighborhoods(model, pts, (1,)))
+            assert got == outcome(lambda: oracle_neighborhoods(model, pts, (1,)))
+            assert got[0] is ValueError
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_derived_families(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        pts = sorted(mixed_model(seed).points + tuple(F(k, 2) for k in rng.sample(range(200, 260), 3)))
+        model = model_space(pts, random_partial(GroundSet(tuple(pts)), 3, rng))
+        got = derive_nice_family(model, 2).families
+        monkeypatch.setattr(chains, "find_preserving_neighborhoods", oracle_neighborhoods)
+        assert got == derive_nice_family(model, 2).families
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_arrows_and_preservation(self, seed):
+        # members end at sample points, 2^-51 or 1/194 beside them, in
+        # any order, and may hold no point
+        model = mixed_model(seed)
+        rng = random.Random(seed)
+        ends = sorted({p + e for p in model.points for e in (0, EPS / 2, -EPS / 2, F(1, 194), F(-1, 194))})
+        sizes = [i for i in (1, 2, 3) if model.selection.admits(i)]
+
+        def verdict(call):
+            try:
+                v = call()
+                return (v.ok, v.witness) if hasattr(v, "ok") else v
+            except (NoTransversal, ArityNotInDomain) as exc:
+                return type(exc), str(exc)
+
+        for _ in range(40):
+            k = rng.randint(1, 3)
+            cuts = sorted(rng.sample(ends, 2 * k))
+            members = [interval(cuts[2 * i], cuts[2 * i + 1]) for i in range(k)]
+            rng.shuffle(members)
+            fam = OpenFamily(tuple(members))
+            for n in (1, 2, 3):
+                want = verdict(lambda: oracle_preserves(model, fam, n))
+                assert verdict(lambda: preserves_relations(model, fam, n)) == want
+            # n=None: the admitted arities up to the family size in turn
+            want = (True, None)
+            for i in (i for i in sizes if i <= k):
+                want = verdict(lambda: oracle_preserves(model, fam, i))
+                if want != (True, None):
+                    break
+            assert verdict(lambda: preserves_relations(model, fam)) == want
+            for u in members:
+                want = verdict(lambda: oracle_arrows_to(model, fam.members, u)) \
+                    if model.selection.admits(k) else (ArityNotInDomain, f"selection does not admit arity {k}")
+                assert verdict(lambda: arrows_to(model, fam, u)) == want
+
+    def test_skip_tests_fewer_radii(self, monkeypatch):
+        # on the flip fixture every radius holds {0, eps} and {1}: the
+        # descent tries all 41 radii, the search tests the first alone
+        import oracles
+
+        model = flip_model()
+        tested, visited = [], []
+        receiver, preserves = vietoris._receiver, oracles.oracle_preserves
+        monkeypatch.setattr(vietoris, "_receiver", lambda *a: tested.append(a) or receiver(*a))
+        monkeypatch.setattr(oracles, "oracle_preserves", lambda *a: visited.append(a) or preserves(*a))
+        pair = (model.points[0], model.points[2])
+        for search in (find_preserving_neighborhoods, oracle_neighborhoods):
+            with pytest.raises(NotModelContinuous):
+                search(model, pair, (2,))
+        assert len(visited) == RADIUS_FLOOR_SHIFT + 1 == 41
+        assert len(tested) == 1
