@@ -13,7 +13,9 @@ Labels are strings; rationals are decimal-free "p/q" strings (writers
 always emit the slash form, readers also accept a bare integer).
 Readers reject unknown fields.  Writers emit subset labels in carrier
 order and choices in subset-rank order, so equal objects serialize to
-equal documents.
+equal documents.  Readers resolve each distinct label string to its
+carrier index once (in a model after the fraction parse, so "2/4" is
+"1/2"), and reject a subset listed twice under any spelling.
 """
 
 from __future__ import annotations
@@ -21,15 +23,16 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
 
 from .chains import FamilySystem
 from .errors import DocumentError
-from .extension import PartialSelection, make_partial
+from .extension import PartialSelection, partial_from_indices
 from .structures import (
     GroundSet,
+    LabelIndex,
     SelectionStructure,
-    make_selection,
+    index_selection,
     subset_ranks,
 )
 from .vietoris import IntervalOpen, ModelSpace, OpenFamily, model_space
@@ -142,24 +145,39 @@ def _int(x: Any, where: str) -> int:
     return x
 
 
-def _read_choices(doc: Any, where: str) -> dict:
-    """Choice records to a {frozenset(subset): pick} table."""
+_CHOICE_KEYS = frozenset(("subset", "pick"))
+_INTERVAL_KEYS = frozenset(("lo", "hi"))
+
+
+def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
+                  parse: bool) -> tuple:
+    """Choice records to ({ascending index tuple: pick index}, names as in
+    LabelIndex); each string not in strings (the carrier) resolved once."""
     if not isinstance(doc, list):
         raise DocumentError(f"{where}: expected a list of choice records")
+    index = LabelIndex(carrier)
+    ids = dict(zip(strings, range(len(strings))))
+
+    def resolve(x: str, field: str) -> int:
+        ids[x] = i = index[parse_fraction(x, f"{where}.{field}") if parse else x]
+        return i
+
     table: dict = {}
-    for i, rec in enumerate(doc):
-        here = f"{where}[{i}]"
-        _check_fields(rec, ("subset", "pick"), here)
-        subset = _string_list(rec["subset"], f"{here}.subset")
-        if not isinstance(rec["pick"], str):
-            raise DocumentError(f"{here}.pick: expected a string")
-        key = frozenset(subset)
+    for r, rec in enumerate(doc):
+        if not (isinstance(rec, dict) and rec.keys() == _CHOICE_KEYS):
+            _check_fields(rec, ("subset", "pick"), f"{where}[{r}]")
+        subset, pick = rec["subset"], rec["pick"]
+        if not (isinstance(subset, list) and all(isinstance(x, str) for x in subset)):
+            raise DocumentError(f"{where}[{r}].subset: expected a list of strings")
+        if not isinstance(pick, str):
+            raise DocumentError(f"{where}[{r}].pick: expected a string")
+        key = tuple(sorted({ids[x] if x in ids else resolve(x, "subset") for x in subset}))
         if len(key) != len(subset):
-            raise DocumentError(f"{here}.subset: repeated labels")
+            raise DocumentError(f"{where}[{r}].subset: repeated labels")
         if key in table:
-            raise DocumentError(f"{here}.subset: duplicate subset")
-        table[key] = rec["pick"]
-    return table
+            raise DocumentError(f"{where}[{r}].subset: duplicate subset")
+        table[key] = ids[pick] if pick in ids else resolve(pick, "pick")
+    return table, index.names
 
 
 def _write_choices(structures) -> list:
@@ -190,10 +208,11 @@ def write_selection(s: SelectionStructure) -> dict:
 
 def read_selection(doc: Any) -> SelectionStructure:
     _check_fields(doc, ("ground", "n", "choices"), "selection")
-    ground = _string_list(doc["ground"], "selection.ground")
+    strings = _string_list(doc["ground"], "selection.ground")
     n = _int(doc["n"], "selection.n")
-    table = _read_choices(doc["choices"], "selection.choices")
-    return make_selection(GroundSet(ground), n, table)
+    ground = GroundSet(strings)
+    return index_selection(
+        ground, n, *_read_choices(doc["choices"], "selection.choices", ground, strings, False))
 
 
 # -- partial selections --------------------------------------------------
@@ -212,28 +231,15 @@ def read_partial(doc: Any, parse_labels: bool = False) -> PartialSelection:
     the form used inside model documents; each distinct label string is
     parsed once."""
     _check_fields(doc, ("carrier", "mode", "bound", "choices"), "partial")
-    carrier = _string_list(doc["carrier"], "partial.carrier")
+    strings = _string_list(doc["carrier"], "partial.carrier")
     mode = doc["mode"]
     if mode not in ("upto", "exact"):
         raise DocumentError(f"partial.mode: expected 'upto' or 'exact', got {mode!r}")
     bound = _int(doc["bound"], "partial.bound")
-    table = _read_choices(doc["choices"], "partial.choices")
-    if parse_labels:
-        parsed: dict = {}
-
-        def parse(x: str, where: str) -> Fraction:
-            q = parsed.get(x)
-            if q is None:
-                q = parsed[x] = parse_fraction(x, where)
-            return q
-
-        carrier = tuple(parse(x, "partial.carrier") for x in carrier)
-        table = {
-            frozenset(parse(x, "partial.choices.subset") for x in k):
-                parse(v, "partial.choices.pick")
-            for k, v in table.items()
-        }
-    return make_partial(GroundSet(carrier), mode, bound, table)
+    carrier = GroundSet(
+        tuple(parse_fraction(x, "partial.carrier") for x in strings) if parse_labels else strings)
+    return partial_from_indices(carrier, mode, bound, *_read_choices(
+        doc["choices"], "partial.choices", carrier, strings, parse_labels))
 
 
 # -- interval families ---------------------------------------------------
@@ -247,20 +253,23 @@ def write_family(fam: OpenFamily) -> dict:
     }
 
 
-def read_family(doc: Any) -> OpenFamily:
+def read_family(doc: Any, intervals: Optional[dict] = None) -> OpenFamily:
+    """intervals maps (lo, hi) strings to the opens read from them."""
     _check_fields(doc, ("intervals",), "family")
     if not isinstance(doc["intervals"], list):
         raise DocumentError("family.intervals: expected a list")
+    intervals = {} if intervals is None else intervals
     members = []
     for i, rec in enumerate(doc["intervals"]):
         here = f"family.intervals[{i}]"
-        _check_fields(rec, ("lo", "hi"), here)
-        members.append(
-            IntervalOpen(
-                parse_fraction(rec["lo"], f"{here}.lo"),
-                parse_fraction(rec["hi"], f"{here}.hi"),
-            )
-        )
+        if not (isinstance(rec, dict) and rec.keys() == _INTERVAL_KEYS):
+            _check_fields(rec, ("lo", "hi"), here)
+        lo, hi = rec["lo"], rec["hi"]
+        u = intervals.get((lo, hi)) if isinstance(lo, str) and isinstance(hi, str) else None
+        if u is None:
+            u = IntervalOpen(parse_fraction(lo, f"{here}.lo"), parse_fraction(hi, f"{here}.hi"))
+            intervals[lo, hi] = u
+        members.append(u)
     return OpenFamily(tuple(members))
 
 
@@ -293,5 +302,6 @@ def read_system(doc: Any) -> FamilySystem:
     model = read_model(doc["model"])
     if not isinstance(doc["families"], list):
         raise DocumentError("system.families: expected a list")
-    fams = tuple(read_family(f) for f in doc["families"])
+    intervals: dict = {}
+    fams = tuple(read_family(f, intervals) for f in doc["families"])
     return FamilySystem(fams, model)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     ArityNotInDomain,
@@ -31,9 +31,10 @@ from .structures import (
     Label,
     SelectionStructure,
     canonical_form,
+    index_selection,
+    index_table,
     is_isomorphism,
     is_regular,
-    make_selection,
     score_vector,
     selection_from_order,
     subset_ranks,
@@ -98,21 +99,22 @@ class PartialSelection:
         return self.carrier.labels[self.choose_indices(idx)]
 
 
-def make_partial(
-    carrier: GroundSet, mode: str, bound: int, table: Mapping
-) -> PartialSelection:
+def make_partial(carrier: GroundSet, mode: str, bound: int, table: Mapping) -> PartialSelection:
     """Build from a mapping {subset of labels: chosen label} covering
-    exactly the admissible subsets, one make_selection per size.
-    Singleton entries are forced to map to their element by the
-    membership check."""
+    exactly the admissible subsets, read on indices by index_table."""
+    return partial_from_indices(carrier, mode, bound, *index_table(carrier, table))
+
+
+def partial_from_indices(carrier: GroundSet, mode: str, bound: int, table: Mapping,
+                         names: Sequence) -> PartialSelection:
+    """Build from a mapping {ascending index tuple: chosen index} covering
+    exactly the admissible subsets, one index_selection per size; the
+    membership check forces singleton entries to pick their element."""
     by_size: dict = {}
     for k, v in table.items():
-        key = frozenset(k)
-        by_size.setdefault(len(key), {})[key] = v
-    if sum(map(len, by_size.values())) != len(table):
-        raise MissingSubset("table keys collapse when read as sets")
+        by_size.setdefault(len(k), {})[k] = v
     levels = {
-        size: make_selection(carrier, size, by_size.pop(size, {}))
+        size: index_selection(carrier, size, by_size.pop(size, {}), names)
         for size in admissible_sizes(mode, bound)
     }
     if by_size:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
-from typing import Hashable, Iterable, Iterator, Mapping, Optional
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import _kernels
 from .errors import (
@@ -56,8 +56,14 @@ class GroundSet:
     def size(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def _position(self) -> dict:
+        return {x: i for i, x in enumerate(self.labels)}
+
     def index(self, label: Label) -> int:
-        return self.labels.index(label)
+        if label not in self._position:
+            raise ValueError(f"{label!r} is not a label of the ground")
+        return self._position[label]
 
     def __iter__(self):
         return iter(self.labels)
@@ -108,22 +114,45 @@ class SelectionStructure:
         return self.ground.labels[self.choose_indices(idx)]
 
 
-def make_selection(
-    ground: GroundSet, n: int, table: Mapping
-) -> SelectionStructure:
-    """Build a structure from a mapping {n-subset of labels: chosen label}.
+class LabelIndex(dict):
+    """label -> index: a ground's labels, then labels outside it from
+    ground.size on, in order of first use; names[i] labels index i."""
 
-    The table must cover exactly the n-subsets of the ground set.
-    """
+    def __init__(self, ground: GroundSet):
+        super().__init__(ground._position)
+        self.names = list(ground.labels)
+
+    def __missing__(self, label: Label) -> int:
+        self[label] = i = len(self.names)
+        self.names.append(label)
+        return i
+
+
+def index_table(ground: GroundSet, table: Mapping) -> tuple:
+    """(indexed, names): {subset of labels: chosen label} read on indices,
+    each key as a set, as its ascending index tuple (see LabelIndex)."""
+    index = LabelIndex(ground)
+    indexed = {tuple(sorted({index[x] for x in k})): index[v] for k, v in table.items()}
+    if len(indexed) != len(table):
+        raise MissingSubset("table keys collapse when read as sets")
+    return indexed, index.names
+
+
+def make_selection(ground: GroundSet, n: int, table: Mapping) -> SelectionStructure:
+    """Build a structure from a mapping {n-subset of labels: chosen label}
+    covering exactly the n-subsets of the ground set."""
+    return index_selection(ground, n, *index_table(ground, table))
+
+
+def index_selection(ground: GroundSet, n: int, table: Mapping,
+                    names: Sequence) -> SelectionStructure:
+    """Build a structure from a mapping {ascending index n-tuple: chosen
+    index} covering exactly the n-subsets of the ground set.  Errors
+    name subsets and picks by label, names[i] for index i."""
     m = ground.size
     if not 1 <= n <= m:
         raise ValueError(f"arity {n} out of range for ground of size {m}")
-    normalized = {frozenset(k): v for k, v in table.items()}
-    if len(normalized) != len(table):
-        raise MissingSubset("table keys collapse when read as sets")
-    labels = ground.labels
-    position = {x: i for i, x in enumerate(labels)}
-    if len(normalized) < math.comb(m, n):
+    if len(table) < math.comb(m, n):
         # some subset has no choice: name the first, met within the
         # first len(table) + 1 subsets, without building the rank table
         subs = combinations(range(m), n)
@@ -131,15 +160,14 @@ def make_selection(
         subs, _ = subset_ranks(m, n)
     picks = []
     for s in subs:
-        key = frozenset([labels[i] for i in s])
-        try:
-            v = normalized[key]
-        except KeyError:
-            raise MissingSubset(f"no choice for subset {sorted(key, key=ground.index)}") from None
-        if v not in key:
-            raise ChoiceOutsideSubset(f"{v!r} not in subset {sorted(key, key=ground.index)}")
-        picks.append(position[v])
-    if len(normalized) != len(picks):
+        v = table.get(s)
+        if v not in s:
+            named = [names[i] for i in s]
+            if v is None:
+                raise MissingSubset(f"no choice for subset {named}")
+            raise ChoiceOutsideSubset(f"{names[v]!r} not in subset {named}")
+        picks.append(v)
+    if len(table) != len(picks):
         raise MissingSubset("table has entries that are not n-subsets of the ground")
     return SelectionStructure(ground, n, tuple(picks))
 

@@ -11,8 +11,16 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations, product
 
 from hypersel.chains import FamilySystem
-from hypersel.errors import ArityNotInDomain, NoTransversal, NotModelContinuous
-from hypersel.extension import PartialSelection, make_partial
+from hypersel.documents import _check_fields, _int, _string_list, parse_fraction
+from hypersel.errors import (
+    ArityNotInDomain,
+    ChoiceOutsideSubset,
+    DocumentError,
+    MissingSubset,
+    NoTransversal,
+    NotModelContinuous,
+)
+from hypersel.extension import PartialSelection, admissible_sizes, make_partial
 from hypersel.structures import GroundSet, SelectionStructure
 from hypersel.vietoris import (
     RADIUS_FLOOR_SHIFT,
@@ -122,6 +130,117 @@ def oracle_extend_value(f: PartialSelection, labels: tuple, p: int):
         by_score.setdefault(sc, []).append(x)
     r0 = min(sc for sc, xs in by_score.items() if 2 * len(xs) <= m)
     return f.choose(by_score[r0])
+
+
+# -- document reading --------------------------------------------------------
+#
+# The label-table construction the readers used before they resolved
+# labels to carrier indices: a {frozenset(subset): pick} table, split by
+# subset size, each size checked subset by subset on label sets.  Two
+# records whose subsets are equal only after the fraction parse (say
+# "1/2" and "2/4") collapse here, the later one winning.
+
+def _oracle_choices(doc, where: str) -> dict:
+    if not isinstance(doc, list):
+        raise DocumentError(f"{where}: expected a list of choice records")
+    table: dict = {}
+    for i, rec in enumerate(doc):
+        here = f"{where}[{i}]"
+        _check_fields(rec, ("subset", "pick"), here)
+        subset = _string_list(rec["subset"], f"{here}.subset")
+        if not isinstance(rec["pick"], str):
+            raise DocumentError(f"{here}.pick: expected a string")
+        key = frozenset(subset)
+        if len(key) != len(subset):
+            raise DocumentError(f"{here}.subset: repeated labels")
+        if key in table:
+            raise DocumentError(f"{here}.subset: duplicate subset")
+        table[key] = rec["pick"]
+    return table
+
+
+def oracle_make_selection(ground: GroundSet, n: int, table) -> SelectionStructure:
+    m = ground.size
+    if not 1 <= n <= m:
+        raise ValueError(f"arity {n} out of range for ground of size {m}")
+    normalized = {frozenset(k): v for k, v in table.items()}
+    if len(normalized) != len(table):
+        raise MissingSubset("table keys collapse when read as sets")
+    labels = ground.labels
+    position = {x: i for i, x in enumerate(labels)}
+    picks = []
+    for s in combinations(range(m), n):
+        key = frozenset([labels[i] for i in s])
+        if key not in normalized:
+            raise MissingSubset(f"no choice for subset {sorted(key, key=labels.index)}")
+        v = normalized[key]
+        if v not in key:
+            raise ChoiceOutsideSubset(f"{v!r} not in subset {sorted(key, key=labels.index)}")
+        picks.append(position[v])
+    if len(normalized) != len(picks):
+        raise MissingSubset("table has entries that are not n-subsets of the ground")
+    return SelectionStructure(ground, n, tuple(picks))
+
+
+def oracle_make_partial(carrier: GroundSet, mode: str, bound: int, table) -> PartialSelection:
+    by_size: dict = {}
+    for k, v in table.items():
+        key = frozenset(k)
+        by_size.setdefault(len(key), {})[key] = v
+    if sum(map(len, by_size.values())) != len(table):
+        raise MissingSubset("table keys collapse when read as sets")
+    levels = {
+        size: oracle_make_selection(carrier, size, by_size.pop(size, {}))
+        for size in admissible_sizes(mode, bound)
+    }
+    if by_size:
+        raise MissingSubset("table has entries outside the admissible subsets")
+    return PartialSelection(carrier, mode, bound, levels)
+
+
+def oracle_read_partial(doc, parse_labels: bool = False) -> PartialSelection:
+    _check_fields(doc, ("carrier", "mode", "bound", "choices"), "partial")
+    carrier = _string_list(doc["carrier"], "partial.carrier")
+    mode = doc["mode"]
+    if mode not in ("upto", "exact"):
+        raise DocumentError(f"partial.mode: expected 'upto' or 'exact', got {mode!r}")
+    bound = _int(doc["bound"], "partial.bound")
+    table = _oracle_choices(doc["choices"], "partial.choices")
+    if parse_labels:
+        carrier = tuple(parse_fraction(x, "partial.carrier") for x in carrier)
+        table = {
+            frozenset(parse_fraction(x, "partial.choices.subset") for x in k):
+                parse_fraction(v, "partial.choices.pick")
+            for k, v in table.items()
+        }
+    return oracle_make_partial(GroundSet(carrier), mode, bound, table)
+
+
+def oracle_read_model(doc) -> ModelSpace:
+    _check_fields(doc, ("points", "selection"), "model")
+    raw = _string_list(doc["points"], "model.points")
+    points = tuple(parse_fraction(p, "model.points") for p in raw)
+    return model_space(points, oracle_read_partial(doc["selection"], parse_labels=True))
+
+
+def oracle_read_system(doc) -> FamilySystem:
+    _check_fields(doc, ("model", "families"), "system")
+    model = oracle_read_model(doc["model"])
+    if not isinstance(doc["families"], list):
+        raise DocumentError("system.families: expected a list")
+    families = []
+    for fam in doc["families"]:
+        _check_fields(fam, ("intervals",), "family")
+        if not isinstance(fam["intervals"], list):
+            raise DocumentError("family.intervals: expected a list")
+        members = []
+        for i, rec in enumerate(fam["intervals"]):
+            here = f"family.intervals[{i}]"
+            _check_fields(rec, ("lo", "hi"), here)
+            members.append(IntervalOpen(parse_fraction(rec["lo"], f"{here}.lo"),
+                                        parse_fraction(rec["hi"], f"{here}.hi")))
+        families.append(OpenFamily(tuple(members)))
+    return FamilySystem(tuple(families), model)
 
 
 # -- vietoris intersection -------------------------------------------------

@@ -1,6 +1,9 @@
+import copy
 import io
 import json
+import os
 import random
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from itertools import combinations
@@ -30,7 +33,7 @@ from hypersel.documents import (
 )
 from hypersel.errors import DocumentError
 from hypersel.extension import order_partial, random_partial
-from hypersel.structures import ground_range, rotational_tournament
+from hypersel.structures import GroundSet, ground_range, rotational_tournament
 from hypersel.vietoris import family, order_model
 
 from oracles import conflict_system, cyclic_model, flip_model
@@ -174,6 +177,19 @@ class TestModelLabels:
         # reuse them
         assert len(calls) == 16 and sorted(calls) == sorted(doc["points"] * 2)
         assert model == order_model([F(k, 7) for k in range(8)], 3, "min")
+
+    def test_system_reads_each_interval_once(self, monkeypatch):
+        model = order_model([0, 1, 2, 3], 2, "min")
+        doc = write_system(FamilySystem(
+            (family((0, 1), (2, 3)), family((0, 1), (F(5, 2), 3)), family((0, 1), (2, 3))), model))
+        calls = []
+        monkeypatch.setattr(documents, "parse_fraction",
+                            lambda s, where="value": calls.append(where) or parse_fraction(s, where))
+        fams = read_system(doc).families
+        # three distinct (lo, hi) pairs, two endpoints each
+        assert sum(w.startswith("family") for w in calls) == 6
+        assert fams[0].members[0] is fams[1].members[0] is fams[2].members[0]
+        assert fams[0] == fams[2] and fams[1].members[1] == family((F(5, 2), 3)).members[0]
 
     def test_equal_spellings_are_one_label(self):
         doc = write_model(order_model([0, F(1, 2)], 2, "max"))
@@ -335,6 +351,83 @@ class TestDeepDocuments:
         code, out, err = run_cli([a.format(path) for a in argv])
         assert code == 2 and out == ""
         assert "invalid JSON" in err
+
+
+# subcommands reading a document, with the document's path as {}
+READERS = [
+    ["extend", "{}", "4", "2"],
+    ["model", "check-continuity", "{}"],
+    ["chains", "check-nice", "{}"],
+    ["chains", "build", "{}"],
+    ["chains", "derive", "{}"],
+]
+VALID_DOCUMENTS = [
+    write_partial(order_partial(ground_range(4), 2, "min")),
+    write_model(cyclic_model()),
+    write_model(flip_model()),
+    write_system(conflict_system()),
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one node, reached by a random path,
+    replaced by an arbitrary JSON value or deleted."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID_DOCUMENTS)))
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return doc
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        if draw(st.integers(0, 3)) == 0:
+            del node[key]
+        else:
+            node[key] = draw(json_values)
+        return doc
+
+
+def run_on(doc, argv, directory):
+    path = os.path.join(directory, "doc.json")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc))
+    return run_cli([a.format(path) for a in argv])
+
+
+class TestCliFuzz:
+    """Whatever JSON a document holds, a reading subcommand exits 0, 1
+    or 2 and raises nothing."""
+
+    @pytest.mark.parametrize("argv", READERS, ids=" ".join)
+    @settings(max_examples=120, deadline=None)
+    @given(doc=json_values | mutated_documents())
+    def test_any_document(self, argv, doc):
+        with tempfile.TemporaryDirectory() as directory:
+            code, _, _ = run_on(doc, argv, directory)
+        assert code in (0, 1, 2)
+
+    MALFORMED = {
+        "string bound": {"bound": "2"},
+        "bool bound": {"bound": True},
+        "list choices": {"choices": [[["a"], "a"]]},
+        "integer labels": {"carrier": [0, 1, 2]},
+        "repeated labels": {"choices": [{"subset": ["a", "a"], "pick": "a"}]},
+        "nested subset": {"choices": [{"subset": [["a"], "b"], "pick": "b"}]},
+        "list pick": {"choices": [{"subset": ["a"], "pick": ["a"]}]},
+        "bound 10^30": {"bound": 10**30},
+    }
+
+    @pytest.mark.parametrize("change", list(MALFORMED.values()) + [None],
+                             ids=list(MALFORMED) + ["no object"])
+    def test_malformed_partial_exits_two(self, tmp_path, change):
+        doc = write_partial(order_partial(GroundSet(("a", "b", "c")), 2, "min"))
+        doc = [doc] if change is None else {**doc, **change}
+        code, out, err = run_on(doc, READERS[0], tmp_path)
+        assert code == 2 and out == "" and err.startswith("hypersel: ")
 
 
 class TestCliModel:

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -40,7 +41,7 @@ from hypersel.structures import (
     subset_ranks,
 )
 
-from oracles import oracle_extend_value
+from oracles import oracle_extend_value, oracle_make_partial
 
 
 def tournament_partial(edges, m, extra=None):
@@ -127,6 +128,21 @@ class TestPartialSelection:
         with pytest.raises(error) as info:
             make_partial(ground_range(m), mode, bound, table)
         assert type(info.value) is error
+
+    @pytest.mark.parametrize(
+        "m, mode, bound, table",
+        [c[1:5] for c in REJECTED] + [
+            (2, "upto", 2, {**full_table(2, (1, 2)), frozenset({0, 1}): 9}),
+            (3, "upto", 2, {**without(full_table(3, (1, 2)), {1, 2}), frozenset({1, 7}): 1}),
+            (3, "exact", 2, {**full_table(3, (2,)), frozenset({7, 8}): 7}),
+        ],
+        ids=[c[0] for c in REJECTED] + ["foreign pick", "foreign label in place", "foreign extra"],
+    )
+    def test_messages_match_the_label_table(self, m, mode, bound, table):
+        with pytest.raises(Exception) as want:
+            oracle_make_partial(ground_range(m), mode, bound, table)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            make_partial(ground_range(m), mode, bound, table)
 
     def test_upto_zero_on_empty_carrier_is_the_empty_selection(self):
         f = make_partial(ground_range(0), "upto", 0, {})

@@ -81,6 +81,13 @@ class TestGroundSet:
         g = GroundSet(("x", "y", "z"))
         assert g.index("z") == 2 and g.size == 3
 
+    def test_position_table_leaves_equality_alone(self):
+        g, h = GroundSet(("x", "y")), GroundSet(("x", "y"))
+        assert g.index("y") == 1  # builds g's position table
+        assert g == h and hash(g) == hash(h) and g != GroundSet(("y", "x"))
+        with pytest.raises(ValueError):
+            g.index("w")
+
 
 class TestConstruction:
     def test_totality_enforced(self):
