@@ -145,6 +145,11 @@ def repeated(rnd, doc, labels, fractions):
         doc["carrier"].insert(rnd.randrange(len(doc["carrier"]) + 1), rnd.choice(doc["carrier"]))
 
 
+def not_a_list(rnd, doc, labels, fractions):
+    rec = rnd.choice(doc["choices"])
+    rec["subset"] = rnd.choice([rec["subset"][0], dict.fromkeys(rec["subset"], 1), None])
+
+
 def duplicate(rnd, doc, labels, fractions):
     rec = copy.deepcopy(rnd.choice(doc["choices"]))
     rnd.shuffle(rec["subset"])
@@ -181,7 +186,8 @@ def bad_mode_or_bound(rnd, doc, labels, fractions):
     doc[key] = value
 
 
-DEFECTS = [outside, repeated, duplicate, pick_outside, missing, extra_size, bad_mode_or_bound]
+DEFECTS = [outside, repeated, not_a_list, duplicate, pick_outside, missing, extra_size,
+           bad_mode_or_bound]
 
 
 class TestSingleDefects:
