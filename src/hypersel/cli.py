@@ -11,6 +11,7 @@ equal inputs and flags the bytes written are identical run to run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Optional
@@ -56,8 +57,11 @@ def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DocumentError(f"cannot write {path}: {exc}") from exc
 
 
 def _config(args: argparse.Namespace) -> dict:
@@ -289,8 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call to ``main``.
+
+    Only in-process callers that call ``main`` more than once gain; a
+    one-shot process builds one parser either way.  ``parse_args``
+    returns a fresh namespace per call and nothing writes to the parser
+    after it is built, so no state passes from one call to the next.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.format is None:
         args.format = "tsv" if args.command == "obstruct" else "json"
     if args.budget <= 0:

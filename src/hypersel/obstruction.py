@@ -55,12 +55,48 @@ def prime_divisors(m: int) -> list:
     return out
 
 
+def lucas_binom_mod(a: int, b: int, p: int) -> int:
+    """C(a,b) mod the prime p by Lucas' theorem: the product of the
+    binomials of the base-p digits of a and b, each below p."""
+    r = 1
+    while b and r:
+        r = r * math.comb(a % p, b % p) % p
+        a //= p
+        b //= p
+    return r
+
+
+def divides_binom(m: int, n: int) -> bool:
+    """m | C(m,n) for 0 <= n <= m, decided without C(m,n).
+
+    Since n*C(m,n) = m*C(m-1,n-1), a prime q dividing m but not n
+    divides C(m,n) at least as often as m.  For each prime q of
+    gcd(m, n), with q^e exactly dividing m, Kummer's theorem asks for at
+    least e carries when adding n and m-n in base q.  Once either
+    summand and the carry run out, no later digit carries.
+    """
+    for q in prime_divisors(math.gcd(m, n)):
+        short, k = 0, m  # short: e minus the carries counted so far
+        while k % q == 0:
+            k //= q
+            short += 1
+        x, y, carry = n, m - n, 0
+        while short and ((x and y) or carry):
+            carry = x % q + y % q + carry >= q
+            short -= carry
+            x //= q
+            y //= q
+        if short:
+            return False
+    return True
+
+
 def regular_score_value(m: int, n: int) -> Optional[int]:
-    """C(m,n)/m when integral, else None (then no regular structure exists)."""
+    """C(m,n)/m when integral, else None (then no regular structure exists).
+    The binomial is computed only when m divides it."""
     if not 1 <= n <= m:
         raise OutOfRange(f"need 1 <= n <= m, got n={n}, m={m}")
-    c = math.comb(m, n)
-    return c // m if c % m == 0 else None
+    return math.comb(m, n) // m if divides_binom(m, n) else None
 
 
 @dataclass(frozen=True)
@@ -92,7 +128,7 @@ def prime_obstruction_holds(m: int, p: int) -> ObstructionCertificate:
         raise OutOfRange(f"need 2 <= p <= m, got p={p}, m={m}")
     binom = math.comb(m, p)
     divisible = binom % m == 0
-    residue = math.comb(m - 1, p - 1) % p
+    residue = lucas_binom_mod(m - 1, p - 1, p)
     verdict = "regular-unobstructed" if divisible else "regular-impossible"
     return ObstructionCertificate(m, p, binom, divisible, residue, verdict)
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,9 @@ from hypersel.errors import NotPrime, OutOfRange
 from hypersel.obstruction import (
     ObstructionCertificate,
     TABLE_COLUMNS,
+    divides_binom,
     is_prime,
+    lucas_binom_mod,
     obstruction_table,
     prime_divisors,
     prime_obstruction_holds,
@@ -44,6 +47,33 @@ class TestRegularScoreValue:
     def test_range_guard(self):
         with pytest.raises(OutOfRange):
             regular_score_value(3, 4)
+
+
+class TestDigitRules:
+    """Lucas' and Kummer's theorems against math.comb, exhaustively."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_lucas_residue(self, p):
+        for a in range(80):
+            for b in range(a + 2):
+                assert lucas_binom_mod(a, b, p) == math.comb(a, b) % p, (a, b)
+
+    def test_kummer_divisibility(self):
+        for m in range(1, 200):
+            for n in range(m + 1):
+                assert divides_binom(m, n) == (math.comb(m, n) % m == 0), (m, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3000), st.data())
+    def test_kummer_divisibility_table_range(self, m, data):
+        n = data.draw(st.sampled_from(prime_divisors(m) or [1]) | st.integers(0, m))
+        assert divides_binom(m, n) == (math.comb(m, n) % m == 0)
+
+    def test_score_value_matches_comb(self):
+        for m in range(1, 120):
+            for n in range(1, m + 1):
+                c = math.comb(m, n)
+                assert regular_score_value(m, n) == (c // m if c % m == 0 else None)
 
 
 class TestCertificate:
@@ -138,6 +168,26 @@ class TestTable:
         assert all(not r.divisible for r in rows)
         assert all(r.lucas_residue == 1 for r in rows)
         assert all(r.search_status == "proven-none" for r in rows)
+
+    def test_rows_match_comb(self):
+        for r in obstruction_table(400):
+            assert r.binom == math.comb(r.m, r.p)
+            assert r.divisible == (r.binom % r.m == 0)
+            assert r.lucas_residue == math.comb(r.m - 1, r.p - 1) % r.p
+
+    def test_one_binomial_per_row(self, monkeypatch):
+        calls = Counter()
+        comb = math.comb
+
+        def counting(a, b):
+            calls[a, b] += 1
+            return comb(a, b)
+
+        monkeypatch.setattr(math, "comb", counting)
+        rows = [r for r in obstruction_table(120) if r.m > r.p]
+        # Lucas' digit binomials C(x, y) have x < p <= y + 1; of the
+        # others, each row computes its own C(m, p) and nothing else
+        assert {(r.m, r.p): 1 for r in rows} == {k: c for k, c in calls.items() if k[0] > k[1]}
 
     def test_single_row(self):
         rows = obstruction_table(2)
