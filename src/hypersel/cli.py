@@ -42,13 +42,8 @@ from .errors import (
     NonBijectiveTransfer,
     NotNice,
 )
-from .extension import (
-    check_extension,
-    extend_selection,
-    least_small_class,
-    partition_types,
-)
-from .obstruction import obstruction_table, table_tsv
+from .extension import extend_selection, least_small_class, partition_types
+from .obstruction import TABLE_COLUMNS, obstruction_table, table_tsv
 from .structures import DEFAULT_BUDGET, enumerate_selections, subset_ranks
 from .vietoris import check_continuity
 
@@ -111,17 +106,7 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
         _emit(table_tsv(rows), args.output)
     else:
         result = {
-            "rows": [
-                {
-                    "m": r.m,
-                    "p": r.p,
-                    "binom": r.binom,
-                    "divisible": r.divisible,
-                    "lucas_residue": r.lucas_residue,
-                    "search_status": r.search_status,
-                }
-                for r in rows
-            ],
+            "rows": [{c: getattr(r, c) for c in TABLE_COLUMNS} for r in rows],
             "count": len(rows),
         }
         _emit(_report(args, result), args.output)
@@ -133,14 +118,12 @@ def cmd_extend(args: argparse.Namespace) -> int:
     f = read_partial(_load(args.input))
     m, p = args.m, args.p
     try:
-        check_extension(f, m, p)
+        h = extend_selection(f, m, p)
     except HypothesisViolated as exc:
         _emit(_report(args, {"valid": False, "error": str(exc)}), args.output)
         return 1
-    parts = partition_types(f, m, p)
-    h = extend_selection(f, m, p, parts)
     classes = []
-    for canon, members in parts.classes.items():
+    for canon, members in partition_types(f, m, p).classes.items():
         r0, q = least_small_class(canon, m)
         classes.append(
             {
@@ -150,25 +133,14 @@ def cmd_extend(args: argparse.Namespace) -> int:
                 "level_class_size": len(q),
             }
         )
-    subs, _ = subset_ranks(f.carrier.size, m)
-    entries = []
-    valid = True
-    for s in subs:
-        labels = tuple(f.carrier.labels[i] for i in s)
-        pick = h.choose(labels)
-        valid = valid and pick in labels
-        entries.append(
-            {
-                "subset": [label_str(x) for x in labels],
-                "pick": label_str(pick),
-            }
-        )
+    selection = write_partial(h)
+    entries = selection["choices"]
     result = {
-        "selection": write_partial(h),
+        "selection": selection,
         "classes": classes,
         "entries": entries,
         "count": len(entries),
-        "valid": valid,
+        "valid": all(e["pick"] in e["subset"] for e in entries),
     }
     _emit(_report(args, result), args.output)
     return 0

@@ -3,15 +3,18 @@
 Given a selection f defined up to arity k, a prime p <= k dividing m
 with m/2 <= k, every m-subset's arity-p restriction is non-regular (by
 the divisibility obstruction), so it has a least level class Q of size
-at most m/2; applying f to that class picks one element of the subset.
-Doing this classwise over isomorphism types yields a total selection on
-m-subsets.
+at most m/2; applying f to Q picks one element of the subset.  The rule
+runs subset by subset on carrier indices: scores are isomorphism
+invariants, so the result is equivariant without computing any
+isomorphism type.  Type partitions only describe the classes for a
+report.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
@@ -24,7 +27,7 @@ from .errors import (
     PrimeInput,
     RegularInput,
 )
-from .obstruction import is_prime
+from .obstruction import is_prime, prime_divisors
 from .structures import (
     GroundSet,
     IsoMap,
@@ -160,13 +163,11 @@ def restrict(f: PartialSelection, subset: Iterable[Label], n: int) -> SelectionS
 @dataclass(frozen=True)
 class TypePartition:
     """m-subsets of the carrier grouped by the isomorphism type of their
-    arity-n restriction; class keys are canonical structures, and maps
-    holds canonical_form's certifying map of each member's restriction."""
+    arity-n restriction; class keys are canonical structures."""
 
     m: int
     n: int
     classes: dict  # canonical SelectionStructure -> list of label tuples
-    maps: dict  # label tuple -> IsoMap from its restriction onto its class key
 
 
 def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
@@ -180,38 +181,44 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     if not n <= m <= f.carrier.size:
         raise ValueError(f"need n <= m <= carrier size, got n={n}, m={m}")
     classes: dict = {}
-    maps: dict = {}
     subs, _ = subset_ranks(f.carrier.size, m)
     for s in subs:
         labels = tuple(f.carrier.labels[i] for i in s)
-        canon, maps[labels] = canonical_form(restrict(f, labels, n))
+        canon, _ = canonical_form(restrict(f, labels, n))
         classes.setdefault(canon, []).append(labels)
-    return TypePartition(m, n, classes, maps)
+    return TypePartition(m, n, classes)
+
+
+def _least_small_level(w: Sequence[int]):
+    """(r0, positions): the least score r0 whose level class
+    {i : w[i] == r0} is nonempty with at most len(w)/2 positions, and
+    that class in ascending order.
+
+    Non-constant scores have at least two nonempty classes, so the
+    smallest of them qualifies and r0 exists.
+    """
+    for r in range(max(w) + 1):
+        q = [i for i, v in enumerate(w) if v == r]
+        if 0 < 2 * len(q) <= len(w):
+            return r, q
+    raise BrokenInvariant("constant scores have no small level class")
 
 
 def least_small_class(g: SelectionStructure, m: int):
-    """(r0, Q): the least score r with 0 < |Q(r)| <= m/2, and that class.
-
-    At least two level classes are nonempty for non-regular g, so the
-    smallest nonempty one has size <= m/2 and r0 exists.
-    """
+    """(r0, Q): the least score r with 0 < |Q(r)| <= m/2, and that class."""
     if g.size != m:
         raise ValueError(f"structure lives on {g.size} elements, not {m}")
     if is_regular(g):
         raise RegularInput("level-class split undefined for regular structures")
-    w = score_vector(g)
-    for r in range(max(w) + 1):
-        q = frozenset(x for x, v in zip(g.ground.labels, w) if v == r)
-        if 0 < 2 * len(q) <= m:
-            return r, q
-    raise BrokenInvariant("non-regular structure without a small level class")
+    r, q = _least_small_level(score_vector(g))
+    return r, frozenset(g.ground.labels[i] for i in q)
 
 
 def check_extension(f: PartialSelection, m: int, p: int) -> None:
-    """Raise NotPrime or HypothesisViolated unless extend_selection's
-    preconditions hold: p prime, p <= k, m/2 <= k, p | m, m <= carrier.
-    They are exactly what makes every restriction type non-regular, so
-    the classwise rule is total."""
+    """Raise NotPrime, HypothesisViolated or ValueError unless
+    extend_selection's preconditions hold: p prime, p <= k, m/2 <= k,
+    p | m, p <= m <= carrier.  They are exactly what makes every
+    restriction non-regular, so the level-class rule is total."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if f.mode != MODE_UPTO:
@@ -226,37 +233,27 @@ def check_extension(f: PartialSelection, m: int, p: int) -> None:
         raise HypothesisViolated(
             f"m={m} exceeds carrier size {f.carrier.size}"
         )
+    if m < p:  # p | m leaves only m <= 0 here
+        raise ValueError(f"need n <= m <= carrier size, got n={p}, m={m}")
 
 
-def extend_selection(
-    f: PartialSelection, m: int, p: int, part: Optional[TypePartition] = None
-) -> PartialSelection:
-    """Total selection on m-subsets built classwise at arity p.
+def extend_selection(f: PartialSelection, m: int, p: int) -> PartialSelection:
+    """Total selection on m-subsets by the level-class rule at arity p.
 
-    part is partition_types(f, m, p) when the caller has already built
-    it, so that it is built once; otherwise it is built here, after
-    check_extension passes.
+    Each m-subset, in rank order, scores f's arity-p level on its own
+    p-subsets and picks f of its least small level class.
     """
     check_extension(f, m, p)
-    if part is None:
-        part = partition_types(f, m, p)
-    elif (part.m, part.n) != (m, p):
-        raise ValueError(f"type partition is for ({part.m}, {part.n}), not ({m}, {p})")
-    subs, rank = subset_ranks(f.carrier.size, m)
-    picks = [None] * len(subs)
-    for g, members in part.classes.items():
-        if is_regular(g):
-            # the divisibility obstruction rules this out under check_extension
-            raise BrokenInvariant(f"regular restriction type on ({m},{p})")
-        _, q = least_small_class(g, m)
-        for labels in members:
-            # Q(r0) of the member's restriction is the preimage of q
-            phi = part.maps[labels]
-            value = f.choose([x for x, y in zip(phi.source.labels, phi.images) if y in q])
-            idx = tuple(sorted(f.carrier.index(x) for x in labels))
-            picks[rank[idx]] = f.carrier.index(value)
-    if any(v is None for v in picks):
-        raise BrokenInvariant("classwise assembly left a subset unassigned")
+    level = f.levels[p]
+    subs, _ = subset_ranks(f.carrier.size, m)
+    picks = []
+    for s in subs:
+        at = {x: i for i, x in enumerate(s)}
+        w = [0] * m
+        for t in combinations(s, p):
+            w[at[level.choose_indices(t)]] += 1
+        _, q = _least_small_level(w)
+        picks.append(f.choose_indices(tuple(s[i] for i in q)))
     h = SelectionStructure(f.carrier, m, tuple(picks))
     return PartialSelection(f.carrier, MODE_EXACT, m, {m: h})
 
@@ -269,10 +266,17 @@ def extend_composite(f: PartialSelection, n: int) -> PartialSelection:
     m = n + 1
     if is_prime(m):
         raise PrimeInput(f"{m} is prime; the composite shortcut does not apply")
-    p = next(d for d in range(2, m + 1) if m % d == 0 and is_prime(d))
+    p = prime_divisors(m)[0]
     if f.mode != MODE_UPTO or f.bound < n:
         raise HypothesisViolated(f"need an up-to-{n} selection")
     return extend_selection(f, m, p)
+
+
+def _iso_arities(f: PartialSelection, k: int, max_arity: Optional[int] = None) -> list:
+    """The arities 2..min(max_arity or f's bound, k) that f admits: those
+    at which an isomorphism between k-subsets must respect f."""
+    top = min(f.bound if max_arity is None else max_arity, k)
+    return [n for n in range(2, top + 1) if f.admits(n)]
 
 
 def certified_isomorphism(
@@ -282,15 +286,15 @@ def certified_isomorphism(
     max_arity: Optional[int] = None,
 ) -> Optional[IsoMap]:
     """A bijection x -> y that is an isomorphism of every restriction of
-    f at arities 2..min(k, |x|), or None.  Searches relabelings grouped
-    by joint score vectors, so typical structures need very few tries."""
+    f at the arities 2..min(max_arity or k, |x|) that f admits, or None.
+    Searches relabelings grouped by joint score vectors, so typical
+    structures need very few tries."""
     xi = tuple(sorted(f.carrier.index(v) for v in x))
     yi = tuple(sorted(f.carrier.index(v) for v in y))
     if len(xi) != len(yi):
         return None
     k = len(xi)
-    top = min(f.bound, k) if max_arity is None else min(max_arity, k)
-    arities = [n for n in range(2, top + 1) if f.admits(n)]
+    arities = _iso_arities(f, k, max_arity)
     gx = {n: restrict(f, (f.carrier.labels[i] for i in xi), n) for n in arities}
     gy = {n: restrict(f, (f.carrier.labels[i] for i in yi), n) for n in arities}
 
@@ -340,13 +344,12 @@ def equivariance_check(
     phi: IsoMap,
 ) -> bool:
     """With phi a certified isomorphism of f's restrictions to x and y
-    (arities 2..min(k,m)), test phi(h(x)) == h(y)."""
+    (the arities 2..min(k, m) that f admits), test phi(h(x)) == h(y)."""
     xs = tuple(sorted(x, key=f.carrier.index))
     ys = tuple(sorted(y, key=f.carrier.index))
     if set(phi.source.labels) != set(xs) or set(phi.target.labels) != set(ys):
         raise NotIso("map endpoints do not match the subsets")
-    top = min(f.bound, len(xs))
-    for n in range(2, top + 1):
+    for n in _iso_arities(f, len(xs)):
         gx = restrict(f, xs, n)
         gy = restrict(f, ys, n)
         adjusted = IsoMap(

@@ -117,8 +117,8 @@ def oracle_classes(m: int, n: int, start: int = 0, stop=None) -> list:
 # -- extension ------------------------------------------------------------
 
 def oracle_extend_value(f: PartialSelection, labels: tuple, p: int):
-    """Extended value on one subset, recomputed without the classwise
-    machinery: score the arity-p restriction, take the least level with
+    """Extended value on one subset, recomputed on labels through
+    f.choose: score the arity-p restriction, take the least level with
     a small nonempty class, apply f to that class."""
     labs = sorted(labels, key=f.carrier.index)
     m = len(labs)

@@ -272,6 +272,17 @@ class TestCliObstruct:
         assert pairs == [(2, 2), (3, 3), (4, 2), (5, 5), (6, 2), (6, 3)]
         assert all(r["lucas_residue"] == 1 for r in rep["result"]["rows"])
 
+    def test_json_rows_carry_the_tsv_columns(self):
+        _, tsv, _ = run_cli(["obstruct", "30"])
+        _, out, _ = run_cli(["obstruct", "30", "--format", "json"])
+        header, *lines = tsv.rstrip("\n").split("\n")
+        rows = json.loads(out)["result"]["rows"]
+        assert len(rows) == len(lines)
+        for row, line in zip(rows, lines):
+            assert sorted(row) == sorted(header.split("\t"))
+            cells = [json.dumps(row[c]).strip('"') for c in header.split("\t")]
+            assert cells == line.split("\t")
+
     def test_single_row(self):
         code, out, _ = run_cli(["obstruct", "2"])
         assert code == 0 and len(out.rstrip("\n").split("\n")) == 2
@@ -298,6 +309,26 @@ class TestCliExtend:
         assert rep["result"]["classes"][0]["level_class_size"] == 1
         sel = read_partial(rep["result"]["selection"])
         assert sel.mode == "exact" and sel.bound == 4
+
+    def test_entries_are_the_selection_choices(self, tmp_path):
+        f = random_partial(GroundSet(tuple("qbzamcxk")), 3, random.Random(4))
+        path = tmp_path / "f.json"
+        path.write_text(dumps(write_partial(f)))
+        code, out, _ = run_cli(["extend", str(path), "6", "3"])
+        res = json.loads(out)["result"]
+        assert code == 0 and res["valid"] is True
+        assert res["entries"] == res["selection"]["choices"]
+        assert res["count"] == len(res["entries"]) == 28  # C(8, 6)
+
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_nonpositive_m_exits_two(self, tmp_path, m):
+        # p divides m and every hypothesis check passes, but m < p
+        f = order_partial(ground_range(6), 2, "min")
+        path = tmp_path / "f.json"
+        path.write_text(dumps(write_partial(f)))
+        code, out, err = run_cli(["extend", str(path), m, "2"])
+        assert code == 2 and out == ""
+        assert err == f"hypersel: need n <= m <= carrier size, got n=2, m={m}\n"
 
     def test_hypothesis_violation_exits_one(self, tmp_path):
         f = order_partial(ground_range(6), 2, "min")

@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -32,6 +33,7 @@ from hypersel.extension import (
 )
 from hypersel.structures import (
     GroundSet,
+    IsoMap,
     ground_range,
     is_isomorphism,
     make_selection,
@@ -226,13 +228,6 @@ class TestPartitionTypes:
         subs, _ = subset_ranks(6, 4)
         assert seen == sorted(subs)
 
-    def test_maps_certify_each_member(self):
-        f = random_partial(ground_range(7), 3, random.Random(5))
-        parts = partition_types(f, 5, 3)
-        for canon, members in parts.classes.items():
-            for labels in members:
-                assert is_isomorphism(restrict(f, labels, 3), canon, parts.maps[labels])
-
 
 class TestExtendSelection:
     def test_min_on_six_picks_max(self):
@@ -271,6 +266,34 @@ class TestExtendSelection:
         for sub in combinations(range(8), m):
             assert h.choose(sub) == oracle_extend_value(f, sub, p)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            ("q", "b", "zz", "a", "m", "c", "x", "k"),
+            (7, 3, 12, 0, 5, 9, 1, 4),
+            tuple(Fraction(n, d) for n, d in [(3, 4), (-1, 2), (5, 3), (0, 1), (7, 8), (-9, 4), (2, 5)]),
+        ],
+        ids=["strings", "shuffled ints", "fractions"],
+    )
+    @pytest.mark.parametrize("k,m,p", [(2, 4, 2), (3, 6, 3), (3, 6, 2)])
+    def test_matches_oracle_on_labels_that_are_not_indices(self, labels, k, m, p):
+        f = random_partial(GroundSet(labels), k, random.Random(f"{labels}-{k}"))
+        h = extend_selection(f, m, p)
+        for sub in combinations(labels, m):
+            assert h.choose(sub) == oracle_extend_value(f, sub, p)
+
+    def test_runs_without_isomorphism_types(self, monkeypatch):
+        def forbidden(*args):
+            raise RuntimeError("extend_selection needs no isomorphism type")
+
+        f = random_partial(ground_range(8), 2, random.Random(9))
+        with monkeypatch.context() as patched:
+            for name in ("restrict", "canonical_form", "partition_types"):
+                patched.setattr(extension, name, forbidden)
+            h = extend_selection(f, 4, 2)
+        for sub in combinations(range(8), 4):
+            assert h.choose(sub) == oracle_extend_value(f, sub, 2)
+
     def test_restricts_each_subset_once(self, monkeypatch):
         calls = []
 
@@ -280,14 +303,10 @@ class TestExtendSelection:
 
         monkeypatch.setattr(extension, "restrict", counted)
         f = random_partial(ground_range(8), 2, random.Random(9))
-        extend_selection(f, 4, 2)
-        assert len(calls) == 70  # C(8, 4): once each, inside partition_types
-        part = partition_types(f, 4, 2)
-        del calls[:]
-        h = extend_selection(f, 4, 2, part)
-        assert calls == []
-        for sub in combinations(range(8), 4):
-            assert h.choose(sub) == oracle_extend_value(f, sub, 2)
+        parts = partition_types(f, 4, 2)
+        assert len(calls) == 70  # C(8, 4): once each
+        assert sorted(c[1] for c in calls) == list(combinations(range(8), 4))
+        assert sum(len(ms) for ms in parts.classes.values()) == 70
 
     def test_rejects_composite_p(self):
         f = order_partial(ground_range(8), 4, "min")
@@ -369,10 +388,22 @@ class TestCertifiedIsomorphism:
                 checked += 1
         assert checked >= 1
 
+    def test_equivariance_checks_only_admitted_arities(self):
+        # f is defined on 3-subsets only; the pair is certified at arity 3
+        f = random_partial(ground_range(6), 3, random.Random(2), mode="exact")
+        h = order_partial(ground_range(6), 4, "min", mode="exact")
+        x, y = (0, 1, 3, 4), (0, 2, 3, 5)
+        phi = certified_isomorphism(f, x, y)
+        assert phi is not None
+        assert equivariance_check(f, h, x, y, phi) == (phi.apply(h.choose(x)) == h.choose(y))
+        swapped = IsoMap(phi.source, phi.target, phi.images[1:] + phi.images[:1])
+        assert not is_isomorphism(restrict(f, x, 3), restrict(f, y, 3), swapped)
+        with pytest.raises(NotIso):
+            equivariance_check(f, h, x, y, swapped)
+
     def test_non_isomorphism_rejected(self):
         f = order_partial(ground_range(6), 2, "min")
         h = extend_selection(f, 4, 2)
-        from hypersel.structures import IsoMap
 
         x, y = (0, 1, 2, 3), (1, 2, 3, 4)
         bogus = IsoMap(

@@ -3,7 +3,6 @@
 
 import ast
 import io
-import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,12 +12,7 @@ import hypersel
 from hypersel import extension, obstruction
 from hypersel.cli import main
 from hypersel.errors import BrokenInvariant
-from hypersel.extension import (
-    extend_selection,
-    least_small_class,
-    partition_types,
-    random_partial,
-)
+from hypersel.extension import extend_selection, least_small_class, make_partial
 from hypersel.obstruction import SearchResult, obstruction_table
 from hypersel.structures import ground_range, rotational_tournament
 
@@ -68,17 +62,12 @@ def test_no_small_level_class_is_broken_invariant(monkeypatch):
 
 
 def test_regular_restriction_type_is_broken_invariant(monkeypatch):
-    f = random_partial(ground_range(6), 2, random.Random(1))
-    part = partition_types(f, 4, 2)
-    monkeypatch.setattr(extension, "is_regular", lambda g: True)
+    # a 3-cycle on three labels is regular at arity 2; with the hypotheses
+    # waved through, its constant scores reach the level-class rule
+    f = make_partial(ground_range(3), "upto", 2, {
+        frozenset({0}): 0, frozenset({1}): 1, frozenset({2}): 2,
+        frozenset({0, 1}): 1, frozenset({1, 2}): 2, frozenset({0, 2}): 0,
+    })
+    monkeypatch.setattr(extension, "check_extension", lambda f, m, p: None)
     with pytest.raises(BrokenInvariant):
-        extend_selection(f, 4, 2, part)
-
-
-def test_unassigned_subset_is_broken_invariant():
-    f = random_partial(ground_range(6), 2, random.Random(1))
-    part = partition_types(f, 4, 2)
-    members = next(iter(part.classes.values()))
-    members.pop()
-    with pytest.raises(BrokenInvariant):
-        extend_selection(f, 4, 2, part)
+        extend_selection(f, 3, 2)
