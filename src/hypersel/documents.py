@@ -99,22 +99,30 @@ _quote = json.encoder.encode_basestring
 
 
 def _render(x: Any, newline: str, out: list) -> None:
-    """Append the text of x, whose lines start with newline."""
+    """Append the text of x, whose lines start with newline.  A string
+    inside a dict or list is quoted inline, without a call of its own."""
     if isinstance(x, str):
         out.append(_quote(x))
     elif isinstance(x, dict):
         inner, sep = newline + "  ", "{"
         for k, v in sorted(x.items()):
-            out.append(sep + inner + _quote(k) + ": ")
-            _render(v, inner, out)
+            if isinstance(v, str):
+                out.append(sep + inner + _quote(k) + ": " + _quote(v))
+            else:
+                out.append(sep + inner + _quote(k) + ": ")
+                _render(v, inner, out)
             sep = ","
         out.append(newline + "}" if x else "{}")
     elif isinstance(x, (list, tuple)):
-        inner, sep = newline + "  ", "["
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
         for v in x:
-            out.append(sep + inner)
-            _render(v, inner, out)
-            sep = ","
+            if isinstance(v, str):
+                out.append(sep + _quote(v))
+            else:
+                out.append(sep)
+                _render(v, inner, out)
+            sep = comma
         out.append(newline + "]" if x else "[]")
     elif isinstance(x, int) and not isinstance(x, bool):
         out.append(int.__repr__(x))
@@ -184,15 +192,10 @@ def _write_choices(structures) -> list:
     """Choice records of each structure in turn, subsets in rank order."""
     out = []
     for g in structures:
-        labels = g.ground.labels
+        names = [label_str(x) for x in g.ground.labels]
         subs, _ = subset_ranks(g.size, g.n)
         for s, p in zip(subs, g.picks):
-            out.append(
-                {
-                    "subset": [label_str(labels[i]) for i in s],
-                    "pick": label_str(labels[p]),
-                }
-            )
+            out.append({"subset": [names[i] for i in s], "pick": names[p]})
     return out
 
 

@@ -155,9 +155,10 @@ def restrict(f: PartialSelection, subset: Iterable[Label], n: int) -> SelectionS
         raise ArityNotInDomain(f"arity {n} not admitted by mode {f.mode}")
     idx = tuple(sorted(f.carrier.index(x) for x in subset))
     ground = GroundSet(tuple(f.carrier.labels[i] for i in idx))
-    subs, _ = subset_ranks(len(idx), n)
-    picks = [idx.index(level.choose_indices(tuple(idx[i] for i in s))) for s in subs]
-    return SelectionStructure(ground, n, tuple(picks))
+    at = {x: i for i, x in enumerate(idx)}
+    _, rank = subset_ranks(f.carrier.size, n)
+    picks = level.picks
+    return SelectionStructure(ground, n, tuple(at[picks[rank[t]]] for t in combinations(idx, n)))
 
 
 @dataclass(frozen=True)

@@ -94,9 +94,7 @@ class SelectionStructure:
             raise ValueError(f"arity {self.n} out of range for ground of size {m}")
         subs, _ = subset_ranks(m, self.n)
         if len(self.picks) != len(subs):
-            raise MissingSubset(
-                f"expected {len(subs)} choices, got {len(self.picks)}"
-            )
+            raise MissingSubset(f"expected {len(subs)} choices, got {len(self.picks)}")
         for s, p in zip(subs, self.picks):
             if p not in s:
                 raise ChoiceOutsideSubset(f"subset {s} cannot pick index {p}")
@@ -155,10 +153,20 @@ def index_selection(ground: GroundSet, n: int, table: Mapping,
     if len(table) < math.comb(m, n):
         # some subset has no choice: name the first, met within the
         # first len(table) + 1 subsets, without building the rank table
-        subs = combinations(range(m), n)
-    else:
-        subs, _ = subset_ranks(m, n)
-    picks = []
+        _name_bad_choice(combinations(range(m), n), table, names)
+    subs, _ = subset_ranks(m, n)
+    try:  # SelectionStructure checks each pick; only a failure rescans
+        s = SelectionStructure(ground, n, tuple(map(table.get, subs)))
+    except ChoiceOutsideSubset:
+        _name_bad_choice(subs, table, names)
+        raise
+    if len(table) != len(subs):
+        raise MissingSubset("table has entries that are not n-subsets of the ground")
+    return s
+
+
+def _name_bad_choice(subs: Iterable, table: Mapping, names: Sequence) -> None:
+    """Raise, by label, for the first subset with a missing or outside choice."""
     for s in subs:
         v = table.get(s)
         if v not in s:
@@ -166,10 +174,6 @@ def index_selection(ground: GroundSet, n: int, table: Mapping,
             if v is None:
                 raise MissingSubset(f"no choice for subset {named}")
             raise ChoiceOutsideSubset(f"{names[v]!r} not in subset {named}")
-        picks.append(v)
-    if len(table) != len(picks):
-        raise MissingSubset("table has entries that are not n-subsets of the ground")
-    return SelectionStructure(ground, n, tuple(picks))
 
 
 def selection_from_order(ground: GroundSet, n: int, rule: str) -> SelectionStructure:
@@ -335,31 +339,25 @@ def _refine(subs: tuple, picks: tuple, cells: list) -> list:
 
     The signature of an element is the sorted multiset, over the subsets
     containing it, of (is it the pick, the pick's cell, the cells of the
-    other members).  Each cell is replaced, where it stands, by its
-    sub-cells in ascending signature order.  A cell is named by its
-    first position, so signatures, and with them the result, see labels
-    only through the partition: relabeling the input relabels the output.
+    other members), read each round from the element's incidence list of
+    (is it the pick, the pick, the other members), built once per call.
+    Each cell is replaced, where it stands, by its sub-cells in ascending
+    signature order.  A cell is named by its first position, so
+    signatures, and with them the result, see labels only through the
+    partition: relabeling the input relabels the output.
     """
     m = sum(len(c) for c in cells)
+    incident: list = [[] for _ in range(m)]
+    for sub, p in zip(subs, picks):
+        for k, x in enumerate(sub):
+            incident[x].append((x == p, p, sub[:k] + sub[k + 1:]))
     while len(cells) < m:
         cell_of = [0] * m
-        live = [False] * m  # in a cell that can still split
         pos = 0
         for c in cells:
             for x in c:
                 cell_of[x] = pos
-                live[x] = len(c) > 1
             pos += len(c)
-        sig: list = [[] for _ in range(m)]
-        for sub, p in zip(subs, picks):
-            if not any(live[y] for y in sub):
-                continue
-            where = [cell_of[y] for y in sub]
-            for k, x in enumerate(sub):
-                if live[x]:
-                    others = where[:k] + where[k + 1:]
-                    others.sort()
-                    sig[x].append((x == p, cell_of[p], tuple(others)))
         split = []
         for c in cells:
             if len(c) == 1:
@@ -367,7 +365,13 @@ def _refine(subs: tuple, picks: tuple, cells: list) -> list:
                 continue
             groups: dict = {}
             for x in c:
-                groups.setdefault(tuple(sorted(sig[x])), []).append(x)
+                sig = []
+                for me, p, others in incident[x]:
+                    where = [cell_of[y] for y in others]
+                    where.sort()
+                    sig.append((me, cell_of[p], tuple(where)))
+                sig.sort()
+                groups.setdefault(tuple(sig), []).append(x)
             split.extend(groups[key] for key in sorted(groups))
         if len(split) == len(cells):
             break
@@ -404,7 +408,9 @@ def canonical_form(s: SelectionStructure):
                 sigma[x] = k
             enc = [0] * len(subs)
             for sub, p in zip(subs, picks):
-                enc[rank[tuple(sorted(sigma[y] for y in sub))]] = sigma[p]
+                image = [sigma[y] for y in sub]
+                image.sort()
+                enc[rank[tuple(image)]] = sigma[p]
             enc = tuple(enc)
             if enc in leaves:
                 first = leaves[enc]

@@ -114,6 +114,56 @@ def oracle_classes(m: int, n: int, start: int = 0, stop=None) -> list:
     return classes
 
 
+# The refinement canonical_form ran before it read signatures from
+# per-element incidence lists: each round scans every subset.  Its
+# ordered partitions fix the canonical encoding, so structures._refine
+# must return the same ones.
+def oracle_refine(subs: tuple, picks: tuple, cells: list) -> list:
+    """Split the ordered partition ``cells`` of the ground indices until
+    it is stable.
+
+    The signature of an element is the sorted multiset, over the subsets
+    containing it, of (is it the pick, the pick's cell, the cells of the
+    other members).  Each cell is replaced, where it stands, by its
+    sub-cells in ascending signature order.  A cell is named by its
+    first position, so signatures, and with them the result, see labels
+    only through the partition: relabeling the input relabels the output.
+    """
+    m = sum(len(c) for c in cells)
+    while len(cells) < m:
+        cell_of = [0] * m
+        live = [False] * m  # in a cell that can still split
+        pos = 0
+        for c in cells:
+            for x in c:
+                cell_of[x] = pos
+                live[x] = len(c) > 1
+            pos += len(c)
+        sig: list = [[] for _ in range(m)]
+        for sub, p in zip(subs, picks):
+            if not any(live[y] for y in sub):
+                continue
+            where = [cell_of[y] for y in sub]
+            for k, x in enumerate(sub):
+                if live[x]:
+                    others = where[:k] + where[k + 1:]
+                    others.sort()
+                    sig[x].append((x == p, cell_of[p], tuple(others)))
+        split = []
+        for c in cells:
+            if len(c) == 1:
+                split.append(c)
+                continue
+            groups: dict = {}
+            for x in c:
+                groups.setdefault(tuple(sorted(sig[x])), []).append(x)
+            split.extend(groups[key] for key in sorted(groups))
+        if len(split) == len(cells):
+            break
+        cells = split
+    return cells
+
+
 # -- extension ------------------------------------------------------------
 
 def oracle_extend_value(f: PartialSelection, labels: tuple, p: int):
@@ -130,6 +180,19 @@ def oracle_extend_value(f: PartialSelection, labels: tuple, p: int):
         by_score.setdefault(sc, []).append(x)
     r0 = min(sc for sc, xs in by_score.items() if 2 * len(xs) <= m)
     return f.choose(by_score[r0])
+
+
+def oracle_restrict(f: PartialSelection, subset, n: int) -> SelectionStructure:
+    """f as an arity-n structure on a subset of its carrier, each pick
+    located in the sorted index tuple by idx.index, subset by subset."""
+    level = f.levels.get(n)
+    if level is None:
+        raise ArityNotInDomain(f"arity {n} not admitted by mode {f.mode}")
+    idx = tuple(sorted(f.carrier.index(x) for x in subset))
+    ground = GroundSet(tuple(f.carrier.labels[i] for i in idx))
+    subs = combinations(range(len(idx)), n)
+    picks = [idx.index(level.choose_indices(tuple(idx[i] for i in s))) for s in subs]
+    return SelectionStructure(ground, n, tuple(picks))
 
 
 # -- document reading --------------------------------------------------------

@@ -112,7 +112,30 @@ json_values = st.recursive(
 )
 
 
+# labels of choice records: quotes, backslashes, newlines, control and
+# non-ASCII characters among plain ones
+label_text = st.text(
+    alphabet=st.sampled_from('ab7/-"\\\n\t\x00\x1f é→\u2028😀') | st.characters(blacklist_categories=("Cs",)),
+    max_size=6,
+)
+choice_documents = st.fixed_dictionaries({
+    "choices": st.lists(
+        st.fixed_dictionaries({"subset": st.lists(label_text, max_size=10), "pick": label_text}),
+        max_size=6,
+    ),
+    "ground": st.lists(label_text, max_size=10),
+    "uncovered": st.lists(st.lists(label_text, max_size=10), max_size=3),
+    "n": st.integers(0, 10),
+})
+
+
 class TestDumps:
+    @settings(max_examples=200, deadline=None)
+    @given(choice_documents)
+    def test_choice_records_match_json_indent_2(self, doc):
+        # string leaves inside dicts and lists take dumps' inline path
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
     @settings(max_examples=300, deadline=None)
     @given(json_values)
     def test_matches_json_indent_2(self, doc):

@@ -43,7 +43,7 @@ from hypersel.structures import (
     subset_ranks,
 )
 
-from oracles import oracle_extend_value, oracle_make_partial
+from oracles import oracle_extend_value, oracle_make_partial, oracle_restrict
 
 
 def tournament_partial(edges, m, extra=None):
@@ -182,6 +182,35 @@ class TestRestrict:
         f = order_partial(ground_range(6), 2, "min")
         with pytest.raises(ArityNotInDomain):
             restrict(f, (0, 1, 2), 3)
+
+    @pytest.mark.parametrize("labels", [
+        ("q", "b", "zz", "a", "m", "c", "x"),
+        (7, 3, 12, 0, 5, 9, 1),
+        tuple(Fraction(n, d) for n, d in [(3, 4), (-1, 2), (5, 3), (0, 1), (7, 8), (-9, 4), (2, 5)]),
+    ], ids=["strings", "shuffled ints", "fractions"])
+    @pytest.mark.parametrize("mode, bound", [("upto", 4), ("exact", 3)])
+    def test_matches_oracle(self, labels, mode, bound):
+        # every subset of every size, in a shuffled label order, at
+        # every arity the selection admits
+        rng = random.Random(f"{labels}-{mode}")
+        f = random_partial(GroundSet(labels), bound, rng, mode=mode)
+        checked = 0
+        for size in range(1, len(labels) + 1):
+            for sub in combinations(labels, size):
+                sub = list(sub)
+                rng.shuffle(sub)
+                for n in f.levels:
+                    if n <= size:
+                        assert restrict(f, sub, n) == oracle_restrict(f, sub, n)
+                        checked += 1
+        assert checked == (410 if mode == "upto" else 99)
+
+    def test_arity_guard_matches_oracle(self):
+        f = random_partial(GroundSet(("a", "b", "c", "d")), 2, random.Random(4), mode="exact")
+        for n in (1, 3):
+            for restriction in (restrict, oracle_restrict):
+                with pytest.raises(ArityNotInDomain):
+                    restriction(f, ("d", "a", "c"), n)
 
 
 class TestLeastSmallClass:

@@ -45,7 +45,9 @@ from hypersel.structures import (
     tournament_from_mask,
 )
 
-from oracles import oracle_canonical, oracle_classes, oracle_scores
+from hypersel.extension import random_partial, restrict
+
+from oracles import oracle_canonical, oracle_classes, oracle_refine, oracle_scores
 
 # every (m, n), m <= 7, with at most 60k labeled structures
 SMALL_SPACES = [
@@ -284,6 +286,72 @@ class TestCanonicalForm:
             other, cert_t = canonical_form(t)
             assert other.picks == canon.picks
             assert is_isomorphism(t, other, cert_t)
+
+
+def seeded_tournament(m, seed):
+    rng = random.Random(seed)
+    subs, _ = subset_ranks(m, 2)
+    return SelectionStructure(ground_range(m), 2, tuple(rng.choice(s) for s in subs))
+
+
+@st.composite
+def refinement_inputs(draw):
+    """A structure on 2..8 elements at arity 2..4, arbitrary choices."""
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(2, min(4, m)))
+    subs, _ = subset_ranks(m, n)
+    return SelectionStructure(ground_range(m), n, tuple(draw(st.sampled_from(s)) for s in subs))
+
+
+class TestRefinement:
+    """structures._refine returns oracle_refine's ordered partitions, so
+    the canonical encoding stays the one the golden literals record."""
+
+    @staticmethod
+    def _assert_agrees(s):
+        # from the score blocks, then with each element of the first
+        # smallest open cell individualized, as canonical_form does
+        subs, _ = subset_ranks(s.size, s.n)
+        starts = [structures._score_blocks(score_vector(s))]
+        stable = structures._refine(subs, s.picks, starts[0])
+        sizes = [len(c) for c in stable if len(c) > 1]
+        if sizes:
+            t = next(i for i, c in enumerate(stable) if len(c) == min(sizes))
+            for v in stable[t]:
+                rest = [x for x in stable[t] if x != v]
+                starts.append(stable[:t] + [[v], rest] + stable[t + 1:])
+        for cells in starts:
+            assert structures._refine(subs, s.picks, cells) == oracle_refine(subs, s.picks, cells)
+
+    @settings(max_examples=200, deadline=None)
+    @given(refinement_inputs())
+    def test_agrees_with_oracle_on_drawn_structures(self, s):
+        self._assert_agrees(s)
+
+    def test_agrees_with_oracle_on_every_restriction(self):
+        # all C(12, 8) = 495 8-point restrictions of one 12-point tournament
+        f = random_partial(ground_range(12), 2, random.Random(12))
+        for sub in combinations(range(12), 8):
+            self._assert_agrees(restrict(f, sub, 2))
+
+    def test_agrees_on_regular_and_transitive(self):
+        for s in (rotational_tournament(9), selection_from_order(ground_range(8), 3, "min")):
+            self._assert_agrees(s)
+
+    # canonical_form(...)[0].picks recorded before signatures were read
+    # from incidence lists; the canonical encoding must not move
+    def test_golden_rotational_seven(self):
+        assert canonical_form(rotational_tournament(7))[0].picks == (
+            0, 0, 0, 4, 5, 6, 2, 3, 1, 1, 1, 3, 2, 2, 6, 3, 5, 6, 4, 4, 5)
+
+    @pytest.mark.parametrize("seed, picks", [
+        (8, (1, 0, 3, 4, 5, 0, 7, 2, 3, 1, 5, 6, 7, 2, 2, 5, 6, 7, 4, 3, 6, 7, 4, 6,
+             4, 5, 7, 6)),
+        (88, (1, 0, 3, 4, 5, 6, 0, 1, 3, 4, 5, 6, 7, 2, 2, 2, 6, 7, 4, 5, 3, 7, 5, 4,
+              7, 6, 7, 7)),
+    ])
+    def test_golden_seeded_tournaments(self, seed, picks):
+        assert canonical_form(seeded_tournament(8, seed))[0].picks == picks
 
 
 class TestEnumeration:
