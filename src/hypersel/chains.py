@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -41,13 +40,13 @@ from .errors import (
     SizeMismatch,
     TransferConflict,
 )
-from .extension import restrict
+from .extension import restrict, subset_scores
 from .structures import is_regular, subset_ranks
 from .verdict import PASS, Verdict, fail
 from .vietoris import (
+    IntervalOpen,
     ModelSpace,
     OpenFamily,
-    find_preserving_neighborhoods,
     intersect_nonempty,
     member_hits,
     overlaps,
@@ -370,14 +369,14 @@ def covers(fam: OpenFamily, pts: tuple) -> bool:
 
 
 def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
-    """Preserving neighborhood families around every sampled (n+1)-set
-    whose pair restriction is regular (n even, selection total up to
-    n+1).  Duplicates collapse; order follows subset rank.
+    """One family around every sampled (n+1)-set whose pair restriction
+    is regular (n even, selection total up to n+1), in subset rank order.
 
-    Neighborhood radii are capped at half the least gap between sample
-    points, so members of different families either coincide or are
-    disjoint; that is what makes the result nice regardless of how the
-    regular sets interleave.
+    A member is the interval around its point of radius half the least
+    gap between sample points, so it holds its centre alone: the family
+    preserves relations at every arity, and members of different
+    families coincide or are disjoint, so the result is nice however
+    the regular sets interleave.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"need even n >= 2, got {n}")
@@ -387,22 +386,13 @@ def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
         raise ValueError(f"selection must admit arities 2 and {m}")
     if m > model.size:
         raise ValueError(f"model has fewer than {m} points")
-    fams = []
-    seen = set()
+    pts = model.points
+    cap = min(b - a for a, b in zip(pts, pts[1:])) / 2
+    around = [IntervalOpen(p - cap, p + cap) for p in pts]
+    pairs = sel.levels[2]
     subs, _ = subset_ranks(model.size, m)
-    arities = tuple(i for i in range(1, m + 1) if sel.admits(i))
-    d, keys, _ = model.grid
-    cap = Fraction(min(b - a for a, b in zip(keys, keys[1:])), 2 * d)
-    for s in subs:
-        pts = tuple(model.points[i] for i in s)
-        if not is_regular(restrict(sel, pts, 2)):
-            continue
-        fam = find_preserving_neighborhoods(model, pts, arities, max_radius=cap)
-        key = tuple(fam.bounds)
-        if key not in seen:
-            seen.add(key)
-            fams.append(fam)
-    return FamilySystem(tuple(fams), model)
+    return FamilySystem(tuple(OpenFamily(tuple(around[i] for i in s)) for s in subs
+                              if len(set(subset_scores(pairs, s))) <= 1), model)
 
 
 def regular_class_cover_check(system: FamilySystem, n: int) -> Verdict:
@@ -414,13 +404,12 @@ def regular_class_cover_check(system: FamilySystem, n: int) -> Verdict:
     sel = model.selection
     if not (sel.admits(2) and sel.admits(m)):
         raise ValueError(f"selection must admit arities 2 and {m}")
+    pairs = sel.levels[2]
     subs, _ = subset_ranks(model.size, m)
     for s in subs:
-        pts = tuple(model.points[i] for i in s)
-        covered = bool(system.graph.covering(s))
-        regular = is_regular(restrict(sel, pts, 2))
-        if covered != regular:
-            return fail(pts)
+        regular = len(set(subset_scores(pairs, s))) <= 1
+        if bool(system.graph.covering(s)) != regular:
+            return fail(tuple(model.points[i] for i in s))
     return PASS
 
 

@@ -190,6 +190,16 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     return TypePartition(m, n, classes)
 
 
+def subset_scores(level: SelectionStructure, s: Sequence[int]) -> list:
+    """The scores of level's subsets inside s, ascending carrier indices:
+    entry i counts the ones picking s[i]."""
+    at = {x: i for i, x in enumerate(s)}
+    w = [0] * len(s)
+    for t in combinations(s, level.n):
+        w[at[level.choose_indices(t)]] += 1
+    return w
+
+
 def _least_small_level(w: Sequence[int]):
     """(r0, positions): the least score r0 whose level class
     {i : w[i] == r0} is nonempty with at most len(w)/2 positions, and
@@ -249,11 +259,7 @@ def extend_selection(f: PartialSelection, m: int, p: int) -> PartialSelection:
     subs, _ = subset_ranks(f.carrier.size, m)
     picks = []
     for s in subs:
-        at = {x: i for i, x in enumerate(s)}
-        w = [0] * m
-        for t in combinations(s, p):
-            w[at[level.choose_indices(t)]] += 1
-        _, q = _least_small_level(w)
+        _, q = _least_small_level(subset_scores(level, s))
         picks.append(f.choose_indices(tuple(s[i] for i in q)))
     h = SelectionStructure(f.carrier, m, tuple(picks))
     return PartialSelection(f.carrier, MODE_EXACT, m, {m: h})

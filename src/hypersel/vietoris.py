@@ -12,8 +12,12 @@ denominator, so an open holds one index range, found by bisection.  The
 kernel ``_receiver`` walks a family's transversals once, each an
 ascending index tuple whose pick it reads off the selection level, and
 names the member receiving every pick, stopping at a second receiver.
-The radius search halves its radius on integers and skips a radius whose
-members hold the same ranges as at the last one, which failed.
+Shrinking a radius leaves each member fewer points and so a family
+fewer transversals: preservation only gets easier.  The continuity
+check therefore tests each domain subset once, at its floor radius (its
+starting radius over 2^40).  The neighborhood search halves the same
+starting radius on integers and skips a radius whose members hold the
+same ranges as at the last one, which failed.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ class ModelSpace:
     selection: PartialSelection
 
     def __post_init__(self):
-        if list(self.points) != sorted(set(self.points)):
+        if not all(a < b for a, b in zip(self.points, self.points[1:])):
             raise ValueError("points must be distinct and sorted ascending")
         if self.selection.carrier.labels != self.points:
             raise ValueError("selection carrier must be exactly the points")
@@ -212,6 +216,29 @@ def _preserved(selection: PartialSelection, spans: list, arities: Sequence[int])
     return True
 
 
+def _descent(model: ModelSpace, idx: Sequence[int], shifts: Iterable[int],
+             max_radius: Optional[Fraction] = None):
+    """(a, b, spans) per shift k in shifts: members of radius a / (b D),
+    the starting radius over 2^k, around the sample points with indices
+    idx (ascending) hold the index ranges spans.  The start is half the
+    points' least gap, for a lone point the least gap to its adjacent
+    sample points (1 when it has none), capped at max_radius."""
+    d, keys, _ = model.grid
+    centers = [keys[i] for i in idx]
+    near = keys[max(idx[0] - 1, 0):idx[0] + 2] if len(idx) == 1 else centers
+    gap = min((y - x for x, y in zip(near, near[1:])), default=None)
+    a, b = (d, 1) if gap is None else (gap, 2)  # the radius times D is a / b
+    if max_radius is not None and max_radius * d < Fraction(a, b):
+        a, b = Fraction(max_radius * d).as_integer_ratio()
+    if a == 0:  # a repeated point or a zero cap: the members are empty
+        raise ValueError("empty interval ({0}, {0})".format(model.points[idx[0]]))
+    for k in shifts if a > 0 else ():
+        # a center c holds the keys less than ceil(a / b) away
+        bk = b << k
+        w = -(-a // bk)
+        yield a, bk, [range(bisect_right(keys, c - w), bisect_left(keys, c + w)) for c in centers]
+
+
 def find_preserving_neighborhoods(
     model: ModelSpace,
     pts: Iterable[Fraction],
@@ -220,13 +247,11 @@ def find_preserving_neighborhoods(
 ) -> OpenFamily:
     """Disjoint intervals around the given sample points preserving
     relations at every requested arity, found by halving a common
-    radius; the first success is returned.
-
-    The radius starts at half the minimum pairwise gap (capped at
-    max_radius when given) and never drops below 2^-40 of that, at
-    which point the model is declared non-continuous with the points
-    as witness.  A radius whose members hold the same sample points as
-    at the last radius tried is skipped: it fails too.
+    radius from its start (see _descent) down to 2^-40 of it; the first
+    success is returned.  Past that floor the model is declared
+    non-continuous with the points as witness.  A radius whose members
+    hold the same sample points as at the last radius tried is skipped:
+    it fails too.
     """
     ps = [p if type(p) is Fraction else Fraction(p) for p in pts]
     if not ps:
@@ -236,43 +261,28 @@ def find_preserving_neighborhoods(
     if at[0][0] < 0:
         raise ValueError(f"{min(p for i, p in at if i < 0)} is not a sample point")
     wanted = sorted(set(arities))
-    ps = tuple(p for _, p in at)
-    centers = [keys[i] for i, _ in at]
-    # a lone point starts at half the gap to its adjacent sample points
-    i = at[0][0]
-    near = keys[max(i - 1, 0):i + 2] if len(ps) == 1 else centers
-    gaps = [b - a for a, b in zip(near, near[1:])]
-    rd = Fraction(min(gaps), 2) if gaps else Fraction(d)  # the radius times D
-    if max_radius is not None:
-        rd = min(rd, max_radius * d)
-    if rd == 0:  # a repeated point or a zero cap: the members are empty
-        raise ValueError(f"empty interval ({ps[0]}, {ps[0]})")
-    a, last = rd.numerator, None
-    for k in range(RADIUS_FLOOR_SHIFT + 1) if rd > 0 else ():
-        # the radius times D is a / b; a center c holds the keys less
-        # than ceil(a / b) away, and p -+ r is (c b -+ a) / (D b)
-        b = rd.denominator << k
-        w = -(-a // b)
-        spans = [range(bisect_right(keys, c - w), bisect_left(keys, c + w)) for c in centers]
+    idx, ps = zip(*at)
+    last = None
+    for a, b, spans in _descent(model, idx, range(RADIUS_FLOOR_SHIFT + 1), max_radius):
         if spans != last:
             last = spans
             if _preserved(model.selection, spans, wanted):
-                return OpenFamily(tuple(IntervalOpen(Fraction(c * b - a, d * b),
-                                                     Fraction(c * b + a, d * b)) for c in centers))
+                # p -+ r is (c b -+ a) / (D b)
+                return OpenFamily(tuple(IntervalOpen(Fraction(keys[i] * b - a, d * b),
+                                                     Fraction(keys[i] * b + a, d * b)) for i in idx))
     raise NotModelContinuous(f"no preserving neighborhoods around {ps}")
 
 
 def check_continuity(model: ModelSpace) -> Verdict:
-    """Shrinking neighborhoods exist around every domain subset, each
-    receiving a common selection target at its own arity.  Witness on
-    failure is the offending point tuple."""
-    for size in model.selection.admissible_sizes():
+    """Every domain subset has neighborhoods at its floor radius that
+    receive all selections of its own arity in one member (see the
+    module docstring).  Witness on failure is the offending point tuple."""
+    sel = model.selection
+    for size in sel.admissible_sizes():
         for s in combinations(range(model.size), size):
-            pts = tuple(model.points[i] for i in s)
-            try:
-                find_preserving_neighborhoods(model, pts, (size,))
-            except NotModelContinuous:
-                return fail(pts)
+            ((_, _, spans),) = _descent(model, s, (RADIUS_FLOOR_SHIFT,))
+            if not _preserved(sel, spans, (size,)):
+                return fail(tuple(model.points[i] for i in s))
     return PASS
 
 

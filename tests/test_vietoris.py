@@ -6,19 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersel import chains, vietoris
-from hypersel.chains import derive_nice_family
+from hypersel import vietoris
+from hypersel.chains import FamilySystem, derive_nice_family, regular_class_cover_check
 from hypersel.errors import (
     ArityNotInDomain,
     NoTransversal,
     NotAMember,
     NotModelContinuous,
 )
-from hypersel.extension import admissible_sizes, make_partial, random_partial
-from hypersel.structures import GroundSet
+from hypersel.extension import admissible_sizes, make_partial, order_partial, random_partial, restrict
+from hypersel.structures import GroundSet, is_regular
 from hypersel.vietoris import (
     RADIUS_FLOOR_SHIFT,
     IntervalOpen,
+    ModelSpace,
     OpenFamily,
     arrows_to,
     check_continuity,
@@ -182,6 +183,13 @@ class TestNeighborhoods:
         lone = order_model([3], 1, "min")
         assert find_preserving_neighborhoods(lone, (F(3),), (1,)).members == (interval(2, 4),)
 
+    def test_points_must_ascend(self):
+        pts = (F(1), F(0))
+        with pytest.raises(ValueError, match="^points must be distinct and sorted ascending$"):
+            ModelSpace(pts, order_partial(GroundSet(pts), 1, "min"))
+        with pytest.raises(ValueError, match="^points must be distinct and sorted ascending$"):
+            ModelSpace((F(0), F(0)), order_model([0], 1, "min").selection)
+
     def test_unknown_point_rejected(self):
         model = order_model([0, 1], 2, "min")
         with pytest.raises(ValueError):
@@ -264,6 +272,86 @@ def outcome(call):
         return type(exc), str(exc)
 
 
+def near_twin_model(seed):
+    """Spread points plus one inserted 2^-50 from a neighbour whose pair
+    choice against a third point is the opposite one (the benchmark's
+    near models): no floor radius separates the twins."""
+    rng = random.Random(seed)
+    pts = sorted({F(rng.randint(0, 90), rng.choice((1, 2, 7))) for _ in range(rng.randint(3, 6))})
+    a = rng.choice(pts)
+    c = rng.choice([p for p in pts if p != a])
+    pts = sorted(pts + [a + EPS])
+    bound = rng.choice((2, 3))
+    table = {frozenset(s): rng.choice(s) for k in range(1, bound + 1) for s in combinations(pts, k)}
+    table[frozenset({a, c})] = a
+    table[frozenset({a + EPS, c})] = c
+    return model_space(pts, make_partial(GroundSet(tuple(pts)), "upto", bound, table))
+
+
+def floor_family(model, pts):
+    """Members around pts at the starting radius over 2^40, the radius
+    worked out on the Fractions as the oracle search does."""
+    near = pts
+    if len(pts) == 1:
+        i = model.points.index(pts[0])
+        near = model.points[max(i - 1, 0):i + 2]
+    r = min((b - a for a, b in zip(near, near[1:])), default=F(2)) / 2 ** (RADIUS_FLOOR_SHIFT + 1)
+    return OpenFamily(tuple(IntervalOpen(p - r, p + r) for p in pts))
+
+
+class TestFloorRule:
+    """Preservation only gets easier as the radius shrinks, so a domain
+    subset has preserving neighborhoods iff its floor members preserve."""
+
+    def agrees(self, model):
+        for size in model.selection.admissible_sizes():
+            for pts in combinations(model.points, size):
+                floor = oracle_preserves(model, floor_family(model, pts), size)[0]
+                try:
+                    find_preserving_neighborhoods(model, pts, (size,))
+                    found = True
+                except NotModelContinuous:
+                    found = False
+                assert floor == found, pts
+        verdict = check_continuity(model)
+        assert (verdict.ok, verdict.witness) == oracle_continuity(model)
+        return verdict.ok
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mixed_models(self, seed):
+        self.agrees(mixed_model(seed))
+
+    def test_near_twin_models(self):
+        refuted = [seed for seed in range(100) if not self.agrees(near_twin_model(seed))]
+        assert len(refuted) == 100
+
+    def test_twin_inside_the_floor_radius(self):
+        # flip choices on 0, d, 1: the pair (0, 1) starts at radius 1/2,
+        # so its floor 2^-41 = 4 / 2^43 holds the twin d below 4 / 2^43
+        for j in range(1, 17):
+            d = F(j, 2**43)
+            pts = (F(0), d, F(1))
+            table = {frozenset(s): s[0] for k in (1, 2) for s in combinations(pts, k)}
+            table[frozenset({d, F(1)})] = F(1)
+            model = model_space(pts, make_partial(GroundSet(pts), "upto", 2, table))
+            verdict = check_continuity(model)
+            assert (verdict.ok, verdict.witness) == oracle_continuity(model)
+            assert verdict.ok == (j >= 4)
+
+    def test_one_preservation_test_per_subset(self, monkeypatch):
+        # flip fixture 0, eps, 1: the singletons and (0, eps) pass, and
+        # (0, 1) is the witness, its floor member around 0 holding eps
+        model = flip_model()
+        calls = []
+        preserved = vietoris._preserved
+        monkeypatch.setattr(vietoris, "_preserved", lambda *a: calls.append(a) or preserved(*a))
+        monkeypatch.setattr(vietoris, "find_preserving_neighborhoods", None)
+        assert check_continuity(model).witness == (F(0), F(1))
+        assert [(spans, arities) for _, spans, arities in calls] == [
+            ([range(0, 1)], (1,)), ([range(1, 2)], (1,)), ([range(2, 3)], (1,)),
+            ([range(0, 1), range(1, 2)], (2,)), ([range(0, 2), range(2, 3)], (2,))]
+
+
 class TestDescentAgreement:
     @pytest.mark.parametrize("seed", range(40))
     def test_check_continuity(self, seed):
@@ -294,13 +382,38 @@ class TestDescentAgreement:
             assert got[0] is ValueError
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_derived_families(self, seed, monkeypatch):
+    def test_derived_families(self, seed):
+        # the reference searches neighborhoods around every regular
+        # triple, radius capped at half the least gap, drops repeats,
+        # and decides regularity on the restricted pair structure
         rng = random.Random(seed)
         pts = sorted(mixed_model(seed).points + tuple(F(k, 2) for k in rng.sample(range(200, 260), 3)))
         model = model_space(pts, random_partial(GroundSet(tuple(pts)), 3, rng))
-        got = derive_nice_family(model, 2).families
-        monkeypatch.setattr(chains, "find_preserving_neighborhoods", oracle_neighborhoods)
-        assert got == derive_nice_family(model, 2).families
+        cap = min(b - a for a, b in zip(model.points, model.points[1:])) / 2
+        arities = [i for i in range(1, 4) if model.selection.admits(i)]
+        want = []
+        for s in combinations(model.points, 3):
+            if is_regular(restrict(model.selection, s, 2)):
+                fam = oracle_neighborhoods(model, s, arities, cap)
+                if fam not in want:
+                    want.append(fam)
+        system = derive_nice_family(model, 2)
+        assert system.families == tuple(want)
+        assert regular_class_cover_check(system, 2).ok
+        if want:  # the cover check names the regular triple left without a family
+            verdict = regular_class_cover_check(FamilySystem(tuple(want[1:]), model), 2)
+            assert verdict.witness == tuple((u.lo + u.hi) / 2 for u in want[0].members)
+
+    def test_derived_members_hold_their_centre_alone(self):
+        members = 0
+        for seed in range(30):
+            pts = mixed_model(seed).points
+            model = model_space(pts, random_partial(GroundSet(pts), 3, random.Random(seed)))
+            for fam in derive_nice_family(model, 2).families:
+                for u in fam.members:
+                    assert [p for p in pts if u.contains(p)] == [(u.lo + u.hi) / 2]
+                    members += 1
+        assert members > 0
 
     @pytest.mark.parametrize("seed", range(30))
     def test_arrows_and_preservation(self, seed):
