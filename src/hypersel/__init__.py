@@ -1,6 +1,6 @@
 """Selection structures on finite hyperspaces.
 
-Total choice functions on n-subsets, their score profiles and
+Total choice functions on n-subsets, their scores and
 regularity obstructions, the small-class extension pipeline, exact
 rational Vietoris models, and chain transfer machinery.
 """

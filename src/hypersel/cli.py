@@ -39,11 +39,10 @@ from .errors import (
     DocumentError,
     HyperselError,
     HypothesisViolated,
-    NonBijectiveTransfer,
     NotNice,
 )
 from .extension import extend_selection, least_small_class, partition_types
-from .obstruction import TABLE_COLUMNS, obstruction_table, table_tsv
+from .obstruction import obstruction_table, table_tsv
 from .structures import DEFAULT_BUDGET, enumerate_selections, subset_ranks
 from .vietoris import check_continuity
 
@@ -53,7 +52,7 @@ def _emit(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
     else:
         try:
-            with open(path, "w", newline="\n") as fh:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         except OSError as exc:
             raise DocumentError(f"cannot write {path}: {exc}") from exc
@@ -72,7 +71,7 @@ def _report(args: argparse.Namespace, result: dict) -> str:
 
 def _load(path: str) -> Any:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
@@ -106,7 +105,7 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
         _emit(table_tsv(rows), args.output)
     else:
         result = {
-            "rows": [{c: getattr(r, c) for c in TABLE_COLUMNS} for r in rows],
+            "rows": [r._asdict() for r in rows],
             "count": len(rows),
         }
         _emit(_report(args, result), args.output)
@@ -289,10 +288,7 @@ def main(argv: Optional[list] = None) -> int:
     except BudgetExceeded as exc:
         print(f"hypersel: budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except NonBijectiveTransfer as exc:
-        print(f"hypersel: {exc}", file=sys.stderr)
-        return 2
-    except (DocumentError, HyperselError, ValueError) as exc:
+    except (HyperselError, ValueError) as exc:
         print(f"hypersel: {exc}", file=sys.stderr)
         return 2
 

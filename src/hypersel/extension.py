@@ -279,10 +279,10 @@ def extend_composite(f: PartialSelection, n: int) -> PartialSelection:
     return extend_selection(f, m, p)
 
 
-def _iso_arities(f: PartialSelection, k: int, max_arity: Optional[int] = None) -> list:
-    """The arities 2..min(max_arity or f's bound, k) that f admits: those
-    at which an isomorphism between k-subsets must respect f."""
-    top = min(f.bound if max_arity is None else max_arity, k)
+def _iso_arities(f: PartialSelection, k: int) -> list:
+    """The arities 2..min(f's bound, k) that f admits: those at which an
+    isomorphism between k-subsets must respect f."""
+    top = min(f.bound, k)
     return [n for n in range(2, top + 1) if f.admits(n)]
 
 
@@ -290,10 +290,9 @@ def certified_isomorphism(
     f: PartialSelection,
     x: Iterable[Label],
     y: Iterable[Label],
-    max_arity: Optional[int] = None,
 ) -> Optional[IsoMap]:
     """A bijection x -> y that is an isomorphism of every restriction of
-    f at the arities 2..min(max_arity or k, |x|) that f admits, or None.
+    f at the arities 2..min(f's bound, |x|) that f admits, or None.
     Searches relabelings grouped by joint score vectors, so typical
     structures need very few tries."""
     xi = tuple(sorted(f.carrier.index(v) for v in x))
@@ -301,7 +300,7 @@ def certified_isomorphism(
     if len(xi) != len(yi):
         return None
     k = len(xi)
-    arities = _iso_arities(f, k, max_arity)
+    arities = _iso_arities(f, k)
     gx = {n: restrict(f, (f.carrier.labels[i] for i in xi), n) for n in arities}
     gy = {n: restrict(f, (f.carrier.labels[i] for i in yi), n) for n in arities}
 

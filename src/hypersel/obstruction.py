@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BrokenInvariant, NotPrime, OutOfRange
 from .structures import (
@@ -206,8 +206,7 @@ def search_regular(m: int, n: int, budget: int = DEFAULT_BUDGET) -> SearchResult
     return SearchResult(s, True, nodes)
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     m: int
     p: int
     binom: int
@@ -242,23 +241,13 @@ def obstruction_table(max_m: int, budget: int = DEFAULT_BUDGET) -> list:
     return rows
 
 
-TABLE_COLUMNS = ("m", "p", "binom", "divisible", "lucas_residue", "search_status")
+TABLE_COLUMNS = TableRow._fields
 
 
 def table_tsv(rows) -> str:
     """Tab-separated rendering with header row and LF line endings."""
     lines = ["\t".join(TABLE_COLUMNS)]
     for r in rows:
-        lines.append(
-            "\t".join(
-                (
-                    str(r.m),
-                    str(r.p),
-                    str(r.binom),
-                    "true" if r.divisible else "false",
-                    str(r.lucas_residue),
-                    r.search_status,
-                )
-            )
-        )
+        cells = [("true" if v else "false") if type(v) is bool else str(v) for v in r]
+        lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"

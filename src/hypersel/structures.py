@@ -198,32 +198,12 @@ def rotational_tournament(m: int) -> SelectionStructure:
     return SelectionStructure(ground_range(m), 2, picks)
 
 
-@dataclass(frozen=True, eq=True)
-class ScoreProfile:
-    """Scores per label plus the level classes {label: score == k}."""
-
-    scores: dict
-    classes: dict
-
-    def total(self) -> int:
-        return sum(self.scores.values())
-
-
 def score_vector(s: SelectionStructure) -> tuple:
     """Scores by ground index."""
     w = [0] * s.size
     for p in s.picks:
         w[p] += 1
     return tuple(w)
-
-
-def score(s: SelectionStructure) -> ScoreProfile:
-    w = score_vector(s)
-    scores = {s.ground.labels[i]: w[i] for i in range(s.size)}
-    classes: dict = {}
-    for i, k in enumerate(w):
-        classes.setdefault(k, []).append(s.ground.labels[i])
-    return ScoreProfile(scores, {k: frozenset(v) for k, v in classes.items()})
 
 
 def is_regular(s: SelectionStructure) -> bool:
@@ -474,46 +454,38 @@ def enumerate_selections(
     n: int,
     up_to_iso: bool = False,
     budget: int = DEFAULT_BUDGET,
-    start: int = 0,
-    stop: Optional[int] = None,
 ) -> Iterator[SelectionStructure]:
     """Stream every structure of arity n on the ground 0..m-1.
 
     Order is subset-rank-major, ground-order-minor: the rank-0 choice is
     the most significant digit and candidates within a subset follow the
-    ground order.  start/stop slice that order, so workers can split a
-    stream by index range.
+    ground order.
 
     With up_to_iso, the canonical form of the first structure of each
-    isomorphism class in the slice is yielded, in order of first
-    appearance.  Each new class marks the indices of all m! relabelings
-    of its first structure in a byte map over the slice, and a marked
-    index is skipped without being decoded.
+    isomorphism class is yielded, in order of first appearance.  Each
+    new class marks the indices of all m! relabelings of its first
+    structure in a byte map over the index range, and a marked index is
+    skipped without being decoded.
 
     Cost is metered in table cells: count = C(m, n) per index walked,
     plus m! * count per new class for marking its orbit.  Exceeding the
     budget raises BudgetExceeded, eagerly (before any table is built)
-    when the slice alone is too large.
+    when the labeled structures alone are too many.
     """
     if not 1 <= n <= m:
         raise ValueError(f"arity {n} out of range for ground of size {m}")
-    if start < 0:
-        raise ValueError(f"start must be non-negative, got {start}")
     # C(m, n) >= 2**min(n, m - n): past the budget's bit length it is
     # over budget, and comb is not computed (it could take minutes)
     over = min(n, m - n) >= budget.bit_length()
     count = budget + 1 if over else math.comb(m, n)
     if count > budget:
         raise BudgetExceeded(f"C({m},{n}) cells per structure exceed budget {budget}")
-    lo = start
-    # only whether the slice holds more than budget // count structures
+    # only whether there are more than budget // count structures
     # matters, so n**count >= 2**(count * (bits of n - 1)) is not
     # computed once that bound passes cap
-    cap = lo + budget // count + 1
+    cap = budget // count + 1
     total = n**count if count * (n.bit_length() - 1) < cap.bit_length() else cap
-    hi = total if stop is None else min(stop, total)
-    span = max(hi - lo, 0)
-    if span * count > budget:
+    if total * count > budget:
         raise BudgetExceeded(
             f"more than {budget // count} structures x {count} cells exceed budget {budget}"
         )
@@ -536,14 +508,14 @@ def enumerate_selections(
 
     def labeled() -> Iterator[SelectionStructure]:
         cells = 0
-        for idx in range(lo, hi):
+        for idx in range(total):
             cells += count
             if cells > budget:
                 raise BudgetExceeded(f"budget {budget} exhausted mid-stream")
             yield structure(decode(idx))
 
     def classes() -> Iterator[SelectionStructure]:
-        marked = bytearray(span)
+        marked = bytearray(total)
         orbit_cells = math.factorial(m) * count
         found = 0
         columns = None
@@ -554,15 +526,14 @@ def enumerate_selections(
                 raise BudgetExceeded(f"budget {budget} exhausted mid-stream")
             if columns is None:
                 columns = _relabeling_columns(m, n)
-            digits = decode(lo + pos)
+            digits = decode(pos)
             terms = [columns[r][d] for r, d in enumerate(digits)]
             for idx in map(sum, zip(*terms)):
-                if lo <= idx < hi:
-                    marked[idx - lo] = 1
+                marked[idx] = 1
             canon, _ = canonical_form(structure(digits))
             yield canon
             pos = marked.find(0, pos + 1)
-        if span * count + found * orbit_cells > budget:
+        if total * count + found * orbit_cells > budget:
             raise BudgetExceeded(f"budget {budget} exhausted mid-stream")
 
     return classes() if up_to_iso else labeled()

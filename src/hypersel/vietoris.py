@@ -216,23 +216,20 @@ def _preserved(selection: PartialSelection, spans: list, arities: Sequence[int])
     return True
 
 
-def _descent(model: ModelSpace, idx: Sequence[int], shifts: Iterable[int],
-             max_radius: Optional[Fraction] = None):
+def _descent(model: ModelSpace, idx: Sequence[int], shifts: Iterable[int]):
     """(a, b, spans) per shift k in shifts: members of radius a / (b D),
     the starting radius over 2^k, around the sample points with indices
     idx (ascending) hold the index ranges spans.  The start is half the
     points' least gap, for a lone point the least gap to its adjacent
-    sample points (1 when it has none), capped at max_radius."""
+    sample points (1 when it has none)."""
     d, keys, _ = model.grid
     centers = [keys[i] for i in idx]
     near = keys[max(idx[0] - 1, 0):idx[0] + 2] if len(idx) == 1 else centers
     gap = min((y - x for x, y in zip(near, near[1:])), default=None)
     a, b = (d, 1) if gap is None else (gap, 2)  # the radius times D is a / b
-    if max_radius is not None and max_radius * d < Fraction(a, b):
-        a, b = Fraction(max_radius * d).as_integer_ratio()
-    if a == 0:  # a repeated point or a zero cap: the members are empty
+    if a == 0:  # a repeated point: the members are empty
         raise ValueError("empty interval ({0}, {0})".format(model.points[idx[0]]))
-    for k in shifts if a > 0 else ():
+    for k in shifts:
         # a center c holds the keys less than ceil(a / b) away
         bk = b << k
         w = -(-a // bk)
@@ -243,7 +240,6 @@ def find_preserving_neighborhoods(
     model: ModelSpace,
     pts: Iterable[Fraction],
     arities: Iterable[int],
-    max_radius: Optional[Fraction] = None,
 ) -> OpenFamily:
     """Disjoint intervals around the given sample points preserving
     relations at every requested arity, found by halving a common
@@ -263,7 +259,7 @@ def find_preserving_neighborhoods(
     wanted = sorted(set(arities))
     idx, ps = zip(*at)
     last = None
-    for a, b, spans in _descent(model, idx, range(RADIUS_FLOOR_SHIFT + 1), max_radius):
+    for a, b, spans in _descent(model, idx, range(RADIUS_FLOOR_SHIFT + 1)):
         if spans != last:
             last = spans
             if _preserved(model.selection, spans, wanted):

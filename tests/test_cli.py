@@ -1,5 +1,6 @@
 """The CLI front end: one parser per process, argument fuzz over every
-subcommand, unwritable outputs and the one-shot entry point."""
+subcommand, unwritable outputs, the one-shot entry point and UTF-8
+documents under any locale."""
 
 import io
 import os
@@ -16,7 +17,7 @@ from hypersel import __version__, cli
 from hypersel.chains import derive_nice_family
 from hypersel.documents import dumps, write_model, write_partial, write_system
 from hypersel.extension import order_partial
-from hypersel.structures import ground_range
+from hypersel.structures import GroundSet, ground_range
 
 from oracles import conflict_system, cyclic_model, flip_model
 
@@ -230,3 +231,46 @@ class TestOneShot:
 
     def test_version(self):
         assert call(["--version"]) == (0, __version__ + "\n", "")
+
+
+def run_module(flags, argv, **env):
+    """``python FLAGS -m hypersel.cli ARGV`` in its own process."""
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "hypersel.cli", *argv], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": SRC, **env},
+    )
+
+
+class TestDocumentEncoding:
+    """Documents are read and reports written as UTF-8, whatever the
+    locale's encoding."""
+
+    def test_non_ascii_label_under_c_locale(self, tmp_path):
+        doc = tmp_path / "partial.json"
+        partial = order_partial(GroundSet(("a", "\u00e9", "c", "d")), 2, "min")
+        doc.write_text(dumps(write_partial(partial)), encoding="utf-8")
+        out = tmp_path / "report"
+        argv = ["extend", str(doc), "4", "2", "--output", str(out)]
+        results = []
+        for utf8 in ("utf8=0", "utf8=1"):
+            done = run_module(["-X", utf8], argv, LC_ALL="C")
+            results.append((done.returncode, done.stderr, out.read_bytes()))
+            out.unlink()
+        assert results[0] == results[1]
+        assert results[0][:2] == (0, "") and "\u00e9".encode() in results[0][2]
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "3", "2"],
+        ["obstruct", "5"],
+        ["extend", "{partial}", "4", "2"],
+        ["chains", "derive", "{cyclic}"],
+        ["model", "check-continuity", "{flip}"],
+    ], ids=" ".join)
+    def test_no_default_encoding(self, docs, tmp_path, argv):
+        out = tmp_path / "report"
+        argv = [a.format(**docs) for a in argv] + ["--output", str(out)]
+        flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        done = run_module(flags, argv)
+        got = (done.returncode, done.stdout, done.stderr, out.read_bytes())
+        out.unlink()
+        assert got == call(argv) + (out.read_bytes(),)
