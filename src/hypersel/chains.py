@@ -15,12 +15,15 @@ the distinct member intervals by left endpoint.  Row i of the graph,
 the unique-meet edges out of family i as an ascending adjacency list,
 is filled only when asked for: its candidates are the families touching
 every member of i, and exact member hits are tested on those alone, so
-a refutation in an early row never pays for the later ones.  A point
-index maps each sample point to the families (and members) containing
-it; the families covering a sample subset are the intersection of its
-points' entries, which places a subset without testing every family.
-The single-pair entry points (meets_uniquely, covers, and
-vietoris.intersect_nonempty) use the same member-hit test.
+a refutation in an early row never pays for the later ones.  The cover,
+also built on first use, is walked from the families' side: members
+are pairwise disjoint, so a sample subset lies in a family's Vietoris
+open exactly when it is one of the family's transversals, one point
+index from each member's range.  Placing every covered subset thus
+costs one step per (family, covered subset) pair, and a subset is then
+placed by one dict lookup.  The single-pair entry points
+(meets_uniquely, covers, and vietoris.intersect_nonempty) use the same
+member-hit test.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Optional
 
 from .errors import (
@@ -116,21 +120,25 @@ class MeetGraph:
     def __init__(self, system: FamilySystem):
         fams = system.families
         points = system.model.points
-        scale = math.lcm(*{q.denominator for f in fams for b in f.bounds for q in b},
+        # the readers share one IntervalOpen between equal members, so
+        # each distinct object is scaled once
+        opens = {id(u): u for f in fams for u in f.members}
+        scale = math.lcm(*{q.denominator for u in opens.values() for q in (u.lo, u.hi)},
                          *{p.denominator for p in points})
 
         def key(q):
             return q.numerator * (scale // q.denominator)
 
+        scaled = {i: (key(u.lo), key(u.hi)) for i, u in opens.items()}
         self.size = system.arity
-        self.keys = [tuple((key(lo), key(hi)) for lo, hi in f.bounds) for f in fams]
+        self.keys = [tuple(scaled[id(u)] for u in f.members) for f in fams]
         self.points = [key(p) for p in points]
         owners: dict = {}
         for f, ks in enumerate(self.keys):
-            for a, k in enumerate(ks):
-                owners.setdefault(k, []).append((f, a))
+            for k in ks:
+                owners.setdefault(k, []).append(f)
         # the distinct member intervals sorted by lo, each with the
-        # (family, member) pairs that share it
+        # families that have it as a member
         self.spans = sorted(owners)
         self.owners = [owners[k] for k in self.spans]
         self.los = [lo for lo, _ in self.spans]
@@ -138,19 +146,15 @@ class MeetGraph:
         self.rows: list = [None] * len(fams)
         self._touch: dict = {}
 
-    def _near(self, lo, hi) -> list:
-        """(family, member) pairs whose member meets the open (lo, hi),
-        or contains p when called as (p, p).  A member meeting it starts
-        after lo - reach and before hi."""
-        start = bisect_right(self.los, lo - self.reach)
-        window = self.spans[start:bisect_left(self.los, hi)]
-        (hits,) = member_hits([(lo, hi)], window)
-        return [pair for h in hits for pair in self.owners[start + h]]
-
     def _touching(self, k: tuple) -> set:
-        """The families with a member meeting the member interval k."""
+        """The families with a member meeting the member interval k.  A
+        member meeting it starts after lo - reach and before hi."""
         if k not in self._touch:
-            self._touch[k] = {f for f, _ in self._near(*k)}
+            lo, hi = k
+            start = bisect_right(self.los, lo - self.reach)
+            window = self.spans[start:bisect_left(self.los, hi)]
+            (hits,) = member_hits([k], window)
+            self._touch[k] = {f for h in hits for f in self.owners[start + h]}
         return self._touch[k]
 
     def row(self, i: int) -> tuple:
@@ -175,24 +179,34 @@ class MeetGraph:
         return self.rows[i]
 
     @cached_property
-    def holders(self) -> list:
-        """Per sample point, {family: the member containing the point}."""
-        return [dict(self._near(p, p)) for p in self.points]
+    def cover(self) -> dict:
+        """{s: [(family, members)]} for every ascending tuple s of sample
+        point indices lying in some family's Vietoris open, families
+        ascending; members[k] is the member holding point s[k].
+
+        Family f holds exactly its transversals.  Walking the members in
+        ascending position makes each transversal ascending, and gives
+        every transversal of f the same members tuple."""
+        pts = self.points
+        cover: dict = {}
+        for f, ks in enumerate(self.keys):
+            order = tuple(sorted(range(len(ks)), key=ks.__getitem__))
+            entry = (f, order)
+            ranges = [range(bisect_right(pts, ks[a][0]), bisect_left(pts, ks[a][1]))
+                      for a in order]
+            for s in product(*ranges):
+                held = cover.get(s)
+                if held is None:
+                    cover[s] = [entry]
+                else:
+                    held.append(entry)
+        return cover
 
     def covering(self, s: tuple) -> list:
-        """(family, members) for every family whose Vietoris open holds
-        the sample points with indices s, one point per member, ascending
-        by family; members[k] is the member holding point s[k]."""
-        if len(s) != self.size:
-            return []
-        held = [self.holders[k] for k in s]
-        cands = set(held[0]).intersection(*held[1:]) if held else range(len(self.keys))
-        out = []
-        for f in sorted(cands):
-            members = [h[f] for h in held]
-            if len(set(members)) == len(s):
-                out.append((f, members))
-        return out
+        """The cover's entry for the sample point indices s (ascending),
+        or [] when no family's Vietoris open holds them.  The entry is
+        the cover's own list: callers read it and never change it."""
+        return self.cover.get(s, [])
 
 
 def chain_classes(system: FamilySystem) -> list:
@@ -281,9 +295,10 @@ def is_nice(system: FamilySystem) -> Verdict:
 class BuiltSelection:
     """Classwise selection assembled from a nice system.
 
-    values maps each covered sample subset (tuple sorted ascending) to
-    its selected point; uncovered lists the subsets in no family's
-    Vietoris open: out of cover, not an error.
+    Subsets and points are model point indices: values maps each
+    covered sample subset (ascending index tuple) to the index of its
+    selected point, in rank order; uncovered lists the subsets in no
+    family's Vietoris open, in rank order: out of cover, not an error.
     """
 
     values: dict
@@ -342,14 +357,14 @@ def build_selection_from_nice(
     uncovered = []
     subs, _ = subset_ranks(model.size, m) if m <= model.size else ((), {})
     for s in subs:
-        pts = tuple(model.points[i] for i in s)
-        picks = {pts[members.index(targets[f])] for f, members in graph.covering(s)}
+        picks = {s[members.index(targets[f])] for f, members in graph.covering(s)}
         if len(picks) > 1:
+            pts = tuple(model.points[i] for i in s)
             raise CoverConflict(f"covering families of {pts} disagree despite niceness")
         if picks:
-            values[pts] = picks.pop()
+            values[s] = picks.pop()
         else:
-            uncovered.append(pts)
+            uncovered.append(s)
     return BuiltSelection(
         values, tuple(uncovered), tuple(chosen_bases), tuple(tuple(c) for c in comps)
     )

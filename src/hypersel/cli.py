@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Any, Optional
 
@@ -43,13 +44,22 @@ from .errors import (
 )
 from .extension import extend_selection, least_small_class, partition_types
 from .obstruction import obstruction_table, table_tsv
-from .structures import DEFAULT_BUDGET, enumerate_selections, subset_ranks
+from .structures import DEFAULT_BUDGET, enumerate_selections
 from .vietoris import check_continuity
 
 
 def _emit(text: str, path: Optional[str]) -> None:
+    """Write text as UTF-8 to path, or to stdout when path is None.  A
+    stdout with a byte buffer gets the UTF-8 bytes whatever its own
+    encoding; a text-only stream (``io.StringIO``) gets the text."""
     if path is None:
-        sys.stdout.write(text)
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            out.write(text.encode("utf-8"))
+            out.flush()
     else:
         try:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -146,19 +156,20 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def _cover_diagnostics(system) -> dict:
+    """The covered sample subsets in rank order, as labels, and the
+    count of uncovered ones."""
     model = system.model
     m = system.arity
     covered = []
-    uncovered = []
+    uncovered_count = 0
     if 0 < m <= model.size:
-        subs, _ = subset_ranks(model.size, m)
-        for s in subs:
-            target = covered if system.graph.covering(s) else uncovered
-            target.append([label_str(model.points[i]) for i in s])
+        names = [label_str(p) for p in model.points]
+        covered = [[names[i] for i in s] for s in sorted(system.graph.cover)]
+        uncovered_count = math.comb(model.size, m) - len(covered)
     return {
         "covered": covered,
         "covered_count": len(covered),
-        "uncovered_count": len(uncovered),
+        "uncovered_count": uncovered_count,
     }
 
 
@@ -187,13 +198,14 @@ def cmd_chains(args: argparse.Namespace) -> int:
         result = {"built": False, "witness": jsonable(exc.verdict.witness), "error": str(exc)}
         _emit(_report(args, result), args.output)
         return 1
+    names = [label_str(p) for p in system.model.points]
     result = {
         "built": True,
         "values": [
-            {"subset": [label_str(p) for p in pts], "pick": label_str(v)}
-            for pts, v in built.values.items()
+            {"subset": [names[i] for i in s], "pick": names[v]}
+            for s, v in built.values.items()
         ],
-        "uncovered": [[label_str(p) for p in pts] for pts in built.uncovered],
+        "uncovered": [[names[i] for i in s] for s in built.uncovered],
         "bases": [list(b) for b in built.bases],
         "components": [list(c) for c in built.components],
     }

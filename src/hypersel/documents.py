@@ -39,7 +39,8 @@ from .vietoris import IntervalOpen, ModelSpace, OpenFamily, model_space
 
 
 def fraction_str(q: Fraction) -> str:
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -155,23 +156,28 @@ def _int(x: Any, where: str) -> int:
 
 _CHOICE_KEYS = frozenset(("subset", "pick"))
 _INTERVAL_KEYS = frozenset(("lo", "hi"))
+_FAMILY_KEYS = frozenset(("intervals",))
 
 
 def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
                   parse: bool) -> tuple:
     """Choice records to ({ascending index tuple: pick index}, names as in
-    LabelIndex); each string not in strings (the carrier) resolved once."""
+    LabelIndex); each string not in strings (the carrier) resolved once.
+
+    A well-formed record over labels already resolved is read in one
+    step; any other record goes through the per-field checks, which
+    raise in the same order as for a record read alone."""
     if not isinstance(doc, list):
         raise DocumentError(f"{where}: expected a list of choice records")
     index = LabelIndex(carrier)
     ids = dict(zip(strings, range(len(strings))))
+    known = ids.__getitem__
 
     def resolve(x: str, field: str) -> int:
         ids[x] = i = index[parse_fraction(x, f"{where}.{field}") if parse else x]
         return i
 
-    table: dict = {}
-    for r, rec in enumerate(doc):
+    def checked_key(r: int, rec: Any) -> tuple:
         if not (isinstance(rec, dict) and rec.keys() == _CHOICE_KEYS):
             _check_fields(rec, ("subset", "pick"), f"{where}[{r}]")
         subset, pick = rec["subset"], rec["pick"]
@@ -179,12 +185,28 @@ def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
             raise DocumentError(f"{where}[{r}].subset: expected a list of strings")
         if not isinstance(pick, str):
             raise DocumentError(f"{where}[{r}].pick: expected a string")
-        key = tuple(sorted({ids[x] if x in ids else resolve(x, "subset") for x in subset}))
+        return tuple(sorted({ids[x] if x in ids else resolve(x, "subset") for x in subset}))
+
+    table: dict = {}
+    for r, rec in enumerate(doc):
+        pick = None
+        if type(rec) is dict and rec.keys() == _CHOICE_KEYS and type(rec["subset"]) is list:
+            try:  # ids holds strings only, so any other label misses
+                key = tuple(sorted(set(map(known, rec["subset"]))))
+                pick = known(rec["pick"])
+            except (TypeError, KeyError):
+                pass
+        if pick is None:
+            key = checked_key(r, rec)
+        subset = rec["subset"]
         if len(key) != len(subset):
             raise DocumentError(f"{where}[{r}].subset: repeated labels")
         if key in table:
             raise DocumentError(f"{where}[{r}].subset: duplicate subset")
-        table[key] = ids[pick] if pick in ids else resolve(pick, "pick")
+        if pick is None:
+            x = rec["pick"]
+            pick = ids[x] if x in ids else resolve(x, "pick")
+        table[key] = pick
     return table, index.names
 
 
@@ -258,18 +280,19 @@ def write_family(fam: OpenFamily) -> dict:
 
 def read_family(doc: Any, intervals: Optional[dict] = None) -> OpenFamily:
     """intervals maps (lo, hi) strings to the opens read from them."""
-    _check_fields(doc, ("intervals",), "family")
+    if not (isinstance(doc, dict) and doc.keys() == _FAMILY_KEYS):
+        _check_fields(doc, ("intervals",), "family")
     if not isinstance(doc["intervals"], list):
         raise DocumentError("family.intervals: expected a list")
     intervals = {} if intervals is None else intervals
     members = []
     for i, rec in enumerate(doc["intervals"]):
-        here = f"family.intervals[{i}]"
         if not (isinstance(rec, dict) and rec.keys() == _INTERVAL_KEYS):
-            _check_fields(rec, ("lo", "hi"), here)
+            _check_fields(rec, ("lo", "hi"), f"family.intervals[{i}]")
         lo, hi = rec["lo"], rec["hi"]
         u = intervals.get((lo, hi)) if isinstance(lo, str) and isinstance(hi, str) else None
         if u is None:
+            here = f"family.intervals[{i}]"
             u = IntervalOpen(parse_fraction(lo, f"{here}.lo"), parse_fraction(hi, f"{here}.hi"))
             intervals[lo, hi] = u
         members.append(u)

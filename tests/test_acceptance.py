@@ -229,7 +229,9 @@ def test_criterion_6_chains_roundtrip(capsys):
             assert regular_class_cover_check(system, 2).ok
             built = build_selection_from_nice(system)
             # covering-family independence, re-derived per family
-            for pts, value in built.values.items():
+            points = system.model.points
+            for s, pick in built.values.items():
+                pts, value = tuple(points[i] for i in s), points[pick]
                 for fi, fam in enumerate(system.families):
                     if not covers(fam, pts):
                         continue

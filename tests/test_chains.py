@@ -159,28 +159,34 @@ class TestBuild:
         with pytest.raises(NonBijectiveTransfer):
             build_selection_from_nice(collapse_pair_system())
 
+    # no point equals its index, so values and uncovered must be on
+    # indices: u holds points 0 and 2, v points 1 and 3
+    QUARTERS = [F(1, 4), F(5, 4), F(9, 4), F(13, 4)]
+
     def test_values_and_uncovered(self):
         u = family((0, 1), (2, 3))
         v = family((F(1, 2), F(3, 2)), (F(5, 2), F(7, 2)))
-        model = order_model([0, 1, 2, 3], 2, "min")
+        model = order_model(self.QUARTERS, 2, "min")
         built = build_selection_from_nice(FamilySystem((u, v), model))
-        assert built.values == {(F(1), F(3)): F(1)}
-        assert (F(0), F(2)) in built.uncovered
+        assert built.values == {(0, 2): 0, (1, 3): 1}
+        assert built.uncovered == ((0, 1), (0, 3), (1, 2), (2, 3))
         assert built.bases == ((0, 0),)
 
     def test_base_member_selects_other_value(self):
         u = family((0, 1), (2, 3))
         v = family((F(1, 2), F(3, 2)), (F(5, 2), F(7, 2)))
-        model = order_model([0, 1, 2, 3], 2, "min")
+        model = order_model(self.QUARTERS, 2, "min")
         built = build_selection_from_nice(
             FamilySystem((u, v), model), bases={0: (0, 1)}
         )
-        assert built.values == {(F(1), F(3)): F(3)}
+        assert built.values == {(0, 2): 2, (1, 3): 3}
 
     def test_covering_family_independence(self):
         system = derive_nice_family(cyclic_model(), 2)
         built = build_selection_from_nice(system)
-        for pts, value in built.values.items():
+        points = system.model.points
+        for s, value in built.values.items():
+            pts = tuple(points[i] for i in s)
             for fam in system.families:
                 if covers(fam, pts):
                     # re-derive the value from this family alone
@@ -190,7 +196,7 @@ class TestBuild:
                         p for p in pts
                         if fam.members[link.mapping[base_m]].contains(p)
                     ]
-                    assert inside == [value]
+                    assert inside == [points[value]]
 
 
 class TestDerive:
@@ -203,15 +209,13 @@ class TestDerive:
             assert is_nice(system).ok
             assert regular_class_cover_check(system, 2).ok
             built = build_selection_from_nice(system)
-            pts = system.model.points
-            assert built.values == {pts: pts[0]}
+            assert built.values == {(0, 1, 2): 0}
 
     def test_roundtrip_base_member_choice(self):
         system = derive_nice_family(cyclic_model(), 2)
-        pts = system.model.points
         for k in (0, 1, 2):
             built = build_selection_from_nice(system, bases={0: (0, k)})
-            assert built.values == {pts: pts[k]}
+            assert built.values == {(0, 1, 2): k}
 
     def test_odd_arity_rejected(self):
         with pytest.raises(ValueError):
@@ -271,14 +275,30 @@ class TestOracleAgreement:
 
 
 def _outcome(system, bases=None):
-    """The build result in oracle_build's shape."""
+    """The build result in oracle_build's shape: subsets and picks
+    translated from point indices to the model's points."""
     try:
         built = build_selection_from_nice(system, bases)
     except NotNice as exc:
         return "not-nice", exc.verdict.witness
     except NonBijectiveTransfer:
         return "non-bijective", None
-    return "built", (built.values, built.uncovered, built.bases, built.components)
+    points = system.model.points
+    values = {tuple(points[i] for i in s): points[v] for s, v in built.values.items()}
+    uncovered = tuple(tuple(points[i] for i in s) for s in built.uncovered)
+    return "built", (values, uncovered, built.bases, built.components)
+
+
+def _oracle_covering(system, s):
+    """(family, members) for every family holding the points with
+    indices s, members[k] being the member that holds point s[k]."""
+    pts = tuple(system.model.points[i] for i in s)
+    out = []
+    for f, fam in enumerate(system.families):
+        placement = oracle_placement(fam, pts)
+        if placement is not None:
+            out.append((f, tuple(placement.index(p) for p in pts)))
+    return out
 
 
 def _assert_agrees(system, rng):
@@ -295,9 +315,11 @@ def _assert_agrees(system, rng):
     comps = oracle_components(system)
     bases = {ci: (rng.choice(c), rng.randrange(system.arity)) for ci, c in enumerate(comps)}
     assert _outcome(system, bases) == oracle_build(system, bases)
-    assert _cover_diagnostics(system)["covered"] == [
-        [label_str(p) for p in pts] for pts in oracle_covered(system)
-    ]
+    cover = _cover_diagnostics(system)
+    covered = oracle_covered(system)
+    assert cover["covered"] == [[label_str(p) for p in pts] for pts in covered]
+    pool = list(combinations(system.model.points, system.arity)) if system.arity else []
+    assert cover["uncovered_count"] == len(pool) - len(covered)
     for u in fams:
         for v in fams:
             assert intersect_nonempty(u, v) == oracle_overlap(u, v)
@@ -310,6 +332,8 @@ def _assert_agrees(system, rng):
     for pts in combinations(system.model.points, system.arity):
         for fam in fams:
             assert covers(fam, pts) == (oracle_placement(fam, pts) is not None)
+    for s in combinations(range(system.model.size), system.arity):
+        assert graph.covering(s) == _oracle_covering(system, s)
 
 
 class TestMeetGraph:
@@ -346,6 +370,20 @@ class TestMeetGraph:
         assert sum(len(system.graph.row(i)[0]) for i in range(80)) == 6320
         assert (verdict.ok, verdict.witness) == oracle_niceness(system)
         assert roots == [0]
+
+    def test_cover_of_members_listed_out_of_order(self):
+        # members listed right to left: members[k] names the member
+        # holding the k-th point, not the k-th listed member
+        u = family((F(5, 2), F(7, 2)), (F(1, 2), F(3, 2)), (-1, 0))
+        v = family((-1, 0), (F(3, 2), F(5, 2)), (3, 4))
+        model = order_model([F(-1, 2), 1, 2, F(13, 4)], 2, "min")
+        system = FamilySystem((u, v), model)
+        assert system.graph.covering((0, 1, 3)) == [(0, (2, 1, 0))]
+        assert system.graph.covering((0, 2, 3)) == [(1, (0, 1, 2))]
+        assert system.graph.covering((0, 1, 2)) == []
+        assert system.graph.covering((0, 1)) == []
+        for s in combinations(range(4), 3):
+            assert system.graph.covering(s) == _oracle_covering(system, s)
 
     def test_touching_members_stay_disjoint(self):
         u = family((0, 1), (2, 3))

@@ -3,6 +3,7 @@ subcommand, unwritable outputs, the one-shot entry point and UTF-8
 documents under any locale."""
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -233,11 +234,11 @@ class TestOneShot:
         assert call(["--version"]) == (0, __version__ + "\n", "")
 
 
-def run_module(flags, argv, **env):
+def run_module(flags, argv, text=True, **env):
     """``python FLAGS -m hypersel.cli ARGV`` in its own process."""
     return subprocess.run(
         [sys.executable, *flags, "-m", "hypersel.cli", *argv], capture_output=True,
-        text=True, env={**os.environ, "PYTHONPATH": SRC, **env},
+        text=text, env={**os.environ, "PYTHONPATH": SRC, **env},
     )
 
 
@@ -258,6 +259,24 @@ class TestDocumentEncoding:
             out.unlink()
         assert results[0] == results[1]
         assert results[0][:2] == (0, "") and "\u00e9".encode() in results[0][2]
+
+    def test_non_ascii_report_on_stdout_under_c_locale(self, tmp_path):
+        doc = tmp_path / "partial.json"
+        partial = order_partial(GroundSet(("a", "\u00e9", "c", "d")), 2, "min")
+        doc.write_text(dumps(write_partial(partial)), encoding="utf-8")
+        out = tmp_path / "report"
+        argv = ["extend", str(doc), "4", "2"]
+        done = run_module(["-X", "utf8=0"], argv, text=False, LC_ALL="C")
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert "\u00e9".encode() in done.stdout
+        assert done.stdout == call(argv)[1].encode("utf-8")
+        # the --output report differs only in its recorded output path
+        filed = run_module(["-X", "utf8=0"], argv + ["--output", str(out)], LC_ALL="C")
+        assert (filed.returncode, filed.stdout, filed.stderr) == (0, "", "")
+        report = json.loads(out.read_bytes())
+        assert report["config"]["output"] == str(out)
+        report["config"]["output"] = None
+        assert dumps(report).encode("utf-8") == done.stdout
 
     @pytest.mark.parametrize("argv", [
         ["enumerate", "3", "2"],

@@ -188,6 +188,13 @@ class TestRejection:
         with pytest.raises(DocumentError):
             read_family([1, 2, 3])
 
+    def test_family_fields(self):
+        doc = write_family(family((0, 1)))
+        with pytest.raises(DocumentError, match=r"^family: unknown fields \['note'\]$"):
+            read_family({**doc, "note": "x"})
+        with pytest.raises(DocumentError, match=r"^family: missing fields \['intervals'\]$"):
+            read_family({})
+
 
 class TestModelLabels:
     def test_each_label_parsed_once(self, monkeypatch):
