@@ -81,14 +81,6 @@ class PrimeInput(HyperselError):
     """The composite-arity shortcut was invoked with a prime successor."""
 
 
-class NotAMember(HyperselError):
-    """The designated target open is not a member of the family."""
-
-
-class NoTransversal(HyperselError):
-    """A family member contains no sample point, so no transversal exists."""
-
-
 class NotModelContinuous(HyperselError):
     """Neighborhood shrinking hit the radius floor without preserving."""
 
@@ -118,11 +110,6 @@ class CoverConflict(HyperselError):
 
 class NonBijectiveTransfer(HyperselError):
     """Selection construction requires bijective transfer maps."""
-
-
-class PreconditionUnverified(HyperselError):
-    """Ambient hypotheses of a checked implication could not be
-    established, so a verdict would be meaningless."""
 
 
 class DocumentError(HyperselError):

@@ -229,13 +229,15 @@ def check_extension(f: PartialSelection, m: int, p: int) -> None:
     """Raise NotPrime, HypothesisViolated or ValueError unless
     extend_selection's preconditions hold: p prime, p <= k, m/2 <= k,
     p | m, p <= m <= carrier.  They are exactly what makes every
-    restriction non-regular, so the level-class rule is total."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    restriction non-regular, so the level-class rule is total.  p is
+    tested for primality only once it is known to be at most the bound,
+    so a huge p costs nothing."""
     if f.mode != MODE_UPTO:
         raise HypothesisViolated("extension needs an up-to-k selection")
     if p > f.bound:
         raise HypothesisViolated(f"need p <= bound, got p={p}, bound={f.bound}")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     if m > 2 * f.bound:
         raise HypothesisViolated(f"need m/2 <= bound, got m={m}, bound={f.bound}")
     if m % p != 0:

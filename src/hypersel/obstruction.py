@@ -11,7 +11,6 @@ certificate records the residue that actually carries the argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import BrokenInvariant, NotPrime, OutOfRange
@@ -99,8 +98,7 @@ def regular_score_value(m: int, n: int) -> Optional[int]:
     return math.comb(m, n) // m if divides_binom(m, n) else None
 
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
+class ObstructionCertificate(NamedTuple):
     """Checkable record for one (m, p) divisibility question."""
 
     m: int
@@ -122,10 +120,10 @@ def prime_obstruction_holds(m: int, p: int) -> ObstructionCertificate:
     With p | m the verdict is always regular-impossible and the residue
     is always 1; both facts are recomputed, never assumed.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     if not 2 <= p <= m:
         raise OutOfRange(f"need 2 <= p <= m, got p={p}, m={m}")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     binom = math.comb(m, p)
     divisible = binom % m == 0
     residue = lucas_binom_mod(m - 1, p - 1, p)
@@ -133,8 +131,7 @@ def prime_obstruction_holds(m: int, p: int) -> ObstructionCertificate:
     return ObstructionCertificate(m, p, binom, divisible, residue, verdict)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of a witness search for a regular structure.
 
     proven=True means the answer is definitive: either a witness was

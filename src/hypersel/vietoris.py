@@ -30,12 +30,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    ArityNotInDomain,
-    NoTransversal,
-    NotAMember,
-    NotModelContinuous,
-)
+from .errors import ArityNotInDomain, NotModelContinuous
 from .extension import PartialSelection, order_partial
 from .structures import GroundSet, SelectionStructure, subset_ranks
 from .verdict import PASS, Verdict, fail
@@ -82,9 +77,6 @@ class OpenFamily:
     def bounds(self) -> list:
         """The members' (lo, hi) endpoint pairs, in member order."""
         return [(u.lo, u.hi) for u in self.members]
-
-    def union_contains(self, p: Fraction) -> bool:
-        return any(u.contains(p) for u in self.members)
 
 
 def interval(lo, hi) -> IntervalOpen:
@@ -134,14 +126,6 @@ def order_model(points: Iterable, bound: int, rule: str) -> ModelSpace:
     return ModelSpace(pts, order_partial(GroundSet(pts), bound, rule))
 
 
-def vietoris_contains(fam: OpenFamily, s: Iterable[Fraction]) -> bool:
-    """s meets every member of fam and is contained in the union."""
-    pts = list(s)
-    return all(
-        any(u.contains(p) for p in pts) for u in fam.members
-    ) and all(fam.union_contains(p) for p in pts)
-
-
 def _level(selection: PartialSelection, n: int) -> SelectionStructure:
     if not selection.admits(n):
         raise ArityNotInDomain(f"selection does not admit arity {n}")
@@ -162,48 +146,6 @@ def _receiver(level: SelectionStructure, spans: Sequence[range]) -> Optional[int
                 return None
             got = k
     return got
-
-
-def _receiving(model: ModelSpace, members: Sequence[IntervalOpen]) -> Optional[int]:
-    """The index of the member receiving every pick, or None.  A member
-    holds the points with keys above floor(lo D), below ceil(hi D)."""
-    d, keys, _ = model.grid
-    spans = [range(bisect_right(keys, u.lo.numerator * d // u.lo.denominator),
-                   bisect_left(keys, -(-u.hi.numerator * d // u.hi.denominator)))
-             for u in members]
-    for i, (u, s) in enumerate(zip(members, spans)):
-        if not s:
-            raise NoTransversal(f"member {i} = ({u.lo}, {u.hi}) holds no sample point")
-    order = sorted(range(len(spans)), key=lambda j: spans[j].start)
-    k = _receiver(model.selection.levels[len(spans)], [spans[j] for j in order])
-    return None if k is None else order[k]
-
-
-def arrows_to(model: ModelSpace, fam: OpenFamily, target: IntervalOpen) -> bool:
-    """True iff every sampled transversal of fam selects inside target."""
-    if target not in fam.members:
-        raise NotAMember(f"({target.lo}, {target.hi}) is not a member of the family")
-    _level(model.selection, fam.size)
-    return _receiving(model, fam.members) == fam.members.index(target)
-
-
-def preserves_relations(
-    model: ModelSpace, fam: OpenFamily, n: Optional[int] = None
-) -> Verdict:
-    """Every n-subfamily has a member receiving all its selections.
-
-    n=None checks every arity 0 < i <= min(bound, size): the form needed
-    for selections defined on all small subsets at once.  The witness on
-    failure is (arity, member indices).
-    """
-    admitted = [i for i in range(1, fam.size + 1) if model.selection.admits(i)]
-    sizes = admitted if n is None else [n]
-    for i in sizes:
-        _level(model.selection, i)
-        for idxs in combinations(range(fam.size), i):
-            if _receiving(model, [fam.members[j] for j in idxs]) is None:
-                return fail((i, idxs))
-    return PASS
 
 
 def _preserved(selection: PartialSelection, spans: list, arities: Sequence[int]) -> bool:

@@ -17,7 +17,6 @@ from hypersel.errors import (
     ChoiceOutsideSubset,
     DocumentError,
     MissingSubset,
-    NoTransversal,
     NotModelContinuous,
 )
 from hypersel.extension import PartialSelection, admissible_sizes, make_partial
@@ -30,7 +29,6 @@ from hypersel.vietoris import (
     interval,
     model_space,
     order_model,
-    vietoris_contains,
 )
 
 
@@ -308,6 +306,18 @@ def oracle_read_system(doc) -> FamilySystem:
 
 # -- vietoris intersection -------------------------------------------------
 
+def oracle_union_contains(fam: OpenFamily, p: Fraction) -> bool:
+    return any(u.lo < p < u.hi for u in fam.members)
+
+
+def oracle_vietoris_contains(fam: OpenFamily, s) -> bool:
+    """s meets every member of fam and is contained in the union."""
+    pts = list(s)
+    return all(any(u.lo < p < u.hi for p in pts) for u in fam.members) and all(
+        oracle_union_contains(fam, p) for p in pts
+    )
+
+
 def oracle_intersect(u: OpenFamily, v: OpenFamily) -> bool:
     """Exhaustive witness search over cell midpoints.
 
@@ -319,10 +329,10 @@ def oracle_intersect(u: OpenFamily, v: OpenFamily) -> bool:
         {b for fam in (u, v) for i in fam.members for b in (i.lo, i.hi)}
     )
     mids = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
-    cand = [x for x in mids if u.union_contains(x) and v.union_contains(x)]
+    cand = [x for x in mids if oracle_union_contains(u, x) and oracle_union_contains(v, x)]
     for r in range(1, len(cand) + 1):
         for pts in combinations(cand, r):
-            if vietoris_contains(u, pts) and vietoris_contains(v, pts):
+            if oracle_vietoris_contains(u, pts) and oracle_vietoris_contains(v, pts):
                 return True
     return False
 
@@ -338,14 +348,18 @@ def oracle_points_in(model: ModelSpace, u) -> list:
     return [p for p in model.points if u.lo < p < u.hi]
 
 
+class EmptyMember(Exception):
+    """A member holds no sample point, so its family has no transversal."""
+
+
 def oracle_arrows_to(model: ModelSpace, members: tuple, target) -> bool:
     """Every transversal of the members (one sample point in each)
-    selects a point inside target; NoTransversal for an empty member."""
+    selects a point inside target; EmptyMember for an empty member."""
     pools = []
     for i, u in enumerate(members):
         pts = oracle_points_in(model, u)
         if not pts:
-            raise NoTransversal(f"member {i} = ({u.lo}, {u.hi}) holds no sample point")
+            raise EmptyMember(f"member {i} = ({u.lo}, {u.hi}) holds no sample point")
         pools.append(pts)
     return all(target.contains(model.selection.choose(t)) for t in product(*pools))
 

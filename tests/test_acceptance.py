@@ -15,7 +15,6 @@ import pytest
 from hypersel.chains import (
     FamilySystem,
     build_selection_from_nice,
-    covers,
     derive_nice_family,
     is_nice,
     meets_uniquely,
@@ -54,6 +53,7 @@ from oracles import (
     oracle_chains_agree,
     oracle_extend_value,
     oracle_intersect,
+    oracle_placement,
     oracle_unique_overlaps,
     random_points,
     random_system,
@@ -233,7 +233,7 @@ def test_criterion_6_chains_roundtrip(capsys):
             for s, pick in built.values.items():
                 pts, value = tuple(points[i] for i in s), points[pick]
                 for fi, fam in enumerate(system.families):
-                    if not covers(fam, pts):
+                    if oracle_placement(fam, pts) is None:
                         continue
                     comp = next(c for c in built.components if fi in c)
                     ci = built.components.index(comp)

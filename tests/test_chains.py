@@ -9,10 +9,8 @@ from hypersel.chains import (
     FamilySystem,
     build_selection_from_nice,
     chain_classes,
-    covers,
     derive_nice_family,
     is_nice,
-    overlap_unique_meet_check,
     meets_uniquely,
     regular_class_cover_check,
 )
@@ -22,13 +20,10 @@ from hypersel.errors import (
     CoverConflict,
     NonBijectiveTransfer,
     NotNice,
-    PreconditionUnverified,
     SizeMismatch,
     TransferConflict,
 )
 from hypersel.verdict import PASS
-from hypersel.structures import is_regular
-from hypersel.extension import restrict
 from hypersel.vietoris import family, intersect_nonempty, interval, order_model
 from hypersel.structures import subset_ranks
 
@@ -77,6 +72,14 @@ class TestMeets:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             meets_uniquely(family((0, 1)), family((0, 1), (2, 3)))
+
+    def test_placement_leaves_no_point_outside(self):
+        fam = family((0, 1), (2, 3))
+        inside = (F(1, 2), F(5, 2))
+        assert chains._placement(fam, inside) == oracle_placement(fam, inside) == inside
+        for pts in (inside + (F(7, 2),), (F(1, 2), F(3, 4)), (F(1, 2),)):
+            assert chains._placement(fam, pts) is None
+            assert oracle_placement(fam, pts) is None
 
 
 class TestIsNice:
@@ -188,7 +191,9 @@ class TestBuild:
         for s, value in built.values.items():
             pts = tuple(points[i] for i in s)
             for fam in system.families:
-                if covers(fam, pts):
+                placement = chains._placement(fam, pts)
+                assert placement == oracle_placement(fam, pts)
+                if placement is not None:
                     # re-derive the value from this family alone
                     base_f, base_m = built.bases[0]
                     link = meets_uniquely(system.families[base_f], fam)
@@ -233,25 +238,6 @@ class TestDerive:
         verdict = regular_class_cover_check(empty, 2)
         assert not verdict.ok
         assert verdict.witness == model.points
-
-
-class TestLemma:
-    def test_holds_on_derived_families(self):
-        system = derive_nice_family(cyclic_model(), 2)
-        u = system.families[0]
-        assert overlap_unique_meet_check(system.model, u, u, 2)
-
-    def test_unverifiable_preconditions(self):
-        system = derive_nice_family(cyclic_model(), 2)
-        bogus = family((10, 11), (12, 13), (14, 15))
-        with pytest.raises(PreconditionUnverified):
-            overlap_unique_meet_check(system.model, system.families[0], bogus, 2)
-
-    def test_wrong_size_rejected(self):
-        system = derive_nice_family(cyclic_model(), 2)
-        small = family((10, 11))
-        with pytest.raises(PreconditionUnverified):
-            overlap_unique_meet_check(system.model, system.families[0], small, 2)
 
 
 class TestOracleAgreement:
@@ -331,7 +317,7 @@ def _assert_agrees(system, rng):
                 assert link is None
     for pts in combinations(system.model.points, system.arity):
         for fam in fams:
-            assert covers(fam, pts) == (oracle_placement(fam, pts) is not None)
+            assert chains._placement(fam, pts) == oracle_placement(fam, pts)
     for s in combinations(range(system.model.size), system.arity):
         assert graph.covering(s) == _oracle_covering(system, s)
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersel import __version__, cli
+from hypersel import __version__, cli, extension
 from hypersel.chains import derive_nice_family
 from hypersel.documents import dumps, write_model, write_partial, write_system
 from hypersel.extension import order_partial
@@ -211,6 +211,18 @@ class TestUnwritableOutput:
         assert code == 2 and out == ""
         assert err.startswith(f"hypersel: cannot write {path}: ")
         assert err.count("\n") == 1
+
+
+class TestHugePrime:
+    def test_extend_beyond_the_bound_exits_one(self, docs, monkeypatch):
+        # the bound is checked before the trial division, which would
+        # take hours on 2**61 - 1
+        p = 2**61 - 1
+        monkeypatch.setattr(extension, "is_prime", lambda k: pytest.fail(f"primality of {k} tested"))
+        code, out, err = call(["extend", docs["partial"], "4", str(p)])
+        assert (code, err) == (1, "")
+        assert json.loads(out)["result"] == {
+            "valid": False, "error": f"need p <= bound, got p={p}, bound=2"}
 
 
 class TestOneShot:

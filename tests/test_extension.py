@@ -18,6 +18,7 @@ from hypersel.errors import (
     RegularInput,
 )
 from hypersel import extension
+from hypersel.obstruction import is_prime
 from hypersel.extension import (
     PartialSelection,
     certified_isomorphism,
@@ -361,6 +362,29 @@ class TestExtendSelection:
         f = order_partial(ground_range(4), 2, "min")
         with pytest.raises(HypothesisViolated):
             extend_selection(f, 6, 2)
+
+    def test_primality_tested_only_within_bound(self, monkeypatch):
+        # trial division on 2**61 - 1 takes hours: a p beyond the bound,
+        # or any p of an exact-mode selection, is refused before it
+        seen = []
+
+        def spy(k):
+            seen.append(k)
+            if k > 4:
+                raise AssertionError(f"primality of {k} tested beyond the bound")
+            return is_prime(k)
+
+        monkeypatch.setattr(extension, "is_prime", spy)
+        f = order_partial(ground_range(8), 4, "min")
+        for p in (2**61 - 1, 10**18 + 3, 10**18, 6, 5):
+            with pytest.raises(HypothesisViolated, match=f"^need p <= bound, got p={p}, bound=4$"):
+                extend_selection(f, 8, p)
+        exact = order_partial(ground_range(8), 4, "min", mode="exact")
+        with pytest.raises(HypothesisViolated, match="^extension needs an up-to-k selection$"):
+            extend_selection(exact, 8, 2**61 - 1)
+        with pytest.raises(NotPrime):
+            extend_selection(f, 8, 4)
+        assert seen == [4]
 
 
 class TestExtendComposite:

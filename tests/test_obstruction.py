@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersel import obstruction
 from hypersel.errors import NotPrime, OutOfRange
 from hypersel.obstruction import (
     ObstructionCertificate,
@@ -84,6 +85,7 @@ class TestCertificate:
         assert cert.lucas_residue == 1  # C(3,1) = 3 ≡ 1 (mod 2)
         assert cert.identity_holds()    # 2*6 = 4*3
         assert cert.verdict == "regular-impossible"
+        assert cert == (4, 2, 6, False, 1, "regular-impossible")
 
     def test_prime_equal_to_m(self):
         cert = prime_obstruction_holds(5, 5)
@@ -101,6 +103,13 @@ class TestCertificate:
     def test_p_larger_than_m_rejected(self):
         with pytest.raises(OutOfRange):
             prime_obstruction_holds(3, 5)
+
+    def test_range_checked_before_primality(self, monkeypatch):
+        # trial division on 2**61 - 1 takes hours; p > m is refused first
+        monkeypatch.setattr(obstruction, "is_prime", lambda k: pytest.fail(f"primality of {k} tested"))
+        for p in (2**61 - 1, 10**18, 1, 0):
+            with pytest.raises(OutOfRange, match=f"^need 2 <= p <= m, got p={p}, m=3$"):
+                prime_obstruction_holds(3, p)
 
     @settings(max_examples=120, deadline=None)
     @given(

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from hypersel import vietoris
 from hypersel.chains import FamilySystem, derive_nice_family, regular_class_cover_check
-from hypersel.errors import (
-    ArityNotInDomain,
-    NoTransversal,
-    NotAMember,
-    NotModelContinuous,
-)
+from hypersel.errors import ArityNotInDomain, NotModelContinuous
 from hypersel.extension import admissible_sizes, make_partial, order_partial, random_partial, restrict
 from hypersel.structures import GroundSet, is_regular
 from hypersel.vietoris import (
@@ -21,7 +16,6 @@ from hypersel.vietoris import (
     IntervalOpen,
     ModelSpace,
     OpenFamily,
-    arrows_to,
     check_continuity,
     family,
     find_preserving_neighborhoods,
@@ -29,8 +23,6 @@ from hypersel.vietoris import (
     interval,
     model_space,
     order_model,
-    preserves_relations,
-    vietoris_contains,
 )
 
 from oracles import (
@@ -39,7 +31,9 @@ from oracles import (
     oracle_continuity,
     oracle_intersect,
     oracle_neighborhoods,
+    oracle_points_in,
     oracle_preserves,
+    oracle_vietoris_contains,
     random_points,
 )
 
@@ -54,6 +48,18 @@ def random_family(rng, size):
             for i in range(size)
         )
     )
+
+
+def spans_of(model, members):
+    """(spans, order): the members' sample point index ranges, read off
+    the oracle's scan and sorted ascending as the kernels take them, and
+    order[k], the member holding spans[k]."""
+    ranges = []
+    for u in members:
+        idx = [model.points.index(p) for p in oracle_points_in(model, u)]
+        ranges.append(range(idx[0], idx[-1] + 1) if idx else range(0))
+    order = sorted(range(len(ranges)), key=lambda j: ranges[j].start)
+    return [ranges[j] for j in order], order
 
 
 class TestIntervals:
@@ -95,53 +101,43 @@ class TestIntervals:
 class TestVietorisMembership:
     def test_requires_hit_every_member(self):
         fam = family((0, 1), (2, 3))
-        assert vietoris_contains(fam, (F(1, 2), F(5, 2)))
-        assert not vietoris_contains(fam, (F(1, 2),))
+        assert oracle_vietoris_contains(fam, (F(1, 2), F(5, 2)))
+        assert not oracle_vietoris_contains(fam, (F(1, 2),))
 
     def test_requires_inside_union(self):
         fam = family((0, 1), (2, 3))
-        assert not vietoris_contains(fam, (F(1, 2), F(5, 2), F(7, 2)))
+        assert not oracle_vietoris_contains(fam, (F(1, 2), F(5, 2), F(7, 2)))
 
 
 class TestArrows:
     def test_worked_example(self):
+        # both transversals, {1/4, 9/4} and {1/2, 9/4}, pick in member 0
         model = order_model([F(1, 4), F(1, 2), F(9, 4)], 2, "min")
-        fam = family((0, 1), (2, 3))
-        assert arrows_to(model, fam, fam.members[0])
-        assert not arrows_to(model, fam, fam.members[1])
-
-    def test_target_must_be_member(self):
-        model = order_model([F(1, 4), F(1, 2), F(9, 4)], 2, "min")
-        fam = family((0, 1), (2, 3))
-        with pytest.raises(NotAMember):
-            arrows_to(model, fam, interval(5, 6))
-
-    def test_empty_member_raises(self):
-        model = order_model([F(1, 4), F(1, 2)], 2, "min")
-        fam = family((0, 1), (2, 3))
-        with pytest.raises(NoTransversal):
-            arrows_to(model, fam, fam.members[0])
+        spans, order = spans_of(model, family((0, 1), (2, 3)).members)
+        assert spans == [range(0, 2), range(2, 3)]
+        assert order[vietoris._receiver(model.selection.levels[2], spans)] == 0
 
     def test_arity_guard(self):
         model = order_model([0, 1, 2], 2, "min")
         fam = family((F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2)), (F(3, 2), F(5, 2)))
+        spans, _ = spans_of(model, fam.members)
         with pytest.raises(ArityNotInDomain):
-            preserves_relations(model, fam, 3)
+            vietoris._preserved(model.selection, spans, (3,))
 
 
 class TestPreservation:
     def test_min_model_preserves(self):
         model = order_model([0, 1, 2], 2, "min")
-        fam = family((F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2)))
-        assert preserves_relations(model, fam).ok
+        spans, _ = spans_of(model, family((F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2))).members)
+        assert vietoris._preserved(model.selection, spans, (1, 2))
 
     def test_flip_pair_fails(self):
+        # the member around 0 holds eps too; arity 1 holds, arity 2 fails
         model = flip_model()
-        eps = model.points[1]
-        fam = family((-F(1, 2), F(1, 2)), (F(1, 2), F(3, 2)))
-        verdict = preserves_relations(model, fam, 2)
-        assert not verdict.ok
-        assert verdict.witness[0] == 2
+        spans, _ = spans_of(model, family((-F(1, 2), F(1, 2)), (F(1, 2), F(3, 2))).members)
+        assert spans == [range(0, 2), range(2, 3)]
+        assert vietoris._preserved(model.selection, spans, (1,))
+        assert not vietoris._preserved(model.selection, spans, (2,))
 
 
 class TestNeighborhoods:
@@ -415,39 +411,44 @@ class TestDescentAgreement:
     @pytest.mark.parametrize("seed", range(30))
     def test_arrows_and_preservation(self, seed):
         # members end at sample points, 2^-51 or 1/194 beside them, in
-        # any order, and may hold no point
+        # any order; a family with a member holding no point has no
+        # transversal, and the kernels never see one
         model = mixed_model(seed)
+        sel = model.selection
         rng = random.Random(seed)
         ends = sorted({p + e for p in model.points for e in (0, EPS / 2, -EPS / 2, F(1, 194), F(-1, 194))})
-        sizes = [i for i in (1, 2, 3) if model.selection.admits(i)]
+        sizes = [i for i in (1, 2, 3) if sel.admits(i)]
 
         def verdict(call):
             try:
                 v = call()
-                return (v.ok, v.witness) if hasattr(v, "ok") else v
-            except (NoTransversal, ArityNotInDomain) as exc:
+                return v[0] if type(v) is tuple else v
+            except ArityNotInDomain as exc:
                 return type(exc), str(exc)
 
+        checked = 0
         for _ in range(40):
             k = rng.randint(1, 3)
             cuts = sorted(rng.sample(ends, 2 * k))
             members = [interval(cuts[2 * i], cuts[2 * i + 1]) for i in range(k)]
             rng.shuffle(members)
             fam = OpenFamily(tuple(members))
+            spans, order = spans_of(model, members)
+            if not all(spans):
+                continue
+            checked += 1
             for n in (1, 2, 3):
                 want = verdict(lambda: oracle_preserves(model, fam, n))
-                assert verdict(lambda: preserves_relations(model, fam, n)) == want
-            # n=None: the admitted arities up to the family size in turn
-            want = (True, None)
-            for i in (i for i in sizes if i <= k):
-                want = verdict(lambda: oracle_preserves(model, fam, i))
-                if want != (True, None):
-                    break
-            assert verdict(lambda: preserves_relations(model, fam)) == want
-            for u in members:
-                want = verdict(lambda: oracle_arrows_to(model, fam.members, u)) \
-                    if model.selection.admits(k) else (ArityNotInDomain, f"selection does not admit arity {k}")
-                assert verdict(lambda: arrows_to(model, fam, u)) == want
+                assert verdict(lambda: vietoris._preserved(sel, spans, (n,))) == want
+            # the admitted arities up to the family size in turn
+            arities = [i for i in sizes if i <= k]
+            want = all(oracle_preserves(model, fam, i)[0] for i in arities)
+            assert vietoris._preserved(sel, spans, arities) == want
+            if sel.admits(k):
+                r = vietoris._receiver(sel.levels[k], spans)
+                for j, u in enumerate(members):
+                    assert oracle_arrows_to(model, fam.members, u) == (r is not None and order[r] == j)
+        assert checked
 
     def test_skip_tests_fewer_radii(self, monkeypatch):
         # on the flip fixture every radius holds {0, eps} and {1}: the
