@@ -16,18 +16,22 @@ order and choices in subset-rank order, so equal objects serialize to
 equal documents.  Readers resolve each distinct label string to its
 carrier index once (in a model after the fraction parse, so "2/4" is
 "1/2"), and reject a subset listed twice under any spelling.
+A choice listed in carrier order lands in its subset_ranks slot in one
+step; other records take the per-field checks, with the same messages.
+A model's carrier reuses the Fractions parsed from its points.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from typing import Any, Mapping, Optional
 
 from .chains import FamilySystem
 from .errors import DocumentError
-from .extension import PartialSelection, partial_from_indices
+from .extension import PartialSelection, admissible_sizes, partial_from_indices
 from .structures import (
     GroundSet,
     LabelIndex,
@@ -157,24 +161,39 @@ def _int(x: Any, where: str) -> int:
 _CHOICE_KEYS = frozenset(("subset", "pick"))
 _INTERVAL_KEYS = frozenset(("lo", "hi"))
 _FAMILY_KEYS = frozenset(("intervals",))
+_NO_SLOTS = ({}, None)
 
 
 def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
-                  parse: bool) -> tuple:
-    """Choice records to ({ascending index tuple: pick index}, names as in
-    LabelIndex); each string not in strings (the carrier) resolved once.
+                  parse: bool, sizes: range) -> tuple:
+    """Choice records to (table, names, slots), as partial_from_indices
+    takes them; each string not in strings (the carrier) resolved once.
 
-    A well-formed record over labels already resolved is read in one
-    step; any other record goes through the per-field checks, which
-    raise in the same order as for a record read alone."""
+    If the records could list every subset of the sizes in sizes, each
+    subset has a slot at its rank.  A well-formed record over resolved
+    labels in carrier order fills its slot in one step; any other goes
+    through the per-field checks, which raise in the same order as for a
+    record read alone, and fills its slot or a table entry."""
     if not isinstance(doc, list):
         raise DocumentError(f"{where}: expected a list of choice records")
-    index = LabelIndex(carrier)
     ids = dict(zip(strings, range(len(strings))))
     known = ids.__getitem__
+    index = None  # LabelIndex of the carrier, made for the first other label
+    m = carrier.size
+    slotted, total = {}, 0  # size -> (subset_ranks' rank dict, picks by rank)
+    for n in range(max(sizes.start, 1), min(sizes.stop, m + 1)):
+        total += math.comb(m, n)
+        if total > len(doc):  # too few records to list every subset
+            slotted = {}
+            break
+        slotted[n] = (subset_ranks(m, n)[1], [None] * math.comb(m, n))
 
     def resolve(x: str, field: str) -> int:
-        ids[x] = i = index[parse_fraction(x, f"{where}.{field}") if parse else x]
+        nonlocal index
+        label = parse_fraction(x, f"{where}.{field}") if parse else x
+        if index is None:
+            index = LabelIndex(carrier)
+        ids[x] = i = index[label]
         return i
 
     def checked_key(r: int, rec: Any) -> tuple:
@@ -190,24 +209,36 @@ def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
     table: dict = {}
     for r, rec in enumerate(doc):
         pick = None
-        if type(rec) is dict and rec.keys() == _CHOICE_KEYS and type(rec["subset"]) is list:
+        # a two-key dict holding subset (a list) and pick has just those keys
+        if type(rec) is dict and len(rec) == 2 and type(rec.get("subset")) is list:
             try:  # ids holds strings only, so any other label misses
-                key = tuple(sorted(set(map(known, rec["subset"]))))
+                key = tuple(map(known, rec["subset"]))
                 pick = known(rec["pick"])
+                rank, slots = slotted[len(key)]
+                i = rank[key]  # a slotted subset, in carrier order
             except (TypeError, KeyError):
                 pass
-        if pick is None:
-            key = checked_key(r, rec)
-        subset = rec["subset"]
-        if len(key) != len(subset):
+            else:
+                if slots[i] is not None:
+                    raise DocumentError(f"{where}[{r}].subset: duplicate subset")
+                slots[i] = pick
+                continue
+        key = checked_key(r, rec) if pick is None else tuple(sorted(set(key)))
+        if len(key) != len(rec["subset"]):
             raise DocumentError(f"{where}[{r}].subset: repeated labels")
-        if key in table:
+        rank, slots = slotted.get(len(key), _NO_SLOTS)
+        i = rank.get(key)
+        if key in table if i is None else slots[i] is not None:
             raise DocumentError(f"{where}[{r}].subset: duplicate subset")
         if pick is None:
             x = rec["pick"]
             pick = ids[x] if x in ids else resolve(x, "pick")
-        table[key] = pick
-    return table, index.names
+        if i is None:
+            table[key] = pick
+        else:
+            slots[i] = pick
+    names = carrier.labels if index is None else index.names
+    return table, names, {n: slots for n, (_, slots) in slotted.items()}
 
 
 def _write_choices(structures) -> list:
@@ -236,8 +267,9 @@ def read_selection(doc: Any) -> SelectionStructure:
     strings = _string_list(doc["ground"], "selection.ground")
     n = _int(doc["n"], "selection.n")
     ground = GroundSet(strings)
-    return index_selection(
-        ground, n, *_read_choices(doc["choices"], "selection.choices", ground, strings, False))
+    table, names, slots = _read_choices(
+        doc["choices"], "selection.choices", ground, strings, False, range(n, n + 1))
+    return index_selection(ground, n, table, names, slots.get(n))
 
 
 # -- partial selections --------------------------------------------------
@@ -255,16 +287,26 @@ def read_partial(doc: Any, parse_labels: bool = False) -> PartialSelection:
     """parse_labels converts every label through the fraction parser,
     the form used inside model documents; each distinct label string is
     parsed once."""
+    return _read_partial(doc, {} if parse_labels else None)
+
+
+def _read_partial(doc: Any, parsed: Optional[dict]) -> PartialSelection:
+    """read_partial, with labels parsed as fractions unless parsed is
+    None; a carrier string in parsed reuses its fraction there."""
     _check_fields(doc, ("carrier", "mode", "bound", "choices"), "partial")
     strings = _string_list(doc["carrier"], "partial.carrier")
     mode = doc["mode"]
     if mode not in ("upto", "exact"):
         raise DocumentError(f"partial.mode: expected 'upto' or 'exact', got {mode!r}")
     bound = _int(doc["bound"], "partial.bound")
-    carrier = GroundSet(
-        tuple(parse_fraction(x, "partial.carrier") for x in strings) if parse_labels else strings)
+    if parsed is None:
+        carrier = GroundSet(strings)
+    else:
+        carrier = GroundSet(tuple(
+            parsed[x] if x in parsed else parse_fraction(x, "partial.carrier") for x in strings))
     return partial_from_indices(carrier, mode, bound, *_read_choices(
-        doc["choices"], "partial.choices", carrier, strings, parse_labels))
+        doc["choices"], "partial.choices", carrier, strings, parsed is not None,
+        admissible_sizes(mode, bound)))
 
 
 # -- interval families ---------------------------------------------------
@@ -287,14 +329,21 @@ def read_family(doc: Any, intervals: Optional[dict] = None) -> OpenFamily:
     intervals = {} if intervals is None else intervals
     members = []
     for i, rec in enumerate(doc["intervals"]):
-        if not (isinstance(rec, dict) and rec.keys() == _INTERVAL_KEYS):
-            _check_fields(rec, ("lo", "hi"), f"family.intervals[{i}]")
-        lo, hi = rec["lo"], rec["hi"]
-        u = intervals.get((lo, hi)) if isinstance(lo, str) and isinstance(hi, str) else None
+        u = None
+        # a two-key dict holding lo and hi has just those keys; intervals
+        # holds string pairs only, so any other value misses
+        if type(rec) is dict and len(rec) == 2:
+            try:
+                u = intervals[rec["lo"], rec["hi"]]
+            except (KeyError, TypeError):
+                pass
         if u is None:
             here = f"family.intervals[{i}]"
-            u = IntervalOpen(parse_fraction(lo, f"{here}.lo"), parse_fraction(hi, f"{here}.hi"))
-            intervals[lo, hi] = u
+            if not (isinstance(rec, dict) and rec.keys() == _INTERVAL_KEYS):
+                _check_fields(rec, ("lo", "hi"), here)
+            lo, hi = rec["lo"], rec["hi"]
+            u = intervals[lo, hi] = IntervalOpen(parse_fraction(lo, f"{here}.lo"),
+                                                 parse_fraction(hi, f"{here}.hi"))
         members.append(u)
     return OpenFamily(tuple(members))
 
@@ -312,7 +361,7 @@ def read_model(doc: Any) -> ModelSpace:
     _check_fields(doc, ("points", "selection"), "model")
     raw = _string_list(doc["points"], "model.points")
     points = tuple(parse_fraction(p, "model.points") for p in raw)
-    selection = read_partial(doc["selection"], parse_labels=True)
+    selection = _read_partial(doc["selection"], dict(zip(raw, points)))
     return model_space(points, selection)
 
 

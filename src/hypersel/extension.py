@@ -109,15 +109,18 @@ def make_partial(carrier: GroundSet, mode: str, bound: int, table: Mapping) -> P
 
 
 def partial_from_indices(carrier: GroundSet, mode: str, bound: int, table: Mapping,
-                         names: Sequence) -> PartialSelection:
+                         names: Sequence, slots: Optional[Mapping] = None) -> PartialSelection:
     """Build from a mapping {ascending index tuple: chosen index} covering
     exactly the admissible subsets, one index_selection per size; the
-    membership check forces singleton entries to pick their element."""
+    membership check forces singleton entries to pick their element.
+    slots[size], where present, holds that size's picks by rank, and
+    table only the entries outside them (see index_selection)."""
+    slots = slots or {}
     by_size: dict = {}
     for k, v in table.items():
         by_size.setdefault(len(k), {})[k] = v
     levels = {
-        size: index_selection(carrier, size, by_size.pop(size, {}), names)
+        size: index_selection(carrier, size, by_size.pop(size, {}), names, slots.get(size))
         for size in admissible_sizes(mode, bound)
     }
     if by_size:
@@ -272,13 +275,12 @@ def extend_composite(f: PartialSelection, n: int) -> PartialSelection:
     divisor p (always p <= (n+1)/2 <= n for composite n+1)."""
     if n < 2:
         raise HypothesisViolated(f"need n >= 2, got {n}")
-    m = n + 1
-    if is_prime(m):
-        raise PrimeInput(f"{m} is prime; the composite shortcut does not apply")
-    p = prime_divisors(m)[0]
     if f.mode != MODE_UPTO or f.bound < n:
         raise HypothesisViolated(f"need an up-to-{n} selection")
-    return extend_selection(f, m, p)
+    m = n + 1  # at most bound + 1, so trial division stays cheap
+    if is_prime(m):
+        raise PrimeInput(f"{m} is prime; the composite shortcut does not apply")
+    return extend_selection(f, m, prime_divisors(m)[0])
 
 
 def _iso_arities(f: PartialSelection, k: int) -> list:

@@ -143,32 +143,38 @@ def make_selection(ground: GroundSet, n: int, table: Mapping) -> SelectionStruct
 
 
 def index_selection(ground: GroundSet, n: int, table: Mapping,
-                    names: Sequence) -> SelectionStructure:
+                    names: Sequence, slots: Optional[list] = None) -> SelectionStructure:
     """Build a structure from a mapping {ascending index n-tuple: chosen
     index} covering exactly the n-subsets of the ground set.  Errors
-    name subsets and picks by label, names[i] for index i."""
+    name subsets and picks by label, names[i] for index i.  slots, when
+    given, holds the picks of the n-subsets by rank (None where there is
+    none), and table only the entries that are not among them."""
     m = ground.size
     if not 1 <= n <= m:
         raise ValueError(f"arity {n} out of range for ground of size {m}")
-    if len(table) < math.comb(m, n):
-        # some subset has no choice: name the first, met within the
-        # first len(table) + 1 subsets, without building the rank table
-        _name_bad_choice(combinations(range(m), n), table, names)
-    subs, _ = subset_ranks(m, n)
+    if slots is None:
+        if len(table) < math.comb(m, n):
+            # some subset has no choice: name the first, met within the
+            # first len(table) + 1 subsets, without building the rank table
+            _name_bad_choice(((s, table.get(s)) for s in combinations(range(m), n)), names)
+        subs, _ = subset_ranks(m, n)
+        slots, extra = tuple(map(table.get, subs)), len(table) - len(subs)
+    else:
+        extra = len(table)
     try:  # SelectionStructure checks each pick; only a failure rescans
-        s = SelectionStructure(ground, n, tuple(map(table.get, subs)))
+        s = SelectionStructure(ground, n, tuple(slots))
     except ChoiceOutsideSubset:
-        _name_bad_choice(subs, table, names)
+        _name_bad_choice(zip(subset_ranks(m, n)[0], slots), names)
         raise
-    if len(table) != len(subs):
+    if extra:
         raise MissingSubset("table has entries that are not n-subsets of the ground")
     return s
 
 
-def _name_bad_choice(subs: Iterable, table: Mapping, names: Sequence) -> None:
-    """Raise, by label, for the first subset with a missing or outside choice."""
-    for s in subs:
-        v = table.get(s)
+def _name_bad_choice(choices: Iterable, names: Sequence) -> None:
+    """Raise, by label, for the first (subset, pick) pair whose pick is
+    missing (None) or outside the subset."""
+    for s, v in choices:
         if v not in s:
             named = [names[i] for i in s]
             if v is None:

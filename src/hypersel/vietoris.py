@@ -38,6 +38,16 @@ from .verdict import PASS, Verdict, fail
 RADIUS_FLOOR_SHIFT = 40  # shrink at most until r_init / 2**40
 
 
+def _below(p, q) -> bool:
+    """p < q for rationals, on integers (denominators are positive)."""
+    return p.numerator * q.denominator < q.numerator * p.denominator
+
+
+def _ascending(qs: Sequence) -> bool:
+    """Whether the rationals qs strictly ascend, compared on integers."""
+    return all(_below(p, q) for p, q in zip(qs, qs[1:]))
+
+
 @dataclass(frozen=True, order=True)
 class IntervalOpen:
     """Bounded open interval (lo, hi) with exact rational endpoints."""
@@ -46,7 +56,7 @@ class IntervalOpen:
     hi: Fraction
 
     def __post_init__(self):
-        if not self.lo < self.hi:
+        if not _below(self.lo, self.hi):
             raise ValueError(f"empty interval ({self.lo}, {self.hi})")
 
     def contains(self, p: Fraction) -> bool:
@@ -58,15 +68,18 @@ class IntervalOpen:
 
 @dataclass(frozen=True)
 class OpenFamily:
-    """Finite tuple of pairwise disjoint interval opens, order fixed."""
+    """Finite tuple of pairwise disjoint interval opens, order fixed.
+
+    Members listed left to right are checked neighbour by neighbour,
+    any other order pair by pair; both compare endpoints on integers."""
 
     members: tuple
 
     def __post_init__(self):
         ms = self.members
-        if any(b.lo < a.hi for a, b in zip(ms, ms[1:])):  # not in ascending order
+        if any(_below(b.lo, a.hi) for a, b in zip(ms, ms[1:])):  # not in ascending order
             for a, b in combinations(ms, 2):
-                if a.intersects(b):
+                if _below(a.lo, b.hi) and _below(b.lo, a.hi):
                     raise ValueError(f"family members overlap: {a} and {b}")
 
     @property
@@ -99,7 +112,7 @@ class ModelSpace:
     selection: PartialSelection
 
     def __post_init__(self):
-        if not all(a < b for a, b in zip(self.points, self.points[1:])):
+        if not _ascending(self.points):
             raise ValueError("points must be distinct and sorted ascending")
         if self.selection.carrier.labels != self.points:
             raise ValueError("selection carrier must be exactly the points")
@@ -118,7 +131,10 @@ class ModelSpace:
 
 
 def model_space(points: Iterable, selection: PartialSelection) -> ModelSpace:
-    return ModelSpace(tuple(sorted(Fraction(p) for p in points)), selection)
+    """The model on the points, sorted unless they already ascend; a
+    Fraction point is kept as the same object."""
+    ps = tuple(p if type(p) is Fraction else Fraction(p) for p in points)
+    return ModelSpace(ps if _ascending(ps) else tuple(sorted(ps)), selection)
 
 
 def order_model(points: Iterable, bound: int, rule: str) -> ModelSpace:

@@ -31,7 +31,7 @@ from hypersel.documents import (
     write_selection,
     write_system,
 )
-from hypersel.errors import DocumentError
+from hypersel.errors import ChoiceOutsideSubset, DocumentError, MissingSubset
 from hypersel.extension import order_partial, random_partial
 from hypersel.structures import GroundSet, ground_range, rotational_tournament
 from hypersel.vietoris import family, order_model
@@ -203,10 +203,22 @@ class TestModelLabels:
         monkeypatch.setattr(documents, "parse_fraction",
                             lambda s, where="value": calls.append(s) or parse_fraction(s, where))
         model = read_model(doc)
-        # the points once, then each carrier label once; the 92 choices
-        # reuse them
-        assert len(calls) == 16 and sorted(calls) == sorted(doc["points"] * 2)
+        # each point once; the carrier labels and the 92 choices reuse them
+        assert calls == doc["points"]
         assert model == order_model([F(k, 7) for k in range(8)], 3, "min")
+        assert all(a is b for a, b in zip(model.selection.carrier.labels, model.points))
+
+    def test_carrier_spelled_apart_from_its_point(self, monkeypatch):
+        doc = write_model(order_model([0, F(1, 2), 1], 2, "min"))
+        doc["selection"]["carrier"][1] = "2/4"
+        calls = []
+        monkeypatch.setattr(documents, "parse_fraction",
+                            lambda s, where="value": calls.append(s) or parse_fraction(s, where))
+        model = read_model(doc)
+        # the three points, then the one carrier label no point spells;
+        # the choices spell 1/2 as "1/2", not a carrier string, parsed once
+        assert calls == ["0/1", "1/2", "1/1", "2/4", "1/2"]
+        assert model == order_model([0, F(1, 2), 1], 2, "min")
 
     def test_system_reads_each_interval_once(self, monkeypatch):
         model = order_model([0, 1, 2, 3], 2, "min")
@@ -238,6 +250,96 @@ class TestModelLabels:
             rec["pick"] = "1/0"
         with pytest.raises(DocumentError, match=f"partial.choices.{field}: bad fraction"):
             read_model(doc)
+
+
+class TestChoiceRecords:
+    """Records that do not land in their rank slot in one step (out of
+    carrier order, repeated labels, a second record for a subset, sizes
+    outside the mode) are read as before, with the same messages."""
+
+    @staticmethod
+    def base():
+        # a, b, c, d, then ab, ac, ad, bc, bd, cd, each picking its least
+        return write_partial(order_partial(GroundSet(("a", "b", "c", "d")), 2, "min"))
+
+    def test_shuffled_records(self):
+        doc = self.base()
+        random.Random(3).shuffle(doc["choices"])
+        assert read_partial(doc) == order_partial(GroundSet(("a", "b", "c", "d")), 2, "min")
+
+    def test_labels_out_of_carrier_order(self):
+        doc = self.base()
+        for rec in doc["choices"]:
+            rec["subset"].reverse()
+        assert read_partial(doc) == order_partial(GroundSet(("a", "b", "c", "d")), 2, "min")
+
+    @pytest.mark.parametrize("at, subset", [(6, ["b", "b"]), (5, ["a", "c", "a"])])
+    def test_repeated_labels(self, at, subset):
+        doc = self.base()
+        doc["choices"][at] = {"subset": subset, "pick": subset[0]}
+        with pytest.raises(DocumentError, match=rf"^partial\.choices\[{at}\]\.subset: repeated labels$"):
+            read_partial(doc)
+
+    @pytest.mark.parametrize("at, rec", [
+        (10, {"subset": ["c", "a"], "pick": "c"}),  # the second spelling is out of order
+        (6, {"subset": ["c", "a"], "pick": "c"}),  # the first one is
+        (10, {"subset": ["b", "c"], "pick": "c"}),  # both in carrier order
+    ], ids=["second out of order", "first out of order", "both in order"])
+    def test_duplicate_subset(self, at, rec):
+        doc = self.base()
+        doc["choices"].insert(0 if at < 10 else 10, rec)
+        with pytest.raises(DocumentError, match=rf"^partial\.choices\[{at}\]\.subset: duplicate subset$"):
+            read_partial(doc)
+
+    def test_missing_subset(self):
+        doc = self.base()
+        del doc["choices"][6]
+        with pytest.raises(MissingSubset, match=r"^no choice for subset \['a', 'd'\]$"):
+            read_partial(doc)
+
+    def test_pick_outside_its_subset(self):
+        doc = self.base()
+        doc["choices"][7]["pick"] = "d"
+        with pytest.raises(ChoiceOutsideSubset, match=r"^'d' not in subset \['b', 'c'\]$"):
+            read_partial(doc)
+
+    def test_size_outside_the_mode(self):
+        doc = self.base()
+        doc["choices"].append({"subset": ["a", "b", "c"], "pick": "b"})
+        with pytest.raises(MissingSubset, match="^table has entries outside the admissible subsets$"):
+            read_partial(doc)
+
+    def test_label_outside_the_carrier(self):
+        doc = self.base()
+        doc["choices"].append({"subset": ["a", "zz"], "pick": "a"})
+        with pytest.raises(MissingSubset, match="^table has entries that are not n-subsets of the ground$"):
+            read_partial(doc)
+
+    def test_selection_record_of_another_size(self):
+        doc = write_selection(rotational_tournament(3))
+        doc["choices"].append({"subset": ["0"], "pick": "0"})
+        with pytest.raises(MissingSubset, match="^table has entries that are not n-subsets of the ground$"):
+            read_selection(doc)
+
+    def test_model_labels_spelled_apart(self):
+        # "2/4" is not a carrier string, so every record holding it takes
+        # the per-field path; the duplicate is found across both paths
+        doc = write_model(order_model([0, F(1, 2), 1], 2, "max"))
+        for rec in doc["selection"]["choices"]:
+            rec["subset"] = ["2/4" if x == "1/2" else x for x in rec["subset"]]
+        assert read_model(doc) == order_model([0, F(1, 2), 1], 2, "max")
+        doc["selection"]["choices"].append({"subset": ["1/2", "0/1"], "pick": "0/1"})
+        with pytest.raises(DocumentError, match=r"^partial\.choices\[6\]\.subset: duplicate subset$"):
+            read_model(doc)
+
+    def test_too_few_records_for_any_slot(self, monkeypatch):
+        # 20 labels, exact 10: C(20, 10) = 184,756 subsets and one record;
+        # no rank slots are made, and the first missing subset is named
+        monkeypatch.setattr(structures, "subset_ranks", None)
+        doc = {"carrier": [f"x{i}" for i in range(20)], "mode": "exact", "bound": 10,
+               "choices": [{"subset": [f"x{i}" for i in range(10)], "pick": "x0"}]}
+        with pytest.raises(MissingSubset, match=r"^no choice for subset \['x0', .*'x8', 'x10'\]$"):
+            read_partial(doc)
 
 
 class TestJsonable:

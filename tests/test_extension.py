@@ -401,6 +401,31 @@ class TestExtendComposite:
         with pytest.raises(PrimeInput):
             extend_composite(f, 6)
 
+    def test_bound_checked_before_primality(self, monkeypatch):
+        # trial division on 2**61 - 1 takes hours: an n beyond the bound,
+        # or an exact-mode selection, is refused before any primality test
+        seen = []
+
+        def spy(k):
+            seen.append(k)
+            if k > 3:
+                raise AssertionError(f"primality of {k} tested beyond the bound")
+            return is_prime(k)
+
+        monkeypatch.setattr(extension, "is_prime", spy)
+        f = order_partial(ground_range(4), 2, "min")
+        for n in (2**61 - 2, 2**61 - 3, 4):  # n + 1 prime, even, prime
+            with pytest.raises(HypothesisViolated, match=f"^need an up-to-{n} selection$"):
+                extend_composite(f, n)
+        exact = order_partial(ground_range(4), 3, "min", mode="exact")
+        with pytest.raises(HypothesisViolated, match="^need an up-to-3 selection$"):
+            extend_composite(exact, 3)
+        assert seen == []
+        # within the bound the test runs, on n + 1 only
+        with pytest.raises(PrimeInput):
+            extend_composite(f, 2)
+        assert seen == [3]
+
 
 class TestCertifiedIsomorphism:
     def test_same_class_members_certified(self):

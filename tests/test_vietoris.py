@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hypersel import vietoris
 from hypersel.chains import FamilySystem, derive_nice_family, regular_class_cover_check
+from hypersel.documents import read_family
 from hypersel.errors import ArityNotInDomain, NotModelContinuous
 from hypersel.extension import admissible_sizes, make_partial, order_partial, random_partial, restrict
 from hypersel.structures import GroundSet, is_regular
@@ -96,6 +97,98 @@ class TestIntervals:
     def test_touching_endpoints_are_disjoint(self):
         fam = family((0, 1), (1, 2))
         assert fam.size == 2
+
+
+# small steps on denominators 1..4, so that neighbours often touch
+steps = st.fractions(min_value=0, max_value=2, max_denominator=4)
+
+
+@st.composite
+def member_lists(draw):
+    """Opens laid out left to right with gaps of zero (touching) or more,
+    then maybe one stretched over its right neighbours, then listed in
+    that order, reversed or shuffled."""
+    lo = draw(st.fractions(min_value=-2, max_value=2, max_denominator=4))
+    members = []
+    for _ in range(draw(st.integers(0, 5))):
+        lo += draw(steps)
+        hi = lo + draw(steps.filter(bool))
+        members.append([lo, hi])
+        lo = hi
+    if members and draw(st.booleans()):
+        draw(st.sampled_from(members))[1] += draw(steps.filter(bool))
+    members = [interval(lo, hi) for lo, hi in members]
+    order = draw(st.sampled_from(["as laid out", "reversed", "shuffled"]))
+    if order == "reversed":
+        members.reverse()
+    elif order == "shuffled":
+        members = draw(st.permutations(members))
+    return members
+
+
+def spell_endpoint(q, k: int) -> str:
+    """q as k p / k q, or as a bare integer when q is one and k is 1."""
+    if q.denominator == 1 and k == 1:
+        return str(q.numerator)
+    return f"{q.numerator * k}/{q.denominator * k}"
+
+
+class TestFamilyOrder:
+    """OpenFamily checks member order on integers; it must accept exactly
+    the lists whose members are pairwise disjoint by IntervalOpen.intersects,
+    and otherwise name the first overlapping pair in combinations order."""
+
+    @staticmethod
+    def outcome(build):
+        try:
+            return "ok", build().members
+        except ValueError as exc:
+            return "error", str(exc)
+
+    @staticmethod
+    def expected(members):
+        clash = next(((a, b) for a, b in combinations(members, 2) if a.intersects(b)), None)
+        if clash is None:
+            return "ok", tuple(members)
+        return "error", f"family members overlap: {clash[0]} and {clash[1]}"
+
+    @settings(max_examples=400, deadline=None)
+    @given(member_lists(), st.lists(st.sampled_from([1, 1, 2, 3]), min_size=10, max_size=10))
+    def test_agrees_with_pairwise_intersects(self, members, ks):
+        want = self.expected(members)
+        assert self.outcome(lambda: OpenFamily(tuple(members))) == want
+        # the same members read from a document, each endpoint spelled
+        # as p/q, 2p/2q, 3p/3q or a bare integer
+        doc = {"intervals": [{"lo": spell_endpoint(u.lo, ks[2 * i]),
+                              "hi": spell_endpoint(u.hi, ks[2 * i + 1])}
+                             for i, u in enumerate(members)]}
+        assert self.outcome(lambda: read_family(doc)) == want
+
+    @pytest.mark.parametrize("bounds, clash", [
+        (((0, 1), (1, 2), (2, 3)), None),  # touching, ascending
+        (((2, 3), (1, 2), (0, 1)), None),  # touching, descending
+        (((F(1, 2), 1), (0, F(1, 2))), None),  # touching, out of order
+        (((0, 2), (1, 3)), (0, 1)),
+        (((4, 5), (0, 2), (1, 3), (F(9, 2), 6)), (0, 3)),  # (0, 3) before (1, 2)
+        (((5, 6), (0, 1), (F(1, 2), 2)), (1, 2)),
+    ])
+    def test_fixed_cases(self, bounds, clash):
+        members = [interval(lo, hi) for lo, hi in bounds]
+        got = self.outcome(lambda: family(*bounds))
+        assert got == self.expected(members)
+        assert got[0] == ("ok" if clash is None else "error")
+        if clash is not None:
+            a, b = (members[j] for j in clash)
+            assert got[1] == f"family members overlap: {a} and {b}"
+
+    def test_equal_values_spelled_apart_touch(self):
+        doc = {"intervals": [{"lo": "0", "hi": "1/2"}, {"lo": "2/4", "hi": "3/3"}]}
+        assert read_family(doc) == family((0, F(1, 2)), (F(1, 2), 1))
+        doc["intervals"].reverse()
+        assert read_family(doc) == family((F(1, 2), 1), (0, F(1, 2)))
+        doc["intervals"][0]["lo"] = "3/7"
+        with pytest.raises(ValueError, match=r"^family members overlap: "):
+            read_family(doc)
 
 
 class TestVietorisMembership:
