@@ -7,7 +7,9 @@ at most m/2; applying f to Q picks one element of the subset.  The rule
 runs subset by subset on carrier indices: scores are isomorphism
 invariants, so the result is equivariant without computing any
 isomorphism type.  Type partitions only describe the classes for a
-report.
+report.  certified_isomorphism checks equivariance on a pair of subsets
+through one joint canonical labeling of all their restriction levels
+(structures.joint_isomorphism), not a search of its own.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .structures import (
     index_selection,
     index_table,
     is_isomorphism,
+    joint_isomorphism,
     is_regular,
     score_vector,
     selection_from_order,
@@ -296,54 +299,19 @@ def certified_isomorphism(
     y: Iterable[Label],
 ) -> Optional[IsoMap]:
     """A bijection x -> y that is an isomorphism of every restriction of
-    f at the arities 2..min(f's bound, |x|) that f admits, or None.
-    Searches relabelings grouped by joint score vectors, so typical
-    structures need very few tries."""
-    xi = tuple(sorted(f.carrier.index(v) for v in x))
-    yi = tuple(sorted(f.carrier.index(v) for v in y))
-    if len(xi) != len(yi):
+    f at the arities 2..min(f's bound, |x|) that f admits, or None: the
+    joint_isomorphism of the restrictions, or the order map when f
+    admits none of those arities."""
+    source = GroundSet(tuple(sorted(x, key=f.carrier.index)))
+    target = GroundSet(tuple(sorted(y, key=f.carrier.index)))
+    if source.size != target.size:
         return None
-    k = len(xi)
-    arities = _iso_arities(f, k)
-    gx = {n: restrict(f, (f.carrier.labels[i] for i in xi), n) for n in arities}
-    gy = {n: restrict(f, (f.carrier.labels[i] for i in yi), n) for n in arities}
-
-    def joint_scores(gs: dict) -> list:
-        """Per position in the subset, its scores across the arities."""
-        ws = [score_vector(gs[n]) for n in arities]
-        return [tuple(w[i] for w in ws) for i in range(k)]
-
-    vx = joint_scores(gx)
-    vy = joint_scores(gy)
-    if sorted(vx) != sorted(vy):
-        return None
-    groups: dict = {}
-    for j in range(k):
-        groups.setdefault(vy[j], []).append(j)
-    source = GroundSet(tuple(f.carrier.labels[i] for i in xi))
-    target = GroundSet(tuple(f.carrier.labels[i] for i in yi))
-    slots = [groups[vx[i]] for i in range(k)]
-
-    # try score-compatible assignments until one is an isomorphism
-    def search(i: int, used: set, images: list) -> Optional[IsoMap]:
-        if i == k:
-            phi = IsoMap(source, target, tuple(images))
-            if all(is_isomorphism(gx[n], gy[n], phi) for n in arities):
-                return phi
-            return None
-        for j in slots[i]:
-            if j in used:
-                continue
-            used.add(j)
-            images.append(target.labels[j])
-            found = search(i + 1, used, images)
-            if found is not None:
-                return found
-            images.pop()
-            used.remove(j)
-        return None
-
-    return search(0, set(), [])
+    arities = _iso_arities(f, source.size)
+    if not arities:
+        return IsoMap(source, target, target.labels)
+    return joint_isomorphism(
+        [restrict(f, source, n) for n in arities], [restrict(f, target, n) for n in arities]
+    )
 
 
 def equivariance_check(

@@ -4,6 +4,10 @@ A selection structure of arity n on a ground set X assigns to every
 n-subset of X one of its own elements.  Arity 2 gives tournaments; the
 score of an element counts the subsets that pick it, and constant-score
 structures are called regular.
+
+Isomorphism has one search, the canonical labeling behind
+canonical_form; joint_isomorphism labels several structures on one
+ground together and checks the map composed from two labelings.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import _kernels
@@ -36,9 +40,10 @@ DEFAULT_BUDGET = 10**8  # table cells touched by an enumeration
 
 
 @lru_cache(maxsize=None)
-def subset_ranks(m: int, n: int):
-    """(tuple of index n-subsets in rank order, dict subset -> rank)."""
-    subs = tuple(combinations(range(m), n))
+def subset_ranks(m: int, *ns: int):
+    """(tuple of index n-subsets in rank order, dict subset -> rank); for
+    several sizes ns, their subsets in turn, one rank dict over them all."""
+    subs = tuple(chain.from_iterable(combinations(range(m), n) for n in ns))
     return subs, {s: r for r, s in enumerate(subs)}
 
 
@@ -244,7 +249,7 @@ class IsoMap:
     def __post_init__(self):
         if self.source.size != self.target.size:
             raise SizeMismatch("isomorphism endpoints differ in size")
-        if set(self.images) != set(self.target.labels):
+        if len(self.images) != self.source.size or set(self.images) != set(self.target.labels):
             raise ValueError("images do not form a bijection onto the target")
 
     def apply(self, label: Label) -> Label:
@@ -253,18 +258,6 @@ class IsoMap:
     def apply_indices(self) -> tuple:
         """Index permutation p with p[source index] = target index."""
         return tuple(self.target.index(x) for x in self.images)
-
-    def inverse(self) -> "IsoMap":
-        inv = [None] * self.source.size
-        for i, img in enumerate(self.images):
-            inv[self.target.index(img)] = self.source.labels[i]
-        return IsoMap(self.target, self.source, tuple(inv))
-
-    def compose(self, then: "IsoMap") -> "IsoMap":
-        """self: A -> B composed with then: B -> C, giving A -> C."""
-        if self.target != then.source:
-            raise SizeMismatch("composition endpoints do not match")
-        return IsoMap(self.source, then.target, tuple(then.apply(x) for x in self.images))
 
 
 def is_isomorphism(s: SelectionStructure, t: SelectionStructure, phi: IsoMap) -> bool:
@@ -365,24 +358,28 @@ def _refine(subs: tuple, picks: tuple, cells: list) -> list:
     return cells
 
 
-def canonical_form(s: SelectionStructure):
-    """Canonical representative on the ground 0..m-1 plus the certifying map.
+def _canonical_labeling(gs: Sequence[SelectionStructure]):
+    """(least choice tuple, relabeling giving it) of the structures gs,
+    all on one ground, labeled together: their subsets and picks are
+    concatenated in the order of gs, and the relabeling is stored as
+    sigma[old index] = new index.
 
     Individualization-refinement (McKay & Piperno, "Practical graph
-    isomorphism, II", 2014): start from the score classes in ascending
-    score order, refine (see _refine), then individualize each element
-    of the first smallest non-singleton cell in turn and recurse.  Every
-    discrete partition is a leaf, read as the relabeling that sends the
-    element in position k to k; the least choice tuple over the leaves
-    wins.  The tree is built from isomorphism invariants only, so the
-    result is constant on isomorphism classes and idempotent.  Two leaves
-    with equal tuples give an automorphism; a child is skipped when an
-    automorphism fixing the path maps an explored sibling onto it, since
-    its subtree holds the same tuples.
+    isomorphism, II", 2014): start from the score classes, counted over
+    the picks of all of gs, in ascending order, refine (see _refine),
+    then individualize each element of the first smallest non-singleton
+    cell in turn and recurse.  Every discrete partition is a leaf, read
+    as the relabeling that sends the element in position k to k; the
+    least choice tuple over the leaves wins.  The tree is built from
+    isomorphism invariants only, so the result is constant on
+    isomorphism classes of the tuple gs.  Two leaves with equal tuples
+    give an automorphism; a child is skipped when an automorphism fixing
+    the path maps an explored sibling onto it, since its subtree holds
+    the same tuples.
     """
-    m, n = s.size, s.n
-    subs, rank = subset_ranks(m, n)
-    picks = s.picks
+    m = gs[0].size
+    subs, rank = subset_ranks(m, *[g.n for g in gs])
+    picks = sum((g.picks for g in gs), ())
     leaves: dict = {}  # choice tuple -> the first relabeling giving it
     autos: list = []
 
@@ -417,10 +414,12 @@ def canonical_form(s: SelectionStructure):
             rest = [x for x in cells[t] if x != v]
             visit(path + [v], cells[:t] + [[v], rest] + cells[t + 1:])
 
-    visit([], _score_blocks(score_vector(s)))
+    w = [0] * m  # scores, counted over the picks of all of gs
+    for p in picks:
+        w[p] += 1
+    visit([], _score_blocks(w))
     best = min(leaves)
-    canon = SelectionStructure(ground_range(m), n, best)
-    return canon, IsoMap(s.ground, canon.ground, leaves[best])
+    return best, leaves[best]
 
 
 def _orbit(v: int, autos: list, path: list) -> set:
@@ -437,22 +436,41 @@ def _orbit(v: int, autos: list, path: list) -> set:
     return orbit
 
 
-def are_isomorphic(
-    s: SelectionStructure, t: SelectionStructure
-) -> Optional[IsoMap]:
-    """An isomorphism s -> t when one exists, else None."""
-    if s.size != t.size or s.n != t.n:
+def canonical_form(s: SelectionStructure):
+    """Canonical representative on the ground 0..m-1 plus the certifying
+    map: the one-structure case of _canonical_labeling, so the result is
+    constant on isomorphism classes and idempotent."""
+    best, sigma = _canonical_labeling((s,))
+    canon = SelectionStructure(ground_range(s.size), s.n, best)
+    return canon, IsoMap(s.ground, canon.ground, sigma)
+
+
+def joint_isomorphism(gs: Sequence[SelectionStructure],
+                      ts: Sequence[SelectionStructure]) -> Optional[IsoMap]:
+    """One bijection that is an isomorphism of every gs[i] onto ts[i],
+    or None when there is none.  Each side is one or more structures on
+    one ground.  The two joint canonical labelings are compared and
+    composed; the map is checked at every level before it is returned."""
+    if [(g.size, g.n) for g in gs] != [(t.size, t.n) for t in ts]:
         return None
-    cs, ms = canonical_form(s)
-    ct, mt = canonical_form(t)
-    if cs.picks != ct.picks:
+    if not gs or len({g.ground for g in gs}) > 1 or len({t.ground for t in ts}) > 1:
+        raise ValueError("need one or more structures on one ground on each side")
+    best, sigma = _canonical_labeling(gs)
+    other, tau = _canonical_labeling(ts)
+    if best != other:
         return None
-    phi = ms.compose(mt.inverse())
-    if not is_isomorphism(s, t, phi):
+    back = dict(zip(tau, ts[0].ground.labels))  # canonical index -> target label
+    phi = IsoMap(gs[0].ground, ts[0].ground, tuple(back[k] for k in sigma))
+    if not all(is_isomorphism(g, t, phi) for g, t in zip(gs, ts)):
         raise UncertifiedIsomorphism(
             "equal canonical forms composed to a map that is not an isomorphism"
         )
     return phi
+
+
+def are_isomorphic(s: SelectionStructure, t: SelectionStructure) -> Optional[IsoMap]:
+    """An isomorphism s -> t when one exists, else None."""
+    return joint_isomorphism((s,), (t,))
 
 
 def enumerate_selections(
@@ -591,21 +609,9 @@ def mask_from_tournament(s: SelectionStructure) -> int:
     return mask
 
 
-def regular_tournaments(m: int, exhaustive: bool = False) -> list:
-    """Every regular tournament on 0..m-1 (m >= 2), as structures.
-
-    exhaustive=True scans all 2^C(m,2) masks; the default uses the
-    pruned row search.  Both orders are ascending by mask.
-    """
+def regular_tournaments(m: int) -> list:
+    """Every regular tournament on 0..m-1 (m >= 2), as structures,
+    ascending by mask (the pruned row search)."""
     if m < 2:
         raise OutOfRange(f"a tournament needs m >= 2 points, got {m}")
-    masks = (
-        _kernels.regular_masks_exhaustive(m)
-        if exhaustive
-        else _kernels.regular_masks_backtracking(m)
-    )
-    return [tournament_from_mask(x, m) for x in masks]
-
-
-def count_regular_tournaments_exhaustive(m: int) -> int:
-    return len(regular_tournaments(m, exhaustive=True))
+    return [tournament_from_mask(x, m) for x in _kernels.regular_masks_backtracking(m)]

@@ -193,6 +193,32 @@ def oracle_restrict(f: PartialSelection, subset, n: int) -> SelectionStructure:
     return SelectionStructure(ground, n, tuple(picks))
 
 
+def oracle_respects(f: PartialSelection, phi: dict) -> bool:
+    """True iff the bijection phi (a dict on labels) carries f's choice
+    on each subset of its domain, at every arity 2..min(f's bound,
+    |domain|) that f admits, onto f's choice on the image subset."""
+    xs = list(phi)
+    for n in range(2, min(f.bound, len(xs)) + 1):
+        if n in admissible_sizes(f.mode, f.bound):
+            for sub in combinations(xs, n):
+                if phi[f.choose(sub)] != f.choose([phi[v] for v in sub]):
+                    return False
+    return True
+
+
+def oracle_joint_isomorphism(f: PartialSelection, x, y):
+    """The first bijection x -> y (a dict), trying every ordering of y,
+    that oracle_respects f; None when there is none."""
+    x, y = list(x), list(y)
+    if len(x) != len(y):
+        return None
+    for images in permutations(y):
+        phi = dict(zip(x, images))
+        if oracle_respects(f, phi):
+            return phi
+    return None
+
+
 # -- document reading --------------------------------------------------------
 #
 # The label-table construction the readers used before they resolved

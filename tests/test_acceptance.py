@@ -20,6 +20,7 @@ from hypersel.chains import (
     meets_uniquely,
     regular_class_cover_check,
 )
+from hypersel._kernels import regular_masks_exhaustive
 from hypersel.cli import main as cli_main
 from hypersel.documents import dumps, jsonable, write_model, write_partial, write_system
 from hypersel.extension import (
@@ -37,10 +38,10 @@ from hypersel.structures import (
     apply_iso,
     canonical_form,
     check_cycle_property,
-    count_regular_tournaments_exhaustive,
     enumerate_selections,
     ground_range,
     is_regular,
+    mask_from_tournament,
     regular_tournaments,
     rotational_tournament,
     subset_ranks,
@@ -111,7 +112,7 @@ def test_criterion_2_exhaustive_regularity(capsys):
         classes = sum(1 for _ in enumerate_selections(4, 2, up_to_iso=True))
         assert (labeled, classes) == (64, 4)
 
-        count = count_regular_tournaments_exhaustive(5)
+        count = len(regular_masks_exhaustive(5))
         rot = rotational_tournament(5)
         aut = sum(
             1
@@ -174,7 +175,9 @@ def test_criterion_3_extension_pipeline(capsys):
 def test_criterion_4_cycle_property(capsys):
     with criterion(capsys, 4, "3-cycle property of regular tournaments", 30):
         for m, exhaustive, expected in ((3, True, 2), (5, True, 24), (7, False, 2640)):
-            found = regular_tournaments(m, exhaustive=exhaustive)
+            found = regular_tournaments(m)
+            if exhaustive:
+                assert [mask_from_tournament(t) for t in found] == regular_masks_exhaustive(m)
             assert len(found) == expected
             for t in found:
                 assert check_cycle_property(t).ok

@@ -16,8 +16,9 @@ from hypersel.errors import (
     NotPrime,
     PrimeInput,
     RegularInput,
+    UncertifiedIsomorphism,
 )
-from hypersel import extension
+from hypersel import extension, structures
 from hypersel.obstruction import is_prime
 from hypersel.extension import (
     PartialSelection,
@@ -44,7 +45,13 @@ from hypersel.structures import (
     subset_ranks,
 )
 
-from oracles import oracle_extend_value, oracle_make_partial, oracle_restrict
+from oracles import (
+    oracle_extend_value,
+    oracle_joint_isomorphism,
+    oracle_make_partial,
+    oracle_restrict,
+    oracle_respects,
+)
 
 
 def tournament_partial(edges, m, extra=None):
@@ -489,3 +496,87 @@ class TestCertifiedIsomorphism:
         )
         with pytest.raises(NotIso):
             equivariance_check(f, h, x, y, bogus)
+
+
+def regular_pair(k, triangle):
+    """(f, x, y): an up-to-2 selection on 0..2k-1 whose restrictions to
+    x = 0..k-1 and y = k..2k-1 are regular tournaments: the rotational
+    one on x, and on y the same with the cyclic triangle reversed."""
+    rot = rotational_tournament(k)
+    win = {frozenset(s): p for s, p in zip(subset_ranks(k, 2)[0], rot.picks)}
+    other = dict(win)
+    for e in map(frozenset, combinations(triangle, 2)):
+        (loser,) = e - {win[e]}
+        other[e] = loser
+    edges = {}
+    for i, j in combinations(range(2 * k), 2):
+        if j < k:
+            edges[(i, j)] = win[frozenset((i, j))]
+        elif i >= k:
+            edges[(i, j)] = k + other[frozenset((i - k, j - k))]
+        else:
+            edges[(i, j)] = i
+    return tournament_partial(edges, 2 * k), tuple(range(k)), tuple(range(k, 2 * k))
+
+
+def out_neighbourhood_scores(f, x):
+    """Per point of x, the sorted scores inside the set it beats: an
+    isomorphism invariant of f's pairs on x, as a sorted list."""
+    beats = {v: {u for u in x if u != v and f.choose((u, v)) == v} for v in x}
+    return sorted(tuple(sorted(len(beats[u] & beats[v]) for u in beats[v])) for v in x)
+
+
+@st.composite
+def partial_and_pair(draw):
+    """A random selection on 6 points (upto 1..3 or exact 2..3) and two
+    of its subsets of one size 2..5."""
+    mode, bound = draw(st.sampled_from([("upto", 1), ("upto", 2), ("upto", 3),
+                                        ("exact", 2), ("exact", 3)]))
+    f = random_partial(ground_range(6), bound, random.Random(draw(st.integers(0, 2**32))), mode)
+    k = draw(st.integers(2, 5))
+    subsets = st.lists(st.integers(0, 5), min_size=k, max_size=k, unique=True)
+    return f, draw(subsets), draw(subsets)
+
+
+class TestJointIsomorphism:
+    @settings(max_examples=300, deadline=None)
+    @given(partial_and_pair())
+    def test_agrees_with_every_bijection(self, case):
+        f, x, y = case
+        phi = certified_isomorphism(f, x, y)
+        assert (phi is None) == (oracle_joint_isomorphism(f, x, y) is None)
+        if phi is not None:
+            assert sorted(phi.source.labels) == sorted(x)
+            assert sorted(phi.target.labels) == sorted(y)
+            assert oracle_respects(f, {v: phi.apply(v) for v in x})
+
+    @pytest.mark.parametrize("k, triangle", [(7, (0, 2, 4)), (9, (0, 2, 5))])
+    def test_regular_pair_decided_by_labelings(self, monkeypatch, k, triangle):
+        # two regular tournaments, equal in every joint score: the
+        # labelings tell them apart without trying a single bijection
+        f, x, y = regular_pair(k, triangle)
+        assert out_neighbourhood_scores(f, x) != out_neighbourhood_scores(f, y)
+        calls = []
+
+        def spy(s, t, phi):
+            calls.append(phi)
+            return is_isomorphism(s, t, phi)
+
+        monkeypatch.setattr(structures, "is_isomorphism", spy)
+        monkeypatch.setattr(extension, "is_isomorphism", spy)
+        assert certified_isomorphism(f, x, y) is None
+        assert len(calls) <= 1  # one admitted arity, 2
+        assert certified_isomorphism(f, x, x) is not None
+        assert len(calls) <= 2
+
+    def test_no_admitted_arity_gives_the_order_map(self):
+        f = random_partial(ground_range(6), 3, random.Random(5), mode="exact")
+        phi = certified_isomorphism(f, (4, 1), (0, 5))
+        assert phi.source.labels == (1, 4) and phi.images == (0, 5)
+
+    def test_uncertified_map_is_typed(self, monkeypatch):
+        # raised by an explicit check, so it holds under python -O too
+        f = order_partial(ground_range(6), 3, "min")
+        monkeypatch.setattr(structures, "is_isomorphism", lambda *a: False)
+        with pytest.raises(UncertifiedIsomorphism):
+            certified_isomorphism(f, (0, 1, 2), (3, 4, 5))

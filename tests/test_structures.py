@@ -20,6 +20,7 @@ from hypersel.errors import (
     UncertifiedIsomorphism,
 )
 from hypersel import structures
+from hypersel._kernels import regular_masks_exhaustive
 from hypersel.cli import main
 from hypersel.structures import (
     GroundSet,
@@ -29,11 +30,11 @@ from hypersel.structures import (
     are_isomorphic,
     canonical_form,
     check_cycle_property,
-    count_regular_tournaments_exhaustive,
     enumerate_selections,
     ground_range,
     is_isomorphism,
     is_regular,
+    joint_isomorphism,
     make_selection,
     mask_from_tournament,
     regular_tournaments,
@@ -194,10 +195,12 @@ class TestIsomorphism:
         with pytest.raises(SizeMismatch):
             IsoMap(ground_range(3), ground_range(4), (0, 1, 2))
 
-    def test_compose_and_inverse(self):
-        g = ground_range(4)
-        phi = IsoMap(g, g, (1, 0, 3, 2))
-        assert phi.compose(phi.inverse()).images == (0, 1, 2, 3)
+    def test_repeated_image_is_not_a_bijection(self):
+        # the image set equals the target, but four images for three points
+        with pytest.raises(ValueError, match="^images do not form a bijection onto the target$"):
+            IsoMap(ground_range(3), ground_range(3), (0, 1, 2, 2))
+        with pytest.raises(ValueError, match="^images do not form a bijection onto the target$"):
+            IsoMap(ground_range(3), ground_range(3), (0, 1))
 
 
 class TestCanonicalForm:
@@ -245,6 +248,15 @@ class TestCanonicalForm:
         monkeypatch.setattr(structures, "is_isomorphism", lambda *a: False)
         with pytest.raises(UncertifiedIsomorphism):
             are_isomorphic(s, t)
+
+    def test_joint_isomorphism_needs_one_ground_a_side(self):
+        s = rotational_tournament(5)
+        r = selection_from_order(GroundSet(tuple("abcde")), 2, "min")
+        assert joint_isomorphism((s,), (r,)) is None
+        assert joint_isomorphism((s,), (selection_from_order(ground_range(5), 3, "min"),)) is None
+        for gs in [(), (s, r)]:
+            with pytest.raises(ValueError, match="^need one or more structures on one ground"):
+                joint_isomorphism(gs, gs)
 
     @pytest.mark.parametrize("m, n", [(4, 2), (5, 2), (4, 3), (5, 4), (5, 5)])
     def test_one_form_per_oracle_class(self, m, n):
@@ -426,11 +438,12 @@ class TestMasks:
 
 class TestRegularTournaments:
     def test_count_three(self):
-        assert count_regular_tournaments_exhaustive(3) == 2
+        assert len(regular_masks_exhaustive(3)) == 2
 
     def test_count_five_backtracking_agrees(self):
         found = regular_tournaments(5)
-        assert len(found) == count_regular_tournaments_exhaustive(5) == 24
+        assert [mask_from_tournament(t) for t in found] == regular_masks_exhaustive(5)
+        assert len(found) == 24
 
     def test_all_regular(self):
         for t in regular_tournaments(5):
@@ -438,11 +451,8 @@ class TestRegularTournaments:
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_fewer_than_two_points_out_of_range(self, m):
-        for exhaustive in (False, True):
-            with pytest.raises(OutOfRange):
-                regular_tournaments(m, exhaustive=exhaustive)
         with pytest.raises(OutOfRange):
-            count_regular_tournaments_exhaustive(m)
+            regular_tournaments(m)
 
     def test_two_points_have_none(self):
-        assert regular_tournaments(2) == [] and count_regular_tournaments_exhaustive(2) == 0
+        assert regular_tournaments(2) == [] and regular_masks_exhaustive(2) == []
