@@ -37,6 +37,7 @@ from typing import Optional
 
 from .errors import (
     CoverConflict,
+    HypothesisViolated,
     NonBijectiveTransfer,
     NotNice,
     SizeMismatch,
@@ -310,8 +311,11 @@ def build_selection_from_nice(
     lexicographically least family and its first member) and every
     family receives the composed transfer from the base; a covered
     subset selects its point inside the transferred member.  All
-    transfers must be bijective.
+    transfers must be bijective.  Families with no members have no
+    member to base a component on: HypothesisViolated.
     """
+    if system.families and system.arity == 0:
+        raise HypothesisViolated("families have no members")
     verdict = is_nice(system)
     if not verdict:
         raise NotNice(f"system is not nice: {verdict.witness}", verdict)

@@ -49,17 +49,10 @@ from .vietoris import check_continuity
 
 
 def _emit(text: str, path: Optional[str]) -> None:
-    """Write text as UTF-8 to path, or to stdout when path is None.  A
-    stdout with a byte buffer gets the UTF-8 bytes whatever its own
-    encoding; a text-only stream (``io.StringIO``) gets the text."""
+    """Write text to path, or to stdout when path is None.  Every report,
+    bare document and table is ASCII, so any stream encoding takes it."""
     if path is None:
-        out = getattr(sys.stdout, "buffer", None)
-        if out is None:
-            sys.stdout.write(text)
-        else:
-            sys.stdout.flush()
-            out.write(text.encode("utf-8"))
-            out.flush()
+        sys.stdout.write(text)
     else:
         try:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -12,10 +12,11 @@ Schemas:
 Labels are strings; rationals are decimal-free "p/q" strings (writers
 always emit the slash form, readers also accept a bare integer).
 Readers reject unknown fields.  Writers emit subset labels in carrier
-order and choices in subset-rank order, so equal objects serialize to
-equal documents.  Readers resolve each distinct label string to its
-carrier index once (in a model after the fraction parse, so "2/4" is
-"1/2"), and reject a subset listed twice under any spelling.
+order and choices in subset-rank order, and dumps renders every document
+and report as one line of compact ASCII JSON with sorted keys, so equal
+objects serialize to equal bytes.  Readers resolve each distinct label
+string to its carrier index once (in a model after the fraction parse,
+so "2/4" is "1/2"), and reject a subset listed twice under any spelling.
 A choice listed in carrier order lands in its subset_ranks slot in one
 step; other records take the per-field checks, with the same messages.
 A model's carrier reuses the Fractions parsed from its points.
@@ -89,50 +90,10 @@ def jsonable(x: Any) -> Any:
 
 
 def dumps(doc: Any) -> str:
-    """Canonical rendering: sorted keys, two-space indent, one trailing
-    newline.  Equal documents give byte-equal text, the same text as
-    json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-    whose indent forces json's pure-Python encoder; this writer quotes
-    strings with the C one.  Object keys are strings."""
-    out: list = []
-    _render(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-_quote = json.encoder.encode_basestring
-
-
-def _render(x: Any, newline: str, out: list) -> None:
-    """Append the text of x, whose lines start with newline.  A string
-    inside a dict or list is quoted inline, without a call of its own."""
-    if isinstance(x, str):
-        out.append(_quote(x))
-    elif isinstance(x, dict):
-        inner, sep = newline + "  ", "{"
-        for k, v in sorted(x.items()):
-            if isinstance(v, str):
-                out.append(sep + inner + _quote(k) + ": " + _quote(v))
-            else:
-                out.append(sep + inner + _quote(k) + ": ")
-                _render(v, inner, out)
-            sep = ","
-        out.append(newline + "}" if x else "{}")
-    elif isinstance(x, (list, tuple)):
-        inner = newline + "  "
-        sep, comma = "[" + inner, "," + inner
-        for v in x:
-            if isinstance(v, str):
-                out.append(sep + _quote(v))
-            else:
-                out.append(sep)
-                _render(v, inner, out)
-            sep = comma
-        out.append(newline + "]" if x else "[]")
-    elif isinstance(x, int) and not isinstance(x, bool):
-        out.append(int.__repr__(x))
-    else:
-        out.append(json.dumps(x))  # None, a bool or a float
+    """Canonical rendering: json's C encoder with sorted keys, no
+    whitespace and ASCII only (anything else as a \\u escape), then one
+    trailing newline.  Equal documents give byte-equal text."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _check_fields(doc: Any, required: tuple, where: str) -> None:

@@ -18,6 +18,7 @@ from hypersel.cli import _cover_diagnostics
 from hypersel.documents import label_str
 from hypersel.errors import (
     CoverConflict,
+    HypothesisViolated,
     NonBijectiveTransfer,
     NotNice,
     SizeMismatch,
@@ -183,6 +184,17 @@ class TestBuild:
             FamilySystem((u, v), model), bases={0: (0, 1)}
         )
         assert built.values == {(0, 2): 2, (1, 3): 3}
+
+    def test_memberless_families_violate_the_hypothesis(self):
+        # nice, but no member to base a component on
+        system = FamilySystem((family(), family()), order_model(self.QUARTERS, 2, "min"))
+        assert is_nice(system)
+        with pytest.raises(HypothesisViolated, match="^families have no members$"):
+            build_selection_from_nice(system)
+
+    def test_no_families_leave_the_empty_subset_uncovered(self):
+        built = build_selection_from_nice(FamilySystem((), order_model(self.QUARTERS, 2, "min")))
+        assert (built.values, built.uncovered, built.bases, built.components) == ({}, ((),), (), ())
 
     def test_covering_family_independence(self):
         system = derive_nice_family(cyclic_model(), 2)

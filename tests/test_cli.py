@@ -213,6 +213,16 @@ class TestUnwritableOutput:
         assert err.count("\n") == 1
 
 
+class TestMemberlessFamilies:
+    def test_build_names_the_violated_hypothesis(self, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(dumps({"model": write_model(cyclic_model()), "families": [{"intervals": []}]}))
+        assert call(["chains", "check-nice", str(path)])[0] == 0
+        assert call(["chains", "build", str(path)]) == (
+            2, "", "hypersel: families have no members\n"
+        )
+
+
 class TestHugePrime:
     def test_extend_beyond_the_bound_exits_one(self, docs, monkeypatch):
         # the bound is checked before the trial division, which would
@@ -255,8 +265,8 @@ def run_module(flags, argv, text=True, **env):
 
 
 class TestDocumentEncoding:
-    """Documents are read and reports written as UTF-8, whatever the
-    locale's encoding."""
+    """Documents are read as UTF-8 and reports written as ASCII,
+    whatever the locale's encoding."""
 
     def test_non_ascii_label_under_c_locale(self, tmp_path):
         doc = tmp_path / "partial.json"
@@ -270,7 +280,10 @@ class TestDocumentEncoding:
             results.append((done.returncode, done.stderr, out.read_bytes()))
             out.unlink()
         assert results[0] == results[1]
-        assert results[0][:2] == (0, "") and "\u00e9".encode() in results[0][2]
+        assert results[0][:2] == (0, "")
+        report = results[0][2]
+        assert report.isascii()
+        assert "\u00e9" in json.loads(report)["result"]["selection"]["carrier"]
 
     def test_non_ascii_report_on_stdout_under_c_locale(self, tmp_path):
         doc = tmp_path / "partial.json"
@@ -280,7 +293,8 @@ class TestDocumentEncoding:
         argv = ["extend", str(doc), "4", "2"]
         done = run_module(["-X", "utf8=0"], argv, text=False, LC_ALL="C")
         assert (done.returncode, done.stderr) == (0, b"")
-        assert "\u00e9".encode() in done.stdout
+        assert done.stdout.isascii()
+        assert "\u00e9" in json.loads(done.stdout)["result"]["selection"]["carrier"]
         assert done.stdout == call(argv)[1].encode("utf-8")
         # the --output report differs only in its recorded output path
         filed = run_module(["-X", "utf8=0"], argv + ["--output", str(out)], LC_ALL="C")
@@ -289,6 +303,19 @@ class TestDocumentEncoding:
         assert report["config"]["output"] == str(out)
         report["config"]["output"] = None
         assert dumps(report).encode("utf-8") == done.stdout
+
+    def test_lone_surrogate_label(self, tmp_path):
+        # JSON can spell a label that UTF-8 cannot encode; the ASCII
+        # report carries it as an escape
+        doc = tmp_path / "partial.json"
+        partial = write_partial(order_partial(GroundSet(("a", "\ud800", "c")), 2, "min"))
+        doc.write_text(json.dumps(partial), encoding="ascii")
+        out = tmp_path / "report"
+        code, stdout, stderr = call(["extend", str(doc), "2", "2", "--output", str(out)])
+        assert (code, stdout, stderr) == (0, "", "")
+        report = out.read_bytes()
+        assert report.isascii()
+        assert json.loads(report)["result"]["selection"]["carrier"] == partial["carrier"]
 
     @pytest.mark.parametrize("argv", [
         ["enumerate", "3", "2"],

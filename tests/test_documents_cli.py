@@ -129,24 +129,43 @@ choice_documents = st.fixed_dictionaries({
 })
 
 
+def _assert_compact(doc):
+    """dumps(doc) is one ASCII line ending in its only newline, and
+    decodes to doc (which holds no tuples)."""
+    text = dumps(doc)
+    assert text.isascii()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert json.loads(text) == doc
+
+
 class TestDumps:
     @settings(max_examples=200, deadline=None)
     @given(choice_documents)
-    def test_choice_records_match_json_indent_2(self, doc):
-        # string leaves inside dicts and lists take dumps' inline path
-        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    def test_choice_records_are_compact_ascii(self, doc):
+        _assert_compact(doc)
 
     @settings(max_examples=300, deadline=None)
     @given(json_values)
-    def test_matches_json_indent_2(self, doc):
-        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    def test_values_are_compact_ascii(self, doc):
+        _assert_compact(doc)
 
-    @pytest.mark.parametrize("doc", [
-        {}, [], {"a": {}, "b": []}, [[], [{}]], {"é": "\u00e9\u2028\"\\\n\t\x00\x1f"},
-        {"b": True, "a": False, "c": None}, [2**200, -(2**70), 0], (1, "x"),
-    ])
-    def test_fixed_cases(self, doc):
-        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    FIXED = [
+        ({}, b'{}\n'),
+        ([], b'[]\n'),
+        ({"a": {}, "b": []}, b'{"a":{},"b":[]}\n'),
+        ([[], [{}]], b'[[],[{}]]\n'),
+        ({"\u00e9": "\u00e9\u2028\"\\\n\t\x00\x1f"},
+         rb'{"\u00e9":"\u00e9\u2028\"\\\n\t\u0000\u001f"}' b'\n'),
+        ({"b": True, "a": False, "c": None}, b'{"a":false,"b":true,"c":null}\n'),
+        ([2**200, -(2**70), 0],
+         b'[1606938044258990275541962092341162602522202993782792835301376,'
+         b'-1180591620717411303424,0]\n'),
+        ((1, "x"), b'[1,"x"]\n'),
+    ]
+
+    @pytest.mark.parametrize("doc, text", FIXED, ids=[f"doc{i}" for i in range(len(FIXED))])
+    def test_fixed_cases(self, doc, text):
+        assert dumps(doc).encode("ascii") == text
 
 
 class TestRejection:
