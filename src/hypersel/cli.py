@@ -187,8 +187,9 @@ def cmd_chains(args: argparse.Namespace) -> int:
     # build
     try:
         built = build_selection_from_nice(system)
-    except NotNice as exc:
-        result = {"built": False, "witness": jsonable(exc.verdict.witness), "error": str(exc)}
+    except (HypothesisViolated, NotNice) as exc:
+        witness = exc.verdict.witness if isinstance(exc, NotNice) else None
+        result = {"built": False, "witness": jsonable(witness), "error": str(exc)}
         _emit(_report(args, result), args.output)
         return 1
     names = [label_str(p) for p in system.model.points]

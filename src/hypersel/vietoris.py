@@ -14,10 +14,17 @@ ascending index tuple whose pick it reads off the selection level, and
 names the member receiving every pick, stopping at a second receiver.
 Shrinking a radius leaves each member fewer points and so a family
 fewer transversals: preservation only gets easier.  The continuity
-check therefore tests each domain subset once, at its floor radius (its
-starting radius over 2^40).  The neighborhood search halves the same
-starting radius on integers and skips a radius whose members hold the
-same ranges as at the last one, which failed.
+check therefore tests a domain subset once, at its floor radius (its
+starting radius over 2^40), and only if it has two or more points and
+meets the twinned set: the points with an adjacent gap below
+ceil(span / 2^41) on the integer grid.  A floor member's half-width,
+ceil(g / 2^41) for the subset's least gap g, is at most that bound, so a
+member around any other point holds that point alone (a singleton's
+always does).  Such a subset has one transversal, which is always
+preserved; a model with no twinned point is continuous.  The
+neighborhood search halves the same starting radius on integers and
+skips a radius whose members hold the same ranges as at the last one,
+which failed.
 """
 
 from __future__ import annotations
@@ -230,10 +237,23 @@ def find_preserving_neighborhoods(
 def check_continuity(model: ModelSpace) -> Verdict:
     """Every domain subset has neighborhoods at its floor radius that
     receive all selections of its own arity in one member (see the
-    module docstring).  Witness on failure is the offending point tuple."""
+    module docstring).  Only subsets of size >= 2 meeting the twinned
+    set are tested: any other has one transversal, which is preserved.
+    Witness on failure is the first offending point tuple by size, then
+    rank."""
     sel = model.selection
-    for size in sel.admissible_sizes():
+    sizes = [k for k in sel.admissible_sizes() if 2 <= k <= model.size]
+    if not sizes:
+        return PASS
+    _, keys, _ = model.grid
+    cut = -(-(keys[-1] - keys[0]) >> (RADIUS_FLOOR_SHIFT + 1))  # ceil(span / 2^41)
+    twins = {j for i, (x, y) in enumerate(zip(keys, keys[1:])) if y - x < cut for j in (i, i + 1)}
+    if not twins:
+        return PASS
+    for size in sizes:
         for s in combinations(range(model.size), size):
+            if twins.isdisjoint(s):
+                continue
             ((_, _, spans),) = _descent(model, s, (RADIUS_FLOOR_SHIFT,))
             if not _preserved(sel, spans, (size,)):
                 return fail(tuple(model.points[i] for i in s))

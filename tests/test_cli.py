@@ -218,9 +218,10 @@ class TestMemberlessFamilies:
         path = tmp_path / "system.json"
         path.write_text(dumps({"model": write_model(cyclic_model()), "families": [{"intervals": []}]}))
         assert call(["chains", "check-nice", str(path)])[0] == 0
-        assert call(["chains", "build", str(path)]) == (
-            2, "", "hypersel: families have no members\n"
-        )
+        code, out, err = call(["chains", "build", str(path)])
+        assert (code, err) == (1, "")
+        assert json.loads(out)["result"] == {
+            "built": False, "witness": None, "error": "families have no members"}
 
 
 class TestHugePrime:

@@ -26,6 +26,7 @@ from hypersel.vietoris import (
     order_model,
 )
 
+from generators import lifted_models
 from oracles import (
     flip_model,
     oracle_arrows_to,
@@ -377,6 +378,16 @@ def near_twin_model(seed):
     return model_space(pts, make_partial(GroundSet(tuple(pts)), "upto", bound, table))
 
 
+def twin_free_model(seed):
+    """A seeded model on 4 to 8 points with denominators 1, 2, 3 and 7
+    and random choices up to 2 or 3: on the integer grid its span is
+    at most 2,520, far below 2^41, so no adjacent gap is twinned."""
+    rng = random.Random(seed)
+    grid = sorted({F(k, d) for k in range(61) for d in (1, 2, 3, 7)})
+    pts = sorted(rng.sample(grid, rng.randint(4, 8)))
+    return model_space(pts, random_partial(GroundSet(tuple(pts)), rng.choice((2, 3)), rng))
+
+
 def floor_family(model, pts):
     """Members around pts at the starting radius over 2^40, the radius
     worked out on the Fractions as the oracle search does."""
@@ -427,18 +438,77 @@ class TestFloorRule:
             assert (verdict.ok, verdict.witness) == oracle_continuity(model)
             assert verdict.ok == (j >= 4)
 
-    def test_one_preservation_test_per_subset(self, monkeypatch):
-        # flip fixture 0, eps, 1: the singletons and (0, eps) pass, and
-        # (0, 1) is the witness, its floor member around 0 holding eps
-        model = flip_model()
+    def test_right_twin_alone(self):
+        # on 0, 2^41, 2^41 + 1 both twins are twinned: the pair (0, 2^41)
+        # has floor half-width 1 and its members hold one point each,
+        # while (0, 2^41 + 1) has half-width 2, and its member around
+        # 2^41 + 1 holds 2^41, whose pair against 0 picks it
+        pts = (F(0), F(2**41), F(2**41 + 1))
+        table = {frozenset(s): s[-1] for k in (1, 2) for s in combinations(pts, k)}
+        table[frozenset({pts[0], pts[2]})] = pts[0]
+        model = model_space(pts, make_partial(GroundSet(pts), "upto", 2, table))
+        verdict = check_continuity(model)
+        assert (verdict.ok, verdict.witness) == oracle_continuity(model) == (False, (pts[0], pts[2]))
+
+    def spy(self, monkeypatch):
+        """The list that collects check_continuity's _preserved calls."""
         calls = []
         preserved = vietoris._preserved
         monkeypatch.setattr(vietoris, "_preserved", lambda *a: calls.append(a) or preserved(*a))
         monkeypatch.setattr(vietoris, "find_preserving_neighborhoods", None)
-        assert check_continuity(model).witness == (F(0), F(1))
+        return calls
+
+    def test_one_preservation_test_per_subset(self, monkeypatch):
+        # flip fixture 0, eps, 1: one test per subset that meets the
+        # twinned set {0, eps} and has two or more points; (0, eps)
+        # passes, and (0, 1) is the witness, its floor member around 0
+        # holding eps
+        calls = self.spy(monkeypatch)
+        assert check_continuity(flip_model()).witness == (F(0), F(1))
         assert [(spans, arities) for _, spans, arities in calls] == [
-            ([range(0, 1)], (1,)), ([range(1, 2)], (1,)), ([range(2, 3)], (1,)),
             ([range(0, 1), range(1, 2)], (2,)), ([range(0, 2), range(2, 3)], (2,))]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_twin_free_models_pass_untested(self, monkeypatch, seed):
+        model = twin_free_model(seed)
+        assert (True, None) == oracle_continuity(model)
+        calls = self.spy(monkeypatch)
+        verdict = check_continuity(model)
+        assert (verdict.ok, verdict.witness, calls) == (True, None, [])
+
+    @pytest.mark.parametrize("bound", [0, 1])
+    def test_no_pair_level_never_reads_the_grid(self, monkeypatch, bound):
+        # flip fixture's points: twinned, but no subset of two or more
+        # points is in the domain
+        monkeypatch.setattr(ModelSpace, "grid", property(lambda _: pytest.fail("grid read")))
+        pts = flip_model().points
+        model = ModelSpace(pts, order_partial(GroundSet(pts), bound, "min"))
+        assert check_continuity(model) == vietoris.PASS
+
+
+class TestLiftedModels:
+    """Continuous models with near twins, lifted from a selection on
+    clusters (see tests/generators.py)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(lifted_models())
+    def test_lifted_models_are_continuous(self, lifted):
+        model, _ = lifted
+        verdict = check_continuity(model)
+        assert (verdict.ok, verdict.witness) == oracle_continuity(model) == (True, None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lifted_models(), st.data())
+    def test_a_flipped_constrained_subset_is_refuted(self, lifted, data):
+        model, constrained = lifted
+        s = data.draw(st.sampled_from(constrained))
+        sel = model.selection
+        table = {frozenset(t): sel.choose(t) for k in sel.admissible_sizes() for t in combinations(model.points, k)}
+        table[frozenset(s)] = data.draw(st.sampled_from([p for p in s if p != table[frozenset(s)]]))
+        flipped = model_space(model.points, make_partial(sel.carrier, "upto", sel.bound, table))
+        verdict = check_continuity(flipped)
+        assert (verdict.ok, verdict.witness) == oracle_continuity(flipped)
+        assert not verdict.ok
 
 
 class TestDescentAgreement:
