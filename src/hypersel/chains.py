@@ -377,9 +377,18 @@ def _placement(fam: OpenFamily, pts: tuple) -> Optional[tuple]:
     return tuple(pts[k] for k in mapping)
 
 
+def _regular_subsets(model: ModelSpace, m: int) -> list:
+    """The m-subsets of the points (index tuples, in rank order) whose
+    pair restriction is regular; the pair level alone is read."""
+    if not model.selection.admits(2):
+        raise ValueError("selection must admit arity 2")
+    pairs = model.selection.levels[2]
+    return [s for s in subset_ranks(model.size, m)[0] if len(set(subset_scores(pairs, s))) <= 1]
+
+
 def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
     """One family around every sampled (n+1)-set whose pair restriction
-    is regular (n even, selection total up to n+1), in subset rank order.
+    is regular (n even, pairs admitted), in subset rank order.
 
     A member is the interval around its point of radius half the least
     gap between sample points, so it holds its centre alone: the family
@@ -390,18 +399,13 @@ def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
     if n < 2 or n % 2 != 0:
         raise ValueError(f"need even n >= 2, got {n}")
     m = n + 1
-    sel = model.selection
-    if not (sel.admits(2) and sel.admits(m)):
-        raise ValueError(f"selection must admit arities 2 and {m}")
+    regular = _regular_subsets(model, m)  # its pair-level error comes first
     if m > model.size:
         raise ValueError(f"model has fewer than {m} points")
     pts = model.points
     cap = min(b - a for a, b in zip(pts, pts[1:])) / 2
     around = [IntervalOpen(p - cap, p + cap) for p in pts]
-    pairs = sel.levels[2]
-    subs, _ = subset_ranks(model.size, m)
-    return FamilySystem(tuple(OpenFamily(tuple(around[i] for i in s)) for s in subs
-                              if len(set(subset_scores(pairs, s))) <= 1), model)
+    return FamilySystem(tuple(OpenFamily(tuple(around[i] for i in s)) for s in regular), model)
 
 
 def regular_class_cover_check(system: FamilySystem, n: int) -> Verdict:
@@ -410,13 +414,8 @@ def regular_class_cover_check(system: FamilySystem, n: int) -> Verdict:
     first offending point tuple."""
     model = system.model
     m = n + 1
-    sel = model.selection
-    if not (sel.admits(2) and sel.admits(m)):
-        raise ValueError(f"selection must admit arities 2 and {m}")
-    pairs = sel.levels[2]
-    subs, _ = subset_ranks(model.size, m)
-    for s in subs:
-        regular = len(set(subset_scores(pairs, s))) <= 1
-        if bool(system.graph.covering(s)) != regular:
+    regular = set(_regular_subsets(model, m))
+    for s in subset_ranks(model.size, m)[0]:
+        if bool(system.graph.covering(s)) != (s in regular):
             return fail(tuple(model.points[i] for i in s))
     return PASS

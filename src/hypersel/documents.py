@@ -17,8 +17,10 @@ and report as one line of compact ASCII JSON with sorted keys, so equal
 objects serialize to equal bytes.  Readers resolve each distinct label
 string to its carrier index once (in a model after the fraction parse,
 so "2/4" is "1/2"), and reject a subset listed twice under any spelling.
-A choice listed in carrier order lands in its subset_ranks slot in one
-step; other records take the per-field checks, with the same messages.
+Choices laid out as the writers lay them out are read by one positional
+pass that matches each record to the next subset in rank order; any
+other list is read record by record through the per-field checks, whose
+messages name the first fault.
 A model's carrier reuses the Fractions parsed from its points.
 """
 
@@ -31,7 +33,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Optional
 
 from .chains import FamilySystem
-from .errors import DocumentError
+from .errors import ChoiceOutsideSubset, DocumentError
 from .extension import PartialSelection, admissible_sizes, partial_from_indices
 from .structures import (
     GroundSet,
@@ -122,32 +124,57 @@ def _int(x: Any, where: str) -> int:
 _CHOICE_KEYS = frozenset(("subset", "pick"))
 _INTERVAL_KEYS = frozenset(("lo", "hi"))
 _FAMILY_KEYS = frozenset(("intervals",))
-_NO_SLOTS = ({}, None)
+
+
+def _positional_levels(doc: Any, carrier: GroundSet, strings: tuple,
+                       sizes: range) -> Optional[dict]:
+    """{size: SelectionStructure} read from choice records laid out as
+    the writers lay them out, else None.
+
+    The records must list every subset of the sizes in sizes (all within
+    1..carrier size) once, sizes ascending and subsets in rank order,
+    each as a two-key dict whose subset is the list of its carrier
+    strings in carrier order and whose pick is a carrier string inside
+    it.  The count is checked before any rank table is built, and each
+    record is matched against the next subset: no table keyed by subset."""
+    m = carrier.size
+    if type(doc) is not list or sizes and not (1 <= sizes.start and sizes.stop <= m + 1):
+        return None
+    total = 0
+    for n in sizes:
+        total += math.comb(m, n)
+        if total > len(doc):
+            return None
+    if total != len(doc):
+        return None
+    known = dict(zip(strings, range(m))).__getitem__  # strings only: any other label misses
+    records = iter(doc)
+    levels = {}
+    try:
+        for n in sizes:
+            picks = []
+            for sub, rec in zip(subset_ranks(m, n)[0], records):
+                if type(rec) is not dict or len(rec) != 2:
+                    return None
+                subset = rec["subset"]
+                if type(subset) is not list or tuple(map(known, subset)) != sub:
+                    return None
+                picks.append(known(rec["pick"]))
+            levels[n] = SelectionStructure(carrier, n, tuple(picks))
+    except (KeyError, TypeError, ChoiceOutsideSubset):
+        return None
+    return levels
 
 
 def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
-                  parse: bool, sizes: range) -> tuple:
-    """Choice records to (table, names, slots), as partial_from_indices
-    takes them; each string not in strings (the carrier) resolved once.
-
-    If the records could list every subset of the sizes in sizes, each
-    subset has a slot at its rank.  A well-formed record over resolved
-    labels in carrier order fills its slot in one step; any other goes
-    through the per-field checks, which raise in the same order as for a
-    record read alone, and fills its slot or a table entry."""
+                  parse: bool) -> tuple:
+    """Choice records to (table, names), as partial_from_indices takes
+    them, through the per-field checks in record order; each string not
+    in strings (the carrier) resolved once."""
     if not isinstance(doc, list):
         raise DocumentError(f"{where}: expected a list of choice records")
     ids = dict(zip(strings, range(len(strings))))
-    known = ids.__getitem__
     index = None  # LabelIndex of the carrier, made for the first other label
-    m = carrier.size
-    slotted, total = {}, 0  # size -> (subset_ranks' rank dict, picks by rank)
-    for n in range(max(sizes.start, 1), min(sizes.stop, m + 1)):
-        total += math.comb(m, n)
-        if total > len(doc):  # too few records to list every subset
-            slotted = {}
-            break
-        slotted[n] = (subset_ranks(m, n)[1], [None] * math.comb(m, n))
 
     def resolve(x: str, field: str) -> int:
         nonlocal index
@@ -157,7 +184,8 @@ def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
         ids[x] = i = index[label]
         return i
 
-    def checked_key(r: int, rec: Any) -> tuple:
+    table: dict = {}
+    for r, rec in enumerate(doc):
         if not (isinstance(rec, dict) and rec.keys() == _CHOICE_KEYS):
             _check_fields(rec, ("subset", "pick"), f"{where}[{r}]")
         subset, pick = rec["subset"], rec["pick"]
@@ -165,41 +193,13 @@ def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
             raise DocumentError(f"{where}[{r}].subset: expected a list of strings")
         if not isinstance(pick, str):
             raise DocumentError(f"{where}[{r}].pick: expected a string")
-        return tuple(sorted({ids[x] if x in ids else resolve(x, "subset") for x in subset}))
-
-    table: dict = {}
-    for r, rec in enumerate(doc):
-        pick = None
-        # a two-key dict holding subset (a list) and pick has just those keys
-        if type(rec) is dict and len(rec) == 2 and type(rec.get("subset")) is list:
-            try:  # ids holds strings only, so any other label misses
-                key = tuple(map(known, rec["subset"]))
-                pick = known(rec["pick"])
-                rank, slots = slotted[len(key)]
-                i = rank[key]  # a slotted subset, in carrier order
-            except (TypeError, KeyError):
-                pass
-            else:
-                if slots[i] is not None:
-                    raise DocumentError(f"{where}[{r}].subset: duplicate subset")
-                slots[i] = pick
-                continue
-        key = checked_key(r, rec) if pick is None else tuple(sorted(set(key)))
-        if len(key) != len(rec["subset"]):
+        key = tuple(sorted({ids[x] if x in ids else resolve(x, "subset") for x in subset}))
+        if len(key) != len(subset):
             raise DocumentError(f"{where}[{r}].subset: repeated labels")
-        rank, slots = slotted.get(len(key), _NO_SLOTS)
-        i = rank.get(key)
-        if key in table if i is None else slots[i] is not None:
+        if key in table:
             raise DocumentError(f"{where}[{r}].subset: duplicate subset")
-        if pick is None:
-            x = rec["pick"]
-            pick = ids[x] if x in ids else resolve(x, "pick")
-        if i is None:
-            table[key] = pick
-        else:
-            slots[i] = pick
-    names = carrier.labels if index is None else index.names
-    return table, names, {n: slots for n, (_, slots) in slotted.items()}
+        table[key] = ids[pick] if pick in ids else resolve(pick, "pick")
+    return table, carrier.labels if index is None else index.names
 
 
 def _write_choices(structures) -> list:
@@ -228,9 +228,11 @@ def read_selection(doc: Any) -> SelectionStructure:
     strings = _string_list(doc["ground"], "selection.ground")
     n = _int(doc["n"], "selection.n")
     ground = GroundSet(strings)
-    table, names, slots = _read_choices(
-        doc["choices"], "selection.choices", ground, strings, False, range(n, n + 1))
-    return index_selection(ground, n, table, names, slots.get(n))
+    levels = _positional_levels(doc["choices"], ground, strings, range(n, n + 1))
+    if levels is not None:
+        return levels[n]
+    return index_selection(ground, n, *_read_choices(
+        doc["choices"], "selection.choices", ground, strings, False))
 
 
 # -- partial selections --------------------------------------------------
@@ -265,9 +267,11 @@ def _read_partial(doc: Any, parsed: Optional[dict]) -> PartialSelection:
     else:
         carrier = GroundSet(tuple(
             parsed[x] if x in parsed else parse_fraction(x, "partial.carrier") for x in strings))
+    levels = _positional_levels(doc["choices"], carrier, strings, admissible_sizes(mode, bound))
+    if levels is not None:
+        return PartialSelection(carrier, mode, bound, levels)
     return partial_from_indices(carrier, mode, bound, *_read_choices(
-        doc["choices"], "partial.choices", carrier, strings, parsed is not None,
-        admissible_sizes(mode, bound)))
+        doc["choices"], "partial.choices", carrier, strings, parsed is not None))
 
 
 # -- interval families ---------------------------------------------------

@@ -112,18 +112,15 @@ def make_partial(carrier: GroundSet, mode: str, bound: int, table: Mapping) -> P
 
 
 def partial_from_indices(carrier: GroundSet, mode: str, bound: int, table: Mapping,
-                         names: Sequence, slots: Optional[Mapping] = None) -> PartialSelection:
+                         names: Sequence) -> PartialSelection:
     """Build from a mapping {ascending index tuple: chosen index} covering
     exactly the admissible subsets, one index_selection per size; the
-    membership check forces singleton entries to pick their element.
-    slots[size], where present, holds that size's picks by rank, and
-    table only the entries outside them (see index_selection)."""
-    slots = slots or {}
+    membership check forces singleton entries to pick their element."""
     by_size: dict = {}
     for k, v in table.items():
         by_size.setdefault(len(k), {})[k] = v
     levels = {
-        size: index_selection(carrier, size, by_size.pop(size, {}), names, slots.get(size))
+        size: index_selection(carrier, size, by_size.pop(size, {}), names)
         for size in admissible_sizes(mode, bound)
     }
     if by_size:

@@ -24,33 +24,31 @@ from .structures import (
 MAX_TABLE_M = 10**4  # exact-arithmetic comfort zone for table binomials
 
 
-def is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    if k < 4:
-        return True
+def _least_factor(k: int) -> int:
+    """The least divisor d >= 2 of k >= 2, by trial division: 2, then
+    the odd numbers up to the square root."""
     if k % 2 == 0:
-        return False
+        return 2
     d = 3
     while d * d <= k:
         if k % d == 0:
-            return False
+            return d
         d += 2
-    return True
+    return k
+
+
+def is_prime(k: int) -> bool:
+    return k >= 2 and _least_factor(k) == k
 
 
 def prime_divisors(m: int) -> list:
-    """The distinct primes dividing m >= 1, ascending, by trial division."""
+    """The distinct primes dividing m >= 1, ascending."""
     out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
+    while m > 1:
+        d = _least_factor(m)
+        out.append(d)
+        while m % d == 0:
+            m //= d
     return out
 
 

@@ -148,43 +148,27 @@ def make_selection(ground: GroundSet, n: int, table: Mapping) -> SelectionStruct
 
 
 def index_selection(ground: GroundSet, n: int, table: Mapping,
-                    names: Sequence, slots: Optional[list] = None) -> SelectionStructure:
+                    names: Sequence) -> SelectionStructure:
     """Build a structure from a mapping {ascending index n-tuple: chosen
     index} covering exactly the n-subsets of the ground set.  Errors
-    name subsets and picks by label, names[i] for index i.  slots, when
-    given, holds the picks of the n-subsets by rank (None where there is
-    none), and table only the entries that are not among them."""
+    name subsets and picks by label, names[i] for index i: the first
+    subset in rank order with no pick or a pick outside it, then any
+    entry that is not an n-subset."""
     m = ground.size
     if not 1 <= n <= m:
         raise ValueError(f"arity {n} out of range for ground of size {m}")
-    if slots is None:
-        if len(table) < math.comb(m, n):
-            # some subset has no choice: name the first, met within the
-            # first len(table) + 1 subsets, without building the rank table
-            _name_bad_choice(((s, table.get(s)) for s in combinations(range(m), n)), names)
-        subs, _ = subset_ranks(m, n)
-        slots, extra = tuple(map(table.get, subs)), len(table) - len(subs)
-    else:
-        extra = len(table)
-    try:  # SelectionStructure checks each pick; only a failure rescans
-        s = SelectionStructure(ground, n, tuple(slots))
-    except ChoiceOutsideSubset:
-        _name_bad_choice(zip(subset_ranks(m, n)[0], slots), names)
-        raise
-    if extra:
-        raise MissingSubset("table has entries that are not n-subsets of the ground")
-    return s
-
-
-def _name_bad_choice(choices: Iterable, names: Sequence) -> None:
-    """Raise, by label, for the first (subset, pick) pair whose pick is
-    missing (None) or outside the subset."""
-    for s, v in choices:
+    picks = []
+    for s in combinations(range(m), n):
+        v = table.get(s)
         if v not in s:
             named = [names[i] for i in s]
             if v is None:
                 raise MissingSubset(f"no choice for subset {named}")
             raise ChoiceOutsideSubset(f"{names[v]!r} not in subset {named}")
+        picks.append(v)
+    if len(table) != len(picks):
+        raise MissingSubset("table has entries that are not n-subsets of the ground")
+    return SelectionStructure(ground, n, tuple(picks))
 
 
 def selection_from_order(ground: GroundSet, n: int, rule: str) -> SelectionStructure:
@@ -260,6 +244,18 @@ class IsoMap:
         return tuple(self.target.index(x) for x in self.images)
 
 
+def _relabeled(subs: tuple, rank: Mapping, picks: tuple, sigma: Sequence) -> tuple:
+    """The picks, by rank, of the structure that picks[r] on subs[r] is
+    carried to by sigma (old index -> new index): the one relabeling
+    kernel behind canonical labels, isomorphism checks and apply_iso."""
+    out = [0] * len(subs)
+    for sub, p in zip(subs, picks):
+        image = [sigma[y] for y in sub]
+        image.sort()
+        out[rank[tuple(image)]] = sigma[p]
+    return tuple(out)
+
+
 def is_isomorphism(s: SelectionStructure, t: SelectionStructure, phi: IsoMap) -> bool:
     """True iff phi carries every choice of s onto the choice of t."""
     if s.size != t.size:
@@ -268,29 +264,15 @@ def is_isomorphism(s: SelectionStructure, t: SelectionStructure, phi: IsoMap) ->
         raise ArityMismatch(f"arities differ: {s.n} vs {t.n}")
     if phi.source != s.ground or phi.target != t.ground:
         raise SizeMismatch("map endpoints do not match the structures")
-    p = phi.apply_indices()
-    subs, rank = subset_ranks(s.size, s.n)
-    for r, sub in enumerate(subs):
-        image = tuple(sorted(p[i] for i in sub))
-        if t.picks[rank[image]] != p[s.picks[r]]:
-            return False
-    return True
+    return _relabeled(*subset_ranks(s.size, s.n), s.picks, phi.apply_indices()) == t.picks
 
 
 def apply_iso(s: SelectionStructure, phi: IsoMap) -> SelectionStructure:
     """The relabeled structure on phi's target ground."""
     if phi.source != s.ground:
         raise SizeMismatch("map source does not match the structure")
-    p = phi.apply_indices()
-    inv = [0] * len(p)
-    for i, pi in enumerate(p):
-        inv[pi] = i
-    subs, rank = subset_ranks(s.size, s.n)
-    picks = [0] * len(subs)
-    for r, sub in enumerate(subs):
-        src = tuple(sorted(inv[j] for j in sub))
-        picks[r] = p[s.picks[rank[src]]]
-    return SelectionStructure(phi.target, s.n, tuple(picks))
+    picks = _relabeled(*subset_ranks(s.size, s.n), s.picks, phi.apply_indices())
+    return SelectionStructure(phi.target, s.n, picks)
 
 
 def _score_blocks(w: tuple):
@@ -389,12 +371,7 @@ def _canonical_labeling(gs: Sequence[SelectionStructure]):
             sigma = [0] * m  # old index -> new index
             for k, (x,) in enumerate(cells):
                 sigma[x] = k
-            enc = [0] * len(subs)
-            for sub, p in zip(subs, picks):
-                image = [sigma[y] for y in sub]
-                image.sort()
-                enc[rank[tuple(image)]] = sigma[p]
-            enc = tuple(enc)
+            enc = _relabeled(subs, rank, picks, sigma)
             if enc in leaves:
                 first = leaves[enc]
                 inv = [0] * m
@@ -451,10 +428,11 @@ def joint_isomorphism(gs: Sequence[SelectionStructure],
     or None when there is none.  Each side is one or more structures on
     one ground.  The two joint canonical labelings are compared and
     composed; the map is checked at every level before it is returned."""
+    for side in (gs, ts):
+        if not side or len({g.ground for g in side}) > 1:
+            raise ValueError("need one or more structures on one ground on each side")
     if [(g.size, g.n) for g in gs] != [(t.size, t.n) for t in ts]:
         return None
-    if not gs or len({g.ground for g in gs}) > 1 or len({t.ground for t in ts}) > 1:
-        raise ValueError("need one or more structures on one ground on each side")
     best, sigma = _canonical_labeling(gs)
     other, tau = _canonical_labeling(ts)
     if best != other:
@@ -530,14 +508,6 @@ def enumerate_selections(
             ground, n, tuple(subs[r][d] for r, d in enumerate(digits))
         )
 
-    def labeled() -> Iterator[SelectionStructure]:
-        cells = 0
-        for idx in range(total):
-            cells += count
-            if cells > budget:
-                raise BudgetExceeded(f"budget {budget} exhausted mid-stream")
-            yield structure(decode(idx))
-
     def classes() -> Iterator[SelectionStructure]:
         marked = bytearray(total)
         orbit_cells = math.factorial(m) * count
@@ -560,7 +530,8 @@ def enumerate_selections(
         if total * count + found * orbit_cells > budget:
             raise BudgetExceeded(f"budget {budget} exhausted mid-stream")
 
-    return classes() if up_to_iso else labeled()
+    # total * count <= budget is checked above: the labeled stream needs no meter
+    return classes() if up_to_iso else (structure(decode(i)) for i in range(total))
 
 
 def _relabeling_columns(m: int, n: int) -> list:

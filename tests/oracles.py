@@ -42,6 +42,19 @@ def oracle_scores(s: SelectionStructure) -> dict:
     return w
 
 
+# -- primes ---------------------------------------------------------------
+
+def oracle_primes(limit: int) -> list:
+    """The primes below limit, ascending, by the sieve of Eratosthenes:
+    no trial division."""
+    composite = bytearray(max(limit, 2))
+    composite[0] = composite[1] = 1
+    for p in range(2, limit):
+        if not composite[p]:
+            composite[p * p::p] = b"\x01" * len(range(p * p, limit, p))
+    return [k for k in range(limit) if not composite[k]]
+
+
 # -- tournament masks -------------------------------------------------------
 
 def oracle_cycle_violation(m: int, masks):

@@ -25,13 +25,15 @@ from hypersel.errors import (
     TransferConflict,
 )
 from hypersel.verdict import PASS
-from hypersel.vietoris import family, intersect_nonempty, interval, order_model
-from hypersel.structures import subset_ranks
+from hypersel.vietoris import family, intersect_nonempty, interval, model_space, order_model
+from hypersel.extension import make_partial
+from hypersel.structures import GroundSet, subset_ranks
 
 from oracles import (
     collapse_pair_system,
     conflict_system,
     cyclic_model,
+    cyclic_pair_table,
     oracle_build,
     oracle_chains_agree,
     oracle_components,
@@ -237,6 +239,22 @@ class TestDerive:
     def test_odd_arity_rejected(self):
         with pytest.raises(ValueError):
             derive_nice_family(cyclic_model(), 3)
+
+    def test_pair_level_alone_suffices(self):
+        # the cyclic triple up to 2: no level 3, one regular triple
+        pts = cyclic_model().points
+        model = model_space(pts, make_partial(GroundSet(pts), "upto", 2, cyclic_pair_table(pts)))
+        system = derive_nice_family(model, 2)
+        assert system.families == derive_nice_family(cyclic_model(), 2).families
+        assert len(system.families) == 1 and regular_class_cover_check(system, 2).ok
+
+    def test_derive_preconditions(self):
+        with pytest.raises(ValueError, match="^need even n >= 2, got 3$"):
+            derive_nice_family(order_model([0, 1, 2, 3, 4], 4, "min"), 3)
+        with pytest.raises(ValueError, match="^model has fewer than 5 points$"):
+            derive_nice_family(order_model([0, 1, 2, 3], 2, "min"), 4)
+        with pytest.raises(ValueError, match="^selection must admit arity 2$"):
+            derive_nice_family(order_model([0, 1, 2], 1, "min"), 2)
 
     def test_transitive_model_derives_nothing(self):
         model = order_model([0, 1, 2, 3], 3, "min")

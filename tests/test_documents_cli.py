@@ -33,7 +33,7 @@ from hypersel.documents import (
 )
 from hypersel.errors import ChoiceOutsideSubset, DocumentError, MissingSubset
 from hypersel.extension import order_partial, random_partial
-from hypersel.structures import GroundSet, ground_range, rotational_tournament
+from hypersel.structures import GroundSet, SelectionStructure, ground_range, rotational_tournament
 from hypersel.vietoris import family, order_model
 
 from oracles import conflict_system, cyclic_model, flip_model
@@ -272,9 +272,9 @@ class TestModelLabels:
 
 
 class TestChoiceRecords:
-    """Records that do not land in their rank slot in one step (out of
-    carrier order, repeated labels, a second record for a subset, sizes
-    outside the mode) are read as before, with the same messages."""
+    """Records that the positional pass does not match (out of carrier
+    order, repeated labels, a second record for a subset, sizes outside
+    the mode) are read field by field, with the same messages."""
 
     @staticmethod
     def base():
@@ -351,9 +351,51 @@ class TestChoiceRecords:
         with pytest.raises(DocumentError, match=r"^partial\.choices\[6\]\.subset: duplicate subset$"):
             read_model(doc)
 
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        """The where argument of every call to the field-by-field reader."""
+        calls = []
+        read = documents._read_choices
+
+        def spied(doc, where, *rest):
+            calls.append(where)
+            return read(doc, where, *rest)
+
+        monkeypatch.setattr(documents, "_read_choices", spied)
+        return calls
+
+    def test_writer_layout_is_read_positionally(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        f = random_partial(GroundSet(tuple("qbzam")), 3, random.Random(5))
+        assert read_partial(write_partial(f)) == f
+        s = SelectionStructure(GroundSet(tuple("abcde")), 2, rotational_tournament(5).picks)
+        assert read_selection(write_selection(s)) == s
+        model = order_model([0, F(1, 3), 1, F(5, 2)], 3, "max")
+        assert read_model(write_model(model)) == model
+        assert calls == []
+
+    @pytest.mark.parametrize("edit", ["reverse", "one subset out of order"])
+    def test_other_layouts_take_the_checked_path(self, monkeypatch, edit):
+        calls = self.spy(monkeypatch)
+        f = random_partial(GroundSet(tuple("qbzam")), 3, random.Random(5))
+        doc = write_partial(f)
+        if edit == "reverse":
+            doc["choices"].reverse()
+        else:
+            doc["choices"][12]["subset"].reverse()
+        assert read_partial(doc) == f
+        s = SelectionStructure(GroundSet(tuple("abcde")), 2, rotational_tournament(5).picks)
+        doc = write_selection(s)
+        if edit == "reverse":
+            doc["choices"].reverse()
+        else:
+            doc["choices"][4]["subset"].reverse()
+        assert read_selection(doc) == s
+        assert calls == ["partial.choices", "selection.choices"]
+
     def test_too_few_records_for_any_slot(self, monkeypatch):
         # 20 labels, exact 10: C(20, 10) = 184,756 subsets and one record;
-        # no rank slots are made, and the first missing subset is named
+        # no rank table is made, and the first missing subset is named
         monkeypatch.setattr(structures, "subset_ranks", None)
         doc = {"carrier": [f"x{i}" for i in range(20)], "mode": "exact", "bound": 10,
                "choices": [{"subset": [f"x{i}" for i in range(10)], "pick": "x0"}]}
@@ -673,6 +715,24 @@ class TestCliChains:
         path.write_text(dumps(write_system(system)))
         code, out, _ = run_cli(["chains", "check-nice", str(path)])
         assert code == 0
+
+    def test_derive_reads_the_pair_level_alone(self, tmp_path):
+        # the cyclic triple up to 2 (pairs pick 1, 0, 2): one regular triple
+        mpath = tmp_path / "model.json"
+        mpath.write_text(dumps({"points": ["0/1", "1/1", "2/1"], "selection": {
+            "carrier": ["0/1", "1/1", "2/1"], "mode": "upto", "bound": 2, "choices": [
+                {"subset": ["0/1"], "pick": "0/1"}, {"subset": ["1/1"], "pick": "1/1"},
+                {"subset": ["2/1"], "pick": "2/1"}, {"subset": ["0/1", "1/1"], "pick": "1/1"},
+                {"subset": ["0/1", "2/1"], "pick": "0/1"}, {"subset": ["1/1", "2/1"], "pick": "2/1"},
+            ]}}))
+        code, out, err = run_cli(["chains", "derive", str(mpath), "2"])
+        assert (code, err) == (0, "")
+        system = read_system(json.loads(out))
+        assert [[(u.lo, u.hi) for u in f.members] for f in system.families] == [
+            [(F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2)), (F(3, 2), F(5, 2))]]
+        for n, message in [("3", "need even n >= 2, got 3"), ("4", "model has fewer than 5 points")]:
+            code, out, err = run_cli(["chains", "derive", str(mpath), n])
+            assert (code, out) == (2, "") and message in err
 
     def test_derive_odd_arity_precondition(self, tmp_path):
         mpath = tmp_path / "model.json"

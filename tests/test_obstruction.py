@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypersel import obstruction
 from hypersel.errors import NotPrime, OutOfRange
 from hypersel.obstruction import (
+    MAX_TABLE_M,
     ObstructionCertificate,
     TABLE_COLUMNS,
     divides_binom,
@@ -22,6 +23,8 @@ from hypersel.obstruction import (
 )
 from hypersel.structures import is_regular
 
+from oracles import oracle_primes
+
 
 class TestPrimality:
     def test_small_values(self):
@@ -32,9 +35,15 @@ class TestPrimality:
         assert not is_prime(0) and not is_prime(1) and not is_prime(-7)
 
     def test_prime_divisors_match_primality_scan(self):
-        for m in range(1, 1200):
-            scan = [p for p in range(2, m + 1) if m % p == 0 and is_prime(p)]
-            assert prime_divisors(m) == scan
+        # against a sieve, which shares no trial division with either
+        primes = oracle_primes(MAX_TABLE_M)
+        assert [k for k in range(-2, MAX_TABLE_M) if is_prime(k)] == primes
+        divisors: list = [[] for _ in range(MAX_TABLE_M)]
+        for p in primes:
+            for m in range(p, MAX_TABLE_M, p):
+                divisors[m].append(p)
+        for m in range(1, MAX_TABLE_M):
+            assert prime_divisors(m) == divisors[m], m
 
 
 class TestRegularScoreValue:

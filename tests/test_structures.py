@@ -47,7 +47,7 @@ from hypersel.structures import (
 
 from hypersel.extension import random_partial, restrict
 
-from oracles import oracle_canonical, oracle_classes, oracle_refine, oracle_scores
+from oracles import oracle_canonical, oracle_classes, oracle_refine, oracle_relabel, oracle_scores
 
 # every (m, n), m <= 7, with at most 60k labeled structures
 SMALL_SPACES = [
@@ -72,6 +72,18 @@ def random_structures(max_m=5):
         return SelectionStructure(ground_range(m), n, picks)
 
     return build()
+
+
+@st.composite
+def relabelings(draw):
+    """Strategy: (structure on 1..7 elements at arity 1..4, a permutation
+    of its ground indices, a subset rank)."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, min(4, m)))
+    subs, _ = subset_ranks(m, n)
+    s = SelectionStructure(ground_range(m), n, tuple(draw(st.sampled_from(t)) for t in subs))
+    perm = tuple(draw(st.permutations(range(m))))
+    return s, perm, draw(st.integers(0, len(subs) - 1))
 
 
 class TestGroundSet:
@@ -203,6 +215,26 @@ class TestIsomorphism:
             IsoMap(ground_range(3), ground_range(3), (0, 1))
 
 
+class TestRelabeling:
+    """apply_iso and is_isomorphism share one relabeling kernel; both
+    are checked against the oracle's relabeling."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(relabelings())
+    def test_matches_the_oracle(self, case):
+        s, perm, r = case
+        target = GroundSet(tuple(f"x{i}" for i in range(s.size)))
+        phi = IsoMap(s.ground, target, tuple(target.labels[k] for k in perm))
+        t = apply_iso(s, phi)
+        assert t.ground == target and t.picks == oracle_relabel(s, perm)
+        assert is_isomorphism(s, t, phi)
+        sub = subset_ranks(s.size, s.n)[0][r]
+        if s.n > 1:  # a singleton has no other pick
+            picks = list(t.picks)
+            picks[r] = next(x for x in sub if x != picks[r])
+            assert not is_isomorphism(s, SelectionStructure(target, s.n, tuple(picks)), phi)
+
+
 class TestCanonicalForm:
     @settings(max_examples=40, deadline=None)
     @given(random_structures(max_m=4))
@@ -257,6 +289,11 @@ class TestCanonicalForm:
         for gs in [(), (s, r)]:
             with pytest.raises(ValueError, match="^need one or more structures on one ground"):
                 joint_isomorphism(gs, gs)
+        # each side is checked before the shapes are compared
+        t3, t5 = rotational_tournament(3), rotational_tournament(5)
+        for gs, ts in [((), (t3,)), ((t3,), ()), ((t3, t5), (t3,)), ((t3,), (t3, t5))]:
+            with pytest.raises(ValueError, match="^need one or more structures on one ground"):
+                joint_isomorphism(gs, ts)
 
     @pytest.mark.parametrize("m, n", [(4, 2), (5, 2), (4, 3), (5, 4), (5, 5)])
     def test_one_form_per_oracle_class(self, m, n):
