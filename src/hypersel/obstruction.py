@@ -96,6 +96,12 @@ def regular_score_value(m: int, n: int) -> Optional[int]:
     return math.comb(m, n) // m if divides_binom(m, n) else None
 
 
+def _certify(m: int, p: int) -> tuple:
+    """C(m,p), whether m divides it, and C(m-1,p-1) mod p, for a prime p <= m."""
+    binom = math.comb(m, p)
+    return binom, binom % m == 0, lucas_binom_mod(m - 1, p - 1, p)
+
+
 class ObstructionCertificate(NamedTuple):
     """Checkable record for one (m, p) divisibility question."""
 
@@ -122,9 +128,7 @@ def prime_obstruction_holds(m: int, p: int) -> ObstructionCertificate:
         raise OutOfRange(f"need 2 <= p <= m, got p={p}, m={m}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    binom = math.comb(m, p)
-    divisible = binom % m == 0
-    residue = lucas_binom_mod(m - 1, p - 1, p)
+    binom, divisible, residue = _certify(m, p)
     verdict = "regular-unobstructed" if divisible else "regular-impossible"
     return ObstructionCertificate(m, p, binom, divisible, residue, verdict)
 
@@ -149,13 +153,16 @@ class SearchResult(NamedTuple):
         return "proven-none" if self.proven else "budget-exceeded"
 
 
+_PROVEN_NONE = SearchResult(None, True, 0)  # immutable, so shared by every early exit
+
+
 def search_regular(m: int, n: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Backtracking search for a constant-score structure of arity n on m
     elements, pruning branches where some score overshoots the target or
     can no longer reach it.  Subsets are filled in rank order."""
     target = regular_score_value(m, n)
     if target is None:
-        return SearchResult(None, True, 0)
+        return _PROVEN_NONE
     subs, _ = subset_ranks(m, n)
     count = len(subs)
     # suffix[r][x] = how many subsets of rank >= r contain x
@@ -167,7 +174,7 @@ def search_regular(m: int, n: int, budget: int = DEFAULT_BUDGET) -> SearchResult
         suffix[r] = row
     for x in range(m):
         if suffix[0][x] < target:
-            return SearchResult(None, True, 0)
+            return _PROVEN_NONE
     w = [0] * m
     picks = [0] * count
     # explicit stack: pos[r] is the position in subs[r] of rank r's next
@@ -211,28 +218,22 @@ class TableRow(NamedTuple):
 
 
 def obstruction_table(max_m: int, budget: int = DEFAULT_BUDGET) -> list:
-    """One row per pair (m, p) with p prime, p | m, m <= max_m, ordered by
-    m then p.  Every row also reruns the witness search, whose
-    divisibility shortcut makes it instant here."""
+    """One row per prime p dividing m, 2 <= m <= max_m, by m then p.  Two
+    independent decisions check each row: m must not divide the exact
+    C(m,p), and the witness search (instant by its Kummer shortcut) must
+    find nothing.  p comes from factoring m, so no primality test runs."""
     if not 2 <= max_m <= MAX_TABLE_M:
         raise OutOfRange(f"need 2 <= max_m <= {MAX_TABLE_M}, got {max_m}")
     rows = []
     for m in range(2, max_m + 1):
         for p in prime_divisors(m):
-            cert = prime_obstruction_holds(m, p)
+            binom, divisible, residue = _certify(m, p)
+            if divisible:
+                raise BrokenInvariant(f"obstructed pair ({m},{p}) has m | C(m,p)")
             search = search_regular(m, p, budget=budget)
             if search.structure is not None:
                 raise BrokenInvariant(f"obstructed pair ({m},{p}) produced a witness")
-            rows.append(
-                TableRow(
-                    m=m,
-                    p=p,
-                    binom=cert.binom,
-                    divisible=cert.divisible_by_m,
-                    lucas_residue=cert.lucas_residue,
-                    search_status=search.status,
-                )
-            )
+            rows.append(TableRow(m, p, binom, divisible, residue, search.status))
     return rows
 
 
@@ -240,9 +241,8 @@ TABLE_COLUMNS = TableRow._fields
 
 
 def table_tsv(rows) -> str:
-    """Tab-separated rendering with header row and LF line endings."""
-    lines = ["\t".join(TABLE_COLUMNS)]
-    for r in rows:
-        cells = [("true" if v else "false") if type(v) is bool else str(v) for v in r]
-        lines.append("\t".join(cells))
-    return "\n".join(lines) + "\n"
+    """Tab-separated rendering: a header row, then one line per row with
+    booleans as true/false, every line ending in LF."""
+    body = [f"{m}\t{p}\t{binom}\t{'true' if div else 'false'}\t{res}\t{status}\n"
+            for m, p, binom, div, res, status in rows]
+    return "\t".join(TABLE_COLUMNS) + "\n" + "".join(body)

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import math
 import os
 import random
 import tempfile
@@ -33,10 +34,11 @@ from hypersel.documents import (
 )
 from hypersel.errors import ChoiceOutsideSubset, DocumentError, MissingSubset
 from hypersel.extension import order_partial, random_partial
+from hypersel.obstruction import obstruction_table, table_tsv
 from hypersel.structures import GroundSet, SelectionStructure, ground_range, rotational_tournament
 from hypersel.vietoris import family, order_model
 
-from oracles import conflict_system, cyclic_model, flip_model
+from oracles import conflict_system, cyclic_model, flip_model, oracle_primes
 
 
 def run_cli(argv):
@@ -475,6 +477,27 @@ class TestCliObstruct:
             assert sorted(row) == sorted(header.split("\t"))
             cells = [json.dumps(row[c]).strip('"') for c in header.split("\t")]
             assert cells == line.split("\t")
+
+    def test_golden_table(self):
+        # rendered from a sieve and math.comb alone, no hypersel kernel
+        primes = oracle_primes(401)
+        lines = ["m\tp\tbinom\tdivisible\tlucas_residue\tsearch_status"]
+        for m in range(2, 401):
+            for p in (p for p in primes if m % p == 0):
+                c = math.comb(m, p)
+                lines.append(f"{m}\t{p}\t{c}\t{'true' if c % m == 0 else 'false'}\t"
+                             f"{math.comb(m - 1, p - 1) % p}\tproven-none")
+        rows = obstruction_table(400)
+        assert table_tsv(rows) == "\n".join(lines) + "\n"
+        code, out, _ = run_cli(["obstruct", "400", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["result"]["rows"] == [r._asdict() for r in rows]
+
+    def test_budget_never_binds(self):
+        # every row has p | m: the search returns before it counts a node
+        code, out, err = run_cli(["obstruct", "60", "--budget", "1"])
+        assert (code, err) == (0, "")
+        assert out == run_cli(["obstruct", "60"])[1]
 
     def test_single_row(self):
         code, out, _ = run_cli(["obstruct", "2"])

@@ -3,6 +3,7 @@
 
 import ast
 import io
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -52,6 +53,21 @@ def test_cli_reports_broken_invariant_with_exit_two(monkeypatch):
         code = main(["obstruct", "4"])
     assert code == 2 and out.getvalue() == ""
     assert "produced a witness" in err.getvalue()
+
+
+def test_obstruction_divisible_binomial_is_broken_invariant(monkeypatch):
+    # a faked C(6,3) divisible by 6: the search's Kummer shortcut still
+    # finds (6,3) obstructed, so only the table's exact modulus catches it
+    comb = math.comb
+    fake = {(6, 3): 6 * comb(6, 3)}
+    monkeypatch.setattr(math, "comb", lambda a, b: fake.get((a, b)) or comb(a, b))
+    with pytest.raises(BrokenInvariant, match=r"^obstructed pair \(6,3\) has m \| C\(m,p\)$"):
+        obstruction_table(12)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["obstruct", "12"])
+    assert code == 2 and out.getvalue() == ""
+    assert "obstructed pair (6,3) has m | C(m,p)" in err.getvalue()
 
 
 def test_no_small_level_class_is_broken_invariant(monkeypatch):
