@@ -94,11 +94,14 @@ class PartialSelection:
     def admits(self, size: int) -> bool:
         return size in self.levels
 
-    def choose_indices(self, subset: tuple) -> int:
-        level = self.levels.get(len(subset))
+    def level(self, n: int) -> SelectionStructure:
+        level = self.levels.get(n)
         if level is None:
-            raise ArityNotInDomain(f"arity {len(subset)} not admitted by mode {self.mode}")
-        return level.choose_indices(subset)
+            raise ArityNotInDomain(f"arity {n} not admitted by mode {self.mode}")
+        return level
+
+    def choose_indices(self, subset: tuple) -> int:
+        return self.level(len(subset)).choose_indices(subset)
 
     def choose(self, labels: Iterable[Label]) -> Label:
         idx = tuple(sorted(self.carrier.index(x) for x in labels))
@@ -153,14 +156,11 @@ def random_partial(
 def restrict(f: PartialSelection, subset: Iterable[Label], n: int) -> SelectionStructure:
     """f viewed as an arity-n structure on a subset of its carrier,
     label order inherited from the carrier."""
-    level = f.levels.get(n)
-    if level is None:
-        raise ArityNotInDomain(f"arity {n} not admitted by mode {f.mode}")
+    picks = f.level(n).picks
     idx = tuple(sorted(f.carrier.index(x) for x in subset))
     ground = GroundSet(tuple(f.carrier.labels[i] for i in idx))
     at = {x: i for i, x in enumerate(idx)}
     _, rank = subset_ranks(f.carrier.size, n)
-    picks = level.picks
     return SelectionStructure(ground, n, tuple(at[picks[rank[t]]] for t in combinations(idx, n)))
 
 
@@ -180,8 +180,7 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     Subsets are visited in rank order, so class insertion order and
     member order are deterministic.
     """
-    if not f.admits(n):
-        raise ArityNotInDomain(f"arity {n} not admitted by mode {f.mode}")
+    f.level(n)  # an arity outside the mode raises before the range check
     if not n <= m <= f.carrier.size:
         raise ValueError(f"need n <= m <= carrier size, got n={n}, m={m}")
     classes: dict = {}

@@ -6,6 +6,11 @@ identity p*C(m,p) = m*C(m-1,p-1) together with C(m-1,p-1) = 1 (mod p)
 shows m cannot divide C(m,p).  Note the certificate is about m, not p:
 p itself may well divide C(m,p) (p=2, m=4 gives C(4,2)=6), so each
 certificate records the residue that actually carries the argument.
+
+Conversely m | C(m,n) suffices: giving each n-subset weight 1/n on each
+member loads every element with exactly C(m,n)/m, so by flow integrality
+an integral choice with the same loads exists, and search_regular finds
+one by augmenting paths.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .structures import (
     DEFAULT_BUDGET,
     SelectionStructure,
     ground_range,
+    is_regular,
     subset_ranks,
 )
 
@@ -137,9 +143,9 @@ class SearchResult(NamedTuple):
     """Outcome of a witness search for a regular structure.
 
     proven=True means the answer is definitive: either a witness was
-    found or the space was exhausted (possibly via the divisibility
-    shortcut).  proven=False only ever pairs with structure=None and
-    means the node budget ran out first.
+    found or m does not divide C(m,n), the only way none can exist.
+    proven=False only ever pairs with structure=None and means the node
+    budget ran out first.
     """
 
     structure: Optional[SelectionStructure]
@@ -157,55 +163,45 @@ _PROVEN_NONE = SearchResult(None, True, 0)  # immutable, so shared by every earl
 
 
 def search_regular(m: int, n: int, budget: int = DEFAULT_BUDGET) -> SearchResult:
-    """Backtracking search for a constant-score structure of arity n on m
-    elements, pruning branches where some score overshoots the target or
-    can no longer reach it.  Subsets are filled in rank order."""
+    """Constant-score arity-n structure on m elements by augmenting paths, which
+    exist by flow integrality once m | C(m,n): each subset in rank order searches
+    from its members, least loaded first, through the subsets picking full ones."""
     target = regular_score_value(m, n)
     if target is None:
         return _PROVEN_NONE
     subs, _ = subset_ranks(m, n)
-    count = len(subs)
-    # suffix[r][x] = how many subsets of rank >= r contain x
-    suffix = [[0] * m for _ in range(count + 1)]
-    for r in range(count - 1, -1, -1):
-        row = suffix[r + 1][:]
-        for x in subs[r]:
-            row[x] += 1
-        suffix[r] = row
-    for x in range(m):
-        if suffix[0][x] < target:
-            return _PROVEN_NONE
-    w = [0] * m
-    picks = [0] * count
-    # explicit stack: pos[r] is the position in subs[r] of rank r's next
-    # candidate, so the depth is not bounded by the recursion limit
-    pos = [0] * (count + 1)
-    nodes = 0
-    r = 0
-    while r < count:
-        sub = subs[r]
-        if pos[r] == n:
-            if r == 0:
-                return SearchResult(None, True, nodes)
-            r -= 1
-            w[picks[r]] -= 1
-            continue
-        x = sub[pos[r]]
-        pos[r] += 1
-        nodes += 1
-        if nodes > budget:
-            return SearchResult(None, False, nodes)
-        if w[x] + 1 > target:
-            continue
-        w[x] += 1
-        if all(w[y] + suffix[r + 1][y] >= target for y in sub):
-            picks[r] = x
-            r += 1
-            pos[r] = 0
+    picks = [0] * len(subs)
+    holders = [{} for _ in range(m)]  # x -> ranks picking x, as an ordered set
+    nodes = 0  # elements taken off a search queue; budget bounds it
+    for r, sub in enumerate(subs):
+        # element -> (element, rank) it was reached through; members map to None
+        prev = dict.fromkeys(sorted(sub, key=lambda x: len(holders[x])))
+        queue = list(prev)
+        for x in queue:
+            nodes += 1
+            if nodes > budget:
+                return SearchResult(None, False, nodes)
+            if len(holders[x]) < target:
+                break
+            for s in holders[x]:
+                for y in subs[s]:
+                    if y not in prev:
+                        prev[y] = (x, s)
+                        queue.append(y)
         else:
-            w[x] -= 1
-    s = SelectionStructure(ground_range(m), n, tuple(picks))
-    return SearchResult(s, True, nodes)
+            raise BrokenInvariant(f"no augmenting path for rank {r} of ({m},{n})")
+        while prev[x] is not None:  # each subset on the path moves its pick one step
+            y, s = prev[x]
+            del holders[y][s]
+            holders[x][s] = None
+            picks[s] = x
+            x = y
+        holders[x][r] = None
+        picks[r] = x
+    structure = SelectionStructure(ground_range(m), n, tuple(picks))
+    if not is_regular(structure):
+        raise BrokenInvariant(f"augmenting paths built a non-regular ({m},{n}) structure")
+    return SearchResult(structure, True, nodes)
 
 
 class TableRow(NamedTuple):

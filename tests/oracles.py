@@ -6,6 +6,7 @@ the library's own code paths wherever the point is to cross-check one.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
@@ -20,6 +21,7 @@ from hypersel.errors import (
     NotModelContinuous,
 )
 from hypersel.extension import PartialSelection, admissible_sizes, make_partial
+from hypersel.obstruction import SearchResult
 from hypersel.structures import GroundSet, SelectionStructure
 from hypersel.vietoris import (
     RADIUS_FLOOR_SHIFT,
@@ -53,6 +55,60 @@ def oracle_primes(limit: int) -> list:
         if not composite[p]:
             composite[p * p::p] = b"\x01" * len(range(p * p, limit, p))
     return [k for k in range(limit) if not composite[k]]
+
+
+# -- regularity search ------------------------------------------------------
+
+def oracle_search_regular(m: int, n: int, budget: int = 10**8) -> SearchResult:
+    """Backtracking search for a constant-score structure of arity n on m
+    elements, pruning branches where some score overshoots the target or
+    can no longer reach it.  Subsets are filled in rank order, so the
+    node count pins the visit order.  Divisibility is decided on the
+    exact binomial, not by the library's digit rule."""
+    if math.comb(m, n) % m:
+        return SearchResult(None, True, 0)
+    target = math.comb(m, n) // m
+    subs = list(combinations(range(m), n))
+    count = len(subs)
+    # suffix[r][x] = how many subsets of rank >= r contain x
+    suffix = [[0] * m for _ in range(count + 1)]
+    for r in range(count - 1, -1, -1):
+        row = suffix[r + 1][:]
+        for x in subs[r]:
+            row[x] += 1
+        suffix[r] = row
+    if any(suffix[0][x] < target for x in range(m)):
+        return SearchResult(None, True, 0)
+    w = [0] * m
+    picks = [0] * count
+    # explicit stack: pos[r] is the position in subs[r] of rank r's next
+    # candidate, so the depth is not bounded by the recursion limit
+    pos = [0] * (count + 1)
+    nodes = 0
+    r = 0
+    while r < count:
+        sub = subs[r]
+        if pos[r] == n:
+            if r == 0:
+                return SearchResult(None, True, nodes)
+            r -= 1
+            w[picks[r]] -= 1
+            continue
+        x = sub[pos[r]]
+        pos[r] += 1
+        nodes += 1
+        if nodes > budget:
+            return SearchResult(None, False, nodes)
+        if w[x] + 1 > target:
+            continue
+        w[x] += 1
+        if all(w[y] + suffix[r + 1][y] >= target for y in sub):
+            picks[r] = x
+            r += 1
+            pos[r] = 0
+        else:
+            w[x] -= 1
+    return SearchResult(SelectionStructure(GroundSet(tuple(range(m))), n, tuple(picks)), True, nodes)
 
 
 # -- tournament masks -------------------------------------------------------

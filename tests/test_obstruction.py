@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersel import obstruction
-from hypersel.errors import NotPrime, OutOfRange
+from hypersel.errors import BrokenInvariant, NotPrime, OutOfRange
 from hypersel.obstruction import (
     MAX_TABLE_M,
     ObstructionCertificate,
@@ -23,7 +23,7 @@ from hypersel.obstruction import (
 )
 from hypersel.structures import is_regular
 
-from oracles import oracle_primes
+from oracles import oracle_primes, oracle_search_regular
 
 
 class TestPrimality:
@@ -160,21 +160,53 @@ class TestSearch:
         assert res.status == "budget-exceeded"
         assert res.structure is None and not res.proven
 
+    def test_missing_path_is_broken_invariant(self, monkeypatch):
+        # a target of 1 leaves room for 5 of the 10 triples of (5,3)
+        monkeypatch.setattr(obstruction, "regular_score_value", lambda m, n: 1)
+        with pytest.raises(BrokenInvariant, match="^no augmenting path for rank 5 of \\(5,3\\)$"):
+            search_regular(5, 3)
+
+    def test_non_regular_witness_is_broken_invariant(self, monkeypatch):
+        monkeypatch.setattr(obstruction, "is_regular", lambda s: False)
+        with pytest.raises(BrokenInvariant, match="non-regular"):
+            search_regular(5, 3)
+
     @pytest.mark.parametrize("m,n,nodes", [
         (5, 3, 19), (7, 3, 66), (9, 4, 334), (10, 4, 3608), (13, 3, 3111),
     ])
     def test_witness_node_counts(self, m, n, nodes):
-        # counts of the rank-order search with backtracking; the search
+        # counts of the oracle's rank-order search with backtracking; it
         # visits each candidate once, so the count pins the visit order
-        res = search_regular(m, n)
+        res = oracle_search_regular(m, n)
         assert res.status == "witness" and is_regular(res.structure)
         assert res.nodes == nodes
 
     def test_depth_beyond_recursion_limit(self):
         # C(22,3) = 1540 ranks deep; a recursive search raised RecursionError
-        res = search_regular(22, 3, budget=2000)
+        res = oracle_search_regular(22, 3, budget=2000)
         assert res.status == "budget-exceeded"
         assert res.nodes == 2001
+
+    def test_agrees_with_backtracking_oracle(self):
+        pairs = [(m, n) for m in range(1, 301) for n in range(1, m + 1) if math.comb(m, n) <= 300]
+        for m, n in pairs:
+            res, ref = search_regular(m, n), oracle_search_regular(m, n)
+            assert res.status == ref.status, (m, n)
+            if res.structure is not None:
+                assert is_regular(res.structure) and is_regular(ref.structure), (m, n)
+
+    def test_settles_every_small_pair(self):
+        # regular exactly when m | C(m,n), each witness at score C(m,n)/m
+        pairs = [(m, n) for m in range(1, 41) for n in range(1, m + 1) if math.comb(m, n) <= 2000]
+        divisible = [(m, n) for m, n in pairs if math.comb(m, n) % m == 0]
+        assert (len(pairs), len(divisible)) == (252, 157)
+        for m, n in pairs:
+            res = search_regular(m, n)
+            if (m, n) in divisible:
+                assert res.status == "witness", (m, n)
+                assert Counter(res.structure.picks) == dict.fromkeys(range(m), math.comb(m, n) // m)
+            else:
+                assert res.status == "proven-none", (m, n)
 
 
 class TestTable:
