@@ -84,10 +84,8 @@ def regular_masks_backtracking(m: int) -> list:
         if v == m:
             out.append(mask)
             return
-        need = target - wins[v]
+        need = target - wins[v]  # in 0..len(rest): the row checks below keep it
         rest = list(range(v + 1, m))
-        if not 0 <= need <= len(rest):
-            return
         remaining_after = m - v - 2  # pairs still open for each w > v
         for beaten in combinations(rest, need):
             beaten_set = set(beaten)

@@ -36,12 +36,11 @@ from itertools import product
 from typing import Optional
 
 from .errors import (
-    CoverConflict,
+    BrokenInvariant,
     HypothesisViolated,
     NonBijectiveTransfer,
     NotNice,
     SizeMismatch,
-    TransferConflict,
 )
 from .extension import subset_scores
 from .structures import subset_ranks
@@ -338,7 +337,7 @@ def build_selection_from_nice(
         chosen_bases.append((base_f, base_m))
         labels, conflict = _labels_from(base_f, graph)
         if conflict is not None:
-            raise TransferConflict(
+            raise BrokenInvariant(
                 f"niceness verified but labeling from {base_f} conflicted at {conflict}"
             )
         for v in comp:
@@ -358,7 +357,7 @@ def build_selection_from_nice(
         picks = {s[members.index(targets[f])] for f, members in graph.covering(s)}
         if len(picks) > 1:
             pts = tuple(model.points[i] for i in s)
-            raise CoverConflict(f"covering families of {pts} disagree despite niceness")
+            raise BrokenInvariant(f"covering families of {pts} disagree despite niceness")
         if picks:
             values[s] = picks.pop()
         else:
@@ -380,9 +379,7 @@ def _placement(fam: OpenFamily, pts: tuple) -> Optional[tuple]:
 def _regular_subsets(model: ModelSpace, m: int) -> list:
     """The m-subsets of the points (index tuples, in rank order) whose
     pair restriction is regular; the pair level alone is read."""
-    if not model.selection.admits(2):
-        raise ValueError("selection must admit arity 2")
-    pairs = model.selection.levels[2]
+    pairs = model.selection.level(2)
     return [s for s in subset_ranks(model.size, m)[0] if len(set(subset_scores(pairs, s))) <= 1]
 
 

@@ -103,7 +103,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_obstruct(args: argparse.Namespace) -> int:
-    rows = obstruction_table(args.max_m, budget=args.budget)
+    rows = obstruction_table(args.max_m)
     if args.format == "tsv":
         _emit(table_tsv(rows), args.output)
     else:

@@ -2,8 +2,9 @@
 
 Every failure mode a caller can provoke has its own class so that tests
 and the CLI can match on type instead of message text.  Broken internal
-invariants raise explicitly, never through a bare ``assert``, so the
-checks survive ``python -O``.
+invariants (a check that holds for every valid input) are the one class
+``BrokenInvariant``, raised explicitly, never through a bare ``assert``,
+so the checks survive ``python -O``.
 """
 
 
@@ -41,11 +42,6 @@ class SizeMismatch(HyperselError):
 
 class ArityMismatch(HyperselError):
     """Two structures that must have equal arity do not."""
-
-
-class UncertifiedIsomorphism(HyperselError):
-    """Equal canonical forms composed to a map that fails the isomorphism
-    check (an internal invariant)."""
 
 
 class BrokenInvariant(HyperselError):
@@ -96,16 +92,6 @@ class NotNice(HyperselError):
     def __init__(self, message: str, verdict):
         super().__init__(message)
         self.verdict = verdict
-
-
-class TransferConflict(HyperselError):
-    """Transfer labels conflicted on a system that passed the niceness
-    check (an internal invariant)."""
-
-
-class CoverConflict(HyperselError):
-    """Families covering one sample subset selected different points on a
-    system that passed the niceness check (an internal invariant)."""
 
 
 class NonBijectiveTransfer(HyperselError):

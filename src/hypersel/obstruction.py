@@ -213,7 +213,7 @@ class TableRow(NamedTuple):
     search_status: str
 
 
-def obstruction_table(max_m: int, budget: int = DEFAULT_BUDGET) -> list:
+def obstruction_table(max_m: int) -> list:
     """One row per prime p dividing m, 2 <= m <= max_m, by m then p.  Two
     independent decisions check each row: m must not divide the exact
     C(m,p), and the witness search (instant by its Kummer shortcut) must
@@ -226,7 +226,7 @@ def obstruction_table(max_m: int, budget: int = DEFAULT_BUDGET) -> list:
             binom, divisible, residue = _certify(m, p)
             if divisible:
                 raise BrokenInvariant(f"obstructed pair ({m},{p}) has m | C(m,p)")
-            search = search_regular(m, p, budget=budget)
+            search = search_regular(m, p)
             if search.structure is not None:
                 raise BrokenInvariant(f"obstructed pair ({m},{p}) produced a witness")
             rows.append(TableRow(m, p, binom, divisible, residue, search.status))

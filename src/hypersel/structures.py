@@ -21,6 +21,7 @@ from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 from . import _kernels
 from .errors import (
     ArityMismatch,
+    BrokenInvariant,
     BudgetExceeded,
     ChoiceOutsideSubset,
     DuplicateLabel,
@@ -30,7 +31,6 @@ from .errors import (
     NotRegular,
     OutOfRange,
     SizeMismatch,
-    UncertifiedIsomorphism,
 )
 from .verdict import PASS, Verdict, fail
 
@@ -440,7 +440,7 @@ def joint_isomorphism(gs: Sequence[SelectionStructure],
     back = dict(zip(tau, ts[0].ground.labels))  # canonical index -> target label
     phi = IsoMap(gs[0].ground, ts[0].ground, tuple(back[k] for k in sigma))
     if not all(is_isomorphism(g, t, phi) for g, t in zip(gs, ts)):
-        raise UncertifiedIsomorphism(
+        raise BrokenInvariant(
             "equal canonical forms composed to a map that is not an isomorphism"
         )
     return phi

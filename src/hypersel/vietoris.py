@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
-from .errors import ArityNotInDomain, NotModelContinuous
+from .errors import NotModelContinuous
 from .extension import PartialSelection, order_partial
 from .structures import GroundSet, SelectionStructure, subset_ranks
 from .verdict import PASS, Verdict, fail
@@ -149,12 +149,6 @@ def order_model(points: Iterable, bound: int, rule: str) -> ModelSpace:
     return ModelSpace(pts, order_partial(GroundSet(pts), bound, rule))
 
 
-def _level(selection: PartialSelection, n: int) -> SelectionStructure:
-    if not selection.admits(n):
-        raise ArityNotInDomain(f"selection does not admit arity {n}")
-    return selection.levels[n]
-
-
 def _receiver(level: SelectionStructure, spans: Sequence[range]) -> Optional[int]:
     """The position in spans of the one member receiving the pick of
     every transversal, or None once a second member receives one.
@@ -175,7 +169,7 @@ def _preserved(selection: PartialSelection, spans: list, arities: Sequence[int])
     """Whether members holding the ascending index ranges spans preserve
     relations at each arity in turn."""
     for i in arities:
-        level = _level(selection, i)
+        level = selection.level(i)
         if any(_receiver(level, sub) is None for sub in combinations(spans, i)):
             return False
     return True

@@ -464,7 +464,7 @@ def oracle_preserves(model: ModelSpace, fam: OpenFamily, n: int):
     indices) of the first subfamily no member of which receives all its
     transversals' selections."""
     if not model.selection.admits(n):
-        raise ArityNotInDomain(f"selection does not admit arity {n}")
+        raise ArityNotInDomain(f"arity {n} not admitted by mode {model.selection.mode}")
     for idxs in combinations(range(fam.size), n):
         sub = tuple(fam.members[j] for j in idxs)
         if not any(oracle_arrows_to(model, sub, u) for u in sub):

@@ -17,12 +17,12 @@ from hypersel.chains import (
 from hypersel.cli import _cover_diagnostics
 from hypersel.documents import label_str
 from hypersel.errors import (
-    CoverConflict,
+    ArityNotInDomain,
+    BrokenInvariant,
     HypothesisViolated,
     NonBijectiveTransfer,
     NotNice,
     SizeMismatch,
-    TransferConflict,
 )
 from hypersel.verdict import PASS
 from hypersel.vietoris import family, intersect_nonempty, interval, model_space, order_model
@@ -146,7 +146,9 @@ class TestBuild:
         # with the niceness check bypassed, the conflict surfaces while
         # labeling from the base, as an error that survives python -O
         monkeypatch.setattr(chains, "is_nice", lambda system: PASS)
-        with pytest.raises(TransferConflict):
+        with pytest.raises(
+            BrokenInvariant, match=r"^niceness verified but labeling from 0 conflicted at \(1, 2\)$"
+        ):
             build_selection_from_nice(conflict_system())
 
     def test_cover_conflict_is_typed(self, monkeypatch):
@@ -158,7 +160,8 @@ class TestBuild:
         system = FamilySystem((u, w), order_model([1, 3], 2, "min"))
         assert chain_classes(system) == [[0], [1]]
         monkeypatch.setattr(chains, "is_nice", lambda system: PASS)
-        with pytest.raises(CoverConflict):
+        pts = r"\(Fraction\(1, 1\), Fraction\(3, 1\)\)"
+        with pytest.raises(BrokenInvariant, match=f"^covering families of {pts} disagree despite niceness$"):
             build_selection_from_nice(system, bases={0: (0, 0), 1: (1, 1)})
 
     def test_collapse_transfer_rejected(self):
@@ -186,6 +189,13 @@ class TestBuild:
             FamilySystem((u, v), model), bases={0: (0, 1)}
         )
         assert built.values == {(0, 2): 2, (1, 3): 3}
+
+    def test_bases_checked(self):
+        system = FamilySystem((family((0, 1), (2, 3)),), order_model([0, 1, 2, 3], 2, "min"))
+        with pytest.raises(ValueError, match=r"^base family 1 not in component \[0\]$"):
+            build_selection_from_nice(system, bases={0: (1, 0)})
+        with pytest.raises(ValueError, match="^base member 5 out of range$"):
+            build_selection_from_nice(system, bases={0: (0, 5)})
 
     def test_memberless_families_violate_the_hypothesis(self):
         # nice, but no member to base a component on
@@ -253,7 +263,7 @@ class TestDerive:
             derive_nice_family(order_model([0, 1, 2, 3, 4], 4, "min"), 3)
         with pytest.raises(ValueError, match="^model has fewer than 5 points$"):
             derive_nice_family(order_model([0, 1, 2, 3], 2, "min"), 4)
-        with pytest.raises(ValueError, match="^selection must admit arity 2$"):
+        with pytest.raises(ArityNotInDomain, match="^arity 2 not admitted by mode upto$"):
             derive_nice_family(order_model([0, 1, 2], 1, "min"), 2)
 
     def test_transitive_model_derives_nothing(self):

@@ -558,6 +558,21 @@ class TestCliExtend:
         code, _, err = run_cli(["extend", str(tmp_path / "nope.json"), "4", "2"])
         assert code == 2
 
+    def test_m_above_the_carrier_exits_one(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(dumps(write_partial(order_partial(GroundSet(tuple("abc")), 2, "min"))))
+        code, out, err = run_cli(["extend", str(path), "4", "2"])
+        assert (code, err) == (1, "")
+        assert json.loads(out)["result"] == {"error": "m=4 exceeds carrier size 3", "valid": False}
+
+    def test_choices_not_a_list_exit_two(self, tmp_path):
+        doc = write_partial(order_partial(ground_range(3), 2, "min"))
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({**doc, "choices": {"a": 1}}))
+        code, out, err = run_cli(["extend", str(path), "2", "2"])
+        assert (code, out) == (2, "")
+        assert err == "hypersel: partial.choices: expected a list of choice records\n"
+
     def test_missing_choices_exit_before_any_rank_table(self, tmp_path, monkeypatch):
         # C(20, 10) = 184,756 subsets and no choice for any of them
         def forbidden(*args):
@@ -756,6 +771,24 @@ class TestCliChains:
         for n, message in [("3", "need even n >= 2, got 3"), ("4", "model has fewer than 5 points")]:
             code, out, err = run_cli(["chains", "derive", str(mpath), n])
             assert (code, out) == (2, "") and message in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda fams: fams[0].update(intervals={"lo": "0/1"}), "family.intervals: expected a list"),
+        (lambda fams: fams[0].update(intervals=fams[0]["intervals"][:1]), "family sizes differ: [1, 2]"),
+    ], ids=["intervals not a list", "sizes differ"])
+    def test_malformed_system_exits_two(self, tmp_path, edit, message):
+        doc = write_system(conflict_system())
+        edit(doc["families"])
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["chains", "check-nice", str(path)])
+        assert (code, out, err) == (2, "", f"hypersel: {message}\n")
+
+    def test_derive_without_a_pair_level_exits_two(self, tmp_path):
+        mpath = tmp_path / "model.json"
+        mpath.write_text(dumps(write_model(order_model([0, 1, 2], 1, "min"))))
+        code, out, err = run_cli(["chains", "derive", str(mpath), "2"])
+        assert (code, out, err) == (2, "", "hypersel: arity 2 not admitted by mode upto\n")
 
     def test_derive_odd_arity_precondition(self, tmp_path):
         mpath = tmp_path / "model.json"

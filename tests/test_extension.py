@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hypersel.errors import (
     ArityNotInDomain,
+    BrokenInvariant,
     ChoiceOutsideSubset,
     HypothesisViolated,
     MissingSubset,
@@ -16,7 +17,6 @@ from hypersel.errors import (
     NotPrime,
     PrimeInput,
     RegularInput,
-    UncertifiedIsomorphism,
 )
 from hypersel import extension, structures
 from hypersel.obstruction import is_prime
@@ -249,6 +249,10 @@ class TestLeastSmallClass:
         with pytest.raises(RegularInput):
             least_small_class(rotational_tournament(5), 5)
 
+    def test_ground_size_checked(self):
+        with pytest.raises(ValueError, match="^structure lives on 3 elements, not 4$"):
+            least_small_class(selection_from_order(ground_range(3), 2, "min"), 4)
+
 
 class TestPartitionTypes:
     def test_min_rule_single_class(self):
@@ -264,6 +268,11 @@ class TestPartitionTypes:
         seen = sorted(t for ms in parts.classes.values() for t in ms)
         subs, _ = subset_ranks(6, 4)
         assert seen == sorted(subs)
+
+    def test_m_above_the_carrier_rejected(self):
+        f = order_partial(ground_range(8), 3, "min")
+        with pytest.raises(ValueError, match="^need n <= m <= carrier size, got n=2, m=9$"):
+            partition_types(f, 9, 2)
 
 
 class TestExtendSelection:
@@ -403,6 +412,11 @@ class TestExtendComposite:
         ordered = tuple(range(9))
         assert h.choose(ordered) == oracle_extend_value(f, ordered, 3) == 7
 
+    def test_arity_below_two_rejected(self):
+        f = order_partial(ground_range(8), 3, "min")
+        with pytest.raises(HypothesisViolated, match="^need n >= 2, got 1$"):
+            extend_composite(f, 1)
+
     def test_prime_next_arity_rejected(self):
         f = order_partial(ground_range(7), 6, "min")
         with pytest.raises(PrimeInput):
@@ -460,6 +474,10 @@ class TestCertifiedIsomorphism:
         phi = certified_isomorphism(f, (0, 3, 4), (1, 3, 4))
         assert phi is not None
 
+    def test_different_sizes_fail(self):
+        f = order_partial(ground_range(8), 3, "min")
+        assert certified_isomorphism(f, (0, 1), (2, 3, 4)) is None
+
     def test_equivariance_on_extension(self):
         f = random_partial(ground_range(6), 2, random.Random(3))
         h = extend_selection(f, 4, 2)
@@ -485,6 +503,12 @@ class TestCertifiedIsomorphism:
         assert not is_isomorphism(restrict(f, x, 3), restrict(f, y, 3), swapped)
         with pytest.raises(NotIso):
             equivariance_check(f, h, x, y, swapped)
+
+    def test_map_on_other_subsets_rejected(self):
+        f = order_partial(ground_range(8), 3, "min")
+        phi = certified_isomorphism(f, (0, 1, 2), (3, 4, 5))
+        with pytest.raises(NotIso, match="^map endpoints do not match the subsets$"):
+            equivariance_check(f, f, (0, 1, 2), (4, 5, 6), phi)
 
     def test_non_isomorphism_rejected(self):
         f = order_partial(ground_range(6), 2, "min")
@@ -578,5 +602,7 @@ class TestJointIsomorphism:
         # raised by an explicit check, so it holds under python -O too
         f = order_partial(ground_range(6), 3, "min")
         monkeypatch.setattr(structures, "is_isomorphism", lambda *a: False)
-        with pytest.raises(UncertifiedIsomorphism):
+        with pytest.raises(
+            BrokenInvariant, match="^equal canonical forms composed to a map that is not an isomorphism$"
+        ):
             certified_isomorphism(f, (0, 1, 2), (3, 4, 5))

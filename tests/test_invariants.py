@@ -20,9 +20,10 @@ from hypersel.structures import ground_range, rotational_tournament
 PACKAGE = Path(hypersel.__file__).parent
 
 
-def _raises_assertion_error(node) -> bool:
+def _raised_name(node) -> str | None:
+    """The class name a raise statement names, if it names one."""
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+    return exc.id if isinstance(exc, ast.Name) else None
 
 
 def test_package_has_no_assert_and_no_assertion_error():
@@ -30,13 +31,25 @@ def test_package_has_no_assert_and_no_assertion_error():
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Assert) or (
-                isinstance(node, ast.Raise) and node.exc is not None and _raises_assertion_error(node)
+                isinstance(node, ast.Raise) and node.exc is not None
+                and _raised_name(node) == "AssertionError"
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 
-def _witness_search(m, n, budget):
+def test_every_error_class_is_raised():
+    # one class per failure mode: a class nothing raises is a mode that
+    # no longer exists, or one folded into another (BrokenInvariant)
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    raised = {_raised_name(node) for path in PACKAGE.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.Raise) and node.exc is not None}
+    assert sorted(defined - raised) == ["HyperselError"]
+
+
+def _witness_search(m, n):
     return SearchResult(rotational_tournament(3), True, 1)
 
 

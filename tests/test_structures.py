@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersel.errors import (
+    ArityMismatch,
+    BrokenInvariant,
     BudgetExceeded,
     ChoiceOutsideSubset,
     DuplicateLabel,
@@ -17,9 +19,8 @@ from hypersel.errors import (
     NotRegular,
     OutOfRange,
     SizeMismatch,
-    UncertifiedIsomorphism,
 )
-from hypersel import structures
+from hypersel import _kernels, structures
 from hypersel._kernels import regular_masks_exhaustive
 from hypersel.cli import main
 from hypersel.structures import (
@@ -44,6 +45,7 @@ from hypersel.structures import (
     subset_ranks,
     tournament_from_mask,
 )
+from hypersel.verdict import fail
 
 from hypersel.extension import random_partial, restrict
 
@@ -143,6 +145,14 @@ class TestConstruction:
         hi = selection_from_order(g, 3, "max")
         assert lo.choose((1, 2, 3)) == 1
         assert hi.choose((0, 1, 2)) == 2
+        with pytest.raises(ValueError, match="^rule must be 'min' or 'max', got 'mid'$"):
+            selection_from_order(g, 2, "mid")
+
+    def test_arity_and_table_length_checked(self):
+        with pytest.raises(ValueError, match="^arity 0 out of range for ground of size 3$"):
+            SelectionStructure(ground_range(3), 0, ())
+        with pytest.raises(MissingSubset, match="^expected 3 choices, got 2$"):
+            SelectionStructure(ground_range(3), 2, (0, 0))
 
 
 class TestScores:
@@ -170,6 +180,10 @@ class TestRotational:
         with pytest.raises(EvenGround):
             rotational_tournament(4)
 
+    def test_single_point_rejected(self):
+        with pytest.raises(ValueError, match="^rotational tournament needs m >= 3, got 1$"):
+            rotational_tournament(1)
+
     @pytest.mark.parametrize("m", [3, 5, 7, 9])
     def test_regular_at_odd_sizes(self, m):
         s = rotational_tournament(m)
@@ -193,6 +207,14 @@ class TestCycleProperty:
         with pytest.raises(NotRegular):
             check_cycle_property(selection_from_order(ground_range(3), 2, "min"))
 
+    def test_violation_is_witnessed_by_labels(self, monkeypatch):
+        # every regular tournament has the property, so the failing
+        # branch is reached only through a kernel that reports a pair
+        monkeypatch.setattr(_kernels, "cycle_violation", lambda mask, m: (1, 2))
+        abc = GroundSet(tuple("abc"))
+        s = apply_iso(rotational_tournament(3), IsoMap(ground_range(3), abc, abc.labels))
+        assert check_cycle_property(s) == fail(("b", "c"))
+
 
 class TestIsomorphism:
     def test_apply_iso_preserves_choices(self):
@@ -206,6 +228,19 @@ class TestIsomorphism:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             IsoMap(ground_range(3), ground_range(4), (0, 1, 2))
+
+    def test_endpoints_checked(self):
+        s = rotational_tournament(3)
+        same = IsoMap(s.ground, s.ground, (0, 1, 2))
+        foreign = IsoMap(GroundSet(tuple("abc")), s.ground, (0, 1, 2))
+        with pytest.raises(SizeMismatch, match="^ground sizes differ: 3 vs 5$"):
+            is_isomorphism(s, rotational_tournament(5), same)
+        with pytest.raises(ArityMismatch, match="^arities differ: 2 vs 3$"):
+            is_isomorphism(s, selection_from_order(s.ground, 3, "min"), same)
+        with pytest.raises(SizeMismatch, match="^map endpoints do not match the structures$"):
+            is_isomorphism(s, s, foreign)
+        with pytest.raises(SizeMismatch, match="^map source does not match the structure$"):
+            apply_iso(s, foreign)
 
     def test_repeated_image_is_not_a_bijection(self):
         # the image set equals the target, but four images for three points
@@ -278,7 +313,9 @@ class TestCanonicalForm:
         s = rotational_tournament(5)
         t = apply_iso(s, IsoMap(s.ground, s.ground, (2, 3, 4, 0, 1)))
         monkeypatch.setattr(structures, "is_isomorphism", lambda *a: False)
-        with pytest.raises(UncertifiedIsomorphism):
+        with pytest.raises(
+            BrokenInvariant, match="^equal canonical forms composed to a map that is not an isomorphism$"
+        ):
             are_isomorphic(s, t)
 
     def test_joint_isomorphism_needs_one_ground_a_side(self):
@@ -414,6 +451,14 @@ class TestEnumeration:
     def test_small_arity_three(self):
         assert sum(1 for _ in enumerate_selections(3, 3)) == 3
 
+    def test_budget_binds_mid_stream(self):
+        # 64 * 6 = 384 table cells fit the budget; the third class's
+        # orbit of 4! relabelings does not
+        got = []
+        with pytest.raises(BudgetExceeded, match="^budget 400 exhausted mid-stream$"):
+            got.extend(enumerate_selections(4, 2, up_to_iso=True, budget=400))
+        assert len(got) == 2
+
     def test_budget_guard_is_eager(self):
         with pytest.raises(BudgetExceeded):
             next(iter(enumerate_selections(6, 3)))
@@ -471,6 +516,10 @@ class TestMasks:
     def test_roundtrip(self, mn):
         m, mask = mn
         assert mask_from_tournament(tournament_from_mask(mask, m)) == mask
+
+    def test_packing_needs_arity_two(self):
+        with pytest.raises(NotArityTwo, match="^mask packing needs arity 2, got 3$"):
+            mask_from_tournament(selection_from_order(ground_range(3), 3, "min"))
 
 
 class TestRegularTournaments:
