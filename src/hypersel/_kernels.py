@@ -10,13 +10,15 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
+from .errors import OutOfRange
+
 BACKEND = "pure"
 MAX_M = 11  # C(11,2) = 55 pair bits fit comfortably in a machine word
 
 
 def _check_m(m: int) -> None:
     if not 1 <= m <= MAX_M:
-        raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
+        raise OutOfRange(f"m must be in 1..{MAX_M}, got {m}")
 
 
 @lru_cache(maxsize=None)

@@ -40,6 +40,7 @@ from .errors import (
     HypothesisViolated,
     NonBijectiveTransfer,
     NotNice,
+    OutOfRange,
     SizeMismatch,
 )
 from .extension import subset_scores
@@ -328,12 +329,12 @@ def build_selection_from_nice(
         if bases is not None and ci in bases:
             base_f, base_m = bases[ci]
             if base_f not in comp:
-                raise ValueError(f"base family {base_f} not in component {comp}")
+                raise OutOfRange(f"base family {base_f} not in component {comp}")
         else:
             base_f = min(comp, key=graph.keys.__getitem__)
             base_m = 0
         if not 0 <= base_m < m:
-            raise ValueError(f"base member {base_m} out of range")
+            raise OutOfRange(f"base member {base_m} out of range")
         chosen_bases.append((base_f, base_m))
         labels, conflict = _labels_from(base_f, graph)
         if conflict is not None:
@@ -394,11 +395,12 @@ def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
     the regular sets interleave.
     """
     if n < 2 or n % 2 != 0:
-        raise ValueError(f"need even n >= 2, got {n}")
+        raise OutOfRange(f"need even n >= 2, got {n}")
     m = n + 1
-    regular = _regular_subsets(model, m)  # its pair-level error comes first
+    model.selection.level(2)  # a missing pair level raises before the size check
     if m > model.size:
-        raise ValueError(f"model has fewer than {m} points")
+        raise OutOfRange(f"model has fewer than {m} points")
+    regular = _regular_subsets(model, m)  # past the size check: a huge m overflows combinations
     pts = model.points
     cap = min(b - a for a, b in zip(pts, pts[1:])) / 2
     around = [IntervalOpen(p - cap, p + cap) for p in pts]

@@ -78,7 +78,7 @@ def _load(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -294,7 +294,7 @@ def main(argv: Optional[list] = None) -> int:
     except BudgetExceeded as exc:
         print(f"hypersel: budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except (HyperselError, ValueError) as exc:
+    except HyperselError as exc:
         print(f"hypersel: {exc}", file=sys.stderr)
         return 2
 

@@ -46,9 +46,10 @@ from .vietoris import IntervalOpen, ModelSpace, OpenFamily, model_space
 
 
 def fraction_str(q: Fraction) -> str:
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:  # a part past the interpreter's digit limit
+        raise DocumentError(str(exc)) from exc
 
 
 _FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -246,16 +247,13 @@ def write_partial(p: PartialSelection) -> dict:
     }
 
 
-def read_partial(doc: Any, parse_labels: bool = False) -> PartialSelection:
-    """parse_labels converts every label through the fraction parser,
-    the form used inside model documents; each distinct label string is
-    parsed once."""
-    return _read_partial(doc, {} if parse_labels else None)
+def read_partial(doc: Any) -> PartialSelection:
+    return _read_partial(doc, None)
 
 
 def _read_partial(doc: Any, parsed: Optional[dict]) -> PartialSelection:
-    """read_partial, with labels parsed as fractions unless parsed is
-    None; a carrier string in parsed reuses its fraction there."""
+    """A partial document's selection; unless parsed is None, labels are
+    fractions, and a carrier string in parsed reuses its fraction there."""
     _check_fields(doc, ("carrier", "mode", "bound", "choices"), "partial")
     strings = _string_list(doc["carrier"], "partial.carrier")
     mode = doc["mode"]

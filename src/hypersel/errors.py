@@ -1,10 +1,10 @@
 """Exception taxonomy shared by all modules.
 
-Every failure mode a caller can provoke has its own class so that tests
-and the CLI can match on type instead of message text.  Broken internal
-invariants (a check that holds for every valid input) are the one class
-``BrokenInvariant``, raised explicitly, never through a bare ``assert``,
-so the checks survive ``python -O``.
+Every fault a caller can provoke raises a ``HyperselError``, whose class
+names a kind of fault, not a call site, so tests and the CLI match on type.
+Broken internal invariants (a check that holds for every valid input) are
+``BrokenInvariant``, raised explicitly, never through a bare ``assert``, so
+the checks survive ``python -O``.  Any other exception is a bug.
 """
 
 
@@ -22,10 +22,6 @@ class MissingSubset(HyperselError):
 
 class ChoiceOutsideSubset(HyperselError):
     """A selection table picks an element not contained in its subset."""
-
-
-class EvenGround(HyperselError):
-    """A rotational tournament needs an odd ground size."""
 
 
 class NotRegular(HyperselError):
@@ -58,7 +54,7 @@ class NotPrime(HyperselError):
 
 
 class OutOfRange(HyperselError):
-    """A numeric parameter is outside its documented range."""
+    """An argument outside its documented domain."""
 
 
 class ArityNotInDomain(HyperselError):
@@ -73,8 +69,8 @@ class HypothesisViolated(HyperselError):
     """An extension precondition (primality, size, divisibility) fails."""
 
 
-class PrimeInput(HyperselError):
-    """The composite-arity shortcut was invoked with a prime successor."""
+class InvalidModel(HyperselError):
+    """An empty interval, overlapping members, or points unsorted or off the carrier."""
 
 
 class NotModelContinuous(HyperselError):

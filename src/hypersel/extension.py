@@ -20,14 +20,16 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
+    ArityMismatch,
     ArityNotInDomain,
     BrokenInvariant,
     HypothesisViolated,
     MissingSubset,
     NotIso,
     NotPrime,
-    PrimeInput,
+    OutOfRange,
     RegularInput,
+    SizeMismatch,
 )
 from .obstruction import is_prime, prime_divisors
 from .structures import (
@@ -74,11 +76,11 @@ class PartialSelection:
 
     def __post_init__(self):
         if self.mode not in (MODE_UPTO, MODE_EXACT):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise OutOfRange(f"unknown mode {self.mode!r}")
         # upto 0 is the empty selection (legal on an empty carrier)
         least = 0 if self.mode == MODE_UPTO else 1
         if not least <= self.bound <= self.carrier.size:
-            raise ValueError(
+            raise OutOfRange(
                 f"bound {self.bound} out of range for carrier of size {self.carrier.size}"
             )
         expected = list(self.admissible_sizes())
@@ -86,7 +88,7 @@ class PartialSelection:
             raise MissingSubset(f"levels for sizes {sorted(self.levels)}, need {expected}")
         for size, g in self.levels.items():
             if g.n != size or g.ground != self.carrier:
-                raise ValueError(f"level {size} is not an arity-{size} structure on the carrier")
+                raise ArityMismatch(f"level {size} is not an arity-{size} structure on the carrier")
 
     def admissible_sizes(self) -> range:
         return admissible_sizes(self.mode, self.bound)
@@ -182,7 +184,7 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     """
     f.level(n)  # an arity outside the mode raises before the range check
     if not n <= m <= f.carrier.size:
-        raise ValueError(f"need n <= m <= carrier size, got n={n}, m={m}")
+        raise OutOfRange(f"need n <= m <= carrier size, got n={n}, m={m}")
     classes: dict = {}
     subs, _ = subset_ranks(f.carrier.size, m)
     for s in subs:
@@ -220,7 +222,7 @@ def _least_small_level(w: Sequence[int]):
 def least_small_class(g: SelectionStructure, m: int):
     """(r0, Q): the least score r with 0 < |Q(r)| <= m/2, and that class."""
     if g.size != m:
-        raise ValueError(f"structure lives on {g.size} elements, not {m}")
+        raise SizeMismatch(f"structure lives on {g.size} elements, not {m}")
     if is_regular(g):
         raise RegularInput("level-class split undefined for regular structures")
     r, q = _least_small_level(score_vector(g))
@@ -228,7 +230,7 @@ def least_small_class(g: SelectionStructure, m: int):
 
 
 def check_extension(f: PartialSelection, m: int, p: int) -> None:
-    """Raise NotPrime, HypothesisViolated or ValueError unless
+    """Raise NotPrime, HypothesisViolated or OutOfRange unless
     extend_selection's preconditions hold: p prime, p <= k, m/2 <= k,
     p | m, p <= m <= carrier.  They are exactly what makes every
     restriction non-regular, so the level-class rule is total.  p is
@@ -249,7 +251,7 @@ def check_extension(f: PartialSelection, m: int, p: int) -> None:
             f"m={m} exceeds carrier size {f.carrier.size}"
         )
     if m < p:  # p | m leaves only m <= 0 here
-        raise ValueError(f"need n <= m <= carrier size, got n={p}, m={m}")
+        raise OutOfRange(f"need n <= m <= carrier size, got n={p}, m={m}")
 
 
 def extend_selection(f: PartialSelection, m: int, p: int) -> PartialSelection:
@@ -278,7 +280,7 @@ def extend_composite(f: PartialSelection, n: int) -> PartialSelection:
         raise HypothesisViolated(f"need an up-to-{n} selection")
     m = n + 1  # at most bound + 1, so trial division stays cheap
     if is_prime(m):
-        raise PrimeInput(f"{m} is prime; the composite shortcut does not apply")
+        raise HypothesisViolated(f"{m} is prime; the composite shortcut does not apply")
     return extend_selection(f, m, prime_divisors(m)[0])
 
 

@@ -25,9 +25,9 @@ from .errors import (
     BudgetExceeded,
     ChoiceOutsideSubset,
     DuplicateLabel,
-    EvenGround,
     MissingSubset,
     NotArityTwo,
+    NotIso,
     NotRegular,
     OutOfRange,
     SizeMismatch,
@@ -67,7 +67,7 @@ class GroundSet:
 
     def index(self, label: Label) -> int:
         if label not in self._position:
-            raise ValueError(f"{label!r} is not a label of the ground")
+            raise OutOfRange(f"{label!r} is not a label of the ground")
         return self._position[label]
 
     def __iter__(self):
@@ -96,7 +96,7 @@ class SelectionStructure:
     def __post_init__(self):
         m = self.ground.size
         if not 1 <= self.n <= m:
-            raise ValueError(f"arity {self.n} out of range for ground of size {m}")
+            raise OutOfRange(f"arity {self.n} out of range for ground of size {m}")
         subs, _ = subset_ranks(m, self.n)
         if len(self.picks) != len(subs):
             raise MissingSubset(f"expected {len(subs)} choices, got {len(self.picks)}")
@@ -156,7 +156,7 @@ def index_selection(ground: GroundSet, n: int, table: Mapping,
     entry that is not an n-subset."""
     m = ground.size
     if not 1 <= n <= m:
-        raise ValueError(f"arity {n} out of range for ground of size {m}")
+        raise OutOfRange(f"arity {n} out of range for ground of size {m}")
     picks = []
     for s in combinations(range(m), n):
         v = table.get(s)
@@ -174,7 +174,7 @@ def index_selection(ground: GroundSet, n: int, table: Mapping,
 def selection_from_order(ground: GroundSet, n: int, rule: str) -> SelectionStructure:
     """Structure picking the least ("min") or greatest ("max") index."""
     if rule not in ("min", "max"):
-        raise ValueError(f"rule must be 'min' or 'max', got {rule!r}")
+        raise OutOfRange(f"rule must be 'min' or 'max', got {rule!r}")
     subs, _ = subset_ranks(ground.size, n)
     picks = tuple(s[0] if rule == "min" else s[-1] for s in subs)
     return SelectionStructure(ground, n, picks)
@@ -184,9 +184,9 @@ def rotational_tournament(m: int) -> SelectionStructure:
     """Tournament on 0..m-1 (m odd) where {i,j}, i<j, picks j iff
     (j - i) mod m <= (m-1)/2.  Constant score (m-1)/2."""
     if m % 2 == 0:
-        raise EvenGround(f"rotational tournament needs odd m, got {m}")
+        raise OutOfRange(f"rotational tournament needs odd m, got {m}")
     if m < 3:
-        raise ValueError(f"rotational tournament needs m >= 3, got {m}")
+        raise OutOfRange(f"rotational tournament needs m >= 3, got {m}")
     half = (m - 1) // 2
     subs, _ = subset_ranks(m, 2)
     picks = tuple(j if (j - i) % m <= half else i for i, j in subs)
@@ -234,7 +234,7 @@ class IsoMap:
         if self.source.size != self.target.size:
             raise SizeMismatch("isomorphism endpoints differ in size")
         if len(self.images) != self.source.size or set(self.images) != set(self.target.labels):
-            raise ValueError("images do not form a bijection onto the target")
+            raise NotIso("images do not form a bijection onto the target")
 
     def apply(self, label: Label) -> Label:
         return self.images[self.source.index(label)]
@@ -430,7 +430,7 @@ def joint_isomorphism(gs: Sequence[SelectionStructure],
     composed; the map is checked at every level before it is returned."""
     for side in (gs, ts):
         if not side or len({g.ground for g in side}) > 1:
-            raise ValueError("need one or more structures on one ground on each side")
+            raise OutOfRange("need one or more structures on one ground on each side")
     if [(g.size, g.n) for g in gs] != [(t.size, t.n) for t in ts]:
         return None
     best, sigma = _canonical_labeling(gs)
@@ -475,7 +475,7 @@ def enumerate_selections(
     when the labeled structures alone are too many.
     """
     if not 1 <= n <= m:
-        raise ValueError(f"arity {n} out of range for ground of size {m}")
+        raise OutOfRange(f"arity {n} out of range for ground of size {m}")
     # C(m, n) >= 2**min(n, m - n): past the budget's bit length it is
     # over budget, and comb is not computed (it could take minutes)
     over = min(n, m - n) >= budget.bit_length()

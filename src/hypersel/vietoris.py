@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
-from .errors import NotModelContinuous
+from .errors import InvalidModel, NotModelContinuous, OutOfRange
 from .extension import PartialSelection, order_partial
 from .structures import GroundSet, SelectionStructure, subset_ranks
 from .verdict import PASS, Verdict, fail
@@ -64,7 +64,7 @@ class IntervalOpen:
 
     def __post_init__(self):
         if not _below(self.lo, self.hi):
-            raise ValueError(f"empty interval ({self.lo}, {self.hi})")
+            raise InvalidModel(f"empty interval ({self.lo}, {self.hi})")
 
     def contains(self, p: Fraction) -> bool:
         return self.lo < p < self.hi
@@ -87,7 +87,7 @@ class OpenFamily:
         if any(_below(b.lo, a.hi) for a, b in zip(ms, ms[1:])):  # not in ascending order
             for a, b in combinations(ms, 2):
                 if _below(a.lo, b.hi) and _below(b.lo, a.hi):
-                    raise ValueError(f"family members overlap: {a} and {b}")
+                    raise InvalidModel(f"family members overlap: {a} and {b}")
 
     @property
     def size(self) -> int:
@@ -120,9 +120,9 @@ class ModelSpace:
 
     def __post_init__(self):
         if not _ascending(self.points):
-            raise ValueError("points must be distinct and sorted ascending")
+            raise InvalidModel("points must be distinct and sorted ascending")
         if self.selection.carrier.labels != self.points:
-            raise ValueError("selection carrier must be exactly the points")
+            raise InvalidModel("selection carrier must be exactly the points")
 
     @property
     def size(self) -> int:
@@ -187,7 +187,7 @@ def _descent(model: ModelSpace, idx: Sequence[int], shifts: Iterable[int]):
     gap = min((y - x for x, y in zip(near, near[1:])), default=None)
     a, b = (d, 1) if gap is None else (gap, 2)  # the radius times D is a / b
     if a == 0:  # a repeated point: the members are empty
-        raise ValueError("empty interval ({0}, {0})".format(model.points[idx[0]]))
+        raise InvalidModel("empty interval ({0}, {0})".format(model.points[idx[0]]))
     for k in shifts:
         # a center c holds the keys less than ceil(a / b) away
         bk = b << k
@@ -210,11 +210,11 @@ def find_preserving_neighborhoods(
     """
     ps = [p if type(p) is Fraction else Fraction(p) for p in pts]
     if not ps:
-        raise ValueError("need at least one point")
+        raise OutOfRange("need at least one point")
     d, keys, position = model.grid
     at = sorted((position.get(p, -1), p) for p in ps)
     if at[0][0] < 0:
-        raise ValueError(f"{min(p for i, p in at if i < 0)} is not a sample point")
+        raise OutOfRange(f"{min(p for i, p in at if i < 0)} is not a sample point")
     wanted = sorted(set(arities))
     idx, ps = zip(*at)
     last = None

@@ -17,8 +17,10 @@ from hypersel.errors import (
     ArityNotInDomain,
     ChoiceOutsideSubset,
     DocumentError,
+    InvalidModel,
     MissingSubset,
     NotModelContinuous,
+    OutOfRange,
 )
 from hypersel.extension import PartialSelection, admissible_sizes, make_partial
 from hypersel.obstruction import SearchResult
@@ -318,7 +320,7 @@ def _oracle_choices(doc, where: str) -> dict:
 def oracle_make_selection(ground: GroundSet, n: int, table) -> SelectionStructure:
     m = ground.size
     if not 1 <= n <= m:
-        raise ValueError(f"arity {n} out of range for ground of size {m}")
+        raise OutOfRange(f"arity {n} out of range for ground of size {m}")
     normalized = {frozenset(k): v for k, v in table.items()}
     if len(normalized) != len(table):
         raise MissingSubset("table keys collapse when read as sets")
@@ -478,10 +480,10 @@ def oracle_neighborhoods(model: ModelSpace, pts, arities, max_radius=None) -> Op
     to 2^-40 of it, that preserves relations at every arity."""
     ps = tuple(sorted(Fraction(p) for p in pts))
     if not ps:
-        raise ValueError("need at least one point")
+        raise OutOfRange("need at least one point")
     for p in ps:
         if p not in model.points:
-            raise ValueError(f"{p} is not a sample point")
+            raise OutOfRange(f"{p} is not a sample point")
     wanted = sorted(set(arities))
 
     def half_gap(xs):
@@ -842,6 +844,6 @@ def random_mixed_system(rng: random.Random) -> FamilySystem:
                 members[rng.randrange(size)] = (donor.lo, donor.hi)
         try:
             fams.append(OpenFamily(tuple(interval(lo, hi) for lo, hi in members)))
-        except ValueError:  # an empty or overlapping member: draw again
+        except InvalidModel:  # an empty or overlapping member: draw again
             continue
     return FamilySystem(tuple(fams), order_model(pts, 2, "min"))

@@ -22,6 +22,7 @@ from hypersel.errors import (
     HypothesisViolated,
     NonBijectiveTransfer,
     NotNice,
+    OutOfRange,
     SizeMismatch,
 )
 from hypersel.verdict import PASS
@@ -192,9 +193,9 @@ class TestBuild:
 
     def test_bases_checked(self):
         system = FamilySystem((family((0, 1), (2, 3)),), order_model([0, 1, 2, 3], 2, "min"))
-        with pytest.raises(ValueError, match=r"^base family 1 not in component \[0\]$"):
+        with pytest.raises(OutOfRange, match=r"^base family 1 not in component \[0\]$"):
             build_selection_from_nice(system, bases={0: (1, 0)})
-        with pytest.raises(ValueError, match="^base member 5 out of range$"):
+        with pytest.raises(OutOfRange, match="^base member 5 out of range$"):
             build_selection_from_nice(system, bases={0: (0, 5)})
 
     def test_memberless_families_violate_the_hypothesis(self):
@@ -247,7 +248,7 @@ class TestDerive:
             assert built.values == {(0, 1, 2): k}
 
     def test_odd_arity_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             derive_nice_family(cyclic_model(), 3)
 
     def test_pair_level_alone_suffices(self):
@@ -259,9 +260,9 @@ class TestDerive:
         assert len(system.families) == 1 and regular_class_cover_check(system, 2).ok
 
     def test_derive_preconditions(self):
-        with pytest.raises(ValueError, match="^need even n >= 2, got 3$"):
+        with pytest.raises(OutOfRange, match="^need even n >= 2, got 3$"):
             derive_nice_family(order_model([0, 1, 2, 3, 4], 4, "min"), 3)
-        with pytest.raises(ValueError, match="^model has fewer than 5 points$"):
+        with pytest.raises(OutOfRange, match="^model has fewer than 5 points$"):
             derive_nice_family(order_model([0, 1, 2, 3], 2, "min"), 4)
         with pytest.raises(ArityNotInDomain, match="^arity 2 not admitted by mode upto$"):
             derive_nice_family(order_model([0, 1, 2], 1, "min"), 2)

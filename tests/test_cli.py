@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
 from unittest import mock
 
 import pytest
@@ -17,10 +18,11 @@ from hypothesis import strategies as st
 from hypersel import __version__, cli, extension
 from hypersel.chains import derive_nice_family
 from hypersel.documents import dumps, write_model, write_partial, write_system
-from hypersel.extension import order_partial
+from hypersel.extension import make_partial, order_partial
 from hypersel.structures import GroundSet, ground_range
+from hypersel.vietoris import model_space
 
-from oracles import conflict_system, cyclic_model, flip_model
+from oracles import conflict_system, cyclic_model, cyclic_pair_table, flip_model
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -234,6 +236,51 @@ class TestHugePrime:
         assert (code, err) == (1, "")
         assert json.loads(out)["result"] == {
             "valid": False, "error": f"need p <= bound, got p={p}, bound=2"}
+
+
+class TestErrorChannel:
+    """Exit 2 is a typed HyperselError, a document that json cannot
+    decode included; any other exception is a bug and leaves main."""
+
+    @pytest.mark.parametrize("kind", ["non-UTF-8", "huge integer", "deep nesting"])
+    def test_undecodable_document_exits_two(self, tmp_path, kind):
+        partial = dumps(write_partial(order_partial(ground_range(4), 2, "min")))
+        data = {
+            "non-UTF-8": b"\xff\xfe{}",
+            "huge integer": partial.replace('"bound":2', '"bound":' + "9" * 5000).encode(),
+            "deep nesting": b"[" * 100_000,
+        }[kind]
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        code, out, err = call(["extend", str(path), "4", "2"])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("hypersel: ")
+        # an interpreter without a digit limit reads the integer, and the
+        # bound is then out of range
+        if kind != "huge integer" or hasattr(sys, "get_int_max_str_digits"):
+            assert err.startswith(f"hypersel: {path}: invalid JSON: ")
+
+    def test_unwritable_fraction_exits_two(self, tmp_path):
+        # the derived intervals' ends have denominators of about 6,000
+        # digits, past the interpreter's digit limit for int to str
+        pts = (F(1, 10**3000 + 7), F(1, 10**3000 + 1), F(1))
+        model = model_space(pts, make_partial(GroundSet(pts), "upto", 2, cyclic_pair_table(pts)))
+        path = tmp_path / "model.json"
+        path.write_text(dumps(write_model(model)))
+        code, out, err = call(["chains", "derive", str(path)])
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert (code, out) == (2, "")
+            assert err.count("\n") == 1 and err.startswith("hypersel: ")
+        else:
+            assert (code, err) == (0, "")
+
+    def test_other_exceptions_escape(self, docs, monkeypatch):
+        def bug(model):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(cli, "check_continuity", bug)
+        with pytest.raises(ValueError, match="^bug$"):
+            call(["model", "check-continuity", docs["cyclic"]])
 
 
 class TestOneShot:

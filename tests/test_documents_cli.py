@@ -768,7 +768,8 @@ class TestCliChains:
         system = read_system(json.loads(out))
         assert [[(u.lo, u.hi) for u in f.members] for f in system.families] == [
             [(F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2)), (F(3, 2), F(5, 2))]]
-        for n, message in [("3", "need even n >= 2, got 3"), ("4", "model has fewer than 5 points")]:
+        for n, message in [("3", "need even n >= 2, got 3"), ("4", "model has fewer than 5 points"),
+                           (str(10**20), f"model has fewer than {10**20 + 1} points")]:
             code, out, err = run_cli(["chains", "derive", str(mpath), n])
             assert (code, out) == (2, "") and message in err
 

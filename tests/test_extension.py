@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersel.errors import (
+    ArityMismatch,
     ArityNotInDomain,
     BrokenInvariant,
     ChoiceOutsideSubset,
@@ -15,8 +16,9 @@ from hypersel.errors import (
     MissingSubset,
     NotIso,
     NotPrime,
-    PrimeInput,
+    OutOfRange,
     RegularInput,
+    SizeMismatch,
 )
 from hypersel import extension, structures
 from hypersel.obstruction import is_prime
@@ -90,12 +92,12 @@ REJECTED = [
     ("missing subset", 3, "upto", 2, without(full_table(3, (1, 2)), {0, 2}), MissingSubset),
     ("pick outside its subset", 3, "upto", 2, {**full_table(3, (1, 2)), frozenset({1, 2}): 0}, ChoiceOutsideSubset),
     ("singleton picks another label", 2, "upto", 1, {**full_table(2, (1,)), frozenset({1}): 0}, ChoiceOutsideSubset),
-    ("bound above the carrier, upto", 3, "upto", 4, full_table(3, (1, 2, 3)), ValueError),
-    ("bound above the carrier, exact", 3, "exact", 4, {}, ValueError),
-    ("exact with bound 0", 3, "exact", 0, {}, ValueError),
-    ("exact 0, empty carrier", 0, "exact", 0, {}, ValueError),
-    ("negative bound", 2, "upto", -1, {}, ValueError),
-    ("unknown mode", 2, "sometimes", 1, full_table(2, (1,)), ValueError),
+    ("bound above the carrier, upto", 3, "upto", 4, full_table(3, (1, 2, 3)), OutOfRange),
+    ("bound above the carrier, exact", 3, "exact", 4, {}, OutOfRange),
+    ("exact with bound 0", 3, "exact", 0, {}, OutOfRange),
+    ("exact 0, empty carrier", 0, "exact", 0, {}, OutOfRange),
+    ("negative bound", 2, "upto", -1, {}, OutOfRange),
+    ("unknown mode", 2, "sometimes", 1, full_table(2, (1,)), OutOfRange),
 ]
 
 
@@ -171,10 +173,10 @@ class TestPartialSelection:
         level = {n: selection_from_order(carrier, n, "min") for n in (1, 2)}
         with pytest.raises(MissingSubset):
             PartialSelection(carrier, "upto", 2, {1: level[1]})
-        with pytest.raises(ValueError):
+        with pytest.raises(ArityMismatch):
             PartialSelection(carrier, "upto", 2, {1: level[1], 2: level[1]})
         other = selection_from_order(ground_range(5), 2, "min")
-        with pytest.raises(ValueError):
+        with pytest.raises(ArityMismatch):
             PartialSelection(carrier, "upto", 2, {1: level[1], 2: other})
 
 
@@ -250,7 +252,7 @@ class TestLeastSmallClass:
             least_small_class(rotational_tournament(5), 5)
 
     def test_ground_size_checked(self):
-        with pytest.raises(ValueError, match="^structure lives on 3 elements, not 4$"):
+        with pytest.raises(SizeMismatch, match="^structure lives on 3 elements, not 4$"):
             least_small_class(selection_from_order(ground_range(3), 2, "min"), 4)
 
 
@@ -271,7 +273,7 @@ class TestPartitionTypes:
 
     def test_m_above_the_carrier_rejected(self):
         f = order_partial(ground_range(8), 3, "min")
-        with pytest.raises(ValueError, match="^need n <= m <= carrier size, got n=2, m=9$"):
+        with pytest.raises(OutOfRange, match="^need n <= m <= carrier size, got n=2, m=9$"):
             partition_types(f, 9, 2)
 
 
@@ -419,7 +421,7 @@ class TestExtendComposite:
 
     def test_prime_next_arity_rejected(self):
         f = order_partial(ground_range(7), 6, "min")
-        with pytest.raises(PrimeInput):
+        with pytest.raises(HypothesisViolated, match="^7 is prime; the composite shortcut does not apply$"):
             extend_composite(f, 6)
 
     def test_bound_checked_before_primality(self, monkeypatch):
@@ -443,7 +445,7 @@ class TestExtendComposite:
             extend_composite(exact, 3)
         assert seen == []
         # within the bound the test runs, on n + 1 only
-        with pytest.raises(PrimeInput):
+        with pytest.raises(HypothesisViolated, match="^3 is prime; the composite shortcut does not apply$"):
             extend_composite(f, 2)
         assert seen == [3]
 

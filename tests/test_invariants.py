@@ -38,15 +38,34 @@ def test_package_has_no_assert_and_no_assertion_error():
     assert found == []
 
 
+def _error_classes() -> set:
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def _raises():
+    """(file name, raise node) of every raise statement in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                yield path.name, node
+
+
 def test_every_error_class_is_raised():
     # one class per failure mode: a class nothing raises is a mode that
     # no longer exists, or one folded into another (BrokenInvariant)
-    tree = ast.parse((PACKAGE / "errors.py").read_text())
-    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
-    raised = {_raised_name(node) for path in PACKAGE.glob("*.py")
-              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-              if isinstance(node, ast.Raise) and node.exc is not None}
-    assert sorted(defined - raised) == ["HyperselError"]
+    raised = {_raised_name(node) for _, node in _raises()}
+    assert sorted(_error_classes() - raised) == ["HyperselError"]
+
+
+def test_every_raised_class_is_a_package_error():
+    # the CLI reports HyperselError alone; anything else is a bug that
+    # leaves with its traceback, save the entry point's own SystemExit
+    defined = _error_classes()
+    found = [f"{name}:{node.lineno}" for name, node in _raises()
+             if isinstance(node.exc, ast.Call) and _raised_name(node) not in defined
+             and (name, _raised_name(node)) != ("cli.py", "SystemExit")]
+    assert found == []
 
 
 def _witness_search(m, n):

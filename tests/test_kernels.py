@@ -5,6 +5,7 @@ import random
 import pytest
 
 from hypersel import _kernels
+from hypersel.errors import OutOfRange
 from hypersel.structures import (
     mask_from_tournament,
     rotational_tournament,
@@ -36,13 +37,13 @@ def test_backtracking_count_seven():
 
 @pytest.mark.parametrize("m", [0, _kernels.MAX_M + 1])
 def test_max_size_guard(m):
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         _kernels.regular_masks_backtracking(m)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         _kernels.regular_masks_exhaustive(m)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         _kernels.first_cycle_violation(m, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRange):
         _kernels.tournament_scores(0, m)
 
 

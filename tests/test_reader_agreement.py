@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypersel.documents import read_model, read_partial, read_system
+from hypersel.documents import _read_partial, read_model, read_system
 from hypersel.errors import DocumentError
 from hypersel.extension import admissible_sizes
 
@@ -99,7 +99,9 @@ def outcome(read, doc):
 
 
 def read_both(doc, fractions: bool):
-    return (outcome(lambda d: read_partial(d, parse_labels=fractions), doc),
+    """read_partial's outcome, or with fractions the reading of a model
+    document's selection, beside the oracle's."""
+    return (outcome(lambda d: _read_partial(d, {} if fractions else None), doc),
             outcome(lambda d: oracle_read_partial(d, parse_labels=fractions), doc))
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypersel import vietoris
 from hypersel.chains import FamilySystem, derive_nice_family, regular_class_cover_check
 from hypersel.documents import read_family
-from hypersel.errors import ArityNotInDomain, NotModelContinuous
+from hypersel.errors import ArityNotInDomain, InvalidModel, NotModelContinuous, OutOfRange
 from hypersel.extension import admissible_sizes, make_partial, order_partial, random_partial, restrict
 from hypersel.structures import GroundSet, is_regular
 from hypersel.vietoris import (
@@ -66,9 +66,9 @@ def spans_of(model, members):
 
 class TestIntervals:
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidModel, match=r"^empty interval \(1, 1\)$"):
             interval(1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidModel, match=r"^empty interval \(3/2, 1/2\)$"):
             interval(F(3, 2), F(1, 2))
 
     @settings(max_examples=80, deadline=None)
@@ -92,7 +92,7 @@ class TestIntervals:
         assert u.intersects(v) == v.intersects(u) == expected
 
     def test_family_requires_disjoint(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidModel, match="^family members overlap: "):
             family((0, 2), (1, 3))
 
     def test_touching_endpoints_are_disjoint(self):
@@ -143,7 +143,7 @@ class TestFamilyOrder:
     def outcome(build):
         try:
             return "ok", build().members
-        except ValueError as exc:
+        except InvalidModel as exc:
             return "error", str(exc)
 
     @staticmethod
@@ -188,7 +188,7 @@ class TestFamilyOrder:
         doc["intervals"].reverse()
         assert read_family(doc) == family((F(1, 2), 1), (0, F(1, 2)))
         doc["intervals"][0]["lo"] = "3/7"
-        with pytest.raises(ValueError, match=r"^family members overlap: "):
+        with pytest.raises(InvalidModel, match=r"^family members overlap: "):
             read_family(doc)
 
 
@@ -275,14 +275,14 @@ class TestNeighborhoods:
 
     def test_points_must_ascend(self):
         pts = (F(1), F(0))
-        with pytest.raises(ValueError, match="^points must be distinct and sorted ascending$"):
+        with pytest.raises(InvalidModel, match="^points must be distinct and sorted ascending$"):
             ModelSpace(pts, order_partial(GroundSet(pts), 1, "min"))
-        with pytest.raises(ValueError, match="^points must be distinct and sorted ascending$"):
+        with pytest.raises(InvalidModel, match="^points must be distinct and sorted ascending$"):
             ModelSpace((F(0), F(0)), order_model([0], 1, "min").selection)
 
     def test_unknown_point_rejected(self):
         model = order_model([0, 1], 2, "min")
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange, match="^1/2 is not a sample point$"):
             find_preserving_neighborhoods(model, (F(1, 2),), (1,))
 
 
@@ -358,7 +358,7 @@ def mixed_model(seed):
 def outcome(call):
     try:
         return call()
-    except (ValueError, NotModelContinuous, ArityNotInDomain) as exc:
+    except (InvalidModel, OutOfRange, NotModelContinuous, ArityNotInDomain) as exc:
         return type(exc), str(exc)
 
 
@@ -532,10 +532,11 @@ class TestDescentAgreement:
     def test_neighborhood_errors(self):
         model = mixed_model(0)
         p = model.points[0]
-        for pts in ((), (p, p), (p, F(1, 3)), (F(1000),)):
+        for pts, error in (((), OutOfRange), ((p, p), InvalidModel),
+                           ((p, F(1, 3)), OutOfRange), ((F(1000),), OutOfRange)):
             got = outcome(lambda: find_preserving_neighborhoods(model, pts, (1,)))
             assert got == outcome(lambda: oracle_neighborhoods(model, pts, (1,)))
-            assert got[0] is ValueError
+            assert got[0] is error
 
     @pytest.mark.parametrize("seed", range(30))
     def test_derived_families(self, seed):

@@ -10,7 +10,9 @@ this checkout's ``src``.  DIR ends up holding the inputs and reports
 under ``work/`` (the paths a report records are relative to DIR) and
 one ``ops.tsv`` line per op: cycle, op, kind, exit code, argv and the
 stderr text.  Run it on two checkouts and compare them with
-``diff -r``: equal behaviour gives equal trees.
+``diff -r``: equal behaviour gives equal trees.  An op that raises (the
+CLI turns every input fault into an exit code, so this is a bug) is
+named on stderr by its cycle, index and argv before the traceback.
 """
 
 from __future__ import annotations
@@ -57,7 +59,11 @@ def main(argv=None) -> int:
         workloads.write_docs(docs)
         for i, op in enumerate(ops):
             if op.cli:
-                code, text = run(op.argv)
+                try:
+                    code, text = run(op.argv)
+                except Exception:
+                    print(f"cycle {cycle} op {i} raised: {' '.join(op.argv)}", file=sys.stderr)
+                    raise
                 lines.append(f"{cycle}\t{i}\t{op.kind}\t{code}\t{' '.join(op.argv)}\t{text!r}\n")
     with open("ops.tsv", "w") as fh:
         fh.writelines(lines)
