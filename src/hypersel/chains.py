@@ -410,9 +410,15 @@ def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
 def regular_class_cover_check(system: FamilySystem, n: int) -> Verdict:
     """Sampled (n+1)-sets are covered by some family's Vietoris open
     exactly when their pair restriction is regular.  Witness is the
-    first offending point tuple."""
+    first offending point tuple.  With fewer than n + 1 points there is
+    no such set, and the check passes."""
+    if n < 1:
+        raise OutOfRange(f"need n >= 1, got {n}")
     model = system.model
     m = n + 1
+    model.selection.level(2)  # a missing pair level raises before the size check
+    if m > model.size:
+        return PASS
     regular = set(_regular_subsets(model, m))
     for s in subset_ranks(model.size, m)[0]:
         if bool(system.graph.covering(s)) != (s in regular):

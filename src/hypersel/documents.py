@@ -203,25 +203,32 @@ def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
     return table, carrier.labels if index is None else index.names
 
 
-def _write_choices(structures) -> list:
-    """Choice records of each structure in turn, subsets in rank order."""
+# -- selection structures ------------------------------------------------
+
+def write_selections(structures) -> list:
+    """write_selection of each structure, in order.  The ground list and
+    the subset label lists are built once per distinct (rendered ground,
+    n) and shared by every record on it, so the records must be read,
+    not edited in place."""
+    shared: dict = {}  # (label strings, n) -> (ground list, subset lists)
     out = []
-    for g in structures:
-        names = [label_str(x) for x in g.ground.labels]
-        subs, _ = subset_ranks(g.size, g.n)
-        for s, p in zip(subs, g.picks):
-            out.append({"subset": [names[i] for i in s], "pick": names[p]})
+    for s in structures:
+        names = tuple(map(label_str, s.ground.labels))
+        key = (names, s.n)
+        if key not in shared:
+            subs, _ = subset_ranks(s.size, s.n)
+            shared[key] = (list(names), [[names[i] for i in t] for t in subs])
+        ground, subsets = shared[key]
+        out.append({
+            "ground": ground,
+            "n": s.n,
+            "choices": [{"subset": t, "pick": names[p]} for t, p in zip(subsets, s.picks)],
+        })
     return out
 
 
-# -- selection structures ------------------------------------------------
-
 def write_selection(s: SelectionStructure) -> dict:
-    return {
-        "ground": [label_str(x) for x in s.ground.labels],
-        "n": s.n,
-        "choices": _write_choices((s,)),
-    }
+    return write_selections((s,))[0]
 
 
 def read_selection(doc: Any) -> SelectionStructure:
@@ -243,7 +250,8 @@ def write_partial(p: PartialSelection) -> dict:
         "carrier": [label_str(x) for x in p.carrier.labels],
         "mode": p.mode,
         "bound": p.bound,
-        "choices": _write_choices(p.levels[n] for n in p.admissible_sizes()),
+        "choices": [c for g in write_selections(p.levels[n] for n in p.admissible_sizes())
+                    for c in g["choices"]],
     }
 
 

@@ -197,10 +197,12 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
 def subset_scores(level: SelectionStructure, s: Sequence[int]) -> list:
     """The scores of level's subsets inside s, ascending carrier indices:
     entry i counts the ones picking s[i]."""
+    _, rank = subset_ranks(level.size, level.n)
+    picks = level.picks
     at = {x: i for i, x in enumerate(s)}
     w = [0] * len(s)
     for t in combinations(s, level.n):
-        w[at[level.choose_indices(t)]] += 1
+        w[at[picks[rank[t]]]] += 1
     return w
 
 

@@ -299,22 +299,53 @@ def _refine(subs: tuple, picks: tuple, cells: list) -> list:
     it is stable.
 
     The signature of an element is the sorted multiset, over the subsets
-    containing it, of (is it the pick, the pick's cell, the cells of the
-    other members), read each round from the element's incidence list of
-    (is it the pick, the pick, the other members), built once per call.
-    Each cell is replaced, where it stands, by its sub-cells in ascending
-    signature order.  A cell is named by its first position, so
-    signatures, and with them the result, see labels only through the
-    partition: relabeling the input relabels the output.
+    containing it, of (is it the pick, the pick's cell, the sorted cells
+    of the other members).  Each cell is replaced, where it stands, by
+    its sub-cells in ascending signature order.  A cell is named by its
+    first position, so signatures, and with them the result, see labels
+    only through the partition: relabeling the input relabels the output.
+
+    Each entry is read as one int, its fields as digits in base m + 1:
+    the flag, then the pick's cell, then the other members' cells, with
+    cells numbered from 1 and a short tail padded with 0 up to the
+    widest subset's count of other members.  Every digit is below the
+    base, so integer order is the lexicographic order of the digit
+    strings; a cell digit is never 0, so a shorter tail sorts before any
+    longer one sharing its prefix, as a shorter tuple does.  Integer
+    order is therefore the order of the (flag, cell, cells) tuples, also
+    for the entries of different lengths in a joint labeling, and sorted
+    code tuples group and order elements exactly as sorted entry tuples
+    do.  The incidence lists are built once per call: for a pair {x, y},
+    x's entry is (true, cell of x, cell of y) when x is picked and
+    (false, cell of y, cell of y) when y is, so x keeps only y in the
+    list of pairs it wins or loses.
     """
     m = sum(len(c) for c in cells)
-    incident: list = [[] for _ in range(m)]
+    base = m + 1
+    width = max(map(len, subs), default=1) - 1  # digits for the other members
+    lead = base**width  # place of the pick's cell
+    top = lead * base  # place of the flag
+    unit = lead // base  # place of a pair's other member (0 when there are no pairs)
+    won: list = [[] for _ in range(m)]  # won[x]: the y of each pair {x, y} picking x
+    lost: list = [[] for _ in range(m)]  # lost[x]: the y of each pair {x, y} picking y
+    wider: list = [[] for _ in range(m)]  # (flag, pick, other members, last place)
     for sub, p in zip(subs, picks):
+        if len(sub) == 2:
+            x, y = sub
+            if p == x:
+                won[x].append(y)
+                lost[y].append(x)
+            else:
+                won[y].append(x)
+                lost[x].append(y)
+            continue
+        place = base ** (width + 1 - len(sub))
         for k, x in enumerate(sub):
-            incident[x].append((x == p, p, sub[:k] + sub[k + 1:]))
+            wider[x].append((top if x == p else 0, p, sub[:k] + sub[k + 1:], place))
+    both = lead + unit
     while len(cells) < m:
         cell_of = [0] * m
-        pos = 0
+        pos = 1
         for c in cells:
             for x in c:
                 cell_of[x] = pos
@@ -326,11 +357,14 @@ def _refine(subs: tuple, picks: tuple, cells: list) -> list:
                 continue
             groups: dict = {}
             for x in c:
-                sig = []
-                for me, p, others in incident[x]:
-                    where = [cell_of[y] for y in others]
-                    where.sort()
-                    sig.append((me, cell_of[p], tuple(where)))
+                mine = top + cell_of[x] * lead
+                sig = [mine + cell_of[y] * unit for y in won[x]]
+                sig += [cell_of[y] * both for y in lost[x]]
+                for f, p, others, place in wider[x]:
+                    code = 0
+                    for cell in sorted([cell_of[y] for y in others]):
+                        code = code * base + cell
+                    sig.append(f + cell_of[p] * lead + code * place)
                 sig.sort()
                 groups.setdefault(tuple(sig), []).append(x)
             split.extend(groups[key] for key in sorted(groups))

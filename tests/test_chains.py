@@ -280,6 +280,21 @@ class TestDerive:
         assert not verdict.ok
         assert verdict.witness == model.points
 
+    @pytest.mark.parametrize("n", [3, 99, 10**20])
+    def test_cover_check_passes_past_the_model_size(self, monkeypatch, n):
+        # no (n+1)-set of 3 points: vacuous, and no subset table is built
+        def forbidden(*args):
+            raise RuntimeError("subset table built past the model size")
+
+        system = derive_nice_family(cyclic_model(), 2)
+        monkeypatch.setattr(chains, "subset_ranks", forbidden)
+        assert regular_class_cover_check(system, n) == PASS
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_cover_check_rejects_n_below_one(self, n):
+        with pytest.raises(OutOfRange, match=f"^need n >= 1, got {n}$"):
+            regular_class_cover_check(derive_nice_family(cyclic_model(), 2), n)
+
 
 class TestOracleAgreement:
     def test_fixtures(self):

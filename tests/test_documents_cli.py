@@ -30,12 +30,19 @@ from hypersel.documents import (
     write_model,
     write_partial,
     write_selection,
+    write_selections,
     write_system,
 )
 from hypersel.errors import ChoiceOutsideSubset, DocumentError, MissingSubset
 from hypersel.extension import order_partial, random_partial
 from hypersel.obstruction import obstruction_table, table_tsv
-from hypersel.structures import GroundSet, SelectionStructure, ground_range, rotational_tournament
+from hypersel.structures import (
+    GroundSet,
+    SelectionStructure,
+    ground_range,
+    rotational_tournament,
+    subset_ranks,
+)
 from hypersel.vietoris import family, order_model
 
 from oracles import conflict_system, cyclic_model, flip_model, oracle_primes
@@ -138,6 +145,44 @@ def _assert_compact(doc):
     assert text.isascii()
     assert text.count("\n") == 1 and text.endswith("\n")
     assert json.loads(text) == doc
+
+
+# equal grounds that render differently (ints and Fractions of the same
+# values), a second object equal to a first, and string labels
+_GROUNDS = (
+    ground_range(3),
+    GroundSet((0, 1, 2)),
+    GroundSet((F(0), F(1), F(2))),
+    GroundSet(tuple(F(i, 2) for i in range(4))),
+    ground_range(4),
+    GroundSet(("b", "a", "c")),
+)
+
+
+@st.composite
+def selection_batches(draw):
+    batch = []
+    for _ in range(draw(st.integers(0, 6))):
+        g = draw(st.sampled_from(_GROUNDS))
+        n = draw(st.integers(1, min(3, g.size)))
+        subs, _ = subset_ranks(g.size, n)
+        batch.append(SelectionStructure(g, n, tuple(draw(st.sampled_from(s)) for s in subs)))
+    return batch
+
+
+class TestWriteSelections:
+    @settings(max_examples=100, deadline=None)
+    @given(selection_batches())
+    def test_equals_one_write_per_structure(self, batch):
+        assert [dumps(d) for d in write_selections(iter(batch))] == [
+            dumps(write_selection(s)) for s in batch]
+
+    def test_equal_grounds_keep_their_own_names(self):
+        ints = SelectionStructure(_GROUNDS[0], 1, (0, 1, 2))
+        fractions = SelectionStructure(_GROUNDS[2], 1, (0, 1, 2))
+        docs = write_selections([ints, fractions, ints])
+        assert [d["ground"] for d in docs] == [["0", "1", "2"], ["0/1", "1/1", "2/1"], ["0", "1", "2"]]
+        assert docs[0]["choices"][1]["subset"] is docs[2]["choices"][1]["subset"]
 
 
 class TestDumps:

@@ -256,6 +256,20 @@ class TestLeastSmallClass:
             least_small_class(selection_from_order(ground_range(3), 2, "min"), 4)
 
 
+class TestSubsetScores:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_equal_restriction_scores(self, size, bound, seed):
+        # every subset of every level of a random up-to-3 selection
+        labels = tuple(f"x{i}" for i in range(size))
+        f = random_partial(GroundSet(labels), min(bound, size), random.Random(seed))
+        for n in f.admissible_sizes():
+            for k in range(n, size + 1):
+                for s in combinations(range(size), k):
+                    restricted = restrict(f, [labels[i] for i in s], n)
+                    assert extension.subset_scores(f.level(n), s) == list(score_vector(restricted))
+
+
 class TestPartitionTypes:
     def test_min_rule_single_class(self):
         f = order_partial(ground_range(6), 2, "min")

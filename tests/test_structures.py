@@ -438,6 +438,55 @@ class TestRefinement:
         assert canonical_form(seeded_tournament(8, seed))[0].picks == picks
 
 
+@st.composite
+def joint_refinement_inputs(draw):
+    """(subs, picks) of several levels on 2..7 elements, distinct arities
+    1..4 in drawn order, concatenated as _canonical_labeling joins them."""
+    m = draw(st.integers(2, 7))
+    ns = draw(st.lists(st.integers(1, min(4, m)), min_size=2, max_size=4, unique=True))
+    subs, _ = subset_ranks(m, *ns)
+    return subs, tuple(draw(st.sampled_from(s)) for s in subs)
+
+
+class TestJointRefinement:
+    """Entries of different lengths, as in a joint labeling, split cells
+    as oracle_refine's tuples do."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(joint_refinement_inputs())
+    def test_agrees_with_oracle_on_drawn_levels(self, drawn):
+        subs, picks = drawn
+        m = max(map(max, subs)) + 1
+        w = [0] * m
+        for p in picks:
+            w[p] += 1
+        starts = [structures._score_blocks(w)]
+        stable = structures._refine(subs, picks, starts[0])
+        sizes = [len(c) for c in stable if len(c) > 1]
+        if sizes:
+            t = next(i for i, c in enumerate(stable) if len(c) == min(sizes))
+            v = stable[t][0]
+            starts.append(stable[:t] + [[v], stable[t][1:]] + stable[t + 1:])
+        for cells in starts:
+            assert structures._refine(subs, picks, cells) == oracle_refine(subs, picks, cells)
+
+    @pytest.mark.parametrize("ns", [(1, 2), (2, 3), (3, 1, 2), (2, 4)])
+    def test_agrees_with_oracle_on_seeded_levels(self, ns):
+        # every individualization of every stable partition's first
+        # smallest open cell, for seeded choices on 6 points
+        rng = random.Random(f"joint-{ns}")
+        subs, _ = subset_ranks(6, *ns)
+        for _ in range(10):
+            picks = tuple(rng.choice(s) for s in subs)
+            stable = structures._refine(subs, picks, [list(range(6))])
+            starts = [[list(range(6))]]
+            for t, c in enumerate(stable):
+                starts.extend(stable[:t] + [[v], [x for x in c if x != v]] + stable[t + 1:]
+                              for v in c if len(c) > 1)
+            for cells in starts:
+                assert structures._refine(subs, picks, cells) == oracle_refine(subs, picks, cells)
+
+
 class TestEnumeration:
     def test_labeled_count(self):
         assert sum(1 for _ in enumerate_selections(4, 2)) == 64
