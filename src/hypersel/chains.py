@@ -8,22 +8,24 @@ transfer; nice systems with bijective transfers determine a selection
 on every covered sample subset.
 
 Niceness, chain components and building all read one MeetGraph per
-system (``FamilySystem.graph``, built on first use).  It scales every
-member endpoint and sample point to an integer on their least common
-denominator, so comparisons stay exact without Fractions, and indexes
-the distinct member intervals by left endpoint.  Row i of the graph,
-the unique-meet edges out of family i as an ascending adjacency list,
-is filled only when asked for: its candidates are the families touching
-every member of i, and exact member hits are tested on those alone, so
-a refutation in an early row never pays for the later ones.  The cover,
-also built on first use, is walked from the families' side: members
-are pairwise disjoint, so a sample subset lies in a family's Vietoris
-open exactly when it is one of the family's transversals, one point
-index from each member's range.  Placing every covered subset thus
-costs one step per (family, covered subset) pair, and a subset is then
-placed by one dict lookup.  The single-pair entry points
-(meets_uniquely, _placement, and vietoris.intersect_nonempty) use the
-same member-hit test.
+system (``FamilySystem.graph``, built on first use).  It scales the
+member endpoints to integers, and the model's point grid
+(``ModelSpace.grid``) up, onto one common denominator, so comparisons
+stay exact without Fractions, and indexes the distinct member intervals
+by left endpoint.  Row i of the graph, the unique-meet edges out of
+family i as an ascending adjacency list, is filled only when asked for:
+its candidates are the families touching every member of i, and exact
+member hits are tested on those alone, so a refutation in an early row
+never pays for the later ones.  The cover, also built on first use, is
+walked from the families' side: members are pairwise disjoint, so a
+sample subset lies in a family's Vietoris open exactly when it is one
+of the family's transversals, one point index from each member's range.
+Placing every covered subset thus costs one step per (family, covered
+subset) pair, and a subset is then placed by one dict lookup.  The
+single-pair entry points (meets_uniquely, _placement, and
+vietoris.intersect_nonempty) use the same member-hit test.  Derived
+families take their radius and members from vietoris, as the
+neighborhood search does.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ from .errors import (
 from .extension import subset_scores
 from .structures import subset_ranks
 from .verdict import PASS, Verdict, fail
-from .vietoris import IntervalOpen, ModelSpace, OpenFamily, member_hits, overlaps
+from .vietoris import ModelSpace, OpenFamily, _descent, _members, member_hits, overlaps
 
-# the benchmark's traced run wraps these two by their names in this module
+# the benchmark's traced run wraps these two by name in this module, but
+# no code here calls them, so their spans time nothing (ROADMAP item 10)
 from .extension import restrict  # noqa: F401
 from .vietoris import intersect_nonempty  # noqa: F401
 
@@ -114,12 +117,11 @@ class MeetGraph:
 
     def __init__(self, system: FamilySystem):
         fams = system.families
-        points = system.model.points
+        d, keys = system.model.grid
         # the readers share one IntervalOpen between equal members, so
         # each distinct object is scaled once
         opens = {id(u): u for f in fams for u in f.members}
-        scale = math.lcm(*{q.denominator for u in opens.values() for q in (u.lo, u.hi)},
-                         *{p.denominator for p in points})
+        scale = math.lcm(d, *{q.denominator for u in opens.values() for q in (u.lo, u.hi)})
 
         def key(q):
             return q.numerator * (scale // q.denominator)
@@ -127,7 +129,7 @@ class MeetGraph:
         scaled = {i: (key(u.lo), key(u.hi)) for i, u in opens.items()}
         self.size = system.arity
         self.keys = [tuple(scaled[id(u)] for u in f.members) for f in fams]
-        self.points = [key(p) for p in points]
+        self.points = [k * (scale // d) for k in keys]
         owners: dict = {}
         for f, ks in enumerate(self.keys):
             for k in ks:
@@ -401,9 +403,8 @@ def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
     if m > model.size:
         raise OutOfRange(f"model has fewer than {m} points")
     regular = _regular_subsets(model, m)  # past the size check: a huge m overflows combinations
-    pts = model.points
-    cap = min(b - a for a, b in zip(pts, pts[1:])) / 2
-    around = [IntervalOpen(p - cap, p + cap) for p in pts]
+    ((a, b, _),) = _descent(model, range(model.size), (0,))  # the search's starting radius
+    around = _members(model, range(model.size), a, b)
     return FamilySystem(tuple(OpenFamily(tuple(around[i] for i in s)) for s in regular), model)
 
 

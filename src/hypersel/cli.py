@@ -47,7 +47,8 @@ from .obstruction import obstruction_table, table_tsv
 from .structures import DEFAULT_BUDGET, enumerate_selections
 from .vietoris import check_continuity
 
-# the benchmark's traced run wraps this name in this module
+# the benchmark's traced run wraps this name in this module, but no code
+# here calls it, so its span times nothing (ROADMAP item 10)
 from .documents import write_selection  # noqa: F401
 
 

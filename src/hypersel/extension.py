@@ -31,7 +31,7 @@ from .errors import (
     RegularInput,
     SizeMismatch,
 )
-from .obstruction import is_prime, prime_divisors
+from .obstruction import is_prime
 from .structures import (
     GroundSet,
     IsoMap,
@@ -271,19 +271,6 @@ def extend_selection(f: PartialSelection, m: int, p: int) -> PartialSelection:
         picks.append(f.choose_indices(tuple(s[i] for i in q)))
     h = SelectionStructure(f.carrier, m, tuple(picks))
     return PartialSelection(f.carrier, MODE_EXACT, m, {m: h})
-
-
-def extend_composite(f: PartialSelection, n: int) -> PartialSelection:
-    """Extension to arity n+1 for composite n+1, via its least prime
-    divisor p (always p <= (n+1)/2 <= n for composite n+1)."""
-    if n < 2:
-        raise HypothesisViolated(f"need n >= 2, got {n}")
-    if f.mode != MODE_UPTO or f.bound < n:
-        raise HypothesisViolated(f"need an up-to-{n} selection")
-    m = n + 1  # at most bound + 1, so trial division stays cheap
-    if is_prime(m):
-        raise HypothesisViolated(f"{m} is prime; the composite shortcut does not apply")
-    return extend_selection(f, m, prime_divisors(m)[0])
 
 
 def _iso_arities(f: PartialSelection, k: int) -> list:

@@ -42,7 +42,10 @@ DEFAULT_BUDGET = 10**8  # table cells touched by an enumeration
 @lru_cache(maxsize=None)
 def subset_ranks(m: int, *ns: int):
     """(tuple of index n-subsets in rank order, dict subset -> rank); for
-    several sizes ns, their subsets in turn, one rank dict over them all."""
+    several sizes ns, their subsets in turn, one rank dict over them all.
+    The cache keeps every table for the life of the process: a caller
+    walking many (m, n) pairs calls subset_ranks.cache_clear() between
+    them, as CI's regular-witness sweep does."""
     subs = tuple(chain.from_iterable(combinations(range(m), n) for n in ns))
     return subs, {s: r for r, s in enumerate(subs)}
 

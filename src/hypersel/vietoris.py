@@ -8,7 +8,8 @@ anywhere in this module.
 
 Relation checks run on point indices.  ``ModelSpace.grid``, built on
 first use, scales the points to integers on their least common
-denominator, so an open holds one index range, found by bisection.  The
+denominator, so an open holds one index range, found by bisection.  It
+is the only scaling of the points (the chain layer scales it up).  The
 kernel ``_receiver`` walks a family's transversals once, each an
 ascending index tuple whose pick it reads off the selection level, and
 names the member receiving every pick, stopping at a second receiver.
@@ -24,7 +25,8 @@ always does).  Such a subset has one transversal, which is always
 preserved; a model with no twinned point is continuous.  The
 neighborhood search halves the same starting radius on integers and
 skips a radius whose members hold the same ranges as at the last one,
-which failed.
+which failed.  ``_members`` turns a grid radius back into Fraction
+intervals, for the search and for ``chains.derive_nice_family``.
 """
 
 from __future__ import annotations
@@ -130,11 +132,10 @@ class ModelSpace:
 
     @cached_property
     def grid(self) -> tuple:
-        """(D, keys, index): the points' least common denominator, each
-        point times D as an integer (ascending), and point -> index."""
+        """(D, keys): the points' least common denominator and each point
+        times D as an integer, ascending (a point's index is the carrier's)."""
         d = math.lcm(*(p.denominator for p in self.points))
-        keys = [p.numerator * (d // p.denominator) for p in self.points]
-        return d, keys, {p: i for i, p in enumerate(self.points)}
+        return d, [p.numerator * (d // p.denominator) for p in self.points]
 
 
 def model_space(points: Iterable, selection: PartialSelection) -> ModelSpace:
@@ -175,13 +176,21 @@ def _preserved(selection: PartialSelection, spans: list, arities: Sequence[int])
     return True
 
 
+def _members(model: ModelSpace, idx: Sequence[int], a: int, b: int) -> tuple:
+    """The intervals p -+ a / (b D), that is (c b -+ a) / (D b) for p's
+    key c, around the sample points p with indices idx, in that order."""
+    d, keys = model.grid
+    return tuple(IntervalOpen(Fraction(keys[i] * b - a, d * b), Fraction(keys[i] * b + a, d * b))
+                 for i in idx)
+
+
 def _descent(model: ModelSpace, idx: Sequence[int], shifts: Iterable[int]):
     """(a, b, spans) per shift k in shifts: members of radius a / (b D),
     the starting radius over 2^k, around the sample points with indices
     idx (ascending) hold the index ranges spans.  The start is half the
     points' least gap, for a lone point the least gap to its adjacent
     sample points (1 when it has none)."""
-    d, keys, _ = model.grid
+    d, keys = model.grid
     centers = [keys[i] for i in idx]
     near = keys[max(idx[0] - 1, 0):idx[0] + 2] if len(idx) == 1 else centers
     gap = min((y - x for x, y in zip(near, near[1:])), default=None)
@@ -211,7 +220,7 @@ def find_preserving_neighborhoods(
     ps = [p if type(p) is Fraction else Fraction(p) for p in pts]
     if not ps:
         raise OutOfRange("need at least one point")
-    d, keys, position = model.grid
+    position = model.selection.carrier._position  # the points are the carrier's labels
     at = sorted((position.get(p, -1), p) for p in ps)
     if at[0][0] < 0:
         raise OutOfRange(f"{min(p for i, p in at if i < 0)} is not a sample point")
@@ -222,9 +231,7 @@ def find_preserving_neighborhoods(
         if spans != last:
             last = spans
             if _preserved(model.selection, spans, wanted):
-                # p -+ r is (c b -+ a) / (D b)
-                return OpenFamily(tuple(IntervalOpen(Fraction(keys[i] * b - a, d * b),
-                                                     Fraction(keys[i] * b + a, d * b)) for i in idx))
+                return OpenFamily(_members(model, idx, a, b))
     raise NotModelContinuous(f"no preserving neighborhoods around {ps}")
 
 
@@ -239,7 +246,7 @@ def check_continuity(model: ModelSpace) -> Verdict:
     sizes = [k for k in sel.admissible_sizes() if 2 <= k <= model.size]
     if not sizes:
         return PASS
-    _, keys, _ = model.grid
+    _, keys = model.grid
     cut = -(-(keys[-1] - keys[0]) >> (RADIUS_FLOOR_SHIFT + 1))  # ceil(span / 2^41)
     twins = {j for i, (x, y) in enumerate(zip(keys, keys[1:])) if y - x < cut for j in (i, i + 1)}
     if not twins:

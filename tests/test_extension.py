@@ -26,7 +26,6 @@ from hypersel.extension import (
     PartialSelection,
     certified_isomorphism,
     equivariance_check,
-    extend_composite,
     extend_selection,
     least_small_class,
     make_partial,
@@ -423,45 +422,10 @@ class TestExtendComposite:
     def test_next_arity_nine(self):
         # 9 = 3*3, least prime divisor 3
         f = order_partial(ground_range(9), 8, "min")
-        h = extend_composite(f, 8)
+        h = extend_selection(f, 9, 3)
         assert h.bound == 9
         ordered = tuple(range(9))
         assert h.choose(ordered) == oracle_extend_value(f, ordered, 3) == 7
-
-    def test_arity_below_two_rejected(self):
-        f = order_partial(ground_range(8), 3, "min")
-        with pytest.raises(HypothesisViolated, match="^need n >= 2, got 1$"):
-            extend_composite(f, 1)
-
-    def test_prime_next_arity_rejected(self):
-        f = order_partial(ground_range(7), 6, "min")
-        with pytest.raises(HypothesisViolated, match="^7 is prime; the composite shortcut does not apply$"):
-            extend_composite(f, 6)
-
-    def test_bound_checked_before_primality(self, monkeypatch):
-        # trial division on 2**61 - 1 takes hours: an n beyond the bound,
-        # or an exact-mode selection, is refused before any primality test
-        seen = []
-
-        def spy(k):
-            seen.append(k)
-            if k > 3:
-                raise AssertionError(f"primality of {k} tested beyond the bound")
-            return is_prime(k)
-
-        monkeypatch.setattr(extension, "is_prime", spy)
-        f = order_partial(ground_range(4), 2, "min")
-        for n in (2**61 - 2, 2**61 - 3, 4):  # n + 1 prime, even, prime
-            with pytest.raises(HypothesisViolated, match=f"^need an up-to-{n} selection$"):
-                extend_composite(f, n)
-        exact = order_partial(ground_range(4), 3, "min", mode="exact")
-        with pytest.raises(HypothesisViolated, match="^need an up-to-3 selection$"):
-            extend_composite(exact, 3)
-        assert seen == []
-        # within the bound the test runs, on n + 1 only
-        with pytest.raises(HypothesisViolated, match="^3 is prime; the composite shortcut does not apply$"):
-            extend_composite(f, 2)
-        assert seen == [3]
 
 
 class TestCertifiedIsomorphism:

@@ -7,8 +7,8 @@ Both trees run in one process.  The base tree's ``src/hypersel`` is
 copied under the package name ``hypersel_base`` (its imports are
 relative, so the copy is a package of its own) and this checkout's
 ``src/hypersel`` is imported as ``hypersel``.  The ops are those of the
-given kind over every cycle of the workload at --seed, as
-``perfbench/workloads.py`` generates them (imported, never changed).
+given kind over every cycle of the workload at --seed, generated and
+run as ``tools/replay_ops.py`` does.
 Each pair runs the ops once on each tree, the order alternating from
 pair to pair, and takes the ratio of this checkout's time to the
 base's.  The median and the quartiles of those ratios are printed.
@@ -22,20 +22,14 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
-import io
-import json
 import os
 import shutil
 import statistics
 import sys
 import tempfile
 import time
-from contextlib import redirect_stderr, redirect_stdout
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-
-import workloads  # noqa: E402
+from replay_ops import cli, run, workload_ops, workloads
 
 BASE_PACKAGE = "hypersel_base"
 
@@ -48,26 +42,21 @@ def load_base(base: str, into: str):
     return importlib.import_module(f"{BASE_PACKAGE}.cli")
 
 
-def run_ops(cli, ops) -> tuple:
+def run_ops(tree, ops) -> tuple:
     """(seconds, [(exit code, stdout and stderr text, report bytes)])
-    of running ops through cli.main; only the calls are timed."""
+    of running ops through tree.main; only the captured calls are timed."""
     results = []
     busy = 0.0
     for op in ops:
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            start = time.perf_counter()
-            try:
-                code = cli.main(op.argv)
-            except SystemExit as exc:
-                code = exc.code
-            busy += time.perf_counter() - start
+        start = time.perf_counter()
+        code, text = run(tree.main, op.argv)
+        busy += time.perf_counter() - start
         report = None
         if os.path.exists(op.out):
             with open(op.out, "rb") as fh:
                 report = fh.read()
             os.remove(op.out)
-        results.append((code, out.getvalue() + err.getvalue(), report))
+        results.append((code, text, report))
     return busy, results
 
 
@@ -86,19 +75,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    from hypersel import cli as head
-
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        seconds = json.load(fh)["run_seconds"]
-    cycles = workloads.cycle_count(args.workload, seconds)
     with tempfile.TemporaryDirectory(prefix="ab_ops-") as tmp:
         base = load_base(os.path.abspath(args.base), tmp)
         os.chdir(tmp)
-        ops = []
-        for cycle in range(cycles):
-            cycle_ops, docs = workloads.cycle_ops(args.workload, args.seed, cycle, cycles, "work")
-            workloads.write_docs(docs)
-            ops.extend(op for op in cycle_ops if op.cli and op.kind == args.kind)
+        ops = [op for _, cycle in workload_ops(args.workload, args.seed)
+               for op in cycle if op.cli and op.kind == args.kind]
         if not ops:
             print(f"no {args.kind} ops in workload {args.workload}", file=sys.stderr)
             return 1
@@ -106,10 +87,10 @@ def main(argv=None) -> int:
         differ = 0
         for pair in range(args.pairs):
             sides = {}
-            for name, cli in ((("base", base), ("head", head)) if pair % 2 == 0
-                              else (("head", head), ("base", base))):
+            for name, tree in ((("base", base), ("head", cli)) if pair % 2 == 0
+                               else (("head", cli), ("base", base))):
                 gc.collect()
-                sides[name] = run_ops(cli, ops)
+                sides[name] = run_ops(tree, ops)
             ratios.append(sides["head"][0] / sides["base"][0])
             for op, a, b in zip(ops, sides["base"][1], sides["head"][1]):
                 if a != b:

@@ -31,15 +31,29 @@ import workloads  # noqa: E402
 from hypersel import cli  # noqa: E402
 
 
-def run(argv: list) -> tuple:
-    """(exit code, stdout and stderr text) of one CLI call."""
+def run(main, argv: list) -> tuple:
+    """(exit code, stdout and stderr text) of one call of main, a
+    ``cli.main``."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            code = cli.main(argv)
+            code = main(argv)
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue() + err.getvalue()
+
+
+def workload_ops(workload: str, seed: int):
+    """(cycle, ops) for each cycle that the benchmark's run_seconds gives
+    the workload at seed.  A cycle's input documents are written under
+    ``work/`` in the current directory before its ops are yielded."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        seconds = json.load(fh)["run_seconds"]
+    cycles = workloads.cycle_count(workload, seconds)
+    for cycle in range(cycles):
+        ops, docs = workloads.cycle_ops(workload, seed, cycle, cycles, "work")
+        workloads.write_docs(docs)
+        yield cycle, ops
 
 
 def main(argv=None) -> int:
@@ -48,26 +62,21 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", required=True, help="directory to fill (created)")
     args = parser.parse_args(argv)
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        seconds = json.load(fh)["run_seconds"]
-    cycles = workloads.cycle_count(args.workload, seconds)
     os.makedirs(args.out, exist_ok=True)
     os.chdir(args.out)
     lines = []
-    for cycle in range(cycles):
-        ops, docs = workloads.cycle_ops(args.workload, args.seed, cycle, cycles, "work")
-        workloads.write_docs(docs)
+    for cycle, ops in workload_ops(args.workload, args.seed):
         for i, op in enumerate(ops):
             if op.cli:
                 try:
-                    code, text = run(op.argv)
+                    code, text = run(cli.main, op.argv)
                 except Exception:
                     print(f"cycle {cycle} op {i} raised: {' '.join(op.argv)}", file=sys.stderr)
                     raise
                 lines.append(f"{cycle}\t{i}\t{op.kind}\t{code}\t{' '.join(op.argv)}\t{text!r}\n")
     with open("ops.tsv", "w") as fh:
         fh.writelines(lines)
-    print(f"{len(lines)} ops of {cycles} cycles in {args.out}")
+    print(f"{len(lines)} ops of {cycle + 1} cycles in {args.out}")
     return 0
 
 
