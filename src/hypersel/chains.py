@@ -22,10 +22,10 @@ sample subset lies in a family's Vietoris open exactly when it is one
 of the family's transversals, one point index from each member's range.
 Placing every covered subset thus costs one step per (family, covered
 subset) pair, and a subset is then placed by one dict lookup.  The
-single-pair entry points (meets_uniquely, _placement, and
+single-pair entry points (meets_uniquely and
 vietoris.intersect_nonempty) use the same member-hit test.  Derived
 families take their radius and members from vietoris, as the
-neighborhood search does.
+continuity check does.
 """
 
 from __future__ import annotations
@@ -48,12 +48,7 @@ from .errors import (
 from .extension import subset_scores
 from .structures import subset_ranks
 from .verdict import PASS, Verdict, fail
-from .vietoris import ModelSpace, OpenFamily, _descent, _members, member_hits, overlaps
-
-# the benchmark's traced run wraps these two by name in this module, but
-# no code here calls them, so their spans time nothing (ROADMAP item 10)
-from .extension import restrict  # noqa: F401
-from .vietoris import intersect_nonempty  # noqa: F401
+from .vietoris import ModelSpace, OpenFamily, _members, _radius, member_hits, overlaps
 
 
 @dataclass(frozen=True)
@@ -370,15 +365,6 @@ def build_selection_from_nice(
     )
 
 
-def _placement(fam: OpenFamily, pts: tuple) -> Optional[tuple]:
-    """If pts lies in the Vietoris open of fam, the tuple whose i-th
-    entry is the unique point inside member i; else None."""
-    mapping = _unique(member_hits(fam.bounds, [(p, p) for p in pts]))
-    if mapping is None or len(set(mapping)) != len(pts):
-        return None
-    return tuple(pts[k] for k in mapping)
-
-
 def _regular_subsets(model: ModelSpace, m: int) -> list:
     """The m-subsets of the points (index tuples, in rank order) whose
     pair restriction is regular; the pair level alone is read."""
@@ -403,7 +389,7 @@ def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
     if m > model.size:
         raise OutOfRange(f"model has fewer than {m} points")
     regular = _regular_subsets(model, m)  # past the size check: a huge m overflows combinations
-    ((a, b, _),) = _descent(model, range(model.size), (0,))  # the search's starting radius
+    a, b, _ = _radius(model, range(model.size), 0)  # half the least gap
     around = _members(model, range(model.size), a, b)
     return FamilySystem(tuple(OpenFamily(tuple(around[i] for i in s)) for s in regular), model)
 

@@ -47,10 +47,6 @@ from .obstruction import obstruction_table, table_tsv
 from .structures import DEFAULT_BUDGET, enumerate_selections
 from .vietoris import check_continuity
 
-# the benchmark's traced run wraps this name in this module, but no code
-# here calls it, so its span times nothing (ROADMAP item 10)
-from .documents import write_selection  # noqa: F401
-
 
 def _emit(text: str, path: Optional[str]) -> None:
     """Write text to path, or to stdout when path is None.  Every report,

@@ -73,10 +73,6 @@ class InvalidModel(HyperselError):
     """An empty interval, overlapping members, or points unsorted or off the carrier."""
 
 
-class NotModelContinuous(HyperselError):
-    """Neighborhood shrinking hit the radius floor without preserving."""
-
-
 class NotIso(HyperselError):
     """A map claimed to be an isomorphism is not one."""
 

@@ -42,7 +42,6 @@ from .structures import (
     index_table,
     is_isomorphism,
     joint_isomorphism,
-    is_regular,
     score_vector,
     selection_from_order,
     subset_ranks,
@@ -225,9 +224,10 @@ def least_small_class(g: SelectionStructure, m: int):
     """(r0, Q): the least score r with 0 < |Q(r)| <= m/2, and that class."""
     if g.size != m:
         raise SizeMismatch(f"structure lives on {g.size} elements, not {m}")
-    if is_regular(g):
+    w = score_vector(g)
+    if len(set(w)) <= 1:
         raise RegularInput("level-class split undefined for regular structures")
-    r, q = _least_small_level(score_vector(g))
+    r, q = _least_small_level(w)
     return r, frozenset(g.ground.labels[i] for i in q)
 
 

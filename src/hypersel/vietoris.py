@@ -15,18 +15,17 @@ ascending index tuple whose pick it reads off the selection level, and
 names the member receiving every pick, stopping at a second receiver.
 Shrinking a radius leaves each member fewer points and so a family
 fewer transversals: preservation only gets easier.  The continuity
-check therefore tests a domain subset once, at its floor radius (its
-starting radius over 2^40), and only if it has two or more points and
+check therefore tests a domain subset once, at its floor radius (half
+its least gap over 2^40), and only if it has two or more points and
 meets the twinned set: the points with an adjacent gap below
 ceil(span / 2^41) on the integer grid.  A floor member's half-width,
 ceil(g / 2^41) for the subset's least gap g, is at most that bound, so a
 member around any other point holds that point alone (a singleton's
 always does).  Such a subset has one transversal, which is always
-preserved; a model with no twinned point is continuous.  The
-neighborhood search halves the same starting radius on integers and
-skips a radius whose members hold the same ranges as at the last one,
-which failed.  ``_members`` turns a grid radius back into Fraction
-intervals, for the search and for ``chains.derive_nice_family``.
+preserved; a model with no twinned point is continuous.  ``_radius``
+finds the members' index ranges on the grid, and ``_members`` turns a
+grid radius back into Fraction intervals, for
+``chains.derive_nice_family``.
 """
 
 from __future__ import annotations
@@ -39,12 +38,12 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
-from .errors import InvalidModel, NotModelContinuous, OutOfRange
+from .errors import InvalidModel
 from .extension import PartialSelection, order_partial
 from .structures import GroundSet, SelectionStructure, subset_ranks
 from .verdict import PASS, Verdict, fail
 
-RADIUS_FLOOR_SHIFT = 40  # shrink at most until r_init / 2**40
+RADIUS_FLOOR_SHIFT = 40  # the floor radius is half the least gap over 2**40
 
 
 def _below(p, q) -> bool:
@@ -184,55 +183,16 @@ def _members(model: ModelSpace, idx: Sequence[int], a: int, b: int) -> tuple:
                  for i in idx)
 
 
-def _descent(model: ModelSpace, idx: Sequence[int], shifts: Iterable[int]):
-    """(a, b, spans) per shift k in shifts: members of radius a / (b D),
-    the starting radius over 2^k, around the sample points with indices
-    idx (ascending) hold the index ranges spans.  The start is half the
-    points' least gap, for a lone point the least gap to its adjacent
-    sample points (1 when it has none)."""
-    d, keys = model.grid
+def _radius(model: ModelSpace, idx: Sequence[int], k: int) -> tuple:
+    """(a, b, spans): members of radius a / (b D), half the least gap
+    between the sample points with indices idx (two or more, ascending)
+    over 2^k, around those points hold the index ranges spans."""
+    _, keys = model.grid
     centers = [keys[i] for i in idx]
-    near = keys[max(idx[0] - 1, 0):idx[0] + 2] if len(idx) == 1 else centers
-    gap = min((y - x for x, y in zip(near, near[1:])), default=None)
-    a, b = (d, 1) if gap is None else (gap, 2)  # the radius times D is a / b
-    if a == 0:  # a repeated point: the members are empty
-        raise InvalidModel("empty interval ({0}, {0})".format(model.points[idx[0]]))
-    for k in shifts:
-        # a center c holds the keys less than ceil(a / b) away
-        bk = b << k
-        w = -(-a // bk)
-        yield a, bk, [range(bisect_right(keys, c - w), bisect_left(keys, c + w)) for c in centers]
-
-
-def find_preserving_neighborhoods(
-    model: ModelSpace,
-    pts: Iterable[Fraction],
-    arities: Iterable[int],
-) -> OpenFamily:
-    """Disjoint intervals around the given sample points preserving
-    relations at every requested arity, found by halving a common
-    radius from its start (see _descent) down to 2^-40 of it; the first
-    success is returned.  Past that floor the model is declared
-    non-continuous with the points as witness.  A radius whose members
-    hold the same sample points as at the last radius tried is skipped:
-    it fails too.
-    """
-    ps = [p if type(p) is Fraction else Fraction(p) for p in pts]
-    if not ps:
-        raise OutOfRange("need at least one point")
-    position = model.selection.carrier._position  # the points are the carrier's labels
-    at = sorted((position.get(p, -1), p) for p in ps)
-    if at[0][0] < 0:
-        raise OutOfRange(f"{min(p for i, p in at if i < 0)} is not a sample point")
-    wanted = sorted(set(arities))
-    idx, ps = zip(*at)
-    last = None
-    for a, b, spans in _descent(model, idx, range(RADIUS_FLOOR_SHIFT + 1)):
-        if spans != last:
-            last = spans
-            if _preserved(model.selection, spans, wanted):
-                return OpenFamily(_members(model, idx, a, b))
-    raise NotModelContinuous(f"no preserving neighborhoods around {ps}")
+    a = min(y - x for x, y in zip(centers, centers[1:]))
+    b = 2 << k
+    w = -(-a // b)  # a center c holds the keys less than ceil(a / b) away
+    return a, b, [range(bisect_right(keys, c - w), bisect_left(keys, c + w)) for c in centers]
 
 
 def check_continuity(model: ModelSpace) -> Verdict:
@@ -255,7 +215,7 @@ def check_continuity(model: ModelSpace) -> Verdict:
         for s in combinations(range(model.size), size):
             if twins.isdisjoint(s):
                 continue
-            ((_, _, spans),) = _descent(model, s, (RADIUS_FLOOR_SHIFT,))
+            _, _, spans = _radius(model, s, RADIUS_FLOOR_SHIFT)
             if not _preserved(sel, spans, (size,)):
                 return fail(tuple(model.points[i] for i in s))
     return PASS
@@ -265,9 +225,8 @@ def member_hits(us: Sequence[tuple], vs: Sequence[tuple]) -> list:
     """Row a lists the indices of the opens in vs that meet us[a].
 
     Opens are (lo, hi) endpoint pairs compared with strict <, so opens
-    that only touch at an endpoint stay disjoint.  A point p enters as
-    the pair (p, p), and then "meets" reads "contains p".  Endpoints may
-    be Fractions or integers on one common denominator.
+    that only touch at an endpoint stay disjoint.  Endpoints may be
+    Fractions or integers on one common denominator.
     """
     return [[j for j, (lo, hi) in enumerate(vs) if alo < hi and lo < ahi] for alo, ahi in us]
 

@@ -19,7 +19,6 @@ from hypersel.errors import (
     DocumentError,
     InvalidModel,
     MissingSubset,
-    NotModelContinuous,
     OutOfRange,
 )
 from hypersel.extension import PartialSelection, admissible_sizes, make_partial
@@ -474,10 +473,15 @@ def oracle_preserves(model: ModelSpace, fam: OpenFamily, n: int):
     return True, None
 
 
+class NoNeighborhoods(Exception):
+    """No radius down to the floor gives neighborhoods that preserve."""
+
+
 def oracle_neighborhoods(model: ModelSpace, pts, arities, max_radius=None) -> OpenFamily:
     """The family of intervals of a common radius around pts at the first
     radius, halving from half the least gap (capped at max_radius) down
-    to 2^-40 of it, that preserves relations at every arity."""
+    to 2^-40 of it, that preserves relations at every arity; else
+    NoNeighborhoods."""
     ps = tuple(sorted(Fraction(p) for p in pts))
     if not ps:
         raise OutOfRange("need at least one point")
@@ -502,7 +506,7 @@ def oracle_neighborhoods(model: ModelSpace, pts, arities, max_radius=None) -> Op
         if all(oracle_preserves(model, fam, i)[0] for i in wanted):
             return fam
         r = r / 2
-    raise NotModelContinuous(f"no preserving neighborhoods around {ps}")
+    raise NoNeighborhoods(f"no preserving neighborhoods around {ps}")
 
 
 def oracle_continuity(model: ModelSpace):
@@ -512,7 +516,7 @@ def oracle_continuity(model: ModelSpace):
         for pts in combinations(model.points, size):
             try:
                 oracle_neighborhoods(model, pts, (size,))
-            except NotModelContinuous:
+            except NoNeighborhoods:
                 return False, pts
     return True, None
 

@@ -1,9 +1,11 @@
 """The benchmark's traced run wraps library functions by name
 (``perfbench/spans.py``, ``PATCHES``) and skips a name it cannot find,
 so a renamed function would read as zero work instead of failing.
-Every wrapped name must therefore still resolve.  ``perfbench/run.py``
-and ``spans.py`` also read library names directly, as attribute chains
-on the imported package; those must resolve too, or every run breaks."""
+Every wrapped name must therefore still resolve, save the ones listed in
+``RETIRED``: deleted from the library on purpose, they must stay gone.
+``perfbench/run.py`` and ``spans.py`` also read library names directly,
+as attribute chains on the imported package; those must resolve too, or
+every run breaks."""
 
 import ast
 import importlib
@@ -11,6 +13,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+import hypersel
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -22,12 +26,26 @@ ROOTS = {
     "spans.py": {"hs": ()},
 }
 
+# (module, name) pairs that PATCHES wraps but that no CLI op or library
+# caller reached, so they were deleted; the tracer skips them
+RETIRED = {
+    ("vietoris", "find_preserving_neighborhoods"),
+    ("chains", "_placement"),
+    ("chains", "restrict"),
+    ("chains", "intersect_nonempty"),
+    ("cli", "write_selection"),
+}
 
-def _patches():
+
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return [(mod, attr) for mods, attr, *_ in spans.PATCHES for mod in mods]
+    return spans
+
+
+def _patches():
+    return [(mod, attr) for mods, attr, *_ in _spans().PATCHES for mod in mods]
 
 
 def _direct_reads():
@@ -60,7 +78,30 @@ def _direct_reads():
 @pytest.mark.parametrize("mod, attr", _patches())
 def test_wrapped_name_resolves(mod, attr):
     module = importlib.import_module(f"hypersel.{mod}")
-    assert callable(getattr(module, attr, None)), f"hypersel.{mod}.{attr} is gone"
+    if (mod, attr) in RETIRED:
+        assert not hasattr(module, attr), f"hypersel.{mod}.{attr} is back"
+    else:
+        assert callable(getattr(module, attr, None)), f"hypersel.{mod}.{attr} is gone"
+
+
+def test_retired_names_are_wrapped_names():
+    assert RETIRED <= set(_patches())
+
+
+def test_tracer_installs_over_the_package():
+    spans = _spans()
+    pairs = _patches()
+    modules = {mod: importlib.import_module(f"hypersel.{mod}") for mod, _ in pairs}
+    before = {(mod, attr): getattr(modules[mod], attr, None) for mod, attr in pairs}
+    with spans.installed(spans.Tracer(), hypersel):
+        for (mod, attr), original in before.items():
+            if (mod, attr) in RETIRED:
+                assert not hasattr(modules[mod], attr), f"{mod}.{attr} was installed"
+            else:
+                wrapper = getattr(modules[mod], attr)
+                assert wrapper is not original, f"{mod}.{attr} was not wrapped"
+                assert wrapper.__qualname__ == "_wrap.<locals>.wrapper"
+    assert {pair: getattr(modules[pair[0]], pair[1], None) for pair in pairs} == before
 
 
 def test_direct_reads_found():

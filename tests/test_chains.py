@@ -77,14 +77,6 @@ class TestMeets:
         with pytest.raises(SizeMismatch):
             meets_uniquely(family((0, 1)), family((0, 1), (2, 3)))
 
-    def test_placement_leaves_no_point_outside(self):
-        fam = family((0, 1), (2, 3))
-        inside = (F(1, 2), F(5, 2))
-        assert chains._placement(fam, inside) == oracle_placement(fam, inside) == inside
-        for pts in (inside + (F(7, 2),), (F(1, 2), F(3, 4)), (F(1, 2),)):
-            assert chains._placement(fam, pts) is None
-            assert oracle_placement(fam, pts) is None
-
 
 class TestIsNice:
     def test_conflict_fixture_refuted(self):
@@ -216,8 +208,7 @@ class TestBuild:
         for s, value in built.values.items():
             pts = tuple(points[i] for i in s)
             for fam in system.families:
-                placement = chains._placement(fam, pts)
-                assert placement == oracle_placement(fam, pts)
+                placement = oracle_placement(fam, pts)
                 if placement is not None:
                     # re-derive the value from this family alone
                     base_f, base_m = built.bases[0]
@@ -371,9 +362,6 @@ def _assert_agrees(system, rng):
                 assert link.mapping == tuple(row[0] for row in rows)
             else:
                 assert link is None
-    for pts in combinations(system.model.points, system.arity):
-        for fam in fams:
-            assert chains._placement(fam, pts) == oracle_placement(fam, pts)
     for s in combinations(range(system.model.size), system.arity):
         assert graph.covering(s) == _oracle_covering(system, s)
 

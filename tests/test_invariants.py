@@ -13,9 +13,9 @@ import hypersel
 from hypersel import extension, obstruction
 from hypersel.cli import main
 from hypersel.errors import BrokenInvariant
-from hypersel.extension import extend_selection, least_small_class, make_partial
+from hypersel.extension import extend_selection, make_partial
 from hypersel.obstruction import SearchResult, obstruction_table
-from hypersel.structures import ground_range, rotational_tournament
+from hypersel.structures import ground_range, rotational_tournament, score_vector
 
 PACKAGE = Path(hypersel.__file__).parent
 
@@ -102,11 +102,11 @@ def test_obstruction_divisible_binomial_is_broken_invariant(monkeypatch):
     assert "obstructed pair (6,3) has m | C(m,p)" in err.getvalue()
 
 
-def test_no_small_level_class_is_broken_invariant(monkeypatch):
-    # a regular structure that claims not to be: every level class is empty or everything
-    monkeypatch.setattr(extension, "is_regular", lambda g: False)
+def test_no_small_level_class_is_broken_invariant():
+    # constant scores, which least_small_class turns away as RegularInput
+    # before the rule: every level class is empty or everything
     with pytest.raises(BrokenInvariant):
-        least_small_class(rotational_tournament(5), 5)
+        extension._least_small_level(score_vector(rotational_tournament(5)))
 
 
 def test_regular_restriction_type_is_broken_invariant(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypersel import vietoris
 from hypersel.chains import FamilySystem, derive_nice_family, regular_class_cover_check
 from hypersel.documents import read_family
-from hypersel.errors import ArityNotInDomain, InvalidModel, NotModelContinuous, OutOfRange
+from hypersel.errors import ArityNotInDomain, InvalidModel
 from hypersel.extension import admissible_sizes, make_partial, order_partial, random_partial, restrict
 from hypersel.structures import GroundSet, is_regular
 from hypersel.vietoris import (
@@ -19,7 +19,6 @@ from hypersel.vietoris import (
     OpenFamily,
     check_continuity,
     family,
-    find_preserving_neighborhoods,
     intersect_nonempty,
     interval,
     model_space,
@@ -28,6 +27,7 @@ from hypersel.vietoris import (
 
 from generators import lifted_models
 from oracles import (
+    NoNeighborhoods,
     flip_model,
     oracle_arrows_to,
     oracle_continuity,
@@ -251,27 +251,10 @@ class TestNeighborhoods:
             frozenset({pts[1], pts[2]}): pts[2],
         }
         model = model_space(pts, make_partial(GroundSet(pts), "upto", 2, table))
-        fam = find_preserving_neighborhoods(model, (F(0), F(1)), (1, 2))
+        fam = oracle_neighborhoods(model, (F(0), F(1)), (1, 2))
         for u in fam.members:
             assert sum(1 for p in model.points if u.contains(p)) == 1
         assert check_continuity(model).ok
-
-    def test_flip_fixture_has_no_family(self):
-        model = flip_model()
-        with pytest.raises(NotModelContinuous):
-            find_preserving_neighborhoods(model, (model.points[0], model.points[2]), (1, 2))
-
-    def test_starting_radius_is_half_the_least_gap(self):
-        # points 0, 1, 7/2, 4: a singleton starts at half the gap to its
-        # nearest sample point, on either side; a set at half its own
-        # least gap.  Every arity-1 family preserves at once.
-        model = order_model([0, 1, F(7, 2), 4], 2, "min")
-        for pts, r in (((F(0),), F(1, 2)), ((F(1),), F(1, 2)), ((F(7, 2),), F(1, 4)),
-                       ((F(4),), F(1, 4)), ((F(0), F(7, 2)), F(7, 4))):
-            fam = find_preserving_neighborhoods(model, pts, (1,))
-            assert fam == OpenFamily(tuple(IntervalOpen(p - r, p + r) for p in pts))
-        lone = order_model([3], 1, "min")
-        assert find_preserving_neighborhoods(lone, (F(3),), (1,)).members == (interval(2, 4),)
 
     def test_points_must_ascend(self):
         pts = (F(1), F(0))
@@ -279,12 +262,6 @@ class TestNeighborhoods:
             ModelSpace(pts, order_partial(GroundSet(pts), 1, "min"))
         with pytest.raises(InvalidModel, match="^points must be distinct and sorted ascending$"):
             ModelSpace((F(0), F(0)), order_model([0], 1, "min").selection)
-
-    def test_unknown_point_rejected(self):
-        model = order_model([0, 1], 2, "min")
-        with pytest.raises(OutOfRange, match="^1/2 is not a sample point$"):
-            find_preserving_neighborhoods(model, (F(1, 2),), (1,))
-
 
 class TestContinuity:
     @pytest.mark.parametrize("rule", ["min", "max"])
@@ -324,7 +301,7 @@ class TestIntersectNonempty:
         assert intersect_nonempty(u, v) == intersect_nonempty(v, u)
 
 
-# -- agreement with the Fraction descent ------------------------------------
+# -- agreement with the Fraction oracles ------------------------------------
 
 EPS = F(1, 2**50)
 
@@ -353,13 +330,6 @@ def mixed_model(seed):
         table[frozenset({a, c})] = a
         table[frozenset({a + EPS, c})] = c
     return model_space(pts, make_partial(GroundSet(tuple(pts)), mode, bound, table))
-
-
-def outcome(call):
-    try:
-        return call()
-    except (InvalidModel, OutOfRange, NotModelContinuous, ArityNotInDomain) as exc:
-        return type(exc), str(exc)
 
 
 def near_twin_model(seed):
@@ -408,9 +378,9 @@ class TestFloorRule:
             for pts in combinations(model.points, size):
                 floor = oracle_preserves(model, floor_family(model, pts), size)[0]
                 try:
-                    find_preserving_neighborhoods(model, pts, (size,))
+                    oracle_neighborhoods(model, pts, (size,))
                     found = True
-                except NotModelContinuous:
+                except NoNeighborhoods:
                     found = False
                 assert floor == found, pts
         verdict = check_continuity(model)
@@ -455,7 +425,6 @@ class TestFloorRule:
         calls = []
         preserved = vietoris._preserved
         monkeypatch.setattr(vietoris, "_preserved", lambda *a: calls.append(a) or preserved(*a))
-        monkeypatch.setattr(vietoris, "find_preserving_neighborhoods", None)
         return calls
 
     def test_one_preservation_test_per_subset(self, monkeypatch):
@@ -517,26 +486,6 @@ class TestDescentAgreement:
         model = mixed_model(seed)
         verdict = check_continuity(model)
         assert (verdict.ok, verdict.witness) == oracle_continuity(model)
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_neighborhoods(self, seed):
-        model = mixed_model(seed)
-        rng = random.Random(seed)
-        for size in range(1, min(4, model.size) + 1):
-            for pts in combinations(model.points, size):
-                arities = rng.choice(((size,), (1, 2), (1, 2, 3), range(1, size + 1)))
-                got = outcome(lambda: find_preserving_neighborhoods(model, pts, arities))
-                want = outcome(lambda: oracle_neighborhoods(model, pts, arities))
-                assert got == want, (pts, arities)
-
-    def test_neighborhood_errors(self):
-        model = mixed_model(0)
-        p = model.points[0]
-        for pts, error in (((), OutOfRange), ((p, p), InvalidModel),
-                           ((p, F(1, 3)), OutOfRange), ((F(1000),), OutOfRange)):
-            got = outcome(lambda: find_preserving_neighborhoods(model, pts, (1,)))
-            assert got == outcome(lambda: oracle_neighborhoods(model, pts, (1,)))
-            assert got[0] is error
 
     @pytest.mark.parametrize("seed", range(30))
     def test_derived_families(self, seed):
@@ -613,20 +562,3 @@ class TestDescentAgreement:
                 for j, u in enumerate(members):
                     assert oracle_arrows_to(model, fam.members, u) == (r is not None and order[r] == j)
         assert checked
-
-    def test_skip_tests_fewer_radii(self, monkeypatch):
-        # on the flip fixture every radius holds {0, eps} and {1}: the
-        # descent tries all 41 radii, the search tests the first alone
-        import oracles
-
-        model = flip_model()
-        tested, visited = [], []
-        receiver, preserves = vietoris._receiver, oracles.oracle_preserves
-        monkeypatch.setattr(vietoris, "_receiver", lambda *a: tested.append(a) or receiver(*a))
-        monkeypatch.setattr(oracles, "oracle_preserves", lambda *a: visited.append(a) or preserves(*a))
-        pair = (model.points[0], model.points[2])
-        for search in (find_preserving_neighborhoods, oracle_neighborhoods):
-            with pytest.raises(NotModelContinuous):
-                search(model, pair, (2,))
-        assert len(visited) == RADIUS_FLOOR_SHIFT + 1 == 41
-        assert len(tested) == 1
