@@ -95,8 +95,12 @@ def jsonable(x: Any) -> Any:
 def dumps(doc: Any) -> str:
     """Canonical rendering: json's C encoder with sorted keys, no
     whitespace and ASCII only (anything else as a \\u escape), then one
-    trailing newline.  Equal documents give byte-equal text."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    trailing newline.  Equal documents give byte-equal text.  Documents
+    and reports are built fresh in this process and share read-only
+    parts (write_selections), so json's circular-reference guard is off:
+    a shared object renders in every place it appears, and a cycle still
+    raises, as RecursionError."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def _check_fields(doc: Any, required: tuple, where: str) -> None:
@@ -206,23 +210,26 @@ def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
 # -- selection structures ------------------------------------------------
 
 def write_selections(structures) -> list:
-    """write_selection of each structure, in order.  The ground list and
-    the subset label lists are built once per distinct (rendered ground,
-    n) and shared by every record on it, so the records must be read,
+    """write_selection of each structure, in order.  The ground list, the
+    subset label lists and the choice records are built once per
+    distinct (rendered ground, n), a record once per (subset rank, pick),
+    and shared by every structure on it, so the records must be read,
     not edited in place."""
-    shared: dict = {}  # (label strings, n) -> (ground list, subset lists)
+    shared: dict = {}  # (label strings, n) -> (ground list, subset lists, records by rank)
     out = []
     for s in structures:
         names = tuple(map(label_str, s.ground.labels))
         key = (names, s.n)
         if key not in shared:
             subs, _ = subset_ranks(s.size, s.n)
-            shared[key] = (list(names), [[names[i] for i in t] for t in subs])
-        ground, subsets = shared[key]
+            shared[key] = (list(names), [[names[i] for i in t] for t in subs], [{} for _ in subs])
+        ground, subsets, records = shared[key]
         out.append({
             "ground": ground,
             "n": s.n,
-            "choices": [{"subset": t, "pick": names[p]} for t, p in zip(subsets, s.picks)],
+            # records are non-empty dicts, so get() misses only on a new pick
+            "choices": [row.get(p) or row.setdefault(p, {"subset": t, "pick": names[p]})
+                        for t, row, p in zip(subsets, records, s.picks)],
         })
     return out
 

@@ -247,12 +247,34 @@ class IsoMap:
         return tuple(self.target.index(x) for x in self.images)
 
 
+def _pair_offsets(m: int) -> list:
+    """off[a] + b is the rank of the pair {a < b} among the 2-subsets of
+    0..m-1 in rank order: off[a] counts the pairs whose least member is
+    below a, less a + 1."""
+    return [a * (2 * m - a - 1) // 2 - a - 1 for a in range(m)]
+
+
 def _relabeled(subs: tuple, rank: Mapping, picks: tuple, sigma: Sequence) -> tuple:
     """The picks, by rank, of the structure that picks[r] on subs[r] is
     carried to by sigma (old index -> new index): the one relabeling
-    kernel behind canonical labels, isomorphism checks and apply_iso."""
+    kernel behind canonical labels, isomorphism checks and apply_iso.
+
+    A pair's image {x, y} is ranked by arithmetic, off[min] + max (see
+    _pair_offsets), shifted by the rank of (0, 1), where the pair block
+    starts in a joint table; wider subsets are sorted and looked up in
+    rank."""
+    m = len(sigma)
     out = [0] * len(subs)
-    for sub, p in zip(subs, picks):
+    wide = zip(subs, picks)
+    first = rank.get((0, 1))
+    if first is not None:
+        end = first + m * (m - 1) // 2
+        off = [first + o for o in _pair_offsets(m)]
+        for (a, b), p in zip(subs[first:end], picks[first:end]):
+            x, y = sigma[a], sigma[b]
+            out[off[x] + y if x < y else off[y] + x] = sigma[p]
+        wide = chain(zip(subs[:first], picks[:first]), zip(subs[end:], picks[end:]))
+    for sub, p in wide:
         image = [sigma[y] for y in sub]
         image.sort()
         out[rank[tuple(image)]] = sigma[p]
@@ -578,13 +600,29 @@ def _relabeling_columns(m: int, n: int) -> list:
 
     A structure's index is the sum over ranks of digit * n**(count-1-rank),
     so the index of each relabeled copy is the sum of one column entry
-    per rank.
+    per rank.  For pairs the image {x, y} of {a, b} has rank off[min] +
+    max (see _pair_offsets), and a sits at position 0 exactly when x is
+    the smaller; wider subsets are sorted and looked up in rank.
     """
     subs, rank = subset_ranks(m, n)
     count = len(subs)
     # one int object per (rank, digit) value keeps the columns small
     weight = [[d * n ** (count - 1 - r) for d in range(n)] for r in range(count)]
     columns = [[[] for _ in range(n)] for _ in range(count)]
+    if n == 2:
+        off = _pair_offsets(m)
+        for sigma in permutations(range(m)):
+            for (a, b), (low, high) in zip(subs, columns):
+                x, y = sigma[a], sigma[b]
+                if x < y:
+                    w = weight[off[x] + y]
+                    low.append(w[0])
+                    high.append(w[1])
+                else:
+                    w = weight[off[y] + x]
+                    low.append(w[1])
+                    high.append(w[0])
+        return columns
     for sigma in permutations(range(m)):
         for sub, col in zip(subs, columns):
             image = sorted(sigma[x] for x in sub)

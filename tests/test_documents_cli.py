@@ -34,11 +34,12 @@ from hypersel.documents import (
     write_system,
 )
 from hypersel.errors import ChoiceOutsideSubset, DocumentError, MissingSubset
-from hypersel.extension import order_partial, random_partial
+from hypersel.extension import order_partial, partition_types, random_partial
 from hypersel.obstruction import obstruction_table, table_tsv
 from hypersel.structures import (
     GroundSet,
     SelectionStructure,
+    enumerate_selections,
     ground_range,
     rotational_tournament,
     subset_ranks,
@@ -184,6 +185,21 @@ class TestWriteSelections:
         assert [d["ground"] for d in docs] == [["0", "1", "2"], ["0/1", "1/1", "2/1"], ["0", "1", "2"]]
         assert docs[0]["choices"][1]["subset"] is docs[2]["choices"][1]["subset"]
 
+    @staticmethod
+    def _assert_shared_and_equal(batch):
+        docs = write_selections(batch)
+        records = [id(c) for d in docs for c in d["choices"]]
+        assert len(set(records)) < len(records)  # some record is shared
+        assert dumps(docs) == dumps([write_selection(s) for s in batch])
+        assert [dumps(d) for d in docs] == [dumps(write_selection(s)) for s in batch]
+
+    def test_shared_records_render_as_extend_classes(self):
+        f = random_partial(GroundSet(tuple("abcdefgh")), 4, random.Random("extend-classes"))
+        self._assert_shared_and_equal(list(partition_types(f, 6, 2).classes))
+
+    def test_shared_records_render_as_iso_records(self):
+        self._assert_shared_and_equal(list(enumerate_selections(5, 2, up_to_iso=True)))
+
 
 class TestDumps:
     @settings(max_examples=200, deadline=None)
@@ -213,6 +229,17 @@ class TestDumps:
     @pytest.mark.parametrize("doc, text", FIXED, ids=[f"doc{i}" for i in range(len(FIXED))])
     def test_fixed_cases(self, doc, text):
         assert dumps(doc).encode("ascii") == text
+
+    def test_an_object_shared_twice_renders_in_both_places(self):
+        shared = {"subset": ["a", "b"], "pick": "a"}
+        assert dumps({"x": [shared, shared], "y": shared}) == (
+            '{"x":[{"pick":"a","subset":["a","b"]},{"pick":"a","subset":["a","b"]}],'
+            '"y":{"pick":"a","subset":["a","b"]}}\n')
+
+    @pytest.mark.parametrize("value", [{1, 2}, F(1, 2), object()])
+    def test_non_json_values_raise(self, value):
+        with pytest.raises(TypeError):
+            dumps({"a": [value]})
 
 
 class TestRejection:

@@ -269,6 +269,47 @@ class TestRelabeling:
             picks[r] = next(x for x in sub if x != picks[r])
             assert not is_isomorphism(s, SelectionStructure(target, s.n, tuple(picks)), phi)
 
+    @staticmethod
+    def _assert_levels_agree(m, ns, rng):
+        # _relabeled on a joint table, level by level against the oracle
+        subs, rank = subset_ranks(m, *ns)
+        picks = tuple(rng.choice(s) for s in subs)
+        sigma = list(range(m))
+        rng.shuffle(sigma)
+        got = structures._relabeled(subs, rank, picks, sigma)
+        start = 0
+        for n in ns:
+            end = start + math.comb(m, n)
+            level = SelectionStructure(ground_range(m), n, picks[start:end])
+            assert got[start:end] == oracle_relabel(level, tuple(sigma)), (m, ns, sigma)
+            start = end
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_pair_tables_rank_by_offsets(self, m):
+        rng = random.Random(f"pairs-{m}")
+        for _ in range(40):
+            self._assert_levels_agree(m, (2,), rng)
+
+    @pytest.mark.parametrize("ns", [(1, 2), (3, 2), (2, 3), (1, 2, 3)])
+    def test_joint_tables_shift_the_pair_block(self, ns):
+        rng = random.Random(f"joint-{ns}")
+        for m in range(3, 7):
+            for _ in range(20):
+                self._assert_levels_agree(m, ns, rng)
+
+    @pytest.mark.parametrize("m, n", [(m, 2) for m in range(2, 7)] + [(4, 3)])
+    def test_enumeration_columns_match_brute_force(self, m, n):
+        # each entry recomputed from the image subset's place in the
+        # combinations list and the pick's place in the sorted image
+        subs = list(combinations(range(m), n))
+        columns = structures._relabeling_columns(m, n)
+        for q, sigma in enumerate(permutations(range(m))):
+            for r, sub in enumerate(subs):
+                image = sorted(sigma[x] for x in sub)
+                place = n ** (len(subs) - 1 - subs.index(tuple(image)))
+                for d, x in enumerate(sub):
+                    assert columns[r][d][q] == image.index(sigma[x]) * place, (sigma, sub, d)
+
 
 class TestCanonicalForm:
     @settings(max_examples=40, deadline=None)
