@@ -62,8 +62,7 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def _config(args: argparse.Namespace) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    return {k: jsonable(v) for k, v in sorted(cfg.items())}
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def _report(args: argparse.Namespace, result: dict) -> str:

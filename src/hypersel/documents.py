@@ -20,7 +20,8 @@ so "2/4" is "1/2"), and reject a subset listed twice under any spelling.
 Choices laid out as the writers lay them out are read by one positional
 pass that matches each record to the next subset in rank order; any
 other list is read record by record through the per-field checks, whose
-messages name the first fault.
+messages name the first fault: a label outside the carrier at its
+record, any other fault of the table in the rank-order walk.
 A model's carrier reuses the Fractions parsed from its points.
 """
 
@@ -33,11 +34,10 @@ from fractions import Fraction
 from typing import Any, Mapping, Optional
 
 from .chains import FamilySystem
-from .errors import ChoiceOutsideSubset, DocumentError
+from .errors import ChoiceOutsideSubset, DocumentError, OutOfRange
 from .extension import PartialSelection, admissible_sizes, partial_from_indices
 from .structures import (
     GroundSet,
-    LabelIndex,
     SelectionStructure,
     index_selection,
     subset_ranks,
@@ -172,21 +172,21 @@ def _positional_levels(doc: Any, carrier: GroundSet, strings: tuple,
 
 
 def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
-                  parse: bool) -> tuple:
-    """Choice records to (table, names), as partial_from_indices takes
-    them, through the per-field checks in record order; each string not
-    in strings (the carrier) resolved once."""
+                  parse: bool) -> dict:
+    """Choice records to the index table partial_from_indices takes,
+    through the per-field checks in record order; each string not in
+    strings (the carrier) resolved once, and a label outside the carrier
+    rejected at its record, subset labels in list order before the pick."""
     if not isinstance(doc, list):
         raise DocumentError(f"{where}: expected a list of choice records")
     ids = dict(zip(strings, range(len(strings))))
-    index = None  # LabelIndex of the carrier, made for the first other label
 
-    def resolve(x: str, field: str) -> int:
-        nonlocal index
+    def resolve(x: str, r: int, field: str) -> int:
         label = parse_fraction(x, f"{where}.{field}") if parse else x
-        if index is None:
-            index = LabelIndex(carrier)
-        ids[x] = i = index[label]
+        try:
+            ids[x] = i = carrier.index(label)
+        except OutOfRange:
+            raise DocumentError(f"{where}[{r}].{field}: {x!r} is not a carrier label") from None
         return i
 
     table: dict = {}
@@ -198,13 +198,13 @@ def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
             raise DocumentError(f"{where}[{r}].subset: expected a list of strings")
         if not isinstance(pick, str):
             raise DocumentError(f"{where}[{r}].pick: expected a string")
-        key = tuple(sorted({ids[x] if x in ids else resolve(x, "subset") for x in subset}))
+        key = tuple(sorted({ids[x] if x in ids else resolve(x, r, "subset") for x in subset}))
         if len(key) != len(subset):
             raise DocumentError(f"{where}[{r}].subset: repeated labels")
         if key in table:
             raise DocumentError(f"{where}[{r}].subset: duplicate subset")
-        table[key] = ids[pick] if pick in ids else resolve(pick, "pick")
-    return table, carrier.labels if index is None else index.names
+        table[key] = ids[pick] if pick in ids else resolve(pick, r, "pick")
+    return table
 
 
 # -- selection structures ------------------------------------------------
@@ -246,7 +246,7 @@ def read_selection(doc: Any) -> SelectionStructure:
     levels = _positional_levels(doc["choices"], ground, strings, range(n, n + 1))
     if levels is not None:
         return levels[n]
-    return index_selection(ground, n, *_read_choices(
+    return index_selection(ground, n, _read_choices(
         doc["choices"], "selection.choices", ground, strings, False))
 
 
@@ -283,7 +283,7 @@ def _read_partial(doc: Any, parsed: Optional[dict]) -> PartialSelection:
     levels = _positional_levels(doc["choices"], carrier, strings, admissible_sizes(mode, bound))
     if levels is not None:
         return PartialSelection(carrier, mode, bound, levels)
-    return partial_from_indices(carrier, mode, bound, *_read_choices(
+    return partial_from_indices(carrier, mode, bound, _read_choices(
         doc["choices"], "partial.choices", carrier, strings, parsed is not None))
 
 

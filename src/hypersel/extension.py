@@ -112,11 +112,11 @@ class PartialSelection:
 def make_partial(carrier: GroundSet, mode: str, bound: int, table: Mapping) -> PartialSelection:
     """Build from a mapping {subset of labels: chosen label} covering
     exactly the admissible subsets, read on indices by index_table."""
-    return partial_from_indices(carrier, mode, bound, *index_table(carrier, table))
+    return partial_from_indices(carrier, mode, bound, index_table(carrier, table))
 
 
-def partial_from_indices(carrier: GroundSet, mode: str, bound: int, table: Mapping,
-                         names: Sequence) -> PartialSelection:
+def partial_from_indices(carrier: GroundSet, mode: str, bound: int,
+                         table: Mapping) -> PartialSelection:
     """Build from a mapping {ascending index tuple: chosen index} covering
     exactly the admissible subsets, one index_selection per size; the
     membership check forces singleton entries to pick their element."""
@@ -124,7 +124,7 @@ def partial_from_indices(carrier: GroundSet, mode: str, bound: int, table: Mappi
     for k, v in table.items():
         by_size.setdefault(len(k), {})[k] = v
     levels = {
-        size: index_selection(carrier, size, by_size.pop(size, {}), names)
+        size: index_selection(carrier, size, by_size.pop(size, {}))
         for size in admissible_sizes(mode, bound)
     }
     if by_size:

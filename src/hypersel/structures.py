@@ -120,46 +120,33 @@ class SelectionStructure:
         return self.ground.labels[self.choose_indices(idx)]
 
 
-class LabelIndex(dict):
-    """label -> index: a ground's labels, then labels outside it from
-    ground.size on, in order of first use; names[i] labels index i."""
-
-    def __init__(self, ground: GroundSet):
-        super().__init__(ground._position)
-        self.names = list(ground.labels)
-
-    def __missing__(self, label: Label) -> int:
-        self[label] = i = len(self.names)
-        self.names.append(label)
-        return i
-
-
-def index_table(ground: GroundSet, table: Mapping) -> tuple:
-    """(indexed, names): {subset of labels: chosen label} read on indices,
-    each key as a set, as its ascending index tuple (see LabelIndex)."""
-    index = LabelIndex(ground)
-    indexed = {tuple(sorted({index[x] for x in k})): index[v] for k, v in table.items()}
+def index_table(ground: GroundSet, table: Mapping) -> dict:
+    """{subset of labels: chosen label} read on indices, each key as a
+    set, as its ascending index tuple; a label outside the ground raises
+    OutOfRange (GroundSet.index), subset labels before the pick."""
+    indexed = {tuple(sorted({ground.index(x) for x in k})): ground.index(v)
+               for k, v in table.items()}
     if len(indexed) != len(table):
         raise MissingSubset("table keys collapse when read as sets")
-    return indexed, index.names
+    return indexed
 
 
 def make_selection(ground: GroundSet, n: int, table: Mapping) -> SelectionStructure:
     """Build a structure from a mapping {n-subset of labels: chosen label}
     covering exactly the n-subsets of the ground set."""
-    return index_selection(ground, n, *index_table(ground, table))
+    return index_selection(ground, n, index_table(ground, table))
 
 
-def index_selection(ground: GroundSet, n: int, table: Mapping,
-                    names: Sequence) -> SelectionStructure:
+def index_selection(ground: GroundSet, n: int, table: Mapping) -> SelectionStructure:
     """Build a structure from a mapping {ascending index n-tuple: chosen
-    index} covering exactly the n-subsets of the ground set.  Errors
-    name subsets and picks by label, names[i] for index i: the first
+    ground index} covering exactly the n-subsets of the ground set.
+    Errors name subsets and picks by their ground labels: the first
     subset in rank order with no pick or a pick outside it, then any
     entry that is not an n-subset."""
     m = ground.size
     if not 1 <= n <= m:
         raise OutOfRange(f"arity {n} out of range for ground of size {m}")
+    names = ground.labels
     picks = []
     for s in combinations(range(m), n):
         v = table.get(s)

@@ -293,13 +293,21 @@ def oracle_joint_isomorphism(f: PartialSelection, x, y):
 #
 # The label-table construction the readers used before they resolved
 # labels to carrier indices: a {frozenset(subset): pick} table, split by
-# subset size, each size checked subset by subset on label sets.  Two
-# records whose subsets are equal only after the fraction parse (say
-# "1/2" and "2/4") collapse here, the later one winning.
+# subset size, each size checked subset by subset on label sets.  A label
+# outside the carrier is rejected at its record (a document) or before
+# any other check (a library table).  Two records whose subsets are equal
+# only after the fraction parse (say "1/2" and "2/4") collapse here, the
+# later one winning.
 
-def _oracle_choices(doc, where: str) -> dict:
+def _oracle_choices(doc, where: str, carrier: tuple, parse_labels: bool) -> dict:
     if not isinstance(doc, list):
         raise DocumentError(f"{where}: expected a list of choice records")
+
+    def check(x, here: str, field: str) -> None:
+        label = parse_fraction(x, f"{where}.{field}") if parse_labels else x
+        if label not in carrier:
+            raise DocumentError(f"{here}.{field}: {x!r} is not a carrier label")
+
     table: dict = {}
     for i, rec in enumerate(doc):
         here = f"{where}[{i}]"
@@ -307,16 +315,29 @@ def _oracle_choices(doc, where: str) -> dict:
         subset = _string_list(rec["subset"], f"{here}.subset")
         if not isinstance(rec["pick"], str):
             raise DocumentError(f"{here}.pick: expected a string")
+        for x in subset:
+            check(x, here, "subset")
         key = frozenset(subset)
         if len(key) != len(subset):
             raise DocumentError(f"{here}.subset: repeated labels")
         if key in table:
             raise DocumentError(f"{here}.subset: duplicate subset")
+        check(rec["pick"], here, "pick")
         table[key] = rec["pick"]
     return table
 
 
+def _oracle_foreign(ground: GroundSet, table) -> None:
+    """OutOfRange naming the first label outside the ground, entry by
+    entry, each key's labels in iteration order before its pick."""
+    for k, v in table.items():
+        for x in (*k, v):
+            if x not in ground.labels:
+                raise OutOfRange(f"{x!r} is not a label of the ground")
+
+
 def oracle_make_selection(ground: GroundSet, n: int, table) -> SelectionStructure:
+    _oracle_foreign(ground, table)
     m = ground.size
     if not 1 <= n <= m:
         raise OutOfRange(f"arity {n} out of range for ground of size {m}")
@@ -340,6 +361,7 @@ def oracle_make_selection(ground: GroundSet, n: int, table) -> SelectionStructur
 
 
 def oracle_make_partial(carrier: GroundSet, mode: str, bound: int, table) -> PartialSelection:
+    _oracle_foreign(carrier, table)
     by_size: dict = {}
     for k, v in table.items():
         key = frozenset(k)
@@ -362,14 +384,11 @@ def oracle_read_partial(doc, parse_labels: bool = False) -> PartialSelection:
     if mode not in ("upto", "exact"):
         raise DocumentError(f"partial.mode: expected 'upto' or 'exact', got {mode!r}")
     bound = _int(doc["bound"], "partial.bound")
-    table = _oracle_choices(doc["choices"], "partial.choices")
     if parse_labels:
         carrier = tuple(parse_fraction(x, "partial.carrier") for x in carrier)
-        table = {
-            frozenset(parse_fraction(x, "partial.choices.subset") for x in k):
-                parse_fraction(v, "partial.choices.pick")
-            for k, v in table.items()
-        }
+    table = _oracle_choices(doc["choices"], "partial.choices", carrier, parse_labels)
+    if parse_labels:  # every label parsed once already, in the carrier check
+        table = {frozenset(map(parse_fraction, k)): parse_fraction(v) for k, v in table.items()}
     return oracle_make_partial(GroundSet(carrier), mode, bound, table)
 
 

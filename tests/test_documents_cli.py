@@ -334,6 +334,18 @@ class TestModelLabels:
         assert read_model(doc) == order_model([0, F(1, 2)], 2, "max")
 
     @pytest.mark.parametrize("field", ["subset", "pick"])
+    def test_label_outside_the_carrier(self, field):
+        # 9/7 is a fraction, but no point of the model
+        doc = write_model(order_model([0, 1], 2, "min"))
+        rec = doc["selection"]["choices"][2]
+        if field == "subset":
+            rec["subset"][1] = "9/7"
+        else:
+            rec["pick"] = "9/7"
+        with pytest.raises(DocumentError, match=rf"^partial\.choices\[2\]\.{field}: '9/7' is not a carrier label$"):
+            read_model(doc)
+
+    @pytest.mark.parametrize("field", ["subset", "pick"])
     def test_bad_label_in_a_choice(self, field):
         doc = write_model(order_model([0, 1], 2, "min"))
         rec = doc["selection"]["choices"][2]
@@ -405,8 +417,47 @@ class TestChoiceRecords:
     def test_label_outside_the_carrier(self):
         doc = self.base()
         doc["choices"].append({"subset": ["a", "zz"], "pick": "a"})
-        with pytest.raises(MissingSubset, match="^table has entries that are not n-subsets of the ground$"):
+        with pytest.raises(DocumentError, match=r"^partial\.choices\[10\]\.subset: 'zz' is not a carrier label$"):
             read_partial(doc)
+
+    @pytest.mark.parametrize("rec, fault", [
+        ({"subset": ["b", "zz"], "pick": "b"}, "subset: 'zz'"),
+        ({"subset": ["zz", "b", "yy"], "pick": "b"}, "subset: 'zz'"),  # the first in list order
+        ({"subset": ["b", "c"], "pick": "zz"}, "pick: 'zz'"),
+        ({"subset": ["yy"], "pick": "zz"}, "subset: 'yy'"),  # subset labels before the pick
+    ], ids=["subset", "first of two", "pick", "subset before pick"])
+    def test_label_outside_named_at_its_record(self, rec, fault):
+        doc = self.base()
+        doc["choices"][7] = rec
+        with pytest.raises(DocumentError, match=rf"^partial\.choices\[7\]\.{fault} is not a carrier label$"):
+            read_partial(doc)
+
+    def test_label_outside_the_ground(self):
+        doc = write_selection(rotational_tournament(3))
+        doc["choices"][1]["pick"] = "3"
+        with pytest.raises(DocumentError, match=r"^selection\.choices\[1\]\.pick: '3' is not a carrier label$"):
+            read_selection(doc)
+
+    def test_earlier_fault_wins_over_a_later_label_outside(self):
+        doc = self.base()
+        doc["choices"][2] = {"subset": ["c", "c"], "pick": "c"}
+        doc["choices"][7]["pick"] = "zz"
+        with pytest.raises(DocumentError, match=r"^partial\.choices\[2\]\.subset: repeated labels$"):
+            read_partial(doc)
+
+    def test_label_outside_wins_over_the_rank_order_walk(self):
+        # a missing subset is found only after every record is read
+        doc = self.base()
+        del doc["choices"][4]
+        doc["choices"][8]["subset"][0] = "zz"
+        with pytest.raises(DocumentError, match=r"^partial\.choices\[8\]\.subset: 'zz' is not a carrier label$"):
+            read_partial(doc)
+
+    def test_label_outside_the_carrier_exits_two(self, tmp_path):
+        doc = self.base()
+        doc["choices"][7]["pick"] = "zz"
+        code, out, err = run_on(doc, READERS[0], tmp_path)
+        assert (code, out, err) == (2, "", "hypersel: partial.choices[7].pick: 'zz' is not a carrier label\n")
 
     def test_selection_record_of_another_size(self):
         doc = write_selection(rotational_tournament(3))

@@ -87,7 +87,7 @@ REJECTED = [
     ("collapsed keys", 3, "upto", 2, collapsed_keys(), MissingSubset),
     ("size not admitted, upto", 3, "upto", 2, full_table(3, (1, 2, 3)), MissingSubset),
     ("size not admitted, exact", 3, "exact", 2, full_table(3, (1, 2)), MissingSubset),
-    ("label outside the carrier", 2, "upto", 1, {**full_table(2, (1,)), frozenset({9}): 9}, MissingSubset),
+    ("label outside the carrier", 2, "upto", 1, {**full_table(2, (1,)), frozenset({9}): 9}, OutOfRange),
     ("missing subset", 3, "upto", 2, without(full_table(3, (1, 2)), {0, 2}), MissingSubset),
     ("pick outside its subset", 3, "upto", 2, {**full_table(3, (1, 2)), frozenset({1, 2}): 0}, ChoiceOutsideSubset),
     ("singleton picks another label", 2, "upto", 1, {**full_table(2, (1,)), frozenset({1}): 0}, ChoiceOutsideSubset),
@@ -139,6 +139,17 @@ class TestPartialSelection:
         with pytest.raises(error) as info:
             make_partial(ground_range(m), mode, bound, table)
         assert type(info.value) is error
+
+    @pytest.mark.parametrize("key, pick, label", [
+        ({1, "x"}, 1, "'x'"), ({0, 1}, 7, "7"), ({7}, 7, "7"),
+    ], ids=["subset", "pick", "singleton"])
+    def test_make_partial_names_a_label_outside(self, key, pick, label):
+        # one label outside per key, so set order cannot pick the one
+        # named; it is named before the missing subset {0, 2}
+        table = without(full_table(3, (1, 2)), {0, 2})
+        table[frozenset(key)] = pick
+        with pytest.raises(OutOfRange, match=f"^{label} is not a label of the ground$"):
+            make_partial(ground_range(3), "upto", 2, table)
 
     @pytest.mark.parametrize(
         "m, mode, bound, table",

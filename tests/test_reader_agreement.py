@@ -238,10 +238,13 @@ class TestEqualSpellings:
         picks = {oracle_read_model(self.doc(p)).selection.levels[2].picks for p in (pair, pair[::-1])}
         assert picks == {(0,), (1,)}
 
-    @pytest.mark.parametrize("subset", [["1/2", "2/4"], ["0/1", "9/7", "18/14"]],
-                             ids=["carrier label", "label outside the carrier"])
-    def test_repeated_label_rejected(self, subset):
+    @pytest.mark.parametrize("subset, fault", [
+        (["1/2", "2/4"], "repeated labels"),
+        # the label outside the carrier is named before the repeat is seen
+        (["0/1", "9/7", "18/14"], "'9/7' is not a carrier label"),
+    ], ids=["carrier label", "label outside the carrier"])
+    def test_repeated_label_rejected(self, subset, fault):
         rec = {"subset": subset, "pick": subset[0]}
         doc = self.doc([{"subset": ["0/1", "1/2"], "pick": "0/1"}, rec])
-        with pytest.raises(DocumentError, match=r"^partial\.choices\[3\]\.subset: repeated labels$"):
+        with pytest.raises(DocumentError, match=rf"^partial\.choices\[3\]\.subset: {fault}$"):
             read_model(doc)

@@ -139,6 +139,16 @@ class TestConstruction:
         with pytest.raises(MissingSubset):
             make_selection(ground_range(4), 2, table)
 
+    @pytest.mark.parametrize("key, pick", [((0, 7), 0), ((0, 1), 7)], ids=["subset", "pick"])
+    def test_label_outside_the_ground(self, key, pick):
+        # one label outside per key, so set order cannot pick the one
+        # named; it is named before the missing subset {2, 3}
+        table = pick_table(range(4), 2, min)
+        del table[frozenset({2, 3})]
+        table[frozenset(key)] = pick
+        with pytest.raises(OutOfRange, match="^7 is not a label of the ground$"):
+            make_selection(ground_range(4), 2, table)
+
     def test_order_rules(self):
         g = ground_range(4)
         lo = selection_from_order(g, 3, "min")

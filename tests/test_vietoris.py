@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypersel import vietoris
 from hypersel.chains import FamilySystem, derive_nice_family, regular_class_cover_check
 from hypersel.documents import read_family
-from hypersel.errors import ArityNotInDomain, InvalidModel
+from hypersel.errors import InvalidModel
 from hypersel.extension import admissible_sizes, make_partial, order_partial, random_partial, restrict
 from hypersel.structures import GroundSet, is_regular
 from hypersel.vietoris import (
@@ -211,28 +211,6 @@ class TestArrows:
         assert spans == [range(0, 2), range(2, 3)]
         assert order[vietoris._receiver(model.selection.levels[2], spans)] == 0
 
-    def test_arity_guard(self):
-        model = order_model([0, 1, 2], 2, "min")
-        fam = family((F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2)), (F(3, 2), F(5, 2)))
-        spans, _ = spans_of(model, fam.members)
-        with pytest.raises(ArityNotInDomain):
-            vietoris._preserved(model.selection, spans, (3,))
-
-
-class TestPreservation:
-    def test_min_model_preserves(self):
-        model = order_model([0, 1, 2], 2, "min")
-        spans, _ = spans_of(model, family((F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2))).members)
-        assert vietoris._preserved(model.selection, spans, (1, 2))
-
-    def test_flip_pair_fails(self):
-        # the member around 0 holds eps too; arity 1 holds, arity 2 fails
-        model = flip_model()
-        spans, _ = spans_of(model, family((-F(1, 2), F(1, 2)), (F(1, 2), F(3, 2))).members)
-        assert spans == [range(0, 2), range(2, 3)]
-        assert vietoris._preserved(model.selection, spans, (1,))
-        assert not vietoris._preserved(model.selection, spans, (2,))
-
 
 class TestNeighborhoods:
     def test_radii_shrink_to_exclude_outsiders(self):
@@ -421,10 +399,10 @@ class TestFloorRule:
         assert (verdict.ok, verdict.witness) == oracle_continuity(model) == (False, (pts[0], pts[2]))
 
     def spy(self, monkeypatch):
-        """The list that collects check_continuity's _preserved calls."""
+        """The list that collects check_continuity's _receiver calls."""
         calls = []
-        preserved = vietoris._preserved
-        monkeypatch.setattr(vietoris, "_preserved", lambda *a: calls.append(a) or preserved(*a))
+        receiver = vietoris._receiver
+        monkeypatch.setattr(vietoris, "_receiver", lambda *a: calls.append(a) or receiver(*a))
         return calls
 
     def test_one_preservation_test_per_subset(self, monkeypatch):
@@ -434,8 +412,8 @@ class TestFloorRule:
         # holding eps
         calls = self.spy(monkeypatch)
         assert check_continuity(flip_model()).witness == (F(0), F(1))
-        assert [(spans, arities) for _, spans, arities in calls] == [
-            ([range(0, 1), range(1, 2)], (2,)), ([range(0, 2), range(2, 3)], (2,))]
+        assert [(level.n, spans) for level, spans in calls] == [
+            (2, [range(0, 1), range(1, 2)]), (2, [range(0, 2), range(2, 3)])]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_twin_free_models_pass_untested(self, monkeypatch, seed):
@@ -530,15 +508,6 @@ class TestDescentAgreement:
         sel = model.selection
         rng = random.Random(seed)
         ends = sorted({p + e for p in model.points for e in (0, EPS / 2, -EPS / 2, F(1, 194), F(-1, 194))})
-        sizes = [i for i in (1, 2, 3) if sel.admits(i)]
-
-        def verdict(call):
-            try:
-                v = call()
-                return v[0] if type(v) is tuple else v
-            except ArityNotInDomain as exc:
-                return type(exc), str(exc)
-
         checked = 0
         for _ in range(40):
             k = rng.randint(1, 3)
@@ -550,15 +519,9 @@ class TestDescentAgreement:
             if not all(spans):
                 continue
             checked += 1
-            for n in (1, 2, 3):
-                want = verdict(lambda: oracle_preserves(model, fam, n))
-                assert verdict(lambda: vietoris._preserved(sel, spans, (n,))) == want
-            # the admitted arities up to the family size in turn
-            arities = [i for i in sizes if i <= k]
-            want = all(oracle_preserves(model, fam, i)[0] for i in arities)
-            assert vietoris._preserved(sel, spans, arities) == want
             if sel.admits(k):
                 r = vietoris._receiver(sel.levels[k], spans)
+                assert oracle_preserves(model, fam, k)[0] == (r is not None)
                 for j, u in enumerate(members):
                     assert oracle_arrows_to(model, fam.members, u) == (r is not None and order[r] == j)
         assert checked
