@@ -11,6 +11,14 @@ Conversely m | C(m,n) suffices: giving each n-subset weight 1/n on each
 member loads every element with exactly C(m,n)/m, so by flow integrality
 an integral choice with the same loads exists, and search_regular finds
 one by augmenting paths.
+
+The table's C(m,p) for a large prime p steps from the previous prime q
+with the same cofactor k = m/p, since
+C(kp,p) = C(kq,q) * perm(kp, k(p-q)) / (perm(p, p-q) * perm((k-1)p, (k-1)(p-q)))
+exactly: about k(p-q) small factors and one exact division in place of
+math.comb's deep recursion, which divides at every node.  Primes up to
+_STEP_ABOVE, where math.comb is as fast as a step, cofactor 1 and the
+first large prime of each cofactor keep math.comb.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .structures import (
 )
 
 MAX_TABLE_M = 10**4  # exact-arithmetic comfort zone for table binomials
+_STEP_ABOVE = 64  # table rows with a larger prime step their binomial
 
 
 def _least_factor(k: int) -> int:
@@ -102,10 +111,20 @@ def regular_score_value(m: int, n: int) -> Optional[int]:
     return math.comb(m, n) // m if divides_binom(m, n) else None
 
 
-def _certify(m: int, p: int) -> tuple:
-    """C(m,p), whether m divides it, and C(m-1,p-1) mod p, for a prime p <= m."""
-    binom = math.comb(m, p)
-    return binom, binom % m == 0, lucas_binom_mod(m - 1, p - 1, p)
+def _certify(m: int, p: int, binom: int) -> tuple:
+    """Whether m divides binom = C(m,p), and C(m-1,p-1) mod p, for a prime p <= m."""
+    return binom % m == 0, lucas_binom_mod(m - 1, p - 1, p)
+
+
+def _stepped_binom(k: int, q: int, binom: int, p: int) -> int:
+    """C(kp,p) from binom = C(kq,q), for q < p: multiply in the factors
+    kq+1..kp and divide out q+1..p and (k-1)q+1..(k-1)p, exactly."""
+    d = p - q
+    out, rest = divmod(binom * math.perm(k * p, k * d),
+                       math.perm(p, d) * math.perm((k - 1) * p, (k - 1) * d))
+    if rest:
+        raise BrokenInvariant(f"C({k * p},{p}) stepped from C({k * q},{q}) leaves remainder {rest}")
+    return out
 
 
 class ObstructionCertificate(NamedTuple):
@@ -134,7 +153,8 @@ def prime_obstruction_holds(m: int, p: int) -> ObstructionCertificate:
         raise OutOfRange(f"need 2 <= p <= m, got p={p}, m={m}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    binom, divisible, residue = _certify(m, p)
+    binom = math.comb(m, p)
+    divisible, residue = _certify(m, p, binom)
     verdict = "regular-unobstructed" if divisible else "regular-impossible"
     return ObstructionCertificate(m, p, binom, divisible, residue, verdict)
 
@@ -217,13 +237,25 @@ def obstruction_table(max_m: int) -> list:
     """One row per prime p dividing m, 2 <= m <= max_m, by m then p.  Two
     independent decisions check each row: m must not divide the exact
     C(m,p), and the witness search (instant by its Kummer shortcut) must
-    find nothing.  p comes from factoring m, so no primality test runs."""
+    find nothing.  p comes from factoring m, so no primality test runs.
+
+    C(m,p) is math.comb's when p <= _STEP_ABOVE or p = m.  Otherwise,
+    with cofactor k = m/p >= 2, it steps from C(kq,q) for the prime q
+    before p, whose row came earlier (see the module docstring); the
+    least prime above _STEP_ABOVE has no such q and takes math.comb's."""
     if not 2 <= max_m <= MAX_TABLE_M:
         raise OutOfRange(f"need 2 <= max_m <= {MAX_TABLE_M}, got {max_m}")
     rows = []
+    last = {}  # cofactor k -> (q, C(kq,q)) of its latest row with q > _STEP_ABOVE
     for m in range(2, max_m + 1):
         for p in prime_divisors(m):
-            binom, divisible, residue = _certify(m, p)
+            if p <= _STEP_ABOVE or p == m:
+                binom = math.comb(m, p)
+            else:
+                k = m // p
+                binom = _stepped_binom(k, *last[k], p) if k in last else math.comb(m, p)
+                last[k] = p, binom
+            divisible, residue = _certify(m, p, binom)
             if divisible:
                 raise BrokenInvariant(f"obstructed pair ({m},{p}) has m | C(m,p)")
             search = search_regular(m, p)

@@ -338,12 +338,12 @@ def _oracle_foreign(ground: GroundSet, table) -> None:
 
 def oracle_make_selection(ground: GroundSet, n: int, table) -> SelectionStructure:
     _oracle_foreign(ground, table)
-    m = ground.size
-    if not 1 <= n <= m:
-        raise OutOfRange(f"arity {n} out of range for ground of size {m}")
     normalized = {frozenset(k): v for k, v in table.items()}
     if len(normalized) != len(table):
         raise MissingSubset("table keys collapse when read as sets")
+    m = ground.size
+    if not 1 <= n <= m:
+        raise OutOfRange(f"arity {n} out of range for ground of size {m}")
     labels = ground.labels
     position = {x: i for i, x in enumerate(labels)}
     picks = []

@@ -220,24 +220,52 @@ class TestTable:
         assert all(r.search_status == "proven-none" for r in rows)
 
     def test_rows_match_comb(self):
-        for r in obstruction_table(400):
+        # 1,258 stepped rows; each cofactor k <= 41 steps at least twice
+        # in a row, from 67 to 71 to 73 and on
+        for r in obstruction_table(3000):
             assert r.binom == math.comb(r.m, r.p)
             assert r.divisible == (r.binom % r.m == 0)
             assert r.lucas_residue == math.comb(r.m - 1, r.p - 1) % r.p
 
     def test_one_binomial_per_row(self, monkeypatch):
-        calls = Counter()
-        comb = math.comb
+        # every prime q in (threshold, p) has a row (kq, q) before (kp, p),
+        # so each cofactor's first stepped row is at the least prime above
+        # the threshold and every later one steps from the prime before p
+        primes = oracle_primes(400)
+        first = min(q for q in primes if q > obstruction._STEP_ABOVE)
+        before = dict(zip(primes[1:], primes))
+        combs, perms = Counter(), Counter()
+        comb, perm = math.comb, math.perm
 
-        def counting(a, b):
-            calls[a, b] += 1
+        def counting_comb(a, b):
+            combs[a, b] += 1
             return comb(a, b)
 
-        monkeypatch.setattr(math, "comb", counting)
-        rows = [r for r in obstruction_table(120) if r.m > r.p]
-        # Lucas' digit binomials C(x, y) have x < p <= y + 1; of the
-        # others, each row computes its own C(m, p) and nothing else
-        assert {(r.m, r.p): 1 for r in rows} == {k: c for k, c in calls.items() if k[0] > k[1]}
+        def counting_perm(a, b):
+            perms[a, b] += 1
+            return perm(a, b)
+
+        monkeypatch.setattr(math, "comb", counting_comb)
+        monkeypatch.setattr(math, "perm", counting_perm)
+        rows = obstruction_table(400)
+        stepped = {(r.m // r.p, r.p) for r in rows if first < r.p < r.m}
+        assert len(stepped) == 49  # 27, 13, 6 and 3 for k = 2 to 5
+        # Lucas' one digit binomial C(p-1, p-1) per row, and C(m, p)
+        # once for a row that does not step
+        want = Counter((r.p - 1, r.p - 1) for r in rows)
+        want.update((r.m, r.p) for r in rows if (r.m // r.p, r.p) not in stepped)
+        assert combs == want
+        want = Counter()
+        for k, p in stepped:
+            d = p - before[p]
+            want.update([(k * p, k * d), (p, d), ((k - 1) * p, (k - 1) * d)])
+        assert perms == want
+
+    def test_inexact_step_is_broken_invariant(self, monkeypatch):
+        perm = math.perm
+        monkeypatch.setattr(math, "perm", lambda a, b: perm(a, b) + 1)
+        with pytest.raises(BrokenInvariant, match=r"^C\(142,71\) stepped from C\(134,67\) leaves remainder \d+$"):
+            obstruction_table(142)
 
     def test_single_row(self):
         rows = obstruction_table(2)

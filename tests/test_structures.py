@@ -49,7 +49,14 @@ from hypersel.verdict import fail
 
 from hypersel.extension import random_partial, restrict
 
-from oracles import oracle_canonical, oracle_classes, oracle_refine, oracle_relabel, oracle_scores
+from oracles import (
+    oracle_canonical,
+    oracle_classes,
+    oracle_make_selection,
+    oracle_refine,
+    oracle_relabel,
+    oracle_scores,
+)
 
 # every (m, n), m <= 7, with at most 60k labeled structures
 SMALL_SPACES = [
@@ -148,6 +155,15 @@ class TestConstruction:
         table[frozenset(key)] = pick
         with pytest.raises(OutOfRange, match="^7 is not a label of the ground$"):
             make_selection(ground_range(4), 2, table)
+
+    @pytest.mark.parametrize("n", [0, 2, 4])
+    def test_collapse_named_before_the_arity(self, n):
+        # keys (1, 0) and (0, 1) collapse, whatever the arity; the oracle
+        # names the same fault
+        table = {(1, 0): 0, (0, 1): 0}
+        for build in (make_selection, oracle_make_selection):
+            with pytest.raises(MissingSubset, match="^table keys collapse when read as sets$"):
+                build(ground_range(3), n, table)
 
     def test_order_rules(self):
         g = ground_range(4)
