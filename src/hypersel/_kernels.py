@@ -2,7 +2,13 @@
 
 A tournament on m vertices is packed into an integer mask: pair
 positions follow the lexicographic order of (i, j) with i < j, and a set
-bit means the pair picks j (the larger endpoint).
+bit means the pair picks j (the larger endpoint).  A mask outside
+0 <= mask < 2**C(m,2) is rejected (_check_mask) before any table is read.
+
+mask_picks unpacks a mask a byte at a time through per-m tables of byte
+value -> picks of those 8 pairs.  The 3-cycle scan, cycle_scan, reads
+beats bitsets (beats[v]: the vertices w whose pair {v, w} picks v),
+whether built from a mask (_beats) or from a structure's picks.
 """
 
 from __future__ import annotations
@@ -19,6 +25,52 @@ MAX_M = 11  # C(11,2) = 55 pair bits fit comfortably in a machine word
 def _check_m(m: int) -> None:
     if not 1 <= m <= MAX_M:
         raise OutOfRange(f"m must be in 1..{MAX_M}, got {m}")
+
+
+def _check_mask(mask: int, m: int) -> None:
+    """OutOfRange unless mask has a bit for each of the C(m,2) pairs and
+    no other."""
+    pairs = m * (m - 1) // 2 if m > 0 else 0
+    if not 0 <= mask < 1 << pairs:
+        raise OutOfRange(f"mask out of range for {m} points: need 0 <= mask < 2**{pairs}")
+
+
+class _ByteTable(dict):
+    """Byte value v -> the picks of one byte's pairs (at most 8, rank
+    order) when that byte of the mask is v; each entry is built on its
+    first read."""
+
+    def __init__(self, pairs: list):
+        super().__init__()
+        self.pairs = pairs
+
+    def __missing__(self, v: int) -> tuple:
+        picks = self[v] = tuple(j if v >> t & 1 else i for t, (i, j) in enumerate(self.pairs))
+        return picks
+
+
+def _byte_tables(m: int) -> tuple:
+    """One _ByteTable per byte of an m-point mask: byte k holds pairs
+    8k..8k+7, and a partial last byte the C(m,2) % 8 pairs left."""
+    pairs = list(combinations(range(m), 2))
+    return tuple(_ByteTable(pairs[k:k + 8]) for k in range(0, len(pairs), 8))
+
+
+# the tables of 2 <= m <= MAX_M are kept: 32 tables of at most 256
+# entries, under 1 MB when every entry of all ten sizes is read; a
+# larger m builds its tables for the call and drops them
+_kept_byte_tables = lru_cache(maxsize=None)(_byte_tables)
+
+
+def mask_picks(mask: int, m: int) -> tuple:
+    """The picks of a mask's pairs in rank order (set bit picks the
+    larger endpoint), read a byte at a time."""
+    _check_mask(mask, m)
+    picks = []  # a list: adding to a tuple copies it, quadratic at large m
+    for table in (_kept_byte_tables if 2 <= m <= MAX_M else _byte_tables)(m):
+        picks += table[mask & 255]
+        mask >>= 8
+    return tuple(picks)
 
 
 @lru_cache(maxsize=None)
@@ -45,6 +97,7 @@ def _beats(mask: int, m: int) -> list:
 def tournament_scores(mask: int, m: int) -> tuple:
     """Number of pairs picking each vertex, indexed by vertex."""
     _check_m(m)
+    _check_mask(mask, m)
     return tuple(b.bit_count() for b in _beats(mask, m))
 
 
@@ -117,26 +170,33 @@ def regular_masks_backtracking(m: int) -> list:
     return out
 
 
-def cycle_violation(mask: int, m: int) -> tuple | None:
+def cycle_scan(beats: list) -> tuple | None:
     """First (x, y), by x then y, with pair {x,y} picking y but no z
     closing a 3-cycle (pair {y,z} picks z and pair {z,x} picks x); None
-    if there is none.  Any m: no MAX_M bound applies.
+    if there is none.  beats[v] is the vertex bitset of the pairs that
+    pick v, for v in 0..m-1.
 
     Such a z is a vertex beaten by x that beats y, so (x, y) violates
     the property iff beats[x] and beaten_by[y] are disjoint.
     """
-    beats = _beats(mask, m)
-    everyone = (1 << m) - 1
+    everyone = (1 << len(beats)) - 1
     beaten_by = [everyone ^ b ^ (1 << v) for v, b in enumerate(beats)]
-    for x in range(m):
-        ys = beaten_by[x]
+    for x, ys in enumerate(beaten_by):
+        wins = beats[x]
         while ys:
             low = ys & -ys
             y = low.bit_length() - 1
-            if not beats[x] & beaten_by[y]:
+            if not wins & beaten_by[y]:
                 return x, y
             ys ^= low
     return None
+
+
+def cycle_violation(mask: int, m: int) -> tuple | None:
+    """cycle_scan of the tournament packed in mask.  Any m: no MAX_M
+    bound applies."""
+    _check_mask(mask, m)
+    return cycle_scan(_beats(mask, m))
 
 
 def first_cycle_violation(m: int, masks) -> tuple | None:

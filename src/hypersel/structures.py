@@ -195,18 +195,35 @@ def is_regular(s: SelectionStructure) -> bool:
     return len(set(score_vector(s))) <= 1
 
 
+def _pick_beats(s: SelectionStructure) -> list:
+    """beats[v]: the ground-index bitset of the pairs {v, w} that pick v,
+    for a tournament s, in one pass over its picks."""
+    subs, _ = subset_ranks(s.size, 2)
+    beats = [0] * s.size
+    for (i, j), p in zip(subs, s.picks):
+        if p == j:
+            beats[j] |= 1 << i
+        else:
+            beats[i] |= 1 << j
+    return beats
+
+
 def check_cycle_property(s: SelectionStructure) -> Verdict:
     """For a regular tournament: whenever pair {x,y} picks y, some z has
     {y,z} picking z and {z,x} picking x.  Witness on violation is (x,y).
 
     The counting argument guaranteeing this needs constant scores, so
-    non-regular or non-pair input is rejected rather than answered.
+    non-regular or non-pair input is rejected rather than answered.  One
+    pass over the picks builds the beats bitsets; their popcounts are
+    the scores, read for regularity before the 3-cycle scan
+    (_kernels.cycle_scan) runs on them.
     """
     if s.n != 2:
         raise NotArityTwo(f"cycle property is about tournaments, arity {s.n} given")
-    if not is_regular(s):
+    beats = _pick_beats(s)
+    if len({b.bit_count() for b in beats}) > 1:
         raise NotRegular("cycle property requires a constant-score tournament")
-    found = _kernels.cycle_violation(mask_from_tournament(s), s.size)
+    found = _kernels.cycle_scan(beats)
     if found is not None:
         return fail(tuple(s.ground.labels[i] for i in found))
     return PASS
@@ -623,12 +640,9 @@ def _relabeling_columns(m: int, n: int) -> list:
 
 
 def tournament_from_mask(mask: int, m: int) -> SelectionStructure:
-    """Unpack a pair-bit mask (set bit picks the larger endpoint)."""
-    subs, _ = subset_ranks(m, 2)
-    picks = tuple(
-        j if (mask >> b) & 1 else i for b, (i, j) in enumerate(subs)
-    )
-    return SelectionStructure(ground_range(m), 2, picks)
+    """Unpack a pair-bit mask (set bit picks the larger endpoint); a mask
+    outside 0 <= mask < 2**C(m,2) raises OutOfRange."""
+    return SelectionStructure(ground_range(m), 2, _kernels.mask_picks(mask, m))
 
 
 def mask_from_tournament(s: SelectionStructure) -> int:
@@ -643,8 +657,11 @@ def mask_from_tournament(s: SelectionStructure) -> int:
 
 
 def regular_tournaments(m: int) -> list:
-    """Every regular tournament on 0..m-1 (m >= 2), as structures,
-    ascending by mask (the pruned row search)."""
+    """Every regular tournament on 0..m-1 (m >= 2), as structures on one
+    shared ground_range(m), ascending by mask (the pruned row search),
+    each mask unpacked through the byte tables of _kernels.mask_picks."""
     if m < 2:
         raise OutOfRange(f"a tournament needs m >= 2 points, got {m}")
-    return [tournament_from_mask(x, m) for x in _kernels.regular_masks_backtracking(m)]
+    ground = ground_range(m)
+    return [SelectionStructure(ground, 2, _kernels.mask_picks(x, m))
+            for x in _kernels.regular_masks_backtracking(m)]

@@ -1,12 +1,15 @@
 """The tournament mask kernels against brute-force references."""
 
 import random
+import sys
+from itertools import combinations
 
 import pytest
 
 from hypersel import _kernels
 from hypersel.errors import OutOfRange
 from hypersel.structures import (
+    _pick_beats,
     mask_from_tournament,
     rotational_tournament,
     tournament_from_mask,
@@ -79,3 +82,93 @@ def test_regular_masks_have_no_violation():
     rot = [mask_from_tournament(rotational_tournament(m)) for m in (9, 11)]
     assert _kernels.first_cycle_violation(9, rot[:1]) is None
     assert _kernels.first_cycle_violation(11, rot[1:]) is None
+
+
+def bitwise_picks(mask: int, m: int) -> tuple:
+    """The definition: bit b of the mask decides the rank-b pair (i, j),
+    picking j when set."""
+    return tuple(j if mask >> b & 1 else i
+                 for b, (i, j) in enumerate(combinations(range(m), 2)))
+
+
+def pair_count(m: int) -> int:
+    return m * (m - 1) // 2
+
+
+class TestMaskPicks:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_every_mask(self, m):
+        for mask in range(1 << pair_count(m)):
+            assert _kernels.mask_picks(mask, m) == bitwise_picks(mask, m)
+
+    @pytest.mark.parametrize("m", [6, 7, 8, 9, 10, 11, 13, 17])
+    def test_seeded_masks(self, m):
+        # C(m,2) % 8 is nonzero for each m here but 17 (136 bits): the
+        # last byte is partial, or exactly full
+        rng = random.Random(m)
+        top = (1 << pair_count(m)) - 1
+        for mask in [0, top, top >> 1, top ^ 1] + [rng.getrandbits(pair_count(m)) for _ in range(300)]:
+            assert _kernels.mask_picks(mask, m) == bitwise_picks(mask, m)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 7, 8, 11, 17])
+    def test_one_table_per_byte(self, m):
+        pairs = list(combinations(range(m), 2))
+        tables = _kernels._byte_tables(m)
+        # a partial last byte holds only the pairs left over
+        assert [t.pairs for t in tables] == [pairs[k:k + 8] for k in range(0, len(pairs), 8)]
+        assert len(tables[-1].pairs) == (len(pairs) % 8 or 8)
+
+    def test_kept_tables_are_bounded_in_bytes(self):
+        size = 0
+        for m in range(2, _kernels.MAX_M + 1):
+            for t in _kernels._kept_byte_tables(m):
+                for v in range(1 << len(t.pairs)):
+                    t[v]
+                assert len(t) <= 256
+                size += (sys.getsizeof(t) + sum(map(sys.getsizeof, t.values()))
+                         + sys.getsizeof(t.pairs) + sum(map(sys.getsizeof, t.pairs)))
+        assert size < 1_000_000
+        # a larger m builds its tables for the call and keeps none
+        kept = _kernels._kept_byte_tables.cache_info().currsize
+        big = (1 << 44850) // 7  # 300 points
+        assert _kernels.mask_picks(big, 300) == bitwise_picks(big, 300)
+        tournament_from_mask(0, 12)
+        assert _kernels.mask_picks(0, 1) == _kernels.mask_picks(0, -3) == ()
+        assert _kernels._kept_byte_tables.cache_info().currsize == kept
+
+
+class TestMaskRange:
+    @pytest.mark.parametrize("m", [1, 3, 5, 7, 17])
+    @pytest.mark.parametrize("high", [False, True])
+    def test_rejected_by_every_reader(self, m, high):
+        mask = 1 << pair_count(m) if high else -1
+        message = rf"^mask out of range for {m} points: need 0 <= mask < 2\*\*{pair_count(m)}$"
+        with pytest.raises(OutOfRange, match=message):
+            tournament_from_mask(mask, m)
+        with pytest.raises(OutOfRange, match=message):
+            _kernels.mask_picks(mask, m)
+        with pytest.raises(OutOfRange, match=message):
+            _kernels.cycle_violation(mask, m)
+        if m <= _kernels.MAX_M:
+            with pytest.raises(OutOfRange, match=message):
+                _kernels.tournament_scores(mask, m)
+            with pytest.raises(OutOfRange, match=message):
+                _kernels.first_cycle_violation(m, [mask])
+
+    def test_bounds_are_accepted(self):
+        assert mask_from_tournament(tournament_from_mask(1023, 5)) == 1023
+        assert _kernels.tournament_scores(0, 3) == (2, 1, 0)
+        assert _kernels.cycle_violation(0, 1) is None
+
+    def test_huge_mask_is_not_printed(self):
+        with pytest.raises(OutOfRange, match=r"2\*\*10$"):
+            tournament_from_mask(1 << 100_000, 5)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_cycle_scan_on_picked_beats_matches_oracle(m):
+    # the scan check_cycle_property runs, on every mask, regular or not
+    for mask in range(1 << pair_count(m)):
+        found = _kernels.cycle_scan(_pick_beats(tournament_from_mask(mask, m)))
+        expected = oracle_cycle_violation(m, [mask])
+        assert found == (expected and expected[1:])

@@ -236,10 +236,44 @@ class TestCycleProperty:
     def test_violation_is_witnessed_by_labels(self, monkeypatch):
         # every regular tournament has the property, so the failing
         # branch is reached only through a kernel that reports a pair
-        monkeypatch.setattr(_kernels, "cycle_violation", lambda mask, m: (1, 2))
+        monkeypatch.setattr(_kernels, "cycle_scan", lambda beats: (1, 2))
         abc = GroundSet(tuple("abc"))
         s = apply_iso(rotational_tournament(3), IsoMap(ground_range(3), abc, abc.labels))
         assert check_cycle_property(s) == fail(("b", "c"))
+
+    @pytest.mark.parametrize("s, error", [
+        (selection_from_order(ground_range(4), 3, "min"), NotArityTwo),
+        (selection_from_order(ground_range(3), 2, "min"), NotRegular),
+        (selection_from_order(ground_range(2), 2, "max"), NotRegular),
+        (tournament_from_mask(0b110010, 4), NotRegular),
+    ])
+    def test_rejected_before_the_scan(self, monkeypatch, s, error):
+        scanned = []
+        monkeypatch.setattr(_kernels, "cycle_scan", scanned.append)
+        with pytest.raises(error):
+            check_cycle_property(s)
+        assert scanned == []
+
+    def test_scan_reads_the_picked_beats(self, monkeypatch):
+        scanned = []
+        monkeypatch.setattr(_kernels, "cycle_scan", lambda beats: scanned.append(beats))
+        s = rotational_tournament(5)
+        assert check_cycle_property(s).ok
+        assert scanned == [_kernels._beats(mask_from_tournament(s), 5)]
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_beats_from_picks_on_every_tournament(self, m):
+        for mask in range(1 << (m * (m - 1) // 2)):
+            s = tournament_from_mask(mask, m)
+            assert structures._pick_beats(s) == _kernels._beats(mask_from_tournament(s), m)
+
+    @pytest.mark.parametrize("m", [6, 9, 13])
+    def test_beats_from_picks_on_labeled_grounds(self, m):
+        rng = random.Random(m)
+        labels = GroundSet(tuple(f"v{i}" for i in range(m)))
+        for _ in range(50):
+            s = make_selection(labels, 2, {k: rng.choice(k) for k in combinations(labels.labels, 2)})
+            assert structures._pick_beats(s) == _kernels._beats(mask_from_tournament(s), m)
 
 
 class TestIsomorphism:
@@ -650,6 +684,11 @@ class TestRegularTournaments:
     def test_all_regular(self):
         for t in regular_tournaments(5):
             assert is_regular(t)
+
+    def test_one_shared_ground(self):
+        found = regular_tournaments(7)
+        assert len({id(t.ground) for t in found}) == 1
+        assert found[0].ground == ground_range(7)
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_fewer_than_two_points_out_of_range(self, m):

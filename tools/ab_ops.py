@@ -2,19 +2,23 @@
 """Time this checkout against a base checkout on one workload's ops of one kind.
 
     python3 tools/ab_ops.py --base ../base --workload combinatorial --kind extend --pairs 40
+    python3 tools/ab_ops.py --base ../base --workload combinatorial --kind census --pairs 20
 
 Both trees run in one process.  The base tree's ``src/hypersel`` is
 copied under the package name ``hypersel_base`` (its imports are
 relative, so the copy is a package of its own) and this checkout's
 ``src/hypersel`` is imported as ``hypersel``.  The ops are those of the
 given kind over every cycle of the workload at --seed, generated and
-run as ``tools/replay_ops.py`` does.
+run as ``tools/replay_ops.py`` does; a ``census`` op is the library
+call the benchmark times, ``structures.regular_tournaments(m)`` and
+``check_cycle_property`` on each tournament.
 Each pair runs the ops once on each tree, the order alternating from
 pair to pair, and takes the ratio of this checkout's time to the
 base's.  The median and the quartiles of those ratios are printed.
-Every run's exit codes, stdout and stderr text and report bytes are
-compared with the base's; any difference is named on stderr and the
-exit status is 1.  Timing never decides the exit status.
+Every CLI run's exit codes, stdout and stderr text and report bytes,
+and every census run's masks (``mask_from_tournament``) and verdicts,
+are compared with the base's; any difference is named on stderr and
+the exit status is 1.  Timing never decides the exit status.
 """
 
 from __future__ import annotations
@@ -29,27 +33,30 @@ import sys
 import tempfile
 import time
 
-from replay_ops import cli, run, workload_ops, workloads
+from replay_ops import run, workload_ops, workloads
+
+import hypersel  # on sys.path, its cli imported, through replay_ops
 
 BASE_PACKAGE = "hypersel_base"
 
 
 def load_base(base: str, into: str):
-    """The base tree's cli module, imported from a copy named BASE_PACKAGE."""
+    """The base tree's package, imported from a copy named BASE_PACKAGE."""
     shutil.copytree(os.path.join(base, "src", "hypersel"), os.path.join(into, BASE_PACKAGE),
                     ignore=shutil.ignore_patterns("__pycache__"))
     sys.path.insert(0, into)
-    return importlib.import_module(f"{BASE_PACKAGE}.cli")
+    importlib.import_module(f"{BASE_PACKAGE}.cli")  # binds .cli and .structures
+    return importlib.import_module(BASE_PACKAGE)
 
 
-def run_ops(tree, ops) -> tuple:
+def run_ops(pkg, ops) -> tuple:
     """(seconds, [(exit code, stdout and stderr text, report bytes)])
-    of running ops through tree.main; only the captured calls are timed."""
+    of running ops through pkg.cli.main; only the captured calls are timed."""
     results = []
     busy = 0.0
     for op in ops:
         start = time.perf_counter()
-        code, text = run(tree.main, op.argv)
+        code, text = run(pkg.cli.main, op.argv)
         busy += time.perf_counter() - start
         report = None
         if os.path.exists(op.out):
@@ -57,6 +64,22 @@ def run_ops(tree, ops) -> tuple:
                 report = fh.read()
             os.remove(op.out)
         results.append((code, text, report))
+    return busy, results
+
+
+def run_census(pkg, ops) -> tuple:
+    """(seconds, [(masks, [(ok, witness) per tournament])]) of the census
+    ops on pkg; only the calls the benchmark times are timed."""
+    S = pkg.structures
+    results = []
+    busy = 0.0
+    for op in ops:
+        start = time.perf_counter()
+        ts = S.regular_tournaments(op.info["m"])
+        verdicts = [S.check_cycle_property(t) for t in ts]
+        busy += time.perf_counter() - start
+        results.append(([S.mask_from_tournament(t) for t in ts],
+                         [(v.ok, v.witness) for v in verdicts]))
     return busy, results
 
 
@@ -79,7 +102,8 @@ def main(argv=None) -> int:
         base = load_base(os.path.abspath(args.base), tmp)
         os.chdir(tmp)
         ops = [op for _, cycle in workload_ops(args.workload, args.seed)
-               for op in cycle if op.cli and op.kind == args.kind]
+               for op in cycle if op.kind == args.kind]
+        runner = run_census if args.kind == "census" else run_ops
         if not ops:
             print(f"no {args.kind} ops in workload {args.workload}", file=sys.stderr)
             return 1
@@ -87,23 +111,25 @@ def main(argv=None) -> int:
         differ = 0
         for pair in range(args.pairs):
             sides = {}
-            for name, tree in ((("base", base), ("head", cli)) if pair % 2 == 0
-                               else (("head", cli), ("base", base))):
+            for name, pkg in ((("base", base), ("head", hypersel)) if pair % 2 == 0
+                              else (("head", hypersel), ("base", base))):
                 gc.collect()
-                sides[name] = run_ops(tree, ops)
+                sides[name] = runner(pkg, ops)
             ratios.append(sides["head"][0] / sides["base"][0])
             for op, a, b in zip(ops, sides["base"][1], sides["head"][1]):
                 if a != b:
                     differ += 1
-                    print(f"pair {pair}: {' '.join(op.argv)}: exit code, text or report "
-                          f"bytes differ", file=sys.stderr)
+                    what = (f"{' '.join(op.argv)}: exit code, text or report bytes" if op.cli
+                            else f"census of {op.info['m']} points: masks or verdicts")
+                    print(f"pair {pair}: {what} differ", file=sys.stderr)
     q1, q2, q3 = quartiles(ratios) if len(ratios) > 1 else (ratios[0],) * 3
     print(f"{args.workload} {args.kind}: {len(ops)} ops x {args.pairs} pairs; "
           f"head/base time median {q2:.3f}, IQR {q1:.3f}-{q3:.3f}")
     if differ:
         print(f"{differ} op runs differ from the base", file=sys.stderr)
         return 1
-    print("every exit code, text and report is byte-identical")
+    print("every mask and verdict is identical" if args.kind == "census"
+          else "every exit code, text and report is byte-identical")
     return 0
 
 
