@@ -1,14 +1,13 @@
 """Kernels for arity-2 tournament scans.
 
-A tournament on m vertices is packed into an integer mask: pair
-positions follow the lexicographic order of (i, j) with i < j, and a set
-bit means the pair picks j (the larger endpoint).  A mask outside
-0 <= mask < 2**C(m,2) is rejected (_check_mask) before any table is read.
-
-mask_picks unpacks a mask a byte at a time through per-m tables of byte
-value -> picks of those 8 pairs.  The 3-cycle scan, cycle_scan, reads
-beats bitsets (beats[v]: the vertices w whose pair {v, w} picks v),
-whether built from a mask (_beats) or from a structure's picks.
+The mask format, defined here alone: bit b of an m-vertex mask is the
+rank-b pair (i, j), i < j, in lexicographic order, set when the pair
+picks j.  picks_mask encodes picks; mask_picks decodes a mask a byte at
+a time through per-m tables of byte value -> picks of those 8 pairs.  A
+mask outside 0 <= mask < 2**C(m,2) is rejected (_check_mask) before any
+table is read.  beats_from_picks builds the beats bitsets (beats[v]: the
+vertices w whose pair {v, w} picks v) that the score kernel and the
+3-cycle scan, cycle_scan, read.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ from itertools import combinations
 from .errors import OutOfRange
 
 BACKEND = "pure"
-MAX_M = 11  # C(11,2) = 55 pair bits fit comfortably in a machine word
+# the largest m the kernels take; it bounds each call's pair-bit table and the kept byte tables
+MAX_M = 11
 
 
 def _check_m(m: int) -> None:
@@ -73,32 +73,43 @@ def mask_picks(mask: int, m: int) -> tuple:
     return tuple(picks)
 
 
-@lru_cache(maxsize=None)
-def _pair_bits(m: int) -> tuple:
-    """bit[v][w]: the mask bit of pair {v, w}; bit[v][v] is 0."""
-    bit = [[0] * m for _ in range(m)]
-    for b, (i, j) in enumerate(combinations(range(m), 2)):
-        bit[i][j] = bit[j][i] = 1 << b
-    return tuple(map(tuple, bit))
+def picks_mask(picks, m: int) -> int:
+    """mask_picks inverted: the mask of picks in rank order."""
+    mask = 0
+    b = 0
+    for i in range(m):
+        for j in range(i + 1, m):  # the rank-b pair
+            if picks[b] == j:
+                mask |= 1 << b
+            b += 1
+    return mask
 
 
-def _beats(mask: int, m: int) -> list:
-    """beats[v]: the vertex bitset of the pairs {v, w} that pick v."""
+def beats_from_picks(pairs, picks, m: int) -> list:
+    """beats[v]: the vertex bitset of the pairs {v, w} that pick v, in
+    one pass over the picks of pairs (both in rank order)."""
     beats = [0] * m
-    for i, row in enumerate(_pair_bits(m)):
-        for j in range(i + 1, m):
-            if mask & row[j]:
-                beats[j] |= 1 << i
-            else:
-                beats[i] |= 1 << j
+    for (i, j), p in zip(pairs, picks):
+        if p == j:
+            beats[j] |= 1 << i
+        else:
+            beats[i] |= 1 << j
     return beats
 
 
 def tournament_scores(mask: int, m: int) -> tuple:
     """Number of pairs picking each vertex, indexed by vertex."""
     _check_m(m)
-    _check_mask(mask, m)
-    return tuple(b.bit_count() for b in _beats(mask, m))
+    beats = beats_from_picks(combinations(range(m), 2), mask_picks(mask, m), m)
+    return tuple(b.bit_count() for b in beats)
+
+
+def _pair_bits(m: int) -> tuple:
+    """bit[v][w]: the mask bit of pair {v, w}; bit[v][v] is 0."""
+    bit = [[0] * m for _ in range(m)]
+    for b, (i, j) in enumerate(combinations(range(m), 2)):
+        bit[i][j] = bit[j][i] = 1 << b
+    return tuple(map(tuple, bit))
 
 
 def regular_masks_exhaustive(m: int) -> list:
@@ -166,6 +177,7 @@ def regular_masks_backtracking(m: int) -> list:
                     wins[w] -= 1
 
     place_row(0, 0)
+    del place_row  # it refers to itself: drop the cycle, and the bit table with it, now
     out.sort()
     return out
 
@@ -192,19 +204,13 @@ def cycle_scan(beats: list) -> tuple | None:
     return None
 
 
-def cycle_violation(mask: int, m: int) -> tuple | None:
-    """cycle_scan of the tournament packed in mask.  Any m: no MAX_M
-    bound applies."""
-    _check_mask(mask, m)
-    return cycle_scan(_beats(mask, m))
-
-
 def first_cycle_violation(m: int, masks) -> tuple | None:
-    """First (mask, x, y) for which cycle_violation(mask, m) is (x, y);
-    None if every mask satisfies the property."""
+    """First (mask, x, y) with (x, y) the cycle_scan of the tournament
+    packed in mask; None if every mask satisfies the property."""
     _check_m(m)
+    pairs = tuple(combinations(range(m), 2))
     for mask in masks:
-        found = cycle_violation(mask, m)
+        found = cycle_scan(beats_from_picks(pairs, mask_picks(mask, m), m))
         if found is not None:
             return (mask, *found)
     return None

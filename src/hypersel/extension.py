@@ -59,6 +59,15 @@ def admissible_sizes(mode: str, bound: int) -> range:
     return range(bound, bound + 1)
 
 
+def _check_domain(carrier: GroundSet, mode: str, bound: int) -> None:
+    if mode not in (MODE_UPTO, MODE_EXACT):
+        raise OutOfRange(f"unknown mode {mode!r}")
+    # upto 0 is the empty selection (legal on an empty carrier)
+    least = 0 if mode == MODE_UPTO else 1
+    if not least <= bound <= carrier.size:
+        raise OutOfRange(f"bound {bound} out of range for carrier of size {carrier.size}")
+
+
 @dataclass(frozen=True)
 class PartialSelection:
     """Choice function on the subsets of a carrier admitted by its mode.
@@ -74,14 +83,7 @@ class PartialSelection:
     levels: dict  # size -> SelectionStructure of that arity on the carrier
 
     def __post_init__(self):
-        if self.mode not in (MODE_UPTO, MODE_EXACT):
-            raise OutOfRange(f"unknown mode {self.mode!r}")
-        # upto 0 is the empty selection (legal on an empty carrier)
-        least = 0 if self.mode == MODE_UPTO else 1
-        if not least <= self.bound <= self.carrier.size:
-            raise OutOfRange(
-                f"bound {self.bound} out of range for carrier of size {self.carrier.size}"
-            )
+        _check_domain(self.carrier, self.mode, self.bound)
         expected = list(self.admissible_sizes())
         if sorted(self.levels) != expected:
             raise MissingSubset(f"levels for sizes {sorted(self.levels)}, need {expected}")
@@ -136,6 +138,7 @@ def order_partial(
     carrier: GroundSet, bound: int, rule: str, mode: str = MODE_UPTO
 ) -> PartialSelection:
     """Partial selection picking the least or greatest carrier index."""
+    _check_domain(carrier, mode, bound)
     levels = {
         size: selection_from_order(carrier, size, rule)
         for size in admissible_sizes(mode, bound)
@@ -147,6 +150,7 @@ def random_partial(
     carrier: GroundSet, bound: int, rng: random.Random, mode: str = MODE_UPTO
 ) -> PartialSelection:
     """Seeded random choices; singletons still map to themselves."""
+    _check_domain(carrier, mode, bound)
     levels = {}
     for size in admissible_sizes(mode, bound):
         subs, _ = subset_ranks(carrier.size, size)

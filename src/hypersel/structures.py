@@ -84,6 +84,11 @@ def ground_range(m: int) -> GroundSet:
     return GroundSet(tuple(range(m)))
 
 
+def _check_arity(n: int, m: int) -> None:
+    if not 1 <= n <= m:
+        raise OutOfRange(f"arity {n} out of range for ground of size {m}")
+
+
 @dataclass(frozen=True)
 class SelectionStructure:
     """Total choice function on the n-subsets of a ground set.
@@ -98,8 +103,7 @@ class SelectionStructure:
 
     def __post_init__(self):
         m = self.ground.size
-        if not 1 <= self.n <= m:
-            raise OutOfRange(f"arity {self.n} out of range for ground of size {m}")
+        _check_arity(self.n, m)
         subs, _ = subset_ranks(m, self.n)
         if len(self.picks) != len(subs):
             raise MissingSubset(f"expected {len(subs)} choices, got {len(self.picks)}")
@@ -144,8 +148,7 @@ def index_selection(ground: GroundSet, n: int, table: Mapping) -> SelectionStruc
     subset in rank order with no pick or a pick outside it, then any
     entry that is not an n-subset."""
     m = ground.size
-    if not 1 <= n <= m:
-        raise OutOfRange(f"arity {n} out of range for ground of size {m}")
+    _check_arity(n, m)
     names = ground.labels
     picks = []
     for s in combinations(range(m), n):
@@ -165,6 +168,7 @@ def selection_from_order(ground: GroundSet, n: int, rule: str) -> SelectionStruc
     """Structure picking the least ("min") or greatest ("max") index."""
     if rule not in ("min", "max"):
         raise OutOfRange(f"rule must be 'min' or 'max', got {rule!r}")
+    _check_arity(n, ground.size)
     subs, _ = subset_ranks(ground.size, n)
     picks = tuple(s[0] if rule == "min" else s[-1] for s in subs)
     return SelectionStructure(ground, n, picks)
@@ -195,32 +199,19 @@ def is_regular(s: SelectionStructure) -> bool:
     return len(set(score_vector(s))) <= 1
 
 
-def _pick_beats(s: SelectionStructure) -> list:
-    """beats[v]: the ground-index bitset of the pairs {v, w} that pick v,
-    for a tournament s, in one pass over its picks."""
-    subs, _ = subset_ranks(s.size, 2)
-    beats = [0] * s.size
-    for (i, j), p in zip(subs, s.picks):
-        if p == j:
-            beats[j] |= 1 << i
-        else:
-            beats[i] |= 1 << j
-    return beats
-
-
 def check_cycle_property(s: SelectionStructure) -> Verdict:
     """For a regular tournament: whenever pair {x,y} picks y, some z has
     {y,z} picking z and {z,x} picking x.  Witness on violation is (x,y).
 
     The counting argument guaranteeing this needs constant scores, so
     non-regular or non-pair input is rejected rather than answered.  One
-    pass over the picks builds the beats bitsets; their popcounts are
-    the scores, read for regularity before the 3-cycle scan
-    (_kernels.cycle_scan) runs on them.
+    pass over the picks builds the beats bitsets (_kernels.beats_from_picks);
+    their popcounts are the scores, read for regularity before the
+    3-cycle scan (_kernels.cycle_scan) runs on them.
     """
     if s.n != 2:
         raise NotArityTwo(f"cycle property is about tournaments, arity {s.n} given")
-    beats = _pick_beats(s)
+    beats = _kernels.beats_from_picks(subset_ranks(s.size, 2)[0], s.picks, s.size)
     if len({b.bit_count() for b in beats}) > 1:
         raise NotRegular("cycle property requires a constant-score tournament")
     found = _kernels.cycle_scan(beats)
@@ -537,8 +528,7 @@ def enumerate_selections(
     budget raises BudgetExceeded, eagerly (before any table is built)
     when the labeled structures alone are too many.
     """
-    if not 1 <= n <= m:
-        raise OutOfRange(f"arity {n} out of range for ground of size {m}")
+    _check_arity(n, m)
     # C(m, n) >= 2**min(n, m - n): past the budget's bit length it is
     # over budget, and comb is not computed (it could take minutes)
     over = min(n, m - n) >= budget.bit_length()
@@ -648,12 +638,7 @@ def tournament_from_mask(mask: int, m: int) -> SelectionStructure:
 def mask_from_tournament(s: SelectionStructure) -> int:
     if s.n != 2:
         raise NotArityTwo(f"mask packing needs arity 2, got {s.n}")
-    subs, _ = subset_ranks(s.size, 2)
-    mask = 0
-    for b, (i, j) in enumerate(subs):
-        if s.picks[b] == j:
-            mask |= 1 << b
-    return mask
+    return _kernels.picks_mask(s.picks, s.size)
 
 
 def regular_tournaments(m: int) -> list:

@@ -166,6 +166,16 @@ class TestPartialSelection:
         with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
             make_partial(ground_range(m), mode, bound, table)
 
+    @pytest.mark.parametrize("build, bound", [
+        (lambda g, b: order_partial(g, b, "min", "exact"), 0),
+        (lambda g, b: order_partial(g, b, "min", "exact"), -1),
+        (lambda g, b: random_partial(g, b, random.Random(1), "exact"), 0),
+        (lambda g, b: random_partial(g, b, random.Random(1), "exact"), -2),
+    ], ids=["order_partial-0", "order_partial--1", "random_partial-0", "random_partial--2"])
+    def test_builders_reject_a_bound_before_any_level(self, build, bound):
+        with pytest.raises(OutOfRange, match=f"^bound {bound} out of range for carrier of size 3$"):
+            build(ground_range(3), bound)
+
     def test_upto_zero_on_empty_carrier_is_the_empty_selection(self):
         f = make_partial(ground_range(0), "upto", 0, {})
         assert f.levels == {} and list(f.admissible_sizes()) == []

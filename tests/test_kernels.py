@@ -9,9 +9,9 @@ import pytest
 from hypersel import _kernels
 from hypersel.errors import OutOfRange
 from hypersel.structures import (
-    _pick_beats,
     mask_from_tournament,
     rotational_tournament,
+    subset_ranks,
     tournament_from_mask,
 )
 
@@ -84,6 +84,18 @@ def test_regular_masks_have_no_violation():
     assert _kernels.first_cycle_violation(11, rot[1:]) is None
 
 
+def test_no_pair_table_outlives_a_call(monkeypatch):
+    tables = []
+    real = _kernels._pair_bits
+    monkeypatch.setattr(_kernels, "_pair_bits", lambda m: tables.append(real(m)) or tables[-1])
+    _kernels.regular_masks_backtracking(7)
+    _kernels.regular_masks_exhaustive(5)
+    assert [len(t) for t in tables] == [7, 5]
+    # each table is held by this list alone, as the control object is
+    control = [object()]
+    assert sys.getrefcount(tables[0]) == sys.getrefcount(tables[1]) == sys.getrefcount(control[0])
+
+
 def bitwise_picks(mask: int, m: int) -> tuple:
     """The definition: bit b of the mask decides the rank-b pair (i, j),
     picking j when set."""
@@ -100,6 +112,7 @@ class TestMaskPicks:
     def test_every_mask(self, m):
         for mask in range(1 << pair_count(m)):
             assert _kernels.mask_picks(mask, m) == bitwise_picks(mask, m)
+            assert _kernels.picks_mask(bitwise_picks(mask, m), m) == mask
 
     @pytest.mark.parametrize("m", [6, 7, 8, 9, 10, 11, 13, 17])
     def test_seeded_masks(self, m):
@@ -109,6 +122,7 @@ class TestMaskPicks:
         top = (1 << pair_count(m)) - 1
         for mask in [0, top, top >> 1, top ^ 1] + [rng.getrandbits(pair_count(m)) for _ in range(300)]:
             assert _kernels.mask_picks(mask, m) == bitwise_picks(mask, m)
+            assert _kernels.picks_mask(bitwise_picks(mask, m), m) == mask
 
     @pytest.mark.parametrize("m", [2, 3, 5, 7, 8, 11, 17])
     def test_one_table_per_byte(self, m):
@@ -147,8 +161,6 @@ class TestMaskRange:
             tournament_from_mask(mask, m)
         with pytest.raises(OutOfRange, match=message):
             _kernels.mask_picks(mask, m)
-        with pytest.raises(OutOfRange, match=message):
-            _kernels.cycle_violation(mask, m)
         if m <= _kernels.MAX_M:
             with pytest.raises(OutOfRange, match=message):
                 _kernels.tournament_scores(mask, m)
@@ -158,7 +170,7 @@ class TestMaskRange:
     def test_bounds_are_accepted(self):
         assert mask_from_tournament(tournament_from_mask(1023, 5)) == 1023
         assert _kernels.tournament_scores(0, 3) == (2, 1, 0)
-        assert _kernels.cycle_violation(0, 1) is None
+        assert _kernels.first_cycle_violation(1, [0]) is None
 
     def test_huge_mask_is_not_printed(self):
         with pytest.raises(OutOfRange, match=r"2\*\*10$"):
@@ -169,6 +181,7 @@ class TestMaskRange:
 def test_cycle_scan_on_picked_beats_matches_oracle(m):
     # the scan check_cycle_property runs, on every mask, regular or not
     for mask in range(1 << pair_count(m)):
-        found = _kernels.cycle_scan(_pick_beats(tournament_from_mask(mask, m)))
+        picks = tournament_from_mask(mask, m).picks
+        found = _kernels.cycle_scan(_kernels.beats_from_picks(subset_ranks(m, 2)[0], picks, m))
         expected = oracle_cycle_violation(m, [mask])
         assert found == (expected and expected[1:])

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import random
@@ -57,6 +58,15 @@ from oracles import (
     oracle_relabel,
     oracle_scores,
 )
+
+
+def defined_beats(s):
+    """The definition: bit w of beats[v] is set iff s.choose picks v
+    from the pair {v, w} (indices into the ground)."""
+    labels = s.ground.labels
+    return [sum(1 << w for w, y in enumerate(labels) if y != x and s.choose((x, y)) == x)
+            for x in labels]
+
 
 # every (m, n), m <= 7, with at most 60k labeled structures
 SMALL_SPACES = [
@@ -174,6 +184,11 @@ class TestConstruction:
         with pytest.raises(OutOfRange, match="^rule must be 'min' or 'max', got 'mid'$"):
             selection_from_order(g, 2, "mid")
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_rule_rejects_an_arity_before_any_table(self, n):
+        with pytest.raises(OutOfRange, match=f"^arity {n} out of range for ground of size 3$"):
+            selection_from_order(ground_range(3), n, "min")
+
     def test_arity_and_table_length_checked(self):
         with pytest.raises(OutOfRange, match="^arity 0 out of range for ground of size 3$"):
             SelectionStructure(ground_range(3), 0, ())
@@ -259,21 +274,38 @@ class TestCycleProperty:
         monkeypatch.setattr(_kernels, "cycle_scan", lambda beats: scanned.append(beats))
         s = rotational_tournament(5)
         assert check_cycle_property(s).ok
-        assert scanned == [_kernels._beats(mask_from_tournament(s), 5)]
+        assert scanned == [defined_beats(s)]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Each beats list that _kernels.beats_from_picks returns."""
+        out = []
+        real = _kernels.beats_from_picks
+
+        def spy(*args):
+            out.append(real(*args))
+            return out[-1]
+
+        monkeypatch.setattr(_kernels, "beats_from_picks", spy)
+        return out
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
-    def test_beats_from_picks_on_every_tournament(self, m):
+    def test_beats_from_picks_on_every_tournament(self, built, m):
         for mask in range(1 << (m * (m - 1) // 2)):
             s = tournament_from_mask(mask, m)
-            assert structures._pick_beats(s) == _kernels._beats(mask_from_tournament(s), m)
+            with contextlib.suppress(NotRegular):
+                check_cycle_property(s)
+            assert built.pop() == defined_beats(s)
 
     @pytest.mark.parametrize("m", [6, 9, 13])
-    def test_beats_from_picks_on_labeled_grounds(self, m):
+    def test_beats_from_picks_on_labeled_grounds(self, built, m):
         rng = random.Random(m)
         labels = GroundSet(tuple(f"v{i}" for i in range(m)))
         for _ in range(50):
             s = make_selection(labels, 2, {k: rng.choice(k) for k in combinations(labels.labels, 2)})
-            assert structures._pick_beats(s) == _kernels._beats(mask_from_tournament(s), m)
+            with contextlib.suppress(NotRegular):
+                check_cycle_property(s)
+            assert built.pop() == defined_beats(s)
 
 
 class TestIsomorphism:
