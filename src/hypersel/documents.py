@@ -36,12 +36,7 @@ from typing import Any, Mapping, Optional
 from .chains import FamilySystem
 from .errors import ChoiceOutsideSubset, DocumentError, OutOfRange
 from .extension import PartialSelection, admissible_sizes, partial_from_indices
-from .structures import (
-    GroundSet,
-    SelectionStructure,
-    index_selection,
-    subset_ranks,
-)
+from .structures import GroundSet, SelectionStructure, index_selection, subset_ranks
 from .vietoris import IntervalOpen, ModelSpace, OpenFamily, model_space
 
 
@@ -221,7 +216,7 @@ def write_selections(structures) -> list:
         names = tuple(map(label_str, s.ground.labels))
         key = (names, s.n)
         if key not in shared:
-            subs, _ = subset_ranks(s.size, s.n)
+            subs, _ = s.table
             shared[key] = (list(names), [[names[i] for i in t] for t in subs], [{} for _ in subs])
         ground, subsets, records = shared[key]
         out.append({

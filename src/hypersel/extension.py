@@ -37,6 +37,7 @@ from .structures import (
     IsoMap,
     Label,
     SelectionStructure,
+    _check_rule,
     canonical_form,
     index_selection,
     index_table,
@@ -44,7 +45,6 @@ from .structures import (
     joint_isomorphism,
     score_vector,
     selection_from_order,
-    subset_ranks,
 )
 
 MODE_UPTO = "upto"
@@ -138,6 +138,7 @@ def order_partial(
     carrier: GroundSet, bound: int, rule: str, mode: str = MODE_UPTO
 ) -> PartialSelection:
     """Partial selection picking the least or greatest carrier index."""
+    _check_rule(rule)
     _check_domain(carrier, mode, bound)
     levels = {
         size: selection_from_order(carrier, size, rule)
@@ -153,20 +154,21 @@ def random_partial(
     _check_domain(carrier, mode, bound)
     levels = {}
     for size in admissible_sizes(mode, bound):
-        subs, _ = subset_ranks(carrier.size, size)
-        levels[size] = SelectionStructure(carrier, size, tuple(rng.choice(s) for s in subs))
+        picks = tuple(rng.choice(s) for s in combinations(range(carrier.size), size))
+        levels[size] = SelectionStructure(carrier, size, picks)
     return PartialSelection(carrier, mode, bound, levels)
 
 
 def restrict(f: PartialSelection, subset: Iterable[Label], n: int) -> SelectionStructure:
     """f viewed as an arity-n structure on a subset of its carrier,
     label order inherited from the carrier."""
-    picks = f.level(n).picks
+    level = f.level(n)
     idx = tuple(sorted(f.carrier.index(x) for x in subset))
     ground = GroundSet(tuple(f.carrier.labels[i] for i in idx))
     at = {x: i for i, x in enumerate(idx)}
-    _, rank = subset_ranks(f.carrier.size, n)
-    return SelectionStructure(ground, n, tuple(at[picks[rank[t]]] for t in combinations(idx, n)))
+    _, rank = level.table
+    picks = tuple(at[level.picks[rank[t]]] for t in combinations(idx, n))
+    return SelectionStructure(ground, n, picks)
 
 
 @dataclass(frozen=True)
@@ -189,8 +191,7 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     if not n <= m <= f.carrier.size:
         raise OutOfRange(f"need n <= m <= carrier size, got n={n}, m={m}")
     classes: dict = {}
-    subs, _ = subset_ranks(f.carrier.size, m)
-    for s in subs:
+    for s in combinations(range(f.carrier.size), m):
         labels = tuple(f.carrier.labels[i] for i in s)
         canon, _ = canonical_form(restrict(f, labels, n))
         classes.setdefault(canon, []).append(labels)
@@ -200,7 +201,7 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
 def subset_scores(level: SelectionStructure, s: Sequence[int]) -> list:
     """The scores of level's subsets inside s, ascending carrier indices:
     entry i counts the ones picking s[i]."""
-    _, rank = subset_ranks(level.size, level.n)
+    _, rank = level.table
     picks = level.picks
     at = {x: i for i, x in enumerate(s)}
     w = [0] * len(s)
@@ -268,9 +269,8 @@ def extend_selection(f: PartialSelection, m: int, p: int) -> PartialSelection:
     """
     check_extension(f, m, p)
     level = f.levels[p]
-    subs, _ = subset_ranks(f.carrier.size, m)
     picks = []
-    for s in subs:
+    for s in combinations(range(f.carrier.size), m):
         _, q = _least_small_level(subset_scores(level, s))
         picks.append(f.choose_indices(tuple(s[i] for i in q)))
     h = SelectionStructure(f.carrier, m, tuple(picks))

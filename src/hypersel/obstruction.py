@@ -24,6 +24,7 @@ first large prime of each cofactor keep math.comb.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .errors import BrokenInvariant, NotPrime, OutOfRange
@@ -32,7 +33,6 @@ from .structures import (
     SelectionStructure,
     ground_range,
     is_regular,
-    subset_ranks,
 )
 
 MAX_TABLE_M = 10**4  # exact-arithmetic comfort zone for table binomials
@@ -189,7 +189,7 @@ def search_regular(m: int, n: int, budget: int = DEFAULT_BUDGET) -> SearchResult
     target = regular_score_value(m, n)
     if target is None:
         return _PROVEN_NONE
-    subs, _ = subset_ranks(m, n)
+    subs = tuple(combinations(range(m), n))
     picks = [0] * len(subs)
     holders = [{} for _ in range(m)]  # x -> ranks picking x, as an ordered set
     nodes = 0  # elements taken off a search queue; budget bounds it

@@ -5,6 +5,10 @@ n-subset of X one of its own elements.  Arity 2 gives tournaments; the
 score of an element counts the subsets that pick it, and constant-score
 structures are called regular.
 
+subset_ranks keeps the subset tables of at most _KEPT_CELLS cells and
+builds a larger one per call; a structure takes its table once, when it
+is built, and its readers read it there, so no loop over subsets rebuilds one.
+
 Isomorphism has one search, the canonical labeling behind
 canonical_form; joint_isomorphism labels several structures on one
 ground together and checks the map composed from two labelings.
@@ -13,9 +17,9 @@ ground together and checks the map composed from two labelings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import chain, combinations, permutations
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations, permutations
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import _kernels
@@ -37,17 +41,21 @@ from .verdict import PASS, Verdict, fail
 Label = Hashable
 
 DEFAULT_BUDGET = 10**8  # table cells touched by an enumeration
+_KEPT_CELLS = 2**13  # C(m, n) * n: the largest subset table kept
+_kept: dict = {}  # (m, n) -> subset table, for the tables of at most _KEPT_CELLS cells
 
 
-@lru_cache(maxsize=None)
-def subset_ranks(m: int, *ns: int):
-    """(tuple of index n-subsets in rank order, dict subset -> rank); for
-    several sizes ns, their subsets in turn, one rank dict over them all.
-    The cache keeps every table for the life of the process: a caller
-    walking many (m, n) pairs calls subset_ranks.cache_clear() between
-    them, as CI's regular-witness sweep does."""
-    subs = tuple(chain.from_iterable(combinations(range(m), n) for n in ns))
-    return subs, {s: r for r, s in enumerate(subs)}
+def subset_ranks(m: int, n: int):
+    """(tuple of index n-subsets of 0..m-1 in rank order, dict subset ->
+    rank).  A table of at most _KEPT_CELLS cells is kept for the life of
+    the process; a larger one is built for its caller and never stored."""
+    table = _kept.get((m, n))
+    if table is None:
+        subs = tuple(combinations(range(m), n))
+        table = subs, {s: r for r, s in enumerate(subs)}
+        if len(subs) * n <= _KEPT_CELLS:
+            _kept[m, n] = table
+    return table
 
 
 @dataclass(frozen=True)
@@ -100,11 +108,13 @@ class SelectionStructure:
     ground: GroundSet
     n: int
     picks: tuple
+    table: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = self.ground.size
         _check_arity(self.n, m)
-        subs, _ = subset_ranks(m, self.n)
+        object.__setattr__(self, "table", subset_ranks(m, self.n))
+        subs = self.table[0]
         if len(self.picks) != len(subs):
             raise MissingSubset(f"expected {len(subs)} choices, got {len(self.picks)}")
         for s, p in zip(subs, self.picks):
@@ -116,7 +126,7 @@ class SelectionStructure:
         return self.ground.size
 
     def choose_indices(self, subset: tuple) -> int:
-        _, rank = subset_ranks(self.size, self.n)
+        _, rank = self.table
         return self.picks[rank[subset]]
 
     def choose(self, labels: Iterable[Label]) -> Label:
@@ -164,13 +174,16 @@ def index_selection(ground: GroundSet, n: int, table: Mapping) -> SelectionStruc
     return SelectionStructure(ground, n, tuple(picks))
 
 
-def selection_from_order(ground: GroundSet, n: int, rule: str) -> SelectionStructure:
-    """Structure picking the least ("min") or greatest ("max") index."""
+def _check_rule(rule: str) -> None:
     if rule not in ("min", "max"):
         raise OutOfRange(f"rule must be 'min' or 'max', got {rule!r}")
+
+
+def selection_from_order(ground: GroundSet, n: int, rule: str) -> SelectionStructure:
+    """Structure picking the least ("min") or greatest ("max") index."""
+    _check_rule(rule)
     _check_arity(n, ground.size)
-    subs, _ = subset_ranks(ground.size, n)
-    picks = tuple(s[0] if rule == "min" else s[-1] for s in subs)
+    picks = tuple(s[0] if rule == "min" else s[-1] for s in combinations(range(ground.size), n))
     return SelectionStructure(ground, n, picks)
 
 
@@ -182,8 +195,7 @@ def rotational_tournament(m: int) -> SelectionStructure:
     if m < 3:
         raise OutOfRange(f"rotational tournament needs m >= 3, got {m}")
     half = (m - 1) // 2
-    subs, _ = subset_ranks(m, 2)
-    picks = tuple(j if (j - i) % m <= half else i for i, j in subs)
+    picks = tuple(j if (j - i) % m <= half else i for i, j in combinations(range(m), 2))
     return SelectionStructure(ground_range(m), 2, picks)
 
 
@@ -211,7 +223,7 @@ def check_cycle_property(s: SelectionStructure) -> Verdict:
     """
     if s.n != 2:
         raise NotArityTwo(f"cycle property is about tournaments, arity {s.n} given")
-    beats = _kernels.beats_from_picks(subset_ranks(s.size, 2)[0], s.picks, s.size)
+    beats = _kernels.beats_from_picks(s.table[0], s.picks, s.size)
     if len({b.bit_count() for b in beats}) > 1:
         raise NotRegular("cycle property requires a constant-score tournament")
     found = _kernels.cycle_scan(beats)
@@ -249,27 +261,21 @@ def _pair_offsets(m: int) -> list:
     return [a * (2 * m - a - 1) // 2 - a - 1 for a in range(m)]
 
 
-def _relabeled(subs: tuple, rank: Mapping, picks: tuple, sigma: Sequence) -> tuple:
-    """The picks, by rank, of the structure that picks[r] on subs[r] is
-    carried to by sigma (old index -> new index): the one relabeling
-    kernel behind canonical labels, isomorphism checks and apply_iso.
-
-    A pair's image {x, y} is ranked by arithmetic, off[min] + max (see
-    _pair_offsets), shifted by the rank of (0, 1), where the pair block
-    starts in a joint table; wider subsets are sorted and looked up in
-    rank."""
-    m = len(sigma)
+def _relabeled(s: SelectionStructure, sigma: Sequence) -> tuple:
+    """The picks, by rank, of the structure s is carried to by sigma (old
+    index -> new index), read on s's own table: the one relabeling kernel
+    behind canonical labels, isomorphism checks and apply_iso.  A pair's
+    image {x, y} is ranked by arithmetic, off[min] + max (see
+    _pair_offsets); a wider subset's image is sorted and looked up."""
+    subs, rank = s.table
     out = [0] * len(subs)
-    wide = zip(subs, picks)
-    first = rank.get((0, 1))
-    if first is not None:
-        end = first + m * (m - 1) // 2
-        off = [first + o for o in _pair_offsets(m)]
-        for (a, b), p in zip(subs[first:end], picks[first:end]):
+    if s.n == 2:
+        off = _pair_offsets(len(sigma))
+        for (a, b), p in zip(subs, s.picks):
             x, y = sigma[a], sigma[b]
             out[off[x] + y if x < y else off[y] + x] = sigma[p]
-        wide = chain(zip(subs[:first], picks[:first]), zip(subs[end:], picks[end:]))
-    for sub, p in wide:
+        return tuple(out)
+    for sub, p in zip(subs, s.picks):
         image = [sigma[y] for y in sub]
         image.sort()
         out[rank[tuple(image)]] = sigma[p]
@@ -284,14 +290,14 @@ def is_isomorphism(s: SelectionStructure, t: SelectionStructure, phi: IsoMap) ->
         raise ArityMismatch(f"arities differ: {s.n} vs {t.n}")
     if phi.source != s.ground or phi.target != t.ground:
         raise SizeMismatch("map endpoints do not match the structures")
-    return _relabeled(*subset_ranks(s.size, s.n), s.picks, phi.apply_indices()) == t.picks
+    return _relabeled(s, phi.apply_indices()) == t.picks
 
 
 def apply_iso(s: SelectionStructure, phi: IsoMap) -> SelectionStructure:
     """The relabeled structure on phi's target ground."""
     if phi.source != s.ground:
         raise SizeMismatch("map source does not match the structure")
-    picks = _relabeled(*subset_ranks(s.size, s.n), s.picks, phi.apply_indices())
+    picks = _relabeled(s, phi.apply_indices())
     return SelectionStructure(phi.target, s.n, picks)
 
 
@@ -396,9 +402,10 @@ def _refine(subs: tuple, picks: tuple, cells: list) -> list:
 
 def _canonical_labeling(gs: Sequence[SelectionStructure]):
     """(least choice tuple, relabeling giving it) of the structures gs,
-    all on one ground, labeled together: their subsets and picks are
-    concatenated in the order of gs, and the relabeling is stored as
-    sigma[old index] = new index.
+    all on one ground, labeled together, the relabeling stored as
+    sigma[old index] = new index: _refine reads their subsets and picks
+    concatenated in the order of gs, and a leaf's choice tuple joins, in
+    that order, each one's relabeling on its own table.
 
     Individualization-refinement (McKay & Piperno, "Practical graph
     isomorphism, II", 2014): start from the score classes, counted over
@@ -414,7 +421,7 @@ def _canonical_labeling(gs: Sequence[SelectionStructure]):
     the same tuples.
     """
     m = gs[0].size
-    subs, rank = subset_ranks(m, *[g.n for g in gs])
+    subs = sum((g.table[0] for g in gs), ())
     picks = sum((g.picks for g in gs), ())
     leaves: dict = {}  # choice tuple -> the first relabeling giving it
     autos: list = []
@@ -425,7 +432,7 @@ def _canonical_labeling(gs: Sequence[SelectionStructure]):
             sigma = [0] * m  # old index -> new index
             for k, (x,) in enumerate(cells):
                 sigma[x] = k
-            enc = _relabeled(subs, rank, picks, sigma)
+            enc = sum((_relabeled(g, sigma) for g in gs), ())
             if enc in leaves:
                 first = leaves[enc]
                 inv = [0] * m
@@ -445,10 +452,7 @@ def _canonical_labeling(gs: Sequence[SelectionStructure]):
             rest = [x for x in cells[t] if x != v]
             visit(path + [v], cells[:t] + [[v], rest] + cells[t + 1:])
 
-    w = [0] * m  # scores, counted over the picks of all of gs
-    for p in picks:
-        w[p] += 1
-    visit([], _score_blocks(w))
+    visit([], _score_blocks([sum(col) for col in zip(*map(score_vector, gs))]))
     best = min(leaves)
     return best, leaves[best]
 

@@ -40,7 +40,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidModel
 from .extension import PartialSelection, order_partial
-from .structures import GroundSet, SelectionStructure, subset_ranks
+from .structures import GroundSet, SelectionStructure
 from .verdict import PASS, Verdict, fail
 
 RADIUS_FLOOR_SHIFT = 40  # the floor radius is half the least gap over 2**40
@@ -154,7 +154,7 @@ def _receiver(level: SelectionStructure, spans: Sequence[range]) -> Optional[int
     every transversal, or None once a second member receives one.
     spans are the nonempty, ascending index ranges of disjoint members."""
     picks = level.picks
-    _, rank = subset_ranks(level.size, level.n)
+    _, rank = level.table
     got = None
     for t in product(*spans):
         k = t.index(picks[rank[t]])

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -175,6 +176,12 @@ class TestPartialSelection:
     def test_builders_reject_a_bound_before_any_level(self, build, bound):
         with pytest.raises(OutOfRange, match=f"^bound {bound} out of range for carrier of size 3$"):
             build(ground_range(3), bound)
+
+    @pytest.mark.parametrize("bound", [0, 2])
+    def test_order_partial_rejects_an_unknown_rule(self, bound):
+        # bound 0 builds no level, so the rule is checked on its own
+        with pytest.raises(OutOfRange, match="^rule must be 'min' or 'max', got 'mid'$"):
+            order_partial(ground_range(3), bound, "mid")
 
     def test_upto_zero_on_empty_carrier_is_the_empty_selection(self):
         f = make_partial(ground_range(0), "upto", 0, {})
@@ -389,6 +396,26 @@ class TestExtendSelection:
         assert len(calls) == 70  # C(8, 4): once each
         assert sorted(c[1] for c in calls) == list(combinations(range(8), 4))
         assert sum(len(ms) for ms in parts.classes.values()) == 70
+
+    def test_builds_a_large_p_level_table_once(self, monkeypatch):
+        # the 5-level's table on 16 points, C(16, 5) * 5 cells, is too
+        # large to keep: it is built with the level, and each of the 16
+        # 15-subsets scores the level on that table
+        built = []
+        real = structures.subset_ranks
+
+        def spy(m, n):
+            built.append((m, n))
+            return real(m, n)
+
+        for module in (structures, extension):
+            monkeypatch.setattr(module, "subset_ranks", spy, raising=False)
+        assert math.comb(16, 5) * 5 > structures._KEPT_CELLS
+        f = random_partial(ground_range(16), 8, random.Random(16))
+        h = extend_selection(f, 15, 5)
+        assert built.count((16, 5)) == 1 and built.count((16, 15)) == 1
+        for sub in combinations(range(16), 15):
+            assert h.choose(sub) == oracle_extend_value(f, sub, 5)
 
     def test_rejects_composite_p(self):
         f = order_partial(ground_range(8), 4, "min")

@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -363,12 +364,18 @@ class TestRelabeling:
 
     @staticmethod
     def _assert_levels_agree(m, ns, rng):
-        # _relabeled on a joint table, level by level against the oracle
-        subs, rank = subset_ranks(m, *ns)
+        # levels drawn on the concatenated per-level tables and relabeled
+        # one at a time, as a canonical labeling's leaf is, level by
+        # level against the oracle
+        subs = sum((subset_ranks(m, n)[0] for n in ns), ())
         picks = tuple(rng.choice(s) for s in subs)
         sigma = list(range(m))
         rng.shuffle(sigma)
-        got = structures._relabeled(subs, rank, picks, sigma)
+        got, start = (), 0
+        for n in ns:
+            end = start + math.comb(m, n)
+            got += structures._relabeled(SelectionStructure(ground_range(m), n, picks[start:end]), sigma)
+            start = end
         start = 0
         for n in ns:
             end = start + math.comb(m, n)
@@ -383,7 +390,7 @@ class TestRelabeling:
             self._assert_levels_agree(m, (2,), rng)
 
     @pytest.mark.parametrize("ns", [(1, 2), (3, 2), (2, 3), (1, 2, 3)])
-    def test_joint_tables_shift_the_pair_block(self, ns):
+    def test_mixed_levels_relabel_one_at_a_time(self, ns):
         rng = random.Random(f"joint-{ns}")
         for m in range(3, 7):
             for _ in range(20):
@@ -577,7 +584,7 @@ def joint_refinement_inputs(draw):
     1..4 in drawn order, concatenated as _canonical_labeling joins them."""
     m = draw(st.integers(2, 7))
     ns = draw(st.lists(st.integers(1, min(4, m)), min_size=2, max_size=4, unique=True))
-    subs, _ = subset_ranks(m, *ns)
+    subs = sum((subset_ranks(m, n)[0] for n in ns), ())
     return subs, tuple(draw(st.sampled_from(s)) for s in subs)
 
 
@@ -608,7 +615,7 @@ class TestJointRefinement:
         # every individualization of every stable partition's first
         # smallest open cell, for seeded choices on 6 points
         rng = random.Random(f"joint-{ns}")
-        subs, _ = subset_ranks(6, *ns)
+        subs = sum((subset_ranks(6, n)[0] for n in ns), ())
         for _ in range(10):
             picks = tuple(rng.choice(s) for s in subs)
             stable = structures._refine(subs, picks, [list(range(6))])
@@ -618,6 +625,83 @@ class TestJointRefinement:
                               for v in c if len(c) > 1)
             for cells in starts:
                 assert structures._refine(subs, picks, cells) == oracle_refine(subs, picks, cells)
+
+
+class TestSubsetTables:
+    """A subset table of at most _KEPT_CELLS cells (C(m, n) * n) is kept
+    for the life of the process; a larger one lives as long as its caller
+    or the structure that took it."""
+
+    def test_kept_table_is_one_object(self):
+        # C(91, 2) * 2 = 8,190 cells, the largest kept pair table
+        assert math.comb(91, 2) * 2 <= structures._KEPT_CELLS
+        for m, n in [(6, 3), (91, 2)]:
+            table = subset_ranks(m, n)
+            assert subset_ranks(m, n) is table
+            assert SelectionStructure(ground_range(m), n, tuple(s[0] for s in table[0])).table is table
+
+    def test_no_table_above_the_cap_outlives_its_caller(self):
+        # C(92, 2) * 2 = 8,372 cells
+        assert math.comb(92, 2) * 2 > structures._KEPT_CELLS
+        tables = [subset_ranks(92, 2)]
+        assert subset_ranks(92, 2) is not tables[0]
+        assert tables[0] == (tuple(combinations(range(92), 2)),
+                             {s: r for r, s in enumerate(combinations(range(92), 2))})
+        picks = tuple(s[-1] for s in tables[0][0])
+        held = [SelectionStructure(ground_range(92), 2, picks)]
+        assert held[0].table is not tables[0]
+        # each table is held by this list or its structure alone, as the
+        # control object is by its list
+        control = [object()]
+        assert sys.getrefcount(tables[0]) == sys.getrefcount(held[0].table) == sys.getrefcount(control[0])
+
+    def test_one_size_a_table(self):
+        with pytest.raises(TypeError):
+            subset_ranks(4, 1, 2)
+
+
+class TestJointIsomorphism:
+    """Several levels of one arity are labeled together: each leaf
+    relabels every level on its own table."""
+
+    def test_same_arity_levels_are_told_apart(self):
+        g = ground_range(3)
+        lo, rot = selection_from_order(g, 2, "min"), rotational_tournament(3)
+        assert joint_isomorphism((lo, lo), (lo, rot)) is None
+        assert joint_isomorphism((lo, rot), (rot, lo)) is None
+        phi = joint_isomorphism((lo, lo), (lo, lo))
+        assert phi is not None and is_isomorphism(lo, lo, phi)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_same_arity_levels_against_brute_force(self, seed):
+        # half the targets are one relabeling of every level, some with
+        # one pick changed; the answer is checked against all m! maps
+        rng = random.Random(f"same-arity-{seed}")
+        m = rng.randint(2, 5)
+        n = rng.randint(2, m)
+        subs = list(combinations(range(m), n))
+
+        def level():
+            return SelectionStructure(ground_range(m), n, tuple(rng.choice(x) for x in subs))
+
+        gs = [level() for _ in range(rng.randint(2, 3))]
+        if seed % 2:
+            perm = list(range(m))
+            rng.shuffle(perm)
+            ts = [SelectionStructure(ground_range(m), n, oracle_relabel(g, tuple(perm))) for g in gs]
+            if seed % 4 == 3:
+                k, r = rng.randrange(len(ts)), rng.randrange(len(subs))
+                picks = list(ts[k].picks)
+                picks[r] = rng.choice(subs[r])
+                ts[k] = SelectionStructure(ground_range(m), n, tuple(picks))
+        else:
+            ts = [level() for _ in gs]
+        maps = [perm for perm in permutations(range(m))
+                if all(oracle_relabel(g, perm) == t.picks for g, t in zip(gs, ts))]
+        phi = joint_isomorphism(gs, ts)
+        assert (phi is None) == (not maps)
+        if phi is not None:
+            assert phi.apply_indices() in maps
 
 
 class TestEnumeration:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersel import vietoris
+from hypersel import structures, vietoris
 from hypersel.chains import FamilySystem, derive_nice_family, regular_class_cover_check
 from hypersel.documents import read_family
-from hypersel.errors import InvalidModel
+from hypersel.errors import InvalidModel, OutOfRange
 from hypersel.extension import admissible_sizes, make_partial, order_partial, random_partial, restrict
 from hypersel.structures import GroundSet, is_regular
 from hypersel.vietoris import (
@@ -257,6 +258,36 @@ class TestContinuity:
         verdict = check_continuity(flip_model())
         assert not verdict.ok
         assert verdict.witness == (F(0), F(1))
+
+    @pytest.mark.parametrize("bound", [0, 2])
+    def test_order_model_rejects_an_unknown_rule(self, bound):
+        with pytest.raises(OutOfRange, match="^rule must be 'min' or 'max', got 'mid'$"):
+            order_model(range(3), bound, "mid")
+
+    def test_large_top_level_table_built_once(self, monkeypatch):
+        # 15 points, the last two 2^-50 apart: each of the 1,716
+        # 5-subsets meeting the twins is tested on the top level, whose
+        # table (C(15, 5) * 5 cells) is too large to keep and is built
+        # once, with the level
+        built, tested = [], []
+        real_ranks, real_receiver = structures.subset_ranks, vietoris._receiver
+
+        def ranks(m, n):
+            built.append((m, n))
+            return real_ranks(m, n)
+
+        def receiver(level, spans):
+            tested.append(level.n)
+            return real_receiver(level, spans)
+
+        for module in (structures, vietoris):
+            monkeypatch.setattr(module, "subset_ranks", ranks, raising=False)
+        monkeypatch.setattr(vietoris, "_receiver", receiver)
+        assert math.comb(15, 5) * 5 > structures._KEPT_CELLS
+        model = order_model(list(range(14)) + [13 + F(1, 2**50)], 5, "min")
+        assert check_continuity(model).ok
+        assert tested.count(5) == math.comb(15, 5) - math.comb(13, 5)
+        assert built.count((15, 5)) == 1
 
 
 class TestIntersectNonempty:
