@@ -74,14 +74,12 @@ def mask_picks(mask: int, m: int) -> tuple:
 
 
 def picks_mask(picks, m: int) -> int:
-    """mask_picks inverted: the mask of picks in rank order."""
+    """mask_picks inverted: one pick per pair, in the pair order that
+    _byte_tables decodes; picks of another length raise ValueError."""
     mask = 0
-    b = 0
-    for i in range(m):
-        for j in range(i + 1, m):  # the rank-b pair
-            if picks[b] == j:
-                mask |= 1 << b
-            b += 1
+    for b, ((_, j), p) in enumerate(zip(combinations(range(m), 2), picks, strict=True)):
+        if p == j:
+            mask |= 1 << b
     return mask
 
 

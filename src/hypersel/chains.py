@@ -34,7 +34,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from typing import Optional
 
 from .errors import (
@@ -46,7 +46,6 @@ from .errors import (
     SizeMismatch,
 )
 from .extension import subset_scores
-from .structures import subset_ranks
 from .verdict import PASS, Verdict, fail
 from .vietoris import ModelSpace, OpenFamily, _members, _radius, member_hits, overlaps
 
@@ -309,7 +308,9 @@ def build_selection_from_nice(
     family receives the composed transfer from the base; a covered
     subset selects its point inside the transferred member.  All
     transfers must be bijective.  Families with no members have no
-    member to base a component on: HypothesisViolated.
+    member to base a component on: HypothesisViolated.  A bases key naming
+    no component, a family outside its component or a member not an int
+    in 0..m-1 is OutOfRange.  At arity 0 the one subset is the empty one.
     """
     if system.families and system.arity == 0:
         raise HypothesisViolated("families have no members")
@@ -320,18 +321,21 @@ def build_selection_from_nice(
     model = system.model
     m = system.arity
     comps = chain_classes(system)
+    bad = [ci for ci in bases or () if type(ci) is not int or not 0 <= ci < len(comps)]
+    if bad:
+        raise OutOfRange(f"base key {bad[0]!r} names no component")
     chosen_bases = []
     targets: dict = {}  # family -> member holding its component's value
     for ci, comp in enumerate(comps):
         if bases is not None and ci in bases:
             base_f, base_m = bases[ci]
-            if base_f not in comp:
-                raise OutOfRange(f"base family {base_f} not in component {comp}")
+            if type(base_f) is not int or base_f not in comp:
+                raise OutOfRange(f"base family {base_f!r} not in component {comp}")
         else:
             base_f = min(comp, key=graph.keys.__getitem__)
             base_m = 0
-        if not 0 <= base_m < m:
-            raise OutOfRange(f"base member {base_m} out of range")
+        if type(base_m) is not int or not 0 <= base_m < m:
+            raise OutOfRange(f"base member {base_m!r} out of range")
         chosen_bases.append((base_f, base_m))
         labels, conflict = _labels_from(base_f, graph)
         if conflict is not None:
@@ -350,8 +354,7 @@ def build_selection_from_nice(
             targets[v] = labels[v][base_m]
     values: dict = {}
     uncovered = []
-    subs, _ = subset_ranks(model.size, m) if m <= model.size else ((), {})
-    for s in subs:
+    for s in combinations(range(model.size), m):
         picks = {s[members.index(targets[f])] for f, members in graph.covering(s)}
         if len(picks) > 1:
             pts = tuple(model.points[i] for i in s)
@@ -363,13 +366,6 @@ def build_selection_from_nice(
     return BuiltSelection(
         values, tuple(uncovered), tuple(chosen_bases), tuple(tuple(c) for c in comps)
     )
-
-
-def _regular_subsets(model: ModelSpace, m: int) -> list:
-    """The m-subsets of the points (index tuples, in rank order) whose
-    pair restriction is regular; the pair level alone is read."""
-    pairs = model.selection.level(2)
-    return [s for s in subset_ranks(model.size, m)[0] if len(set(subset_scores(pairs, s))) <= 1]
 
 
 def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
@@ -385,10 +381,12 @@ def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
     if n < 2 or n % 2 != 0:
         raise OutOfRange(f"need even n >= 2, got {n}")
     m = n + 1
-    model.selection.level(2)  # a missing pair level raises before the size check
+    pairs = model.selection.level(2)  # a missing pair level raises before the size check
     if m > model.size:
         raise OutOfRange(f"model has fewer than {m} points")
-    regular = _regular_subsets(model, m)  # past the size check: a huge m overflows combinations
+    # past the size check: a huge m overflows combinations
+    regular = [s for s in combinations(range(model.size), m)
+               if len(set(subset_scores(pairs, s))) <= 1]
     a, b, _ = _radius(model, range(model.size), 0)  # half the least gap
     around = _members(model, range(model.size), a, b)
     return FamilySystem(tuple(OpenFamily(tuple(around[i] for i in s)) for s in regular), model)
@@ -396,18 +394,17 @@ def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
 
 def regular_class_cover_check(system: FamilySystem, n: int) -> Verdict:
     """Sampled (n+1)-sets are covered by some family's Vietoris open
-    exactly when their pair restriction is regular.  Witness is the
-    first offending point tuple.  With fewer than n + 1 points there is
-    no such set, and the check passes."""
+    exactly when their pair restriction is regular, both read in one walk
+    in rank order; the witness is the first offending point tuple.  With
+    fewer than n + 1 points there is no such set, and the check passes."""
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
     model = system.model
     m = n + 1
-    model.selection.level(2)  # a missing pair level raises before the size check
+    pairs = model.selection.level(2)  # a missing pair level raises before the size check
     if m > model.size:
         return PASS
-    regular = set(_regular_subsets(model, m))
-    for s in subset_ranks(model.size, m)[0]:
-        if bool(system.graph.covering(s)) != (s in regular):
+    for s in combinations(range(model.size), m):
+        if bool(system.graph.covering(s)) != (len(set(subset_scores(pairs, s))) <= 1):
             return fail(tuple(model.points[i] for i in s))
     return PASS

@@ -107,8 +107,8 @@ class PartialSelection:
         return self.level(len(subset)).choose_indices(subset)
 
     def choose(self, labels: Iterable[Label]) -> Label:
-        idx = tuple(sorted(self.carrier.index(x) for x in labels))
-        return self.carrier.labels[self.choose_indices(idx)]
+        labels = tuple(labels)
+        return self.level(len(labels)).choose(labels)
 
 
 def make_partial(carrier: GroundSet, mode: str, bound: int, table: Mapping) -> PartialSelection:

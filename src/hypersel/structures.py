@@ -5,9 +5,9 @@ n-subset of X one of its own elements.  Arity 2 gives tournaments; the
 score of an element counts the subsets that pick it, and constant-score
 structures are called regular.
 
-subset_ranks keeps the subset tables of at most _KEPT_CELLS cells and
-builds a larger one per call; a structure takes its table once, when it
-is built, and its readers read it there, so no loop over subsets rebuilds one.
+subset_ranks keeps a table whose C(m, n) * n cells times m are at most
+_KEPT_WEIGHT (638 tables of 179,609 cells in all, none with m > 256); a
+structure takes its table once, when built, and its readers read it there.
 
 Isomorphism has one search, the canonical labeling behind
 canonical_form; joint_isomorphism labels several structures on one
@@ -41,19 +41,20 @@ from .verdict import PASS, Verdict, fail
 Label = Hashable
 
 DEFAULT_BUDGET = 10**8  # table cells touched by an enumeration
-_KEPT_CELLS = 2**13  # C(m, n) * n: the largest subset table kept
-_kept: dict = {}  # (m, n) -> subset table, for the tables of at most _KEPT_CELLS cells
+_KEPT_WEIGHT = 2**16  # C(m, n) * n * m: the cells of the largest subset table kept, times m
+_kept: dict = {}  # (m, n) -> subset table, for the nonempty tables within _KEPT_WEIGHT
 
 
 def subset_ranks(m: int, n: int):
     """(tuple of index n-subsets of 0..m-1 in rank order, dict subset ->
-    rank).  A table of at most _KEPT_CELLS cells is kept for the life of
-    the process; a larger one is built for its caller and never stored."""
+    rank).  A nonempty table whose cells times m are at most _KEPT_WEIGHT
+    is kept for the life of the process (the factor m bounds how many are
+    kept); any other is built for its caller and never stored."""
     table = _kept.get((m, n))
     if table is None:
         subs = tuple(combinations(range(m), n))
         table = subs, {s: r for r, s in enumerate(subs)}
-        if len(subs) * n <= _KEPT_CELLS:
+        if 0 < len(subs) * n * m <= _KEPT_WEIGHT:
             _kept[m, n] = table
     return table
 
@@ -130,7 +131,10 @@ class SelectionStructure:
         return self.picks[rank[subset]]
 
     def choose(self, labels: Iterable[Label]) -> Label:
+        """The pick of the n-subset labels; OutOfRange for any other list."""
         idx = tuple(sorted(self.ground.index(x) for x in labels))
+        if idx not in self.table[1]:
+            raise OutOfRange(f"{[self.ground.labels[i] for i in idx]} is not a {self.n}-subset")
         return self.ground.labels[self.choose_indices(idx)]
 
 

@@ -190,6 +190,20 @@ class TestBuild:
         with pytest.raises(OutOfRange, match="^base member 5 out of range$"):
             build_selection_from_nice(system, bases={0: (0, 5)})
 
+    @pytest.mark.parametrize("bases, fault", [
+        ({7: (0, 1)}, "base key 7 names no component"),
+        ({0: (0, 0), -1: (0, 0)}, "base key -1 names no component"),
+        ({"0": (0, 0)}, "base key '0' names no component"),
+        ({0: (0.0, 0)}, r"base family 0\.0 not in component \[0\]"),
+        ({0: (0, 1.5)}, r"base member 1\.5 out of range"),
+        ({0: (0, 1.0)}, r"base member 1\.0 out of range"),
+        ({0: (0, True)}, "base member True out of range"),
+    ], ids=["key 7", "key -1", "key '0'", "family 0.0", "member 1.5", "member 1.0", "member True"])
+    def test_bases_it_cannot_use_rejected(self, bases, fault):
+        system = FamilySystem((family((0, 1), (2, 3)),), order_model([0, 1, 2, 3], 2, "min"))
+        with pytest.raises(OutOfRange, match=f"^{fault}$"):
+            build_selection_from_nice(system, bases=bases)
+
     def test_memberless_families_violate_the_hypothesis(self):
         # nice, but no member to base a component on
         system = FamilySystem((family(), family()), order_model(self.QUARTERS, 2, "min"))
@@ -273,12 +287,12 @@ class TestDerive:
 
     @pytest.mark.parametrize("n", [3, 99, 10**20])
     def test_cover_check_passes_past_the_model_size(self, monkeypatch, n):
-        # no (n+1)-set of 3 points: vacuous, and no subset table is built
+        # no (n+1)-set of 3 points: vacuous, and no subset is walked
         def forbidden(*args):
-            raise RuntimeError("subset table built past the model size")
+            raise RuntimeError("subsets walked past the model size")
 
         system = derive_nice_family(cyclic_model(), 2)
-        monkeypatch.setattr(chains, "subset_ranks", forbidden)
+        monkeypatch.setattr(chains, "combinations", forbidden)
         assert regular_class_cover_check(system, n) == PASS
 
     @pytest.mark.parametrize("n", [0, -1])

@@ -113,6 +113,14 @@ class TestPartialSelection:
         with pytest.raises(ArityNotInDomain):
             f.choose((0, 1))
 
+    def test_choose_reads_through_its_level(self):
+        f = order_partial(GroundSet(("a", "b", "c")), 2, "min")
+        assert f.choose(iter(["c", "b"])) == "b"
+        with pytest.raises(OutOfRange, match=r"^\['a', 'a'\] is not a 2-subset$"):
+            f.choose(["a", "a"])
+        with pytest.raises(ArityNotInDomain):
+            f.choose(["a", "b", "b"])
+
     def test_missing_subset_rejected(self):
         table = {frozenset({i}): i for i in range(3)}
         table[frozenset({0, 1})] = 0
@@ -410,7 +418,7 @@ class TestExtendSelection:
 
         for module in (structures, extension):
             monkeypatch.setattr(module, "subset_ranks", spy, raising=False)
-        assert math.comb(16, 5) * 5 > structures._KEPT_CELLS
+        assert math.comb(16, 5) * 5 * 16 > structures._KEPT_WEIGHT
         f = random_partial(ground_range(16), 8, random.Random(16))
         h = extend_selection(f, 15, 5)
         assert built.count((16, 5)) == 1 and built.count((16, 15)) == 1

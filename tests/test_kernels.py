@@ -124,6 +124,12 @@ class TestMaskPicks:
             assert _kernels.mask_picks(mask, m) == bitwise_picks(mask, m)
             assert _kernels.picks_mask(bitwise_picks(mask, m), m) == mask
 
+    def test_picks_of_another_length_rejected(self):
+        picks = bitwise_picks(37, 4)
+        for wrong in (picks[:-1], picks + (3,)):
+            with pytest.raises(ValueError):
+                _kernels.picks_mask(wrong, 4)
+
     @pytest.mark.parametrize("m", [2, 3, 5, 7, 8, 11, 17])
     def test_one_table_per_byte(self, m):
         pairs = list(combinations(range(m), 2))

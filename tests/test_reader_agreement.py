@@ -248,3 +248,24 @@ class TestEqualSpellings:
         doc = self.doc([{"subset": ["0/1", "1/2"], "pick": "0/1"}, rec])
         with pytest.raises(DocumentError, match=rf"^partial\.choices\[3\]\.subset: {fault}$"):
             read_model(doc)
+
+
+class TestIntervalRecords:
+    """An interval record that is not a {lo, hi} object is checked field
+    by field, and named as the oracle reader names it."""
+
+    @pytest.mark.parametrize("rec, fault", [
+        (7, "expected an object, got int"),
+        ({"lo": "0"}, r"missing fields \['hi'\]"),
+        ({"lo": "0", "hi": "1", "mid": "1/2"}, r"unknown fields \['mid'\]"),
+        ({"lo": "0", "mid": "1/2"}, r"unknown fields \['mid'\]"),
+    ], ids=["not an object", "missing hi", "extra key", "two keys, one unknown"])
+    def test_record_faults(self, rec, fault):
+        selection = {"carrier": ["0", "1"], "mode": "upto", "bound": 1,
+                     "choices": [{"subset": ["0"], "pick": "0"}, {"subset": ["1"], "pick": "1"}]}
+        doc = {"model": {"points": ["0", "1"], "selection": selection},
+               "families": [{"intervals": [{"lo": "0", "hi": "1"}]},
+                            {"intervals": [{"lo": "0", "hi": "1"}, rec]}]}
+        with pytest.raises(DocumentError, match=rf"^family\.intervals\[1\]: {fault}$"):
+            read_system(copy.deepcopy(doc))
+        assert outcome(read_system, doc) == outcome(oracle_read_system, doc)

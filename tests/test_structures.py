@@ -31,6 +31,7 @@ from hypersel.structures import (
     SelectionStructure,
     apply_iso,
     are_isomorphic,
+    canonical_candidates,
     canonical_form,
     check_cycle_property,
     enumerate_selections,
@@ -184,6 +185,16 @@ class TestConstruction:
         assert hi.choose((0, 1, 2)) == 2
         with pytest.raises(OutOfRange, match="^rule must be 'min' or 'max', got 'mid'$"):
             selection_from_order(g, 2, "mid")
+
+    @pytest.mark.parametrize("labels, named", [
+        (["a", "a"], r"\['a', 'a'\]"),
+        (["a"], r"\['a'\]"),
+        (["c", "a", "b"], r"\['a', 'b', 'c'\]"),
+    ], ids=["repeated", "short", "long"])
+    def test_choose_rejects_labels_that_are_no_subset(self, labels, named):
+        s = selection_from_order(GroundSet(("a", "b", "c")), 2, "min")
+        with pytest.raises(OutOfRange, match=rf"^{named} is not a 2-subset$"):
+            s.choose(labels)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_order_rule_rejects_an_arity_before_any_table(self, n):
@@ -628,27 +639,27 @@ class TestJointRefinement:
 
 
 class TestSubsetTables:
-    """A subset table of at most _KEPT_CELLS cells (C(m, n) * n) is kept
-    for the life of the process; a larger one lives as long as its caller
-    or the structure that took it."""
+    """A subset table whose C(m, n) * n cells times m are at most
+    _KEPT_WEIGHT is kept for the life of the process; any other lives as
+    long as its caller or the structure that took it."""
 
     def test_kept_table_is_one_object(self):
-        # C(91, 2) * 2 = 8,190 cells, the largest kept pair table
-        assert math.comb(91, 2) * 2 <= structures._KEPT_CELLS
-        for m, n in [(6, 3), (91, 2)]:
+        # C(40, 2) * 2 * 40 = 62,400, the largest kept pair table
+        assert math.comb(40, 2) * 2 * 40 <= structures._KEPT_WEIGHT
+        for m, n in [(6, 3), (40, 2)]:
             table = subset_ranks(m, n)
             assert subset_ranks(m, n) is table
             assert SelectionStructure(ground_range(m), n, tuple(s[0] for s in table[0])).table is table
 
     def test_no_table_above_the_cap_outlives_its_caller(self):
-        # C(92, 2) * 2 = 8,372 cells
-        assert math.comb(92, 2) * 2 > structures._KEPT_CELLS
-        tables = [subset_ranks(92, 2)]
-        assert subset_ranks(92, 2) is not tables[0]
-        assert tables[0] == (tuple(combinations(range(92), 2)),
-                             {s: r for r, s in enumerate(combinations(range(92), 2))})
+        # C(41, 2) * 2 * 41 = 67,240
+        assert math.comb(41, 2) * 2 * 41 > structures._KEPT_WEIGHT
+        tables = [subset_ranks(41, 2)]
+        assert subset_ranks(41, 2) is not tables[0]
+        assert tables[0] == (tuple(combinations(range(41), 2)),
+                             {s: r for r, s in enumerate(combinations(range(41), 2))})
         picks = tuple(s[-1] for s in tables[0][0])
-        held = [SelectionStructure(ground_range(92), 2, picks)]
+        held = [SelectionStructure(ground_range(41), 2, picks)]
         assert held[0].table is not tables[0]
         # each table is held by this list or its structure alone, as the
         # control object is by its list
@@ -658,6 +669,46 @@ class TestSubsetTables:
     def test_one_size_a_table(self):
         with pytest.raises(TypeError):
             subset_ranks(4, 1, 2)
+
+    def test_kept_store_is_bounded(self):
+        # C(m, n) * n >= m for 1 <= n <= m, so no kept table has m > 256;
+        # the rule keeps 638 tables of 179,609 cells in all
+        rule = {(m, n) for m in range(1, 257) for n in range(1, m + 1)
+                if math.comb(m, n) * n * m <= 2**16}
+        assert (len(rule), sum(math.comb(m, n) * n for m, n in rule)) == (638, 179_609)
+        for m in range(1, 1025):
+            subset_ranks(m, 1)
+            subset_ranks(m, m)
+        kept = structures._kept
+        assert set(kept) <= rule
+        assert sum(len(subs) * n for (_, n), (subs, _) in kept.items()) <= 179_609
+        for m, n in [(0, 1), (3, 5), (5, 0)]:  # empty or arity-0 tables are not kept
+            assert subset_ranks(m, n) is not subset_ranks(m, n)
+
+
+def brute_candidates(s):
+    """The relabelings that sort the scores ascending, counted over all
+    m! orders of the ground."""
+    w = score_vector(s)
+    return sum(all(w[a] <= w[b] for a, b in zip(perm, perm[1:]))
+               for perm in permutations(range(s.size)))
+
+
+class TestCanonicalCandidates:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_every_tournament(self, m):
+        for s in enumerate_selections(m, 2):
+            assert canonical_candidates(s) == brute_candidates(s)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_arity_three(self, m):
+        rng = random.Random(f"candidates-{m}")
+        subs = list(combinations(range(m), 3))
+        for _ in range(20):
+            s = SelectionStructure(ground_range(m), 3, tuple(rng.choice(t) for t in subs))
+            assert canonical_candidates(s) == brute_candidates(s)
+        # "min" never picks the two largest indices; the other scores differ
+        assert canonical_candidates(selection_from_order(ground_range(m), 3, "min")) == 2
 
 
 class TestJointIsomorphism:

@@ -283,7 +283,7 @@ class TestContinuity:
         for module in (structures, vietoris):
             monkeypatch.setattr(module, "subset_ranks", ranks, raising=False)
         monkeypatch.setattr(vietoris, "_receiver", receiver)
-        assert math.comb(15, 5) * 5 > structures._KEPT_CELLS
+        assert math.comb(15, 5) * 5 * 15 > structures._KEPT_WEIGHT
         model = order_model(list(range(14)) + [13 + F(1, 2**50)], 5, "min")
         assert check_continuity(model).ok
         assert tested.count(5) == math.comb(15, 5) - math.comb(13, 5)
