@@ -304,13 +304,13 @@ def build_selection_from_nice(
     """Selection on covered sample m-subsets from a nice system.
 
     Per chain component a base (family, member) is fixed (default the
-    lexicographically least family and its first member) and every
-    family receives the composed transfer from the base; a covered
-    subset selects its point inside the transferred member.  All
-    transfers must be bijective.  Families with no members have no
-    member to base a component on: HypothesisViolated.  A bases key naming
-    no component, a family outside its component or a member not an int
-    in 0..m-1 is OutOfRange.  At arity 0 the one subset is the empty one.
+    lexicographically least family and its first member) and every family
+    receives the composed transfer from the base; a covered subset selects its
+    point inside the transferred member.  All transfers must be bijective.
+    Families with no members have no member to base a component on:
+    HypothesisViolated.  A bases key naming no component, a value not a
+    (family, member) pair, a family outside its component or a member not an
+    int in 0..m-1 is OutOfRange.  At arity 0 the one subset is the empty one.
     """
     if system.families and system.arity == 0:
         raise HypothesisViolated("families have no members")
@@ -328,6 +328,8 @@ def build_selection_from_nice(
     targets: dict = {}  # family -> member holding its component's value
     for ci, comp in enumerate(comps):
         if bases is not None and ci in bases:
+            if not isinstance(bases[ci], (tuple, list)) or len(bases[ci]) != 2:
+                raise OutOfRange(f"base {bases[ci]!r} is not a (family, member) pair")
             base_f, base_m = bases[ci]
             if type(base_f) is not int or base_f not in comp:
                 raise OutOfRange(f"base family {base_f!r} not in component {comp}")

@@ -158,20 +158,21 @@ def make_selection(ground: GroundSet, n: int, table: Mapping) -> SelectionStruct
 def index_selection(ground: GroundSet, n: int, table: Mapping) -> SelectionStructure:
     """Build a structure from a mapping {ascending index n-tuple: chosen
     ground index} covering exactly the n-subsets of the ground set.
-    Errors name subsets and picks by their ground labels: the first
-    subset in rank order with no pick or a pick outside it, then any
-    entry that is not an n-subset."""
+    Errors name subsets and picks by their ground labels (a pick that is
+    no ground index by its repr): the first subset in rank order with no
+    pick or a pick outside it, then any entry that is not an n-subset."""
     m = ground.size
     _check_arity(n, m)
     names = ground.labels
     picks = []
     for s in combinations(range(m), n):
         v = table.get(s)
-        if v not in s:
+        if type(v) is not int or v not in s:
             named = [names[i] for i in s]
             if v is None:
                 raise MissingSubset(f"no choice for subset {named}")
-            raise ChoiceOutsideSubset(f"{names[v]!r} not in subset {named}")
+            shown = repr(names[v]) if type(v) is int and 0 <= v < m else f"pick {v!r}"
+            raise ChoiceOutsideSubset(f"{shown} not in subset {named}")
         picks.append(v)
     if len(table) != len(picks):
         raise MissingSubset("table has entries that are not n-subsets of the ground")

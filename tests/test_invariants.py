@@ -14,7 +14,7 @@ from hypersel import extension, obstruction
 from hypersel.cli import main
 from hypersel.errors import BrokenInvariant
 from hypersel.extension import extend_selection, make_partial
-from hypersel.obstruction import SearchResult, obstruction_table
+from hypersel.obstruction import obstruction_table
 from hypersel.structures import ground_range, rotational_tournament, score_vector
 
 PACKAGE = Path(hypersel.__file__).parent
@@ -68,23 +68,24 @@ def test_every_raised_class_is_a_package_error():
     assert found == []
 
 
-def _witness_search(m, n):
-    return SearchResult(rotational_tournament(3), True, 1)
+def _enough_carries(m, n, q):
+    return True
 
 
 def test_obstruction_witness_is_broken_invariant(monkeypatch):
-    monkeypatch.setattr(obstruction, "search_regular", _witness_search)
+    # Kummer's test at p reporting m | C(m,p): a witness could exist
+    monkeypatch.setattr(obstruction, "_carries_enough", _enough_carries)
     with pytest.raises(BrokenInvariant):
         obstruction_table(4)
 
 
 def test_cli_reports_broken_invariant_with_exit_two(monkeypatch):
-    monkeypatch.setattr(obstruction, "search_regular", _witness_search)
+    monkeypatch.setattr(obstruction, "_carries_enough", _enough_carries)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["obstruct", "4"])
     assert code == 2 and out.getvalue() == ""
-    assert "produced a witness" in err.getvalue()
+    assert "obstructed pair (2,2) has m | C(m,p)" in err.getvalue()
 
 
 def test_obstruction_divisible_binomial_is_broken_invariant(monkeypatch):

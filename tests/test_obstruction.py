@@ -73,6 +73,22 @@ class TestDigitRules:
             for n in range(m + 1):
                 assert divides_binom(m, n) == (math.comb(m, n) % m == 0), (m, n)
 
+    def test_carry_kernel(self):
+        # at each prime q | m alone: q^e | C(m,n), q^e exactly dividing m
+        def valuation(k, q):
+            e = 0
+            while k % q == 0:
+                k //= q
+                e += 1
+            return e
+
+        primes = oracle_primes(61)
+        for m in range(1, 61):
+            for q in (q for q in primes if m % q == 0):
+                for n in range(m + 1):
+                    want = valuation(math.comb(m, n), q) >= valuation(m, q)
+                    assert obstruction._carries_enough(m, n, q) == want, (m, n, q)
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 3000), st.data())
     def test_kummer_divisibility_table_range(self, m, data):
@@ -260,6 +276,26 @@ class TestTable:
             d = p - before[p]
             want.update([(k * p, k * d), (p, d), ((k - 1) * p, (k - 1) * d)])
         assert perms == want
+
+    def test_rows_decided_without_the_search(self, monkeypatch):
+        # Kummer's test at p alone: no witness search, no score value,
+        # no second factoring of gcd(m, p) = p
+        def forbidden(name):
+            return lambda *args: pytest.fail(f"{name}{args} called")
+
+        for name in ("search_regular", "regular_score_value", "divides_binom"):
+            monkeypatch.setattr(obstruction, name, forbidden(name))
+        factored = Counter()
+        factor = obstruction.prime_divisors
+
+        def counting_factor(k):
+            factored[k] += 1
+            return factor(k)
+
+        monkeypatch.setattr(obstruction, "prime_divisors", counting_factor)
+        rows = obstruction_table(400)
+        assert factored == dict.fromkeys(range(2, 401), 1)
+        assert len(rows) == 790 and {r.search_status for r in rows} == {"proven-none"}
 
     def test_inexact_step_is_broken_invariant(self, monkeypatch):
         perm = math.perm

@@ -36,6 +36,7 @@ from hypersel.structures import (
     check_cycle_property,
     enumerate_selections,
     ground_range,
+    index_selection,
     is_isomorphism,
     is_regular,
     joint_isomorphism,
@@ -50,7 +51,7 @@ from hypersel.structures import (
 )
 from hypersel.verdict import fail
 
-from hypersel.extension import random_partial, restrict
+from hypersel.extension import partial_from_indices, random_partial, restrict
 
 from oracles import (
     oracle_canonical,
@@ -151,6 +152,19 @@ class TestConstruction:
         table[frozenset({2, 3})] = 0
         with pytest.raises(ChoiceOutsideSubset):
             make_selection(ground_range(4), 2, table)
+
+    @pytest.mark.parametrize("pick, shown", [
+        (5, "pick 5"), (-1, "pick -1"), ("x", "pick 'x'"), (False, "pick False"), (0.0, r"pick 0\.0"),
+    ], ids=["past the ground", "negative", "string", "bool", "float"])
+    def test_pick_that_is_no_ground_index(self, pick, shown):
+        # shown by its repr, not as a label; False and 0.0 equal the
+        # subset's member 0, yet are no index
+        ground = GroundSet(("a", "b", "c"))
+        table = {(0,): pick, (1,): 1, (2,): 2}
+        with pytest.raises(ChoiceOutsideSubset, match=rf"^{shown} not in subset \['a'\]$"):
+            index_selection(ground, 1, table)
+        with pytest.raises(ChoiceOutsideSubset, match=rf"^{shown} not in subset \['a'\]$"):
+            partial_from_indices(ground, "exact", 1, table)
 
     def test_extraneous_entries_rejected(self):
         table = pick_table(range(4), 2, min)
