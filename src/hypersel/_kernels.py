@@ -5,9 +5,15 @@ rank-b pair (i, j), i < j, in lexicographic order, set when the pair
 picks j.  picks_mask encodes picks; mask_picks decodes a mask a byte at
 a time through per-m tables of byte value -> picks of those 8 pairs.  A
 mask outside 0 <= mask < 2**C(m,2) is rejected (_check_mask) before any
-table is read.  beats_from_picks builds the beats bitsets (beats[v]: the
-vertices w whose pair {v, w} picks v) that the score kernel and the
-3-cycle scan, cycle_scan, read.
+table is read; a mask or m that is not an int is rejected as well.
+beats_from_picks builds the beats bitsets (beats[v]: the vertices w
+whose pair {v, w} picks v) that the score kernel and the 3-cycle scan,
+cycle_scan, read; the scan takes one union of beats per vertex.
+
+The regular masks are listed two ways: regular_masks_exhaustive scans
+all 2^C(m,2) masks, and regular_masks_backtracking searches row by row
+on states (a row index and the wins so far of the vertices not yet
+placed), listing each state's completions once.
 """
 
 from __future__ import annotations
@@ -23,13 +29,18 @@ MAX_M = 11
 
 
 def _check_m(m: int) -> None:
-    if not 1 <= m <= MAX_M:
-        raise OutOfRange(f"m must be in 1..{MAX_M}, got {m}")
+    if type(m) is not int or not 1 <= m <= MAX_M:
+        raise OutOfRange(f"m must be an int in 1..{MAX_M}, got {m!r}")
 
 
 def _check_mask(mask: int, m: int) -> None:
     """OutOfRange unless mask has a bit for each of the C(m,2) pairs and
-    no other."""
+    no other; a mask or an m that is not an int is rejected, shown by its
+    repr."""
+    if type(m) is not int:
+        raise OutOfRange(f"m must be an int, got {m!r}")
+    if type(mask) is not int:
+        raise OutOfRange(f"mask must be an int, got {mask!r}")
     pairs = m * (m - 1) // 2 if m > 0 else 0
     if not 0 <= mask < 1 << pairs:
         raise OutOfRange(f"mask out of range for {m} points: need 0 <= mask < 2**{pairs}")
@@ -130,53 +141,57 @@ def regular_masks_exhaustive(m: int) -> list:
 
 
 def regular_masks_backtracking(m: int) -> list:
-    """All constant-score tournament masks, by row-wise pruned search.
+    """All constant-score tournament masks, ascending, by a row search
+    on states.
 
-    Row v decides every pair (v, w) with w > v, so wins[v] is final once
-    the row is placed; branches are cut when a later vertex can no
-    longer reach the target score.
+    Row v decides every pair (v, w) with w > v, so v's score is final
+    once the row is placed.  A row is cut when it would take a later
+    vertex past the target score; a vertex needing more wins than it has
+    pairs left has no row.  The rows v.. depend only on the state: the
+    wins so far of vertices v.. (a tuple, whose length gives v).  Each
+    state's row choices are found, and its completions (the masks of
+    rows v.., ascending) listed, once.  The lists of row-2 and later
+    states are kept for the call; the root and each row-1 state are
+    reached once, as each row 0 leaves the later vertices a win pattern
+    of its own.
     """
     _check_m(m)
     if m % 2 == 0:  # m does not divide C(m, 2)
         return []
     target = (m - 1) // 2
     bit = _pair_bits(m)
-    out = []
-    wins = [0] * m
+    kept = {}  # state of row 2 or later -> its completions
 
-    def place_row(v: int, mask: int) -> None:
-        if v == m:
-            out.append(mask)
-            return
-        need = target - wins[v]  # in 0..len(rest): the row checks below keep it
-        rest = list(range(v + 1, m))
-        remaining_after = m - v - 2  # pairs still open for each w > v
-        for beaten in combinations(rest, need):
-            beaten_set = set(beaten)
+    def completions(wins: tuple) -> list:
+        v = m - len(wins)
+        if v == m - 1:  # every other score is final at the target: so is this one
+            return [0]
+        row = bit[v]
+        rest = range(1, len(wins))  # wins[k] is vertex v + k's
+        out = []
+        for beaten in combinations(rest, target - wins[0]):  # none if v can no longer reach it
             row_mask = 0
-            ok = True
-            for w in rest:
-                if w in beaten_set:
-                    continue
-                # pair (v, w) picks w: set its bit, w gains a win
-                row_mask |= bit[v][w]
-                wins[w] += 1
-                if wins[w] > target:
-                    ok = False
-            if ok:
-                for w in rest:
-                    if wins[w] + remaining_after < target:
-                        ok = False
-                        break
-            if ok:
-                place_row(v + 1, mask | row_mask)
-            for w in rest:
-                if w not in beaten_set:
-                    wins[w] -= 1
+            child = list(wins[1:])
+            for k in rest:
+                if k not in beaten:
+                    # pair (v, v + k) picks v + k: set its bit, v + k gains a win
+                    row_mask |= row[v + k]
+                    child[k - 1] += 1
+            if max(child) <= target:
+                child = tuple(child)
+                sub = kept.get(child)
+                if sub is None:
+                    sub = completions(child)
+                    if v:  # a row-1 state is reached once: keep none
+                        kept[child] = sub
+                out += [row_mask | c for c in sub]
+        # each row's masks ascend, as its bits lie below the later rows':
+        # the sort merges those runs
+        out.sort()
+        return out
 
-    place_row(0, 0)
-    del place_row  # it refers to itself: drop the cycle, and the bit table with it, now
-    out.sort()
+    out = completions((0,) * m)
+    del completions  # it refers to itself: drop the cycle, the bit table and the kept lists now
     return out
 
 
@@ -186,19 +201,21 @@ def cycle_scan(beats: list) -> tuple | None:
     if there is none.  beats[v] is the vertex bitset of the pairs that
     pick v, for v in 0..m-1.
 
-    Such a z is a vertex beaten by x that beats y, so (x, y) violates
-    the property iff beats[x] and beaten_by[y] are disjoint.
+    Such a z is a vertex beaten by x that beats y, so the y of x's
+    violations are the vertices that beat x outside the union of the
+    beats of the vertices x beats: one union per x, tested once.
     """
     everyone = (1 << len(beats)) - 1
-    beaten_by = [everyone ^ b ^ (1 << v) for v, b in enumerate(beats)]
-    for x, ys in enumerate(beaten_by):
-        wins = beats[x]
-        while ys:
-            low = ys & -ys
-            y = low.bit_length() - 1
-            if not wins & beaten_by[y]:
-                return x, y
-            ys ^= low
+    for x, wins in enumerate(beats):
+        reach = wins | 1 << x  # x, what x beats, and what those beat
+        zs = wins
+        while zs:
+            low = zs & -zs
+            reach |= beats[low.bit_length() - 1]
+            zs ^= low
+        missed = everyone & ~reach
+        if missed:
+            return x, (missed & -missed).bit_length() - 1
     return None
 
 

@@ -640,8 +640,10 @@ def _relabeling_columns(m: int, n: int) -> list:
 
 def tournament_from_mask(mask: int, m: int) -> SelectionStructure:
     """Unpack a pair-bit mask (set bit picks the larger endpoint); a mask
-    outside 0 <= mask < 2**C(m,2) raises OutOfRange."""
-    return SelectionStructure(ground_range(m), 2, _kernels.mask_picks(mask, m))
+    outside 0 <= mask < 2**C(m,2), or a mask or m not an int, raises
+    OutOfRange."""
+    picks = _kernels.mask_picks(mask, m)  # checked before the ground is built
+    return SelectionStructure(ground_range(m), 2, picks)
 
 
 def mask_from_tournament(s: SelectionStructure) -> int:
@@ -652,10 +654,11 @@ def mask_from_tournament(s: SelectionStructure) -> int:
 
 def regular_tournaments(m: int) -> list:
     """Every regular tournament on 0..m-1 (m >= 2), as structures on one
-    shared ground_range(m), ascending by mask (the pruned row search),
-    each mask unpacked through the byte tables of _kernels.mask_picks."""
-    if m < 2:
-        raise OutOfRange(f"a tournament needs m >= 2 points, got {m}")
+    shared ground_range(m), ascending by mask (the row search on states
+    of _kernels.regular_masks_backtracking), each mask unpacked through
+    the byte tables of _kernels.mask_picks."""
+    if type(m) is not int or m < 2:
+        raise OutOfRange(f"a tournament needs an int m >= 2, got {m!r}")
     ground = ground_range(m)
     return [SelectionStructure(ground, 2, _kernels.mask_picks(x, m))
             for x in _kernels.regular_masks_backtracking(m)]

@@ -1,5 +1,6 @@
 """The tournament mask kernels against brute-force references."""
 
+import gc
 import random
 import sys
 from itertools import combinations
@@ -10,6 +11,7 @@ from hypersel import _kernels
 from hypersel.errors import OutOfRange
 from hypersel.structures import (
     mask_from_tournament,
+    regular_tournaments,
     rotational_tournament,
     subset_ranks,
     tournament_from_mask,
@@ -35,7 +37,42 @@ def test_backtracking_equals_exhaustive(m):
 
 
 def test_backtracking_count_seven():
-    assert len(_kernels.regular_masks_backtracking(7)) == A007079[7]
+    # exactly the regular set: each mask is checked from the definition,
+    # with no other search to agree with
+    found = _kernels.regular_masks_backtracking(7)
+    assert len(found) == A007079[7]
+    assert all(a < b for a, b in zip(found, found[1:]))
+    for mask in found:
+        assert set(oracle_scores(tournament_from_mask(mask, 7)).values()) == {3}
+
+
+def test_no_state_outlives_a_call():
+    gc.collect()
+    gc.disable()
+    try:
+        first = _kernels.regular_masks_backtracking(7)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    second = _kernels.regular_masks_backtracking(7)
+    assert first == second and first is not second
+
+
+@pytest.mark.parametrize("call, args, shown", [
+    (_kernels.regular_masks_backtracking, (7.0,), "m must be an int in 1..11, got 7.0"),
+    (_kernels.regular_masks_backtracking, (True,), "m must be an int in 1..11, got True"),
+    (_kernels.regular_masks_exhaustive, (5.0,), "m must be an int in 1..11, got 5.0"),
+    (_kernels.tournament_scores, (5, 3.0), "m must be an int in 1..11, got 3.0"),
+    (_kernels.first_cycle_violation, (3.0, [1]), "m must be an int in 1..11, got 3.0"),
+    (regular_tournaments, (7.0,), "a tournament needs an int m >= 2, got 7.0"),
+    (tournament_from_mask, (1, 3.0), "m must be an int, got 3.0"),
+    (_kernels.mask_picks, (1, 3.0), "m must be an int, got 3.0"),
+    (_kernels.mask_picks, (1.0, 3), "mask must be an int, got 1.0"),
+])
+def test_value_that_is_not_an_int_rejected(call, args, shown):
+    with pytest.raises(OutOfRange) as info:
+        call(*args)
+    assert str(info.value) == shown
 
 
 @pytest.mark.parametrize("m", [0, _kernels.MAX_M + 1])
