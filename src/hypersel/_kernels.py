@@ -4,8 +4,8 @@ The mask format, defined here alone: bit b of an m-vertex mask is the
 rank-b pair (i, j), i < j, in lexicographic order, set when the pair
 picks j.  picks_mask encodes picks; mask_picks decodes a mask a byte at
 a time through per-m tables of byte value -> picks of those 8 pairs.  A
-mask outside 0 <= mask < 2**C(m,2) is rejected (_check_mask) before any
-table is read; a mask or m that is not an int is rejected as well.
+mask or m that is not an int, or a mask outside 0..2**C(m,2) - 1, is
+rejected (errors.check_int) before any table is read.
 beats_from_picks builds the beats bitsets (beats[v]: the vertices w
 whose pair {v, w} picks v) that the score kernel and the 3-cycle scan,
 cycle_scan, read; the scan takes one union of beats per vertex.
@@ -21,29 +21,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import OutOfRange
+from .errors import check_int
 
 BACKEND = "pure"
 # the largest m the kernels take; it bounds each call's pair-bit table and the kept byte tables
 MAX_M = 11
-
-
-def _check_m(m: int) -> None:
-    if type(m) is not int or not 1 <= m <= MAX_M:
-        raise OutOfRange(f"m must be an int in 1..{MAX_M}, got {m!r}")
-
-
-def _check_mask(mask: int, m: int) -> None:
-    """OutOfRange unless mask has a bit for each of the C(m,2) pairs and
-    no other; a mask or an m that is not an int is rejected, shown by its
-    repr."""
-    if type(m) is not int:
-        raise OutOfRange(f"m must be an int, got {m!r}")
-    if type(mask) is not int:
-        raise OutOfRange(f"mask must be an int, got {mask!r}")
-    pairs = m * (m - 1) // 2 if m > 0 else 0
-    if not 0 <= mask < 1 << pairs:
-        raise OutOfRange(f"mask out of range for {m} points: need 0 <= mask < 2**{pairs}")
 
 
 class _ByteTable(dict):
@@ -76,7 +58,8 @@ _kept_byte_tables = lru_cache(maxsize=None)(_byte_tables)
 def mask_picks(mask: int, m: int) -> tuple:
     """The picks of a mask's pairs in rank order (set bit picks the
     larger endpoint), read a byte at a time."""
-    _check_mask(mask, m)
+    check_int("m", m, 0)
+    check_int("mask", mask, 0, (1 << m * (m - 1) // 2) - 1)  # a bit per pair
     picks = []  # a list: adding to a tuple copies it, quadratic at large m
     for table in (_kept_byte_tables if 2 <= m <= MAX_M else _byte_tables)(m):
         picks += table[mask & 255]
@@ -108,7 +91,7 @@ def beats_from_picks(pairs, picks, m: int) -> list:
 
 def tournament_scores(mask: int, m: int) -> tuple:
     """Number of pairs picking each vertex, indexed by vertex."""
-    _check_m(m)
+    check_int("m", m, 1, MAX_M)
     beats = beats_from_picks(combinations(range(m), 2), mask_picks(mask, m), m)
     return tuple(b.bit_count() for b in beats)
 
@@ -123,7 +106,7 @@ def _pair_bits(m: int) -> tuple:
 
 def regular_masks_exhaustive(m: int) -> list:
     """All constant-score tournament masks, by full scan of 2^C(m,2)."""
-    _check_m(m)
+    check_int("m", m, 1, MAX_M)
     if m % 2 == 0:  # m does not divide C(m, 2)
         return []
     target = (m - 1) // 2
@@ -155,7 +138,7 @@ def regular_masks_backtracking(m: int) -> list:
     reached once, as each row 0 leaves the later vertices a win pattern
     of its own.
     """
-    _check_m(m)
+    check_int("m", m, 1, MAX_M)
     if m % 2 == 0:  # m does not divide C(m, 2)
         return []
     target = (m - 1) // 2
@@ -222,7 +205,7 @@ def cycle_scan(beats: list) -> tuple | None:
 def first_cycle_violation(m: int, masks) -> tuple | None:
     """First (mask, x, y) with (x, y) the cycle_scan of the tournament
     packed in mask; None if every mask satisfies the property."""
-    _check_m(m)
+    check_int("m", m, 1, MAX_M)
     pairs = tuple(combinations(range(m), 2))
     for mask in masks:
         found = cycle_scan(beats_from_picks(pairs, mask_picks(mask, m), m))

@@ -44,6 +44,7 @@ from .errors import (
     NotNice,
     OutOfRange,
     SizeMismatch,
+    check_int,
 )
 from .extension import subset_scores
 from .verdict import PASS, Verdict, fail
@@ -308,9 +309,9 @@ def build_selection_from_nice(
     receives the composed transfer from the base; a covered subset selects its
     point inside the transferred member.  All transfers must be bijective.
     Families with no members have no member to base a component on:
-    HypothesisViolated.  A bases key naming no component, a value not a
-    (family, member) pair, a family outside its component or a member not an
-    int in 0..m-1 is OutOfRange.  At arity 0 the one subset is the empty one.
+    HypothesisViolated.  A bases key not an int naming a component, a value
+    not a (family, member) pair, a family outside its component or a member
+    not an int in 0..m-1 is OutOfRange.  At arity 0 the one subset is empty.
     """
     if system.families and system.arity == 0:
         raise HypothesisViolated("families have no members")
@@ -321,9 +322,8 @@ def build_selection_from_nice(
     model = system.model
     m = system.arity
     comps = chain_classes(system)
-    bad = [ci for ci in bases or () if type(ci) is not int or not 0 <= ci < len(comps)]
-    if bad:
-        raise OutOfRange(f"base key {bad[0]!r} names no component")
+    for ci in bases or ():
+        check_int("base key", ci, 0, len(comps) - 1)
     chosen_bases = []
     targets: dict = {}  # family -> member holding its component's value
     for ci, comp in enumerate(comps):
@@ -331,13 +331,13 @@ def build_selection_from_nice(
             if not isinstance(bases[ci], (tuple, list)) or len(bases[ci]) != 2:
                 raise OutOfRange(f"base {bases[ci]!r} is not a (family, member) pair")
             base_f, base_m = bases[ci]
-            if type(base_f) is not int or base_f not in comp:
-                raise OutOfRange(f"base family {base_f!r} not in component {comp}")
+            check_int("base family", base_f, comp[0], comp[-1])
+            if base_f not in comp:
+                raise OutOfRange(f"base family {base_f} not in component {comp}")
         else:
             base_f = min(comp, key=graph.keys.__getitem__)
             base_m = 0
-        if type(base_m) is not int or not 0 <= base_m < m:
-            raise OutOfRange(f"base member {base_m!r} out of range")
+        check_int("base member", base_m, 0, m - 1)
         chosen_bases.append((base_f, base_m))
         labels, conflict = _labels_from(base_f, graph)
         if conflict is not None:
@@ -380,14 +380,11 @@ def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
     families coincide or are disjoint, so the result is nice however
     the regular sets interleave.
     """
-    if n < 2 or n % 2 != 0:
+    pairs = model.selection.level(2)  # a missing pair level raises before n's range check
+    check_int("n", n, 2, model.size - 1)
+    if n % 2:
         raise OutOfRange(f"need even n >= 2, got {n}")
-    m = n + 1
-    pairs = model.selection.level(2)  # a missing pair level raises before the size check
-    if m > model.size:
-        raise OutOfRange(f"model has fewer than {m} points")
-    # past the size check: a huge m overflows combinations
-    regular = [s for s in combinations(range(model.size), m)
+    regular = [s for s in combinations(range(model.size), n + 1)
                if len(set(subset_scores(pairs, s))) <= 1]
     a, b, _ = _radius(model, range(model.size), 0)  # half the least gap
     around = _members(model, range(model.size), a, b)
@@ -399,8 +396,7 @@ def regular_class_cover_check(system: FamilySystem, n: int) -> Verdict:
     exactly when their pair restriction is regular, both read in one walk
     in rank order; the witness is the first offending point tuple.  With
     fewer than n + 1 points there is no such set, and the check passes."""
-    if n < 1:
-        raise OutOfRange(f"need n >= 1, got {n}")
+    check_int("n", n, 1)
     model = system.model
     m = n + 1
     pairs = model.selection.level(2)  # a missing pair level raises before the size check

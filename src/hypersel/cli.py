@@ -41,6 +41,7 @@ from .errors import (
     HyperselError,
     HypothesisViolated,
     NotNice,
+    check_int,
 )
 from .extension import extend_selection, least_small_class, partition_types
 from .obstruction import obstruction_table, table_tsv
@@ -283,10 +284,8 @@ def main(argv: Optional[list] = None) -> int:
     args = _parser().parse_args(argv)
     if args.format is None:
         args.format = "tsv" if args.command == "obstruct" else "json"
-    if args.budget <= 0:
-        print("hypersel: budget must be positive", file=sys.stderr)
-        return 2
     try:
+        check_int("budget", args.budget, 1)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"hypersel: budget exceeded: {exc}", file=sys.stderr)

@@ -14,14 +14,14 @@ always emit the slash form, readers also accept a bare integer).
 Readers reject unknown fields.  Writers emit subset labels in carrier
 order and choices in subset-rank order, and dumps renders every document
 and report as one line of compact ASCII JSON with sorted keys, so equal
-objects serialize to equal bytes.  Readers resolve each distinct label
-string to its carrier index once (in a model after the fraction parse,
-so "2/4" is "1/2"), and reject a subset listed twice under any spelling.
-Choices laid out as the writers lay them out are read by one positional
-pass that matches each record to the next subset in rank order; any
-other list is read record by record through the per-field checks, whose
-messages name the first fault: a label outside the carrier at its
-record, any other fault of the table in the rank-order walk.
+objects serialize to equal bytes.  Choices laid out as the writers lay
+them out are read by one positional pass that matches each record to
+the next subset in rank order, each carrier string resolved to its index
+once; any other list is read record by record through the per-field
+checks, each label resolved where it stands (in a model after the
+fraction parse, so "2/4" is "1/2"), whose messages name the first fault:
+a label outside the carrier at its record, a subset listed twice under
+any spelling, any other fault of the table in the rank-order walk.
 A model's carrier reuses the Fractions parsed from its points.
 """
 
@@ -121,7 +121,6 @@ def _int(x: Any, where: str) -> int:
     return x
 
 
-_CHOICE_KEYS = frozenset(("subset", "pick"))
 _INTERVAL_KEYS = frozenset(("lo", "hi"))
 _FAMILY_KEYS = frozenset(("intervals",))
 
@@ -166,39 +165,34 @@ def _positional_levels(doc: Any, carrier: GroundSet, strings: tuple,
     return levels
 
 
-def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
-                  parse: bool) -> dict:
+def _read_choices(doc: Any, where: str, carrier: GroundSet, parse: bool = False) -> dict:
     """Choice records to the index table partial_from_indices takes,
-    through the per-field checks in record order; each string not in
-    strings (the carrier) resolved once, and a label outside the carrier
+    through the per-field checks in record order; each label (a fraction
+    when parse is set) looked up in the carrier, and one outside it
     rejected at its record, subset labels in list order before the pick."""
     if not isinstance(doc, list):
         raise DocumentError(f"{where}: expected a list of choice records")
-    ids = dict(zip(strings, range(len(strings))))
 
     def resolve(x: str, r: int, field: str) -> int:
-        label = parse_fraction(x, f"{where}.{field}") if parse else x
         try:
-            ids[x] = i = carrier.index(label)
+            return carrier.index(parse_fraction(x, f"{where}.{field}") if parse else x)
         except OutOfRange:
             raise DocumentError(f"{where}[{r}].{field}: {x!r} is not a carrier label") from None
-        return i
 
     table: dict = {}
     for r, rec in enumerate(doc):
-        if not (isinstance(rec, dict) and rec.keys() == _CHOICE_KEYS):
-            _check_fields(rec, ("subset", "pick"), f"{where}[{r}]")
+        _check_fields(rec, ("subset", "pick"), f"{where}[{r}]")
         subset, pick = rec["subset"], rec["pick"]
         if not (isinstance(subset, list) and all(isinstance(x, str) for x in subset)):
             raise DocumentError(f"{where}[{r}].subset: expected a list of strings")
         if not isinstance(pick, str):
             raise DocumentError(f"{where}[{r}].pick: expected a string")
-        key = tuple(sorted({ids[x] if x in ids else resolve(x, r, "subset") for x in subset}))
+        key = tuple(sorted({resolve(x, r, "subset") for x in subset}))
         if len(key) != len(subset):
             raise DocumentError(f"{where}[{r}].subset: repeated labels")
         if key in table:
             raise DocumentError(f"{where}[{r}].subset: duplicate subset")
-        table[key] = ids[pick] if pick in ids else resolve(pick, r, "pick")
+        table[key] = resolve(pick, r, "pick")
     return table
 
 
@@ -241,8 +235,7 @@ def read_selection(doc: Any) -> SelectionStructure:
     levels = _positional_levels(doc["choices"], ground, strings, range(n, n + 1))
     if levels is not None:
         return levels[n]
-    return index_selection(ground, n, _read_choices(
-        doc["choices"], "selection.choices", ground, strings, False))
+    return index_selection(ground, n, _read_choices(doc["choices"], "selection.choices", ground))
 
 
 # -- partial selections --------------------------------------------------
@@ -279,7 +272,7 @@ def _read_partial(doc: Any, parsed: Optional[dict]) -> PartialSelection:
     if levels is not None:
         return PartialSelection(carrier, mode, bound, levels)
     return partial_from_indices(carrier, mode, bound, _read_choices(
-        doc["choices"], "partial.choices", carrier, strings, parsed is not None))
+        doc["choices"], "partial.choices", carrier, parsed is not None))
 
 
 # -- interval families ---------------------------------------------------

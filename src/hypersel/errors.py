@@ -4,7 +4,9 @@ Every fault a caller can provoke raises a ``HyperselError``, whose class
 names a kind of fault, not a call site, so tests and the CLI match on type.
 Broken internal invariants (a check that holds for every valid input) are
 ``BrokenInvariant``, raised explicitly, never through a bare ``assert``, so
-the checks survive ``python -O``.  Any other exception is a bug.
+the checks survive ``python -O``.  Any other exception is a bug.  The one
+int check, check_int, says "m must be an int in 1..11, got 12", or "p must
+be an int, got 2.0" with no bounds.
 """
 
 
@@ -92,3 +94,21 @@ class NonBijectiveTransfer(HyperselError):
 
 class DocumentError(HyperselError):
     """A JSON document is malformed or carries unknown fields."""
+
+
+def _shown(x) -> str:
+    try:
+        return repr(x)
+    except ValueError:  # an int past the interpreter's digit limit: its bit length
+        return f"an int of {x.bit_length()} bits"
+
+
+def check_int(name: str, value, lo=None, hi=None) -> None:
+    """OutOfRange naming the argument, its domain and the value unless value is
+    an int (not a bool) in lo..hi; None leaves a bound open, hi only with lo."""
+    if type(value) is int and (lo is None or lo <= value) and (hi is None or value <= hi):
+        return
+    if lo is None:
+        raise OutOfRange(f"{name} must be an int, got {_shown(value)}")
+    domain = f">= {_shown(lo)}" if hi is None else f"in {_shown(lo)}..{_shown(hi)}"
+    raise OutOfRange(f"{name} must be an int {domain}, got {_shown(value)}")

@@ -30,6 +30,8 @@ from .errors import (
     OutOfRange,
     RegularInput,
     SizeMismatch,
+    _shown,
+    check_int,
 )
 from .obstruction import is_prime
 from .structures import (
@@ -54,18 +56,15 @@ MODE_EXACT = "exact"
 def admissible_sizes(mode: str, bound: int) -> range:
     """Subset sizes a selection of this mode and bound is defined on:
     1..bound for "upto", only bound for "exact"."""
-    if mode == MODE_UPTO:
-        return range(1, bound + 1)
-    return range(bound, bound + 1)
+    check_int("bound", bound)
+    return range(1 if mode == MODE_UPTO else bound, bound + 1)
 
 
 def _check_domain(carrier: GroundSet, mode: str, bound: int) -> None:
     if mode not in (MODE_UPTO, MODE_EXACT):
         raise OutOfRange(f"unknown mode {mode!r}")
     # upto 0 is the empty selection (legal on an empty carrier)
-    least = 0 if mode == MODE_UPTO else 1
-    if not least <= bound <= carrier.size:
-        raise OutOfRange(f"bound {bound} out of range for carrier of size {carrier.size}")
+    check_int("bound", bound, 0 if mode == MODE_UPTO else 1, carrier.size)
 
 
 @dataclass(frozen=True)
@@ -162,6 +161,7 @@ def random_partial(
 def restrict(f: PartialSelection, subset: Iterable[Label], n: int) -> SelectionStructure:
     """f viewed as an arity-n structure on a subset of its carrier,
     label order inherited from the carrier."""
+    check_int("n", n)
     level = f.level(n)
     idx = tuple(sorted(f.carrier.index(x) for x in subset))
     ground = GroundSet(tuple(f.carrier.labels[i] for i in idx))
@@ -187,9 +187,9 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     Subsets are visited in rank order, so class insertion order and
     member order are deterministic.
     """
-    f.level(n)  # an arity outside the mode raises before the range check
-    if not n <= m <= f.carrier.size:
-        raise OutOfRange(f"need n <= m <= carrier size, got n={n}, m={m}")
+    check_int("n", n)
+    f.level(n)  # an arity outside the mode raises before m's range check
+    check_int("m", m, n, f.carrier.size)
     classes: dict = {}
     for s in combinations(range(f.carrier.size), m):
         labels = tuple(f.carrier.labels[i] for i in s)
@@ -228,7 +228,7 @@ def _least_small_level(w: Sequence[int]):
 def least_small_class(g: SelectionStructure, m: int):
     """(r0, Q): the least score r with 0 < |Q(r)| <= m/2, and that class."""
     if g.size != m:
-        raise SizeMismatch(f"structure lives on {g.size} elements, not {m}")
+        raise SizeMismatch(f"structure lives on {g.size} elements, not {_shown(m)}")
     w = score_vector(g)
     if len(set(w)) <= 1:
         raise RegularInput("level-class split undefined for regular structures")
@@ -243,22 +243,23 @@ def check_extension(f: PartialSelection, m: int, p: int) -> None:
     restriction non-regular, so the level-class rule is total.  p is
     tested for primality only once it is known to be at most the bound,
     so a huge p costs nothing."""
+    check_int("m", m)
+    check_int("p", p)
     if f.mode != MODE_UPTO:
         raise HypothesisViolated("extension needs an up-to-k selection")
     if p > f.bound:
-        raise HypothesisViolated(f"need p <= bound, got p={p}, bound={f.bound}")
+        raise HypothesisViolated(f"need p <= bound, got p={_shown(p)}, bound={f.bound}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if m > 2 * f.bound:
-        raise HypothesisViolated(f"need m/2 <= bound, got m={m}, bound={f.bound}")
+        raise HypothesisViolated(f"need m/2 <= bound, got m={_shown(m)}, bound={f.bound}")
     if m % p != 0:
         raise HypothesisViolated(f"{p} does not divide {m}")
     if m > f.carrier.size:
         raise HypothesisViolated(
             f"m={m} exceeds carrier size {f.carrier.size}"
         )
-    if m < p:  # p | m leaves only m <= 0 here
-        raise OutOfRange(f"need n <= m <= carrier size, got n={p}, m={m}")
+    check_int("m", m, p, f.carrier.size)  # p | m leaves only m <= 0 below p here
 
 
 def extend_selection(f: PartialSelection, m: int, p: int) -> PartialSelection:

@@ -27,7 +27,7 @@ import math
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .errors import BrokenInvariant, NotPrime, OutOfRange
+from .errors import BrokenInvariant, NotPrime, check_int
 from .structures import (
     DEFAULT_BUDGET,
     SelectionStructure,
@@ -53,11 +53,13 @@ def _least_factor(k: int) -> int:
 
 
 def is_prime(k: int) -> bool:
+    check_int("k", k)
     return k >= 2 and _least_factor(k) == k
 
 
 def prime_divisors(m: int) -> list:
     """The distinct primes dividing m >= 1, ascending."""
+    check_int("m", m, 1)
     out = []
     while m > 1:
         d = _least_factor(m)
@@ -97,6 +99,8 @@ def _carries_enough(m: int, n: int, q: int) -> bool:
 def divides_binom(m: int, n: int) -> bool:
     """m | C(m,n) for 0 <= n <= m, without C(m,n): as n*C(m,n) = m*C(m-1,n-1), a prime
     of m but not n divides C(m,n) at least as often as m, so gcd(m, n)'s primes decide."""
+    check_int("m", m, 1)
+    check_int("n", n, 0, m)
     for q in prime_divisors(math.gcd(m, n)):  # a loop, not all(): no generator per call
         if not _carries_enough(m, n, q):
             return False
@@ -106,8 +110,8 @@ def divides_binom(m: int, n: int) -> bool:
 def regular_score_value(m: int, n: int) -> Optional[int]:
     """C(m,n)/m when integral, else None (then no regular structure exists).
     The binomial is computed only when m divides it."""
-    if not 1 <= n <= m:
-        raise OutOfRange(f"need 1 <= n <= m, got n={n}, m={m}")
+    check_int("m", m, 1)
+    check_int("n", n, 1, m)
     return math.comb(m, n) // m if divides_binom(m, n) else None
 
 
@@ -149,8 +153,8 @@ def prime_obstruction_holds(m: int, p: int) -> ObstructionCertificate:
     With p | m the verdict is always regular-impossible and the residue
     is always 1; both facts are recomputed, never assumed.
     """
-    if not 2 <= p <= m:
-        raise OutOfRange(f"need 2 <= p <= m, got p={p}, m={m}")
+    check_int("m", m, 2)
+    check_int("p", p, 2, m)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     binom = math.comb(m, p)
@@ -186,6 +190,7 @@ def search_regular(m: int, n: int, budget: int = DEFAULT_BUDGET) -> SearchResult
     """Constant-score arity-n structure on m elements by augmenting paths, which
     exist by flow integrality once m | C(m,n): each subset in rank order searches
     from its members, least loaded first, through the subsets picking full ones."""
+    check_int("budget", budget, 1)
     target = regular_score_value(m, n)
     if target is None:
         return _PROVEN_NONE
@@ -243,8 +248,7 @@ def obstruction_table(max_m: int) -> list:
     with cofactor k = m/p >= 2, it steps from C(kq,q) for the prime q
     before p, whose row came earlier (see the module docstring); the
     least prime above _STEP_ABOVE has no such q and takes math.comb's."""
-    if not 2 <= max_m <= MAX_TABLE_M:
-        raise OutOfRange(f"need 2 <= max_m <= {MAX_TABLE_M}, got {max_m}")
+    check_int("max_m", max_m, 2, MAX_TABLE_M)
     rows = []
     last = {}  # cofactor k -> (q, C(kq,q)) of its latest row with q > _STEP_ABOVE
     for m in range(2, max_m + 1):

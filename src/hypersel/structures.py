@@ -35,6 +35,8 @@ from .errors import (
     NotRegular,
     OutOfRange,
     SizeMismatch,
+    _shown,
+    check_int,
 )
 from .verdict import PASS, Verdict, fail
 
@@ -52,6 +54,8 @@ def subset_ranks(m: int, n: int):
     kept); any other is built for its caller and never stored."""
     table = _kept.get((m, n))
     if table is None:
+        check_int("m", m, 0)  # checked only when no table is kept: (2.0, 2) finds (2, 2)'s
+        check_int("n", n, 0)
         subs = tuple(combinations(range(m), n))
         table = subs, {s: r for r, s in enumerate(subs)}
         if 0 < len(subs) * n * m <= _KEPT_WEIGHT:
@@ -61,11 +65,13 @@ def subset_ranks(m: int, n: int):
 
 @dataclass(frozen=True)
 class GroundSet:
-    """Finite ordered carrier; the label order fixes subset ranks."""
+    """Finite ordered carrier; the label order, kept as a tuple, fixes subset ranks."""
 
     labels: tuple
 
     def __post_init__(self):
+        if type(self.labels) is not tuple:
+            object.__setattr__(self, "labels", tuple(self.labels))
         if len(set(self.labels)) != len(self.labels):
             raise DuplicateLabel(f"repeated labels in {self.labels!r}")
 
@@ -90,20 +96,16 @@ class GroundSet:
 
 
 def ground_range(m: int) -> GroundSet:
+    check_int("m", m, 0)
     return GroundSet(tuple(range(m)))
-
-
-def _check_arity(n: int, m: int) -> None:
-    if not 1 <= n <= m:
-        raise OutOfRange(f"arity {n} out of range for ground of size {m}")
 
 
 @dataclass(frozen=True)
 class SelectionStructure:
     """Total choice function on the n-subsets of a ground set.
 
-    picks[r] is the ground index chosen from the rank-r subset, ranks
-    following the lexicographic order of sorted index tuples.
+    picks[r] (stored as a tuple) is the ground index chosen from the rank-r
+    subset, ranks following the lexicographic order of sorted index tuples.
     """
 
     ground: GroundSet
@@ -112,8 +114,10 @@ class SelectionStructure:
     table: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if type(self.picks) is not tuple:
+            object.__setattr__(self, "picks", tuple(self.picks))
         m = self.ground.size
-        _check_arity(self.n, m)
+        check_int("arity", self.n, 1, m)
         object.__setattr__(self, "table", subset_ranks(m, self.n))
         subs = self.table[0]
         if len(self.picks) != len(subs):
@@ -162,7 +166,7 @@ def index_selection(ground: GroundSet, n: int, table: Mapping) -> SelectionStruc
     no ground index by its repr): the first subset in rank order with no
     pick or a pick outside it, then any entry that is not an n-subset."""
     m = ground.size
-    _check_arity(n, m)
+    check_int("arity", n, 1, m)
     names = ground.labels
     picks = []
     for s in combinations(range(m), n):
@@ -171,7 +175,7 @@ def index_selection(ground: GroundSet, n: int, table: Mapping) -> SelectionStruc
             named = [names[i] for i in s]
             if v is None:
                 raise MissingSubset(f"no choice for subset {named}")
-            shown = repr(names[v]) if type(v) is int and 0 <= v < m else f"pick {v!r}"
+            shown = repr(names[v]) if type(v) is int and 0 <= v < m else f"pick {_shown(v)}"
             raise ChoiceOutsideSubset(f"{shown} not in subset {named}")
         picks.append(v)
     if len(table) != len(picks):
@@ -187,7 +191,7 @@ def _check_rule(rule: str) -> None:
 def selection_from_order(ground: GroundSet, n: int, rule: str) -> SelectionStructure:
     """Structure picking the least ("min") or greatest ("max") index."""
     _check_rule(rule)
-    _check_arity(n, ground.size)
+    check_int("arity", n, 1, ground.size)
     picks = tuple(s[0] if rule == "min" else s[-1] for s in combinations(range(ground.size), n))
     return SelectionStructure(ground, n, picks)
 
@@ -195,10 +199,9 @@ def selection_from_order(ground: GroundSet, n: int, rule: str) -> SelectionStruc
 def rotational_tournament(m: int) -> SelectionStructure:
     """Tournament on 0..m-1 (m odd) where {i,j}, i<j, picks j iff
     (j - i) mod m <= (m-1)/2.  Constant score (m-1)/2."""
+    check_int("m", m, 3)
     if m % 2 == 0:
-        raise OutOfRange(f"rotational tournament needs odd m, got {m}")
-    if m < 3:
-        raise OutOfRange(f"rotational tournament needs m >= 3, got {m}")
+        raise OutOfRange(f"rotational tournament needs odd m, got {_shown(m)}")
     half = (m - 1) // 2
     picks = tuple(j if (j - i) % m <= half else i for i, j in combinations(range(m), 2))
     return SelectionStructure(ground_range(m), 2, picks)
@@ -537,13 +540,15 @@ def enumerate_selections(
     budget raises BudgetExceeded, eagerly (before any table is built)
     when the labeled structures alone are too many.
     """
-    _check_arity(n, m)
+    check_int("m", m, 1)
+    check_int("arity", n, 1, m)
+    check_int("budget", budget, 1)
     # C(m, n) >= 2**min(n, m - n): past the budget's bit length it is
     # over budget, and comb is not computed (it could take minutes)
     over = min(n, m - n) >= budget.bit_length()
     count = budget + 1 if over else math.comb(m, n)
     if count > budget:
-        raise BudgetExceeded(f"C({m},{n}) cells per structure exceed budget {budget}")
+        raise BudgetExceeded(f"C({_shown(m)},{n}) cells per structure exceed budget {budget}")
     # only whether there are more than budget // count structures
     # matters, so n**count >= 2**(count * (bits of n - 1)) is not
     # computed once that bound passes cap
@@ -640,7 +645,7 @@ def _relabeling_columns(m: int, n: int) -> list:
 
 def tournament_from_mask(mask: int, m: int) -> SelectionStructure:
     """Unpack a pair-bit mask (set bit picks the larger endpoint); a mask
-    outside 0 <= mask < 2**C(m,2), or a mask or m not an int, raises
+    outside 0..2**C(m,2) - 1, or a mask or m not an int, raises
     OutOfRange."""
     picks = _kernels.mask_picks(mask, m)  # checked before the ground is built
     return SelectionStructure(ground_range(m), 2, picks)
@@ -653,12 +658,11 @@ def mask_from_tournament(s: SelectionStructure) -> int:
 
 
 def regular_tournaments(m: int) -> list:
-    """Every regular tournament on 0..m-1 (m >= 2), as structures on one
-    shared ground_range(m), ascending by mask (the row search on states
-    of _kernels.regular_masks_backtracking), each mask unpacked through
-    the byte tables of _kernels.mask_picks."""
-    if type(m) is not int or m < 2:
-        raise OutOfRange(f"a tournament needs an int m >= 2, got {m!r}")
+    """Every regular tournament on 0..m-1, 2 <= m <= _kernels.MAX_M, as
+    structures on one shared ground_range(m), ascending by mask (the row
+    search on states of _kernels.regular_masks_backtracking), each mask
+    unpacked through the byte tables of _kernels.mask_picks."""
+    check_int("m", m, 2, _kernels.MAX_M)
     ground = ground_range(m)
     return [SelectionStructure(ground, 2, _kernels.mask_picks(x, m))
             for x in _kernels.regular_masks_backtracking(m)]

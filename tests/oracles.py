@@ -343,7 +343,7 @@ def oracle_make_selection(ground: GroundSet, n: int, table) -> SelectionStructur
         raise MissingSubset("table keys collapse when read as sets")
     m = ground.size
     if not 1 <= n <= m:
-        raise OutOfRange(f"arity {n} out of range for ground of size {m}")
+        raise OutOfRange(f"arity must be an int in 1..{m}, got {n}")
     labels = ground.labels
     position = {x: i for i, x in enumerate(labels)}
     picks = []

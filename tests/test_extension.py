@@ -182,7 +182,7 @@ class TestPartialSelection:
         (lambda g, b: random_partial(g, b, random.Random(1), "exact"), -2),
     ], ids=["order_partial-0", "order_partial--1", "random_partial-0", "random_partial--2"])
     def test_builders_reject_a_bound_before_any_level(self, build, bound):
-        with pytest.raises(OutOfRange, match=f"^bound {bound} out of range for carrier of size 3$"):
+        with pytest.raises(OutOfRange, match=f"^bound must be an int in 1..3, got {bound}$"):
             build(ground_range(3), bound)
 
     @pytest.mark.parametrize("bound", [0, 2])
@@ -289,6 +289,9 @@ class TestLeastSmallClass:
     def test_ground_size_checked(self):
         with pytest.raises(SizeMismatch, match="^structure lives on 3 elements, not 4$"):
             least_small_class(selection_from_order(ground_range(3), 2, "min"), 4)
+        # an m past the interpreter's digit limit is named by its bit length
+        with pytest.raises(SizeMismatch, match="^structure lives on 3 elements, not an int of 16610 bits$"):
+            least_small_class(selection_from_order(ground_range(3), 2, "min"), 10**5000)
 
 
 class TestSubsetScores:
@@ -322,7 +325,7 @@ class TestPartitionTypes:
 
     def test_m_above_the_carrier_rejected(self):
         f = order_partial(ground_range(8), 3, "min")
-        with pytest.raises(OutOfRange, match="^need n <= m <= carrier size, got n=2, m=9$"):
+        with pytest.raises(OutOfRange, match="^m must be an int in 2..8, got 9$"):
             partition_types(f, 9, 2)
 
 

@@ -20,6 +20,7 @@ from hypersel.structures import (
 from oracles import oracle_cycle_violation, oracle_scores
 
 A007079 = {1: 1, 3: 2, 5: 24, 7: 2640}  # labeled regular tournaments
+HUGE = 10**5000  # past the 4,300-digit limit on printing an int
 
 
 def test_backend_and_entry_points():
@@ -64,10 +65,24 @@ def test_no_state_outlives_a_call():
     (_kernels.regular_masks_exhaustive, (5.0,), "m must be an int in 1..11, got 5.0"),
     (_kernels.tournament_scores, (5, 3.0), "m must be an int in 1..11, got 3.0"),
     (_kernels.first_cycle_violation, (3.0, [1]), "m must be an int in 1..11, got 3.0"),
-    (regular_tournaments, (7.0,), "a tournament needs an int m >= 2, got 7.0"),
-    (tournament_from_mask, (1, 3.0), "m must be an int, got 3.0"),
-    (_kernels.mask_picks, (1, 3.0), "m must be an int, got 3.0"),
-    (_kernels.mask_picks, (1.0, 3), "mask must be an int, got 1.0"),
+    (regular_tournaments, (7.0,), "m must be an int in 2..11, got 7.0"),
+    (tournament_from_mask, (1, 3.0), "m must be an int >= 0, got 3.0"),
+    (_kernels.mask_picks, (1, 3.0), "m must be an int >= 0, got 3.0"),
+    (_kernels.mask_picks, (1.0, 3), "mask must be an int in 0..7, got 1.0"),
+    *[(call, args, f"m must be an int in 1..11, got an int of {HUGE.bit_length()} bits")
+      for call, args in [(_kernels.regular_masks_backtracking, (HUGE,)),
+                         (_kernels.regular_masks_exhaustive, (HUGE,)),
+                         (_kernels.tournament_scores, (0, HUGE)),
+                         (_kernels.first_cycle_violation, (HUGE, []))]],
+    *[(regular_tournaments, (m,), f"m must be an int in 2..11, got {shown}")
+      for m, shown in [(True, "True"), (None, "None"), ("2", "'2'"), (1, "1"), (12, "12"),
+                       (HUGE, f"an int of {HUGE.bit_length()} bits")]],
+    *[(call, (0, m), f"m must be an int >= 0, got {shown}")
+      for call in (_kernels.mask_picks, tournament_from_mask)
+      for m, shown in [(True, "True"), (None, "None"), ("2", "'2'"), (-1, "-1")]],
+    *[(_kernels.mask_picks, (mask, 3), f"mask must be an int in 0..7, got {shown}")
+      for mask, shown in [(2.0, "2.0"), (True, "True"), (None, "None"), ("2", "'2'"), (-1, "-1"),
+                          (8, "8"), (HUGE, f"an int of {HUGE.bit_length()} bits")]],
 ])
 def test_value_that_is_not_an_int_rejected(call, args, shown):
     with pytest.raises(OutOfRange) as info:
@@ -190,7 +205,7 @@ class TestMaskPicks:
         big = (1 << 44850) // 7  # 300 points
         assert _kernels.mask_picks(big, 300) == bitwise_picks(big, 300)
         tournament_from_mask(0, 12)
-        assert _kernels.mask_picks(0, 1) == _kernels.mask_picks(0, -3) == ()
+        assert _kernels.mask_picks(0, 1) == _kernels.mask_picks(0, 0) == ()
         assert _kernels._kept_byte_tables.cache_info().currsize == kept
 
 
@@ -199,7 +214,7 @@ class TestMaskRange:
     @pytest.mark.parametrize("high", [False, True])
     def test_rejected_by_every_reader(self, m, high):
         mask = 1 << pair_count(m) if high else -1
-        message = rf"^mask out of range for {m} points: need 0 <= mask < 2\*\*{pair_count(m)}$"
+        message = rf"^mask must be an int in 0\.\.{(1 << pair_count(m)) - 1}, got {mask}$"
         with pytest.raises(OutOfRange, match=message):
             tournament_from_mask(mask, m)
         with pytest.raises(OutOfRange, match=message):
@@ -216,7 +231,7 @@ class TestMaskRange:
         assert _kernels.first_cycle_violation(1, [0]) is None
 
     def test_huge_mask_is_not_printed(self):
-        with pytest.raises(OutOfRange, match=r"2\*\*10$"):
+        with pytest.raises(OutOfRange, match=r"^mask must be an int in 0\.\.1023, got an int of 100001 bits$"):
             tournament_from_mask(1 << 100_000, 5)
 
 

@@ -125,6 +125,34 @@ class TestGroundSet:
             g.index("w")
 
 
+class TestSequenceFields:
+    """A ground's labels and a structure's picks given as a list are
+    stored as a tuple, so equality, hashing and relabeling read them as
+    they read a tuple."""
+
+    def test_list_ground_is_hashable_for_isomorphism(self):
+        s = selection_from_order(GroundSet(["a", "b", "c"]), 2, "min")
+        assert type(s.ground.labels) is tuple
+        assert are_isomorphic(s, s) is not None
+
+    def picks(self):
+        g = ground_range(3)
+        return SelectionStructure(g, 2, [0, 0, 1]), SelectionStructure(g, 2, (0, 0, 1))
+
+    def test_list_picks_equal_tuple_picks(self):
+        s, t = self.picks()
+        assert type(s.picks) is tuple and s == t
+
+    def test_list_picks_identity_is_an_isomorphism(self):
+        s, t = self.picks()
+        identity = IsoMap(s.ground, t.ground, s.ground.labels)
+        assert is_isomorphism(s, t, identity) and is_isomorphism(t, s, identity)
+
+    def test_list_picks_are_isomorphic(self):
+        s, t = self.picks()
+        assert are_isomorphic(s, t).images == (0, 1, 2)
+
+
 class TestConstruction:
     def test_totality_enforced(self):
         table = pick_table(range(4), 2, min)
@@ -212,11 +240,11 @@ class TestConstruction:
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_order_rule_rejects_an_arity_before_any_table(self, n):
-        with pytest.raises(OutOfRange, match=f"^arity {n} out of range for ground of size 3$"):
+        with pytest.raises(OutOfRange, match=f"^arity must be an int in 1..3, got {n}$"):
             selection_from_order(ground_range(3), n, "min")
 
     def test_arity_and_table_length_checked(self):
-        with pytest.raises(OutOfRange, match="^arity 0 out of range for ground of size 3$"):
+        with pytest.raises(OutOfRange, match="^arity must be an int in 1..3, got 0$"):
             SelectionStructure(ground_range(3), 0, ())
         with pytest.raises(MissingSubset, match="^expected 3 choices, got 2$"):
             SelectionStructure(ground_range(3), 2, (0, 0))
@@ -248,7 +276,7 @@ class TestRotational:
             rotational_tournament(4)
 
     def test_single_point_rejected(self):
-        with pytest.raises(OutOfRange, match="^rotational tournament needs m >= 3, got 1$"):
+        with pytest.raises(OutOfRange, match="^m must be an int >= 3, got 1$"):
             rotational_tournament(1)
 
     @pytest.mark.parametrize("m", [3, 5, 7, 9])
