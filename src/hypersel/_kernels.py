@@ -4,8 +4,9 @@ The mask format, defined here alone: bit b of an m-vertex mask is the
 rank-b pair (i, j), i < j, in lexicographic order, set when the pair
 picks j.  picks_mask encodes picks; mask_picks decodes a mask a byte at
 a time through per-m tables of byte value -> picks of those 8 pairs.  A
-mask or m that is not an int, or a mask outside 0..2**C(m,2) - 1, is
-rejected (errors.check_int) before any table is read.
+mask or m that is not an int, an m outside 0..MAX_MASK_M or a mask
+outside 0..2**C(m,2) - 1 is rejected (errors.check_int) before any
+table is read.
 beats_from_picks builds the beats bitsets (beats[v]: the vertices w
 whose pair {v, w} picks v) that the score kernel and the 3-cycle scan,
 cycle_scan, read; the scan takes one union of beats per vertex.
@@ -26,6 +27,8 @@ from .errors import check_int
 BACKEND = "pure"
 # the largest m the kernels take; it bounds each call's pair-bit table and the kept byte tables
 MAX_M = 11
+# the largest m a mask is read or written for: C(1024, 2) = 523,776 pair bits
+MAX_MASK_M = 1024
 
 
 class _ByteTable(dict):
@@ -58,7 +61,7 @@ _kept_byte_tables = lru_cache(maxsize=None)(_byte_tables)
 def mask_picks(mask: int, m: int) -> tuple:
     """The picks of a mask's pairs in rank order (set bit picks the
     larger endpoint), read a byte at a time."""
-    check_int("m", m, 0)
+    check_int("m", m, 0, MAX_MASK_M)
     check_int("mask", mask, 0, (1 << m * (m - 1) // 2) - 1)  # a bit per pair
     picks = []  # a list: adding to a tuple copies it, quadratic at large m
     for table in (_kept_byte_tables if 2 <= m <= MAX_M else _byte_tables)(m):
@@ -70,6 +73,7 @@ def mask_picks(mask: int, m: int) -> tuple:
 def picks_mask(picks, m: int) -> int:
     """mask_picks inverted: one pick per pair, in the pair order that
     _byte_tables decodes; picks of another length raise ValueError."""
+    check_int("m", m, 0, MAX_MASK_M)
     mask = 0
     for b, ((_, j), p) in enumerate(zip(combinations(range(m), 2), picks, strict=True)):
         if p == j:

@@ -21,9 +21,7 @@ walked from the families' side: members are pairwise disjoint, so a
 sample subset lies in a family's Vietoris open exactly when it is one
 of the family's transversals, one point index from each member's range.
 Placing every covered subset thus costs one step per (family, covered
-subset) pair, and a subset is then placed by one dict lookup.  The
-single-pair entry points (meets_uniquely and
-vietoris.intersect_nonempty) use the same member-hit test.  Derived
+subset) pair, and a subset is then placed by one dict lookup.  Derived
 families take their radius and members from vietoris, as the
 continuity check does.
 """
@@ -51,17 +49,6 @@ from .verdict import PASS, Verdict, fail
 from .vietoris import ModelSpace, OpenFamily, _members, _radius, member_hits, overlaps
 
 
-@dataclass(frozen=True)
-class MeetMap:
-    """Unique-meet map: member i of source meets exactly member
-    mapping[i] of target, and nothing else."""
-
-    source: OpenFamily
-    target: OpenFamily
-    mapping: tuple
-    bijective: bool
-
-
 def _unique(rows: list) -> Optional[tuple]:
     """The index map of hit rows (see vietoris.member_hits) when every
     row holds exactly one hit, else None: the one definition of "meets
@@ -69,17 +56,6 @@ def _unique(rows: list) -> Optional[tuple]:
     if all(len(row) == 1 for row in rows):
         return tuple(row[0] for row in rows)
     return None
-
-
-def meets_uniquely(u: OpenFamily, v: OpenFamily) -> Optional[MeetMap]:
-    """The unique-meet map u -> v, or None when some member of u meets
-    zero or several members of v."""
-    if u.size != v.size:
-        raise SizeMismatch(f"family sizes differ: {u.size} vs {v.size}")
-    mapping = _unique(member_hits(u.bounds, v.bounds))
-    if mapping is None:
-        return None
-    return MeetMap(u, v, mapping, len(set(mapping)) == u.size)
 
 
 @dataclass(frozen=True)

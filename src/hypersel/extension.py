@@ -97,8 +97,9 @@ class PartialSelection:
         return size in self.levels
 
     def level(self, n: int) -> SelectionStructure:
-        level = self.levels.get(n)
+        level = self.levels.get(n) if type(n) is int else None  # 2.0 would find level 2
         if level is None:
+            check_int("arity", n)
             raise ArityNotInDomain(f"arity {n} not admitted by mode {self.mode}")
         return level
 

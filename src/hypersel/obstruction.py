@@ -5,7 +5,7 @@ For a prime p dividing m that divisibility always fails: the exact
 identity p*C(m,p) = m*C(m-1,p-1) together with C(m-1,p-1) = 1 (mod p)
 shows m cannot divide C(m,p).  Note the certificate is about m, not p:
 p itself may well divide C(m,p) (p=2, m=4 gives C(4,2)=6), so each
-certificate records the residue that actually carries the argument.
+table row records the residue that actually carries the argument.
 
 Conversely m | C(m,n) suffices: giving each n-subset weight 1/n on each member
 loads every element with exactly C(m,n)/m, so by flow integrality an integral
@@ -27,7 +27,7 @@ import math
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .errors import BrokenInvariant, NotPrime, check_int
+from .errors import BrokenInvariant, check_int
 from .structures import (
     DEFAULT_BUDGET,
     SelectionStructure,
@@ -69,7 +69,7 @@ def prime_divisors(m: int) -> list:
     return out
 
 
-def lucas_binom_mod(a: int, b: int, p: int) -> int:
+def _lucas_binom_mod(a: int, b: int, p: int) -> int:
     """C(a,b) mod the prime p by Lucas' theorem: the product of the
     binomials of the base-p digits of a and b, each below p."""
     r = 1
@@ -107,19 +107,6 @@ def divides_binom(m: int, n: int) -> bool:
     return True
 
 
-def regular_score_value(m: int, n: int) -> Optional[int]:
-    """C(m,n)/m when integral, else None (then no regular structure exists).
-    The binomial is computed only when m divides it."""
-    check_int("m", m, 1)
-    check_int("n", n, 1, m)
-    return math.comb(m, n) // m if divides_binom(m, n) else None
-
-
-def _certify(m: int, p: int, binom: int) -> tuple:
-    """Whether m divides binom = C(m,p), and C(m-1,p-1) mod p, for a prime p <= m."""
-    return binom % m == 0, lucas_binom_mod(m - 1, p - 1, p)
-
-
 def _stepped_binom(k: int, q: int, binom: int, p: int) -> int:
     """C(kp,p) from binom = C(kq,q), for q < p: multiply in the factors
     kq+1..kp and divide out q+1..p and (k-1)q+1..(k-1)p, exactly."""
@@ -129,38 +116,6 @@ def _stepped_binom(k: int, q: int, binom: int, p: int) -> int:
     if rest:
         raise BrokenInvariant(f"C({k * p},{p}) stepped from C({k * q},{q}) leaves remainder {rest}")
     return out
-
-
-class ObstructionCertificate(NamedTuple):
-    """Checkable record for one (m, p) divisibility question."""
-
-    m: int
-    p: int
-    binom: int           # C(m, p), exact
-    divisible_by_m: bool  # m | C(m, p)
-    lucas_residue: int   # C(m-1, p-1) mod p
-    verdict: str         # "regular-impossible" | "regular-unobstructed"
-
-    def identity_holds(self) -> bool:
-        """p*C(m,p) == m*C(m-1,p-1), the exact form behind the residue step."""
-        return self.p * self.binom == self.m * math.comb(self.m - 1, self.p - 1)
-
-
-def prime_obstruction_holds(m: int, p: int) -> ObstructionCertificate:
-    """Certificate that arity-p regular structures cannot exist on m
-    elements (when m does not divide C(m,p)).
-
-    With p | m the verdict is always regular-impossible and the residue
-    is always 1; both facts are recomputed, never assumed.
-    """
-    check_int("m", m, 2)
-    check_int("p", p, 2, m)
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    binom = math.comb(m, p)
-    divisible, residue = _certify(m, p, binom)
-    verdict = "regular-unobstructed" if divisible else "regular-impossible"
-    return ObstructionCertificate(m, p, binom, divisible, residue, verdict)
 
 
 class SearchResult(NamedTuple):
@@ -191,9 +146,11 @@ def search_regular(m: int, n: int, budget: int = DEFAULT_BUDGET) -> SearchResult
     exist by flow integrality once m | C(m,n): each subset in rank order searches
     from its members, least loaded first, through the subsets picking full ones."""
     check_int("budget", budget, 1)
-    target = regular_score_value(m, n)
-    if target is None:
+    check_int("m", m, 1)
+    check_int("n", n, 1, m)
+    if not divides_binom(m, n):
         return _PROVEN_NONE
+    target = math.comb(m, n) // m  # the score of every element
     subs = tuple(combinations(range(m), n))
     picks = [0] * len(subs)
     holders = [{} for _ in range(m)]  # x -> ranks picking x, as an ordered set
@@ -230,11 +187,13 @@ def search_regular(m: int, n: int, budget: int = DEFAULT_BUDGET) -> SearchResult
 
 
 class TableRow(NamedTuple):
+    """Checkable record for one (m, p) divisibility question, p | m."""
+
     m: int
     p: int
-    binom: int
-    divisible: bool
-    lucas_residue: int
+    binom: int            # C(m, p), exact
+    divisible: bool       # m | C(m, p)
+    lucas_residue: int    # C(m-1, p-1) mod p
     search_status: str
 
 
@@ -259,9 +218,10 @@ def obstruction_table(max_m: int) -> list:
                 k = m // p
                 binom = _stepped_binom(k, *last[k], p) if k in last else math.comb(m, p)
                 last[k] = p, binom
-            divisible, residue = _certify(m, p, binom)
+            divisible = binom % m == 0
             if divisible or _carries_enough(m, p, p):
                 raise BrokenInvariant(f"obstructed pair ({m},{p}) has m | C(m,p)")
+            residue = _lucas_binom_mod(m - 1, p - 1, p)
             rows.append(TableRow(m, p, binom, divisible, residue, _PROVEN_NONE.status))
     return rows
 

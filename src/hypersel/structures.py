@@ -512,11 +512,6 @@ def joint_isomorphism(gs: Sequence[SelectionStructure],
     return phi
 
 
-def are_isomorphic(s: SelectionStructure, t: SelectionStructure) -> Optional[IsoMap]:
-    """An isomorphism s -> t when one exists, else None."""
-    return joint_isomorphism((s,), (t,))
-
-
 def enumerate_selections(
     m: int,
     n: int,
@@ -644,9 +639,9 @@ def _relabeling_columns(m: int, n: int) -> list:
 
 
 def tournament_from_mask(mask: int, m: int) -> SelectionStructure:
-    """Unpack a pair-bit mask (set bit picks the larger endpoint); a mask
-    outside 0..2**C(m,2) - 1, or a mask or m not an int, raises
-    OutOfRange."""
+    """Unpack a pair-bit mask (set bit picks the larger endpoint); an m
+    outside 0.._kernels.MAX_MASK_M, a mask outside 0..2**C(m,2) - 1, or a
+    mask or m not an int, raises OutOfRange."""
     picks = _kernels.mask_picks(mask, m)  # checked before the ground is built
     return SelectionStructure(ground_range(m), 2, picks)
 

@@ -67,12 +67,6 @@ class IntervalOpen:
         if not _below(self.lo, self.hi):
             raise InvalidModel(f"empty interval ({self.lo}, {self.hi})")
 
-    def contains(self, p: Fraction) -> bool:
-        return self.lo < p < self.hi
-
-    def intersects(self, other: "IntervalOpen") -> bool:
-        return self.lo < other.hi and other.lo < self.hi
-
 
 @dataclass(frozen=True)
 class OpenFamily:
@@ -93,11 +87,6 @@ class OpenFamily:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    @property
-    def bounds(self) -> list:
-        """The members' (lo, hi) endpoint pairs, in member order."""
-        return [(u.lo, u.hi) for u in self.members]
 
 
 def interval(lo, hi) -> IntervalOpen:
@@ -225,15 +214,7 @@ def member_hits(us: Sequence[tuple], vs: Sequence[tuple]) -> list:
 def overlaps(rows: list, size: int) -> bool:
     """Whether the hit rows of u against a size-member family v form an
     edge cover of the bipartite meet graph (no isolated member on
-    either side)."""
+    either side), that is whether the Vietoris opens of u and v
+    intersect: such an edge cover assembles a finite rational witness
+    set, and conversely any witness covers all members."""
     return all(rows) and len({j for row in rows for j in row}) == size
-
-
-def intersect_nonempty(u: OpenFamily, v: OpenFamily) -> bool:
-    """Whether the Vietoris opens of two disjoint families intersect.
-
-    Holds iff the bipartite meet graph (edges = intersecting member
-    pairs) has no isolated vertex: such an edge cover assembles a finite
-    rational witness set, and conversely any witness covers all members.
-    """
-    return overlaps(member_hits(u.bounds, v.bounds), v.size)

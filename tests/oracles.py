@@ -476,7 +476,7 @@ def oracle_arrows_to(model: ModelSpace, members: tuple, target) -> bool:
         if not pts:
             raise EmptyMember(f"member {i} = ({u.lo}, {u.hi}) holds no sample point")
         pools.append(pts)
-    return all(target.contains(model.selection.choose(t)) for t in product(*pools))
+    return all(target.lo < model.selection.choose(t) < target.hi for t in product(*pools))
 
 
 def oracle_preserves(model: ModelSpace, fam: OpenFamily, n: int):

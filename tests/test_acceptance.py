@@ -12,12 +12,12 @@ from itertools import combinations, permutations
 
 import pytest
 
+from hypersel import chains
 from hypersel.chains import (
     FamilySystem,
     build_selection_from_nice,
     derive_nice_family,
     is_nice,
-    meets_uniquely,
     regular_class_cover_check,
 )
 from hypersel._kernels import regular_masks_exhaustive
@@ -31,7 +31,7 @@ from hypersel.extension import (
     partition_types,
     random_partial,
 )
-from hypersel.obstruction import prime_obstruction_holds, search_regular
+from hypersel.obstruction import obstruction_table, search_regular
 from hypersel.structures import (
     GroundSet,
     IsoMap,
@@ -46,7 +46,7 @@ from hypersel.structures import (
     rotational_tournament,
     subset_ranks,
 )
-from hypersel.vietoris import check_continuity, intersect_nonempty, order_model
+from hypersel.vietoris import check_continuity, member_hits, order_model, overlaps
 
 from oracles import (
     conflict_system,
@@ -59,7 +59,7 @@ from oracles import (
     random_points,
     random_system,
 )
-from test_vietoris import random_family
+from test_vietoris import hits, random_family
 
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -85,16 +85,15 @@ def criterion(capsys, num, name, limit):
 def test_criterion_1_obstruction_certificates(capsys):
     with criterion(capsys, 1, "obstruction certificates p<=31, m<=1000", 5):
         checked = 0
-        for p in PRIMES_TO_31:
-            for m in range(p, 1001, p):
-                if m < 2:
-                    continue
-                cert = prime_obstruction_holds(m, p)
-                assert cert.binom % m != 0
-                assert cert.lucas_residue == 1
-                assert p * cert.binom == m * math.comb(m - 1, p - 1)
-                assert cert.verdict == "regular-impossible"
-                checked += 1
+        for row in obstruction_table(1000):
+            m, p = row.m, row.p
+            if p > 31:
+                continue
+            assert row.binom % m != 0
+            assert row.lucas_residue == 1
+            assert p * row.binom == m * math.comb(m - 1, p - 1)
+            assert row.search_status == "proven-none"
+            checked += 1
         assert checked == sum(1000 // p for p in PRIMES_TO_31)
 
 
@@ -203,7 +202,7 @@ def test_criterion_5_continuity_and_intersection(capsys):
             rng = random.Random(f"grid-{seed}")
             u = random_family(rng, rng.randint(1, 3))
             v = random_family(rng, rng.randint(1, 3))
-            assert intersect_nonempty(u, v) == oracle_intersect(u, v)
+            assert overlaps(hits(u, v), v.size) == oracle_intersect(u, v)
 
 
 def _seeded_chain_model(seed):
@@ -241,9 +240,10 @@ def test_criterion_6_chains_roundtrip(capsys):
                     comp = next(c for c in built.components if fi in c)
                     ci = built.components.index(comp)
                     base_f, base_m = built.bases[ci]
-                    link = meets_uniquely(system.families[base_f], fam)
-                    member = fam.members[link.mapping[base_m]]
-                    assert [p for p in pts if member.contains(p)] == [value]
+                    keys = system.graph.keys
+                    mapping = chains._unique(member_hits(keys[base_f], keys[fi]))
+                    member = fam.members[mapping[base_m]]
+                    assert [p for p in pts if member.lo < p < member.hi] == [value]
 
         verdict = is_nice(conflict_system())
         assert not verdict.ok

@@ -33,6 +33,8 @@ RETIRED = {
     ("chains", "_placement"),
     ("chains", "restrict"),
     ("chains", "intersect_nonempty"),
+    ("chains", "meets_uniquely"),
+    ("obstruction", "prime_obstruction_holds"),
     ("cli", "write_selection"),
 }
 

@@ -11,7 +11,6 @@ from hypersel.chains import (
     chain_classes,
     derive_nice_family,
     is_nice,
-    meets_uniquely,
     regular_class_cover_check,
 )
 from hypersel.cli import _cover_diagnostics
@@ -26,7 +25,7 @@ from hypersel.errors import (
     SizeMismatch,
 )
 from hypersel.verdict import PASS
-from hypersel.vietoris import family, intersect_nonempty, interval, model_space, order_model
+from hypersel.vietoris import family, interval, member_hits, model_space, order_model, overlaps
 from hypersel.extension import make_partial
 from hypersel.structures import GroundSet, subset_ranks
 
@@ -51,31 +50,40 @@ from oracles import (
 
 
 class TestMeets:
+    """Unique meets of two families as the meet graph's row finds them."""
+
+    MODEL = order_model(range(4), 2, "min")
+
+    def meet(self, u, v):
+        """The index map of the edge u -> v in row 0, or None."""
+        edges, _ = FamilySystem((u, v), self.MODEL).graph.row(0)
+        return dict(edges).get(1)
+
     def test_unique_bijective(self):
         u = family((0, 1), (2, 3))
         v = family((F(1, 2), F(3, 2)), (F(5, 2), F(7, 2)))
-        link = meets_uniquely(u, v)
-        assert link.mapping == (0, 1) and link.bijective
+        assert self.meet(u, v) == (0, 1)
 
     def test_collapse_not_bijective(self):
         r = family((0, 1), (2, 3))
         m = family((F(1, 2), F(5, 2)), (F(31, 10), F(17, 5)))
-        link = meets_uniquely(r, m)
-        assert link.mapping == (0, 0) and not link.bijective
+        assert self.meet(r, m) == (0, 0)
 
     def test_straddle_is_ambiguous(self):
         x = family((F(1, 2), 3), (F(16, 5), F(17, 5)))
         v = family((F(1, 2), F(3, 2)), (F(5, 2), F(7, 2)))
-        assert meets_uniquely(x, v) is None
+        assert self.meet(x, v) is None
+        assert FamilySystem((x, v), self.MODEL).graph.row(0) == ([], 1)  # overlapping
 
     def test_miss_is_none(self):
         u = family((0, 1), (2, 3))
         w = family((10, 11), (12, 13))
-        assert meets_uniquely(u, w) is None
+        assert self.meet(u, w) is None
+        assert FamilySystem((u, w), self.MODEL).graph.row(0) == ([], None)
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
-            meets_uniquely(family((0, 1)), family((0, 1), (2, 3)))
+            FamilySystem((family((0, 1)), family((0, 1), (2, 3))), self.MODEL)
 
 
 class TestIsNice:
@@ -224,19 +232,17 @@ class TestBuild:
         system = derive_nice_family(cyclic_model(), 2)
         built = build_selection_from_nice(system)
         points = system.model.points
+        keys = system.graph.keys
         for s, value in built.values.items():
             pts = tuple(points[i] for i in s)
-            for fam in system.families:
+            for fi, fam in enumerate(system.families):
                 placement = oracle_placement(fam, pts)
                 if placement is not None:
                     # re-derive the value from this family alone
                     base_f, base_m = built.bases[0]
-                    link = meets_uniquely(system.families[base_f], fam)
-                    inside = [
-                        p for p in pts
-                        if fam.members[link.mapping[base_m]].contains(p)
-                    ]
-                    assert inside == [points[value]]
+                    mapping = chains._unique(member_hits(keys[base_f], keys[fi]))
+                    member = fam.members[mapping[base_m]]
+                    assert [p for p in pts if member.lo < p < member.hi] == [points[value]]
 
 
 class TestDerive:
@@ -372,15 +378,16 @@ def _assert_agrees(system, rng):
     assert cover["covered"] == [[label_str(p) for p in pts] for pts in covered]
     pool = list(combinations(system.model.points, system.arity)) if system.arity else []
     assert cover["uncovered_count"] == len(pool) - len(covered)
-    for u in fams:
-        for v in fams:
-            assert intersect_nonempty(u, v) == oracle_overlap(u, v)
-            rows = oracle_meet_rows(u, v)
-            link = meets_uniquely(u, v)
+    for i, u in enumerate(fams):
+        for j, v in enumerate(fams):
+            # the row's hit test, on the grid's integer endpoints
+            rows = member_hits(graph.keys[i], graph.keys[j])
+            assert rows == oracle_meet_rows(u, v)
+            assert overlaps(rows, v.size) == oracle_overlap(u, v)
             if all(len(row) == 1 for row in rows):
-                assert link.mapping == tuple(row[0] for row in rows)
+                assert chains._unique(rows) == tuple(row[0] for row in rows)
             else:
-                assert link is None
+                assert chains._unique(rows) is None
     for s in combinations(range(system.model.size), system.arity):
         assert graph.covering(s) == _oracle_covering(system, s)
 

@@ -2,12 +2,13 @@
 value that is not an int (a bool is not one) or lies outside its domain
 raises OutOfRange "<name> must be an int in lo..hi, got <value>" (">= lo"
 with no upper bound, nothing with no bound), and an int too long to print
-is named by its bit length.  The kernels' cases are in test_kernels.py."""
+is named by its bit length.  The mask readers' cases are in test_kernels.py."""
 
 import random
 
 import pytest
 
+from hypersel import _kernels
 from hypersel.chains import (
     build_selection_from_nice,
     derive_nice_family,
@@ -27,8 +28,6 @@ from hypersel.obstruction import (
     is_prime,
     obstruction_table,
     prime_divisors,
-    prime_obstruction_holds,
-    regular_score_value,
     search_regular,
 )
 from hypersel.structures import (
@@ -83,10 +82,6 @@ GUARDED = [
     ("prime_divisors", lambda x: prime_divisors(x), "m", 1, None),
     ("divides_binom m", lambda x: divides_binom(x, 0), "m", 1, None),
     ("divides_binom n", lambda x: divides_binom(6, x), "n", 0, 6),
-    ("regular_score_value m", lambda x: regular_score_value(x, 1), "m", 1, None),
-    ("regular_score_value n", lambda x: regular_score_value(5, x), "n", 1, 5),
-    ("prime_obstruction_holds m", lambda x: prime_obstruction_holds(x, 2), "m", 2, None),
-    ("prime_obstruction_holds p", lambda x: prime_obstruction_holds(5, x), "p", 2, 5),
     ("search_regular m", lambda x: search_regular(x, 1), "m", 1, None),
     ("search_regular n", lambda x: search_regular(5, x), "n", 1, 5),
     ("search_regular budget", lambda x: search_regular(5, 2, budget=x), "budget", 1, None),
@@ -96,6 +91,8 @@ GUARDED = [
     ("bases key", lambda x: build_selection_from_nice(_system(), {x: (0, 0)}), "base key", 0, 0),
     ("bases family", lambda x: build_selection_from_nice(_system(), {0: (x, 0)}), "base family", 0, 0),
     ("bases member", lambda x: build_selection_from_nice(_system(), {0: (0, x)}), "base member", 0, 2),
+    ("level", lambda x: order_partial(ground_range(3), 2, "min").level(x), "arity", None, None),
+    ("picks_mask", lambda x: _kernels.picks_mask((), x), "m", 0, _kernels.MAX_MASK_M),
 ]
 
 

@@ -66,8 +66,8 @@ def test_no_state_outlives_a_call():
     (_kernels.tournament_scores, (5, 3.0), "m must be an int in 1..11, got 3.0"),
     (_kernels.first_cycle_violation, (3.0, [1]), "m must be an int in 1..11, got 3.0"),
     (regular_tournaments, (7.0,), "m must be an int in 2..11, got 7.0"),
-    (tournament_from_mask, (1, 3.0), "m must be an int >= 0, got 3.0"),
-    (_kernels.mask_picks, (1, 3.0), "m must be an int >= 0, got 3.0"),
+    (tournament_from_mask, (1, 3.0), "m must be an int in 0..1024, got 3.0"),
+    (_kernels.mask_picks, (1, 3.0), "m must be an int in 0..1024, got 3.0"),
     (_kernels.mask_picks, (1.0, 3), "mask must be an int in 0..7, got 1.0"),
     *[(call, args, f"m must be an int in 1..11, got an int of {HUGE.bit_length()} bits")
       for call, args in [(_kernels.regular_masks_backtracking, (HUGE,)),
@@ -77,12 +77,15 @@ def test_no_state_outlives_a_call():
     *[(regular_tournaments, (m,), f"m must be an int in 2..11, got {shown}")
       for m, shown in [(True, "True"), (None, "None"), ("2", "'2'"), (1, "1"), (12, "12"),
                        (HUGE, f"an int of {HUGE.bit_length()} bits")]],
-    *[(call, (0, m), f"m must be an int >= 0, got {shown}")
+    *[(call, (0, m), f"m must be an int in 0..1024, got {shown}")
       for call in (_kernels.mask_picks, tournament_from_mask)
       for m, shown in [(True, "True"), (None, "None"), ("2", "'2'"), (-1, "-1")]],
     *[(_kernels.mask_picks, (mask, 3), f"mask must be an int in 0..7, got {shown}")
       for mask, shown in [(2.0, "2.0"), (True, "True"), (None, "None"), ("2", "'2'"), (-1, "-1"),
                           (8, "8"), (HUGE, f"an int of {HUGE.bit_length()} bits")]],
+    # rejected before 1 << C(m,2) is built
+    *[(call, (0, m), f"m must be an int in 0..1024, got {m}")
+      for call in (_kernels.mask_picks, tournament_from_mask) for m in (10**50, 10**6)],
 ])
 def test_value_that_is_not_an_int_rejected(call, args, shown):
     with pytest.raises(OutOfRange) as info:

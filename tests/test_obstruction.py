@@ -6,18 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersel import obstruction
-from hypersel.errors import BrokenInvariant, NotPrime, OutOfRange
+from hypersel.errors import BrokenInvariant, OutOfRange
 from hypersel.obstruction import (
     MAX_TABLE_M,
-    ObstructionCertificate,
     TABLE_COLUMNS,
     divides_binom,
     is_prime,
-    lucas_binom_mod,
     obstruction_table,
     prime_divisors,
-    prime_obstruction_holds,
-    regular_score_value,
     search_regular,
     table_tsv,
 )
@@ -47,16 +43,19 @@ class TestPrimality:
 
 
 class TestRegularScoreValue:
+    """The score C(m,n)/m that search_regular gives every element."""
+
     def test_divisible_case(self):
         # every element of 5 appears in C(4,1) pairs; total C(5,2)=10
-        assert regular_score_value(5, 2) == 2
+        res = search_regular(5, 2)
+        assert Counter(res.structure.picks) == dict.fromkeys(range(5), 2)
 
     def test_indivisible_case(self):
-        assert regular_score_value(4, 2) is None
+        assert search_regular(4, 2) is obstruction._PROVEN_NONE
 
     def test_range_guard(self):
-        with pytest.raises(OutOfRange):
-            regular_score_value(3, 4)
+        with pytest.raises(OutOfRange, match="^n must be an int in 1..3, got 4$"):
+            search_regular(3, 4)
 
 
 class TestDigitRules:
@@ -66,7 +65,7 @@ class TestDigitRules:
     def test_lucas_residue(self, p):
         for a in range(80):
             for b in range(a + 2):
-                assert lucas_binom_mod(a, b, p) == math.comb(a, b) % p, (a, b)
+                assert obstruction._lucas_binom_mod(a, b, p) == math.comb(a, b) % p, (a, b)
 
     def test_kummer_divisibility(self):
         for m in range(1, 200):
@@ -96,45 +95,41 @@ class TestDigitRules:
         assert divides_binom(m, n) == (math.comb(m, n) % m == 0)
 
     def test_score_value_matches_comb(self):
+        # no witness where m does not divide C(m,n), decided before any
+        # subset is listed; where it does, every element scores C(m,n)/m
         for m in range(1, 120):
             for n in range(1, m + 1):
                 c = math.comb(m, n)
-                assert regular_score_value(m, n) == (c // m if c % m == 0 else None)
+                if c % m:
+                    assert search_regular(m, n) is obstruction._PROVEN_NONE, (m, n)
+                elif c <= 2000:
+                    res = search_regular(m, n)
+                    assert Counter(res.structure.picks) == dict.fromkeys(range(m), c // m), (m, n)
 
 
 class TestCertificate:
+    """The table row of (m, p), p | m, carries the certificate that no
+    arity-p regular structure exists on m elements."""
+
+    ROWS = {(r.m, r.p): r for r in obstruction_table(13 * 80)}
+
     def test_four_two(self):
-        cert = prime_obstruction_holds(4, 2)
-        assert cert.binom == 6
-        assert not cert.divisible_by_m  # 4 does not divide 6
-        assert cert.lucas_residue == 1  # C(3,1) = 3 ≡ 1 (mod 2)
-        assert cert.identity_holds()    # 2*6 = 4*3
-        assert cert.verdict == "regular-impossible"
-        assert cert == (4, 2, 6, False, 1, "regular-impossible")
+        row = self.ROWS[4, 2]
+        assert row.binom == 6
+        assert not row.divisible  # 4 does not divide 6
+        assert row.lucas_residue == 1  # C(3,1) = 3 ≡ 1 (mod 2)
+        assert 2 * row.binom == 4 * math.comb(3, 1)
+        assert row.search_status == "proven-none"
+        assert row == (4, 2, 6, False, 1, "proven-none")
 
     def test_prime_equal_to_m(self):
-        cert = prime_obstruction_holds(5, 5)
-        assert cert.binom == 1 and not cert.divisible_by_m
-
-    def test_rejects_composite_p(self):
-        with pytest.raises(NotPrime):
-            prime_obstruction_holds(8, 4)
+        row = self.ROWS[5, 5]
+        assert row.binom == 1 and not row.divisible
 
     def test_nondividing_p_unobstructed(self):
-        # 2 does not divide 5, and C(5,2)/5 = 2 is integral
-        cert = prime_obstruction_holds(5, 2)
-        assert cert.divisible_by_m and cert.verdict == "regular-unobstructed"
-
-    def test_p_larger_than_m_rejected(self):
-        with pytest.raises(OutOfRange):
-            prime_obstruction_holds(3, 5)
-
-    def test_range_checked_before_primality(self, monkeypatch):
-        # trial division on 2**61 - 1 takes hours; p > m is refused first
-        monkeypatch.setattr(obstruction, "is_prime", lambda k: pytest.fail(f"primality of {k} tested"))
-        for p in (2**61 - 1, 10**18, 1, 0):
-            with pytest.raises(OutOfRange, match=f"^p must be an int in 2..3, got {p}$"):
-                prime_obstruction_holds(3, p)
+        # 2 does not divide 5, and C(5,2)/5 = 2 is integral: no row
+        assert (5, 2) not in self.ROWS and (5, 5) in self.ROWS
+        assert divides_binom(5, 2) and search_regular(5, 2).status == "witness"
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -143,11 +138,11 @@ class TestCertificate:
     )
     def test_certificate_arithmetic(self, p, k):
         m = p * k
-        cert = prime_obstruction_holds(m, p)
-        assert p * cert.binom == m * math.comb(m - 1, p - 1)
-        assert cert.lucas_residue == math.comb(m - 1, p - 1) % p == 1
-        assert cert.binom % m != 0
-        assert cert.verdict == "regular-impossible"
+        row = self.ROWS[m, p]
+        assert p * row.binom == m * math.comb(m - 1, p - 1)
+        assert row.lucas_residue == math.comb(m - 1, p - 1) % p == 1
+        assert row.binom % m != 0
+        assert row.search_status == "proven-none"
 
 
 class TestSearch:
@@ -177,10 +172,11 @@ class TestSearch:
         assert res.structure is None and not res.proven
 
     def test_missing_path_is_broken_invariant(self, monkeypatch):
-        # a target of 1 leaves room for 5 of the 10 triples of (5,3)
-        monkeypatch.setattr(obstruction, "regular_score_value", lambda m, n: 1)
-        with pytest.raises(BrokenInvariant, match="^no augmenting path for rank 5 of \\(5,3\\)$"):
-            search_regular(5, 3)
+        # 4 does not divide C(4,2) = 6: a target of 6 // 4 = 1 leaves room
+        # for 4 of the 6 pairs
+        monkeypatch.setattr(obstruction, "divides_binom", lambda m, n: True)
+        with pytest.raises(BrokenInvariant, match="^no augmenting path for rank 4 of \\(4,2\\)$"):
+            search_regular(4, 2)
 
     def test_non_regular_witness_is_broken_invariant(self, monkeypatch):
         monkeypatch.setattr(obstruction, "is_regular", lambda s: False)
@@ -283,7 +279,7 @@ class TestTable:
         def forbidden(name):
             return lambda *args: pytest.fail(f"{name}{args} called")
 
-        for name in ("search_regular", "regular_score_value", "divides_binom"):
+        for name in ("search_regular", "divides_binom"):
             monkeypatch.setattr(obstruction, name, forbidden(name))
         factored = Counter()
         factor = obstruction.prime_divisors

@@ -30,7 +30,6 @@ from hypersel.structures import (
     IsoMap,
     SelectionStructure,
     apply_iso,
-    are_isomorphic,
     canonical_candidates,
     canonical_form,
     check_cycle_property,
@@ -133,7 +132,7 @@ class TestSequenceFields:
     def test_list_ground_is_hashable_for_isomorphism(self):
         s = selection_from_order(GroundSet(["a", "b", "c"]), 2, "min")
         assert type(s.ground.labels) is tuple
-        assert are_isomorphic(s, s) is not None
+        assert joint_isomorphism((s,), (s,)) is not None
 
     def picks(self):
         g = ground_range(3)
@@ -150,7 +149,7 @@ class TestSequenceFields:
 
     def test_list_picks_are_isomorphic(self):
         s, t = self.picks()
-        assert are_isomorphic(s, t).images == (0, 1, 2)
+        assert joint_isomorphism((s,), (t,)).images == (0, 1, 2)
 
 
 class TestConstruction:
@@ -493,13 +492,13 @@ class TestCanonicalForm:
         s = rotational_tournament(5)
         phi = IsoMap(s.ground, s.ground, (2, 3, 4, 0, 1))
         t = apply_iso(s, phi)
-        psi = are_isomorphic(s, t)
+        psi = joint_isomorphism((s,), (t,))
         assert psi is not None and is_isomorphism(s, t, psi)
 
     def test_non_isomorphic_detected(self):
         s = selection_from_order(ground_range(3), 2, "min")
         t = rotational_tournament(3)
-        assert are_isomorphic(s, t) is None
+        assert joint_isomorphism((s,), (t,)) is None
 
     def test_uncertified_map_is_typed(self, monkeypatch):
         # raised by an explicit check, so it holds under python -O too
@@ -509,7 +508,7 @@ class TestCanonicalForm:
         with pytest.raises(
             BrokenInvariant, match="^equal canonical forms composed to a map that is not an isomorphism$"
         ):
-            are_isomorphic(s, t)
+            joint_isomorphism((s,), (t,))
 
     def test_joint_isomorphism_needs_one_ground_a_side(self):
         s = rotational_tournament(5)

@@ -20,10 +20,11 @@ from hypersel.vietoris import (
     OpenFamily,
     check_continuity,
     family,
-    intersect_nonempty,
     interval,
+    member_hits,
     model_space,
     order_model,
+    overlaps,
 )
 
 from generators import lifted_models
@@ -53,6 +54,11 @@ def random_family(rng, size):
     )
 
 
+def hits(u, v):
+    """member_hits of the families u and v on their endpoint pairs."""
+    return member_hits([(a.lo, a.hi) for a in u.members], [(b.lo, b.hi) for b in v.members])
+
+
 def spans_of(model, members):
     """(spans, order): the members' sample point index ranges, read off
     the oracle's scan and sorted ascending as the kernels take them, and
@@ -78,19 +84,22 @@ class TestIntervals:
         if a == b:
             return
         lo, hi = min(a, b), max(a, b)
-        u = interval(lo, hi)
-        assert u.contains(x) == (lo < x < hi)
-        assert not u.contains(lo) and not u.contains(hi)
+
+        def inside(p):
+            return vietoris._below(lo, p) and vietoris._below(p, hi)
+
+        assert inside(x) == (lo < x < hi)
+        assert not inside(lo) and not inside(hi)
 
     @settings(max_examples=80, deadline=None)
     @given(*(rationals,) * 4)
     def test_intersection_symmetric_and_exact(self, a, b, c, d):
         if a == b or c == d:
             return
-        u = interval(min(a, b), max(a, b))
-        v = interval(min(c, d), max(c, d))
-        expected = max(u.lo, v.lo) < min(u.hi, v.hi)
-        assert u.intersects(v) == v.intersects(u) == expected
+        u = (min(a, b), max(a, b))
+        v = (min(c, d), max(c, d))
+        expected = max(u[0], v[0]) < min(u[1], v[1])
+        assert member_hits([u], [v]) == member_hits([v], [u]) == [[0] if expected else []]
 
     def test_family_requires_disjoint(self):
         with pytest.raises(InvalidModel, match="^family members overlap: "):
@@ -137,7 +146,7 @@ def spell_endpoint(q, k: int) -> str:
 
 class TestFamilyOrder:
     """OpenFamily checks member order on integers; it must accept exactly
-    the lists whose members are pairwise disjoint by IntervalOpen.intersects,
+    the lists whose members are pairwise disjoint as Fraction intervals,
     and otherwise name the first overlapping pair in combinations order."""
 
     @staticmethod
@@ -149,7 +158,7 @@ class TestFamilyOrder:
 
     @staticmethod
     def expected(members):
-        clash = next(((a, b) for a, b in combinations(members, 2) if a.intersects(b)), None)
+        clash = next(((a, b) for a, b in combinations(members, 2) if a.lo < b.hi and b.lo < a.hi), None)
         if clash is None:
             return "ok", tuple(members)
         return "error", f"family members overlap: {clash[0]} and {clash[1]}"
@@ -232,7 +241,7 @@ class TestNeighborhoods:
         model = model_space(pts, make_partial(GroundSet(pts), "upto", 2, table))
         fam = oracle_neighborhoods(model, (F(0), F(1)), (1, 2))
         for u in fam.members:
-            assert sum(1 for p in model.points if u.contains(p)) == 1
+            assert sum(1 for p in model.points if u.lo < p < u.hi) == 1
         assert check_continuity(model).ok
 
     def test_points_must_ascend(self):
@@ -291,23 +300,26 @@ class TestContinuity:
 
 
 class TestIntersectNonempty:
+    """overlaps(member_hits(...)) decides whether two Vietoris opens
+    intersect, as MeetGraph.row reads it."""
+
     def test_nested_overlap(self):
         u = family((0, 1), (2, 3))
         v = family((F(1, 2), F(3, 2)), (F(5, 2), F(7, 2)))
-        assert intersect_nonempty(u, v)
+        assert overlaps(hits(u, v), v.size)
 
     def test_isolated_member_blocks(self):
         u = family((0, 1), (10, 11))
         v = family((F(1, 2), F(3, 2)), (F(5, 2), F(7, 2)))
-        assert not intersect_nonempty(u, v)
+        assert not overlaps(hits(u, v), v.size)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_agrees_with_grid_oracle(self, seed):
         rng = random.Random(seed)
         u = random_family(rng, rng.randint(1, 3))
         v = random_family(rng, rng.randint(1, 3))
-        assert intersect_nonempty(u, v) == oracle_intersect(u, v)
-        assert intersect_nonempty(u, v) == intersect_nonempty(v, u)
+        assert overlaps(hits(u, v), v.size) == oracle_intersect(u, v)
+        assert overlaps(hits(u, v), v.size) == overlaps(hits(v, u), u.size)
 
 
 # -- agreement with the Fraction oracles ------------------------------------
@@ -526,7 +538,7 @@ class TestDescentAgreement:
             model = model_space(pts, random_partial(GroundSet(pts), 3, random.Random(seed)))
             for fam in derive_nice_family(model, 2).families:
                 for u in fam.members:
-                    assert [p for p in pts if u.contains(p)] == [(u.lo + u.hi) / 2]
+                    assert [p for p in pts if u.lo < p < u.hi] == [(u.lo + u.hi) / 2]
                     members += 1
         assert members > 0
 
