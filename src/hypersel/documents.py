@@ -199,15 +199,21 @@ def _read_choices(doc: Any, where: str, carrier: GroundSet, parse: bool = False)
 # -- selection structures ------------------------------------------------
 
 def write_selections(structures) -> list:
-    """write_selection of each structure, in order.  The ground list, the
-    subset label lists and the choice records are built once per
-    distinct (rendered ground, n), a record once per (subset rank, pick),
-    and shared by every structure on it, so the records must be read,
-    not edited in place."""
+    """write_selection of each structure, in order.  The label strings
+    are rendered once per ground object (keyed by id, as equal grounds
+    may hold labels that render apart: 0 and Fraction(0)).  The ground
+    list, the subset label lists and the choice records are built once
+    per distinct (rendered ground, n), a record once per (subset rank,
+    pick), and shared by every structure on it, so the records must be
+    read, not edited in place."""
+    rendered: dict = {}  # id(ground) -> (ground, label strings); the ground keeps its id
     shared: dict = {}  # (label strings, n) -> (ground list, subset lists, records by rank)
     out = []
     for s in structures:
-        names = tuple(map(label_str, s.ground.labels))
+        seen = rendered.get(id(s.ground))
+        if seen is None:
+            seen = rendered[id(s.ground)] = (s.ground, tuple(map(label_str, s.ground.labels)))
+        names = seen[1]
         key = (names, s.n)
         if key not in shared:
             subs, _ = s.table

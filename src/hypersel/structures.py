@@ -411,9 +411,14 @@ def _refine(subs: tuple, picks: tuple, cells: list) -> list:
 def _canonical_labeling(gs: Sequence[SelectionStructure]):
     """(least choice tuple, relabeling giving it) of the structures gs,
     all on one ground, labeled together, the relabeling stored as
-    sigma[old index] = new index: _refine reads their subsets and picks
-    concatenated in the order of gs, and a leaf's choice tuple joins, in
-    that order, each one's relabeling on its own table.
+    sigma[old index] = new index.  One structure (canonical_form, and
+    extension.partition_types once per m-subset) is read as it stands:
+    _refine reads its own table and picks, the search starts from its
+    score vector, and a leaf's choice tuple is its relabeling, with
+    nothing copied.  Several (joint_isomorphism) are joined: _refine
+    reads their subsets and picks concatenated in the order of gs, and
+    a leaf's choice tuple joins, in that order, each one's relabeling on
+    its own table.
 
     Individualization-refinement (McKay & Piperno, "Practical graph
     isomorphism, II", 2014): start from the score classes, counted over
@@ -429,8 +434,19 @@ def _canonical_labeling(gs: Sequence[SelectionStructure]):
     the same tuples.
     """
     m = gs[0].size
-    subs = sum((g.table[0] for g in gs), ())
-    picks = sum((g.picks for g in gs), ())
+    if len(gs) == 1:
+        g = gs[0]
+        subs, picks, w = g.table[0], g.picks, score_vector(g)
+
+        def encode(sigma: list) -> tuple:
+            return _relabeled(g, sigma)
+    else:
+        subs = sum((g.table[0] for g in gs), ())
+        picks = sum((g.picks for g in gs), ())
+        w = [sum(col) for col in zip(*map(score_vector, gs))]
+
+        def encode(sigma: list) -> tuple:
+            return sum((_relabeled(g, sigma) for g in gs), ())
     leaves: dict = {}  # choice tuple -> the first relabeling giving it
     autos: list = []
 
@@ -440,7 +456,7 @@ def _canonical_labeling(gs: Sequence[SelectionStructure]):
             sigma = [0] * m  # old index -> new index
             for k, (x,) in enumerate(cells):
                 sigma[x] = k
-            enc = sum((_relabeled(g, sigma) for g in gs), ())
+            enc = encode(sigma)
             if enc in leaves:
                 first = leaves[enc]
                 inv = [0] * m
@@ -460,7 +476,7 @@ def _canonical_labeling(gs: Sequence[SelectionStructure]):
             rest = [x for x in cells[t] if x != v]
             visit(path + [v], cells[:t] + [[v], rest] + cells[t + 1:])
 
-    visit([], _score_blocks([sum(col) for col in zip(*map(score_vector, gs))]))
+    visit([], _score_blocks(w))
     best = min(leaves)
     return best, leaves[best]
 

@@ -38,6 +38,7 @@ from hypersel.extension import (
 from hypersel.structures import (
     GroundSet,
     IsoMap,
+    canonical_form,
     ground_range,
     is_isomorphism,
     make_selection,
@@ -48,6 +49,7 @@ from hypersel.structures import (
 )
 
 from oracles import (
+    oracle_canonical,
     oracle_extend_value,
     oracle_joint_isomorphism,
     oracle_make_partial,
@@ -328,6 +330,37 @@ class TestPartitionTypes:
         with pytest.raises(OutOfRange, match="^m must be an int in 2..8, got 9$"):
             partition_types(f, 9, 2)
 
+    def test_arity_outside_the_mode_raises_before_m_range(self):
+        f = order_partial(ground_range(4), 2, "min", mode="exact")
+        with pytest.raises(ArityNotInDomain, match="^arity 1 not admitted by mode exact$"):
+            partition_types(f, 9, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(3, 7),
+        st.sampled_from(["strings", "fractions"]),
+        st.integers(2, 3),
+        st.data(),
+    )
+    def test_index_path_equals_labeled_path(self, size, kind, n, data):
+        # keys are the canonical forms of the labeled restrictions, and the
+        # classes group members as the exhaustive oracle does
+        if kind == "strings":
+            labels = tuple(f"v{i}" for i in range(size))
+        else:
+            labels = tuple(Fraction(3 * i - 4, i + 2) for i in range(size))
+        f = random_partial(GroundSet(labels), 3, random.Random(data.draw(st.integers(0, 10**6))))
+        m = data.draw(st.integers(n, size))
+        parts = partition_types(f, m, n)
+        oracle: dict = {}
+        for member in combinations(labels, m):
+            oracle.setdefault(oracle_canonical(oracle_restrict(f, member, n)), []).append(member)
+        assert list(parts.classes.values()) == list(oracle.values())
+        for key, members in parts.classes.items():
+            for member in members:
+                assert key == canonical_form(restrict(f, member, n))[0]
+        assert len({id(key.ground) for key in parts.classes}) == 1
+
 
 class TestExtendSelection:
     def test_min_on_six_picks_max(self):
@@ -394,19 +427,27 @@ class TestExtendSelection:
         for sub in combinations(range(8), 4):
             assert h.choose(sub) == oracle_extend_value(f, sub, 2)
 
-    def test_restricts_each_subset_once(self, monkeypatch):
+    def test_labels_each_subset_once_on_indices(self, monkeypatch):
         calls = []
+        real = structures._canonical_labeling
 
-        def counted(*args):
-            calls.append(args)
-            return restrict(*args)
+        def counted(gs):
+            calls.append(gs)
+            return real(gs)
 
-        monkeypatch.setattr(extension, "restrict", counted)
+        def forbidden(*args):
+            raise RuntimeError("partition_types builds no labeled restriction or form")
+
+        monkeypatch.setattr(extension, "_canonical_labeling", counted)
+        for module, name in ((extension, "restrict"), (extension, "canonical_form"),
+                             (structures, "canonical_form")):
+            monkeypatch.setattr(module, name, forbidden)
         f = random_partial(ground_range(8), 2, random.Random(9))
         parts = partition_types(f, 4, 2)
         assert len(calls) == 70  # C(8, 4): once each
-        assert sorted(c[1] for c in calls) == list(combinations(range(8), 4))
-        assert sum(len(ms) for ms in parts.classes.values()) == 70
+        assert all(len(gs) == 1 for gs in calls)
+        members = [t for ms in parts.classes.values() for t in ms]
+        assert sorted(members) == list(combinations(range(8), 4))
 
     def test_builds_a_large_p_level_table_once(self, monkeypatch):
         # the 5-level's table on 16 points, C(16, 5) * 5 cells, is too
