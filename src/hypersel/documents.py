@@ -199,28 +199,24 @@ def _read_choices(doc: Any, where: str, carrier: GroundSet, parse: bool = False)
 # -- selection structures ------------------------------------------------
 
 def write_selections(structures) -> list:
-    """write_selection of each structure, in order.  The label strings
-    are rendered once per ground object (keyed by id, as equal grounds
-    may hold labels that render apart: 0 and Fraction(0)).  The ground
-    list, the subset label lists and the choice records are built once
-    per distinct (rendered ground, n), a record once per (subset rank,
-    pick), and shared by every structure on it, so the records must be
-    read, not edited in place."""
-    rendered: dict = {}  # id(ground) -> (ground, label strings); the ground keeps its id
-    shared: dict = {}  # (label strings, n) -> (ground list, subset lists, records by rank)
+    """write_selection of each structure, in order.  The label strings,
+    subset label lists and choice records are built once per (ground
+    object, n), keyed by the ground's id, as equal grounds may hold
+    labels that render apart (0 and Fraction(0)), and held with the
+    ground, so the id is not reused during the call; a record once per
+    (subset rank, pick).  They are shared by every structure on that
+    ground and arity, so the records must be read, not edited in place."""
+    shared: dict = {}  # (id(ground), n) -> (ground, label strings, subset lists, records by rank)
     out = []
     for s in structures:
-        seen = rendered.get(id(s.ground))
-        if seen is None:
-            seen = rendered[id(s.ground)] = (s.ground, tuple(map(label_str, s.ground.labels)))
-        names = seen[1]
-        key = (names, s.n)
+        key = (id(s.ground), s.n)
         if key not in shared:
+            names = list(map(label_str, s.ground.labels))
             subs, _ = s.table
-            shared[key] = (list(names), [[names[i] for i in t] for t in subs], [{} for _ in subs])
-        ground, subsets, records = shared[key]
+            shared[key] = (s.ground, names, [[names[i] for i in t] for t in subs], [{} for _ in subs])
+        _, names, subsets, records = shared[key]
         out.append({
-            "ground": ground,
+            "ground": names,
             "n": s.n,
             # records are non-empty dicts, so get() misses only on a new pick
             "choices": [row.get(p) or row.setdefault(p, {"subset": t, "pick": names[p]})

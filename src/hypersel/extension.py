@@ -8,9 +8,9 @@ runs subset by subset on carrier indices: scores are isomorphism
 invariants, so the result is equivariant without computing any
 isomorphism type.  Type partitions only describe the classes for a
 report; they run on carrier indices too, one canonical labeling per
-m-subset of its restriction, built on a ground_range(m) that every
-subset and every class key shares, with no labeled copy of the subset
-(restrict, canonical_form) in between.  certified_isomorphism checks
+m-subset of its restriction (_restriction, restrict's loop), built on
+a ground_range(m) that every subset and class key shares, as
+enumerate_selections keys its classes.  certified_isomorphism checks
 equivariance on a pair of subsets through one joint canonical labeling
 of all their restriction levels (structures.joint_isomorphism), not a
 search of its own.
@@ -45,7 +45,6 @@ from .structures import (
     SelectionStructure,
     _canonical_labeling,
     _check_rule,
-    canonical_form,  # unused here, kept in the namespace the benchmark's tracer wraps
     ground_range,
     index_selection,
     index_table,
@@ -172,10 +171,16 @@ def restrict(f: PartialSelection, subset: Iterable[Label], n: int) -> SelectionS
     level = f.level(n)
     idx = tuple(sorted(f.carrier.index(x) for x in subset))
     ground = GroundSet(tuple(f.carrier.labels[i] for i in idx))
-    at = {x: i for i, x in enumerate(idx)}
+    return SelectionStructure(ground, n, _restriction(level, idx))
+
+
+def _restriction(level: SelectionStructure, s: Sequence[int]) -> tuple:
+    """level's picks on the n-subsets of the ascending carrier indices s,
+    in rank order, each as its position in s."""
     _, rank = level.table
-    picks = tuple(at[level.picks[rank[t]]] for t in combinations(idx, n))
-    return SelectionStructure(ground, n, picks)
+    picks = level.picks
+    at = {x: i for i, x in enumerate(s)}
+    return tuple(at[picks[rank[t]]] for t in combinations(s, level.n))
 
 
 @dataclass(frozen=True)
@@ -192,10 +197,10 @@ class TypePartition:
 def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     """Group every m-subset by the canonical form of its restriction.
 
-    Each subset is read on carrier indices: its arity-n restriction is
-    built from the level's picks by position, on one ground_range(m)
-    shared by every subset, and labeled once (_canonical_labeling);
-    its least choice tuple keys the class.  Only the keys become
+    Each subset is read on carrier indices: its arity-n restriction
+    (_restriction) is built on one ground_range(m) shared by every
+    subset, and labeled once (_canonical_labeling); its least choice
+    tuple keys the class.  Only the keys become
     structures, one per class, on the same shared ground, so they equal
     canonical_form(restrict(f, subset, n))[0].  Subsets are visited in
     rank order, so class insertion order and member order are
@@ -206,13 +211,9 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     check_int("m", m, n, f.carrier.size)
     ground = ground_range(m)
     labels = f.carrier.labels
-    _, rank = level.table
-    picks = level.picks
     classes: dict = {}
     for s in combinations(range(f.carrier.size), m):
-        at = {x: i for i, x in enumerate(s)}
-        g = SelectionStructure(ground, n, tuple(at[picks[rank[t]]] for t in combinations(s, n)))
-        best, _ = _canonical_labeling((g,))
+        best, _ = _canonical_labeling((SelectionStructure(ground, n, _restriction(level, s)),))
         classes.setdefault(best, []).append(tuple(labels[i] for i in s))
     return TypePartition(
         m, n, {SelectionStructure(ground, n, best): ms for best, ms in classes.items()}

@@ -9,9 +9,9 @@ subset_ranks keeps a table whose C(m, n) * n cells times m are at most
 _KEPT_WEIGHT (638 tables of 179,609 cells in all, none with m > 256); a
 structure takes its table once, when built, and its readers read it there.
 
-Isomorphism has one search, the canonical labeling behind
-canonical_form; joint_isomorphism labels several structures on one
-ground together and checks the map composed from two labelings.
+Isomorphism has one search, _canonical_labeling, one body for one
+structure or several on one ground labeled together; joint_isomorphism
+checks the map composed from two joint labelings.
 """
 
 from __future__ import annotations
@@ -72,7 +72,16 @@ class GroundSet:
     def __post_init__(self):
         if type(self.labels) is not tuple:
             object.__setattr__(self, "labels", tuple(self.labels))
-        if len(set(self.labels)) != len(self.labels):
+        try:
+            distinct = set(self.labels)
+        except TypeError:
+            for x in self.labels:
+                try:
+                    hash(x)
+                except TypeError:
+                    raise OutOfRange(f"label {_shown(x)} is not hashable") from None
+            raise
+        if len(distinct) != len(self.labels):
             raise DuplicateLabel(f"repeated labels in {self.labels!r}")
 
     @property
@@ -84,9 +93,10 @@ class GroundSet:
         return {x: i for i, x in enumerate(self.labels)}
 
     def index(self, label: Label) -> int:
-        if label not in self._position:
-            raise OutOfRange(f"{label!r} is not a label of the ground")
-        return self._position[label]
+        try:
+            return self._position[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise OutOfRange(f"{_shown(label)} is not a label of the ground") from None
 
     def __iter__(self):
         return iter(self.labels)
@@ -251,7 +261,11 @@ class IsoMap:
     def __post_init__(self):
         if self.source.size != self.target.size:
             raise SizeMismatch("isomorphism endpoints differ in size")
-        if len(self.images) != self.source.size or set(self.images) != set(self.target.labels):
+        try:
+            onto = set(self.images) == set(self.target.labels)
+        except TypeError:  # an unhashable image is no target label
+            onto = False
+        if len(self.images) != self.source.size or not onto:
             raise NotIso("images do not form a bijection onto the target")
 
     def apply(self, label: Label) -> Label:
@@ -411,14 +425,12 @@ def _refine(subs: tuple, picks: tuple, cells: list) -> list:
 def _canonical_labeling(gs: Sequence[SelectionStructure]):
     """(least choice tuple, relabeling giving it) of the structures gs,
     all on one ground, labeled together, the relabeling stored as
-    sigma[old index] = new index.  One structure (canonical_form, and
-    extension.partition_types once per m-subset) is read as it stands:
-    _refine reads its own table and picks, the search starts from its
-    score vector, and a leaf's choice tuple is its relabeling, with
-    nothing copied.  Several (joint_isomorphism) are joined: _refine
-    reads their subsets and picks concatenated in the order of gs, and
-    a leaf's choice tuple joins, in that order, each one's relabeling on
-    its own table.
+    sigma[old index] = new index.  _refine reads the subsets and picks
+    of gs joined in their order, and a leaf's choice tuple joins, in
+    that order, each one's relabeling on its own table; for one
+    structure (canonical_form, enumerate_selections' classes, each
+    m-subset of extension.partition_types) a join is that structure's
+    own tuple, not a copy.
 
     Individualization-refinement (McKay & Piperno, "Practical graph
     isomorphism, II", 2014): start from the score classes, counted over
@@ -434,19 +446,11 @@ def _canonical_labeling(gs: Sequence[SelectionStructure]):
     the same tuples.
     """
     m = gs[0].size
-    if len(gs) == 1:
-        g = gs[0]
-        subs, picks, w = g.table[0], g.picks, score_vector(g)
-
-        def encode(sigma: list) -> tuple:
-            return _relabeled(g, sigma)
-    else:
-        subs = sum((g.table[0] for g in gs), ())
-        picks = sum((g.picks for g in gs), ())
-        w = [sum(col) for col in zip(*map(score_vector, gs))]
-
-        def encode(sigma: list) -> tuple:
-            return sum((_relabeled(g, sigma) for g in gs), ())
+    subs = sum([g.table[0] for g in gs], ())
+    picks = sum([g.picks for g in gs], ())
+    w = [0] * m
+    for p in picks:
+        w[p] += 1
     leaves: dict = {}  # choice tuple -> the first relabeling giving it
     autos: list = []
 
@@ -456,7 +460,7 @@ def _canonical_labeling(gs: Sequence[SelectionStructure]):
             sigma = [0] * m  # old index -> new index
             for k, (x,) in enumerate(cells):
                 sigma[x] = k
-            enc = encode(sigma)
+            enc = sum([_relabeled(g, sigma) for g in gs], ())
             if enc in leaves:
                 first = leaves[enc]
                 inv = [0] * m
@@ -540,11 +544,11 @@ def enumerate_selections(
     the most significant digit and candidates within a subset follow the
     ground order.
 
-    With up_to_iso, the canonical form of the first structure of each
-    isomorphism class is yielded, in order of first appearance.  Each
-    new class marks the indices of all m! relabelings of its first
-    structure in a byte map over the index range, and a marked index is
-    skipped without being decoded.
+    With up_to_iso, each class's first structure is yielded in order of
+    first appearance, as its least choice tuple (_canonical_labeling) on
+    the enumeration's one shared ground.  Each new class marks the
+    indices of all m! relabelings of its first structure in a byte map
+    over the index range, and a marked index is skipped undecoded.
 
     Cost is metered in table cells: count = C(m, n) per index walked,
     plus m! * count per new class for marking its orbit.  Exceeding the
@@ -602,8 +606,8 @@ def enumerate_selections(
             terms = [columns[r][d] for r, d in enumerate(digits)]
             for idx in map(sum, zip(*terms)):
                 marked[idx] = 1
-            canon, _ = canonical_form(structure(digits))
-            yield canon
+            best, _ = _canonical_labeling((structure(digits),))
+            yield SelectionStructure(ground, n, best)
             pos = marked.find(0, pos + 1)
         if total * count + found * orbit_cells > budget:
             raise BudgetExceeded(f"budget {budget} exhausted mid-stream")

@@ -36,6 +36,7 @@ RETIRED = {
     ("chains", "meets_uniquely"),
     ("obstruction", "prime_obstruction_holds"),
     ("cli", "write_selection"),
+    ("extension", "canonical_form"),
 }
 
 

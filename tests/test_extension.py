@@ -421,7 +421,7 @@ class TestExtendSelection:
 
         f = random_partial(ground_range(8), 2, random.Random(9))
         with monkeypatch.context() as patched:
-            for name in ("restrict", "canonical_form", "partition_types"):
+            for name in ("restrict", "_canonical_labeling", "partition_types"):
                 patched.setattr(extension, name, forbidden)
             h = extend_selection(f, 4, 2)
         for sub in combinations(range(8), 4):
@@ -439,8 +439,7 @@ class TestExtendSelection:
             raise RuntimeError("partition_types builds no labeled restriction or form")
 
         monkeypatch.setattr(extension, "_canonical_labeling", counted)
-        for module, name in ((extension, "restrict"), (extension, "canonical_form"),
-                             (structures, "canonical_form")):
+        for module, name in ((extension, "restrict"), (structures, "canonical_form")):
             monkeypatch.setattr(module, name, forbidden)
         f = random_partial(ground_range(8), 2, random.Random(9))
         parts = partition_types(f, 4, 2)

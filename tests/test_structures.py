@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import random
+import re
 import sys
 from itertools import combinations, permutations
 
@@ -21,6 +22,7 @@ from hypersel.errors import (
     NotRegular,
     OutOfRange,
     SizeMismatch,
+    _shown,
 )
 from hypersel import _kernels, structures
 from hypersel._kernels import regular_masks_exhaustive
@@ -50,7 +52,13 @@ from hypersel.structures import (
 )
 from hypersel.verdict import fail
 
-from hypersel.extension import partial_from_indices, random_partial, restrict
+from hypersel.extension import (
+    certified_isomorphism,
+    order_partial,
+    partial_from_indices,
+    random_partial,
+    restrict,
+)
 
 from oracles import (
     oracle_canonical,
@@ -122,6 +130,28 @@ class TestGroundSet:
         assert g == h and hash(g) == hash(h) and g != GroundSet(("y", "x"))
         with pytest.raises(OutOfRange, match="^'w' is not a label of the ground$"):
             g.index("w")
+
+    @pytest.mark.parametrize("labels, shown", [
+        (([1], [2]), "[1]"), (("a", ("b", [0]), [1]), "('b', [0])"),
+    ])
+    def test_unhashable_label_rejected(self, labels, shown):
+        # the first label that does not hash is named, also one nested in a tuple
+        with pytest.raises(OutOfRange, match=f"^label {re.escape(shown)} is not hashable$"):
+            GroundSet(labels)
+
+    @pytest.mark.parametrize("label", [[0], ("b", [0]), 10**5000], ids=["list", "nested", "huge"])
+    def test_lookup_of_a_foreign_label_is_out_of_range(self, label):
+        # unhashable, or past the interpreter's digits for its repr
+        g = ground_range(3)
+        lookups = [
+            lambda: g.index(label),
+            lambda: rotational_tournament(3).choose([label, 0]),
+            lambda: IsoMap(g, g, (1, 2, 0)).apply(label),
+            lambda: certified_isomorphism(order_partial(g, 2, "min"), [label, 0], [1, 2]),
+        ]
+        for lookup in lookups:
+            with pytest.raises(OutOfRange, match=f"^{re.escape(_shown(label))} is not a label of the ground$"):
+                lookup()
 
 
 class TestSequenceFields:
@@ -393,6 +423,8 @@ class TestIsomorphism:
             IsoMap(ground_range(3), ground_range(3), (0, 1, 2, 2))
         with pytest.raises(NotIso, match="^images do not form a bijection onto the target$"):
             IsoMap(ground_range(3), ground_range(3), (0, 1))
+        with pytest.raises(NotIso, match="^images do not form a bijection onto the target$"):
+            IsoMap(ground_range(2), ground_range(2), ([0], [1]))  # unhashable images
 
 
 class TestRelabeling:
@@ -846,11 +878,18 @@ class TestEnumeration:
             enumerate_selections(12, 6, budget=10**40)
 
     @pytest.mark.parametrize("m, n", SMALL_SPACES)
-    def test_iso_one_record_per_class_in_order(self, m, n):
-        records = list(enumerate_selections(m, n, up_to_iso=True))
+    def test_iso_one_record_per_class_in_order(self, monkeypatch, m, n):
+        def forbidden(*args):
+            raise RuntimeError("enumerate_selections keys classes without canonical_form")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(structures, "canonical_form", forbidden)
+            records = list(enumerate_selections(m, n, up_to_iso=True))
         classes = oracle_classes(m, n)
         assert len(records) == len(classes)
         assert all(r.picks in orbit for r, orbit in zip(records, classes))
+        assert len({id(r.ground) for r in records}) == 1
+        assert all(canonical_form(r)[0] == r for r in records)
 
     def test_iso_meter(self):
         # 2^10 indices walked at 10 cells, 12 classes at 5! * 10 cells
