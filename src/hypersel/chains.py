@@ -42,6 +42,7 @@ from .errors import (
     NotNice,
     OutOfRange,
     SizeMismatch,
+    _shown,
     check_int,
 )
 from .extension import subset_scores
@@ -305,7 +306,7 @@ def build_selection_from_nice(
     for ci, comp in enumerate(comps):
         if bases is not None and ci in bases:
             if not isinstance(bases[ci], (tuple, list)) or len(bases[ci]) != 2:
-                raise OutOfRange(f"base {bases[ci]!r} is not a (family, member) pair")
+                raise OutOfRange(f"base {_shown(bases[ci])} is not a (family, member) pair")
             base_f, base_m = bases[ci]
             check_int("base family", base_f, comp[0], comp[-1])
             if base_f not in comp:

@@ -165,15 +165,21 @@ def _positional_levels(doc: Any, carrier: GroundSet, strings: tuple,
     return levels
 
 
-def _read_choices(doc: Any, where: str, carrier: GroundSet, parse: bool = False) -> dict:
+def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
+                  parse: bool = False) -> dict:
     """Choice records to the index table partial_from_indices takes,
-    through the per-field checks in record order; each label (a fraction
-    when parse is set) looked up in the carrier, and one outside it
-    rejected at its record, subset labels in list order before the pick."""
+    through the per-field checks in record order; each label looked up
+    by the carrier strings, then (parsed as a fraction when parse is set,
+    so "2/4" finds "1/2") in the carrier, and one outside it rejected at
+    its record, subset labels in list order before the pick."""
     if not isinstance(doc, list):
         raise DocumentError(f"{where}: expected a list of choice records")
+    known = dict(zip(strings, range(carrier.size)))
 
     def resolve(x: str, r: int, field: str) -> int:
+        i = known.get(x)
+        if i is not None:
+            return i
         try:
             return carrier.index(parse_fraction(x, f"{where}.{field}") if parse else x)
         except OutOfRange:
@@ -237,7 +243,8 @@ def read_selection(doc: Any) -> SelectionStructure:
     levels = _positional_levels(doc["choices"], ground, strings, range(n, n + 1))
     if levels is not None:
         return levels[n]
-    return index_selection(ground, n, _read_choices(doc["choices"], "selection.choices", ground))
+    return index_selection(ground, n, _read_choices(doc["choices"], "selection.choices", ground,
+                                                    strings))
 
 
 # -- partial selections --------------------------------------------------
@@ -274,7 +281,7 @@ def _read_partial(doc: Any, parsed: Optional[dict]) -> PartialSelection:
     if levels is not None:
         return PartialSelection(carrier, mode, bound, levels)
     return partial_from_indices(carrier, mode, bound, _read_choices(
-        doc["choices"], "partial.choices", carrier, parsed is not None))
+        doc["choices"], "partial.choices", carrier, strings, parsed is not None))
 
 
 # -- interval families ---------------------------------------------------

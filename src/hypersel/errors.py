@@ -97,9 +97,14 @@ class DocumentError(HyperselError):
 
 
 def _shown(x) -> str:
+    """repr(x), but an int past the interpreter's digit limit by its bit
+    length, also as an item of a list or tuple x."""
     try:
         return repr(x)
-    except ValueError:  # an int past the interpreter's digit limit: its bit length
+    except ValueError:
+        if isinstance(x, (list, tuple)):
+            items = ", ".join(map(_shown, x))
+            return f"[{items}]" if isinstance(x, list) else f"({items}{',' * (len(x) == 1)})"
         return f"an int of {x.bit_length()} bits"
 
 

@@ -19,6 +19,12 @@ exactly: about k(p-q) small factors and one exact division in place of
 math.comb's deep recursion, which divides at every node.  Primes up to
 _STEP_ABOVE, where math.comb is as fast as a step, cofactor 1 and the
 first large prime of each cofactor keep math.comb.
+
+The table reads the primes of each m from one least-prime-factor sieve
+over its range, built once per table (_least_prime_factors); that is the
+one route for factoring a range of m.  is_prime, prime_divisors and
+_least_factor trial-divide: they serve single unbounded ints
+(check_extension's p, divides_binom's gcd), where no sieve can go.
 """
 
 from __future__ import annotations
@@ -50,6 +56,17 @@ def _least_factor(k: int) -> int:
             return d
         d += 2
     return k
+
+
+def _least_prime_factors(limit: int) -> list:
+    """lpf with lpf[k] the least prime dividing k, for 2 <= k <= limit (and
+    lpf[1] = 1): each d from isqrt(limit) down to 2 marks its multiples from
+    d*d on, so the least d <= isqrt(k) dividing k, always a prime, is the
+    last to write lpf[k]; a k no such d divides is prime and keeps lpf[k] = k."""
+    lpf = list(range(limit + 1))
+    for d in range(math.isqrt(limit), 1, -1):
+        lpf[d * d::d] = [d] * ((limit - d * d) // d + 1)
+    return lpf
 
 
 def is_prime(k: int) -> bool:
@@ -201,17 +218,24 @@ def obstruction_table(max_m: int) -> list:
     """One row per prime p dividing m, 2 <= m <= max_m, by m then p.  Two
     independent decisions find that m does not divide C(m,p), so no witness
     exists (proven-none): the exact C(m,p) mod m, and Kummer's test at p,
-    the one prime of gcd(m, p).  p comes from factoring m once.
+    the one prime of gcd(m, p).  The primes of each m, ascending, come from
+    one least-prime-factor sieve over 2..max_m, built after max_m is checked.
 
     C(m,p) is math.comb's when p <= _STEP_ABOVE or p = m.  Otherwise,
     with cofactor k = m/p >= 2, it steps from C(kq,q) for the prime q
     before p, whose row came earlier (see the module docstring); the
     least prime above _STEP_ABOVE has no such q and takes math.comb's."""
     check_int("max_m", max_m, 2, MAX_TABLE_M)
+    lpf = _least_prime_factors(max_m)
+    status = _PROVEN_NONE.status
     rows = []
     last = {}  # cofactor k -> (q, C(kq,q)) of its latest row with q > _STEP_ABOVE
     for m in range(2, max_m + 1):
-        for p in prime_divisors(m):
+        rest = m
+        while rest > 1:  # p runs over the primes of m, ascending
+            p = lpf[rest]
+            while lpf[rest] == p:
+                rest //= p
             if p <= _STEP_ABOVE or p == m:
                 binom = math.comb(m, p)
             else:
@@ -222,7 +246,7 @@ def obstruction_table(max_m: int) -> list:
             if divisible or _carries_enough(m, p, p):
                 raise BrokenInvariant(f"obstructed pair ({m},{p}) has m | C(m,p)")
             residue = _lucas_binom_mod(m - 1, p - 1, p)
-            rows.append(TableRow(m, p, binom, divisible, residue, _PROVEN_NONE.status))
+            rows.append(TableRow(m, p, binom, divisible, residue, status))
     return rows
 
 

@@ -82,7 +82,7 @@ class GroundSet:
                     raise OutOfRange(f"label {_shown(x)} is not hashable") from None
             raise
         if len(distinct) != len(self.labels):
-            raise DuplicateLabel(f"repeated labels in {self.labels!r}")
+            raise DuplicateLabel(f"repeated labels in {_shown(self.labels)}")
 
     @property
     def size(self) -> int:
@@ -148,7 +148,7 @@ class SelectionStructure:
         """The pick of the n-subset labels; OutOfRange for any other list."""
         idx = tuple(sorted(self.ground.index(x) for x in labels))
         if idx not in self.table[1]:
-            raise OutOfRange(f"{[self.ground.labels[i] for i in idx]} is not a {self.n}-subset")
+            raise OutOfRange(f"{_shown([self.ground.labels[i] for i in idx])} is not a {self.n}-subset")
         return self.ground.labels[self.choose_indices(idx)]
 
 
@@ -184,9 +184,9 @@ def index_selection(ground: GroundSet, n: int, table: Mapping) -> SelectionStruc
         if type(v) is not int or v not in s:
             named = [names[i] for i in s]
             if v is None:
-                raise MissingSubset(f"no choice for subset {named}")
-            shown = repr(names[v]) if type(v) is int and 0 <= v < m else f"pick {_shown(v)}"
-            raise ChoiceOutsideSubset(f"{shown} not in subset {named}")
+                raise MissingSubset(f"no choice for subset {_shown(named)}")
+            shown = _shown(names[v]) if type(v) is int and 0 <= v < m else f"pick {_shown(v)}"
+            raise ChoiceOutsideSubset(f"{shown} not in subset {_shown(named)}")
         picks.append(v)
     if len(table) != len(picks):
         raise MissingSubset("table has entries that are not n-subsets of the ground")

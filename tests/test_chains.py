@@ -210,8 +210,10 @@ class TestBuild:
         ({0: None}, r"base None is not a \(family, member\) pair"),
         ({0: (0,)}, r"base \(0,\) is not a \(family, member\) pair"),
         ({0: (0, 1, 2)}, r"base \(0, 1, 2\) is not a \(family, member\) pair"),
+        ({0: 10**5000}, r"base an int of 16610 bits is not a \(family, member\) pair"),
+        ({0: (10**5000,)}, r"base \(an int of 16610 bits,\) is not a \(family, member\) pair"),
     ], ids=["key 7", "key -1", "key '0'", "family 0.0", "member 1.5", "member 1.0", "member True",
-            "value 5", "value None", "value (0,)", "value (0, 1, 2)"])
+            "value 5", "value None", "value (0,)", "value (0, 1, 2)", "value huge", "value (huge,)"])
     def test_bases_it_cannot_use_rejected(self, bases, fault):
         system = FamilySystem((family((0, 1), (2, 3)),), order_model([0, 1, 2, 3], 2, "min"))
         with pytest.raises(OutOfRange, match=f"^{fault}$"):

@@ -310,9 +310,11 @@ class TestModelLabels:
         model = read_model(doc)
         # the three points, then the one carrier label no point spells;
         # the choices spell 1/2 as "1/2", not a carrier string, so they are
-        # read record by record, each label parsed where it stands
+        # read record by record, and each "1/2" is parsed where it stands,
+        # while a carrier string is found as it is spelled
         labels = [x for rec in doc["selection"]["choices"] for x in (*rec["subset"], rec["pick"])]
-        assert calls == ["0/1", "1/2", "1/1", "2/4"] + labels
+        assert calls == ["0/1", "1/2", "1/1", "2/4"] + [x for x in labels if x == "1/2"]
+        assert len(labels) > labels.count("1/2") > 0
         assert model == order_model([0, F(1, 2), 1], 2, "min")
 
     def test_system_reads_each_interval_once(self, monkeypatch):
@@ -519,6 +521,33 @@ class TestChoiceRecords:
             doc["choices"][4]["subset"].reverse()
         assert read_selection(doc) == s
         assert calls == ["partial.choices", "selection.choices"]
+
+    def test_shuffled_model_reads_as_the_positional_read(self, monkeypatch):
+        # only a label that is no carrier string is parsed as a fraction
+        model = order_model([0, F(1, 3), 1, F(5, 2), F(7, 4)], 3, "max")
+        doc = write_model(model)
+        assert read_model(doc) == model
+        calls = self.spy(monkeypatch)
+        parsed = []
+        parse = documents.parse_fraction
+
+        def spied_parse(s, where="value"):
+            parsed.append((s, where))
+            return parse(s, where)
+
+        monkeypatch.setattr(documents, "parse_fraction", spied_parse)
+        random.Random(3).shuffle(doc["selection"]["choices"])
+        assert read_model(doc) == model
+        assert calls == ["partial.choices"]
+        assert not [w for _, w in parsed if w.startswith("partial.choices")]
+        respelled = 0
+        for rec in doc["selection"]["choices"]:
+            rec["subset"] = ["2/6" if x == "1/3" else x for x in rec["subset"]]
+            rec["pick"] = "2/6" if rec["pick"] == "1/3" else rec["pick"]
+            respelled += rec["subset"].count("2/6") + (rec["pick"] == "2/6")
+        parsed.clear()
+        assert read_model(doc) == model
+        assert [x for x, w in parsed if w.startswith("partial.choices")] == ["2/6"] * respelled > []
 
     def test_too_few_records_for_any_slot(self, monkeypatch):
         # 20 labels, exact 10: C(20, 10) = 184,756 subsets and one record;

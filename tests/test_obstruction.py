@@ -274,24 +274,33 @@ class TestTable:
         assert perms == want
 
     def test_rows_decided_without_the_search(self, monkeypatch):
-        # Kummer's test at p alone: no witness search, no score value,
-        # no second factoring of gcd(m, p) = p
+        # Kummer's test at p alone: no witness search, no score value;
+        # the primes of m from the sieve, with no trial division at all
         def forbidden(name):
             return lambda *args: pytest.fail(f"{name}{args} called")
 
-        for name in ("search_regular", "divides_binom"):
+        for name in ("search_regular", "divides_binom", "prime_divisors", "_least_factor"):
             monkeypatch.setattr(obstruction, name, forbidden(name))
-        factored = Counter()
-        factor = obstruction.prime_divisors
-
-        def counting_factor(k):
-            factored[k] += 1
-            return factor(k)
-
-        monkeypatch.setattr(obstruction, "prime_divisors", counting_factor)
         rows = obstruction_table(400)
-        assert factored == dict.fromkeys(range(2, 401), 1)
         assert len(rows) == 790 and {r.search_status for r in rows} == {"proven-none"}
+
+    @pytest.mark.parametrize("limit", [2, 3, 4, 8, 9, 25, 26, MAX_TABLE_M])
+    def test_sieve_least_factor(self, limit):
+        # limits at and just past the prime squares 4, 9 and 25, and the table's
+        lpf = obstruction._least_prime_factors(limit)
+        assert len(lpf) == limit + 1
+        assert lpf[2:] == [obstruction._least_factor(k) for k in range(2, limit + 1)]
+
+    def test_pairs_are_the_primes_of_m(self):
+        pairs = [(r.m, r.p) for r in obstruction_table(MAX_TABLE_M)]
+        assert pairs == [(m, p) for m in range(2, MAX_TABLE_M + 1) for p in prime_divisors(m)]
+
+    @pytest.mark.parametrize("max_m", [1, MAX_TABLE_M + 1])
+    def test_range_checked_before_the_sieve(self, monkeypatch, max_m):
+        monkeypatch.setattr(obstruction, "_least_prime_factors",
+                            lambda limit: pytest.fail(f"sieve built to {limit}"))
+        with pytest.raises(OutOfRange, match=f"^max_m must be an int in 2..{MAX_TABLE_M}, got {max_m}$"):
+            obstruction_table(max_m)
 
     def test_inexact_step_is_broken_invariant(self, monkeypatch):
         perm = math.perm

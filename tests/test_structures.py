@@ -139,6 +139,42 @@ class TestGroundSet:
         with pytest.raises(OutOfRange, match=f"^label {re.escape(shown)} is not hashable$"):
             GroundSet(labels)
 
+    @pytest.mark.parametrize("labels, shown", [
+        (("a", "b", "a"), "('a', 'b', 'a')"),
+        ([7, 7], "(7, 7)"),  # stored as a tuple
+        ((10**5000, 10**5000), "(an int of 16610 bits, an int of 16610 bits)"),
+    ], ids=["strings", "list", "huge"])
+    def test_duplicate_label_message(self, labels, shown):
+        # the labels by repr, an int past the interpreter's digits by its bit length
+        with pytest.raises(DuplicateLabel, match=f"^repeated labels in {re.escape(shown)}$"):
+            GroundSet(labels)
+
+    @pytest.mark.parametrize("labels, shown", [
+        ([1], "[1]"), ([10**5000], "[an int of 16610 bits]"),
+        (["b", 1, 10**5000], "[an int of 16610 bits, 1, 'b']"),  # in ground order
+    ], ids=["small", "huge", "three"])
+    def test_non_subset_message(self, labels, shown):
+        s = selection_from_order(GroundSet((10**5000, 1, "b")), 2, "min")
+        with pytest.raises(OutOfRange, match=f"^{re.escape(shown)} is not a 2-subset$"):
+            s.choose(labels)
+
+    def test_index_selection_messages_show_huge_labels(self):
+        g = GroundSet((10**5000, 1, 2))
+        with pytest.raises(MissingSubset, match=r"^no choice for subset \[an int of 16610 bits, 1\]$"):
+            index_selection(g, 2, {})
+        with pytest.raises(ChoiceOutsideSubset,
+                           match=r"^an int of 16610 bits not in subset \[1, 2\]$"):
+            index_selection(g, 2, {(0, 1): 0, (0, 2): 0, (1, 2): 0})
+
+    @pytest.mark.parametrize("x", [(), (1,), ("a", 2), [], [1], [(1,), "b"], ((1, 2), [3])])
+    def test_shown_sequence_is_repr(self, x):
+        assert _shown(x) == repr(x)
+
+    def test_shown_sequence_with_huge_item(self):
+        big = f"an int of {(10**5000).bit_length()} bits"
+        assert _shown((10**5000,)) == f"({big},)"
+        assert _shown([1, (10**5000, "a")]) == f"[1, ({big}, 'a')]"
+
     @pytest.mark.parametrize("label", [[0], ("b", [0]), 10**5000], ids=["list", "nested", "huge"])
     def test_lookup_of_a_foreign_label_is_out_of_range(self, label):
         # unhashable, or past the interpreter's digits for its repr

@@ -14,7 +14,10 @@ call the benchmark times, ``structures.regular_tournaments(m)`` and
 ``check_cycle_property`` on each tournament.
 Each pair runs the ops once on each tree, the order alternating from
 pair to pair, and takes the ratio of this checkout's time to the
-base's.  The median and the quartiles of those ratios are printed.
+base's.  The median and the quartiles of those ratios are printed;
+with ``--json PATH`` they are also written to PATH, with the workload,
+the kind, the seed, the op and pair counts, every ratio in pair order
+and whether every output was identical.
 Every CLI run's exit codes, stdout and stderr text and report bytes,
 and every census run's masks (``mask_from_tournament``) and verdicts,
 are compared with the base's; any difference is named on stderr and
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
+import json
 import os
 import shutil
 import statistics
@@ -95,9 +99,11 @@ def main(argv=None) -> int:
     parser.add_argument("--kind", required=True, help="op kind, e.g. extend or enumerate")
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--json", metavar="PATH", help="also write the ratios as JSON to PATH")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    out = os.path.abspath(args.json) if args.json else None
     with tempfile.TemporaryDirectory(prefix="ab_ops-") as tmp:
         base = load_base(os.path.abspath(args.base), tmp)
         os.chdir(tmp)
@@ -125,6 +131,13 @@ def main(argv=None) -> int:
     q1, q2, q3 = quartiles(ratios) if len(ratios) > 1 else (ratios[0],) * 3
     print(f"{args.workload} {args.kind}: {len(ops)} ops x {args.pairs} pairs; "
           f"head/base time median {q2:.3f}, IQR {q1:.3f}-{q3:.3f}")
+    if out:
+        with open(out, "w") as fh:
+            json.dump({"workload": args.workload, "kind": args.kind, "seed": args.seed,
+                       "ops": len(ops), "pairs": args.pairs, "ratios": ratios,
+                       "median": q2, "q1": q1, "q3": q3, "identical": not differ},
+                      fh, indent=1)
+            fh.write("\n")
     if differ:
         print(f"{differ} op runs differ from the base", file=sys.stderr)
         return 1
