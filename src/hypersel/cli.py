@@ -6,6 +6,13 @@ resource or precondition failure (diagnostic on stderr).
 
 Reports embed the tool version and the resolved configuration; given
 equal inputs and flags the bytes written are identical run to run.
+
+An argv whose first word names a subcommand is parsed by that
+subcommand's parser alone, as the top-level parser's subparsers action
+would parse it; any other argv, and one with arguments left over, goes
+through the top-level parser.  Both parsers are built on the first call
+to ``main``.  Every report, bare document and table is ASCII: ``--output``
+files get its bytes in one binary write, stdout gets the text.
 """
 
 from __future__ import annotations
@@ -51,13 +58,14 @@ from .vietoris import check_continuity
 
 def _emit(text: str, path: Optional[str]) -> None:
     """Write text to path, or to stdout when path is None.  Every report,
-    bare document and table is ASCII, so any stream encoding takes it."""
+    bare document and table is ASCII, so any stream encoding takes it,
+    and its UTF-8 encoding is its ASCII bytes."""
     if path is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
         except OSError as exc:
             raise DocumentError(f"cannot write {path}: {exc}") from exc
 
@@ -73,6 +81,9 @@ def _report(args: argparse.Namespace, result: dict) -> str:
 
 
 def _load(path: str) -> Any:
+    """The JSON document at path.  Read as text: universal newlines keep
+    the offsets an "invalid JSON" message gives, and json would guess
+    UTF-16 or UTF-32 for bytes."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -214,7 +225,9 @@ def cmd_model(args: argparse.Namespace) -> int:
     return 0 if verdict.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build() -> tuple[argparse.ArgumentParser, dict]:
+    """A new top-level parser and its subcommand table: each subcommand's
+    name and the parser its subparsers action sends the rest of argv to."""
     parser = argparse.ArgumentParser(
         prog="hypersel",
         description="Finite selection structures: enumeration, divisibility "
@@ -265,23 +278,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("check-continuity",))
     p.add_argument("input", help="model document")
     p.set_defaults(func=cmd_model)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new top-level parser."""
+    return _build()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on the first call to ``main``.
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and subcommand table of this process, built
+    on the first call to ``main``.
 
     Only in-process callers that call ``main`` more than once gain; a
-    one-shot process builds one parser either way.  ``parse_args``
-    returns a fresh namespace per call and nothing writes to the parser
-    after it is built, so no state passes from one call to the next.
+    one-shot process builds them once either way.  Each parse returns a
+    fresh namespace and nothing writes to a parser after it is built, so
+    no state passes from one call to the next.
     """
-    return build_parser()
+    return _build()
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """argv parsed as the top-level parser parses it.
+
+    An argv that starts with a subcommand's name goes straight to that
+    subcommand's parser, with ``command`` set to the name: what the
+    top-level parser's subparsers action does, less the top-level pass
+    that only finds the name.  Should arguments be left over, argv is
+    parsed again by the top-level parser, whose error names them.  Any
+    other argv (empty, an option first, an unknown command) goes through
+    the top-level parser.
+    """
+    parser, subcommands = _parsers()
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     if args.format is None:
         args.format = "tsv" if args.command == "obstruct" else "json"
     try:

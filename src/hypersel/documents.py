@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Optional
 
 from .chains import FamilySystem
-from .errors import ChoiceOutsideSubset, DocumentError, OutOfRange
+from .errors import ChoiceOutsideSubset, DocumentError, OutOfRange, _shown
 from .extension import PartialSelection, admissible_sizes, partial_from_indices
 from .structures import GroundSet, SelectionStructure, index_selection, subset_ranks
 from .vietoris import IntervalOpen, ModelSpace, OpenFamily, model_space
@@ -56,7 +56,7 @@ def parse_fraction(s: Any, where: str = "value") -> Fraction:
     q, spaces, underscores and non-ASCII digits are rejected, and so is
     q = 0."""
     if not isinstance(s, str):
-        raise DocumentError(f"{where}: expected a fraction string, got {s!r}")
+        raise DocumentError(f"{where}: expected a fraction string, got {_shown(s)}")
     if _FRACTION.fullmatch(s) is None:
         raise DocumentError(f"{where}: bad fraction {s!r}")
     num, _, den = s.partition("/")
@@ -117,7 +117,7 @@ def _string_list(xs: Any, where: str) -> tuple:
 
 def _int(x: Any, where: str) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
-        raise DocumentError(f"{where}: expected an integer, got {x!r}")
+        raise DocumentError(f"{where}: expected an integer, got {_shown(x)}")
     return x
 
 
@@ -270,7 +270,7 @@ def _read_partial(doc: Any, parsed: Optional[dict]) -> PartialSelection:
     strings = _string_list(doc["carrier"], "partial.carrier")
     mode = doc["mode"]
     if mode not in ("upto", "exact"):
-        raise DocumentError(f"partial.mode: expected 'upto' or 'exact', got {mode!r}")
+        raise DocumentError(f"partial.mode: expected 'upto' or 'exact', got {_shown(mode)}")
     bound = _int(doc["bound"], "partial.bound")
     if parsed is None:
         carrier = GroundSet(strings)

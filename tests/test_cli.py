@@ -1,6 +1,7 @@
-"""The CLI front end: one parser per process, argument fuzz over every
-subcommand, unwritable outputs, the one-shot entry point and UTF-8
-documents under any locale."""
+"""The CLI front end: one parser per process, argv routed straight to a
+subcommand's parser as the top-level parser would route it, argument
+fuzz over every subcommand, unwritable outputs, the one-shot entry
+point and UTF-8 documents under any locale."""
 
 import io
 import json
@@ -41,8 +42,8 @@ def call(argv):
 
 
 def call_fresh(argv):
-    """``call`` with a parser built afresh for this call alone."""
-    with mock.patch.object(cli, "_parser", cli.build_parser):
+    """``call`` with parsers built afresh for this call alone."""
+    with mock.patch.object(cli, "_parsers", cli._build):
         return call(argv)
 
 
@@ -69,13 +70,38 @@ def docs(tmp_path_factory):
     return paths
 
 
+# a valid argv after each subcommand's name; parsing opens no file
+ROUTED = {
+    "enumerate": ["2", "2"],
+    "obstruct": ["4"],
+    "extend": ["f.json", "4", "2"],
+    "chains": ["build", "f.json"],
+    "model": ["check-continuity", "f.json"],
+}
+
+
 class TestParserOncePerProcess:
     def test_built_on_first_call_only(self):
-        cli._parser.cache_clear()
-        with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
-            for argv in (["obstruct", "4"], ["enumerate", "2", "2"], ["obstruct", "x"]):
+        # the parser and subcommand table are built once, whichever
+        # route each argv takes: straight to a subcommand, back to the
+        # top-level parser for leftovers, or through it from the start
+        cli._parsers.cache_clear()
+        with mock.patch.object(cli, "_build", wraps=cli._build) as build:
+            for argv in (["obstruct", "4"], ["enumerate", "2", "2"], ["obstruct", "x"],
+                         ["obstruct", "4", "5"], [], ["frobnicate"], ["--version"]):
                 call(argv)
         assert build.call_count == 1
+
+    def test_table_holds_the_top_level_parsers_own_subparsers(self):
+        # the full parse hands the rest of argv to the table's parser object
+        parser, table = cli._build()
+        assert list(table) == list(ROUTED)
+        for name, rest in ROUTED.items():
+            sub = table[name]
+            with mock.patch.object(sub, "parse_known_args", wraps=sub.parse_known_args) as spy:
+                args = parser.parse_args([name] + rest)
+            spy.assert_called_once()
+            assert args.command == name
 
     def test_format_default_does_not_leak(self):
         # main resolves the --format default per call, in the namespace
@@ -89,9 +115,9 @@ class TestParserOncePerProcess:
     def test_not_built_at_import(self):
         code = (
             "import hypersel.cli as c\n"
-            "print(c._parser.cache_info().currsize)\n"
+            "print(c._parsers.cache_info().currsize)\n"
             "c.main(['obstruct', '2'])\n"
-            "print(c._parser.cache_info().currsize)\n"
+            "print(c._parsers.cache_info().currsize)\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
@@ -169,6 +195,49 @@ def run_and_collect(argv, runner, report):
             written = fh.read()
         os.remove(report)
     return result + (written,)
+
+
+def parsed(parse, argv):
+    """("args", vars of the namespace) of parse(argv), or ("exit", exit
+    code, stdout, stderr) when argparse exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return "args", vars(parse(argv))
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+
+
+# argvs at the edges of the route: leftovers, help, --version after a
+# subcommand, "--", abbreviated and "=" options, missing values, and the
+# argvs that never reach a subcommand's parser
+EDGES = [
+    [], ["-h"], ["--help"], ["--version"], ["--nope"], ["frobnicate"], ["Obstruct", "4"],
+    ["obs", "4"], ["--", "obstruct", "4"], ["--version", "obstruct", "4"],
+    ["obstruct"], ["obstruct", "-h"], ["chains", "--help"], ["obstruct", "4", "-h"],
+    ["obstruct", "4", "--version"], ["obstruct", "4", "5"], ["obstruct", "4", "--nope"],
+    ["obstruct", "4", "5", "--nope", "-x"], ["obstruct", "--", "4"], ["obstruct", "4", "--"],
+    ["chains", "derive", "--", "f.json", "2"], ["chains", "derive", "f.json", "--", "-2"],
+    ["obstruct", "4", "--out", "r"], ["obstruct", "4", "--o", "r"], ["obstruct", "4", "--out=r"],
+    ["obstruct", "4", "--output=r", "--format=json"], ["obstruct", "4", "--budget"],
+    ["obstruct", "-1"], ["obstruct", "4", "--seed", "-1"], ["enumerate", "2", "2", "--iso", "--iso"],
+    ["chains", "frob", "f.json"], ["model", "check-continuity"], ["extend", "f.json", "4", "2", "9"],
+] + [[name] + rest for name, rest in ROUTED.items()]
+
+
+class TestRouting:
+    """``cli._parse`` gives what the top-level parser gives: the same
+    namespace, or the same exit with the same text."""
+
+    @pytest.mark.parametrize("argv", EDGES, ids=repr)
+    def test_edge_argv(self, argv):
+        assert parsed(cli._parse, argv) == parsed(cli.build_parser().parse_args, argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(template=argvs())
+    def test_fuzzed_argv(self, docs, template):
+        argv = [a.format(**docs) for a in template]
+        assert parsed(cli._parse, argv) == parsed(cli.build_parser().parse_args, argv)
 
 
 class TestArgumentFuzz:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
@@ -73,6 +74,11 @@ class TestFractions:
     def test_rejects_everything_else(self, bad):
         with pytest.raises(DocumentError):
             parse_fraction(bad)
+
+    def test_huge_int_named_by_bit_length(self):
+        # an int past the interpreter's digit limit has no repr
+        with pytest.raises(DocumentError, match="^value: expected a fraction string, got an int of 16610 bits$"):
+            parse_fraction(10**5000)
 
 
 class TestRoundtrips:
@@ -269,6 +275,16 @@ class TestRejection:
         doc = write_partial(order_partial(ground_range(3), 2, "min"))
         doc["mode"] = "sometimes"
         with pytest.raises(DocumentError):
+            read_partial(doc)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("mode", 10**5000, "partial.mode: expected 'upto' or 'exact', got an int of 16610 bits"),
+        ("bound", [10**5000], "partial.bound: expected an integer, got [an int of 16610 bits]"),
+    ], ids=["mode", "bound"])
+    def test_huge_int_named_by_bit_length(self, field, value, message):
+        doc = write_partial(order_partial(ground_range(3), 2, "min"))
+        doc[field] = value
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
             read_partial(doc)
 
     def test_decimal_points_rejected(self):
