@@ -17,9 +17,11 @@ checks the map composed from two joint labelings.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import _kernels
@@ -540,15 +542,19 @@ def enumerate_selections(
 ) -> Iterator[SelectionStructure]:
     """Stream every structure of arity n on the ground 0..m-1.
 
-    Order is subset-rank-major, ground-order-minor: the rank-0 choice is
-    the most significant digit and candidates within a subset follow the
-    ground order.
+    Order is subset-rank-major, ground-order-minor: itertools.product
+    over the subsets in rank order, so the rank-0 choice is the most
+    significant digit and candidates within a subset follow the ground
+    order.  Every structure is on one shared ground.
 
     With up_to_iso, each class's first structure is yielded in order of
     first appearance, as its least choice tuple (_canonical_labeling) on
     the enumeration's one shared ground.  Each new class marks the
     indices of all m! relabelings of its first structure in a byte map
-    over the index range, and a marked index is skipped undecoded.
+    over the index range, one sum of C(m, n) packed columns
+    (_packed_columns), and a marked index is skipped undecoded; only a
+    new class's index is decoded into its digits.  The byte map holds at
+    most 2**32 indices (_slot); a larger range raises OutOfRange, eagerly.
 
     Cost is metered in table cells: count = C(m, n) per index walked,
     plus m! * count per new class for marking its orbit.  Exceeding the
@@ -573,47 +579,73 @@ def enumerate_selections(
         raise BudgetExceeded(
             f"more than {budget // count} structures x {count} cells exceed budget {budget}"
         )
+    if up_to_iso:
+        width, code = _slot(total)  # before any table: a range past the byte map is refused
     subs, _ = subset_ranks(m, n)
     ground = ground_range(m)
 
-    def decode(idx: int) -> list:
-        """Per subset rank, the position of the pick within the subset."""
-        digits = []
-        for _ in range(count):
-            idx, d = divmod(idx, n)
-            digits.append(d)
-        digits.reverse()
-        return digits
-
-    def structure(digits: list) -> SelectionStructure:
-        return SelectionStructure(
-            ground, n, tuple(subs[r][d] for r, d in enumerate(digits))
-        )
-
     def classes() -> Iterator[SelectionStructure]:
         marked = bytearray(total)
-        orbit_cells = math.factorial(m) * count
+        relabelings = math.factorial(m)
+        orbit_cells = relabelings * count
         found = 0
-        columns = None
+        packed = None
         pos = marked.find(0)
         while pos >= 0:
             found += 1
             if (pos + 1) * count + found * orbit_cells > budget:
                 raise BudgetExceeded(f"budget {budget} exhausted mid-stream")
-            if columns is None:
-                columns = _relabeling_columns(m, n)
-            digits = decode(pos)
-            terms = [columns[r][d] for r, d in enumerate(digits)]
-            for idx in map(sum, zip(*terms)):
+            if packed is None:
+                packed = _packed_columns(m, n, code)
+            digits = []  # per subset rank, the position of the pick within the subset
+            rest = pos
+            for _ in range(count):
+                rest, d = divmod(rest, n)
+                digits.append(d)
+            digits.reverse()
+            orbit = sum([packed[r][d] for r, d in enumerate(digits)])
+            for idx in memoryview(orbit.to_bytes(relabelings * width, sys.byteorder)).cast(code):
                 marked[idx] = 1
-            best, _ = _canonical_labeling((structure(digits),))
+            picks = tuple(subs[r][d] for r, d in enumerate(digits))
+            best, _ = _canonical_labeling((SelectionStructure(ground, n, picks),))
             yield SelectionStructure(ground, n, best)
             pos = marked.find(0, pos + 1)
         if total * count + found * orbit_cells > budget:
             raise BudgetExceeded(f"budget {budget} exhausted mid-stream")
 
+    if up_to_iso:
+        return classes()
     # total * count <= budget is checked above: the labeled stream needs no meter
-    return classes() if up_to_iso else (structure(decode(i)) for i in range(total))
+    return (SelectionStructure(ground, n, picks) for picks in product(*subs))
+
+
+_SLOTS = ((1, "B"), (2, "H"), (4, "I"))  # (bytes, memoryview format) of a packed slot
+
+
+def _slot(total: int) -> tuple:
+    """(width, format) of the narrowest packed slot that holds total - 1,
+    the largest index of a range of total indices; OutOfRange past 4
+    bytes, so the class stream's byte map holds at most 2**32 indices."""
+    for width, code in _SLOTS:
+        if total <= 256**width:
+            return width, code
+    raise OutOfRange(f"{_shown(total)} indices exceed the class stream's byte map of 2**32")
+
+
+def _packed_columns(m: int, n: int, code: str) -> list:
+    """packed[r][d]: the column _relabeling_columns(m, n)[r][d] as one
+    int, its q-th entry in the q-th slot (slots of the width of format
+    code, native byte order), so the sum over ranks of one packed column
+    each holds, slot by slot, the indices of all m! relabelings of one
+    structure; int.to_bytes and memoryview.cast read them back.
+
+    No slot carries into the next: every entry is at least 0, so each
+    partial sum in slot q is at most the full one, the index of the q-th
+    relabeled structure, which is below the range's total, and the slot
+    (_slot) holds total - 1.
+    """
+    return [[int.from_bytes(array(code, col).tobytes(), sys.byteorder) for col in cols]
+            for cols in _relabeling_columns(m, n)]
 
 
 def _relabeling_columns(m: int, n: int) -> list:

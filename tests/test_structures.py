@@ -4,7 +4,7 @@ import math
 import random
 import re
 import sys
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +27,7 @@ from hypersel.errors import (
 from hypersel import _kernels, structures
 from hypersel._kernels import regular_masks_exhaustive
 from hypersel.cli import main
+from hypersel.documents import read_selection
 from hypersel.structures import (
     GroundSet,
     IsoMap,
@@ -935,10 +936,67 @@ class TestEnumeration:
             list(enumerate_selections(5, 2, up_to_iso=True, budget=cells - 1))
 
     def test_iso_seven_tournaments_within_default_budget(self, tmp_path):
+        # the one tier-1 class stream on 4-byte slots: 2**21 indices
         out = tmp_path / "iso.json"
         assert main(["enumerate", "7", "2", "--iso", "--output", str(out)]) == 0
         result = json.loads(out.read_text())["result"]
         assert result["count"] == len(result["records"]) == 456  # OEIS A000568
+        records = [read_selection(rec) for rec in result["records"]]
+        assert all(canonical_form(s)[0].picks == s.picks for s in records)
+        assert len({s.picks for s in records}) == 456
+
+    @pytest.mark.parametrize("m, n", SMALL_SPACES)
+    def test_labeled_order(self, m, n):
+        got = list(enumerate_selections(m, n))
+        assert [s.picks for s in got] == list(product(*combinations(range(m), n)))
+        assert len({id(s.ground) for s in got}) == 1
+
+    @pytest.mark.parametrize("m, n, budget", [(8, 3, 10**30), (7, 3, 10**19), (9, 2, 10**13)])
+    def test_byte_map_refused_before_any_table(self, monkeypatch, m, n, budget):
+        # n**C(m, n) indices, more than 2**32, within the budget
+        def forbidden(*args):
+            raise RuntimeError("subset_ranks called before the byte map check")
+
+        monkeypatch.setattr(structures, "subset_ranks", forbidden)
+        with pytest.raises(OutOfRange, match=f"^{n ** math.comb(m, n)} indices exceed the class "
+                                             r"stream's byte map of 2\*\*32$"):
+            enumerate_selections(m, n, up_to_iso=True, budget=budget)
+
+    def test_byte_map_refusal_exits_two(self, capsys):
+        assert main(["enumerate", "8", "3", "--iso", "--budget", str(10**30)]) == 2
+        assert capsys.readouterr().err == (
+            f"hypersel: {3 ** 56} indices exceed the class stream's byte map of 2**32\n"
+        )
+
+
+class TestPackedColumns:
+    @pytest.mark.parametrize("total, width", [
+        (1, 1), (2**8, 1), (2**8 + 1, 2), (2**16, 2), (2**16 + 1, 4), (2**32, 4),
+    ])
+    def test_narrowest_slot_holding_the_last_index(self, total, width):
+        got, code = structures._slot(total)
+        assert got == width
+        assert memoryview(bytes(width)).cast(code).itemsize == width
+
+    def test_no_slot_past_four_bytes(self):
+        with pytest.raises(OutOfRange, match=r"byte map of 2\*\*32$"):
+            structures._slot(2**32 + 1)
+
+    @pytest.mark.parametrize("m, n, width", [(3, 2, 1), (5, 3, 2), (6, 2, 2), (7, 2, 4)])
+    def test_orbit_sums_unpack_to_the_columns(self, m, n, width):
+        count = math.comb(m, n)
+        got, code = structures._slot(n**count)
+        assert got == width
+        columns = structures._relabeling_columns(m, n)
+        packed = structures._packed_columns(m, n, code)
+        rng = random.Random(f"packed-{m}-{n}")
+        vectors = [[0] * count, [n - 1] * count]
+        vectors += [[rng.randrange(n) for _ in range(count)] for _ in range(30)]
+        for digits in vectors:
+            orbit = sum(packed[r][d] for r, d in enumerate(digits))
+            raw = orbit.to_bytes(math.factorial(m) * width, sys.byteorder)
+            terms = [columns[r][d] for r, d in enumerate(digits)]
+            assert list(memoryview(raw).cast(code)) == list(map(sum, zip(*terms))), digits
 
 
 class TestMasks:
