@@ -14,14 +14,15 @@ always emit the slash form, readers also accept a bare integer).
 Readers reject unknown fields.  Writers emit subset labels in carrier
 order and choices in subset-rank order, and dumps renders every document
 and report as one line of compact ASCII JSON with sorted keys, so equal
-objects serialize to equal bytes.  Choices laid out as the writers lay
-them out are read by one positional pass that matches each record to
-the next subset in rank order, each carrier string resolved to its index
-once; any other list is read record by record through the per-field
-checks, each label resolved where it stands (in a model after the
-fraction parse, so "2/4" is "1/2"), whose messages name the first fault:
-a label outside the carrier at its record, a subset listed twice under
-any spelling, any other fault of the table in the rank-order walk.
+objects serialize to equal bytes.  Choice records are read in one walk:
+while they run as the writers lay them out, each is matched to the next
+subset in rank order by its carrier strings and its pick taken by
+position; from the first size laid out otherwise, the rest are read
+record by record through the per-field checks, each label resolved where
+it stands (in a model after the fraction parse, so "2/4" is "1/2"),
+whose messages name the first fault: a label outside the carrier at its
+record, a subset listed twice under any spelling, any other fault of the
+table in the rank-order walk.
 A model's carrier reuses the Fractions parsed from its points.
 """
 
@@ -31,10 +32,10 @@ import json
 import math
 import re
 from fractions import Fraction
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from .chains import FamilySystem
-from .errors import ChoiceOutsideSubset, DocumentError, OutOfRange, _shown
+from .errors import ChoiceOutsideSubset, DocumentError, MissingSubset, OutOfRange, _shown
 from .extension import PartialSelection, admissible_sizes, partial_from_indices
 from .structures import GroundSet, SelectionStructure, index_selection, subset_ranks
 from .vietoris import IntervalOpen, ModelSpace, OpenFamily, model_space
@@ -125,56 +126,49 @@ _INTERVAL_KEYS = frozenset(("lo", "hi"))
 _FAMILY_KEYS = frozenset(("intervals",))
 
 
-def _positional_levels(doc: Any, carrier: GroundSet, strings: tuple,
-                       sizes: range) -> Optional[dict]:
-    """{size: SelectionStructure} read from choice records laid out as
-    the writers lay them out, else None.
-
-    The records must list every subset of the sizes in sizes (all within
-    1..carrier size) once, sizes ascending and subsets in rank order,
-    each as a two-key dict whose subset is the list of its carrier
-    strings in carrier order and whose pick is a carrier string inside
-    it.  The count is checked before any rank table is built, and each
-    record is matched against the next subset: no table keyed by subset."""
-    m = carrier.size
-    if type(doc) is not list or sizes and not (1 <= sizes.start and sizes.stop <= m + 1):
-        return None
-    total = 0
-    for n in sizes:
-        total += math.comb(m, n)
-        if total > len(doc):
-            return None
-    if total != len(doc):
-        return None
-    known = dict(zip(strings, range(m))).__getitem__  # strings only: any other label misses
-    records = iter(doc)
-    levels = {}
-    try:
-        for n in sizes:
-            picks = []
-            for sub, rec in zip(subset_ranks(m, n)[0], records):
-                if type(rec) is not dict or len(rec) != 2:
-                    return None
-                subset = rec["subset"]
-                if type(subset) is not list or tuple(map(known, subset)) != sub:
-                    return None
-                picks.append(known(rec["pick"]))
-            levels[n] = SelectionStructure(carrier, n, tuple(picks))
-    except (KeyError, TypeError, ChoiceOutsideSubset):
-        return None
-    return levels
-
-
-def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
-                  parse: bool = False) -> dict:
-    """Choice records to the index table partial_from_indices takes,
-    through the per-field checks in record order; each label looked up
-    by the carrier strings, then (parsed as a fraction when parse is set,
-    so "2/4" finds "1/2") in the carrier, and one outside it rejected at
-    its record, subset labels in list order before the pick."""
+def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple, sizes: range,
+                  walk: Callable[[dict], dict], parse: bool = False) -> dict:
+    """{size: SelectionStructure} on each of sizes, from choice records
+    in one walk.  While the records run as the writers lay them out, a
+    size's picks are taken by position: its records are two-key dicts,
+    each subset the next subset's carrier strings in carrier order, each
+    pick a carrier string inside it, and no rank table is built for more
+    subsets than records are left.  From the first size that is not, the
+    sizes read seed the {index tuple: pick} table that walk, the
+    rank-order walk, takes, and the rest of the records go through the
+    per-field checks: a label found by the carrier strings, else (parsed
+    as a fraction when parse is set, so "2/4" finds "1/2") in the
+    carrier, one outside it rejected at its record, subset labels before
+    the pick.  Records read by position pass those checks, so the
+    messages and the fault named first are those of a checked read."""
     if not isinstance(doc, list):
         raise DocumentError(f"{where}: expected a list of choice records")
-    known = dict(zip(strings, range(carrier.size)))
+    m = carrier.size
+    known = dict(zip(strings, range(m)))
+    at = known.__getitem__  # strings only: any other label misses
+    records = iter(doc)
+    levels: dict = {}
+    done = 0  # records read by position
+    for n in sizes:
+        if not 1 <= n <= m or math.comb(m, n) > len(doc) - done:
+            break
+        subs = subset_ranks(m, n)[0]
+        picks = []
+        try:
+            for sub, rec in zip(subs, records):
+                if type(rec) is not dict or len(rec) != 2:
+                    break
+                subset = rec["subset"]
+                if type(subset) is not list or tuple(map(at, subset)) != sub:
+                    break
+                picks.append(at(rec["pick"]))
+            levels[n] = SelectionStructure(carrier, n, tuple(picks))  # a pick short or outside raises
+        except (KeyError, TypeError, MissingSubset, ChoiceOutsideSubset):
+            break
+        done += len(subs)
+    else:
+        if done == len(doc):
+            return levels
 
     def resolve(x: str, r: int, field: str) -> int:
         i = known.get(x)
@@ -185,8 +179,9 @@ def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
         except OutOfRange:
             raise DocumentError(f"{where}[{r}].{field}: {x!r} is not a carrier label") from None
 
-    table: dict = {}
-    for r, rec in enumerate(doc):
+    table = {sub: p for level in levels.values() for sub, p in zip(level.table[0], level.picks)}
+    for r in range(done, len(doc)):
+        rec = doc[r]
         _check_fields(rec, ("subset", "pick"), f"{where}[{r}]")
         subset, pick = rec["subset"], rec["pick"]
         if not (isinstance(subset, list) and all(isinstance(x, str) for x in subset)):
@@ -199,7 +194,7 @@ def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple,
         if key in table:
             raise DocumentError(f"{where}[{r}].subset: duplicate subset")
         table[key] = resolve(pick, r, "pick")
-    return table
+    return walk(table)
 
 
 # -- selection structures ------------------------------------------------
@@ -240,11 +235,8 @@ def read_selection(doc: Any) -> SelectionStructure:
     strings = _string_list(doc["ground"], "selection.ground")
     n = _int(doc["n"], "selection.n")
     ground = GroundSet(strings)
-    levels = _positional_levels(doc["choices"], ground, strings, range(n, n + 1))
-    if levels is not None:
-        return levels[n]
-    return index_selection(ground, n, _read_choices(doc["choices"], "selection.choices", ground,
-                                                    strings))
+    return _read_choices(doc["choices"], "selection.choices", ground, strings, range(n, n + 1),
+                         lambda table: {n: index_selection(ground, n, table)})[n]
 
 
 # -- partial selections --------------------------------------------------
@@ -265,7 +257,9 @@ def read_partial(doc: Any) -> PartialSelection:
 
 def _read_partial(doc: Any, parsed: Optional[dict]) -> PartialSelection:
     """A partial document's selection; unless parsed is None, labels are
-    fractions, and a carrier string in parsed reuses its fraction there."""
+    fractions, and a carrier string in parsed reuses its fraction there.
+    Its choices are read in one _read_choices walk, with
+    partial_from_indices as the rank-order walk of any keyed rest."""
     _check_fields(doc, ("carrier", "mode", "bound", "choices"), "partial")
     strings = _string_list(doc["carrier"], "partial.carrier")
     mode = doc["mode"]
@@ -277,11 +271,11 @@ def _read_partial(doc: Any, parsed: Optional[dict]) -> PartialSelection:
     else:
         carrier = GroundSet(tuple(
             parsed[x] if x in parsed else parse_fraction(x, "partial.carrier") for x in strings))
-    levels = _positional_levels(doc["choices"], carrier, strings, admissible_sizes(mode, bound))
-    if levels is not None:
-        return PartialSelection(carrier, mode, bound, levels)
-    return partial_from_indices(carrier, mode, bound, _read_choices(
-        doc["choices"], "partial.choices", carrier, strings, parsed is not None))
+    levels = _read_choices(doc["choices"], "partial.choices", carrier, strings,
+                           admissible_sizes(mode, bound),
+                           lambda table: partial_from_indices(carrier, mode, bound, table).levels,
+                           parsed is not None)
+    return PartialSelection(carrier, mode, bound, levels)
 
 
 # -- interval families ---------------------------------------------------

@@ -34,7 +34,7 @@ from hypersel.documents import (
     write_selections,
     write_system,
 )
-from hypersel.errors import ChoiceOutsideSubset, DocumentError, MissingSubset
+from hypersel.errors import ChoiceOutsideSubset, DocumentError, MissingSubset, OutOfRange
 from hypersel.extension import order_partial, partition_types, random_partial
 from hypersel.obstruction import obstruction_table, table_tsv
 from hypersel.structures import (
@@ -378,9 +378,11 @@ class TestModelLabels:
 
 
 class TestChoiceRecords:
-    """Records that the positional pass does not match (out of carrier
-    order, repeated labels, a second record for a subset, sizes outside
-    the mode) are read field by field, with the same messages."""
+    """The reader takes picks by position while the records run as the
+    writers lay them out; from the first level that does not (records
+    out of carrier order, repeated labels, a second record for a subset,
+    sizes outside the mode) it reads field by field, with the messages
+    of a checked read of every record."""
 
     @staticmethod
     def base():
@@ -452,6 +454,23 @@ class TestChoiceRecords:
         with pytest.raises(DocumentError, match=rf"^partial\.choices\[7\]\.{fault} is not a carrier label$"):
             read_partial(doc)
 
+    @pytest.mark.parametrize("edit, error, message", [
+        # "a" and {"a": 1} iterate as the labels of the first subset, ("a",)
+        (lambda doc: doc["choices"][0].update(subset="a"), DocumentError,
+         r"partial\.choices\[0\]\.subset: expected a list of strings"),
+        (lambda doc: doc["choices"][0].update(subset={"a": 1}), DocumentError,
+         r"partial\.choices\[0\]\.subset: expected a list of strings"),
+        (lambda doc: doc.update(mode="exact", bound=-1), OutOfRange,
+         r"arity must be an int in 1\.\.4, got -1"),
+        (lambda doc: doc.update(carrier=[], bound=1, choices=[]), OutOfRange,
+         r"arity must be an int in 1\.\.0, got 1"),
+    ], ids=["subset a string", "subset a dict", "exact -1", "no labels, upto 1"])
+    def test_fault_where_the_positional_read_stops(self, edit, error, message):
+        doc = self.base()
+        edit(doc)
+        with pytest.raises(error, match=f"^{message}$"):
+            read_partial(doc)
+
     def test_label_outside_the_ground(self):
         doc = write_selection(rotational_tournament(3))
         doc["choices"][1]["pick"] = "3"
@@ -486,8 +505,8 @@ class TestChoiceRecords:
             read_selection(doc)
 
     def test_model_labels_spelled_apart(self):
-        # "2/4" is not a carrier string, so every record holding it takes
-        # the per-field path; the duplicate is found across both paths
+        # "2/4" is not a carrier string, so from the first size holding it
+        # the records are read field by field, and the duplicate is found
         doc = write_model(order_model([0, F(1, 2), 1], 2, "max"))
         for rec in doc["selection"]["choices"]:
             rec["subset"] = ["2/4" if x == "1/2" else x for x in rec["subset"]]
@@ -498,7 +517,7 @@ class TestChoiceRecords:
 
     @staticmethod
     def spy(monkeypatch) -> list:
-        """The where argument of every call to the field-by-field reader."""
+        """The where argument of every call to the choice reader."""
         calls = []
         read = documents._read_choices
 
@@ -509,8 +528,29 @@ class TestChoiceRecords:
         monkeypatch.setattr(documents, "_read_choices", spied)
         return calls
 
+    @staticmethod
+    def spy_walks(monkeypatch) -> list:
+        """The rank-order walks documents calls, by name, and the where
+        argument of each parse_fraction call on a choice label."""
+        calls = []
+        for name in ("index_selection", "partial_from_indices"):
+            def spied(*args, _name=name, _walk=getattr(documents, name)):
+                calls.append(_name)
+                return _walk(*args)
+
+            monkeypatch.setattr(documents, name, spied)
+        parse = documents.parse_fraction
+
+        def spied_parse(s, where="value"):
+            if ".choices" in where:
+                calls.append(where)
+            return parse(s, where)
+
+        monkeypatch.setattr(documents, "parse_fraction", spied_parse)
+        return calls
+
     def test_writer_layout_is_read_positionally(self, monkeypatch):
-        calls = self.spy(monkeypatch)
+        calls = self.spy_walks(monkeypatch)
         f = random_partial(GroundSet(tuple("qbzam")), 3, random.Random(5))
         assert read_partial(write_partial(f)) == f
         s = SelectionStructure(GroundSet(tuple("abcde")), 2, rotational_tournament(5).picks)
@@ -521,7 +561,7 @@ class TestChoiceRecords:
 
     @pytest.mark.parametrize("edit", ["reverse", "one subset out of order"])
     def test_other_layouts_take_the_checked_path(self, monkeypatch, edit):
-        calls = self.spy(monkeypatch)
+        calls = self.spy_walks(monkeypatch)
         f = random_partial(GroundSet(tuple("qbzam")), 3, random.Random(5))
         doc = write_partial(f)
         if edit == "reverse":
@@ -536,7 +576,15 @@ class TestChoiceRecords:
         else:
             doc["choices"][4]["subset"].reverse()
         assert read_selection(doc) == s
-        assert calls == ["partial.choices", "selection.choices"]
+        model = order_model([0, F(1, 3), 1, F(5, 2)], 3, "max")
+        doc = write_model(model)
+        if edit == "reverse":
+            doc["selection"]["choices"].reverse()
+        else:
+            doc["selection"]["choices"][9]["subset"].reverse()
+        assert read_model(doc) == model
+        # every label is a carrier string, so none is parsed
+        assert calls == ["partial_from_indices", "index_selection", "partial_from_indices"]
 
     def test_shuffled_model_reads_as_the_positional_read(self, monkeypatch):
         # only a label that is no carrier string is parsed as a fraction
@@ -569,6 +617,7 @@ class TestChoiceRecords:
         # 20 labels, exact 10: C(20, 10) = 184,756 subsets and one record;
         # no rank table is made, and the first missing subset is named
         monkeypatch.setattr(structures, "subset_ranks", None)
+        monkeypatch.setattr(documents, "subset_ranks", None)
         doc = {"carrier": [f"x{i}" for i in range(20)], "mode": "exact", "bound": 10,
                "choices": [{"subset": [f"x{i}" for i in range(10)], "pick": "x0"}]}
         with pytest.raises(MissingSubset, match=r"^no choice for subset \['x0', .*'x8', 'x10'\]$"):
@@ -750,6 +799,7 @@ class TestCliExtend:
             raise RuntimeError("subset_ranks called before the choices were counted")
 
         monkeypatch.setattr(structures, "subset_ranks", forbidden)
+        monkeypatch.setattr(documents, "subset_ranks", forbidden)
         labels = [f"v{i}" for i in range(20)]
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"carrier": labels, "mode": "exact", "bound": 10, "choices": []}))

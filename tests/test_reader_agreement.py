@@ -4,18 +4,25 @@ on index tables; they must return what the label-table construction
 fails with the same exception type and message."""
 
 import copy
+import importlib.util
+import json
+import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypersel.documents import _read_partial, read_model, read_system
+from hypersel.documents import _read_partial, read_model, read_partial, read_system
 from hypersel.errors import DocumentError
 from hypersel.extension import admissible_sizes
 
 from oracles import oracle_read_model, oracle_read_partial, oracle_read_system
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 # strings that are distinct labels in a partial document, though some
 # spell one rational
@@ -38,23 +45,35 @@ def spell(x, rnd) -> str:
     return f"{x.numerator * k}/{x.denominator * k}"
 
 
-def partial_doc(rnd, labels, mode, bound):
-    """A valid partial document on labels (carrier order): each carrier
-    label spelled once, every occurrence in a choice spelled afresh,
-    subset members and records shuffled."""
+# "shuffled": every occurrence of a label in a choice spelled afresh,
+# subset members and records shuffled; "as written": the writers' layout,
+# records in rank order, subsets in carrier order and each label spelled
+# as the carrier spells it, so a defect lands after a prefix read by
+# position
+LAYOUTS = ("shuffled", "as written")
+layouts = st.sampled_from(LAYOUTS)
+
+
+def partial_doc(rnd, labels, mode, bound, layout="shuffled"):
+    """A valid partial document on labels (carrier order), each carrier
+    label spelled once, its choices in the given layout."""
+    carrier = [spell(x, rnd) for x in labels]
     records = []
     for size in admissible_sizes(mode, bound):
-        for s in combinations(labels, size):
-            records.append({
-                "subset": [spell(x, rnd) for x in rnd.sample(s, size)],
-                "pick": spell(rnd.choice(s), rnd),
-            })
-    rnd.shuffle(records)
-    return {"carrier": [spell(x, rnd) for x in labels], "mode": mode, "bound": bound,
-            "choices": records}
+        for s in combinations(range(len(labels)), size):
+            if layout == "as written":
+                records.append({"subset": [carrier[i] for i in s], "pick": carrier[rnd.choice(s)]})
+            else:
+                records.append({
+                    "subset": [spell(labels[i], rnd) for i in rnd.sample(s, size)],
+                    "pick": spell(labels[rnd.choice(s)], rnd),
+                })
+    if layout == "shuffled":
+        rnd.shuffle(records)
+    return {"carrier": carrier, "mode": mode, "bound": bound, "choices": records}
 
 
-def random_partial_doc(rnd, fractions: bool, sorted_carrier: bool = False):
+def random_partial_doc(rnd, fractions: bool, sorted_carrier: bool = False, layout="shuffled"):
     pool = FRACTION_LABELS if fractions else STRING_LABELS
     # nine or more labels make index sets whose iteration order is not
     # ascending, such as {8, 1}
@@ -67,11 +86,11 @@ def random_partial_doc(rnd, fractions: bool, sorted_carrier: bool = False):
         mode, bound = "exact", rnd.randint(1, top)
     else:
         mode, bound = "upto", rnd.randint(0, top)
-    return partial_doc(rnd, labels, mode, bound), labels
+    return partial_doc(rnd, labels, mode, bound, layout), labels
 
 
-def random_model_doc(rnd):
-    sel, labels = random_partial_doc(rnd, True, sorted_carrier=True)
+def random_model_doc(rnd, layout="shuffled"):
+    sel, labels = random_partial_doc(rnd, True, sorted_carrier=True, layout=layout)
     points = [spell(x, rnd) for x in labels]
     rnd.shuffle(points)
     return {"points": points, "selection": sel}, labels
@@ -106,10 +125,31 @@ def read_both(doc, fractions: bool):
 
 
 class TestValidDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(randoms, st.booleans(), layouts)
+    def test_partial(self, rnd, fractions, layout):
+        doc, _ = random_partial_doc(rnd, fractions, layout=layout)
+        got, want = read_both(doc, fractions)
+        assert got[0] == "ok" and got == want
+
     @settings(max_examples=150, deadline=None)
     @given(randoms, st.booleans())
-    def test_partial(self, rnd, fractions):
-        doc, _ = random_partial_doc(rnd, fractions)
+    def test_one_record_off_the_writers_layout(self, rnd, fractions):
+        # read by position up to the record's size, field by field from it
+        doc, _ = random_partial_doc(rnd, fractions, layout="as written")
+        editable = [rec for rec in doc["choices"] if fractions or len(rec["subset"]) > 1]
+        assume(editable)
+        rec = rnd.choice(editable)
+        if len(rec["subset"]) > 1 and (not fractions or rnd.random() < 0.5):
+            rec["subset"].reverse()
+        else:  # 5p/5q is none of the spellings the carrier can have
+            i = rnd.randrange(len(rec["subset"]) + 1)
+            x = F(rec["subset"][i] if i < len(rec["subset"]) else rec["pick"])
+            respelled = f"{5 * x.numerator}/{5 * x.denominator}"
+            if i < len(rec["subset"]):
+                rec["subset"][i] = respelled
+            else:
+                rec["pick"] = respelled
         got, want = read_both(doc, fractions)
         assert got[0] == "ok" and got == want
 
@@ -194,20 +234,20 @@ DEFECTS = [outside, repeated, not_a_list, duplicate, pick_outside, missing, extr
 
 class TestSingleDefects:
     @pytest.mark.parametrize("defect", DEFECTS, ids=[d.__name__ for d in DEFECTS])
-    @settings(max_examples=60, deadline=None)
-    @given(rnd=randoms, fractions=st.booleans())
-    def test_partial(self, defect, rnd, fractions):
-        doc, labels = random_partial_doc(rnd, fractions)
+    @settings(max_examples=120, deadline=None)
+    @given(rnd=randoms, fractions=st.booleans(), layout=layouts)
+    def test_partial(self, defect, rnd, fractions, layout):
+        doc, labels = random_partial_doc(rnd, fractions, layout=layout)
         assume(defect is bad_mode_or_bound or doc["choices"])
         defect(rnd, doc, labels, fractions)
         got, want = read_both(doc, fractions)
         assert got[0] != "ok" and got == want
 
     @pytest.mark.parametrize("defect", DEFECTS, ids=[d.__name__ for d in DEFECTS])
-    @settings(max_examples=30, deadline=None)
-    @given(rnd=randoms)
-    def test_model(self, defect, rnd):
-        doc, labels = random_model_doc(rnd)
+    @settings(max_examples=60, deadline=None)
+    @given(rnd=randoms, layout=layouts)
+    def test_model(self, defect, rnd, layout):
+        doc, labels = random_model_doc(rnd, layout)
         assume(defect is bad_mode_or_bound or doc["selection"]["choices"])
         defect(rnd, doc["selection"], labels, True)
         got, want = outcome(read_model, doc), outcome(oracle_read_model, doc)
@@ -269,3 +309,62 @@ class TestIntervalRecords:
         with pytest.raises(DocumentError, match=rf"^family\.intervals\[1\]: {fault}$"):
             read_system(copy.deepcopy(doc))
         assert outcome(read_system, doc) == outcome(oracle_read_system, doc)
+
+
+def workload_documents(workdir, monkeypatch) -> list:
+    """Every input document the benchmark's three workloads write at seed
+    1, cycle 0, read back from the files perfbench/workloads.py writes
+    under workdir (the module is imported, never changed, and registered
+    only while the test runs, as its dataclasses need)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    docs = []
+    for workload in workloads.WORKLOADS:
+        _, written = workloads.cycle_ops(workload, 1, 0, 1, str(workdir / workload))
+        workloads.write_docs(written)
+        for path, _ in written:
+            with open(path) as fh:
+                docs.append(json.load(fh))
+    return docs
+
+
+def choice_list(doc) -> list:
+    """The choice records of a partial, model or system document."""
+    selection = doc.get("model", doc).get("selection", doc)
+    return selection["choices"]
+
+
+def kind(doc) -> str:
+    return "system" if "families" in doc else "model" if "points" in doc else "partial"
+
+
+READS = {
+    "partial": (read_partial, oracle_read_partial),
+    "model": (read_model, oracle_read_model),
+    "system": (read_system, oracle_read_system),
+}
+
+
+class TestWorkloadDocuments:
+    """The benchmark's own documents (51 partial, 222 model and 121
+    system documents) read as written, by position, then shuffled and
+    with one subset reversed, which moves part or all of each read to
+    the per-field checks; all three reads equal the oracle's."""
+
+    def test_three_layouts_read_alike(self, tmp_path, monkeypatch):
+        docs = workload_documents(tmp_path, monkeypatch)
+        assert {kind(doc) for doc in docs} == set(READS)
+        rnd = random.Random(1)
+        for doc in docs:
+            read, oracle = READS[kind(doc)]
+            want = outcome(oracle, doc)
+            assert want[0] == "ok"
+            shuffled, reversed_one = copy.deepcopy(doc), copy.deepcopy(doc)
+            rnd.shuffle(choice_list(shuffled))
+            pairs = [rec for rec in choice_list(reversed_one) if len(rec["subset"]) > 1]
+            if pairs:
+                rnd.choice(pairs)["subset"].reverse()
+            for layout in (doc, shuffled, reversed_one):
+                assert outcome(read, layout) == want
