@@ -132,10 +132,12 @@ class MeetGraph:
         whose Vietoris open overlaps i's without a unique meet, or None.
 
         Only families touching every member of i can be either, so exact
-        hits are tested on those candidates alone."""
+        hits are tested on those candidates alone; a family with no
+        members has every family as a candidate."""
         if self.rows[i] is None:
             ks = self.keys[i]
-            cands = set(range(len(self.keys))).intersection(*map(self._touching, ks))
+            first, *rest = [self._touching(k) for k in ks] or [set(range(len(self.keys)))]
+            cands = first.intersection(*rest)  # a new set: the touching sets stay cached
             edges, bad = [], None
             for j in sorted(cands - {i}):
                 hits = member_hits(ks, self.keys[j])

@@ -33,13 +33,14 @@ from .chains import (
 )
 from .documents import (
     dumps,
+    fragment,
     jsonable,
     label_str,
     read_model,
     read_partial,
     read_system,
+    selection_texts,
     write_partial,
-    write_selections,
     write_system,
 )
 from .errors import (
@@ -102,7 +103,7 @@ def _require_json(args: argparse.Namespace) -> None:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     _require_json(args)
-    records = write_selections(
+    records = selection_texts(
         enumerate_selections(args.m, args.n, up_to_iso=args.iso, budget=args.budget)
     )
     result = {"records": records, "count": len(records)}
@@ -134,24 +135,26 @@ def cmd_extend(args: argparse.Namespace) -> int:
         return 1
     types = partition_types(f, m, p).classes
     classes = []
-    for (canon, members), doc in zip(types.items(), write_selections(types)):
+    for (canon, members), text in zip(types.items(), selection_texts(types)):
         r0, q = least_small_class(canon, m)
         classes.append(
             {
-                "type": doc,
+                "type": text,
                 "members": len(members),
                 "level": r0,
                 "level_class_size": len(q),
             }
         )
     selection = write_partial(h)
-    entries = selection["choices"]
+    choices = selection["choices"]
+    # the report holds the choices twice: render them once
+    entries = selection["choices"] = fragment(choices)
     result = {
         "selection": selection,
         "classes": classes,
         "entries": entries,
-        "count": len(entries),
-        "valid": all(e["pick"] in e["subset"] for e in entries),
+        "count": len(choices),
+        "valid": all(e["pick"] in e["subset"] for e in choices),
     }
     _emit(_report(args, result), args.output)
     return 0

@@ -24,6 +24,8 @@ whose messages name the first fault: a label outside the carrier at its
 record, a subset listed twice under any spelling, any other fault of the
 table in the rank-order walk.
 A model's carrier reuses the Fractions parsed from its points.
+dumps splices a Fragment's text in verbatim, so what reports repeat
+(selection_texts: each choice record) is rendered once.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ import json
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quoted
+from operator import getitem
 from typing import Any, Callable, Mapping, Optional
 
 from .chains import FamilySystem
@@ -88,6 +92,25 @@ def jsonable(x: Any) -> Any:
     return str(x)
 
 
+class Fragment:
+    """Text exactly as dumps renders some value, less the newline, for
+    dumps to splice in verbatim in each place the Fragment stands."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+_MARK = "\0fragment\0"  # what a Fragment renders as until it is spliced
+_unknown = json.JSONEncoder().default  # json's TypeError for a value it cannot render
+
+
+def fragment(doc: Any) -> Fragment:
+    """doc rendered once, to be spliced wherever it stands."""
+    return Fragment(dumps(doc)[:-1])
+
+
 def dumps(doc: Any) -> str:
     """Canonical rendering: json's C encoder with sorted keys, no
     whitespace and ASCII only (anything else as a \\u escape), then one
@@ -95,8 +118,43 @@ def dumps(doc: Any) -> str:
     and reports are built fresh in this process and share read-only
     parts (write_selections), so json's circular-reference guard is off:
     a shared object renders in every place it appears, and a cycle still
-    raises, as RecursionError."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    raises, as RecursionError.
+
+    Each Fragment renders as a mark string, in output order, and its
+    text replaces the quoted mark.  The quoted mark holds quotes only at
+    its ends, a backslash after the first and a "0" before the last;
+    a value has "[", ",", ":" or nothing before it and ",", "]", "}" or
+    nothing after it.  So a string holding the mark adds occurrences
+    that never overlap a Fragment's, and the split is exact when it
+    finds one per Fragment.  Else the document is rendered again with a
+    mark its text does not hold: only the Fragments' places change."""
+    texts: list = []
+    mark = _MARK
+
+    def splice(x: Any) -> str:
+        if type(x) is not Fragment:
+            return _unknown(x)
+        texts.append(x.text)
+        return mark
+
+    while True:
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False,
+                          default=splice)
+        if not texts:
+            return text + "\n"
+        parts = text.split(_quoted(mark))
+        if len(parts) == len(texts) + 1:
+            break
+        n = 0
+        while _quoted(mark) in text:
+            n += 1
+            mark = f"\0fragment {n}\0"
+        texts.clear()
+    parts[-1] += "\n"
+    pieces = [""] * (2 * len(parts) - 1)
+    pieces[::2] = parts
+    pieces[1::2] = texts
+    return "".join(pieces)
 
 
 def _check_fields(doc: Any, required: tuple, where: str) -> None:
@@ -199,31 +257,73 @@ def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple, size
 
 # -- selection structures ------------------------------------------------
 
-def write_selections(structures) -> list:
-    """write_selection of each structure, in order.  The label strings,
-    subset label lists and choice records are built once per (ground
-    object, n), keyed by the ground's id, as equal grounds may hold
-    labels that render apart (0 and Fraction(0)), and held with the
-    ground, so the id is not reused during the call; a record once per
-    (subset rank, pick).  They are shared by every structure on that
-    ground and arity, so the records must be read, not edited in place."""
-    shared: dict = {}  # (id(ground), n) -> (ground, label strings, subset lists, records by rank)
-    out = []
+def _shaped(structures, shape: Callable[[SelectionStructure], Any]):
+    """(structure, shape(structure)) for each structure, in order, with
+    shape called once per (ground object, n).  Keyed by the ground's id,
+    as equal grounds may hold labels that render apart (0 and
+    Fraction(0)), and held with the ground, so the id is not reused
+    during the walk."""
+    shared: dict = {}  # (id(ground), n) -> (ground, shape)
     for s in structures:
         key = (id(s.ground), s.n)
         if key not in shared:
-            names = list(map(label_str, s.ground.labels))
-            subs, _ = s.table
-            shared[key] = (s.ground, names, [[names[i] for i in t] for t in subs], [{} for _ in subs])
-        _, names, subsets, records = shared[key]
-        out.append({
+            shared[key] = (s.ground, shape(s))
+        yield s, shared[key][1]
+
+
+def write_selections(structures) -> list:
+    """write_selection of each structure, in order.  The label strings,
+    subset label lists and choice records are built once per (ground
+    object, n) (_shaped), a record once per (subset rank, pick).  They
+    are shared by every structure on that ground and arity, so the
+    records must be read, not edited in place."""
+
+    def shape(s: SelectionStructure) -> tuple:
+        names = list(map(label_str, s.ground.labels))
+        subs, _ = s.table
+        return names, [[names[i] for i in t] for t in subs], [{} for _ in subs]
+
+    return [
+        {
             "ground": names,
             "n": s.n,
             # records are non-empty dicts, so get() misses only on a new pick
             "choices": [row.get(p) or row.setdefault(p, {"subset": t, "pick": names[p]})
                         for t, row, p in zip(subsets, records, s.picks)],
-        })
-    return out
+        }
+        for s, (names, subsets, records) in _shaped(structures, shape)
+    ]
+
+
+class _Records(dict):
+    """{pick: choice record text} at one subset, each rendered on first
+    lookup."""
+
+    __slots__ = ("quoted", "subset")
+
+    def __init__(self, quoted: list, subset: str):
+        self.quoted = quoted
+        self.subset = subset
+
+    def __missing__(self, p: int) -> str:
+        text = self[p] = '{"pick":' + self.quoted[p] + ',"subset":[' + self.subset + "]}"
+        return text
+
+
+def selection_texts(structures) -> list:
+    """A Fragment of dumps(write_selection(s)) for each structure s, in
+    order.  Per (ground object, n) (_shaped) each label is quoted once,
+    as json quotes strings, and each subset's labels joined once; a
+    choice record is rendered on the first use of its (subset rank,
+    pick), and each text joins its structure's records."""
+
+    def shape(s: SelectionStructure) -> tuple:
+        quoted = [_quoted(label_str(x)) for x in s.ground.labels]
+        rows = [_Records(quoted, ",".join([quoted[i] for i in t])) for t in s.table[0]]
+        return rows, f'],"ground":[{",".join(quoted)}],"n":{s.n}}}'
+
+    return [Fragment('{"choices":[' + ",".join(map(getitem, rows, s.picks)) + tail)
+            for s, (rows, tail) in _shaped(structures, shape)]
 
 
 def write_selection(s: SelectionStructure) -> dict:
@@ -280,10 +380,15 @@ def _read_partial(doc: Any, parsed: Optional[dict]) -> PartialSelection:
 
 # -- interval families ---------------------------------------------------
 
-def write_family(fam: OpenFamily) -> dict:
+def write_family(fam: OpenFamily, records: Optional[dict] = None) -> dict:
+    """records maps an open's id to its record, so an open that several
+    families share is written once; the records must be read, not edited
+    in place."""
+    records = {} if records is None else records
     return {
         "intervals": [
-            {"lo": fraction_str(u.lo), "hi": fraction_str(u.hi)}
+            records.get(id(u)) or records.setdefault(
+                id(u), {"lo": fraction_str(u.lo), "hi": fraction_str(u.hi)})
             for u in fam.members
         ]
     }
@@ -335,9 +440,12 @@ def read_model(doc: Any) -> ModelSpace:
 
 
 def write_system(system: FamilySystem) -> dict:
+    """One record per open, shared by every family that holds it."""
+    records: dict = {}
     return {
         "model": write_model(system.model),
-        "families": [write_family(f) for f in system.families],
+        # the families hold their opens, so no id is reused during the walk
+        "families": [write_family(f, records) for f in system.families],
     }
 
 

@@ -443,6 +443,16 @@ class TestMeetGraph:
         for s in combinations(range(4), 3):
             assert system.graph.covering(s) == _oracle_covering(system, s)
 
+    def test_memberless_families_meet_every_family(self):
+        # no member to touch: every other family is a candidate, and the
+        # empty meet map is unique
+        system = FamilySystem((family(),) * 3, order_model([0, 1, 2], 2, "min"))
+        rows = [system.graph.row(i) for i in range(3)]
+        assert rows == [([(1, ()), (2, ())], None), ([(0, ()), (2, ())], None),
+                        ([(0, ()), (1, ())], None)]
+        assert {(i, j): g for i, (edges, _) in enumerate(rows) for j, g in edges} == oracle_edges(system)
+        assert (is_nice(system).ok, is_nice(system).witness) == oracle_niceness(system)
+
     def test_touching_members_stay_disjoint(self):
         u = family((0, 1), (2, 3))
         t = family((1, 2), (3, 4))

@@ -15,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersel import documents, structures
-from hypersel.chains import FamilySystem
+from hypersel.chains import FamilySystem, derive_nice_family
 from hypersel.cli import main
 from hypersel.documents import (
+    Fragment,
     dumps,
+    fragment,
     fraction_str,
     jsonable,
     parse_fraction,
@@ -27,6 +29,7 @@ from hypersel.documents import (
     read_partial,
     read_selection,
     read_system,
+    selection_texts,
     write_family,
     write_model,
     write_partial,
@@ -110,6 +113,20 @@ class TestRoundtrips:
 
     def test_system(self):
         doc = write_system(conflict_system())
+        assert write_system(read_system(doc)) == doc
+
+    def test_system_writes_a_shared_open_once(self):
+        derived = derive_nice_family(cyclic_model(), 2)
+        # the reader shares one open between equal members
+        system = read_system({"model": write_model(derived.model),
+                              "families": [write_family(f) for f in derived.families * 2]})
+        doc = write_system(system)
+        pairs = [(u, r) for f, fd in zip(system.families, doc["families"])
+                 for u, r in zip(f.members, fd["intervals"])]
+        records = {id(u): r for u, r in pairs}
+        assert all(records[id(u)] is r for u, r in pairs)
+        assert len(records) < len(pairs)
+        assert doc["families"] == [write_family(f) for f in system.families]
         assert write_system(read_system(doc)) == doc
 
     def test_dumps_is_stable(self):
@@ -205,6 +222,108 @@ class TestWriteSelections:
 
     def test_shared_records_render_as_iso_records(self):
         self._assert_shared_and_equal(list(enumerate_selections(5, 2, up_to_iso=True)))
+
+
+def _canonical(doc):
+    """The canonical rendering, straight from json."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestSelectionTexts:
+    @settings(max_examples=100, deadline=None)
+    @given(selection_batches())
+    def test_equal_one_dumps_per_structure(self, batch):
+        texts = selection_texts(iter(batch))
+        assert [t.text + "\n" for t in texts] == [dumps(write_selection(s)) for s in batch]
+        assert dumps(texts) == dumps([write_selection(s) for s in batch])
+
+    def test_labels_json_must_escape(self):
+        labels = ('"', "\\", "\x00\x1f\n", "\u00e9\u2028", "\ud800", documents._MARK, "\U0001f600")
+        s = SelectionStructure(GroundSet(labels), 2, tuple(t[-1] for t in subset_ranks(7, 2)[0]))
+        (text,) = selection_texts([s])
+        assert text.text + "\n" == dumps(write_selection(s)) == _canonical(write_selection(s))
+
+    def test_records_render_once_and_only_when_used(self, monkeypatch):
+        rendered = []
+        missing = documents._Records.__missing__
+        monkeypatch.setattr(documents._Records, "__missing__",
+                            lambda row, p: rendered.append((id(row), p)) or missing(row, p))
+        batch = list(enumerate_selections(4, 2))  # 64 structures, 12 distinct records
+        texts = selection_texts(batch)
+        assert sorted(set(rendered)) == sorted(rendered) and len(rendered) == 12
+        assert [t.text + "\n" for t in texts] == [dumps(write_selection(s)) for s in batch]
+
+    def test_one_class_extend_renders_no_unused_record(self, tmp_path, monkeypatch):
+        # m = carrier size: one m-subset, one class, one record per subset
+        # of its C(4, 2) rather than every (subset, pick) of the 12
+        path = tmp_path / "f.json"
+        path.write_text(dumps(write_partial(random_partial(GroundSet(tuple("abcd")), 2, random.Random(3)))))
+        rendered = []
+        missing = documents._Records.__missing__
+        monkeypatch.setattr(documents._Records, "__missing__",
+                            lambda row, p: rendered.append(p) or missing(row, p))
+        code, out, _ = run_cli(["extend", str(path), "4", "2"])
+        assert code == 0
+        (cls,) = json.loads(out)["result"]["classes"]
+        assert len(rendered) == len(cls["type"]["choices"]) == 6
+        assert out == _canonical(json.loads(out))
+
+
+# report values with the text json must escape, as labels and keys: the
+# mark a Fragment renders as, a string ending with it and the mark a
+# second rendering takes among them
+tricky_text = st.sampled_from([
+    '"', "\\", "\x00", "\x1f", "\n", "\u00e9", "\u2028", "\ud800", "\udfff", "\U0001f600",
+    documents._MARK, 'x"' + documents._MARK, "\0fragment 1\0", "fragment", "",
+]) | st.text(alphabet=st.characters(blacklist_categories=()), max_size=4)
+
+
+@st.composite
+def fragmented_values(draw):
+    """(value with Fragments, the value each Fragment stands for): some
+    subtrees rendered once as Fragments, and some Fragments shared."""
+    scalars = st.none() | st.booleans() | st.integers(-(10**30), 10**30) | tricky_text
+
+    def grow(inner):
+        pairs = st.lists(inner, max_size=4).map(lambda xs: ([a for a, _ in xs], [b for _, b in xs]))
+        keyed = st.dictionaries(tricky_text, inner, max_size=4).map(
+            lambda d: ({k: a for k, (a, _) in d.items()}, {k: b for k, (_, b) in d.items()}))
+        wrapped = inner.map(lambda ab: (Fragment(_canonical(ab[1])[:-1]), ab[1]))
+        shared = wrapped.map(lambda ab: ([ab[0], {"x": ab[0]}, ab[0]], [ab[1], {"x": ab[1]}, ab[1]]))
+        return pairs | keyed | wrapped | shared
+
+    return draw(st.recursive(scalars.map(lambda v: (v, v)), grow, max_leaves=20))
+
+
+class TestFragments:
+    @settings(max_examples=300, deadline=None)
+    @given(fragmented_values())
+    def test_splice_equals_the_expanded_document(self, pair):
+        doc, expanded = pair
+        assert dumps(doc) == _canonical(expanded) == dumps(expanded)
+
+    @pytest.mark.parametrize("label", [
+        documents._MARK, 'x"' + documents._MARK, "\0fragment 1\0", "\0fragment 2\0"])
+    def test_a_label_holding_the_mark_gives_exact_bytes(self, label):
+        inner = Fragment('{"pick":"a"}')
+        doc = {label: [inner, label, {"k": inner}], "b": [label, "\0fragment 1\0"]}
+        expanded = {label: [{"pick": "a"}, label, {"k": {"pick": "a"}}], "b": [label, "\0fragment 1\0"]}
+        assert dumps(doc) == _canonical(expanded)
+
+    def test_fragment_is_dumps_less_the_newline(self):
+        doc = {"z": [1, "\u00e9"], "a": None}
+        assert fragment(doc).text + "\n" == dumps(doc)
+        assert dumps(fragment(doc)) == dumps(doc)
+        assert dumps([fragment(doc)] * 2) == dumps([doc, doc])
+
+    def test_a_document_without_fragments_takes_one_render(self, monkeypatch):
+        calls = []
+        render = json.dumps
+        monkeypatch.setattr(documents.json, "dumps", lambda *a, **k: calls.append(a) or render(*a, **k))
+        assert dumps({"a": [documents._MARK]}) == '{"a":["\\u0000fragment\\u0000"]}\n'
+        assert len(calls) == 1
+        assert dumps({"a": [documents._MARK, Fragment("1")]}) == '{"a":["\\u0000fragment\\u0000",1]}\n'
+        assert len(calls) == 3  # the mark was a label, so the second render takes another
 
 
 class TestDumps:

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
@@ -27,7 +28,7 @@ from hypersel.errors import (
 from hypersel import _kernels, structures
 from hypersel._kernels import regular_masks_exhaustive
 from hypersel.cli import main
-from hypersel.documents import read_selection
+from hypersel.documents import read_selection, selection_texts, write_selections
 from hypersel.structures import (
     GroundSet,
     IsoMap,
@@ -944,6 +945,21 @@ class TestEnumeration:
         records = [read_selection(rec) for rec in result["records"]]
         assert all(canonical_form(s)[0].picks == s.picks for s in records)
         assert len({s.picks for s in records}) == 456
+
+    @pytest.mark.parametrize("m, n", SMALL_SPACES)
+    def test_selection_texts_render_each_structure(self, m, n):
+        # every labeled structure, on its int ground and on str and
+        # Fraction grounds, interleaved so the per-ground tables alternate
+        # (write_selections equals write_selection on each, and dumps is
+        # json's rendering with these options on a document without
+        # Fragments: test_documents_cli)
+        labeled = list(enumerate_selections(m, n))
+        grounds = (labeled[0].ground, GroundSet(tuple('"\\\x00\u00e9\ud800x7'[:m])),
+                   GroundSet(tuple(Fraction(i, 3) for i in range(m))))
+        batch = [SelectionStructure(g, n, s.picks) if g is not s.ground else s
+                 for s in labeled for g in grounds]
+        render = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        assert [t.text for t in selection_texts(batch)] == list(map(render, write_selections(batch)))
 
     @pytest.mark.parametrize("m, n", SMALL_SPACES)
     def test_labeled_order(self, m, n):
