@@ -46,6 +46,7 @@ from .errors import (
     check_int,
 )
 from .extension import subset_scores
+from .structures import pair_beats
 from .verdict import PASS, Verdict, fail
 from .vietoris import ModelSpace, OpenFamily, _members, _radius, member_hits, overlaps
 
@@ -363,8 +364,9 @@ def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
     check_int("n", n, 2, model.size - 1)
     if n % 2:
         raise OutOfRange(f"need even n >= 2, got {n}")
+    beats = pair_beats(pairs)
     regular = [s for s in combinations(range(model.size), n + 1)
-               if len(set(subset_scores(pairs, s))) <= 1]
+               if len(set(subset_scores(pairs, s, beats))) <= 1]
     a, b, _ = _radius(model, range(model.size), 0)  # half the least gap
     around = _members(model, range(model.size), a, b)
     return FamilySystem(tuple(OpenFamily(tuple(around[i] for i in s)) for s in regular), model)
@@ -381,7 +383,8 @@ def regular_class_cover_check(system: FamilySystem, n: int) -> Verdict:
     pairs = model.selection.level(2)  # a missing pair level raises before the size check
     if m > model.size:
         return PASS
+    beats = pair_beats(pairs)
     for s in combinations(range(model.size), m):
-        if bool(system.graph.covering(s)) != (len(set(subset_scores(pairs, s))) <= 1):
+        if bool(system.graph.covering(s)) != (len(set(subset_scores(pairs, s, beats))) <= 1):
             return fail(tuple(model.points[i] for i in s))
     return PASS

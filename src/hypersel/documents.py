@@ -116,9 +116,9 @@ def dumps(doc: Any) -> str:
     whitespace and ASCII only (anything else as a \\u escape), then one
     trailing newline.  Equal documents give byte-equal text.  Documents
     and reports are built fresh in this process and share read-only
-    parts (write_selections), so json's circular-reference guard is off:
-    a shared object renders in every place it appears, and a cycle still
-    raises, as RecursionError.
+    parts (write_system's interval records), so json's
+    circular-reference guard is off: a shared object renders in every
+    place it appears, and a cycle still raises, as RecursionError.
 
     Each Fragment renders as a mark string, in output order, and its
     text replaces the quoted mark.  The quoted mark holds quotes only at
@@ -257,42 +257,11 @@ def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple, size
 
 # -- selection structures ------------------------------------------------
 
-def _shaped(structures, shape: Callable[[SelectionStructure], Any]):
-    """(structure, shape(structure)) for each structure, in order, with
-    shape called once per (ground object, n).  Keyed by the ground's id,
-    as equal grounds may hold labels that render apart (0 and
-    Fraction(0)), and held with the ground, so the id is not reused
-    during the walk."""
-    shared: dict = {}  # (id(ground), n) -> (ground, shape)
-    for s in structures:
-        key = (id(s.ground), s.n)
-        if key not in shared:
-            shared[key] = (s.ground, shape(s))
-        yield s, shared[key][1]
-
-
-def write_selections(structures) -> list:
-    """write_selection of each structure, in order.  The label strings,
-    subset label lists and choice records are built once per (ground
-    object, n) (_shaped), a record once per (subset rank, pick).  They
-    are shared by every structure on that ground and arity, so the
-    records must be read, not edited in place."""
-
-    def shape(s: SelectionStructure) -> tuple:
-        names = list(map(label_str, s.ground.labels))
-        subs, _ = s.table
-        return names, [[names[i] for i in t] for t in subs], [{} for _ in subs]
-
-    return [
-        {
-            "ground": names,
-            "n": s.n,
-            # records are non-empty dicts, so get() misses only on a new pick
-            "choices": [row.get(p) or row.setdefault(p, {"subset": t, "pick": names[p]})
-                        for t, row, p in zip(subsets, records, s.picks)],
-        }
-        for s, (names, subsets, records) in _shaped(structures, shape)
-    ]
+def _records(names: list, s: SelectionStructure) -> list:
+    """s's choice records in subset-rank order, labels spelled as names
+    spells the ground's."""
+    return [{"subset": [names[i] for i in t], "pick": names[p]}
+            for t, p in zip(s.table[0], s.picks)]
 
 
 class _Records(dict):
@@ -312,22 +281,29 @@ class _Records(dict):
 
 def selection_texts(structures) -> list:
     """A Fragment of dumps(write_selection(s)) for each structure s, in
-    order.  Per (ground object, n) (_shaped) each label is quoted once,
-    as json quotes strings, and each subset's labels joined once; a
-    choice record is rendered on the first use of its (subset rank,
-    pick), and each text joins its structure's records."""
-
-    def shape(s: SelectionStructure) -> tuple:
-        quoted = [_quoted(label_str(x)) for x in s.ground.labels]
-        rows = [_Records(quoted, ",".join([quoted[i] for i in t])) for t in s.table[0]]
-        return rows, f'],"ground":[{",".join(quoted)}],"n":{s.n}}}'
-
-    return [Fragment('{"choices":[' + ",".join(map(getitem, rows, s.picks)) + tail)
-            for s, (rows, tail) in _shaped(structures, shape)]
+    order.  Per (ground object, n) each label is quoted once, as json
+    quotes strings, and each subset's labels joined once; a choice
+    record is rendered on the first use of its (subset rank, pick), and
+    each text joins its structure's records.  The tables are keyed by
+    the ground's id, as equal grounds may hold labels that render apart
+    (0 and Fraction(0)), and held with the ground, so the id is not
+    reused during the walk."""
+    shared: dict = {}  # (id(ground), n) -> (ground, records by rank, text after them)
+    texts = []
+    for s in structures:
+        key = (id(s.ground), s.n)
+        if key not in shared:
+            quoted = [_quoted(label_str(x)) for x in s.ground.labels]
+            rows = [_Records(quoted, ",".join([quoted[i] for i in t])) for t in s.table[0]]
+            shared[key] = (s.ground, rows, f'],"ground":[{",".join(quoted)}],"n":{s.n}}}')
+        _, rows, tail = shared[key]
+        texts.append(Fragment('{"choices":[' + ",".join(map(getitem, rows, s.picks)) + tail))
+    return texts
 
 
 def write_selection(s: SelectionStructure) -> dict:
-    return write_selections((s,))[0]
+    names = [label_str(x) for x in s.ground.labels]
+    return {"ground": names, "n": s.n, "choices": _records(names, s)}
 
 
 def read_selection(doc: Any) -> SelectionStructure:
@@ -342,13 +318,11 @@ def read_selection(doc: Any) -> SelectionStructure:
 # -- partial selections --------------------------------------------------
 
 def write_partial(p: PartialSelection) -> dict:
-    return {
-        "carrier": [label_str(x) for x in p.carrier.labels],
-        "mode": p.mode,
-        "bound": p.bound,
-        "choices": [c for g in write_selections(p.levels[n] for n in p.admissible_sizes())
-                    for c in g["choices"]],
-    }
+    names = [label_str(x) for x in p.carrier.labels]
+    choices = []
+    for n in p.admissible_sizes():
+        choices += _records(names, p.levels[n])
+    return {"carrier": names, "mode": p.mode, "bound": p.bound, "choices": choices}
 
 
 def read_partial(doc: Any) -> PartialSelection:

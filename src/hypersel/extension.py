@@ -50,6 +50,7 @@ from .structures import (
     index_table,
     is_isomorphism,
     joint_isomorphism,
+    pair_beats,
     score_vector,
     selection_from_order,
 )
@@ -220,9 +221,21 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     )
 
 
-def subset_scores(level: SelectionStructure, s: Sequence[int]) -> list:
+def subset_scores(level: SelectionStructure, s: Sequence[int],
+                  beats: Optional[list] = None) -> list:
     """The scores of level's subsets inside s, ascending carrier indices:
-    entry i counts the ones picking s[i]."""
+    entry i counts the ones picking s[i].
+
+    beats, when given, are the pair level's beats bitsets (pair_beats),
+    and entry i is the popcount of s[i]'s beats inside s; a caller that
+    scores many subsets of one pair level builds them once per walk.
+    Without them, s's n-subsets are walked in rank order on level's
+    table."""
+    if beats is not None:
+        inside = 0
+        for x in s:
+            inside |= 1 << x
+        return [(beats[x] & inside).bit_count() for x in s]
     _, rank = level.table
     picks = level.picks
     at = {x: i for i, x in enumerate(s)}
@@ -288,13 +301,15 @@ def extend_selection(f: PartialSelection, m: int, p: int) -> PartialSelection:
     """Total selection on m-subsets by the level-class rule at arity p.
 
     Each m-subset, in rank order, scores f's arity-p level on its own
-    p-subsets and picks f of its least small level class.
+    p-subsets (subset_scores; at p = 2 on the level's beats, built once
+    here) and picks f of its least small level class.
     """
     check_extension(f, m, p)
     level = f.levels[p]
+    beats = pair_beats(level) if p == 2 else None
     picks = []
     for s in combinations(range(f.carrier.size), m):
-        _, q = _least_small_level(subset_scores(level, s))
+        _, q = _least_small_level(subset_scores(level, s, beats))
         picks.append(f.choose_indices(tuple(s[i] for i in q)))
     h = SelectionStructure(f.carrier, m, tuple(picks))
     return PartialSelection(f.carrier, MODE_EXACT, m, {m: h})

@@ -20,7 +20,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, permutations, product
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -231,19 +231,28 @@ def is_regular(s: SelectionStructure) -> bool:
     return len(set(score_vector(s))) <= 1
 
 
+def pair_beats(s: SelectionStructure) -> list:
+    """beats[v]: the ground-index bitset of the pairs {v, w} of the
+    tournament s that pick v, in one pass over its picks
+    (_kernels.beats_from_picks); their popcounts are the scores."""
+    if s.n != 2:
+        raise NotArityTwo(f"beats are read on tournaments, arity {s.n} given")
+    return _kernels.beats_from_picks(s.table[0], s.picks, s.size)
+
+
 def check_cycle_property(s: SelectionStructure) -> Verdict:
     """For a regular tournament: whenever pair {x,y} picks y, some z has
     {y,z} picking z and {z,x} picking x.  Witness on violation is (x,y).
 
     The counting argument guaranteeing this needs constant scores, so
     non-regular or non-pair input is rejected rather than answered.  One
-    pass over the picks builds the beats bitsets (_kernels.beats_from_picks);
+    pass over the picks builds the beats bitsets (pair_beats);
     their popcounts are the scores, read for regularity before the
     3-cycle scan (_kernels.cycle_scan) runs on them.
     """
     if s.n != 2:
         raise NotArityTwo(f"cycle property is about tournaments, arity {s.n} given")
-    beats = _kernels.beats_from_picks(s.table[0], s.picks, s.size)
+    beats = pair_beats(s)
     if len({b.bit_count() for b in beats}) > 1:
         raise NotRegular("cycle property requires a constant-score tournament")
     found = _kernels.cycle_scan(beats)
@@ -354,31 +363,61 @@ def _refine(subs: tuple, picks: tuple, cells: list) -> list:
     its sub-cells in ascending signature order.  A cell is named by its
     first position, so signatures, and with them the result, see labels
     only through the partition: relabeling the input relabels the output.
+    subs and picks are whole subset tables joined in some order, as
+    _canonical_labeling joins them, so a table's subsets appear once.
 
-    Each entry is read as one int, its fields as digits in base m + 1:
-    the flag, then the pick's cell, then the other members' cells, with
-    cells numbered from 1 and a short tail padded with 0 up to the
-    widest subset's count of other members.  Every digit is below the
-    base, so integer order is the lexicographic order of the digit
-    strings; a cell digit is never 0, so a shorter tail sorts before any
-    longer one sharing its prefix, as a shorter tuple does.  Integer
-    order is therefore the order of the (flag, cell, cells) tuples, also
-    for the entries of different lengths in a joint labeling, and sorted
-    code tuples group and order elements exactly as sorted entry tuples
-    do.  The incidence lists are built once per call: for a pair {x, y},
-    x's entry is (true, cell of x, cell of y) when x is picked and
-    (false, cell of y, cell of y) when y is, so x keeps only y in the
-    list of pairs it wins or loses.
+    One tournament, every pair of the ground once, is refined on its
+    beats bitsets (_refine_wins): an element's key is its count of wins
+    inside each cell, in cell order, (beats[x] & cell).bit_count(), and
+    sub-cells follow in ascending key order.  That is the signature
+    order.  x sits in m - 1 pairs, with the entry (false, cell of y,
+    cell of y) for a pair {x, y} it loses and (true, cell of x, cell of
+    y) for one it wins, so its sorted signature is every lost entry,
+    ascending in y's cell, then every won entry, ascending in y's cell.
+    Take x and y in one cell and the first cell c where they lose
+    different counts, x more.  Their lost runs agree through y's losses
+    to c; at the next entry x has another loss to c, where y has a later
+    cell or its first won entry, so x's signature is the smaller.  Its wins in c are |c| - [x in c] less
+    its losses there, and x and y share [x in c], so x has fewer wins in
+    c and as many in every earlier cell: its key is the smaller too.
+    Equal keys are equal losses per cell, so equal signatures.
+
+    Any other input (arity 3 and up, a joint labeling) is refined on
+    int codes (_refine_codes).  Each entry is read as one int, its
+    fields as digits in base m + 1: the flag, then the pick's cell, then
+    the other members' cells, with cells numbered from 1 and a short
+    tail padded with 0 up to the widest subset's count of other members.
+    Every digit is below the base, so integer order is the
+    lexicographic order of the digit strings; a cell digit is never 0,
+    so a shorter tail sorts before any longer one sharing its prefix, as
+    a shorter tuple does.  Integer order is therefore the order of the
+    (flag, cell, cells) tuples, also for the entries of different
+    lengths in a joint labeling, and sorted code tuples group and order
+    elements exactly as sorted entry tuples do.  For a pair {x, y}, x's
+    entry is (true, cell of x, cell of y) when x is picked and (false,
+    cell of y, cell of y) when y is, so x keeps only y in the list of
+    pairs it wins or loses.
+
+    The incidence, bitsets or lists, is built once per call (_refiner);
+    _canonical_labeling builds it once per labeling.
     """
-    m = sum(len(c) for c in cells)
-    base = m + 1
-    width = max(map(len, subs), default=1) - 1  # digits for the other members
-    lead = base**width  # place of the pick's cell
-    top = lead * base  # place of the flag
-    unit = lead // base  # place of a pair's other member (0 when there are no pairs)
+    return _refiner(subs, picks, sum(len(c) for c in cells))(cells)
+
+
+def _refiner(subs: tuple, picks: tuple, m: int):
+    """_refine on these subsets and picks of the ground 0..m-1, as a
+    function of the partition, with the incidence it reads built here,
+    once: the beats bitsets of one tournament, else per-element lists.
+    Whole tables joined, the first a pair table, hold C(m, 2) subsets
+    only when that table is all of them."""
+    if subs and len(subs[0]) == 2 and len(subs) == m * (m - 1) // 2:
+        return partial(_refine_wins, _kernels.beats_from_picks(subs, picks, m))
     won: list = [[] for _ in range(m)]  # won[x]: the y of each pair {x, y} picking x
     lost: list = [[] for _ in range(m)]  # lost[x]: the y of each pair {x, y} picking y
     wider: list = [[] for _ in range(m)]  # (flag, pick, other members, last place)
+    width = max(map(len, subs), default=1) - 1  # digits for the other members
+    base = m + 1
+    top = base ** (width + 1)  # place of the flag
     for sub, p in zip(subs, picks):
         if len(sub) == 2:
             x, y = sub
@@ -392,6 +431,43 @@ def _refine(subs: tuple, picks: tuple, cells: list) -> list:
         place = base ** (width + 1 - len(sub))
         for k, x in enumerate(sub):
             wider[x].append((top if x == p else 0, p, sub[:k] + sub[k + 1:], place))
+    return partial(_refine_codes, won, lost, wider, width)
+
+
+def _refine_wins(beats: list, cells: list) -> list:
+    """_refine on one tournament's beats bitsets."""
+    m = len(beats)
+    while len(cells) < m:
+        masks = []
+        for c in cells:
+            mask = 0
+            for x in c:
+                mask |= 1 << x
+            masks.append(mask)
+        split = []
+        for c in cells:
+            if len(c) == 1:
+                split.append(c)
+                continue
+            groups: dict = {}
+            for x in c:
+                b = beats[x]
+                groups.setdefault(tuple([(b & k).bit_count() for k in masks]), []).append(x)
+            split.extend(groups[key] for key in sorted(groups))
+        if len(split) == len(cells):
+            break
+        cells = split
+    return cells
+
+
+def _refine_codes(won: list, lost: list, wider: list, width: int, cells: list) -> list:
+    """_refine on per-element incidence lists (_refiner), reading each
+    entry as one int code."""
+    m = len(won)
+    base = m + 1
+    lead = base**width  # place of the pick's cell
+    top = lead * base  # place of the flag
+    unit = lead // base  # place of a pair's other member (0 when there are no pairs)
     both = lead + unit
     while len(cells) < m:
         cell_of = [0] * m
@@ -427,12 +503,14 @@ def _refine(subs: tuple, picks: tuple, cells: list) -> list:
 def _canonical_labeling(gs: Sequence[SelectionStructure]):
     """(least choice tuple, relabeling giving it) of the structures gs,
     all on one ground, labeled together, the relabeling stored as
-    sigma[old index] = new index.  _refine reads the subsets and picks
-    of gs joined in their order, and a leaf's choice tuple joins, in
-    that order, each one's relabeling on its own table; for one
-    structure (canonical_form, enumerate_selections' classes, each
-    m-subset of extension.partition_types) a join is that structure's
-    own tuple, not a copy.
+    sigma[old index] = new index.  The refinement reads the subsets and
+    picks of gs joined in their order, its incidence built once per
+    labeling (_refiner: beats bitsets when gs is one tournament) and
+    read at every node, and a leaf's choice tuple joins, in that order,
+    each one's relabeling on its own table; for one structure
+    (canonical_form, enumerate_selections' classes, each m-subset of
+    extension.partition_types) a join is that structure's own tuple,
+    not a copy.
 
     Individualization-refinement (McKay & Piperno, "Practical graph
     isomorphism, II", 2014): start from the score classes, counted over
@@ -453,11 +531,12 @@ def _canonical_labeling(gs: Sequence[SelectionStructure]):
     w = [0] * m
     for p in picks:
         w[p] += 1
+    refine = _refiner(subs, picks, m)
     leaves: dict = {}  # choice tuple -> the first relabeling giving it
     autos: list = []
 
     def visit(path: list, cells: list) -> None:
-        cells = _refine(subs, picks, cells)
+        cells = refine(cells)
         if len(cells) == m:
             sigma = [0] * m  # old index -> new index
             for k, (x,) in enumerate(cells):

@@ -34,11 +34,10 @@ from hypersel.documents import (
     write_model,
     write_partial,
     write_selection,
-    write_selections,
     write_system,
 )
 from hypersel.errors import ChoiceOutsideSubset, DocumentError, MissingSubset, OutOfRange
-from hypersel.extension import order_partial, partition_types, random_partial
+from hypersel.extension import PartialSelection, order_partial, partition_types, random_partial
 from hypersel.obstruction import obstruction_table, table_tsv
 from hypersel.structures import (
     GroundSet,
@@ -195,33 +194,62 @@ def selection_batches(draw):
 
 
 class TestWriteSelections:
+    """Selections written as documents (write_selection, write_partial:
+    plain choice records, nothing shared) and as texts (selection_texts:
+    one record text per ground object, arity, subset and pick)."""
+
     @settings(max_examples=100, deadline=None)
     @given(selection_batches())
     def test_equals_one_write_per_structure(self, batch):
-        assert [dumps(d) for d in write_selections(iter(batch))] == [
-            dumps(write_selection(s)) for s in batch]
+        # an exact partial on one structure writes that structure's
+        # records, spelled out here in rank order
+        for s in batch:
+            names = [documents.label_str(x) for x in s.ground.labels]
+            records = [{"subset": [names[i] for i in t], "pick": names[p]}
+                       for t, p in zip(subset_ranks(s.size, s.n)[0], s.picks)]
+            assert write_selection(s) == {"ground": names, "n": s.n, "choices": records}
+            f = PartialSelection(s.ground, "exact", s.n, {s.n: s})
+            assert write_partial(f) == {"carrier": names, "mode": "exact", "bound": s.n,
+                                        "choices": records}
 
-    def test_equal_grounds_keep_their_own_names(self):
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(_GROUNDS), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_partial_joins_its_levels_records(self, ground, bound, seed):
+        f = random_partial(ground, min(bound, ground.size), random.Random(seed))
+        doc = write_partial(f)
+        assert doc["choices"] == [c for n in f.admissible_sizes()
+                                  for c in write_selection(f.level(n))["choices"]]
+        assert dumps(doc) == _canonical(doc)
+
+    def test_equal_grounds_keep_their_own_names(self, monkeypatch):
+        rendered = []
+        missing = documents._Records.__missing__
+        monkeypatch.setattr(documents._Records, "__missing__",
+                            lambda row, p: rendered.append((id(row), p)) or missing(row, p))
         ints = SelectionStructure(_GROUNDS[0], 1, (0, 1, 2))
         fractions = SelectionStructure(_GROUNDS[2], 1, (0, 1, 2))
-        docs = write_selections([ints, fractions, ints])
-        assert [d["ground"] for d in docs] == [["0", "1", "2"], ["0/1", "1/1", "2/1"], ["0", "1", "2"]]
-        assert docs[0]["choices"][1]["subset"] is docs[2]["choices"][1]["subset"]
+        texts = selection_texts([ints, fractions, ints])
+        assert [json.loads(t.text)["ground"] for t in texts] == [
+            ["0", "1", "2"], ["0/1", "1/1", "2/1"], ["0", "1", "2"]]
+        assert len(rendered) == 6  # the second ints structure reuses the first's records
 
     @staticmethod
-    def _assert_shared_and_equal(batch):
-        docs = write_selections(batch)
-        records = [id(c) for d in docs for c in d["choices"]]
-        assert len(set(records)) < len(records)  # some record is shared
-        assert dumps(docs) == dumps([write_selection(s) for s in batch])
-        assert [dumps(d) for d in docs] == [dumps(write_selection(s)) for s in batch]
+    def _assert_shared_and_equal(batch, monkeypatch):
+        rendered = []
+        missing = documents._Records.__missing__
+        monkeypatch.setattr(documents._Records, "__missing__",
+                            lambda row, p: rendered.append((id(row), p)) or missing(row, p))
+        texts = selection_texts(batch)
+        assert len(rendered) < sum(len(s.picks) for s in batch)  # some record is shared
+        assert dumps(texts) == dumps([write_selection(s) for s in batch])
+        assert [t.text + "\n" for t in texts] == [dumps(write_selection(s)) for s in batch]
 
-    def test_shared_records_render_as_extend_classes(self):
+    def test_shared_records_render_as_extend_classes(self, monkeypatch):
         f = random_partial(GroundSet(tuple("abcdefgh")), 4, random.Random("extend-classes"))
-        self._assert_shared_and_equal(list(partition_types(f, 6, 2).classes))
+        self._assert_shared_and_equal(list(partition_types(f, 6, 2).classes), monkeypatch)
 
-    def test_shared_records_render_as_iso_records(self):
-        self._assert_shared_and_equal(list(enumerate_selections(5, 2, up_to_iso=True)))
+    def test_shared_records_render_as_iso_records(self, monkeypatch):
+        self._assert_shared_and_equal(list(enumerate_selections(5, 2, up_to_iso=True)), monkeypatch)
 
 
 def _canonical(doc):

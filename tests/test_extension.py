@@ -309,6 +309,23 @@ class TestSubsetScores:
                     restricted = restrict(f, [labels[i] for i in s], n)
                     assert extension.subset_scores(f.level(n), s) == list(score_vector(restricted))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 14), st.integers(2, 3), st.randoms(use_true_random=False))
+    def test_pair_beats_score_as_the_rank_walk(self, size, n, rng):
+        # random levels and subsets: the beats popcounts at n = 2 and the
+        # walk at n = 3 equal the rank-order walk spelled out here
+        n = min(n, size)
+        subs, rank = subset_ranks(size, n)
+        level = structures.SelectionStructure(ground_range(size), n, tuple(map(rng.choice, subs)))
+        beats = structures.pair_beats(level) if n == 2 else None
+        for _ in range(10):
+            s = tuple(sorted(rng.sample(range(size), rng.randint(n, size))))
+            w = [0] * len(s)
+            for t in combinations(s, n):
+                w[s.index(level.picks[rank[t]])] += 1
+            assert extension.subset_scores(level, s, beats) == w
+            assert extension.subset_scores(level, s) == w
+
 
 class TestPartitionTypes:
     def test_min_rule_single_class(self):

@@ -28,7 +28,7 @@ from hypersel.errors import (
 from hypersel import _kernels, structures
 from hypersel._kernels import regular_masks_exhaustive
 from hypersel.cli import main
-from hypersel.documents import read_selection, selection_texts, write_selections
+from hypersel.documents import read_selection, selection_texts, write_selection
 from hypersel.structures import (
     GroundSet,
     IsoMap,
@@ -45,6 +45,7 @@ from hypersel.structures import (
     joint_isomorphism,
     make_selection,
     mask_from_tournament,
+    pair_beats,
     regular_tournaments,
     rotational_tournament,
     score_vector,
@@ -335,6 +336,17 @@ class TestScores:
         s = selection_from_order(ground_range(4), 2, "min")
         assert score_vector(s) == (3, 2, 1, 0)
         assert not is_regular(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_structures())
+    def test_pair_beats_popcounts_are_the_scores(self, s):
+        if s.n != 2:
+            with pytest.raises(NotArityTwo, match=f"^beats are read on tournaments, arity {s.n} given$"):
+                pair_beats(s)
+            return
+        beats = pair_beats(s)
+        assert beats == defined_beats(s)
+        assert tuple(b.bit_count() for b in beats) == score_vector(s)
 
 
 class TestRotational:
@@ -642,11 +654,18 @@ def seeded_tournament(m, seed):
 
 @st.composite
 def refinement_inputs(draw):
-    """A structure on 2..8 elements at arity 2..4, arbitrary choices."""
-    m = draw(st.integers(2, 8))
-    n = draw(st.integers(2, min(4, m)))
+    """A structure on 2..10 elements, arbitrary choices: a tournament on
+    up to 10, arity 3 or 4 on up to 8."""
+    m = draw(st.integers(2, 10))
+    n = draw(st.integers(2, min(4, m) if m <= 8 else 2))
     subs, _ = subset_ranks(m, n)
     return SelectionStructure(ground_range(m), n, tuple(draw(st.sampled_from(s)) for s in subs))
+
+
+def _individualized(stable, t):
+    """stable with each element of its cell t individualized in turn."""
+    return [stable[:t] + [[v], [x for x in stable[t] if x != v]] + stable[t + 1:]
+            for v in stable[t]]
 
 
 class TestRefinement:
@@ -656,18 +675,22 @@ class TestRefinement:
     @staticmethod
     def _assert_agrees(s):
         # from the score blocks, then with each element of the first
-        # smallest open cell individualized, as canonical_form does
+        # smallest open cell individualized, as canonical_form does, and
+        # of the first open cell, and so again one level deeper
         subs, _ = subset_ranks(s.size, s.n)
-        starts = [structures._score_blocks(score_vector(s))]
-        stable = structures._refine(subs, s.picks, starts[0])
-        sizes = [len(c) for c in stable if len(c) > 1]
-        if sizes:
-            t = next(i for i, c in enumerate(stable) if len(c) == min(sizes))
-            for v in stable[t]:
-                rest = [x for x in stable[t] if x != v]
-                starts.append(stable[:t] + [[v], rest] + stable[t + 1:])
-        for cells in starts:
-            assert structures._refine(subs, s.picks, cells) == oracle_refine(subs, s.picks, cells)
+
+        def check(cells, depth):
+            stable = structures._refine(subs, s.picks, cells)
+            assert stable == oracle_refine(subs, s.picks, cells)
+            opened = [t for t, c in enumerate(stable) if len(c) > 1]
+            if depth and opened:
+                size = min(len(stable[t]) for t in opened)
+                smallest = next(t for t in opened if len(stable[t]) == size)
+                for t in sorted({smallest, opened[0]}):
+                    for child in _individualized(stable, t):
+                        check(child, depth - 1)
+
+        check(structures._score_blocks(score_vector(s)), 2)
 
     @settings(max_examples=200, deadline=None)
     @given(refinement_inputs())
@@ -683,6 +706,22 @@ class TestRefinement:
     def test_agrees_on_regular_and_transitive(self):
         for s in (rotational_tournament(9), selection_from_order(ground_range(8), 3, "min")):
             self._assert_agrees(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 8), st.randoms(use_true_random=False))
+    def test_two_pair_levels_agree_with_oracle(self, m, rng):
+        # a joint labeling of two tournaments on one ground reads each
+        # pair twice, so it is refined as entries, not as one beats list
+        pairs, _ = subset_ranks(m, 2)
+        subs = pairs + pairs
+        picks = tuple(rng.choice(t) for t in subs)
+        start = [list(range(m))]
+        stable = structures._refine(subs, picks, start)
+        assert stable == oracle_refine(subs, picks, start)
+        for t, c in enumerate(stable):
+            if len(c) > 1:
+                for cells in _individualized(stable, t):
+                    assert structures._refine(subs, picks, cells) == oracle_refine(subs, picks, cells)
 
     # canonical_form(...)[0].picks recorded before signatures were read
     # from incidence lists; the canonical encoding must not move
@@ -950,16 +989,15 @@ class TestEnumeration:
     def test_selection_texts_render_each_structure(self, m, n):
         # every labeled structure, on its int ground and on str and
         # Fraction grounds, interleaved so the per-ground tables alternate
-        # (write_selections equals write_selection on each, and dumps is
-        # json's rendering with these options on a document without
-        # Fragments: test_documents_cli)
+        # (dumps is json's rendering with these options on a document
+        # without Fragments: test_documents_cli)
         labeled = list(enumerate_selections(m, n))
         grounds = (labeled[0].ground, GroundSet(tuple('"\\\x00\u00e9\ud800x7'[:m])),
                    GroundSet(tuple(Fraction(i, 3) for i in range(m))))
         batch = [SelectionStructure(g, n, s.picks) if g is not s.ground else s
                  for s in labeled for g in grounds]
         render = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        assert [t.text for t in selection_texts(batch)] == list(map(render, write_selections(batch)))
+        assert [t.text for t in selection_texts(batch)] == [render(write_selection(s)) for s in batch]
 
     @pytest.mark.parametrize("m, n", SMALL_SPACES)
     def test_labeled_order(self, m, n):
