@@ -45,8 +45,7 @@ from .errors import (
     _shown,
     check_int,
 )
-from .extension import subset_scores
-from .structures import pair_beats
+from .extension import scored_subsets
 from .verdict import PASS, Verdict, fail
 from .vietoris import ModelSpace, OpenFamily, _members, _radius, member_hits, overlaps
 
@@ -352,7 +351,8 @@ def build_selection_from_nice(
 
 def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
     """One family around every sampled (n+1)-set whose pair restriction
-    is regular (n even, pairs admitted), in subset rank order.
+    is regular (n even, pairs admitted), in subset rank order: constant
+    scores on extension.scored_subsets' walk of the pair level.
 
     A member is the interval around its point of radius half the least
     gap between sample points, so it holds its centre alone: the family
@@ -364,9 +364,7 @@ def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
     check_int("n", n, 2, model.size - 1)
     if n % 2:
         raise OutOfRange(f"need even n >= 2, got {n}")
-    beats = pair_beats(pairs)
-    regular = [s for s in combinations(range(model.size), n + 1)
-               if len(set(subset_scores(pairs, s, beats))) <= 1]
+    regular = [s for s, w in scored_subsets(pairs, n + 1) if len(set(w)) <= 1]
     a, b, _ = _radius(model, range(model.size), 0)  # half the least gap
     around = _members(model, range(model.size), a, b)
     return FamilySystem(tuple(OpenFamily(tuple(around[i] for i in s)) for s in regular), model)
@@ -383,8 +381,7 @@ def regular_class_cover_check(system: FamilySystem, n: int) -> Verdict:
     pairs = model.selection.level(2)  # a missing pair level raises before the size check
     if m > model.size:
         return PASS
-    beats = pair_beats(pairs)
-    for s in combinations(range(model.size), m):
-        if bool(system.graph.covering(s)) != (len(set(subset_scores(pairs, s, beats))) <= 1):
+    for s, w in scored_subsets(pairs, m):
+        if bool(system.graph.covering(s)) != (len(set(w)) <= 1):
             return fail(tuple(model.points[i] for i in s))
     return PASS

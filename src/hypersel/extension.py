@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -45,6 +45,7 @@ from .structures import (
     SelectionStructure,
     _canonical_labeling,
     _check_rule,
+    _score_blocks,
     ground_range,
     index_selection,
     index_table,
@@ -221,42 +222,44 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     )
 
 
-def subset_scores(level: SelectionStructure, s: Sequence[int],
-                  beats: Optional[list] = None) -> list:
-    """The scores of level's subsets inside s, ascending carrier indices:
-    entry i counts the ones picking s[i].
+def scored_subsets(level: SelectionStructure, m: int) -> Iterator[tuple]:
+    """(s, w) for every m-subset s of level's ground, as ascending
+    carrier indices, in rank order: w[i] counts level's subsets inside s
+    that pick s[i], the scores of s's restriction.  The one scoring walk
+    of the level-class rule (extend_selection) and the covering-type
+    property (chains).
 
-    beats, when given, are the pair level's beats bitsets (pair_beats),
-    and entry i is the popcount of s[i]'s beats inside s; a caller that
-    scores many subsets of one pair level builds them once per walk.
-    Without them, s's n-subsets are walked in rank order on level's
-    table."""
-    if beats is not None:
-        inside = 0
-        for x in s:
-            inside |= 1 << x
-        return [(beats[x] & inside).bit_count() for x in s]
-    _, rank = level.table
-    picks = level.picks
-    at = {x: i for i, x in enumerate(s)}
-    w = [0] * len(s)
-    for t in combinations(s, level.n):
-        w[at[picks[rank[t]]]] += 1
-    return w
+    A pair level is scored by popcounts, w[i] = |beats[s[i]] & s|, on
+    its beats bitsets (pair_beats), built once per walk; any other level
+    by counting the picks of s's restriction (_restriction)."""
+    subsets = combinations(range(level.size), m)
+    if level.n == 2:
+        beats = pair_beats(level)
+        for s in subsets:
+            inside = 0
+            for x in s:
+                inside |= 1 << x
+            yield s, [(beats[x] & inside).bit_count() for x in s]
+        return
+    for s in subsets:
+        w = [0] * m
+        for i in _restriction(level, s):
+            w[i] += 1
+        yield s, w
 
 
 def _least_small_level(w: Sequence[int]):
     """(r0, positions): the least score r0 whose level class
     {i : w[i] == r0} is nonempty with at most len(w)/2 positions, and
-    that class in ascending order.
+    that class in ascending order: the first such block of
+    structures._score_blocks.
 
     Non-constant scores have at least two nonempty classes, so the
     smallest of them qualifies and r0 exists.
     """
-    for r in range(max(w) + 1):
-        q = [i for i, v in enumerate(w) if v == r]
-        if 0 < 2 * len(q) <= len(w):
-            return r, q
+    for q in _score_blocks(w):
+        if 2 * len(q) <= len(w):
+            return w[q[0]], q
     raise BrokenInvariant("constant scores have no small level class")
 
 
@@ -300,17 +303,12 @@ def check_extension(f: PartialSelection, m: int, p: int) -> None:
 def extend_selection(f: PartialSelection, m: int, p: int) -> PartialSelection:
     """Total selection on m-subsets by the level-class rule at arity p.
 
-    Each m-subset, in rank order, scores f's arity-p level on its own
-    p-subsets (subset_scores; at p = 2 on the level's beats, built once
-    here) and picks f of its least small level class.
+    Each m-subset, in rank order, is scored on f's arity-p level
+    (scored_subsets) and picks f of its least small level class.
     """
     check_extension(f, m, p)
-    level = f.levels[p]
-    beats = pair_beats(level) if p == 2 else None
-    picks = []
-    for s in combinations(range(f.carrier.size), m):
-        _, q = _least_small_level(subset_scores(level, s, beats))
-        picks.append(f.choose_indices(tuple(s[i] for i in q)))
+    picks = [f.choose_indices(tuple(s[i] for i in _least_small_level(w)[1]))
+             for s, w in scored_subsets(f.levels[p], m)]
     h = SelectionStructure(f.carrier, m, tuple(picks))
     return PartialSelection(f.carrier, MODE_EXACT, m, {m: h})
 

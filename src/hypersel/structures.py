@@ -393,12 +393,11 @@ def _refine(subs: tuple, picks: tuple, cells: list) -> list:
     a shorter tuple does.  Integer order is therefore the order of the
     (flag, cell, cells) tuples, also for the entries of different
     lengths in a joint labeling, and sorted code tuples group and order
-    elements exactly as sorted entry tuples do.  For a pair {x, y}, x's
-    entry is (true, cell of x, cell of y) when x is picked and (false,
-    cell of y, cell of y) when y is, so x keeps only y in the list of
-    pairs it wins or loses.
+    elements exactly as sorted entry tuples do.  A pair is one more
+    subset here: its entries take the same fields, with one other
+    member.
 
-    The incidence, bitsets or lists, is built once per call (_refiner);
+    The incidence, bitsets or entry lists, is built once per call (_refiner);
     _canonical_labeling builds it once per labeling.
     """
     return _refiner(subs, picks, sum(len(c) for c in cells))(cells)
@@ -407,31 +406,22 @@ def _refine(subs: tuple, picks: tuple, cells: list) -> list:
 def _refiner(subs: tuple, picks: tuple, m: int):
     """_refine on these subsets and picks of the ground 0..m-1, as a
     function of the partition, with the incidence it reads built here,
-    once: the beats bitsets of one tournament, else per-element lists.
-    Whole tables joined, the first a pair table, hold C(m, 2) subsets
-    only when that table is all of them."""
+    once: the beats bitsets of one tournament, else per-element lists of
+    entries (flag, pick, other members, last place), one entry for each
+    subset holding the element, a pair's as any wider subset's.  Whole
+    tables joined, the first a pair table, hold C(m, 2) subsets only
+    when that table is all of them."""
     if subs and len(subs[0]) == 2 and len(subs) == m * (m - 1) // 2:
         return partial(_refine_wins, _kernels.beats_from_picks(subs, picks, m))
-    won: list = [[] for _ in range(m)]  # won[x]: the y of each pair {x, y} picking x
-    lost: list = [[] for _ in range(m)]  # lost[x]: the y of each pair {x, y} picking y
-    wider: list = [[] for _ in range(m)]  # (flag, pick, other members, last place)
+    entries: list = [[] for _ in range(m)]
     width = max(map(len, subs), default=1) - 1  # digits for the other members
     base = m + 1
     top = base ** (width + 1)  # place of the flag
     for sub, p in zip(subs, picks):
-        if len(sub) == 2:
-            x, y = sub
-            if p == x:
-                won[x].append(y)
-                lost[y].append(x)
-            else:
-                won[y].append(x)
-                lost[x].append(y)
-            continue
         place = base ** (width + 1 - len(sub))
         for k, x in enumerate(sub):
-            wider[x].append((top if x == p else 0, p, sub[:k] + sub[k + 1:], place))
-    return partial(_refine_codes, won, lost, wider, width)
+            entries[x].append((top if x == p else 0, p, sub[:k] + sub[k + 1:], place))
+    return partial(_refine_codes, entries, width)
 
 
 def _refine_wins(beats: list, cells: list) -> list:
@@ -460,15 +450,12 @@ def _refine_wins(beats: list, cells: list) -> list:
     return cells
 
 
-def _refine_codes(won: list, lost: list, wider: list, width: int, cells: list) -> list:
-    """_refine on per-element incidence lists (_refiner), reading each
-    entry as one int code."""
-    m = len(won)
+def _refine_codes(entries: list, width: int, cells: list) -> list:
+    """_refine on per-element entry lists (_refiner), reading each entry
+    as one int code."""
+    m = len(entries)
     base = m + 1
     lead = base**width  # place of the pick's cell
-    top = lead * base  # place of the flag
-    unit = lead // base  # place of a pair's other member (0 when there are no pairs)
-    both = lead + unit
     while len(cells) < m:
         cell_of = [0] * m
         pos = 1
@@ -483,10 +470,8 @@ def _refine_codes(won: list, lost: list, wider: list, width: int, cells: list) -
                 continue
             groups: dict = {}
             for x in c:
-                mine = top + cell_of[x] * lead
-                sig = [mine + cell_of[y] * unit for y in won[x]]
-                sig += [cell_of[y] * both for y in lost[x]]
-                for f, p, others, place in wider[x]:
+                sig = []
+                for f, p, others, place in entries[x]:
                     code = 0
                     for cell in sorted([cell_of[y] for y in others]):
                         code = code * base + cell

@@ -38,6 +38,7 @@ from hypersel.extension import (
 from hypersel.structures import (
     GroundSet,
     IsoMap,
+    SelectionStructure,
     canonical_form,
     ground_range,
     is_isomorphism,
@@ -53,6 +54,7 @@ from oracles import (
     oracle_extend_value,
     oracle_joint_isomorphism,
     oracle_make_partial,
+    oracle_relabel,
     oracle_restrict,
     oracle_respects,
 )
@@ -296,7 +298,39 @@ class TestLeastSmallClass:
             least_small_class(selection_from_order(ground_range(3), 2, "min"), 10**5000)
 
 
+def least_small_scan(w):
+    """The scan the level-class rule was first written as: the least r
+    with 0 < 2 * |{i : w[i] == r}| <= len(w), and that class."""
+    for r in range(max(w) + 1):
+        q = [i for i, v in enumerate(w) if v == r]
+        if 0 < 2 * len(q) <= len(w):
+            return r, q
+    return None
+
+
+class TestLeastSmallLevel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(0, 6), min_size=1, max_size=12),
+        # constant scores: no level class qualifies
+        st.builds(lambda v, k: [v] * k, st.integers(0, 6), st.integers(1, 12)),
+        # the least score's class holds more than half the positions
+        st.builds(lambda low, rest: [0] * (len(rest) + low) + rest,
+                  st.integers(1, 4), st.lists(st.integers(1, 6), min_size=1, max_size=8)),
+    ), st.randoms(use_true_random=False))
+    def test_agrees_with_the_scan(self, w, rng):
+        rng.shuffle(w)
+        expected = least_small_scan(w)
+        if expected is None:
+            with pytest.raises(BrokenInvariant, match="^constant scores have no small level class$"):
+                extension._least_small_level(w)
+        else:
+            assert extension._least_small_level(w) == expected
+
+
 class TestSubsetScores:
+    """extension.scored_subsets: one (s, w) per m-subset, in rank order."""
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 7), st.integers(1, 3), st.integers(0, 2**32 - 1))
     def test_equal_restriction_scores(self, size, bound, seed):
@@ -305,26 +339,28 @@ class TestSubsetScores:
         f = random_partial(GroundSet(labels), min(bound, size), random.Random(seed))
         for n in f.admissible_sizes():
             for k in range(n, size + 1):
-                for s in combinations(range(size), k):
-                    restricted = restrict(f, [labels[i] for i in s], n)
-                    assert extension.subset_scores(f.level(n), s) == list(score_vector(restricted))
+                walk = list(extension.scored_subsets(f.level(n), k))
+                assert [s for s, _ in walk] == list(combinations(range(size), k))
+                for s, w in walk:
+                    assert w == list(score_vector(restrict(f, [labels[i] for i in s], n)))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 14), st.integers(2, 3), st.randoms(use_true_random=False))
     def test_pair_beats_score_as_the_rank_walk(self, size, n, rng):
-        # random levels and subsets: the beats popcounts at n = 2 and the
-        # walk at n = 3 equal the rank-order walk spelled out here
+        # random levels and subset sizes: the beats popcounts at n = 2 and
+        # the restriction's picks at n = 3 equal the rank-order walk
+        # spelled out here
         n = min(n, size)
         subs, rank = subset_ranks(size, n)
         level = structures.SelectionStructure(ground_range(size), n, tuple(map(rng.choice, subs)))
-        beats = structures.pair_beats(level) if n == 2 else None
-        for _ in range(10):
-            s = tuple(sorted(rng.sample(range(size), rng.randint(n, size))))
-            w = [0] * len(s)
+        m = rng.randint(n, size)
+        walk = list(extension.scored_subsets(level, m))
+        assert [s for s, _ in walk] == list(combinations(range(size), m))
+        for s, w in walk:
+            spelled = [0] * m
             for t in combinations(s, n):
-                w[s.index(level.picks[rank[t]])] += 1
-            assert extension.subset_scores(level, s, beats) == w
-            assert extension.subset_scores(level, s) == w
+                spelled[s.index(level.picks[rank[t]])] += 1
+            assert w == spelled
 
 
 class TestPartitionTypes:
@@ -702,3 +738,62 @@ class TestJointIsomorphism:
             BrokenInvariant, match="^equal canonical forms composed to a map that is not an isomorphism$"
         ):
             certified_isomorphism(f, (0, 1, 2), (3, 4, 5))
+
+
+def cyclic_levels(m):
+    """(pairs, triples) on 0..m-1 (m odd, not a multiple of 3), both
+    invariant under i -> i + 1 mod m: the rotational tournament, and
+    each triple picking the member x with the least sorted differences
+    (y - x) mod m to the other two."""
+    def pick(t):
+        return min(t, key=lambda x: sorted((y - x) % m for y in t if y != x))
+
+    triples = SelectionStructure(ground_range(m), 3, tuple(map(pick, subset_ranks(m, 3)[0])))
+    return rotational_tournament(m), triples
+
+
+class TestGoldenJointMaps:
+    """The maps joint labelings of (2, 3)-levels return, recorded before
+    pair entries were refined as generic int codes: the map chosen among
+    several isomorphisms must not move."""
+
+    @pytest.mark.parametrize("seed, x, y, images", [
+        (15, "abefg", "bcefg", "cbefg"),
+        (42, "abefg", "cdefg", "ecgdf"),
+        (120, "abcde", "abcdf", "abcdf"),
+        (211, "abcde", "abdef", "abfde"),
+        (211, "acdeg", "adefg", "afdeg"),
+        (335, "abcef", "acefg", "agcef"),
+    ])
+    def test_certified_maps_of_seeded_partials(self, seed, x, y, images):
+        # isomorphic 5-subsets of seeded up-to-3 selections on 7 labels
+        f = random_partial(GroundSet(tuple("abcdefg")), 3, random.Random(seed))
+        phi = certified_isomorphism(f, tuple(x), tuple(y))
+        assert phi.source.labels == tuple(x) and phi.images == tuple(images)
+
+    @pytest.mark.parametrize("perm, images", [
+        ((3, 4, 0, 2, 1), "tvuwx"),
+        ((6, 3, 1, 0, 5, 2, 4), "tyvxzwu"),
+    ])
+    def test_joint_maps_with_cyclic_automorphisms(self, perm, images):
+        # each rotation gives another isomorphism onto the relabeled
+        # copy: the labelings' first leaves pick one of them
+        gs = cyclic_levels(len(perm))
+        target = GroundSet(tuple("tuvwxyz"[:len(perm)]))
+        ts = [SelectionStructure(target, g.n, oracle_relabel(g, perm)) for g in gs]
+        phi = structures.joint_isomorphism(gs, ts)
+        assert phi.images == tuple(images)
+        assert all(is_isomorphism(g, t, phi) for g, t in zip(gs, ts))
+
+    @pytest.mark.parametrize("levels, best, sigma", [
+        (lambda: [restrict(random_partial(GroundSet(tuple("abcdefg")), 3, random.Random(42)),
+                           tuple("abefg"), n) for n in (2, 3)],
+         (1, 2, 0, 4, 2, 3, 4, 3, 4, 4, 1, 3, 4, 0, 4, 4, 3, 2, 3, 3), (4, 3, 2, 0, 1)),
+        (lambda: cyclic_levels(5),
+         (0, 0, 3, 4, 2, 1, 1, 3, 2, 4, 1, 0, 4, 2, 2, 0, 1, 4, 3, 3), (0, 3, 4, 1, 2)),
+    ], ids=["seed-42-abefg", "cyclic-5"])
+    def test_joint_labelings(self, levels, best, sigma):
+        # the labelings the maps are composed from: a rigid pair of
+        # levels fixes its maps under any invariant refinement, but not
+        # the least choice tuple or the relabeling that gives it
+        assert structures._canonical_labeling(levels()) == (best, sigma)
