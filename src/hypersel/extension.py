@@ -7,10 +7,11 @@ at most m/2; applying f to Q picks one element of the subset.  The rule
 runs subset by subset on carrier indices: scores are isomorphism
 invariants, so the result is equivariant without computing any
 isomorphism type.  Type partitions only describe the classes for a
-report; they run on carrier indices too, one canonical labeling per
-m-subset of its restriction (_restriction, restrict's loop), built on
-a ground_range(m) that every subset and class key shares, as
-enumerate_selections keys its classes.  certified_isomorphism checks
+report; they run on carrier indices too, one labeling per m-subset,
+each class key on one shared ground_range(m), as enumerate_selections
+keys its classes: a pair level on its own beats, with no restriction
+built, any other on each subset's restriction (_restriction,
+restrict's loop).  certified_isomorphism checks
 equivariance on a pair of subsets through one joint canonical labeling
 of all their restriction levels (structures.joint_isomorphism), not a
 search of its own.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -45,6 +47,8 @@ from .structures import (
     SelectionStructure,
     _canonical_labeling,
     _check_rule,
+    _labeling_search,
+    _refine_wins,
     _score_blocks,
     ground_range,
     index_selection,
@@ -189,7 +193,8 @@ def _restriction(level: SelectionStructure, s: Sequence[int]) -> tuple:
 class TypePartition:
     """m-subsets of the carrier grouped by the isomorphism type of their
     arity-n restriction; class keys are canonical structures, all on one
-    shared ground_range(m) object."""
+    shared ground_range(m), equal to canonical_form(restrict(f, member,
+    n))[0] for every member, however the partition labeled them."""
 
     m: int
     n: int
@@ -199,14 +204,17 @@ class TypePartition:
 def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     """Group every m-subset by the canonical form of its restriction.
 
-    Each subset is read on carrier indices: its arity-n restriction
-    (_restriction) is built on one ground_range(m) shared by every
-    subset, and labeled once (_canonical_labeling); its least choice
-    tuple keys the class.  Only the keys become
-    structures, one per class, on the same shared ground, so they equal
-    canonical_form(restrict(f, subset, n))[0].  Subsets are visited in
-    rank order, so class insertion order and member order are
-    deterministic.
+    Each subset is labeled once, on carrier indices, by the one search
+    (structures._labeling_search); its least choice tuple keys the
+    class.  A pair level is labeled on its own beats (pair_beats), built
+    once per call, with no restriction built: each subset s of the
+    scoring walk (scored_subsets) starts from its score blocks, refines
+    on the beats (_refine_wins) and reads its leaves off them
+    (_pair_leaf).  Any other level labels each subset's restriction
+    (_restriction) on one ground_range(m) (_canonical_labeling).  Only
+    the keys become structures, one per class, on one shared ground.
+    Subsets are visited in rank order, so class insertion order and
+    member order are deterministic.
     """
     check_int("n", n)
     level = f.level(n)  # an arity outside the mode raises before m's range check
@@ -214,12 +222,31 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     ground = ground_range(m)
     labels = f.carrier.labels
     classes: dict = {}
-    for s in combinations(range(f.carrier.size), m):
-        best, _ = _canonical_labeling((SelectionStructure(ground, n, _restriction(level, s)),))
-        classes.setdefault(best, []).append(tuple(labels[i] for i in s))
+    if n == 2:
+        beats = pair_beats(level)
+        refine = partial(_refine_wins, beats)
+        encode = partial(_pair_leaf, beats)
+        labeled = ((s, _labeling_search(refine, encode, _score_blocks(w, s))[0])
+                   for s, w in scored_subsets(level, m))
+    else:
+        restrictions = ((s, SelectionStructure(ground, n, _restriction(level, s)))
+                        for s in combinations(range(f.carrier.size), m))
+        labeled = ((s, _canonical_labeling((g,))[0]) for s, g in restrictions)
+    for s, best in labeled:
+        classes.setdefault(best, []).append(tuple([labels[i] for i in s]))
     return TypePartition(
         m, n, {SelectionStructure(ground, n, best): ms for best, ms in classes.items()}
     )
+
+
+def _pair_leaf(beats: list, order: list) -> tuple:
+    """The choice tuple, in rank order, of the pair level with these beats
+    on the carrier indices in order, relabeled so that order[k] goes to
+    k: the pair {i < j} picks j iff bit order[i] of beats[order[j]] is
+    set."""
+    m = len(order)
+    return tuple([j if beats[order[j]] >> order[i] & 1 else i
+                  for i in range(m) for j in range(i + 1, m)])
 
 
 def scored_subsets(level: SelectionStructure, m: int) -> Iterator[tuple]:

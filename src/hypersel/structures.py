@@ -9,9 +9,11 @@ subset_ranks keeps a table whose C(m, n) * n cells times m are at most
 _KEPT_WEIGHT (638 tables of 179,609 cells in all, none with m > 256); a
 structure takes its table once, when built, and its readers read it there.
 
-Isomorphism has one search, _canonical_labeling, one body for one
-structure or several on one ground labeled together; joint_isomorphism
-checks the map composed from two joint labelings.
+Isomorphism has one search, _labeling_search, with two front ends:
+_canonical_labeling, for one structure or several on one ground
+labeled together, and extension.partition_types, for each m-subset of
+a pair level on the level's own beats.  joint_isomorphism checks the
+map composed from two joint labelings.
 """
 
 from __future__ import annotations
@@ -334,11 +336,13 @@ def apply_iso(s: SelectionStructure, phi: IsoMap) -> SelectionStructure:
     return SelectionStructure(phi.target, s.n, picks)
 
 
-def _score_blocks(w: tuple):
+def _score_blocks(w: tuple, ids: Optional[Sequence[int]] = None):
     """Ground indices grouped by score, ascending; blocks give the only
-    relabelings that can sort the score sequence."""
+    relabelings that can sort the score sequence.  With ids, ids[i]
+    stands for index i (the carrier indices of a subset whose scores
+    are w)."""
     order: dict = {}
-    for i, v in enumerate(w):
+    for i, v in zip(range(len(w)) if ids is None else ids, w):
         order.setdefault(v, []).append(i)
     return [order[v] for v in sorted(order)]
 
@@ -398,7 +402,9 @@ def _refine(subs: tuple, picks: tuple, cells: list) -> list:
     member.
 
     The incidence, bitsets or entry lists, is built once per call (_refiner);
-    _canonical_labeling builds it once per labeling.
+    _canonical_labeling builds it once per labeling.  A partition is
+    discrete, and refinement stops, when every element sits in a
+    singleton cell.
     """
     return _refiner(subs, picks, sum(len(c) for c in cells))(cells)
 
@@ -425,8 +431,12 @@ def _refiner(subs: tuple, picks: tuple, m: int):
 
 
 def _refine_wins(beats: list, cells: list) -> list:
-    """_refine on one tournament's beats bitsets."""
-    m = len(beats)
+    """_refine on a tournament's beats bitsets, on any element ids whose
+    bits they hold: one tournament's ground indices, or one m-subset's
+    carrier indices on its pair level's beats
+    (extension.partition_types).  Every cell mask lies inside the ids in
+    cells, so each count is the restriction's own."""
+    m = sum(map(len, cells))
     while len(cells) < m:
         masks = []
         for c in cells:
@@ -485,56 +495,47 @@ def _refine_codes(entries: list, width: int, cells: list) -> list:
     return cells
 
 
-def _canonical_labeling(gs: Sequence[SelectionStructure]):
-    """(least choice tuple, relabeling giving it) of the structures gs,
-    all on one ground, labeled together, the relabeling stored as
-    sigma[old index] = new index.  The refinement reads the subsets and
-    picks of gs joined in their order, its incidence built once per
-    labeling (_refiner: beats bitsets when gs is one tournament) and
-    read at every node, and a leaf's choice tuple joins, in that order,
-    each one's relabeling on its own table; for one structure
-    (canonical_form, enumerate_selections' classes, each m-subset of
-    extension.partition_types) a join is that structure's own tuple,
-    not a copy.
+def _labeling_search(refine, encode, cells: list):
+    """(least leaf tuple, the first discrete order giving it): the one
+    individualization-refinement search (McKay & Piperno, "Practical
+    graph isomorphism, II", 2014) behind every canonical labeling.
 
-    Individualization-refinement (McKay & Piperno, "Practical graph
-    isomorphism, II", 2014): start from the score classes, counted over
-    the picks of all of gs, in ascending order, refine (see _refine),
-    then individualize each element of the first smallest non-singleton
-    cell in turn and recurse.  Every discrete partition is a leaf, read
-    as the relabeling that sends the element in position k to k; the
-    least choice tuple over the leaves wins.  The tree is built from
-    isomorphism invariants only, so the result is constant on
-    isomorphism classes of the tuple gs.  Two leaves with equal tuples
-    give an automorphism; a child is skipped when an automorphism fixing
-    the path maps an explored sibling onto it, since its subtree holds
-    the same tuples.
+    cells is the root's ordered partition of the element ids, any
+    distinct non-negative ints (ground indices, or carrier indices of
+    one subset); refine(cells) refines a partition (_refine), and
+    encode(order) reads a discrete partition, given as its elements in
+    order, as a leaf tuple: the relabeling that sends the element in
+    position k to k, applied to what is labeled.  The search refines,
+    then individualizes each element of the first smallest non-singleton
+    cell in turn and recurses; the least tuple over the leaves wins.
+    refine and encode must see ids only through the partition, so the
+    result is constant on isomorphism classes.  Two leaves with equal
+    tuples give an automorphism, a list indexed by element id sending
+    the first leaf's k-th element to the second's; a child is skipped
+    when an automorphism fixing the path maps an explored sibling onto
+    it, since its subtree holds the same tuples.
     """
-    m = gs[0].size
-    subs = sum([g.table[0] for g in gs], ())
-    picks = sum([g.picks for g in gs], ())
-    w = [0] * m
-    for p in picks:
-        w[p] += 1
-    refine = _refiner(subs, picks, m)
-    leaves: dict = {}  # choice tuple -> the first relabeling giving it
+    m = sum(map(len, cells))
+    cells = refine(cells)
+    if len(cells) == m:  # discrete at the root: the one leaf
+        order = [x for (x,) in cells]
+        return encode(order), order
+    ids = 1 + max(x for c in cells for x in c)  # length of an automorphism
+    leaves: dict = {}  # leaf tuple -> the first order giving it
     autos: list = []
 
     def visit(path: list, cells: list) -> None:
-        cells = refine(cells)
         if len(cells) == m:
-            sigma = [0] * m  # old index -> new index
-            for k, (x,) in enumerate(cells):
-                sigma[x] = k
-            enc = sum([_relabeled(g, sigma) for g in gs], ())
-            if enc in leaves:
-                first = leaves[enc]
-                inv = [0] * m
-                for x, k in enumerate(sigma):
-                    inv[k] = x
-                autos.append(tuple(inv[first[x]] for x in range(m)))
+            order = [x for (x,) in cells]
+            enc = encode(order)
+            first = leaves.get(enc)
+            if first is None:
+                leaves[enc] = order
             else:
-                leaves[enc] = tuple(sigma)
+                g = list(range(ids))
+                for x, y in zip(first, order):
+                    g[x] = y
+                autos.append(g)
             return
         size = min(len(c) for c in cells if len(c) > 1)
         t = next(i for i, c in enumerate(cells) if len(c) == size)
@@ -544,11 +545,51 @@ def _canonical_labeling(gs: Sequence[SelectionStructure]):
                 continue
             done.add(v)
             rest = [x for x in cells[t] if x != v]
-            visit(path + [v], cells[:t] + [[v], rest] + cells[t + 1:])
+            visit(path + [v], refine(cells[:t] + [[v], rest] + cells[t + 1:]))
 
-    visit([], _score_blocks(w))
+    visit([], cells)
     best = min(leaves)
     return best, leaves[best]
+
+
+def _canonical_labeling(gs: Sequence[SelectionStructure]):
+    """(least choice tuple, relabeling giving it) of the structures gs,
+    all on one ground, labeled together, the relabeling stored as
+    sigma[old index] = new index: the front end of _labeling_search for
+    structures (the other is extension.partition_types' pair-level walk,
+    on one level's beats).  The root is the score classes, counted over
+    the picks of all of gs, in ascending order; the refinement reads the
+    subsets and picks of gs joined in their order, its incidence built
+    once per labeling (_refiner: beats bitsets when gs is one
+    tournament) and read at every node; a leaf's choice tuple joins, in
+    that order, each one's relabeling on its own table.  For one
+    structure (canonical_form, enumerate_selections' classes, each
+    m-subset of extension.partition_types at arity 3 and up) a join is
+    that structure's own tuple, not a copy.  The result is constant on
+    isomorphism classes of the tuple gs.
+    """
+    m = gs[0].size
+    subs = sum([g.table[0] for g in gs], ())
+    picks = sum([g.picks for g in gs], ())
+    w = [0] * m
+    for p in picks:
+        w[p] += 1
+
+    def encode(order: list) -> tuple:
+        sigma = _positions(order)
+        return sum([_relabeled(g, sigma) for g in gs], ())
+
+    best, order = _labeling_search(_refiner(subs, picks, m), encode, _score_blocks(w))
+    return best, tuple(_positions(order))
+
+
+def _positions(order: list) -> list:
+    """sigma[old index] = new index for the leaf order of the indices
+    0..m-1: the element in position k goes to k."""
+    sigma = [0] * len(order)
+    for k, x in enumerate(order):
+        sigma[x] = k
+    return sigma
 
 
 def _orbit(v: int, autos: list, path: list) -> set:

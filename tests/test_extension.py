@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -404,15 +405,66 @@ class TestPartitionTypes:
             labels = tuple(Fraction(3 * i - 4, i + 2) for i in range(size))
         f = random_partial(GroundSet(labels), 3, random.Random(data.draw(st.integers(0, 10**6))))
         m = data.draw(st.integers(n, size))
-        parts = partition_types(f, m, n)
-        oracle: dict = {}
-        for member in combinations(labels, m):
-            oracle.setdefault(oracle_canonical(oracle_restrict(f, member, n)), []).append(member)
-        assert list(parts.classes.values()) == list(oracle.values())
-        for key, members in parts.classes.items():
-            for member in members:
-                assert key == canonical_form(restrict(f, member, n))[0]
-        assert len({id(key.ground) for key in parts.classes}) == 1
+        assert_agrees_with_oracle(f, m, n)
+
+    @pytest.mark.parametrize(
+        "name,m",
+        [("rot7", 4), ("rot7", 6), ("rot7", 7), ("rot9", 4), ("rot9", 6),
+         ("cycles9", 4), ("cycles9", 6)],
+    )
+    def test_index_path_equals_labeled_path_on_regular_pair_levels(self, name, m):
+        # regular pair levels: refinement leaves whole cells unsplit, so the
+        # search on the level's beats branches and prunes by automorphisms
+        # (rot7 at m = 7 is vertex-transitive; a 6-subset of cycles9 that
+        # keeps two whole 3-cycles cannot be split by refinement)
+        size = 7 if name == "rot7" else 9
+        carrier = GroundSet(tuple(f"v{i}" for i in range(size)))
+        levels = dict(random_partial(carrier, 3, random.Random(51)).levels)
+        pairs = rotational_tournament(size).picks if name != "cycles9" else three_cycles9()
+        levels[2] = SelectionStructure(carrier, 2, pairs)
+        f = PartialSelection(carrier, "upto", 3, levels)
+        parts = assert_agrees_with_oracle(f, m, 2)
+        if name == "rot7" and m == 7:
+            assert len(parts.classes) == 1
+
+    def test_golden_pair_partition(self):
+        # class count and the SHA-256 of the ordered (key picks, members)
+        # list, computed by labeling each subset's restriction
+        parts = partition_types(random_partial(ground_range(12), 2, random.Random(51)), 8, 2)
+        ordered = [(key.picks, members) for key, members in parts.classes.items()]
+        assert len(parts.classes) == 403
+        assert hashlib.sha256(repr(ordered).encode()).hexdigest() == (
+            "5e28fce8c077968656b9226e68c979d2371a9a49632acbe5a93ffefdc01559fe"
+        )
+
+
+def three_cycles9():
+    """Pair picks on 0..8: three 3-cycles {0,1,2}, {3,4,5}, {6,7,8}, each
+    cycle beating the next whole."""
+    return tuple(
+        x if ((y - x) % 3 == 1 if x // 3 == y // 3 else (y // 3 - x // 3) % 3 == 1) else y
+        for x, y in combinations(range(9), 2)
+    )
+
+
+def assert_agrees_with_oracle(f, m, n):
+    """partition_types(f, m, n) groups members as the exhaustive oracle
+    does, in the same order, and each key is the canonical form of each
+    member's labeled restriction, all on one shared ground."""
+    parts = partition_types(f, m, n)
+    oracle: dict = {}
+    canon: dict = {}  # restriction picks -> oracle_canonical: equal picks, equal forms
+    for member in combinations(f.carrier.labels, m):
+        g = oracle_restrict(f, member, n)
+        if g.picks not in canon:
+            canon[g.picks] = oracle_canonical(g)
+        oracle.setdefault(canon[g.picks], []).append(member)
+    assert list(parts.classes.values()) == list(oracle.values())
+    for key, members in parts.classes.items():
+        for member in members:
+            assert key == canonical_form(restrict(f, member, n))[0]
+    assert len({id(key.ground) for key in parts.classes}) == 1
+    return parts
 
 
 class TestExtendSelection:
@@ -481,6 +533,41 @@ class TestExtendSelection:
             assert h.choose(sub) == oracle_extend_value(f, sub, 2)
 
     def test_labels_each_subset_once_on_indices(self, monkeypatch):
+        # a pair level is labeled on its own beats: one search per subset,
+        # with no restriction and no structure built per subset
+        searches, restrictions, built = [], [], []
+        real_search = structures._labeling_search
+        real_restriction = extension._restriction
+
+        def search(refine, encode, cells):
+            searches.append(sorted(x for c in cells for x in c))
+            return real_search(refine, encode, cells)
+
+        def restriction(*args):
+            restrictions.append(args)
+            return real_restriction(*args)
+
+        def structure(*args):
+            built.append(args)
+            return SelectionStructure(*args)
+
+        def forbidden(*args):
+            raise RuntimeError("partition_types builds no labeled restriction or form")
+
+        f = random_partial(ground_range(8), 2, random.Random(9))
+        monkeypatch.setattr(extension, "_labeling_search", search)
+        monkeypatch.setattr(extension, "_restriction", restriction)
+        monkeypatch.setattr(extension, "SelectionStructure", structure)
+        for module, name in ((extension, "restrict"), (structures, "canonical_form")):
+            monkeypatch.setattr(module, name, forbidden)
+        parts = partition_types(f, 4, 2)
+        assert searches == [list(s) for s in combinations(range(8), 4)]  # C(8, 4): once each
+        assert restrictions == []
+        assert len(built) == len(parts.classes)  # the class keys only
+        members = [t for ms in parts.classes.values() for t in ms]
+        assert sorted(members) == list(combinations(range(8), 4))
+
+    def test_labels_each_restriction_once_at_arity_three(self, monkeypatch):
         calls = []
         real = structures._canonical_labeling
 
@@ -494,12 +581,12 @@ class TestExtendSelection:
         monkeypatch.setattr(extension, "_canonical_labeling", counted)
         for module, name in ((extension, "restrict"), (structures, "canonical_form")):
             monkeypatch.setattr(module, name, forbidden)
-        f = random_partial(ground_range(8), 2, random.Random(9))
-        parts = partition_types(f, 4, 2)
-        assert len(calls) == 70  # C(8, 4): once each
-        assert all(len(gs) == 1 for gs in calls)
+        f = random_partial(ground_range(8), 3, random.Random(9))
+        parts = partition_types(f, 5, 3)
+        assert len(calls) == 56  # C(8, 5): once each
+        assert all(len(gs) == 1 and gs[0].size == 5 for gs in calls)
         members = [t for ms in parts.classes.values() for t in ms]
-        assert sorted(members) == list(combinations(range(8), 4))
+        assert sorted(members) == list(combinations(range(8), 5))
 
     def test_builds_a_large_p_level_table_once(self, monkeypatch):
         # the 5-level's table on 16 points, C(16, 5) * 5 cells, is too
