@@ -9,19 +9,19 @@ invariants, so the result is equivariant without computing any
 isomorphism type.  Type partitions only describe the classes for a
 report; they run on carrier indices too, one labeling per m-subset,
 each class key on one shared ground_range(m), as enumerate_selections
-keys its classes: a pair level on its own beats, with no restriction
-built, any other on each subset's restriction (_restriction,
-restrict's loop).  certified_isomorphism checks
-equivariance on a pair of subsets through one joint canonical labeling
-of all their restriction levels (structures.joint_isomorphism), not a
-search of its own.
+keys its classes: a pair level on its own beats by the tournament
+front end that canonical_form uses for one tournament
+(structures._tournament_labeling), with no restriction built, any
+other on each subset's restriction (_restriction, restrict's loop).
+certified_isomorphism checks equivariance on a pair of subsets through
+one joint canonical labeling of all their restriction levels
+(structures.joint_isomorphism), not a search of its own.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -47,9 +47,8 @@ from .structures import (
     SelectionStructure,
     _canonical_labeling,
     _check_rule,
-    _labeling_search,
-    _refine_wins,
     _score_blocks,
+    _tournament_labeling,
     ground_range,
     index_selection,
     index_table,
@@ -208,10 +207,11 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     (structures._labeling_search); its least choice tuple keys the
     class.  A pair level is labeled on its own beats (pair_beats), built
     once per call, with no restriction built: each subset s of the
-    scoring walk (scored_subsets) starts from its score blocks, refines
-    on the beats (_refine_wins) and reads its leaves off them
-    (_pair_leaf).  Any other level labels each subset's restriction
-    (_restriction) on one ground_range(m) (_canonical_labeling).  Only
+    scoring walk (scored_subsets), with its scores w, is labeled by the
+    tournament front end (_tournament_labeling(beats, w, s)), as one
+    tournament's canonical_form is.  Any other level labels each
+    subset's restriction (_restriction) on one ground_range(m)
+    (_canonical_labeling's int-code front end).  Only
     the keys become structures, one per class, on one shared ground.
     Subsets are visited in rank order, so class insertion order and
     member order are deterministic.
@@ -224,10 +224,7 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     classes: dict = {}
     if n == 2:
         beats = pair_beats(level)
-        refine = partial(_refine_wins, beats)
-        encode = partial(_pair_leaf, beats)
-        labeled = ((s, _labeling_search(refine, encode, _score_blocks(w, s))[0])
-                   for s, w in scored_subsets(level, m))
+        labeled = ((s, _tournament_labeling(beats, w, s)[0]) for s, w in scored_subsets(level, m))
     else:
         restrictions = ((s, SelectionStructure(ground, n, _restriction(level, s)))
                         for s in combinations(range(f.carrier.size), m))
@@ -237,16 +234,6 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     return TypePartition(
         m, n, {SelectionStructure(ground, n, best): ms for best, ms in classes.items()}
     )
-
-
-def _pair_leaf(beats: list, order: list) -> tuple:
-    """The choice tuple, in rank order, of the pair level with these beats
-    on the carrier indices in order, relabeled so that order[k] goes to
-    k: the pair {i < j} picks j iff bit order[i] of beats[order[j]] is
-    set."""
-    m = len(order)
-    return tuple([j if beats[order[j]] >> order[i] & 1 else i
-                  for i in range(m) for j in range(i + 1, m)])
 
 
 def scored_subsets(level: SelectionStructure, m: int) -> Iterator[tuple]:

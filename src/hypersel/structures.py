@@ -10,10 +10,12 @@ _KEPT_WEIGHT (638 tables of 179,609 cells in all, none with m > 256); a
 structure takes its table once, when built, and its readers read it there.
 
 Isomorphism has one search, _labeling_search, with two front ends:
-_canonical_labeling, for one structure or several on one ground
-labeled together, and extension.partition_types, for each m-subset of
-a pair level on the level's own beats.  joint_isomorphism checks the
-map composed from two joint labelings.
+_tournament_labeling, on a tournament's beats bitsets (one tournament's
+canonical_form, or each m-subset of extension.partition_types' pair
+level on the level's own beats), and an int-code front end in
+_canonical_labeling for anything else (wider arities, several
+structures on one ground labeled together).  joint_isomorphism checks
+the map composed from two joint labelings.
 """
 
 from __future__ import annotations
@@ -298,18 +300,11 @@ def _pair_offsets(m: int) -> list:
 
 def _relabeled(s: SelectionStructure, sigma: Sequence) -> tuple:
     """The picks, by rank, of the structure s is carried to by sigma (old
-    index -> new index), read on s's own table: the one relabeling kernel
-    behind canonical labels, isomorphism checks and apply_iso.  A pair's
-    image {x, y} is ranked by arithmetic, off[min] + max (see
-    _pair_offsets); a wider subset's image is sorted and looked up."""
+    index -> new index), read on s's own table: the relabeling kernel
+    behind int-code leaves, isomorphism checks and apply_iso.  Each
+    subset's image, a pair's too, is sorted and looked up."""
     subs, rank = s.table
     out = [0] * len(subs)
-    if s.n == 2:
-        off = _pair_offsets(len(sigma))
-        for (a, b), p in zip(subs, s.picks):
-            x, y = sigma[a], sigma[b]
-            out[off[x] + y if x < y else off[y] + x] = sigma[p]
-        return tuple(out)
     for sub, p in zip(subs, s.picks):
         image = [sigma[y] for y in sub]
         image.sort()
@@ -357,68 +352,24 @@ def canonical_candidates(s: SelectionStructure) -> int:
     return math.prod(math.factorial(len(b)) for b in _score_blocks(score_vector(s)))
 
 
-def _refine(subs: tuple, picks: tuple, cells: list) -> list:
-    """Split the ordered partition ``cells`` of the ground indices until
-    it is stable.
-
-    The signature of an element is the sorted multiset, over the subsets
-    containing it, of (is it the pick, the pick's cell, the sorted cells
-    of the other members).  Each cell is replaced, where it stands, by
-    its sub-cells in ascending signature order.  A cell is named by its
-    first position, so signatures, and with them the result, see labels
-    only through the partition: relabeling the input relabels the output.
-    subs and picks are whole subset tables joined in some order, as
-    _canonical_labeling joins them, so a table's subsets appear once.
-
-    One tournament, every pair of the ground once, is refined on its
-    beats bitsets (_refine_wins): an element's key is its count of wins
-    inside each cell, in cell order, (beats[x] & cell).bit_count(), and
-    sub-cells follow in ascending key order.  That is the signature
-    order.  x sits in m - 1 pairs, with the entry (false, cell of y,
-    cell of y) for a pair {x, y} it loses and (true, cell of x, cell of
-    y) for one it wins, so its sorted signature is every lost entry,
-    ascending in y's cell, then every won entry, ascending in y's cell.
-    Take x and y in one cell and the first cell c where they lose
-    different counts, x more.  Their lost runs agree through y's losses
-    to c; at the next entry x has another loss to c, where y has a later
-    cell or its first won entry, so x's signature is the smaller.  Its wins in c are |c| - [x in c] less
-    its losses there, and x and y share [x in c], so x has fewer wins in
-    c and as many in every earlier cell: its key is the smaller too.
-    Equal keys are equal losses per cell, so equal signatures.
-
-    Any other input (arity 3 and up, a joint labeling) is refined on
-    int codes (_refine_codes).  Each entry is read as one int, its
-    fields as digits in base m + 1: the flag, then the pick's cell, then
-    the other members' cells, with cells numbered from 1 and a short
-    tail padded with 0 up to the widest subset's count of other members.
-    Every digit is below the base, so integer order is the
-    lexicographic order of the digit strings; a cell digit is never 0,
-    so a shorter tail sorts before any longer one sharing its prefix, as
-    a shorter tuple does.  Integer order is therefore the order of the
-    (flag, cell, cells) tuples, also for the entries of different
-    lengths in a joint labeling, and sorted code tuples group and order
-    elements exactly as sorted entry tuples do.  A pair is one more
-    subset here: its entries take the same fields, with one other
-    member.
-
-    The incidence, bitsets or entry lists, is built once per call (_refiner);
-    _canonical_labeling builds it once per labeling.  A partition is
-    discrete, and refinement stops, when every element sits in a
-    singleton cell.
-    """
-    return _refiner(subs, picks, sum(len(c) for c in cells))(cells)
-
-
 def _refiner(subs: tuple, picks: tuple, m: int):
-    """_refine on these subsets and picks of the ground 0..m-1, as a
-    function of the partition, with the incidence it reads built here,
-    once: the beats bitsets of one tournament, else per-element lists of
-    entries (flag, pick, other members, last place), one entry for each
-    subset holding the element, a pair's as any wider subset's.  Whole
-    tables joined, the first a pair table, hold C(m, 2) subsets only
-    when that table is all of them."""
-    if subs and len(subs[0]) == 2 and len(subs) == m * (m - 1) // 2:
-        return partial(_refine_wins, _kernels.beats_from_picks(subs, picks, m))
+    """The int-code refinement on these subsets and picks of the ground
+    0..m-1, whole subset tables joined as _canonical_labeling joins
+    them, as a function of the partition (_refine_codes).  Its incidence
+    is built here, once per labeling: per-element lists of entries
+    (flag, pick, other members, last place), one for each subset
+    holding the element, a pair's as any wider subset's.
+
+    Refinement splits the ordered partition ``cells`` of the ground
+    indices until it is stable.  The signature of an element is the
+    sorted multiset, over the subsets containing it, of (is it the pick,
+    the pick's cell, the sorted cells of the other members).  Each cell
+    is replaced, where it stands, by its sub-cells in ascending
+    signature order.  A cell is named by its first position, so
+    signatures, and with them the result, see labels only through the
+    partition: relabeling the input relabels the output.  It stops at a
+    discrete partition, every element in a singleton cell.
+    """
     entries: list = [[] for _ in range(m)]
     width = max(map(len, subs), default=1) - 1  # digits for the other members
     base = m + 1
@@ -431,11 +382,28 @@ def _refiner(subs: tuple, picks: tuple, m: int):
 
 
 def _refine_wins(beats: list, cells: list) -> list:
-    """_refine on a tournament's beats bitsets, on any element ids whose
-    bits they hold: one tournament's ground indices, or one m-subset's
-    carrier indices on its pair level's beats
+    """_refiner's refinement for one tournament, on its beats bitsets, on
+    any element ids whose bits they hold: one tournament's ground
+    indices, or one m-subset's carrier indices on its pair level's beats
     (extension.partition_types).  Every cell mask lies inside the ids in
-    cells, so each count is the restriction's own."""
+    cells, so each count is the restriction's own.
+
+    An element's key is its count of wins inside each cell, in cell
+    order, (beats[x] & cell).bit_count(), and sub-cells follow in
+    ascending key order.  That is the signature order.  x sits in m - 1
+    pairs, with the entry (false, cell of y, cell of y) for a pair
+    {x, y} it loses and (true, cell of x, cell of y) for one it wins, so
+    its sorted signature is every lost entry, ascending in y's cell,
+    then every won entry, ascending in y's cell.  Take x and y in one
+    cell and the first cell c where they lose different counts, x more.
+    Their lost runs agree through y's losses to c; at the next entry x
+    has another loss to c, where y has a later cell or its first won
+    entry, so x's signature is the smaller.  Its wins in c are
+    |c| - [x in c] less its losses there, and x and y share [x in c],
+    so x has fewer wins in c and as many in every earlier cell: its key
+    is the smaller too.  Equal keys are equal losses per cell, so equal
+    signatures.
+    """
     m = sum(map(len, cells))
     while len(cells) < m:
         masks = []
@@ -461,8 +429,22 @@ def _refine_wins(beats: list, cells: list) -> list:
 
 
 def _refine_codes(entries: list, width: int, cells: list) -> list:
-    """_refine on per-element entry lists (_refiner), reading each entry
-    as one int code."""
+    """_refiner's refinement on its per-element entry lists, reading each
+    entry as one int code.
+
+    An entry's fields are read as digits in base m + 1: the flag, then
+    the pick's cell, then the other members' cells, with cells numbered
+    from 1 and a short tail padded with 0 up to the widest subset's
+    count of other members (width).  Every digit is below the base, so
+    integer order is the lexicographic order of the digit strings; a
+    cell digit is never 0, so a shorter tail sorts before any longer one
+    sharing its prefix, as a shorter tuple does.  Integer order is
+    therefore the order of the (flag, cell, cells) tuples, also for the
+    entries of different lengths in a joint labeling, and sorted code
+    tuples group and order elements exactly as sorted entry tuples do.
+    A pair is one more subset here: its entries take the same fields,
+    with one other member.
+    """
     m = len(entries)
     base = m + 1
     lead = base**width  # place of the pick's cell
@@ -502,7 +484,7 @@ def _labeling_search(refine, encode, cells: list):
 
     cells is the root's ordered partition of the element ids, any
     distinct non-negative ints (ground indices, or carrier indices of
-    one subset); refine(cells) refines a partition (_refine), and
+    one subset); refine(cells) refines a partition (a front end's), and
     encode(order) reads a discrete partition, given as its elements in
     order, as a leaf tuple: the relabeling that sends the element in
     position k to k, applied to what is labeled.  The search refines,
@@ -552,22 +534,45 @@ def _labeling_search(refine, encode, cells: list):
     return best, leaves[best]
 
 
+def _tournament_labeling(beats: list, w: Sequence[int], ids: Optional[Sequence[int]] = None):
+    """(least choice tuple, first order giving it) of the tournament with
+    these beats on its element ids: _labeling_search from the score
+    blocks of w (_score_blocks), refining on wins per cell
+    (_refine_wins), each leaf read off the beats (_pair_leaf).  One
+    tournament on its ground (_canonical_labeling) and each m-subset of
+    a pair level on carrier indices (extension.partition_types)."""
+    return _labeling_search(partial(_refine_wins, beats), partial(_pair_leaf, beats),
+                            _score_blocks(w, ids))
+
+
+def _pair_leaf(beats: list, order: list) -> tuple:
+    """The choice tuple, in rank order, of the tournament with these beats
+    on the element ids in order, relabeled so that order[k] goes to k:
+    the pair {i < j} picks j iff bit order[i] of beats[order[j]] is set
+    (on one tournament, _relabeled's tuple for _positions(order))."""
+    m = len(order)
+    return tuple([j if beats[order[j]] >> order[i] & 1 else i
+                  for i in range(m) for j in range(i + 1, m)])
+
+
 def _canonical_labeling(gs: Sequence[SelectionStructure]):
     """(least choice tuple, relabeling giving it) of the structures gs,
     all on one ground, labeled together, the relabeling stored as
-    sigma[old index] = new index: the front end of _labeling_search for
-    structures (the other is extension.partition_types' pair-level walk,
-    on one level's beats).  The root is the score classes, counted over
-    the picks of all of gs, in ascending order; the refinement reads the
-    subsets and picks of gs joined in their order, its incidence built
-    once per labeling (_refiner: beats bitsets when gs is one
-    tournament) and read at every node; a leaf's choice tuple joins, in
-    that order, each one's relabeling on its own table.  For one
-    structure (canonical_form, enumerate_selections' classes, each
-    m-subset of extension.partition_types at arity 3 and up) a join is
-    that structure's own tuple, not a copy.  The result is constant on
-    isomorphism classes of the tuple gs.
+    sigma[old index] = new index.  One tournament is labeled on its
+    beats, scored by popcounts (_tournament_labeling), which gives the
+    int-code front end's partitions and leaf tuples.  Anything else
+    takes that front end: the root is the score classes, counted over
+    the picks of all of gs, ascending; the refinement reads the subsets
+    and picks of gs joined in their order, its incidence built once
+    (_refiner); a leaf joins, in that order, each one's relabeling on
+    its own table (_relabeled), for one structure (canonical_form at
+    arity 3 and up, partition_types' restrictions) not a copy.  The
+    result is constant on isomorphism classes of the tuple gs.
     """
+    if len(gs) == 1 and gs[0].n == 2:
+        beats = pair_beats(gs[0])
+        best, order = _tournament_labeling(beats, [b.bit_count() for b in beats])
+        return best, tuple(_positions(order))
     m = gs[0].size
     subs = sum([g.table[0] for g in gs], ())
     picks = sum([g.picks for g in gs], ())

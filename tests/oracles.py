@@ -184,7 +184,8 @@ def oracle_classes(m: int, n: int, start: int = 0, stop=None) -> list:
 
 # The refinement canonical_form ran before it read signatures from
 # per-element incidence lists: each round scans every subset.  Its
-# ordered partitions fix the canonical encoding, so structures._refine
+# ordered partitions fix the canonical encoding, so both of the
+# library's refinements (structures._refiner, structures._refine_wins)
 # must return the same ones.
 def oracle_refine(subs: tuple, picks: tuple, cells: list) -> list:
     """Split the ordered partition ``cells`` of the ground indices until
@@ -733,6 +734,15 @@ def oracle_build(system: FamilySystem, bases=None):
 
 
 # -- fixtures ---------------------------------------------------------------
+
+def three_cycles9():
+    """Pair picks on 0..8: three 3-cycles {0,1,2}, {3,4,5}, {6,7,8}, each
+    cycle beating the next whole."""
+    return tuple(
+        x if ((y - x) % 3 == 1 if x // 3 == y // 3 else (y // 3 - x // 3) % 3 == 1) else y
+        for x, y in combinations(range(9), 2)
+    )
+
 
 def cyclic_pair_table(points: tuple) -> dict:
     """Rotational pair choices plus identity singletons on 3 points."""

@@ -58,6 +58,7 @@ from oracles import (
     oracle_relabel,
     oracle_restrict,
     oracle_respects,
+    three_cycles9,
 )
 
 
@@ -438,15 +439,6 @@ class TestPartitionTypes:
         )
 
 
-def three_cycles9():
-    """Pair picks on 0..8: three 3-cycles {0,1,2}, {3,4,5}, {6,7,8}, each
-    cycle beating the next whole."""
-    return tuple(
-        x if ((y - x) % 3 == 1 if x // 3 == y // 3 else (y // 3 - x // 3) % 3 == 1) else y
-        for x, y in combinations(range(9), 2)
-    )
-
-
 def assert_agrees_with_oracle(f, m, n):
     """partition_types(f, m, n) groups members as the exhaustive oracle
     does, in the same order, and each key is the canonical form of each
@@ -555,7 +547,7 @@ class TestExtendSelection:
             raise RuntimeError("partition_types builds no labeled restriction or form")
 
         f = random_partial(ground_range(8), 2, random.Random(9))
-        monkeypatch.setattr(extension, "_labeling_search", search)
+        monkeypatch.setattr(structures, "_labeling_search", search)
         monkeypatch.setattr(extension, "_restriction", restriction)
         monkeypatch.setattr(extension, "SelectionStructure", structure)
         for module, name in ((extension, "restrict"), (structures, "canonical_form")):

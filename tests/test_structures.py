@@ -70,6 +70,7 @@ from oracles import (
     oracle_refine,
     oracle_relabel,
     oracle_scores,
+    three_cycles9,
 )
 
 
@@ -669,8 +670,10 @@ def _individualized(stable, t):
 
 
 class TestRefinement:
-    """structures._refine returns oracle_refine's ordered partitions, so
-    the canonical encoding stays the one the golden literals record."""
+    """Both refinements return oracle_refine's ordered partitions: the
+    int-code one (structures._refiner) on every input, and the beats one
+    (structures._refine_wins) on every tournament, so the canonical
+    encoding stays the one the golden literals record."""
 
     @staticmethod
     def _assert_agrees(s):
@@ -678,10 +681,14 @@ class TestRefinement:
         # smallest open cell individualized, as canonical_form does, and
         # of the first open cell, and so again one level deeper
         subs, _ = subset_ranks(s.size, s.n)
+        refine = structures._refiner(subs, s.picks, s.size)
+        beats = pair_beats(s) if s.n == 2 else None
 
         def check(cells, depth):
-            stable = structures._refine(subs, s.picks, cells)
-            assert stable == oracle_refine(subs, s.picks, cells)
+            stable = oracle_refine(subs, s.picks, cells)
+            assert refine(cells) == stable
+            if beats is not None:
+                assert structures._refine_wins(beats, cells) == stable
             opened = [t for t, c in enumerate(stable) if len(c) > 1]
             if depth and opened:
                 size = min(len(stable[t]) for t in opened)
@@ -715,13 +722,14 @@ class TestRefinement:
         pairs, _ = subset_ranks(m, 2)
         subs = pairs + pairs
         picks = tuple(rng.choice(t) for t in subs)
+        refine = structures._refiner(subs, picks, m)
         start = [list(range(m))]
-        stable = structures._refine(subs, picks, start)
+        stable = refine(start)
         assert stable == oracle_refine(subs, picks, start)
         for t, c in enumerate(stable):
             if len(c) > 1:
                 for cells in _individualized(stable, t):
-                    assert structures._refine(subs, picks, cells) == oracle_refine(subs, picks, cells)
+                    assert refine(cells) == oracle_refine(subs, picks, cells)
 
     # canonical_form(...)[0].picks recorded before signatures were read
     # from incidence lists; the canonical encoding must not move
@@ -761,15 +769,16 @@ class TestJointRefinement:
         w = [0] * m
         for p in picks:
             w[p] += 1
+        refine = structures._refiner(subs, picks, m)
         starts = [structures._score_blocks(w)]
-        stable = structures._refine(subs, picks, starts[0])
+        stable = refine(starts[0])
         sizes = [len(c) for c in stable if len(c) > 1]
         if sizes:
             t = next(i for i, c in enumerate(stable) if len(c) == min(sizes))
             v = stable[t][0]
             starts.append(stable[:t] + [[v], stable[t][1:]] + stable[t + 1:])
         for cells in starts:
-            assert structures._refine(subs, picks, cells) == oracle_refine(subs, picks, cells)
+            assert refine(cells) == oracle_refine(subs, picks, cells)
 
     @pytest.mark.parametrize("ns", [(1, 2), (2, 3), (3, 1, 2), (2, 4)])
     def test_agrees_with_oracle_on_seeded_levels(self, ns):
@@ -779,13 +788,53 @@ class TestJointRefinement:
         subs = sum((subset_ranks(6, n)[0] for n in ns), ())
         for _ in range(10):
             picks = tuple(rng.choice(s) for s in subs)
-            stable = structures._refine(subs, picks, [list(range(6))])
+            refine = structures._refiner(subs, picks, 6)
+            stable = refine([list(range(6))])
             starts = [[list(range(6))]]
             for t, c in enumerate(stable):
                 starts.extend(stable[:t] + [[v], [x for x in c if x != v]] + stable[t + 1:]
                               for v in c if len(c) > 1)
             for cells in starts:
-                assert structures._refine(subs, picks, cells) == oracle_refine(subs, picks, cells)
+                assert refine(cells) == oracle_refine(subs, picks, cells)
+
+
+def int_code_labeling(t):
+    """One structure's labeling on the int-code front end, composed here
+    from its parts: the search on _refiner's refinement from the score
+    blocks, each leaf relabeled on t's own table."""
+    subs, _ = t.table
+    refine = structures._refiner(subs, t.picks, t.size)
+
+    def encode(order):
+        return structures._relabeled(t, structures._positions(order))
+
+    best, order = structures._labeling_search(
+        refine, encode, structures._score_blocks(score_vector(t)))
+    return best, tuple(structures._positions(order))
+
+
+class TestTournamentFrontEnd:
+    """One tournament is labeled on its beats (_tournament_labeling); the
+    int-code front end, which once labeled tournaments too, gives the
+    same least tuple and the same relabeling."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8), st.randoms(use_true_random=False))
+    def test_agrees_on_drawn_tournaments(self, m, rng):
+        picks = tuple(rng.choice(s) for s in subset_ranks(m, 2)[0])
+        t = SelectionStructure(ground_range(m), 2, picks)
+        assert structures._canonical_labeling((t,)) == int_code_labeling(t)
+
+    @pytest.mark.parametrize("t", [
+        rotational_tournament(7),
+        rotational_tournament(9),
+        SelectionStructure(ground_range(9), 2, three_cycles9()),
+    ], ids=["rot7", "rot9", "cycles9"])
+    def test_agrees_where_the_search_branches(self, t):
+        # regular: the root refines to no singleton, so both front ends
+        # individualize and prune by automorphisms
+        assert structures._refine_wins(pair_beats(t), [list(range(t.size))]) == [list(range(t.size))]
+        assert structures._canonical_labeling((t,)) == int_code_labeling(t)
 
 
 class TestSubsetTables:
