@@ -211,8 +211,8 @@ def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     tournament front end (_tournament_labeling(beats, w, s)), as one
     tournament's canonical_form is.  Any other level labels each
     subset's restriction (_restriction) on one ground_range(m)
-    (_canonical_labeling's int-code front end).  Only
-    the keys become structures, one per class, on one shared ground.
+    (_canonical_labeling's entry front end).  Only the keys become
+    structures, one per class, on one shared ground.
     Subsets are visited in rank order, so class insertion order and
     member order are deterministic.
     """

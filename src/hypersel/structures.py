@@ -12,7 +12,7 @@ structure takes its table once, when built, and its readers read it there.
 Isomorphism has one search, _labeling_search, with two front ends:
 _tournament_labeling, on a tournament's beats bitsets (one tournament's
 canonical_form, or each m-subset of extension.partition_types' pair
-level on the level's own beats), and an int-code front end in
+level on the level's own beats), and an entry front end in
 _canonical_labeling for anything else (wider arities, several
 structures on one ground labeled together).  joint_isomorphism checks
 the map composed from two joint labelings.
@@ -301,8 +301,9 @@ def _pair_offsets(m: int) -> list:
 def _relabeled(s: SelectionStructure, sigma: Sequence) -> tuple:
     """The picks, by rank, of the structure s is carried to by sigma (old
     index -> new index), read on s's own table: the relabeling kernel
-    behind int-code leaves, isomorphism checks and apply_iso.  Each
-    subset's image, a pair's too, is sorted and looked up."""
+    behind the entry front end's leaves, isomorphism checks and
+    apply_iso.  Each subset's image, a pair's too, is sorted and looked
+    up."""
     subs, rank = s.table
     out = [0] * len(subs)
     for sub, p in zip(subs, s.picks):
@@ -353,12 +354,12 @@ def canonical_candidates(s: SelectionStructure) -> int:
 
 
 def _refiner(subs: tuple, picks: tuple, m: int):
-    """The int-code refinement on these subsets and picks of the ground
-    0..m-1, whole subset tables joined as _canonical_labeling joins
-    them, as a function of the partition (_refine_codes).  Its incidence
-    is built here, once per labeling: per-element lists of entries
-    (flag, pick, other members, last place), one for each subset
-    holding the element, a pair's as any wider subset's.
+    """The entry front end's refinement on these subsets and picks of the
+    ground 0..m-1, whole subset tables joined as _canonical_labeling
+    joins them, as a function of the partition (_refine_entries).  Its
+    incidence is built here, once per labeling: per-element lists of
+    entries (flag, pick, other members), one for each subset holding the
+    element, a pair's as any wider subset's.
 
     Refinement splits the ordered partition ``cells`` of the ground
     indices until it is stable.  The signature of an element is the
@@ -371,14 +372,10 @@ def _refiner(subs: tuple, picks: tuple, m: int):
     discrete partition, every element in a singleton cell.
     """
     entries: list = [[] for _ in range(m)]
-    width = max(map(len, subs), default=1) - 1  # digits for the other members
-    base = m + 1
-    top = base ** (width + 1)  # place of the flag
     for sub, p in zip(subs, picks):
-        place = base ** (width + 1 - len(sub))
         for k, x in enumerate(sub):
-            entries[x].append((top if x == p else 0, p, sub[:k] + sub[k + 1:], place))
-    return partial(_refine_codes, entries, width)
+            entries[x].append((x == p, p, sub[:k] + sub[k + 1:]))
+    return partial(_refine_entries, entries)
 
 
 def _refine_wins(beats: list, cells: list) -> list:
@@ -428,29 +425,17 @@ def _refine_wins(beats: list, cells: list) -> list:
     return cells
 
 
-def _refine_codes(entries: list, width: int, cells: list) -> list:
-    """_refiner's refinement on its per-element entry lists, reading each
-    entry as one int code.
-
-    An entry's fields are read as digits in base m + 1: the flag, then
-    the pick's cell, then the other members' cells, with cells numbered
-    from 1 and a short tail padded with 0 up to the widest subset's
-    count of other members (width).  Every digit is below the base, so
-    integer order is the lexicographic order of the digit strings; a
-    cell digit is never 0, so a shorter tail sorts before any longer one
-    sharing its prefix, as a shorter tuple does.  Integer order is
-    therefore the order of the (flag, cell, cells) tuples, also for the
-    entries of different lengths in a joint labeling, and sorted code
-    tuples group and order elements exactly as sorted entry tuples do.
-    A pair is one more subset here: its entries take the same fields,
-    with one other member.
+def _refine_entries(entries: list, cells: list) -> list:
+    """_refiner's refinement on its per-element entry lists: each element
+    is keyed by its signature, the sorted tuple of its entries read as
+    (flag, the pick's cell, the sorted cells of the other members), and
+    each cell splits in ascending key order.  Entries of different
+    lengths, in a joint labeling, compare as tuples do.
     """
     m = len(entries)
-    base = m + 1
-    lead = base**width  # place of the pick's cell
     while len(cells) < m:
         cell_of = [0] * m
-        pos = 1
+        pos = 0
         for c in cells:
             for x in c:
                 cell_of[x] = pos
@@ -462,12 +447,8 @@ def _refine_codes(entries: list, width: int, cells: list) -> list:
                 continue
             groups: dict = {}
             for x in c:
-                sig = []
-                for f, p, others, place in entries[x]:
-                    code = 0
-                    for cell in sorted([cell_of[y] for y in others]):
-                        code = code * base + cell
-                    sig.append(f + cell_of[p] * lead + code * place)
+                sig = [(f, cell_of[p], tuple(sorted([cell_of[y] for y in others])))
+                       for f, p, others in entries[x]]
                 sig.sort()
                 groups.setdefault(tuple(sig), []).append(x)
             split.extend(groups[key] for key in sorted(groups))
@@ -560,7 +541,7 @@ def _canonical_labeling(gs: Sequence[SelectionStructure]):
     all on one ground, labeled together, the relabeling stored as
     sigma[old index] = new index.  One tournament is labeled on its
     beats, scored by popcounts (_tournament_labeling), which gives the
-    int-code front end's partitions and leaf tuples.  Anything else
+    entry front end's partitions and leaf tuples.  Anything else
     takes that front end: the root is the score classes, counted over
     the picks of all of gs, ascending; the refinement reads the subsets
     and picks of gs joined in their order, its incidence built once

@@ -59,7 +59,7 @@ from oracles import (
     random_points,
     random_system,
 )
-from test_vietoris import hits, random_family
+from test_vietoris import EXTENSION_SETTINGS, extension_property, hits, random_family
 
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -302,3 +302,12 @@ def test_criterion_7_determinism(capsys, tmp_path):
         first = _report_bundle(tmp_path, 42)
         second = _report_bundle(tmp_path, 42)
         assert first == second
+
+
+def test_criterion_8_continuity_preserved_by_extension(capsys):
+    # the tier-1 property (tests/test_vietoris.py, where its docstring
+    # argues why it must hold), derandomized: 25 lifted models with
+    # exactly m clusters at each of the five (k, m, p) settings
+    with criterion(capsys, 8, "continuity preserved by extension", 30):
+        for k, m, p in EXTENSION_SETTINGS:
+            extension_property(k, m, p, derandomize=True)()

@@ -833,7 +833,7 @@ def cyclic_levels(m):
 
 class TestGoldenJointMaps:
     """The maps joint labelings of (2, 3)-levels return, recorded before
-    pair entries were refined as generic int codes: the map chosen among
+    pair entries were refined as generic entries: the map chosen among
     several isomorphisms must not move."""
 
     @pytest.mark.parametrize("seed, x, y, images", [

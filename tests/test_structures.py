@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import math
 import random
@@ -647,10 +648,10 @@ class TestCanonicalForm:
             assert is_isomorphism(t, other, cert_t)
 
 
-def seeded_tournament(m, seed):
+def seeded_structure(m, n, seed):
     rng = random.Random(seed)
-    subs, _ = subset_ranks(m, 2)
-    return SelectionStructure(ground_range(m), 2, tuple(rng.choice(s) for s in subs))
+    subs, _ = subset_ranks(m, n)
+    return SelectionStructure(ground_range(m), n, tuple(rng.choice(s) for s in subs))
 
 
 @st.composite
@@ -671,7 +672,7 @@ def _individualized(stable, t):
 
 class TestRefinement:
     """Both refinements return oracle_refine's ordered partitions: the
-    int-code one (structures._refiner) on every input, and the beats one
+    entry one (structures._refiner) on every input, and the beats one
     (structures._refine_wins) on every tournament, so the canonical
     encoding stays the one the golden literals record."""
 
@@ -744,7 +745,35 @@ class TestRefinement:
               7, 6, 7, 7)),
     ])
     def test_golden_seeded_tournaments(self, seed, picks):
-        assert canonical_form(seeded_tournament(8, seed))[0].picks == picks
+        assert canonical_form(seeded_structure(8, 2, seed))[0].picks == picks
+
+    # canonical_form's picks and map at arity 3 and 4, recorded when the
+    # entry front end still packed each entry into one int: one
+    # structure above arity 2 is labeled on that front end alone
+    @pytest.mark.parametrize("m, n, seed, picks, images", [
+        (7, 3, 7, (2, 0, 1, 0, 1, 3, 4, 5, 2, 3, 3, 6, 4, 6, 6, 2, 4, 1, 6, 1, 5, 6, 5, 4, 6, 3,
+                   5, 6, 4, 2, 5, 5, 6, 3, 5), (6, 5, 4, 0, 2, 3, 1)),
+        (7, 3, 73, (0, 3, 4, 5, 1, 0, 4, 2, 6, 4, 5, 3, 5, 4, 6, 2, 4, 2, 1, 1, 5, 6, 4, 6, 1, 3,
+                    2, 2, 5, 6, 5, 3, 6, 3, 6), (1, 2, 5, 6, 0, 3, 4)),
+        (8, 4, 84, (3, 4, 0, 0, 7, 1, 5, 1, 1, 4, 6, 4, 0, 7, 6, 2, 5, 3, 3, 2, 4, 7, 0, 7, 7, 5,
+                    4, 0, 5, 7, 0, 5, 7, 4, 6, 1, 5, 3, 2, 1, 6, 2, 2, 2, 7, 1, 1, 3, 3, 7, 3, 6,
+                    5, 4, 5, 2, 2, 4, 6, 5, 6, 4, 7, 6, 7, 3, 5, 6, 6, 6), (7, 3, 5, 4, 1, 6, 0, 2)),
+    ], ids=["7-3-seed7", "7-3-seed73", "8-4-seed84"])
+    def test_golden_seeded_wider_arities(self, m, n, seed, picks, images):
+        canon, phi = canonical_form(seeded_structure(m, n, seed))
+        assert (canon.picks, phi.images) == (picks, images)
+
+    @pytest.mark.parametrize("m, n, count, digest", [
+        (7, 3, 200, "f2fc81f1736dd4b3044e5d0667813d0d49dfbf7ac8d804ec64e3c7f7cd0f71a8"),
+        (8, 4, 100, "36da12ec1cd78ed5340ef166219f2ff04598359512d5752db21f1ebd18d50779"),
+    ])
+    def test_golden_seeded_wider_arity_digests(self, m, n, count, digest):
+        # SHA-256 of the (picks, images) list for seeds 0..count-1
+        got = []
+        for seed in range(count):
+            canon, phi = canonical_form(seeded_structure(m, n, seed))
+            got.append((canon.picks, phi.images))
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == digest
 
 
 @st.composite
@@ -798,8 +827,8 @@ class TestJointRefinement:
                 assert refine(cells) == oracle_refine(subs, picks, cells)
 
 
-def int_code_labeling(t):
-    """One structure's labeling on the int-code front end, composed here
+def entry_labeling(t):
+    """One structure's labeling on the entry front end, composed here
     from its parts: the search on _refiner's refinement from the score
     blocks, each leaf relabeled on t's own table."""
     subs, _ = t.table
@@ -815,7 +844,7 @@ def int_code_labeling(t):
 
 class TestTournamentFrontEnd:
     """One tournament is labeled on its beats (_tournament_labeling); the
-    int-code front end, which once labeled tournaments too, gives the
+    entry front end, which once labeled tournaments too, gives the
     same least tuple and the same relabeling."""
 
     @settings(max_examples=200, deadline=None)
@@ -823,7 +852,7 @@ class TestTournamentFrontEnd:
     def test_agrees_on_drawn_tournaments(self, m, rng):
         picks = tuple(rng.choice(s) for s in subset_ranks(m, 2)[0])
         t = SelectionStructure(ground_range(m), 2, picks)
-        assert structures._canonical_labeling((t,)) == int_code_labeling(t)
+        assert structures._canonical_labeling((t,)) == entry_labeling(t)
 
     @pytest.mark.parametrize("t", [
         rotational_tournament(7),
@@ -834,7 +863,7 @@ class TestTournamentFrontEnd:
         # regular: the root refines to no singleton, so both front ends
         # individualize and prune by automorphisms
         assert structures._refine_wins(pair_beats(t), [list(range(t.size))]) == [list(range(t.size))]
-        assert structures._canonical_labeling((t,)) == int_code_labeling(t)
+        assert structures._canonical_labeling((t,)) == entry_labeling(t)
 
 
 class TestSubsetTables:

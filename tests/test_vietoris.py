@@ -11,8 +11,16 @@ from hypersel import structures, vietoris
 from hypersel.chains import FamilySystem, derive_nice_family, regular_class_cover_check
 from hypersel.documents import read_family
 from hypersel.errors import InvalidModel, OutOfRange
-from hypersel.extension import admissible_sizes, make_partial, order_partial, random_partial, restrict
-from hypersel.structures import GroundSet, is_regular
+from hypersel.extension import (
+    PartialSelection,
+    admissible_sizes,
+    extend_selection,
+    make_partial,
+    order_partial,
+    random_partial,
+    restrict,
+)
+from hypersel.structures import GroundSet, SelectionStructure, is_regular
 from hypersel.vietoris import (
     RADIUS_FLOOR_SHIFT,
     IntervalOpen,
@@ -499,6 +507,78 @@ class TestLiftedModels:
         verdict = check_continuity(flipped)
         assert (verdict.ok, verdict.witness) == oracle_continuity(flipped)
         assert not verdict.ok
+
+
+# (k, m, p): an up-to-k lifted model on m clusters, extended to its
+# m-subsets at the prime p
+EXTENSION_SETTINGS = [(2, 4, 2), (3, 4, 2), (3, 6, 2), (3, 6, 3), (4, 8, 2)]
+
+
+def assert_extension_preserves_continuity(model, m, p):
+    """Theorem 1's construction preserves continuity: on a continuous
+    lifted model on m clusters, h = extend_selection(f, m, p) passes
+    check_continuity, and h with one pick flipped is refuted.
+
+    Why it must hold under the floor rule.  Let s be an m-subset with
+    least gap g, and t a transversal of s's floor members.  Every
+    p-subset u of s has least gap at least g, and so does s's least
+    small level class Q, so their floor members are at least as wide
+    as s's, and t restricted to u's positions is a transversal of u's
+    floor members.  f is continuous at u, so t scores like s, position
+    by position, and Q sits at the same positions in both.  f is
+    continuous at Q, so it picks at the same position in t's copy of Q
+    as in s's, and h picks at the same position in t as in s.
+
+    The control.  Clusters split at gaps of at least 1/4: centres lie
+    at least 3/8 apart and twins at most 2^-47.  The first m-subset
+    with one point per cluster that holds a twin has, around that twin,
+    a floor member holding the other twin too, so swapping the two gives
+    a transversal on which h keeps the old pick's position.  Flipping
+    the subset's pick to another of its points therefore breaks
+    continuity at it.  With fewer than m clusters every m-subset holds
+    a whole twin pair, no floor member holds a second point, and the
+    control would be vacuous.
+    """
+    points = model.points
+    clusters = [[points[0]]]
+    for a, b in zip(points, points[1:]):
+        if b - a >= F(1, 4):
+            clusters.append([])
+        clusters[-1].append(b)
+    assert len(clusters) >= m
+    h = extend_selection(model.selection, m, p)
+    assert check_continuity(ModelSpace(points, h)).ok
+
+    cluster_of = {x: k for k, c in enumerate(clusters) for x in c}
+    twins = {x for c in clusters if len(c) > 1 for x in c}
+    s = next(s for s in combinations(points, m)
+             if len({cluster_of[x] for x in s}) == m and twins.intersection(s))
+    level = h.levels[m]
+    idx = tuple(map(h.carrier.index, s))
+    picks = list(level.picks)
+    rank = level.table[1][idx]
+    picks[rank] = next(i for i in idx if i != picks[rank])
+    flipped = PartialSelection(h.carrier, h.mode, m, {m: SelectionStructure(h.carrier, m, tuple(picks))})
+    assert not check_continuity(ModelSpace(points, flipped)).ok
+
+
+def extension_property(k, m, p, **config):
+    """assert_extension_preserves_continuity on 25 lifted models drawn
+    with exactly m clusters and bound k, as one runnable hypothesis test;
+    config adds settings (derandomize, for the acceptance gate)."""
+
+    @settings(max_examples=25, deadline=None, **config)
+    @given(lifted_models(clusters=st.just(m), bounds=st.just(k)))
+    def run(lifted):
+        assert_extension_preserves_continuity(lifted[0], m, p)
+
+    return run
+
+
+class TestExtensionPreservesContinuity:
+    @pytest.mark.parametrize("k, m, p", EXTENSION_SETTINGS)
+    def test_extension_of_a_lifted_model_is_continuous(self, k, m, p):
+        extension_property(k, m, p)()
 
 
 class TestDescentAgreement:
