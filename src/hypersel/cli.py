@@ -51,7 +51,8 @@ from .errors import (
     NotNice,
     check_int,
 )
-from .extension import extend_selection, least_small_class, partition_types
+# extend_selection and partition_types stay bound here for perfbench/spans.py, which wraps them
+from .extension import extend_selection, extend_with_types, partition_types  # noqa: F401
 from .obstruction import obstruction_table, table_tsv
 from .structures import DEFAULT_BUDGET, enumerate_selections
 from .vietoris import check_continuity
@@ -125,26 +126,17 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
+    """The extension, its type classes and their levels in one walk (extend_with_types)."""
     _require_json(args)
     f = read_partial(_load(args.input))
-    m, p = args.m, args.p
     try:
-        h = extend_selection(f, m, p)
+        h, parts, levels = extend_with_types(f, args.m, args.p)
     except HypothesisViolated as exc:
         _emit(_report(args, {"valid": False, "error": str(exc)}), args.output)
         return 1
-    types = partition_types(f, m, p).classes
-    classes = []
-    for (canon, members), text in zip(types.items(), selection_texts(types)):
-        r0, q = least_small_class(canon, m)
-        classes.append(
-            {
-                "type": text,
-                "members": len(members),
-                "level": r0,
-                "level_class_size": len(q),
-            }
-        )
+    types = parts.classes
+    classes = [{"type": t, "members": len(ms), "level": r0, "level_class_size": size}
+               for t, ms, (r0, size) in zip(selection_texts(types), types.values(), levels)]
     selection = write_partial(h)
     choices = selection["choices"]
     # the report holds the choices twice: render them once

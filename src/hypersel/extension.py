@@ -6,16 +6,13 @@ the divisibility obstruction), so it has a least level class Q of size
 at most m/2; applying f to Q picks one element of the subset.  The rule
 runs subset by subset on carrier indices: scores are isomorphism
 invariants, so the result is equivariant without computing any
-isomorphism type.  Type partitions only describe the classes for a
-report; they run on carrier indices too, one labeling per m-subset,
-each class key on one shared ground_range(m), as enumerate_selections
-keys its classes: a pair level on its own beats by the tournament
-front end that canonical_form uses for one tournament
-(structures._tournament_labeling), with no restriction built, any
-other on each subset's restriction (_restriction, restrict's loop).
-certified_isomorphism checks equivariance on a pair of subsets through
-one joint canonical labeling of all their restriction levels
-(structures.joint_isomorphism), not a search of its own.
+isomorphism type.  Type partitions describe the classes for a report:
+one labeling per m-subset, on carrier indices, from the score blocks of
+the same walk, each key on one shared ground_range(m).  An extend op
+scores each subset once for the rule, its label and its class's level
+(extend_with_types).  certified_isomorphism checks equivariance on a
+pair of subsets through one joint canonical labeling of all their
+restriction levels (structures.joint_isomorphism).
 """
 
 from __future__ import annotations
@@ -201,47 +198,48 @@ class TypePartition:
 
 
 def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
-    """Group every m-subset by the canonical form of its restriction.
-
-    Each subset is labeled once, on carrier indices, by the one search
-    (structures._labeling_search); its least choice tuple keys the
-    class.  A pair level is labeled on its own beats (pair_beats), built
-    once per call, with no restriction built: each subset s of the
-    scoring walk (scored_subsets), with its scores w, is labeled by the
-    tournament front end (_tournament_labeling(beats, w, s)), as one
-    tournament's canonical_form is.  Any other level labels each
-    subset's restriction (_restriction) on one ground_range(m)
-    (_canonical_labeling's entry front end).  Only the keys become
-    structures, one per class, on one shared ground.
-    Subsets are visited in rank order, so class insertion order and
-    member order are deterministic.
-    """
+    """Group every m-subset by the canonical form of its restriction: one
+    walk, in rank order, scores each subset (scored_subsets) and labels
+    it once from its score blocks (_type_label).  Only the class keys
+    become structures (_type_partition)."""
     check_int("n", n)
     level = f.level(n)  # an arity outside the mode raises before m's range check
     check_int("m", m, n, f.carrier.size)
-    ground = ground_range(m)
-    labels = f.carrier.labels
+    label = _type_label(level, m)
     classes: dict = {}
-    if n == 2:
+    for s, w in scored_subsets(level, m):
+        classes.setdefault(label(s, _score_blocks(w, s)), []).append(s)
+    return _type_partition(f, m, n, classes)
+
+
+def _type_label(level: SelectionStructure, m: int):
+    """The label step, (s, blocks) -> the class key (least choice tuple)
+    of the m-subset s's restriction.  A pair level labels s on its beats
+    (built once here) with s's score blocks as root cells
+    (_tournament_labeling), building no restriction; any other labels
+    s's restriction (_canonical_labeling, which scores it anew)."""
+    if level.n == 2:
         beats = pair_beats(level)
-        labeled = ((s, _tournament_labeling(beats, w, s)[0]) for s, w in scored_subsets(level, m))
-    else:
-        restrictions = ((s, SelectionStructure(ground, n, _restriction(level, s)))
-                        for s in combinations(range(f.carrier.size), m))
-        labeled = ((s, _canonical_labeling((g,))[0]) for s, g in restrictions)
-    for s, best in labeled:
-        classes.setdefault(best, []).append(tuple([labels[i] for i in s]))
-    return TypePartition(
-        m, n, {SelectionStructure(ground, n, best): ms for best, ms in classes.items()}
-    )
+        return lambda s, blocks: _tournament_labeling(beats, blocks)[0]
+    ground = ground_range(m)
+    return lambda s, blocks: _canonical_labeling(
+        (SelectionStructure(ground, level.n, _restriction(level, s)),))[0]
+
+
+def _type_partition(f: PartialSelection, m: int, n: int, classes: dict) -> TypePartition:
+    """The TypePartition of classes {least choice tuple: member index tuples}."""
+    labels = f.carrier.labels
+    ground = ground_range(m)
+    return TypePartition(m, n, {SelectionStructure(ground, n, best): [
+        tuple([labels[i] for i in s]) for s in ss] for best, ss in classes.items()})
 
 
 def scored_subsets(level: SelectionStructure, m: int) -> Iterator[tuple]:
     """(s, w) for every m-subset s of level's ground, as ascending
     carrier indices, in rank order: w[i] counts level's subsets inside s
     that pick s[i], the scores of s's restriction.  The one scoring walk
-    of the level-class rule (extend_selection) and the covering-type
-    property (chains).
+    of the level-class rule (_ruled_subsets), the type partition and the
+    covering-type property (chains).
 
     A pair level is scored by popcounts, w[i] = |beats[s[i]] & s|, on
     its beats bitsets (pair_beats), built once per walk; any other level
@@ -262,18 +260,13 @@ def scored_subsets(level: SelectionStructure, m: int) -> Iterator[tuple]:
         yield s, w
 
 
-def _least_small_level(w: Sequence[int]):
-    """(r0, positions): the least score r0 whose level class
-    {i : w[i] == r0} is nonempty with at most len(w)/2 positions, and
-    that class in ascending order: the first such block of
-    structures._score_blocks.
-
-    Non-constant scores have at least two nonempty classes, so the
-    smallest of them qualifies and r0 exists.
-    """
-    for q in _score_blocks(w):
-        if 2 * len(q) <= len(w):
-            return w[q[0]], q
+def _least_small_level(blocks: list, m: int) -> list:
+    """The least small level class: the first of the score blocks,
+    ascending, with at most m/2 members, which non-constant scores
+    always have."""
+    for q in blocks:
+        if 2 * len(q) <= m:
+            return q
     raise BrokenInvariant("constant scores have no small level class")
 
 
@@ -284,8 +277,8 @@ def least_small_class(g: SelectionStructure, m: int):
     w = score_vector(g)
     if len(set(w)) <= 1:
         raise RegularInput("level-class split undefined for regular structures")
-    r, q = _least_small_level(w)
-    return r, frozenset(g.ground.labels[i] for i in q)
+    q = _least_small_level(_score_blocks(w), m)
+    return w[q[0]], frozenset(g.ground.labels[i] for i in q)
 
 
 def check_extension(f: PartialSelection, m: int, p: int) -> None:
@@ -305,26 +298,50 @@ def check_extension(f: PartialSelection, m: int, p: int) -> None:
         raise NotPrime(f"{p} is not prime")
     if m > 2 * f.bound:
         raise HypothesisViolated(f"need m/2 <= bound, got m={_shown(m)}, bound={f.bound}")
-    if m % p != 0:
+    if m > 0 and m % p != 0:  # an m <= 0 is out of range, whatever its parity
         raise HypothesisViolated(f"{p} does not divide {m}")
     if m > f.carrier.size:
-        raise HypothesisViolated(
-            f"m={m} exceeds carrier size {f.carrier.size}"
-        )
+        raise HypothesisViolated(f"m={m} exceeds carrier size {f.carrier.size}")
     check_int("m", m, p, f.carrier.size)  # p | m leaves only m <= 0 below p here
 
 
-def extend_selection(f: PartialSelection, m: int, p: int) -> PartialSelection:
-    """Total selection on m-subsets by the level-class rule at arity p.
+def _ruled_subsets(f: PartialSelection, m: int, p: int) -> Iterator[tuple]:
+    """(s, w, blocks, q, pick) per m-subset s in rank order, the rule's one
+    walk: s's scores w on f's arity-p level (scored_subsets), their blocks
+    on s's carrier indices, its least small level class q and f's pick."""
+    for s, w in scored_subsets(f.levels[p], m):
+        blocks = _score_blocks(w, s)
+        q = _least_small_level(blocks, m)
+        yield s, w, blocks, q, f.choose_indices(tuple(q))
 
-    Each m-subset, in rank order, is scored on f's arity-p level
-    (scored_subsets) and picks f of its least small level class.
-    """
-    check_extension(f, m, p)
-    picks = [f.choose_indices(tuple(s[i] for i in _least_small_level(w)[1]))
-             for s, w in scored_subsets(f.levels[p], m)]
+
+def _exact(f: PartialSelection, m: int, picks: list) -> PartialSelection:
     h = SelectionStructure(f.carrier, m, tuple(picks))
     return PartialSelection(f.carrier, MODE_EXACT, m, {m: h})
+
+
+def extend_selection(f: PartialSelection, m: int, p: int) -> PartialSelection:
+    """Total selection on m-subsets by the level-class rule at arity p
+    (_ruled_subsets), with no isomorphism type computed."""
+    check_extension(f, m, p)
+    return _exact(f, m, [pick for *_, pick in _ruled_subsets(f, m, p)])
+
+
+def extend_with_types(f: PartialSelection, m: int, p: int) -> tuple:
+    """(extend_selection, partition_types, levels) of f, m, p from one
+    walk (_ruled_subsets); levels[k] is (r0, |Q|) of least_small_class
+    for the k-th class key, read off its first member: both are
+    isomorphism invariants."""
+    check_extension(f, m, p)
+    label = _type_label(f.levels[p], m)
+    picks, classes, levels = [], {}, []
+    for s, w, blocks, q, pick in _ruled_subsets(f, m, p):
+        picks.append(pick)
+        members = classes.setdefault(label(s, blocks), [])
+        if not members:
+            levels.append((w[s.index(q[0])], len(q)))
+        members.append(s)
+    return _exact(f, m, picks), _type_partition(f, m, p, classes), levels
 
 
 def _iso_arities(f: PartialSelection, k: int) -> list:

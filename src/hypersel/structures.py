@@ -10,12 +10,12 @@ _KEPT_WEIGHT (638 tables of 179,609 cells in all, none with m > 256); a
 structure takes its table once, when built, and its readers read it there.
 
 Isomorphism has one search, _labeling_search, with two front ends:
-_tournament_labeling, on a tournament's beats bitsets (one tournament's
-canonical_form, or each m-subset of extension.partition_types' pair
-level on the level's own beats), and an entry front end in
-_canonical_labeling for anything else (wider arities, several
-structures on one ground labeled together).  joint_isomorphism checks
-the map composed from two joint labelings.
+_tournament_labeling, on a tournament's beats bitsets from its score
+blocks (one tournament's canonical_form, or each m-subset of a pair
+level on the level's own beats, extension._type_label), and an entry
+front end in _canonical_labeling for anything else (wider arities,
+several structures on one ground labeled together).
+joint_isomorphism checks the map composed from two joint labelings.
 """
 
 from __future__ import annotations
@@ -382,7 +382,7 @@ def _refine_wins(beats: list, cells: list) -> list:
     """_refiner's refinement for one tournament, on its beats bitsets, on
     any element ids whose bits they hold: one tournament's ground
     indices, or one m-subset's carrier indices on its pair level's beats
-    (extension.partition_types).  Every cell mask lies inside the ids in
+    (extension._type_label).  Every cell mask lies inside the ids in
     cells, so each count is the restriction's own.
 
     An element's key is its count of wins inside each cell, in cell
@@ -515,15 +515,15 @@ def _labeling_search(refine, encode, cells: list):
     return best, leaves[best]
 
 
-def _tournament_labeling(beats: list, w: Sequence[int], ids: Optional[Sequence[int]] = None):
+def _tournament_labeling(beats: list, cells: list):
     """(least choice tuple, first order giving it) of the tournament with
-    these beats on its element ids: _labeling_search from the score
-    blocks of w (_score_blocks), refining on wins per cell
-    (_refine_wins), each leaf read off the beats (_pair_leaf).  One
+    these beats on the element ids in cells, its score blocks
+    (_score_blocks) as the root: _labeling_search refining on wins per
+    cell (_refine_wins), each leaf read off the beats (_pair_leaf).  One
     tournament on its ground (_canonical_labeling) and each m-subset of
-    a pair level on carrier indices (extension.partition_types)."""
-    return _labeling_search(partial(_refine_wins, beats), partial(_pair_leaf, beats),
-                            _score_blocks(w, ids))
+    a pair level on carrier indices, on the blocks its scoring walk
+    made (extension._type_label)."""
+    return _labeling_search(partial(_refine_wins, beats), partial(_pair_leaf, beats), cells)
 
 
 def _pair_leaf(beats: list, order: list) -> tuple:
@@ -552,7 +552,7 @@ def _canonical_labeling(gs: Sequence[SelectionStructure]):
     """
     if len(gs) == 1 and gs[0].n == 2:
         beats = pair_beats(gs[0])
-        best, order = _tournament_labeling(beats, [b.bit_count() for b in beats])
+        best, order = _tournament_labeling(beats, _score_blocks(list(map(int.bit_count, beats))))
         return best, tuple(_positions(order))
     m = gs[0].size
     subs = sum([g.table[0] for g in gs], ())

@@ -65,7 +65,10 @@ class IntervalOpen:
 
     def __post_init__(self):
         if not _below(self.lo, self.hi):
-            raise InvalidModel(f"empty interval ({self.lo}, {self.hi})")
+            raise InvalidModel(f"empty interval {self}")
+
+    def __str__(self) -> str:
+        return f"({self.lo}, {self.hi})"
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersel import documents, structures
+from hypersel import documents, extension, structures
 from hypersel.chains import FamilySystem, derive_nice_family
 from hypersel.cli import main
 from hypersel.documents import (
@@ -37,7 +37,14 @@ from hypersel.documents import (
     write_system,
 )
 from hypersel.errors import ChoiceOutsideSubset, DocumentError, MissingSubset, OutOfRange
-from hypersel.extension import PartialSelection, order_partial, partition_types, random_partial
+from hypersel.extension import (
+    PartialSelection,
+    extend_selection,
+    least_small_class,
+    order_partial,
+    partition_types,
+    random_partial,
+)
 from hypersel.obstruction import obstruction_table, table_tsv
 from hypersel.structures import (
     GroundSet,
@@ -903,15 +910,64 @@ class TestCliExtend:
         assert res["entries"] == res["selection"]["choices"]
         assert res["count"] == len(res["entries"]) == 28  # C(8, 6)
 
-    @pytest.mark.parametrize("m", ["0", "-2"])
+    @pytest.mark.parametrize("m", ["0", "-2", "-1", "-3"])
     def test_nonpositive_m_exits_two(self, tmp_path, m):
-        # p divides m and every hypothesis check passes, but m < p
+        # every hypothesis check passes, but m < p; an m <= 0 is out of
+        # range whether p divides it or not
         f = order_partial(ground_range(6), 2, "min")
         path = tmp_path / "f.json"
         path.write_text(dumps(write_partial(f)))
         code, out, err = run_cli(["extend", str(path), m, "2"])
         assert code == 2 and out == ""
         assert err == f"hypersel: m must be an int in 2..6, got {m}\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 10), st.integers(2, 5), st.randoms(use_true_random=False), st.data())
+    def test_report_agrees_with_the_library(self, size, k, rng, data):
+        # the op's one walk gives the classes, levels and choices that
+        # partition_types, least_small_class and extend_selection give
+        k = min(k, size)
+        f = random_partial(GroundSet(tuple(f"v{i}" for i in range(size))), k, rng)
+        pairs = [(m, p) for p in (2, 3, 5) if p <= k
+                 for m in range(p, min(2 * k, size) + 1, p)]
+        m, p = data.draw(st.sampled_from(pairs))
+        with tempfile.TemporaryDirectory() as directory:
+            code, out, err = run_on(write_partial(f), ["extend", "{}", str(m), str(p)], directory)
+        assert (code, err) == (0, "")
+        res = json.loads(out)["result"]
+        types = partition_types(f, m, p).classes
+        want = []
+        for text, (key, members) in zip(selection_texts(types), types.items()):
+            r0, q = least_small_class(key, m)
+            want.append({"type": text, "members": len(members), "level": r0,
+                         "level_class_size": len(q)})
+        assert res["classes"] == json.loads(dumps(want))  # texts are rendered fragments
+        assert res["selection"]["choices"] == write_partial(extend_selection(f, m, p))["choices"]
+
+    def test_one_scoring_walk_per_op(self, tmp_path, monkeypatch):
+        # a pair-level op makes each 4-subset's score blocks once, for the
+        # rule, the label and the class level, and never calls the
+        # library's least_small_class
+        calls = []
+        real = structures._score_blocks
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        def forbidden(*args):
+            raise RuntimeError("the op reads each class level off its walk")
+
+        for module in (structures, extension):
+            monkeypatch.setattr(module, "_score_blocks", counted)
+        monkeypatch.setattr(extension, "least_small_class", forbidden)
+        path = tmp_path / "f.json"
+        path.write_text(dumps(write_partial(random_partial(ground_range(9), 2, random.Random(54)))))
+        code, out, err = run_cli(["extend", str(path), "4", "2"])
+        assert (code, err) == (0, "")
+        assert len(calls) == math.comb(9, 4)
+        assert [s for _, s in calls] == list(combinations(range(9), 4))
+        assert sum(c["members"] for c in json.loads(out)["result"]["classes"]) == len(calls)
 
     def test_hypothesis_violation_exits_one(self, tmp_path):
         f = order_partial(ground_range(6), 2, "min")
@@ -1152,6 +1208,15 @@ class TestCliChains:
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(["chains", "check-nice", str(path)])
         assert (code, out, err) == (2, "", f"hypersel: {message}\n")
+
+    def test_overlapping_members_named_as_intervals(self, tmp_path):
+        doc = write_system(conflict_system())
+        doc["families"][0]["intervals"][:2] = [{"lo": "-1/4", "hi": "1/4"}, {"lo": "0/1", "hi": "5/4"}]
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["chains", "check-nice", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "hypersel: family members overlap: (-1/4, 1/4) and (0, 5/4)\n"
 
     def test_derive_without_a_pair_level_exits_two(self, tmp_path):
         mpath = tmp_path / "model.json"

@@ -323,11 +323,13 @@ class TestLeastSmallLevel:
     def test_agrees_with_the_scan(self, w, rng):
         rng.shuffle(w)
         expected = least_small_scan(w)
+        blocks = structures._score_blocks(w)
         if expected is None:
             with pytest.raises(BrokenInvariant, match="^constant scores have no small level class$"):
-                extension._least_small_level(w)
+                extension._least_small_level(blocks, len(w))
         else:
-            assert extension._least_small_level(w) == expected
+            q = extension._least_small_level(blocks, len(w))
+            assert (w[q[0]], q) == expected
 
 
 class TestSubsetScores:

@@ -114,8 +114,9 @@ def _cases():
     # bounds the table checks
     yield pytest.param(is_prime, 2.5, "k must be an int, got 2.5", id="is_prime-2.5")
     yield pytest.param(prime_divisors, -6, "m must be an int >= 1, got -6", id="prime_divisors--6")
-    yield pytest.param(lambda x: extend_selection(order_partial(ground_range(6), 2, "min"), x, 2), 0,
-                       "m must be an int in 2..6, got 0", id="extend_selection m-0")
+    for m in (0, -1, -3):  # out of range whether or not p divides m
+        yield pytest.param(lambda x: extend_selection(order_partial(ground_range(6), 2, "min"), x, 2), m,
+                           f"m must be an int in 2..6, got {m}", id=f"extend_selection m-{m}")
 
 
 @pytest.mark.parametrize("call, value, message", list(_cases()))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hypersel
-from hypersel import extension, obstruction
+from hypersel import extension, obstruction, structures
 from hypersel.cli import main
 from hypersel.errors import BrokenInvariant
 from hypersel.extension import extend_selection, make_partial
@@ -106,8 +106,9 @@ def test_obstruction_divisible_binomial_is_broken_invariant(monkeypatch):
 def test_no_small_level_class_is_broken_invariant():
     # constant scores, which least_small_class turns away as RegularInput
     # before the rule: every level class is empty or everything
+    blocks = structures._score_blocks(score_vector(rotational_tournament(5)))
     with pytest.raises(BrokenInvariant):
-        extension._least_small_level(score_vector(rotational_tournament(5)))
+        extension._least_small_level(blocks, 5)
 
 
 def test_regular_restriction_type_is_broken_invariant(monkeypatch):

@@ -200,6 +200,16 @@ class TestFamilyOrder:
             a, b = (members[j] for j in clash)
             assert got[1] == f"family members overlap: {a} and {b}"
 
+    def test_members_named_as_intervals(self):
+        # messages render an interval as (lo, hi); repr stays the dataclass's
+        with pytest.raises(InvalidModel, match=r"^family members overlap: \(0, 2\) and \(1, 3\)$"):
+            family((0, 2), (1, 3))
+        u = interval(F(-1, 4), F(1, 4))
+        assert str(u) == "(-1/4, 1/4)"
+        assert repr(u) == "IntervalOpen(lo=Fraction(-1, 4), hi=Fraction(1, 4))"
+        with pytest.raises(InvalidModel, match=r"^empty interval \(1/4, -1/4\)$"):
+            IntervalOpen(F(1, 4), F(-1, 4))
+
     def test_equal_values_spelled_apart_touch(self):
         doc = {"intervals": [{"lo": "0", "hi": "1/2"}, {"lo": "2/4", "hi": "3/3"}]}
         assert read_family(doc) == family((0, F(1, 2)), (F(1, 2), 1))
