@@ -364,7 +364,7 @@ def derive_nice_family(model: ModelSpace, n: int) -> FamilySystem:
     check_int("n", n, 2, model.size - 1)
     if n % 2:
         raise OutOfRange(f"need even n >= 2, got {n}")
-    regular = [s for s, w in scored_subsets(pairs, n + 1) if len(set(w)) <= 1]
+    regular = [s for s, w, _ in scored_subsets(pairs, n + 1) if len(set(w)) <= 1]
     a, b, _ = _radius(model, range(model.size), 0)  # half the least gap
     around = _members(model, range(model.size), a, b)
     return FamilySystem(tuple(OpenFamily(tuple(around[i] for i in s)) for s in regular), model)
@@ -381,7 +381,7 @@ def regular_class_cover_check(system: FamilySystem, n: int) -> Verdict:
     pairs = model.selection.level(2)  # a missing pair level raises before the size check
     if m > model.size:
         return PASS
-    for s, w in scored_subsets(pairs, m):
+    for s, w, _ in scored_subsets(pairs, m):
         if bool(system.graph.covering(s)) != (len(set(w)) <= 1):
             return fail(tuple(model.points[i] for i in s))
     return PASS

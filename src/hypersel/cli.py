@@ -40,8 +40,9 @@ from .documents import (
     read_partial,
     read_system,
     selection_texts,
+    system_text,
     write_partial,
-    write_system,
+    write_system,  # noqa: F401
 )
 from .errors import (
     BudgetExceeded,
@@ -51,7 +52,8 @@ from .errors import (
     NotNice,
     check_int,
 )
-# extend_selection and partition_types stay bound here for perfbench/spans.py, which wraps them
+# write_system, extend_selection and partition_types stay bound here for
+# perfbench/spans.py, which wraps them
 from .extension import extend_selection, extend_with_types, partition_types  # noqa: F401
 from .obstruction import obstruction_table, table_tsv
 from .structures import DEFAULT_BUDGET, enumerate_selections
@@ -175,7 +177,7 @@ def cmd_chains(args: argparse.Namespace) -> int:
     if args.action == "derive":
         model = read_model(_load(args.input))
         system = derive_nice_family(model, args.n)
-        _emit(dumps(write_system(system)), args.output)
+        _emit(system_text(system), args.output)
         return 0
     system = read_system(_load(args.input))
     if args.action == "check-nice":

@@ -25,7 +25,12 @@ record, a subset listed twice under any spelling, any other fault of the
 table in the rank-order walk.
 A model's carrier reuses the Fractions parsed from its points.
 dumps splices a Fragment's text in verbatim, so what reports repeat
-(selection_texts: each choice record) is rendered once.
+(selection_texts: each choice record) is rendered once.  The system
+document chains derive writes is rendered straight to text
+(system_text, its selection by partial_text), with no dict tree and no
+json encoding; the dict writers are the library API and the reference
+the text writers equal under dumps.  A choice record is spelled as text
+in one place (_record_texts), for the text writers and selection_texts.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import math
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quoted
-from operator import getitem
+from operator import getitem, is_
 from typing import Any, Callable, Mapping, Optional
 
 from .chains import FamilySystem
@@ -115,10 +120,10 @@ def dumps(doc: Any) -> str:
     """Canonical rendering: json's C encoder with sorted keys, no
     whitespace and ASCII only (anything else as a \\u escape), then one
     trailing newline.  Equal documents give byte-equal text.  Documents
-    and reports are built fresh in this process and share read-only
-    parts (write_system's interval records), so json's
-    circular-reference guard is off: a shared object renders in every
-    place it appears, and a cycle still raises, as RecursionError.
+    and reports are built fresh in this process and may share read-only
+    parts (cmd_extend's choices Fragment), so json's circular-reference
+    guard is off: a shared object renders in every place it appears,
+    and a cycle still raises, as RecursionError.
 
     Each Fragment renders as a mark string, in output order, and its
     text replaces the quoted mark.  The quoted mark holds quotes only at
@@ -264,18 +269,50 @@ def _records(names: list, s: SelectionStructure) -> list:
             for t, p in zip(s.table[0], s.picks)]
 
 
+def _record_heads(quoted: list) -> list:
+    """Each label's choice record text up to its subset's labels, given
+    the label quoted (quoted[i] for label i); see _record_texts."""
+    return ['{"pick":' + q + ',"subset":[' for q in quoted]
+
+
+def _record_texts(heads: list, subsets: list, picks) -> list:
+    """The text of each choice record of subsets and picks, taken
+    pairwise: a subset's labels joined (_subsets) after its pick's head
+    (_record_heads).  The one spelling of a record as text."""
+    return [heads[p] + t + "]}" for t, p in zip(subsets, picks)]
+
+
+def _subsets(quoted: list, n: int, shorter: Optional[list] = None) -> list:
+    """The n-subsets of the labels (n >= 1) in rank order, each as its
+    labels' quoted texts (quoted[i] for label i) joined by commas;
+    shorter is the (n-1)-subsets' list, when the caller has it.  In rank
+    order the (n-1)-subsets of the labels after i are the last
+    C(m-1-i, n-1), so each text joins one label's to one shorter text."""
+    if n == 1:
+        return list(quoted)
+    if shorter is None:
+        shorter = _subsets(quoted, n - 1)
+    m = len(quoted)
+    texts: list = []
+    for i in range(m - n + 1):
+        head = quoted[i] + ","
+        texts += [head + t for t in shorter[len(shorter) - math.comb(m - 1 - i, n - 1):]]
+    return texts
+
+
 class _Records(dict):
     """{pick: choice record text} at one subset, each rendered on first
     lookup."""
 
-    __slots__ = ("quoted", "subset")
+    __slots__ = ("heads", "subset")
 
-    def __init__(self, quoted: list, subset: str):
-        self.quoted = quoted
+    def __init__(self, heads: list, subset: str):
+        self.heads = heads
         self.subset = subset
 
     def __missing__(self, p: int) -> str:
-        text = self[p] = '{"pick":' + self.quoted[p] + ',"subset":[' + self.subset + "]}"
+        (text,) = _record_texts(self.heads, (self.subset,), (p,))
+        self[p] = text
         return text
 
 
@@ -294,7 +331,8 @@ def selection_texts(structures) -> list:
         key = (id(s.ground), s.n)
         if key not in shared:
             quoted = [_quoted(label_str(x)) for x in s.ground.labels]
-            rows = [_Records(quoted, ",".join([quoted[i] for i in t])) for t in s.table[0]]
+            heads = _record_heads(quoted)
+            rows = [_Records(heads, sub) for sub in _subsets(quoted, s.n)]
             shared[key] = (s.ground, rows, f'],"ground":[{",".join(quoted)}],"n":{s.n}}}')
         _, rows, tail = shared[key]
         texts.append(Fragment('{"choices":[' + ",".join(map(getitem, rows, s.picks)) + tail))
@@ -323,6 +361,22 @@ def write_partial(p: PartialSelection) -> dict:
     for n in p.admissible_sizes():
         choices += _records(names, p.levels[n])
     return {"carrier": names, "mode": p.mode, "bound": p.bound, "choices": choices}
+
+
+def partial_text(p: PartialSelection, quoted: Optional[list] = None) -> str:
+    """dumps(write_partial(p)) less its newline, rendered straight to
+    text (_record_texts); quoted, when given, holds each carrier label
+    quoted, as json quotes label_str's string."""
+    if quoted is None:
+        quoted = [_quoted(label_str(x)) for x in p.carrier.labels]
+    heads = _record_heads(quoted)
+    choices: list = []
+    subsets = None
+    for n in p.admissible_sizes():
+        subsets = _subsets(quoted, n, subsets)
+        choices += _record_texts(heads, subsets, p.levels[n].picks)
+    return (f'{{"bound":{p.bound!r},"carrier":[{",".join(quoted)}],"choices":[{",".join(choices)}],'
+            f'"mode":{_quoted(p.mode)}}}')
 
 
 def read_partial(doc: Any) -> PartialSelection:
@@ -354,18 +408,9 @@ def _read_partial(doc: Any, parsed: Optional[dict]) -> PartialSelection:
 
 # -- interval families ---------------------------------------------------
 
-def write_family(fam: OpenFamily, records: Optional[dict] = None) -> dict:
-    """records maps an open's id to its record, so an open that several
-    families share is written once; the records must be read, not edited
-    in place."""
-    records = {} if records is None else records
-    return {
-        "intervals": [
-            records.get(id(u)) or records.setdefault(
-                id(u), {"lo": fraction_str(u.lo), "hi": fraction_str(u.hi)})
-            for u in fam.members
-        ]
-    }
+def write_family(fam: OpenFamily) -> dict:
+    return {"intervals": [{"lo": fraction_str(u.lo), "hi": fraction_str(u.hi)}
+                          for u in fam.members]}
 
 
 def read_family(doc: Any, intervals: Optional[dict] = None) -> OpenFamily:
@@ -414,13 +459,37 @@ def read_model(doc: Any) -> ModelSpace:
 
 
 def write_system(system: FamilySystem) -> dict:
-    """One record per open, shared by every family that holds it."""
-    records: dict = {}
     return {
         "model": write_model(system.model),
-        # the families hold their opens, so no id is reused during the walk
-        "families": [write_family(f, records) for f in system.families],
+        "families": [write_family(f) for f in system.families],
     }
+
+
+def system_text(system: FamilySystem) -> str:
+    """dumps(write_system(system)), rendered straight to text in one pass
+    over the model's points, one per level over its choice records
+    (partial_text) and one over the families, each open rendered once
+    however many families hold it.  A part past the interpreter's digit
+    limit raises DocumentError, as under write_system (fraction_str)."""
+    model = system.model
+    points = [_quoted(fraction_str(p)) for p in model.points]
+    labels = model.selection.carrier.labels
+    # a model read from a document labels its carrier with its points
+    quoted = points if all(map(is_, labels, model.points)) else None
+    selection = partial_text(model.selection, quoted)
+    opens: dict = {}  # id -> text; the families hold their opens, so no id is reused
+    families = []
+    for f in system.families:
+        texts = []
+        for u in f.members:
+            text = opens.get(id(u))
+            if text is None:
+                lo = fraction_str(u.lo)
+                text = opens[id(u)] = f'{{"hi":"{fraction_str(u.hi)}","lo":"{lo}"}}'
+            texts.append(text)
+        families.append('{"intervals":[' + ",".join(texts) + "]}")
+    return (f'{{"families":[{",".join(families)}],"model":{{"points":[{",".join(points)}],'
+            f'"selection":{selection}}}}}\n')
 
 
 def read_system(doc: Any) -> FamilySystem:

@@ -200,30 +200,31 @@ class TypePartition:
 def partition_types(f: PartialSelection, m: int, n: int) -> TypePartition:
     """Group every m-subset by the canonical form of its restriction: one
     walk, in rank order, scores each subset (scored_subsets) and labels
-    it once from its score blocks (_type_label).  Only the class keys
-    become structures (_type_partition)."""
+    it once from its score blocks or the restriction the walk scored
+    (_type_label).  Only the class keys become structures
+    (_type_partition)."""
     check_int("n", n)
     level = f.level(n)  # an arity outside the mode raises before m's range check
     check_int("m", m, n, f.carrier.size)
     label = _type_label(level, m)
     classes: dict = {}
-    for s, w in scored_subsets(level, m):
-        classes.setdefault(label(s, _score_blocks(w, s)), []).append(s)
+    for s, w, r in scored_subsets(level, m):
+        classes.setdefault(label(_score_blocks(w, s), r), []).append(s)
     return _type_partition(f, m, n, classes)
 
 
 def _type_label(level: SelectionStructure, m: int):
-    """The label step, (s, blocks) -> the class key (least choice tuple)
-    of the m-subset s's restriction.  A pair level labels s on its beats
-    (built once here) with s's score blocks as root cells
-    (_tournament_labeling), building no restriction; any other labels
-    s's restriction (_canonical_labeling, which scores it anew)."""
+    """The label step, (blocks, r) -> the class key (least choice tuple)
+    of an m-subset's restriction, from the subset's score blocks and its
+    restriction r as scored_subsets yields them.  A pair level labels
+    the subset on its beats (built once here) with the blocks as root
+    cells (_tournament_labeling), building no restriction; any other
+    labels r (_canonical_labeling, which scores it anew)."""
     if level.n == 2:
         beats = pair_beats(level)
-        return lambda s, blocks: _tournament_labeling(beats, blocks)[0]
+        return lambda blocks, r: _tournament_labeling(beats, blocks)[0]
     ground = ground_range(m)
-    return lambda s, blocks: _canonical_labeling(
-        (SelectionStructure(ground, level.n, _restriction(level, s)),))[0]
+    return lambda blocks, r: _canonical_labeling((SelectionStructure(ground, level.n, r),))[0]
 
 
 def _type_partition(f: PartialSelection, m: int, n: int, classes: dict) -> TypePartition:
@@ -235,15 +236,16 @@ def _type_partition(f: PartialSelection, m: int, n: int, classes: dict) -> TypeP
 
 
 def scored_subsets(level: SelectionStructure, m: int) -> Iterator[tuple]:
-    """(s, w) for every m-subset s of level's ground, as ascending
+    """(s, w, r) for every m-subset s of level's ground, as ascending
     carrier indices, in rank order: w[i] counts level's subsets inside s
     that pick s[i], the scores of s's restriction.  The one scoring walk
     of the level-class rule (_ruled_subsets), the type partition and the
     covering-type property (chains).
 
     A pair level is scored by popcounts, w[i] = |beats[s[i]] & s|, on
-    its beats bitsets (pair_beats), built once per walk; any other level
-    by counting the picks of s's restriction (_restriction)."""
+    its beats bitsets (pair_beats), built once per walk, and r is None;
+    any other level by counting the picks of s's restriction, built once
+    as r (_restriction), which the type label reads."""
     subsets = combinations(range(level.size), m)
     if level.n == 2:
         beats = pair_beats(level)
@@ -251,13 +253,14 @@ def scored_subsets(level: SelectionStructure, m: int) -> Iterator[tuple]:
             inside = 0
             for x in s:
                 inside |= 1 << x
-            yield s, [(beats[x] & inside).bit_count() for x in s]
+            yield s, [(beats[x] & inside).bit_count() for x in s], None
         return
     for s in subsets:
         w = [0] * m
-        for i in _restriction(level, s):
+        r = _restriction(level, s)
+        for i in r:
             w[i] += 1
-        yield s, w
+        yield s, w, r
 
 
 def _least_small_level(blocks: list, m: int) -> list:
@@ -306,13 +309,14 @@ def check_extension(f: PartialSelection, m: int, p: int) -> None:
 
 
 def _ruled_subsets(f: PartialSelection, m: int, p: int) -> Iterator[tuple]:
-    """(s, w, blocks, q, pick) per m-subset s in rank order, the rule's one
-    walk: s's scores w on f's arity-p level (scored_subsets), their blocks
-    on s's carrier indices, its least small level class q and f's pick."""
-    for s, w in scored_subsets(f.levels[p], m):
+    """(s, w, r, blocks, q, pick) per m-subset s in rank order, the rule's
+    one walk: s's scores w and restriction r on f's arity-p level
+    (scored_subsets), the scores' blocks on s's carrier indices, its
+    least small level class q and f's pick."""
+    for s, w, r in scored_subsets(f.levels[p], m):
         blocks = _score_blocks(w, s)
         q = _least_small_level(blocks, m)
-        yield s, w, blocks, q, f.choose_indices(tuple(q))
+        yield s, w, r, blocks, q, f.choose_indices(tuple(q))
 
 
 def _exact(f: PartialSelection, m: int, picks: list) -> PartialSelection:
@@ -335,9 +339,9 @@ def extend_with_types(f: PartialSelection, m: int, p: int) -> tuple:
     check_extension(f, m, p)
     label = _type_label(f.levels[p], m)
     picks, classes, levels = [], {}, []
-    for s, w, blocks, q, pick in _ruled_subsets(f, m, p):
+    for s, w, r, blocks, q, pick in _ruled_subsets(f, m, p):
         picks.append(pick)
-        members = classes.setdefault(label(s, blocks), [])
+        members = classes.setdefault(label(blocks, r), [])
         if not members:
             levels.append((w[s.index(q[0])], len(q)))
         members.append(s)

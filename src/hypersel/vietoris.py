@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -58,13 +58,19 @@ def _ascending(qs: Sequence) -> bool:
 
 @dataclass(frozen=True)
 class IntervalOpen:
-    """Bounded open interval (lo, hi) with exact rational endpoints."""
+    """Bounded open interval (lo, hi) with exact rational endpoints.
+    ends holds (lo's numerator, lo's denominator, hi's numerator, hi's
+    denominator), read once here, so order checks compare on integers."""
 
     lo: Fraction
     hi: Fraction
+    ends: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not _below(self.lo, self.hi):
+        lo, hi = self.lo, self.hi
+        ln, ld, hn, hd = ends = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        object.__setattr__(self, "ends", ends)
+        if not ln * hd < hn * ld:
             raise InvalidModel(f"empty interval {self}")
 
     def __str__(self) -> str:
@@ -76,16 +82,26 @@ class OpenFamily:
     """Finite tuple of pairwise disjoint interval opens, order fixed.
 
     Members listed left to right are checked neighbour by neighbour,
-    any other order pair by pair; both compare endpoints on integers."""
+    any other order pair by pair; both compare the members' ends on
+    integers (denominators are positive)."""
 
     members: tuple
 
     def __post_init__(self):
         ms = self.members
-        if any(_below(b.lo, a.hi) for a, b in zip(ms, ms[1:])):  # not in ascending order
-            for a, b in combinations(ms, 2):
-                if _below(a.lo, b.hi) and _below(b.lo, a.hi):
-                    raise InvalidModel(f"family members overlap: {a} and {b}")
+        hn = None
+        for u in ms:
+            ln, ld, n, d = u.ends
+            if hn is not None and ln * hd < hn * ld:  # u.lo below the last hi: not ascending
+                break
+            hn, hd = n, d
+        else:
+            return
+        for a, b in combinations(ms, 2):
+            aln, ald, ahn, ahd = a.ends
+            bln, bld, bhn, bhd = b.ends
+            if aln * bhd < bhn * ald and bln * ahd < ahn * bld:
+                raise InvalidModel(f"family members overlap: {a} and {b}")
 
     @property
     def size(self) -> int:

@@ -24,12 +24,14 @@ from hypersel.documents import (
     fraction_str,
     jsonable,
     parse_fraction,
+    partial_text,
     read_family,
     read_model,
     read_partial,
     read_selection,
     read_system,
     selection_texts,
+    system_text,
     write_family,
     write_model,
     write_partial,
@@ -54,7 +56,7 @@ from hypersel.structures import (
     rotational_tournament,
     subset_ranks,
 )
-from hypersel.vietoris import family, order_model
+from hypersel.vietoris import IntervalOpen, ModelSpace, OpenFamily, family, order_model
 
 from oracles import conflict_system, cyclic_model, flip_model, oracle_primes
 
@@ -121,19 +123,26 @@ class TestRoundtrips:
         doc = write_system(conflict_system())
         assert write_system(read_system(doc)) == doc
 
-    def test_system_writes_a_shared_open_once(self):
+    def test_system_writes_a_shared_open_once(self, monkeypatch):
         derived = derive_nice_family(cyclic_model(), 2)
         # the reader shares one open between equal members
         system = read_system({"model": write_model(derived.model),
                               "families": [write_family(f) for f in derived.families * 2]})
-        doc = write_system(system)
-        pairs = [(u, r) for f, fd in zip(system.families, doc["families"])
-                 for u, r in zip(f.members, fd["intervals"])]
-        records = {id(u): r for u, r in pairs}
-        assert all(records[id(u)] is r for u, r in pairs)
-        assert len(records) < len(pairs)
-        assert doc["families"] == [write_family(f) for f in system.families]
-        assert write_system(read_system(doc)) == doc
+        opens = {id(u) for f in system.families for u in f.members}
+        assert len(opens) < sum(f.size for f in system.families)
+        rendered = []
+
+        def counted(q):
+            rendered.append(q)
+            return fraction_str(q)
+
+        monkeypatch.setattr(documents, "fraction_str", counted)
+        text = system_text(system)
+        monkeypatch.undo()
+        # each point once (the carrier reuses its text), each open's two ends once
+        assert len(rendered) == system.model.size + 2 * len(opens)
+        assert text == dumps(write_system(system))
+        assert system_text(read_system(json.loads(text))) == text
 
     def test_dumps_is_stable(self):
         doc = write_model(flip_model())
@@ -303,6 +312,118 @@ class TestSelectionTexts:
         assert len(rendered) == len(cls["type"]["choices"]) == 6
         assert out == _canonical(json.loads(out))
 
+
+
+# sample points and interval ends: negative, whole (rendered "3/1") and
+# 2^-100 away from small rationals
+endpoints = (st.fractions(-6, 6, max_denominator=6)
+             | st.builds(lambda q, k: q + F(k, 2**100), st.fractions(-3, 3, max_denominator=3),
+                         st.integers(-3, 3)))
+
+
+@st.composite
+def interval_models(draw, min_size=2):
+    """A model on sorted points whose carrier labels are the points, equal
+    Fractions held apart from them, or ints for the whole ones (label_str
+    renders 3 as "3", fraction_str Fraction(3) as "3/1"); its choices are
+    random, and its pair level maybe the rotational tournament."""
+    pts = tuple(sorted(draw(st.lists(endpoints, min_size=min_size, max_size=8, unique=True))))
+    spelled = draw(st.sampled_from(["points", "equal", "ints"]))
+    if spelled == "equal":
+        labels = tuple(F(p.numerator, p.denominator) for p in pts)
+    elif spelled == "ints":
+        labels = tuple(p.numerator if p.denominator == 1 else p for p in pts)
+    else:
+        labels = pts
+    carrier = GroundSet(labels)
+    mode = draw(st.sampled_from(["upto", "exact"]))
+    bound = draw(st.integers(2, min(3, len(pts)))) if mode == "upto" else 2
+    levels = dict(random_partial(carrier, bound, random.Random(draw(st.integers(0, 2**32 - 1))),
+                                 mode=mode).levels)
+    if len(pts) % 2 and draw(st.booleans()):
+        levels[2] = SelectionStructure(carrier, 2, rotational_tournament(len(pts)).picks)
+    return ModelSpace(pts, PartialSelection(carrier, mode, bound, levels))
+
+
+@st.composite
+def hand_built_systems(draw):
+    """Families of disjoint opens between distinct ends, listed in any
+    order; a family holds the opens other families hold, or equal opens
+    of its own."""
+    model = draw(interval_models())
+    cuts = sorted(draw(st.lists(endpoints, min_size=2, max_size=7, unique=True)))
+    opens = [IntervalOpen(a, b) for a, b in zip(cuts, cuts[1:])]
+    size = draw(st.integers(0, min(3, len(opens))))
+    families = []
+    for _ in range(draw(st.integers(0, 5))):
+        members = draw(st.lists(st.sampled_from(opens), min_size=size, max_size=size, unique=True))
+        if draw(st.booleans()):
+            members = [IntervalOpen(u.lo, u.hi) for u in members]
+        families.append(OpenFamily(tuple(members)))
+    return FamilySystem(tuple(families), model)
+
+
+# carrier labels json must escape, the mark dumps splices Fragments at
+# and a label ending with it among them
+escaped_labels = st.lists(
+    label_text | st.sampled_from(['"', "\\", "\ud800", "\udfff", documents._MARK, 'x"' + documents._MARK]),
+    max_size=6, unique=True)
+
+
+class TestSystemText:
+    """system_text and partial_text render straight to text what dumps
+    renders of write_system and write_partial."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(interval_models(min_size=5), st.sampled_from([2, 4]))
+    def test_derived_systems(self, model, n):
+        for m in (model, read_model(write_model(model))):
+            system = derive_nice_family(m, n)
+            assert system_text(system) == dumps(write_system(system))
+
+    @settings(max_examples=100, deadline=None)
+    @given(hand_built_systems())
+    def test_hand_built_systems(self, system):
+        text = system_text(system)
+        assert text == dumps(write_system(system)) == _canonical(write_system(system))
+
+    @settings(max_examples=100, deadline=None)
+    @given(escaped_labels, st.sampled_from(["upto", "exact"]), st.integers(0, 6),
+           st.integers(0, 2**32 - 1))
+    def test_partial_on_labels_json_must_escape(self, labels, mode, bound, seed):
+        ground = GroundSet(tuple(labels))
+        bound = min(bound, ground.size) if mode == "upto" else max(1, min(bound, ground.size))
+        if bound > ground.size:  # no exact partial on an empty carrier
+            return
+        p = random_partial(ground, bound, random.Random(seed), mode=mode)
+        assert partial_text(p) + "\n" == dumps(write_partial(p)) == _canonical(write_partial(p))
+
+    def test_partial_on_the_labels_each_named(self):
+        labels = ('"', "\\", "\ud800", documents._MARK, 'x"' + documents._MARK, "v")
+        p = random_partial(GroundSet(labels), 4, random.Random(55))
+        text = partial_text(p)
+        assert text + "\n" == dumps(write_partial(p)) == _canonical(write_partial(p))
+        assert read_partial(json.loads(text)) == p
+
+    def test_a_part_past_the_digit_limit_fails_as_write_system(self):
+        # where ints have no digit limit both render the same text
+        def outcome(render):
+            try:
+                return render()
+            except DocumentError as exc:
+                return str(exc)
+
+        model = order_model([F(0), F(1)], 2, "min")
+        system = FamilySystem((family((F(1, 3), F(1, 2)), (10**5000, 10**6000)),), model)
+        assert outcome(lambda: system_text(system)) == outcome(lambda: dumps(write_system(system)))
+
+    def test_whole_and_negative_ends(self):
+        model = order_model([F(-3), F(-1, 2), F(0), F(3)], 2, "min")
+        system = FamilySystem((family((-4, -2), (F(-1, 4), 2)), family((F(-1, 4), 2), (-4, -2))), model)
+        text = system_text(system)
+        assert '"points":["-3/1","-1/2","0/1","3/1"]' in text
+        assert '{"hi":"-2/1","lo":"-4/1"}' in text
+        assert text == dumps(write_system(system))
 
 # report values with the text json must escape, as labels and keys: the
 # mark a Fragment renders as, a string ending with it and the mark a

@@ -1,7 +1,9 @@
 import hashlib
+import io
 import math
 import random
 import re
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,6 +25,8 @@ from hypersel.errors import (
     SizeMismatch,
 )
 from hypersel import extension, structures
+from hypersel.cli import main
+from hypersel.documents import dumps, write_partial
 from hypersel.obstruction import is_prime
 from hypersel.extension import (
     PartialSelection,
@@ -333,7 +337,7 @@ class TestLeastSmallLevel:
 
 
 class TestSubsetScores:
-    """extension.scored_subsets: one (s, w) per m-subset, in rank order."""
+    """extension.scored_subsets: one (s, w, r) per m-subset, in rank order."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 7), st.integers(1, 3), st.integers(0, 2**32 - 1))
@@ -344,9 +348,12 @@ class TestSubsetScores:
         for n in f.admissible_sizes():
             for k in range(n, size + 1):
                 walk = list(extension.scored_subsets(f.level(n), k))
-                assert [s for s, _ in walk] == list(combinations(range(size), k))
-                for s, w in walk:
-                    assert w == list(score_vector(restrict(f, [labels[i] for i in s], n)))
+                assert [s for s, _, _ in walk] == list(combinations(range(size), k))
+                for s, w, r in walk:
+                    g = restrict(f, [labels[i] for i in s], n)
+                    assert w == list(score_vector(g))
+                    # the restriction scored is yielded, except on a pair level
+                    assert r == (None if n == 2 else g.picks)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 14), st.integers(2, 3), st.randoms(use_true_random=False))
@@ -359,8 +366,8 @@ class TestSubsetScores:
         level = structures.SelectionStructure(ground_range(size), n, tuple(map(rng.choice, subs)))
         m = rng.randint(n, size)
         walk = list(extension.scored_subsets(level, m))
-        assert [s for s, _ in walk] == list(combinations(range(size), m))
-        for s, w in walk:
+        assert [s for s, _, _ in walk] == list(combinations(range(size), m))
+        for s, w, _ in walk:
             spelled = [0] * m
             for t in combinations(s, n):
                 spelled[s.index(level.picks[rank[t]])] += 1
@@ -440,6 +447,39 @@ class TestPartitionTypes:
             "5e28fce8c077968656b9226e68c979d2371a9a49632acbe5a93ffefdc01559fe"
         )
 
+
+
+class TestRestrictionsBuiltOnce:
+    """At n >= 3 the walk builds each m-subset's restriction once, to
+    score it, and the label step reads that one (scored_subsets)."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        calls = []
+        real = extension._restriction
+
+        def restriction(level, s):
+            calls.append(s)
+            return real(level, s)
+
+        monkeypatch.setattr(extension, "_restriction", restriction)
+        return calls
+
+    def test_partition(self, monkeypatch):
+        f = random_partial(ground_range(8), 3, random.Random(50))
+        calls = self.counted(monkeypatch)
+        partition_types(f, 6, 3)
+        assert calls == list(combinations(range(8), 6))
+
+    @pytest.mark.parametrize("size, bound, m", [(6, 3, 6), (8, 3, 6), (10, 5, 9)])
+    def test_extend_op(self, monkeypatch, tmp_path, size, bound, m):
+        carrier = GroundSet(tuple(f"v{i}" for i in range(size)))
+        path = tmp_path / "partial.json"
+        path.write_text(dumps(write_partial(random_partial(carrier, bound, random.Random(50)))))
+        calls = self.counted(monkeypatch)
+        with redirect_stdout(io.StringIO()):
+            assert main(["extend", str(path), str(m), "3"]) == 0
+        assert len(calls) == math.comb(size, m)
 
 def assert_agrees_with_oracle(f, m, n):
     """partition_types(f, m, n) groups members as the exhaustive oracle

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -152,6 +153,12 @@ def spell_endpoint(q, k: int) -> str:
     return f"{q.numerator * k}/{q.denominator * k}"
 
 
+# rationals with denominators past 2^100, some 2^-100 apart
+big_ends = (st.builds(F, st.integers(-(2**130), 2**130), st.integers(1, 2**130))
+            | st.builds(lambda q, k: q + F(k, 2**101), st.fractions(-2, 2, max_denominator=4),
+                        st.integers(-3, 3)))
+
+
 class TestFamilyOrder:
     """OpenFamily checks member order on integers; it must accept exactly
     the lists whose members are pairwise disjoint as Fraction intervals,
@@ -209,6 +216,22 @@ class TestFamilyOrder:
         assert repr(u) == "IntervalOpen(lo=Fraction(-1, 4), hi=Fraction(1, 4))"
         with pytest.raises(InvalidModel, match=r"^empty interval \(1/4, -1/4\)$"):
             IntervalOpen(F(1, 4), F(-1, 4))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(big_ends, min_size=1, max_size=4), st.lists(st.integers(0, 3), min_size=6, max_size=6))
+    def test_integer_order_agrees_with_fractions(self, pool, picks):
+        # ends from a pool of a few rationals, many past 2^100 in
+        # denominator and 2^-100 apart, so ends coincide and nearly touch
+        lo, hi, *rest = (pool[k % len(pool)] for k in picks)
+        if not lo < hi:
+            with pytest.raises(InvalidModel, match=f"^empty interval {re.escape(f'({lo}, {hi})')}$"):
+                IntervalOpen(lo, hi)
+            return
+        u = IntervalOpen(lo, hi)
+        assert u.ends == (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        members = [u] + [IntervalOpen(a, b) for a, b in zip(rest[::2], rest[1::2]) if a < b]
+        for order in (members, members[::-1]):
+            assert self.outcome(lambda: OpenFamily(tuple(order))) == self.expected(order)
 
     def test_equal_values_spelled_apart_touch(self):
         doc = {"intervals": [{"lo": "0", "hi": "1/2"}, {"lo": "2/4", "hi": "3/3"}]}
