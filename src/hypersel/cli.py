@@ -33,16 +33,14 @@ from .chains import (
 )
 from .documents import (
     dumps,
-    fragment,
     jsonable,
     label_str,
+    partial_texts,
     read_model,
     read_partial,
     read_system,
     selection_texts,
     system_text,
-    write_partial,
-    write_system,  # noqa: F401
 )
 from .errors import (
     BudgetExceeded,
@@ -52,7 +50,7 @@ from .errors import (
     NotNice,
     check_int,
 )
-# write_system, extend_selection and partition_types stay bound here for
+# extend_selection and partition_types stay bound here for
 # perfbench/spans.py, which wraps them
 from .extension import extend_selection, extend_with_types, partition_types  # noqa: F401
 from .obstruction import obstruction_table, table_tsv
@@ -78,10 +76,16 @@ def _config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func"}
 
 
-def _report(args: argparse.Namespace, result: dict) -> str:
-    return dumps(
-        {"version": __version__, "config": _config(args), "result": result}
-    )
+_VERSION = dumps(__version__)[:-1]
+
+
+def _report(args: argparse.Namespace, result: Any) -> str:
+    """The report on result: a dict, or its text as dumps renders it less
+    the newline.  Sorted keys fix the envelope's layout, so it is joined
+    around the result's text as dumps would render the whole."""
+    if isinstance(result, dict):
+        result = dumps(result)[:-1]
+    return f'{{"config":{dumps(_config(args))[:-1]},"result":{result},"version":{_VERSION}}}\n'
 
 
 def _load(path: str) -> Any:
@@ -109,7 +113,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     records = selection_texts(
         enumerate_selections(args.m, args.n, up_to_iso=args.iso, budget=args.budget)
     )
-    result = {"records": records, "count": len(records)}
+    result = f'{{"count":{len(records)},"records":[{",".join(records)}]}}'
     _emit(_report(args, result), args.output)
     return 0
 
@@ -137,19 +141,14 @@ def cmd_extend(args: argparse.Namespace) -> int:
         _emit(_report(args, {"valid": False, "error": str(exc)}), args.output)
         return 1
     types = parts.classes
-    classes = [{"type": t, "members": len(ms), "level": r0, "level_class_size": size}
+    classes = [f'{{"level":{r0},"level_class_size":{size},"members":{len(ms)},"type":{t}}}'
                for t, ms, (r0, size) in zip(selection_texts(types), types.values(), levels)]
-    selection = write_partial(h)
-    choices = selection["choices"]
-    # the report holds the choices twice: render them once
-    entries = selection["choices"] = fragment(choices)
-    result = {
-        "selection": selection,
-        "classes": classes,
-        "entries": entries,
-        "count": len(choices),
-        "valid": all(e["pick"] in e["subset"] for e in choices),
-    }
+    selection, choices = partial_texts(h)  # the choices stand as entries too: rendered once
+    chosen = [h.levels[n] for n in h.admissible_sizes()]
+    valid = all(p in t for s in chosen for t, p in zip(s.table[0], s.picks))
+    count = sum(len(s.picks) for s in chosen)
+    result = (f'{{"classes":[{",".join(classes)}],"count":{count},"entries":{choices},'
+              f'"selection":{selection},"valid":{"true" if valid else "false"}}}')
     _emit(_report(args, result), args.output)
     return 0
 

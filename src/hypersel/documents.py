@@ -24,13 +24,13 @@ whose messages name the first fault: a label outside the carrier at its
 record, a subset listed twice under any spelling, any other fault of the
 table in the rank-order walk.
 A model's carrier reuses the Fractions parsed from its points.
-dumps splices a Fragment's text in verbatim, so what reports repeat
-(selection_texts: each choice record) is rendered once.  The system
-document chains derive writes is rendered straight to text
-(system_text, its selection by partial_text), with no dict tree and no
-json encoding; the dict writers are the library API and the reference
-the text writers equal under dumps.  A choice record is spelled as text
-in one place (_record_texts), for the text writers and selection_texts.
+Documents are written straight to text, with no dict tree and no json
+encoding: a selection by selection_texts, a partial and its choice list
+by partial_texts, a system by system_text.  A choice record is spelled
+as text in one place (_record_texts).  dumps renders what is left, the
+small reports and the envelope around a rendered result, with json's
+encoder.  The dict writers in tests/oracles.py are the reference the
+text writers equal under dumps.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from operator import getitem, is_
 from typing import Any, Callable, Mapping, Optional
 
 from .chains import FamilySystem
-from .errors import ChoiceOutsideSubset, DocumentError, MissingSubset, OutOfRange, _shown
+from .errors import (BrokenInvariant, ChoiceOutsideSubset, DocumentError, MissingSubset, OutOfRange,
+                     _shown)
 from .extension import PartialSelection, admissible_sizes, partial_from_indices
 from .structures import GroundSet, SelectionStructure, index_selection, subset_ranks
 from .vietoris import IntervalOpen, ModelSpace, OpenFamily, model_space
@@ -83,7 +84,11 @@ def label_str(x: Any) -> str:
 
 
 def jsonable(x: Any) -> Any:
-    """Recursive conversion of report payloads to JSON-ready values."""
+    """Recursive conversion of report payloads to JSON-ready values.  A
+    float raises BrokenInvariant: every value the package computes is
+    exact."""
+    if isinstance(x, float):
+        raise BrokenInvariant(f"inexact value in a report: {x!r}")
     if isinstance(x, Fraction):
         return fraction_str(x)
     if isinstance(x, (list, tuple)):
@@ -92,74 +97,19 @@ def jsonable(x: Any) -> Any:
         return sorted(jsonable(v) for v in x)
     if isinstance(x, Mapping):
         return {label_str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (str, int, float, bool)) or x is None:
+    if isinstance(x, (str, int)) or x is None:
         return x
     return str(x)
-
-
-class Fragment:
-    """Text exactly as dumps renders some value, less the newline, for
-    dumps to splice in verbatim in each place the Fragment stands."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-
-_MARK = "\0fragment\0"  # what a Fragment renders as until it is spliced
-_unknown = json.JSONEncoder().default  # json's TypeError for a value it cannot render
-
-
-def fragment(doc: Any) -> Fragment:
-    """doc rendered once, to be spliced wherever it stands."""
-    return Fragment(dumps(doc)[:-1])
 
 
 def dumps(doc: Any) -> str:
     """Canonical rendering: json's C encoder with sorted keys, no
     whitespace and ASCII only (anything else as a \\u escape), then one
     trailing newline.  Equal documents give byte-equal text.  Documents
-    and reports are built fresh in this process and may share read-only
-    parts (cmd_extend's choices Fragment), so json's circular-reference
-    guard is off: a shared object renders in every place it appears,
-    and a cycle still raises, as RecursionError.
-
-    Each Fragment renders as a mark string, in output order, and its
-    text replaces the quoted mark.  The quoted mark holds quotes only at
-    its ends, a backslash after the first and a "0" before the last;
-    a value has "[", ",", ":" or nothing before it and ",", "]", "}" or
-    nothing after it.  So a string holding the mark adds occurrences
-    that never overlap a Fragment's, and the split is exact when it
-    finds one per Fragment.  Else the document is rendered again with a
-    mark its text does not hold: only the Fragments' places change."""
-    texts: list = []
-    mark = _MARK
-
-    def splice(x: Any) -> str:
-        if type(x) is not Fragment:
-            return _unknown(x)
-        texts.append(x.text)
-        return mark
-
-    while True:
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False,
-                          default=splice)
-        if not texts:
-            return text + "\n"
-        parts = text.split(_quoted(mark))
-        if len(parts) == len(texts) + 1:
-            break
-        n = 0
-        while _quoted(mark) in text:
-            n += 1
-            mark = f"\0fragment {n}\0"
-        texts.clear()
-    parts[-1] += "\n"
-    pieces = [""] * (2 * len(parts) - 1)
-    pieces[::2] = parts
-    pieces[1::2] = texts
-    return "".join(pieces)
+    and reports are built fresh in this process, so json's
+    circular-reference guard is off: an object shared by two places
+    renders in both, and a cycle still raises, as RecursionError."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def _check_fields(doc: Any, required: tuple, where: str) -> None:
@@ -262,13 +212,6 @@ def _read_choices(doc: Any, where: str, carrier: GroundSet, strings: tuple, size
 
 # -- selection structures ------------------------------------------------
 
-def _records(names: list, s: SelectionStructure) -> list:
-    """s's choice records in subset-rank order, labels spelled as names
-    spells the ground's."""
-    return [{"subset": [names[i] for i in t], "pick": names[p]}
-            for t, p in zip(s.table[0], s.picks)]
-
-
 def _record_heads(quoted: list) -> list:
     """Each label's choice record text up to its subset's labels, given
     the label quoted (quoted[i] for label i); see _record_texts."""
@@ -317,14 +260,14 @@ class _Records(dict):
 
 
 def selection_texts(structures) -> list:
-    """A Fragment of dumps(write_selection(s)) for each structure s, in
-    order.  Per (ground object, n) each label is quoted once, as json
-    quotes strings, and each subset's labels joined once; a choice
-    record is rendered on the first use of its (subset rank, pick), and
-    each text joins its structure's records.  The tables are keyed by
-    the ground's id, as equal grounds may hold labels that render apart
-    (0 and Fraction(0)), and held with the ground, so the id is not
-    reused during the walk."""
+    """The text of each structure s's selection document, in order, as
+    dumps renders it less the newline.  Per (ground object, n) each
+    label is quoted once, as json quotes strings, and each subset's
+    labels joined once; a choice record is rendered on the first use of
+    its (subset rank, pick), and each text joins its structure's
+    records.  The tables are keyed by the ground's id, as equal grounds
+    may hold labels that render apart (0 and Fraction(0)), and held with
+    the ground, so the id is not reused during the walk."""
     shared: dict = {}  # (id(ground), n) -> (ground, records by rank, text after them)
     texts = []
     for s in structures:
@@ -335,13 +278,8 @@ def selection_texts(structures) -> list:
             rows = [_Records(heads, sub) for sub in _subsets(quoted, s.n)]
             shared[key] = (s.ground, rows, f'],"ground":[{",".join(quoted)}],"n":{s.n}}}')
         _, rows, tail = shared[key]
-        texts.append(Fragment('{"choices":[' + ",".join(map(getitem, rows, s.picks)) + tail))
+        texts.append('{"choices":[' + ",".join(map(getitem, rows, s.picks)) + tail)
     return texts
-
-
-def write_selection(s: SelectionStructure) -> dict:
-    names = [label_str(x) for x in s.ground.labels]
-    return {"ground": names, "n": s.n, "choices": _records(names, s)}
 
 
 def read_selection(doc: Any) -> SelectionStructure:
@@ -355,28 +293,22 @@ def read_selection(doc: Any) -> SelectionStructure:
 
 # -- partial selections --------------------------------------------------
 
-def write_partial(p: PartialSelection) -> dict:
-    names = [label_str(x) for x in p.carrier.labels]
-    choices = []
-    for n in p.admissible_sizes():
-        choices += _records(names, p.levels[n])
-    return {"carrier": names, "mode": p.mode, "bound": p.bound, "choices": choices}
-
-
-def partial_text(p: PartialSelection, quoted: Optional[list] = None) -> str:
-    """dumps(write_partial(p)) less its newline, rendered straight to
-    text (_record_texts); quoted, when given, holds each carrier label
-    quoted, as json quotes label_str's string."""
+def partial_texts(p: PartialSelection, quoted: Optional[list] = None) -> tuple:
+    """(the text of p's partial document, the text of its choice list
+    within it), as dumps renders them less the newline, rendered
+    straight to text (_record_texts); quoted, when given, holds each
+    carrier label quoted, as json quotes label_str's string."""
     if quoted is None:
         quoted = [_quoted(label_str(x)) for x in p.carrier.labels]
     heads = _record_heads(quoted)
-    choices: list = []
+    records: list = []
     subsets = None
     for n in p.admissible_sizes():
         subsets = _subsets(quoted, n, subsets)
-        choices += _record_texts(heads, subsets, p.levels[n].picks)
-    return (f'{{"bound":{p.bound!r},"carrier":[{",".join(quoted)}],"choices":[{",".join(choices)}],'
-            f'"mode":{_quoted(p.mode)}}}')
+        records += _record_texts(heads, subsets, p.levels[n].picks)
+    choices = "[" + ",".join(records) + "]"
+    return (f'{{"bound":{p.bound!r},"carrier":[{",".join(quoted)}],"choices":{choices},'
+            f'"mode":{_quoted(p.mode)}}}', choices)
 
 
 def read_partial(doc: Any) -> PartialSelection:
@@ -408,11 +340,6 @@ def _read_partial(doc: Any, parsed: Optional[dict]) -> PartialSelection:
 
 # -- interval families ---------------------------------------------------
 
-def write_family(fam: OpenFamily) -> dict:
-    return {"intervals": [{"lo": fraction_str(u.lo), "hi": fraction_str(u.hi)}
-                          for u in fam.members]}
-
-
 def read_family(doc: Any, intervals: Optional[dict] = None) -> OpenFamily:
     """intervals maps (lo, hi) strings to the opens read from them."""
     if not (isinstance(doc, dict) and doc.keys() == _FAMILY_KEYS):
@@ -443,13 +370,6 @@ def read_family(doc: Any, intervals: Optional[dict] = None) -> OpenFamily:
 
 # -- model spaces and family systems --------------------------------------
 
-def write_model(model: ModelSpace) -> dict:
-    return {
-        "points": [fraction_str(p) for p in model.points],
-        "selection": write_partial(model.selection),
-    }
-
-
 def read_model(doc: Any) -> ModelSpace:
     _check_fields(doc, ("points", "selection"), "model")
     raw = _string_list(doc["points"], "model.points")
@@ -458,25 +378,18 @@ def read_model(doc: Any) -> ModelSpace:
     return model_space(points, selection)
 
 
-def write_system(system: FamilySystem) -> dict:
-    return {
-        "model": write_model(system.model),
-        "families": [write_family(f) for f in system.families],
-    }
-
-
 def system_text(system: FamilySystem) -> str:
-    """dumps(write_system(system)), rendered straight to text in one pass
-    over the model's points, one per level over its choice records
-    (partial_text) and one over the families, each open rendered once
+    """The system document's text, as dumps renders it, in one pass over
+    the model's points, one per level over its choice records
+    (partial_texts) and one over the families, each open rendered once
     however many families hold it.  A part past the interpreter's digit
-    limit raises DocumentError, as under write_system (fraction_str)."""
+    limit raises DocumentError (fraction_str)."""
     model = system.model
     points = [_quoted(fraction_str(p)) for p in model.points]
     labels = model.selection.carrier.labels
     # a model read from a document labels its carrier with its points
     quoted = points if all(map(is_, labels, model.points)) else None
-    selection = partial_text(model.selection, quoted)
+    selection, _ = partial_texts(model.selection, quoted)
     opens: dict = {}  # id -> text; the families hold their opens, so no id is reused
     families = []
     for f in system.families:

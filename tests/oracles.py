@@ -12,7 +12,14 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations, product
 
 from hypersel.chains import FamilySystem
-from hypersel.documents import _check_fields, _int, _string_list, parse_fraction
+from hypersel.documents import (
+    _check_fields,
+    _int,
+    _string_list,
+    fraction_str,
+    label_str,
+    parse_fraction,
+)
 from hypersel.errors import (
     ArityNotInDomain,
     ChoiceOutsideSubset,
@@ -288,6 +295,52 @@ def oracle_joint_isomorphism(f: PartialSelection, x, y):
         if oracle_respects(f, phi):
             return phi
     return None
+
+
+# -- document writing --------------------------------------------------------
+#
+# Each document as a dict tree, one plain dict per choice record: the
+# reference the library's text writers (selection_texts, partial_texts,
+# system_text) equal under dumps, and the way tests write input
+# documents.
+
+def _records(names: list, s: SelectionStructure) -> list:
+    """s's choice records in subset-rank order, labels spelled as names
+    spells the ground's."""
+    return [{"subset": [names[i] for i in t], "pick": names[p]}
+            for t, p in zip(s.table[0], s.picks)]
+
+
+def write_selection(s: SelectionStructure) -> dict:
+    names = [label_str(x) for x in s.ground.labels]
+    return {"ground": names, "n": s.n, "choices": _records(names, s)}
+
+
+def write_partial(p: PartialSelection) -> dict:
+    names = [label_str(x) for x in p.carrier.labels]
+    choices = []
+    for n in p.admissible_sizes():
+        choices += _records(names, p.levels[n])
+    return {"carrier": names, "mode": p.mode, "bound": p.bound, "choices": choices}
+
+
+def write_family(fam: OpenFamily) -> dict:
+    return {"intervals": [{"lo": fraction_str(u.lo), "hi": fraction_str(u.hi)}
+                          for u in fam.members]}
+
+
+def write_model(model: ModelSpace) -> dict:
+    return {
+        "points": [fraction_str(p) for p in model.points],
+        "selection": write_partial(model.selection),
+    }
+
+
+def write_system(system: FamilySystem) -> dict:
+    return {
+        "model": write_model(system.model),
+        "families": [write_family(f) for f in system.families],
+    }
 
 
 # -- document reading --------------------------------------------------------

@@ -22,7 +22,7 @@ from hypersel.chains import (
 )
 from hypersel._kernels import regular_masks_exhaustive
 from hypersel.cli import main as cli_main
-from hypersel.documents import dumps, jsonable, write_model, write_partial, write_system
+from hypersel.documents import dumps, jsonable
 from hypersel.extension import (
     certified_isomorphism,
     equivariance_check,
@@ -58,6 +58,9 @@ from oracles import (
     oracle_unique_overlaps,
     random_points,
     random_system,
+    write_model,
+    write_partial,
+    write_system,
 )
 from test_vietoris import EXTENSION_SETTINGS, extension_property, hits, random_family
 

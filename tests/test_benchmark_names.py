@@ -36,6 +36,8 @@ RETIRED = {
     ("chains", "meets_uniquely"),
     ("obstruction", "prime_obstruction_holds"),
     ("cli", "write_selection"),
+    ("cli", "write_partial"),
+    ("cli", "write_system"),
     ("extension", "canonical_form"),
 }
 

@@ -18,12 +18,20 @@ from hypothesis import strategies as st
 
 from hypersel import __version__, cli, extension
 from hypersel.chains import derive_nice_family
-from hypersel.documents import dumps, write_model, write_partial, write_system
+from hypersel.documents import dumps
 from hypersel.extension import make_partial, order_partial
 from hypersel.structures import GroundSet, ground_range
 from hypersel.vietoris import model_space
 
-from oracles import conflict_system, cyclic_model, cyclic_pair_table, flip_model
+from oracles import (
+    conflict_system,
+    cyclic_model,
+    cyclic_pair_table,
+    flip_model,
+    write_model,
+    write_partial,
+    write_system,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

@@ -14,17 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersel import documents, extension, structures
+from hypersel import __version__, documents, extension, structures
 from hypersel.chains import FamilySystem, derive_nice_family
 from hypersel.cli import main
 from hypersel.documents import (
-    Fragment,
     dumps,
-    fragment,
     fraction_str,
     jsonable,
     parse_fraction,
-    partial_text,
+    partial_texts,
     read_family,
     read_model,
     read_partial,
@@ -32,13 +30,14 @@ from hypersel.documents import (
     read_system,
     selection_texts,
     system_text,
-    write_family,
-    write_model,
-    write_partial,
-    write_selection,
-    write_system,
 )
-from hypersel.errors import ChoiceOutsideSubset, DocumentError, MissingSubset, OutOfRange
+from hypersel.errors import (
+    BrokenInvariant,
+    ChoiceOutsideSubset,
+    DocumentError,
+    MissingSubset,
+    OutOfRange,
+)
 from hypersel.extension import (
     PartialSelection,
     extend_selection,
@@ -58,7 +57,17 @@ from hypersel.structures import (
 )
 from hypersel.vietoris import IntervalOpen, ModelSpace, OpenFamily, family, order_model
 
-from oracles import conflict_system, cyclic_model, flip_model, oracle_primes
+from oracles import (
+    conflict_system,
+    cyclic_model,
+    flip_model,
+    oracle_primes,
+    write_family,
+    write_model,
+    write_partial,
+    write_selection,
+    write_system,
+)
 
 
 def run_cli(argv):
@@ -245,7 +254,7 @@ class TestWriteSelections:
         ints = SelectionStructure(_GROUNDS[0], 1, (0, 1, 2))
         fractions = SelectionStructure(_GROUNDS[2], 1, (0, 1, 2))
         texts = selection_texts([ints, fractions, ints])
-        assert [json.loads(t.text)["ground"] for t in texts] == [
+        assert [json.loads(t)["ground"] for t in texts] == [
             ["0", "1", "2"], ["0/1", "1/1", "2/1"], ["0", "1", "2"]]
         assert len(rendered) == 6  # the second ints structure reuses the first's records
 
@@ -257,8 +266,7 @@ class TestWriteSelections:
                             lambda row, p: rendered.append((id(row), p)) or missing(row, p))
         texts = selection_texts(batch)
         assert len(rendered) < sum(len(s.picks) for s in batch)  # some record is shared
-        assert dumps(texts) == dumps([write_selection(s) for s in batch])
-        assert [t.text + "\n" for t in texts] == [dumps(write_selection(s)) for s in batch]
+        assert [t + "\n" for t in texts] == [dumps(write_selection(s)) for s in batch]
 
     def test_shared_records_render_as_extend_classes(self, monkeypatch):
         f = random_partial(GroundSet(tuple("abcdefgh")), 4, random.Random("extend-classes"))
@@ -278,14 +286,13 @@ class TestSelectionTexts:
     @given(selection_batches())
     def test_equal_one_dumps_per_structure(self, batch):
         texts = selection_texts(iter(batch))
-        assert [t.text + "\n" for t in texts] == [dumps(write_selection(s)) for s in batch]
-        assert dumps(texts) == dumps([write_selection(s) for s in batch])
+        assert [t + "\n" for t in texts] == [dumps(write_selection(s)) for s in batch]
 
     def test_labels_json_must_escape(self):
-        labels = ('"', "\\", "\x00\x1f\n", "\u00e9\u2028", "\ud800", documents._MARK, "\U0001f600")
+        labels = ('"', "\\", "\x00\x1f\n", "\u00e9\u2028", "\ud800", "\0fragment\0", "\U0001f600")
         s = SelectionStructure(GroundSet(labels), 2, tuple(t[-1] for t in subset_ranks(7, 2)[0]))
         (text,) = selection_texts([s])
-        assert text.text + "\n" == dumps(write_selection(s)) == _canonical(write_selection(s))
+        assert text + "\n" == dumps(write_selection(s)) == _canonical(write_selection(s))
 
     def test_records_render_once_and_only_when_used(self, monkeypatch):
         rendered = []
@@ -295,7 +302,7 @@ class TestSelectionTexts:
         batch = list(enumerate_selections(4, 2))  # 64 structures, 12 distinct records
         texts = selection_texts(batch)
         assert sorted(set(rendered)) == sorted(rendered) and len(rendered) == 12
-        assert [t.text + "\n" for t in texts] == [dumps(write_selection(s)) for s in batch]
+        assert [t + "\n" for t in texts] == [dumps(write_selection(s)) for s in batch]
 
     def test_one_class_extend_renders_no_unused_record(self, tmp_path, monkeypatch):
         # m = carrier size: one m-subset, one class, one record per subset
@@ -363,15 +370,15 @@ def hand_built_systems(draw):
     return FamilySystem(tuple(families), model)
 
 
-# carrier labels json must escape, the mark dumps splices Fragments at
-# and a label ending with it among them
+# carrier labels json must escape, among them the mark an earlier
+# renderer spliced rendered texts at and a label ending with it
 escaped_labels = st.lists(
-    label_text | st.sampled_from(['"', "\\", "\ud800", "\udfff", documents._MARK, 'x"' + documents._MARK]),
+    label_text | st.sampled_from(['"', "\\", "\ud800", "\udfff", "\0fragment\0", 'x"\0fragment\0']),
     max_size=6, unique=True)
 
 
 class TestSystemText:
-    """system_text and partial_text render straight to text what dumps
+    """system_text and partial_texts render straight to text what dumps
     renders of write_system and write_partial."""
 
     @settings(max_examples=60, deadline=None)
@@ -396,12 +403,14 @@ class TestSystemText:
         if bound > ground.size:  # no exact partial on an empty carrier
             return
         p = random_partial(ground, bound, random.Random(seed), mode=mode)
-        assert partial_text(p) + "\n" == dumps(write_partial(p)) == _canonical(write_partial(p))
+        text, choices = partial_texts(p)
+        assert text + "\n" == dumps(write_partial(p)) == _canonical(write_partial(p))
+        assert choices + "\n" == dumps(write_partial(p)["choices"])
 
     def test_partial_on_the_labels_each_named(self):
-        labels = ('"', "\\", "\ud800", documents._MARK, 'x"' + documents._MARK, "v")
+        labels = ('"', "\\", "\ud800", "\0fragment\0", 'x"\0fragment\0', "v")
         p = random_partial(GroundSet(labels), 4, random.Random(55))
-        text = partial_text(p)
+        text, _ = partial_texts(p)
         assert text + "\n" == dumps(write_partial(p)) == _canonical(write_partial(p))
         assert read_partial(json.loads(text)) == p
 
@@ -424,62 +433,6 @@ class TestSystemText:
         assert '"points":["-3/1","-1/2","0/1","3/1"]' in text
         assert '{"hi":"-2/1","lo":"-4/1"}' in text
         assert text == dumps(write_system(system))
-
-# report values with the text json must escape, as labels and keys: the
-# mark a Fragment renders as, a string ending with it and the mark a
-# second rendering takes among them
-tricky_text = st.sampled_from([
-    '"', "\\", "\x00", "\x1f", "\n", "\u00e9", "\u2028", "\ud800", "\udfff", "\U0001f600",
-    documents._MARK, 'x"' + documents._MARK, "\0fragment 1\0", "fragment", "",
-]) | st.text(alphabet=st.characters(blacklist_categories=()), max_size=4)
-
-
-@st.composite
-def fragmented_values(draw):
-    """(value with Fragments, the value each Fragment stands for): some
-    subtrees rendered once as Fragments, and some Fragments shared."""
-    scalars = st.none() | st.booleans() | st.integers(-(10**30), 10**30) | tricky_text
-
-    def grow(inner):
-        pairs = st.lists(inner, max_size=4).map(lambda xs: ([a for a, _ in xs], [b for _, b in xs]))
-        keyed = st.dictionaries(tricky_text, inner, max_size=4).map(
-            lambda d: ({k: a for k, (a, _) in d.items()}, {k: b for k, (_, b) in d.items()}))
-        wrapped = inner.map(lambda ab: (Fragment(_canonical(ab[1])[:-1]), ab[1]))
-        shared = wrapped.map(lambda ab: ([ab[0], {"x": ab[0]}, ab[0]], [ab[1], {"x": ab[1]}, ab[1]]))
-        return pairs | keyed | wrapped | shared
-
-    return draw(st.recursive(scalars.map(lambda v: (v, v)), grow, max_leaves=20))
-
-
-class TestFragments:
-    @settings(max_examples=300, deadline=None)
-    @given(fragmented_values())
-    def test_splice_equals_the_expanded_document(self, pair):
-        doc, expanded = pair
-        assert dumps(doc) == _canonical(expanded) == dumps(expanded)
-
-    @pytest.mark.parametrize("label", [
-        documents._MARK, 'x"' + documents._MARK, "\0fragment 1\0", "\0fragment 2\0"])
-    def test_a_label_holding_the_mark_gives_exact_bytes(self, label):
-        inner = Fragment('{"pick":"a"}')
-        doc = {label: [inner, label, {"k": inner}], "b": [label, "\0fragment 1\0"]}
-        expanded = {label: [{"pick": "a"}, label, {"k": {"pick": "a"}}], "b": [label, "\0fragment 1\0"]}
-        assert dumps(doc) == _canonical(expanded)
-
-    def test_fragment_is_dumps_less_the_newline(self):
-        doc = {"z": [1, "\u00e9"], "a": None}
-        assert fragment(doc).text + "\n" == dumps(doc)
-        assert dumps(fragment(doc)) == dumps(doc)
-        assert dumps([fragment(doc)] * 2) == dumps([doc, doc])
-
-    def test_a_document_without_fragments_takes_one_render(self, monkeypatch):
-        calls = []
-        render = json.dumps
-        monkeypatch.setattr(documents.json, "dumps", lambda *a, **k: calls.append(a) or render(*a, **k))
-        assert dumps({"a": [documents._MARK]}) == '{"a":["\\u0000fragment\\u0000"]}\n'
-        assert len(calls) == 1
-        assert dumps({"a": [documents._MARK, Fragment("1")]}) == '{"a":["\\u0000fragment\\u0000",1]}\n'
-        assert len(calls) == 3  # the mark was a label, so the second render takes another
 
 
 class TestDumps:
@@ -904,6 +857,10 @@ class TestJsonable:
         out = jsonable({F(1, 2): ((F(3), "x", None), frozenset({2, 1}))})
         assert out == {"1/2": [["3/1", "x", None], [1, 2]]}
 
+    def test_a_float_is_refused(self):
+        with pytest.raises(BrokenInvariant, match="inexact value in a report: 0.5"):
+            jsonable({"a": [F(1, 2), 0.5]})
+
 
 class TestCliEnumerate:
     def test_two_records(self):
@@ -1058,11 +1015,11 @@ class TestCliExtend:
         res = json.loads(out)["result"]
         types = partition_types(f, m, p).classes
         want = []
-        for text, (key, members) in zip(selection_texts(types), types.items()):
+        for key, members in types.items():
             r0, q = least_small_class(key, m)
-            want.append({"type": text, "members": len(members), "level": r0,
+            want.append({"type": write_selection(key), "members": len(members), "level": r0,
                          "level_class_size": len(q)})
-        assert res["classes"] == json.loads(dumps(want))  # texts are rendered fragments
+        assert res["classes"] == want
         assert res["selection"]["choices"] == write_partial(extend_selection(f, m, p))["choices"]
 
     def test_one_scoring_walk_per_op(self, tmp_path, monkeypatch):
@@ -1146,6 +1103,62 @@ class TestCliExtend:
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(["extend", str(path), "2", "2"])
         assert code == 2 and out == "" and err.startswith("hypersel: ")
+
+
+# carriers holding the mark an earlier renderer spliced rendered texts
+# at and a label ending with it, and up to four other labels, most of
+# which json must escape (the mark its second rendering took among them)
+marked_carriers = st.lists(
+    label_text | st.sampled_from(['"', "\\", "\ud800", "\udfff", "\0fragment 1\0"]),
+    max_size=4, unique=True,
+).map(lambda xs: tuple(dict.fromkeys(["\0fragment\0", 'x"\0fragment\0', *xs])))
+
+
+class TestReportBytes:
+    """enumerate's and extend's reports, rendered as text, are the bytes
+    dumps gives for the whole report built from the dict writers."""
+
+    @staticmethod
+    def _report(config, result):
+        config = {"budget": structures.DEFAULT_BUDGET, "format": "json", "output": None,
+                  "seed": 0, **config}
+        return dumps({"config": config, "result": result, "version": __version__})
+
+    @pytest.mark.parametrize("m, n, iso", [(4, 2, False), (5, 2, True), (3, 3, False), (4, 3, True)])
+    def test_enumerate(self, m, n, iso):
+        code, out, err = run_cli(["enumerate", str(m), str(n)] + ["--iso"] * iso)
+        assert (code, err) == (0, "")
+        records = [write_selection(s) for s in enumerate_selections(m, n, up_to_iso=iso)]
+        assert out == self._report({"command": "enumerate", "m": m, "n": n, "iso": iso},
+                                   {"count": len(records), "records": records})
+
+    @settings(max_examples=100, deadline=None)
+    @given(marked_carriers, st.integers(2, 3), st.randoms(use_true_random=False), st.data())
+    def test_extend(self, labels, k, rng, data):
+        f = random_partial(GroundSet(labels), min(k, len(labels)), rng)
+        m, p = data.draw(st.sampled_from([(m, p) for p in (2, 3) if p <= f.bound
+                                          for m in range(p, min(2 * f.bound, len(labels)) + 1, p)]))
+        classes = []
+        for key, members in partition_types(f, m, p).classes.items():
+            r0, q = least_small_class(key, m)
+            classes.append({"level": r0, "level_class_size": len(q), "members": len(members),
+                            "type": write_selection(key)})
+        selection = write_partial(extend_selection(f, m, p))
+        result = {"classes": classes, "count": len(selection["choices"]),
+                  "entries": selection["choices"], "selection": selection, "valid": True}
+        with tempfile.TemporaryDirectory() as directory:
+            code, out, err = run_on(write_partial(f), ["extend", "{}", str(m), str(p)], directory)
+        assert (code, err) == (0, "")
+        config = {"command": "extend", "input": os.path.join(directory, "doc.json"), "m": m, "p": p}
+        assert out == self._report(config, result)
+
+    def test_extend_refused(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(dumps(write_partial(order_partial(GroundSet(('x"\0fragment\0', "b")), 2, "min"))))
+        code, out, _ = run_cli(["extend", str(path), "2", "3"])
+        assert code == 1
+        assert out == self._report({"command": "extend", "input": str(path), "m": 2, "p": 3},
+                                   {"error": "need p <= bound, got p=3, bound=2", "valid": False})
 
 
 class TestDeepDocuments:

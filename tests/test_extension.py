@@ -26,7 +26,7 @@ from hypersel.errors import (
 )
 from hypersel import extension, structures
 from hypersel.cli import main
-from hypersel.documents import dumps, write_partial
+from hypersel.documents import dumps
 from hypersel.obstruction import is_prime
 from hypersel.extension import (
     PartialSelection,
@@ -63,6 +63,7 @@ from oracles import (
     oracle_restrict,
     oracle_respects,
     three_cycles9,
+    write_partial,
 )
 
 

@@ -68,6 +68,26 @@ def test_every_raised_class_is_a_package_error():
     assert found == []
 
 
+def _inexact(node) -> bool:
+    """A float literal, a true division (a / b or a /= b) or a call to float."""
+    return (isinstance(node, ast.Constant) and isinstance(node.value, float)
+            or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "float")
+
+
+def test_package_computes_exactly():
+    # every verdict is exact: ints and Fractions, never a float
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path))) if _inexact(node)]
+    assert found == []
+
+
+@pytest.mark.parametrize("source", ["x = 0.5", "y = a / b", "a /= 2", "z = float(n)"])
+def test_inexact_code_is_found(source):
+    assert any(map(_inexact, ast.walk(ast.parse(source))))
+
+
 def _enough_carries(m, n, q):
     return True
 

@@ -29,7 +29,7 @@ from hypersel.errors import (
 from hypersel import _kernels, structures
 from hypersel._kernels import regular_masks_exhaustive
 from hypersel.cli import main
-from hypersel.documents import read_selection, selection_texts, write_selection
+from hypersel.documents import read_selection, selection_texts
 from hypersel.structures import (
     GroundSet,
     IsoMap,
@@ -72,6 +72,7 @@ from oracles import (
     oracle_relabel,
     oracle_scores,
     three_cycles9,
+    write_selection,
 )
 
 
@@ -1067,15 +1068,15 @@ class TestEnumeration:
     def test_selection_texts_render_each_structure(self, m, n):
         # every labeled structure, on its int ground and on str and
         # Fraction grounds, interleaved so the per-ground tables alternate
-        # (dumps is json's rendering with these options on a document
-        # without Fragments: test_documents_cli)
+        # (dumps is json's rendering with these options:
+        # test_documents_cli)
         labeled = list(enumerate_selections(m, n))
         grounds = (labeled[0].ground, GroundSet(tuple('"\\\x00\u00e9\ud800x7'[:m])),
                    GroundSet(tuple(Fraction(i, 3) for i in range(m))))
         batch = [SelectionStructure(g, n, s.picks) if g is not s.ground else s
                  for s in labeled for g in grounds]
         render = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        assert [t.text for t in selection_texts(batch)] == [render(write_selection(s)) for s in batch]
+        assert selection_texts(batch) == [render(write_selection(s)) for s in batch]
 
     @pytest.mark.parametrize("m, n", SMALL_SPACES)
     def test_labeled_order(self, m, n):
